@@ -26,11 +26,7 @@
 //! (`"live": true` rows with a `live_overhead_pct` field): the
 //! combined in-run telemetry overhead budget is < 5% at n = 2^16 on
 //! the sequential engine, profiling must stay inside the same budget,
-//! and the live bus must stay under 5% at n = 2^14. Three `micro:*` rows time the knowledge-merge
-//! kernels directly (dense ∪ dense and dense ∪ sparse `union_from`,
-//! and delta extraction + payload build) so the hot-path primitives are
-//! ratcheted independently of the end-to-end workload; for those rows
-//! `rounds_per_sec` means kernel iterations per second.
+//! and the live bus must stay under 5% at n = 2^14.
 //!
 //! ```text
 //! cargo bench -p rd-bench --bench exec
@@ -43,14 +39,10 @@
 //! `BENCH_exec.json`.
 
 use criterion::{BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rd_bench::workload::{make_nodes, Gossip, SEED};
-use rd_core::delta::DeltaFrontier;
-use rd_core::KnowledgeSet;
 use rd_exec::ShardedEngine;
 use rd_obs::{CausalTrace, LiveBus, LivePublisher, LiveServer, LiveSnapshot, Recorder, RunMeta};
-use rd_sim::{Engine, NodeId};
+use rd_sim::Engine;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -221,90 +213,6 @@ fn engine_label(workers: usize) -> String {
     }
 }
 
-/// Iterations per timed rep of a knowledge-merge micro-kernel: enough
-/// to push each rep into the hundreds of microseconds, where the
-/// best-of-reps minimum is stable against timer granularity.
-const MICRO_ITERS: u64 = 512;
-
-/// One knowledge-merge micro-kernel: `(engine label, n, op)`.
-type MicroKernel = (&'static str, usize, Box<dyn FnMut()>);
-
-/// A `KnowledgeSet` holding `count` distinct pseudorandom ids drawn
-/// from `0..universe` (plus the own id `universe`, placed outside the
-/// draw range so every case has exactly `count + 1` members).
-fn micro_set(count: usize, universe: u32, seed: u64) -> KnowledgeSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut k = KnowledgeSet::new(NodeId::new(universe));
-    while k.len() <= count {
-        k.insert_untracked(NodeId::new(rng.random_range(0..universe)));
-    }
-    k
-}
-
-/// The three knowledge-merge micro-kernels behind the `micro:*` rows:
-///
-/// * `micro:union-dense-dense` — word-level [`KnowledgeSet::union_from`]
-///   of two dense (bitmap-backed) sets of 4096 ids over a 2^14
-///   universe (~1k new ids per merge), cloning the destination each
-///   iteration so every merge starts from the same state;
-/// * `micro:union-dense-sparse` — the dense ∪ sparse arm: a 256-id
-///   sparse set merged into a 4096-id dense one;
-/// * `micro:delta-extract` — [`DeltaFrontier`] delta extraction and
-///   payload materialisation against a 2^16-id knowledge list for 16
-///   peers at staggered high-water marks (1k–16k ids behind), the
-///   shape of a delta-encoded knowledge transfer.
-///
-/// Returns `(engine label, n, op)` where one `op()` call performs one
-/// kernel iteration; both the criterion group and the JSON summary run
-/// the same closures.
-fn micro_kernels() -> Vec<MicroKernel> {
-    let dst = micro_set(4096, 1 << 14, 11);
-    let src = micro_set(4096, 1 << 14, 12);
-    let union_dense_dense = Box::new(move || {
-        let mut t = dst.clone();
-        std::hint::black_box(t.union_from(&src));
-    });
-
-    let dst = micro_set(4096, 1 << 14, 13);
-    let src = micro_set(256, 1 << 14, 14);
-    let union_dense_sparse = Box::new(move || {
-        let mut t = dst.clone();
-        std::hint::black_box(t.union_from(&src));
-    });
-
-    let knowledge = micro_set(1 << 16, 1 << 20, 15);
-    let peers: Vec<NodeId> = (0..16u32).map(|i| NodeId::new((1 << 20) + 1 + i)).collect();
-    let full = knowledge.mark();
-    let mut frontier = DeltaFrontier::new();
-    let delta_extract = Box::new(move || {
-        for (i, &peer) in peers.iter().enumerate() {
-            // Pull the mark back to a staggered lag (rewind never moves
-            // forward, so after the first pass each peer sits exactly
-            // (i + 1) * 1024 ids behind), extract, materialise the wire
-            // payload, and advance — one full delta-transfer send path.
-            frontier.rewind(peer, full - (i + 1) * 1024);
-            let payload: Arc<[NodeId]> = frontier.delta(peer, &knowledge).into();
-            std::hint::black_box(payload.len());
-            frontier.advance(peer, &knowledge);
-        }
-    });
-
-    vec![
-        ("micro:union-dense-dense", 4096, union_dense_dense),
-        ("micro:union-dense-sparse", 4096, union_dense_sparse),
-        ("micro:delta-extract", 1 << 16, delta_extract),
-    ]
-}
-
-/// The criterion-visible view of the knowledge-merge micro-kernels.
-fn bench_knowledge_micro(c: &mut Criterion) {
-    let mut group = c.benchmark_group("knowledge-merge-micro");
-    for (label, _, mut op) in micro_kernels() {
-        group.bench_function(label, |b| b.iter(&mut op));
-    }
-    group.finish();
-}
-
 /// The criterion-visible comparison at every size × engine config.
 /// (Engine construction from the cloned prototype is inside the sample,
 /// but it is O(n) against the rounds' O(rounds · messages) — noise.)
@@ -395,27 +303,6 @@ fn write_json_summary(reps: usize, path: &str) {
                 best_seconds: best,
             });
         }
-    }
-
-    // The knowledge-merge micro-kernels ride in the same `configs`
-    // array as `micro:*` engine rows so `rd-inspect bench-diff` can
-    // ratchet them like any other configuration; for these rows
-    // `rounds_per_sec` means kernel iterations per second.
-    let mut micros = Vec::new();
-    for (label, n, mut op) in micro_kernels() {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            for _ in 0..MICRO_ITERS {
-                op();
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        let per_sec = MICRO_ITERS as f64 / best;
-        eprintln!(
-            "[exec-bench] {label:<28} best {best:.4}s for {MICRO_ITERS} iters ({per_sec:.0}/s)"
-        );
-        micros.push((label, n, best, per_sec));
     }
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -509,17 +396,7 @@ fn write_json_summary(reps: usize, path: &str) {
             rounds_per_sec,
             speedup.as_deref().unwrap_or(""),
             overheads,
-            if i + 1 == measurements.len() && micros.is_empty() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    for (j, (label, n, best, per_sec)) in micros.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {n}, \"engine\": \"{label}\", \"workers\": 0, \"obs\": false, \"trace\": false, \"prof\": false, \"live\": false, \"iters\": {MICRO_ITERS}, \"best_seconds\": {best:.6}, \"rounds_per_sec\": {per_sec:.0}}}{}\n",
-            if j + 1 == micros.len() { "" } else { "," }
+            if i + 1 == measurements.len() { "" } else { "," }
         ));
     }
     json.push_str("  ]\n}\n");
@@ -598,6 +475,5 @@ fn main() {
     }
     let mut criterion = Criterion::default().configure_from_args();
     bench_engines(&mut criterion);
-    bench_knowledge_micro(&mut criterion);
     write_json_summary(MEASURE_REPS, BASELINE_PATH);
 }

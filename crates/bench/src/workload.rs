@@ -19,8 +19,9 @@
 //! already), so per-peer high-water marks suppressed under 10% of
 //! messages while the tag bookkeeping doubled rewrite traffic — a net
 //! slowdown, measured at n=2^16. Delta transfers live where they pay:
-//! fixed-neighbor flooding ([`rd_core::delta`]), where a node resends
-//! to the same peers every round and the frontier empties permanently.
+//! fixed-neighbor flooding (`rd_core::algorithms::flooding`, one
+//! `KnowledgeSet::mark` per node), where a node resends to the same
+//! peers every round and the frontier empties permanently.
 //!
 //! Bit-identity with the original sort-based workload is pinned by the
 //! order-sensitive state digest printed by the `profile` binary

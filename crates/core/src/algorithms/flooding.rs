@@ -39,11 +39,9 @@ impl MessageCost for FloodMsg {
 /// Dissemination state is a single high-water mark (`sent`) over the
 /// knowledge set's append-only learning-order list: `list[sent..]` is
 /// exactly what this node has not yet flooded, and an id is newly met
-/// iff its list position is `>= sent`. This replaces the former
-/// drain-a-fresh-queue + rebuild-a-membership-set per round with two
-/// borrowed slices and one integer compare per destination — the
-/// delta-transfer pattern of [`crate::delta`], degenerate to one shared
-/// mark because flooding sends to *all* peers whenever it sends at all.
+/// iff its list position is `>= sent`: two borrowed slices and one
+/// integer compare per destination. One mark serves every peer because
+/// flooding sends to *all* of them whenever it sends at all.
 #[derive(Debug, Clone)]
 pub struct FloodingNode {
     knowledge: KnowledgeSet,
@@ -61,8 +59,8 @@ impl Node for FloodingNode {
         ctx: &mut RoundContext<'_, FloodMsg>,
     ) {
         for env in inbox.drain(..) {
-            self.knowledge.insert_untracked(env.src);
-            self.knowledge.extend_untracked(env.payload.ids);
+            self.knowledge.insert(env.src);
+            self.knowledge.extend_from_slice(&env.payload.ids);
         }
         if self.sent == self.knowledge.mark() && self.started {
             return; // quiescent until something new arrives
@@ -113,6 +111,12 @@ impl KnowledgeView for FloodingNode {
     fn known_ids(&self) -> Vec<NodeId> {
         self.knowledge.to_vec()
     }
+    fn max_known(&self) -> Option<NodeId> {
+        self.knowledge.max_id()
+    }
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.knowledge.covers(mask)
+    }
     fn resident_bytes(&self) -> u64 {
         self.knowledge.resident_bytes() as u64
     }
@@ -131,7 +135,7 @@ impl DiscoveryAlgorithm for Flooding {
             .enumerate()
             .map(|(u, ids)| {
                 let mut knowledge = KnowledgeSet::new(NodeId::new(u as u32));
-                knowledge.extend_untracked(ids.iter().copied());
+                knowledge.extend_from_slice(ids);
                 FloodingNode {
                     knowledge,
                     // Initial acquaintances sit past the mark (only the

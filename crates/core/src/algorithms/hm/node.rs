@@ -238,20 +238,20 @@ impl HmNode {
         frontier: PointerList,
         ctx: &mut RoundContext<'_, HmMsg>,
     ) {
+        self.knowledge.extend_from_slice(&members);
+        self.knowledge.extend_from_slice(&frontier);
+        let held = self.members.mark();
+        self.members.extend_from_slice(&members);
+        self.seen.extend_from_slice(self.members.since(held));
+        // Adopt is (re)sent even for members we already hold: a retried
+        // Join means the original Adopt may have been lost, and the
+        // Adopt doubles as the join acknowledgement.
         for m in members {
-            self.knowledge.insert(m);
-            if self.members.insert(m) {
-                self.seen.insert(m);
-            }
-            // Adopt is (re)sent even for members we already hold: a
-            // retried Join means the original Adopt may have been lost,
-            // and the Adopt doubles as the join acknowledgement.
             if m != self.me {
                 ctx.send(m, HmMsg::Adopt { leader: self.me });
             }
         }
         for f in frontier {
-            self.knowledge.insert(f);
             self.enqueue_external(f);
         }
     }
@@ -262,8 +262,8 @@ impl HmNode {
             HmMsg::Report { from, epoch, ids } => {
                 self.knowledge.insert(from);
                 if self.is_leader() {
+                    self.knowledge.extend_from_slice(&ids);
                     for id in ids {
-                        self.knowledge.insert(id);
                         self.enqueue_external(id);
                     }
                     if from != self.me {
@@ -401,7 +401,7 @@ impl HmNode {
                 }
             }
             HmMsg::Roster { ids } => {
-                self.knowledge.extend(ids);
+                self.knowledge.extend_from_slice(&ids);
                 self.got_roster = true;
             }
         }
@@ -409,14 +409,13 @@ impl HmNode {
 
     fn phase_report(&mut self, ctx: &mut RoundContext<'_, HmMsg>) {
         if self.is_leader() {
-            let fresh = self.knowledge.take_fresh();
-            for id in fresh {
+            for id in self.knowledge.take_fresh().to_vec() {
                 self.enqueue_external(id);
             }
             return;
         }
-        let fresh = self.knowledge.take_fresh();
-        self.pending_report.extend(fresh);
+        self.pending_report
+            .extend_from_slice(self.knowledge.take_fresh());
         if self.pending_report.is_empty() && self.got_roster {
             return;
         }
@@ -495,13 +494,15 @@ impl HmNode {
         if !self.is_quiescent() || self.members.len() <= 1 {
             return;
         }
-        let roster: Vec<NodeId> = self.members.iter().collect();
+        // One allocation however large the cluster: every envelope
+        // carries a clone of the same shared list.
+        let roster = PointerList::shared(self.members.list());
         for m in self.members.iter() {
             if m != self.me {
                 ctx.send(
                     m,
                     HmMsg::Roster {
-                        ids: roster.as_slice().into(),
+                        ids: roster.clone(),
                     },
                 );
             }
@@ -621,6 +622,12 @@ impl KnowledgeView for HmNode {
     }
     fn known_ids(&self) -> Vec<NodeId> {
         self.knowledge.to_vec()
+    }
+    fn max_known(&self) -> Option<NodeId> {
+        self.knowledge.max_id()
+    }
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.knowledge.covers(mask)
     }
     fn believes_done(&self) -> bool {
         if self.is_leader() {

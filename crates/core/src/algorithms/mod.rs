@@ -29,6 +29,31 @@ pub trait KnowledgeView {
     fn knows_count(&self) -> usize;
     /// All identifiers this node knows.
     fn known_ids(&self) -> Vec<NodeId>;
+    /// The largest identifier this node knows — what the
+    /// no-fabricated-ids check compares against the instance size, so
+    /// nodes backed by a [`KnowledgeSet`] answer from its membership
+    /// tier ([`max_id`]) instead of copying out every id.
+    ///
+    /// [`KnowledgeSet`]: crate::knowledge::KnowledgeSet
+    /// [`max_id`]: crate::knowledge::KnowledgeSet::max_id
+    fn max_known(&self) -> Option<NodeId> {
+        self.known_ids().into_iter().max()
+    }
+    /// Does this node know every id whose bit is set in `mask` (id `i`
+    /// is bit `i % 64` of word `i / 64`)? The completion predicates and
+    /// the convergence check ask this of every node, so nodes backed by
+    /// a [`KnowledgeSet`] override the per-id default with its
+    /// word-level [`covers`].
+    ///
+    /// [`KnowledgeSet`]: crate::knowledge::KnowledgeSet
+    /// [`covers`]: crate::knowledge::KnowledgeSet::covers
+    fn covers(&self, mask: &[u64]) -> bool {
+        mask.iter().enumerate().all(|(w, &word)| {
+            (0..64)
+                .filter(|bit| word >> bit & 1 == 1)
+                .all(|bit| self.knows(NodeId::new((w * 64 + bit) as u32)))
+        })
+    }
     /// Whether the node's *local* state claims discovery is finished.
     ///
     /// Only protocols with genuine local termination detection return

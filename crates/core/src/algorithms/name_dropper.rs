@@ -55,15 +55,24 @@ impl Node for NameDropperNode {
     ) {
         for env in inbox.drain(..) {
             self.knowledge.insert(env.src); // reverse pointer
-            self.knowledge.extend(env.payload.ids);
+            self.knowledge.extend_from_slice(&env.payload.ids);
         }
         let me = ctx.id();
         if let Some(target) = {
             let rng = ctx.rng();
             self.knowledge.sample_other(rng, me)
         } {
-            let ids: PointerList = self.knowledge.iter().filter(|&v| v != target).collect();
-            ctx.send(target, TransferMsg { ids });
+            // Everything but the target itself: two copies around its
+            // position in the list it was sampled from.
+            let list = self.knowledge.list();
+            let at = list
+                .iter()
+                .position(|&v| v == target)
+                .expect("the target was sampled from the list");
+            let mut ids = Vec::with_capacity(list.len() - 1);
+            ids.extend_from_slice(&list[..at]);
+            ids.extend_from_slice(&list[at + 1..]);
+            ctx.send(target, TransferMsg { ids: ids.into() });
         }
     }
 }
@@ -77,6 +86,12 @@ impl KnowledgeView for NameDropperNode {
     }
     fn known_ids(&self) -> Vec<NodeId> {
         self.knowledge.to_vec()
+    }
+    fn max_known(&self) -> Option<NodeId> {
+        self.knowledge.max_id()
+    }
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.knowledge.covers(mask)
     }
     fn resident_bytes(&self) -> u64 {
         self.knowledge.resident_bytes() as u64
@@ -96,7 +111,7 @@ impl DiscoveryAlgorithm for NameDropper {
             .enumerate()
             .map(|(u, ids)| {
                 let mut knowledge = KnowledgeSet::new(NodeId::new(u as u32));
-                knowledge.extend(ids.iter().copied());
+                knowledge.extend_from_slice(ids);
                 NameDropperNode { knowledge }
             })
             .collect()

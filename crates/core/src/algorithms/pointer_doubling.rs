@@ -78,11 +78,11 @@ impl Node for PointerDoublingNode {
             self.knowledge.insert(env.src);
             match env.payload {
                 PdMsg::Query { ids } => {
-                    self.knowledge.extend(ids);
+                    self.knowledge.extend_from_slice(&ids);
                     queriers.push(env.src);
                 }
                 PdMsg::Reply { ids } => {
-                    self.knowledge.extend(ids);
+                    self.knowledge.extend_from_slice(&ids);
                 }
             }
         }
@@ -125,6 +125,12 @@ impl KnowledgeView for PointerDoublingNode {
     fn known_ids(&self) -> Vec<NodeId> {
         self.knowledge.to_vec()
     }
+    fn max_known(&self) -> Option<NodeId> {
+        self.knowledge.max_id()
+    }
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.knowledge.covers(mask)
+    }
     fn resident_bytes(&self) -> u64 {
         self.knowledge.resident_bytes() as u64
     }
@@ -143,7 +149,7 @@ impl DiscoveryAlgorithm for PointerDoubling {
             .enumerate()
             .map(|(u, ids)| {
                 let mut knowledge = KnowledgeSet::new(NodeId::new(u as u32));
-                knowledge.extend(ids.iter().copied());
+                knowledge.extend_from_slice(ids);
                 PointerDoublingNode { knowledge }
             })
             .collect()

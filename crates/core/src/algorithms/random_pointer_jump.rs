@@ -74,7 +74,7 @@ impl Node for RandomPointerJumpNode {
                 // edge is Name-Dropper's fix, not this algorithm.
                 RpjMsg::Pull => pullers.push(env.src),
                 RpjMsg::Transfer { ids } => {
-                    self.knowledge.extend(ids);
+                    self.knowledge.extend_from_slice(&ids);
                 }
             }
         }
@@ -105,6 +105,12 @@ impl KnowledgeView for RandomPointerJumpNode {
     fn known_ids(&self) -> Vec<NodeId> {
         self.knowledge.to_vec()
     }
+    fn max_known(&self) -> Option<NodeId> {
+        self.knowledge.max_id()
+    }
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.knowledge.covers(mask)
+    }
     fn resident_bytes(&self) -> u64 {
         self.knowledge.resident_bytes() as u64
     }
@@ -123,7 +129,7 @@ impl DiscoveryAlgorithm for RandomPointerJump {
             .enumerate()
             .map(|(u, ids)| {
                 let mut knowledge = KnowledgeSet::new(NodeId::new(u as u32));
-                knowledge.extend(ids.iter().copied());
+                knowledge.extend_from_slice(ids);
                 RandomPointerJumpNode { knowledge }
             })
             .collect()

@@ -61,7 +61,7 @@ impl Node for SwampingNode {
         let mut learned = false;
         for env in inbox.drain(..) {
             learned |= self.knowledge.insert(env.src);
-            learned |= self.knowledge.extend(env.payload.ids) > 0;
+            learned |= self.knowledge.extend_from_slice(&env.payload.ids) > 0;
         }
         if learned || ctx.round() == 0 {
             self.idle_rounds = 0;
@@ -94,6 +94,12 @@ impl KnowledgeView for SwampingNode {
     fn known_ids(&self) -> Vec<NodeId> {
         self.knowledge.to_vec()
     }
+    fn max_known(&self) -> Option<NodeId> {
+        self.knowledge.max_id()
+    }
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.knowledge.covers(mask)
+    }
     fn resident_bytes(&self) -> u64 {
         self.knowledge.resident_bytes() as u64
     }
@@ -112,7 +118,7 @@ impl DiscoveryAlgorithm for Swamping {
             .enumerate()
             .map(|(u, ids)| {
                 let mut knowledge = KnowledgeSet::new(NodeId::new(u as u32));
-                knowledge.extend(ids.iter().copied());
+                knowledge.extend_from_slice(ids);
                 SwampingNode {
                     knowledge,
                     idle_rounds: 0,

@@ -7,21 +7,30 @@ use rd_sim::NodeId;
 ///
 /// Resource-discovery protocols constantly ask three things of their
 /// knowledge state: *do I know this id?* (fast), *give me everything I
-/// learned since I last forwarded* (the freshness queue, drained by
+/// learned since I last forwarded* (the fresh window, drained by
 /// [`take_fresh`](Self::take_fresh)), and *pick a uniformly random known
 /// id* (Name-Dropper's only primitive). `KnowledgeSet` serves all three.
 ///
 /// Internally membership starts as a small **sorted index** (binary
 /// search) and spills into a **growable bitmap** over raw identifier
-/// indices once the set exceeds [`SPARSE_MAX`] entries, plus an
-/// insertion-order list for O(1) random sampling. The hybrid matters at
-/// scale: a bitmap alone costs `max_id / 8` bytes *per set*, which sums
-/// to Θ(n²) bytes across a million singleton clusters — the sparse tier
-/// keeps per-set memory proportional to what the set actually holds,
-/// while big sets (merged clusters, full rosters) still get O(1) bitmap
-/// lookups. This is a set *representation* choice only — protocols
-/// still treat identifiers as opaque and learn them exclusively through
-/// messages.
+/// indices once the set exceeds [`SPARSE_MAX`] entries, plus one
+/// append-only learning-order list for O(1) random sampling. The hybrid
+/// matters at scale: a bitmap alone costs `max_id / 8` bytes *per set*,
+/// which sums to Θ(n²) bytes across a million singleton clusters — the
+/// sparse tier keeps per-set memory proportional to what the set
+/// actually holds, while big sets (merged clusters, full rosters) still
+/// get O(1) bitmap lookups. This is a set *representation* choice only —
+/// protocols still treat identifiers as opaque and learn them
+/// exclusively through messages.
+///
+/// Freshness is **one window over that list**, not a second queue: a
+/// cursor marks how far [`take_fresh`](Self::take_fresh) has read, so
+/// every id is stored once, an insert is one push, and a set that is
+/// never drained holds nothing extra. [`new`](Self::new) and
+/// [`FromIterator`] leave the window empty (construction ids are not
+/// news); every later insert lands in it. [`mark`](Self::mark) /
+/// [`since`](Self::since) read the same list through caller-held
+/// positions and never move the cursor, so both styles can share a set.
 ///
 /// # Example
 ///
@@ -34,14 +43,16 @@ use rd_sim::NodeId;
 /// k.insert(NodeId::new(7));
 /// k.insert(NodeId::new(7)); // duplicate: no effect
 /// assert_eq!(k.len(), 2);
-/// assert_eq!(k.take_fresh(), vec![NodeId::new(7)]); // self is not "fresh"
+/// assert_eq!(k.take_fresh(), [NodeId::new(7)]); // self is not "fresh"
 /// assert!(k.take_fresh().is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeSet {
     membership: Membership,
+    /// Every known id, in learning order.
     list: Vec<NodeId>,
-    fresh: Vec<NodeId>,
+    /// `list[drained..]` is the fresh window.
+    drained: usize,
 }
 
 /// Spill threshold: sets at or below this size stay sorted-vec (≤ 2 KiB,
@@ -63,19 +74,16 @@ impl Default for Membership {
     }
 }
 
+fn word_bit(index: usize) -> (usize, u64) {
+    (index / 64, 1u64 << (index % 64))
+}
+
 impl KnowledgeSet {
     /// Creates a knowledge set containing only the node's own id (which
-    /// is *not* queued as fresh: a node never needs to tell anyone about
-    /// an id they necessarily learn from the message envelope).
+    /// is *not* fresh: a node never needs to tell anyone about an id
+    /// they necessarily learn from the message envelope).
     pub fn new(own: NodeId) -> Self {
-        let mut k = KnowledgeSet::default();
-        k.insert_quiet(own);
-        k
-    }
-
-    fn word_bit(id: NodeId) -> (usize, u64) {
-        let i = id.index();
-        (i / 64, 1u64 << (i % 64))
+        std::iter::once(own).collect()
     }
 
     /// Heap bytes this set currently holds (capacities, not lengths),
@@ -89,7 +97,6 @@ impl KnowledgeSet {
         std::mem::size_of::<Self>()
             + membership
             + self.list.capacity() * std::mem::size_of::<NodeId>()
-            + self.fresh.capacity() * std::mem::size_of::<NodeId>()
     }
 
     /// `true` if `id` has been learned.
@@ -97,23 +104,41 @@ impl KnowledgeSet {
         match &self.membership {
             Membership::Sparse(sorted) => sorted.binary_search(&(id.index() as u32)).is_ok(),
             Membership::Dense(bits) => {
-                let (w, b) = Self::word_bit(id);
+                let (w, b) = word_bit(id.index());
                 bits.get(w).is_some_and(|word| word & b != 0)
             }
         }
     }
 
-    /// Learns `id`, queuing it as fresh if new. Returns `true` if new.
-    pub fn insert(&mut self, id: NodeId) -> bool {
-        if self.insert_quiet(id) {
-            self.fresh.push(id);
-            true
-        } else {
-            false
+    /// `true` if every id whose bit is set in `mask` has been learned
+    /// (id `i` is bit `i % 64` of word `i / 64`; `mask` may be shorter
+    /// or longer than the set's own bitmap). On a dense set this tests
+    /// 64 ids per instruction — the harness's completion checks ask it
+    /// of every node every round.
+    pub fn covers(&self, mask: &[u64]) -> bool {
+        match &self.membership {
+            Membership::Sparse(sorted) => mask.iter().enumerate().all(|(w, &word)| {
+                let mut missing = word;
+                while missing != 0 {
+                    let raw = (w * 64) as u32 + missing.trailing_zeros();
+                    if sorted.binary_search(&raw).is_err() {
+                        return false;
+                    }
+                    missing &= missing - 1;
+                }
+                true
+            }),
+            Membership::Dense(bits) => {
+                let (shared, beyond) = mask.split_at(mask.len().min(bits.len()));
+                shared.iter().zip(bits).all(|(&m, &b)| m & !b == 0)
+                    && beyond.iter().all(|&m| m == 0)
+            }
         }
     }
 
-    fn insert_quiet(&mut self, id: NodeId) -> bool {
+    /// Learns `id`, which joins the fresh window if new. Returns `true`
+    /// if new.
+    pub fn insert(&mut self, id: NodeId) -> bool {
         let added = match &mut self.membership {
             Membership::Sparse(sorted) => {
                 let raw = id.index() as u32;
@@ -126,7 +151,7 @@ impl KnowledgeSet {
                 }
             }
             Membership::Dense(bits) => {
-                let (w, b) = Self::word_bit(id);
+                let (w, b) = word_bit(id.index());
                 if w >= bits.len() {
                     bits.resize(w + 1, 0);
                 }
@@ -140,168 +165,82 @@ impl KnowledgeSet {
         };
         if added {
             self.list.push(id);
-            self.maybe_spill();
+            if self.sparse_len().is_some_and(|len| len > SPARSE_MAX) {
+                self.spill();
+            }
         }
         added
     }
 
-    /// Converts sparse membership to the bitmap once past the threshold.
-    fn maybe_spill(&mut self) {
+    fn sparse_len(&self) -> Option<usize> {
+        match &self.membership {
+            Membership::Sparse(sorted) => Some(sorted.len()),
+            Membership::Dense(_) => None,
+        }
+    }
+
+    /// Converts sparse membership to the bitmap.
+    fn spill(&mut self) {
         if let Membership::Sparse(sorted) = &self.membership {
-            if sorted.len() > SPARSE_MAX {
-                let max = *sorted.last().expect("non-empty past threshold") as usize;
-                let mut bits = vec![0u64; max / 64 + 1];
-                for &raw in sorted {
-                    bits[raw as usize / 64] |= 1 << (raw % 64);
-                }
-                self.membership = Membership::Dense(bits);
+            let max = sorted.last().copied().unwrap_or(0) as usize;
+            let mut bits = vec![0u64; max / 64 + 1];
+            for &raw in sorted {
+                let (w, b) = word_bit(raw as usize);
+                bits[w] |= b;
             }
+            self.membership = Membership::Dense(bits);
         }
     }
 
     /// Learns every id in `ids`; returns how many were new.
     pub fn extend(&mut self, ids: impl IntoIterator<Item = NodeId>) -> usize {
-        let mut added = 0;
+        let before = self.list.len();
         for id in ids {
-            if self.insert(id) {
-                added += 1;
-            }
+            self.insert(id);
         }
-        added
+        self.list.len() - before
     }
 
-    /// Learns `id` without queueing it as fresh. Returns `true` if new.
+    /// Learns every id of a whole payload; returns how many were new.
     ///
-    /// For protocols that track dissemination with [`mark`](Self::mark)
-    /// frontiers instead of the fresh queue — mixing both on one set
-    /// would leak queue entries that are never drained.
-    pub fn insert_untracked(&mut self, id: NodeId) -> bool {
-        self.insert_quiet(id)
-    }
-
-    /// Learns every id in `ids` without queueing them as fresh; returns
-    /// how many were new.
-    pub fn extend_untracked(&mut self, ids: impl IntoIterator<Item = NodeId>) -> usize {
-        let mut added = 0;
-        for id in ids {
-            if self.insert_quiet(id) {
-                added += 1;
-            }
-        }
-        added
-    }
-
-    /// Merges `other` into `self`; returns how many ids were newly
-    /// learned (queued as fresh, like [`insert`](Self::insert)).
-    ///
-    /// When both sets are in the dense tier this is a **word-level**
-    /// union: one pass of `new = theirs & !ours; ours |= theirs` per
-    /// u64 chunk with a popcount for the newly-learned count — 64
-    /// membership decisions per instruction instead of a per-id insert
-    /// loop, and zero per-id work on chunks that contribute nothing
-    /// (the common case once knowledge has mostly converged). Only the
-    /// genuinely new ids are extracted bit-by-bit to extend the
-    /// learning-order list.
-    ///
-    /// Newly learned ids enter the list in ascending id order (the
-    /// order a word scan discovers them) — deterministic, but not
-    /// necessarily the insertion order `other` was built in, so bulk
-    /// union and per-id iteration are interchangeable only where
-    /// learning *order* is not wire-visible.
-    pub fn union_from(&mut self, other: &KnowledgeSet) -> usize {
-        // A dense peer can push a sparse self far past the spill
-        // threshold; promote first so the merge below is word-level.
-        if matches!(self.membership, Membership::Sparse(_))
-            && matches!(other.membership, Membership::Dense(_))
+    /// Equivalent to [`insert`](Self::insert) on each id **in slice
+    /// order** — same learning order, same fresh window, same count —
+    /// so routing a payload through it moves no simulated statistic.
+    /// The difference is cost: a payload that could push the set past
+    /// the sparse tier spills it once up front (possibly a few ids
+    /// earlier than per-id inserts would have), the bitmap and the list
+    /// are sized once, and the merge is a test-and-set loop with no
+    /// per-id tier match or growth check.
+    pub fn extend_from_slice(&mut self, ids: &[NodeId]) -> usize {
+        if self
+            .sparse_len()
+            .is_some_and(|len| len + ids.len() <= SPARSE_MAX)
         {
-            self.spill_now();
+            return self.extend(ids.iter().copied());
         }
-        match (&mut self.membership, &other.membership) {
-            (Membership::Dense(ours), Membership::Dense(theirs)) => {
-                if theirs.len() > ours.len() {
-                    ours.resize(theirs.len(), 0);
-                }
-                let mut added = 0;
-                for (w, (a, &b)) in ours.iter_mut().zip(theirs).enumerate() {
-                    let mut new = b & !*a;
-                    if new != 0 {
-                        *a |= b;
-                        added += new.count_ones() as usize;
-                        while new != 0 {
-                            let id = NodeId::new((w * 64 + new.trailing_zeros() as usize) as u32);
-                            self.list.push(id);
-                            self.fresh.push(id);
-                            new &= new - 1;
-                        }
-                    }
-                }
-                added
-            }
-            // Sparse other: its sorted index doubles as the iteration
-            // order, so dense self pays one O(1) bit probe per id and
-            // sparse self one two-pointer merge instead of repeated
-            // binary-search inserts.
-            (Membership::Dense(ours), Membership::Sparse(theirs)) => {
-                let mut added = 0;
-                for &raw in theirs {
-                    let (w, b) = (raw as usize / 64, 1u64 << (raw % 64));
-                    if w >= ours.len() {
-                        ours.resize(w + 1, 0);
-                    }
-                    if ours[w] & b == 0 {
-                        ours[w] |= b;
-                        let id = NodeId::new(raw);
-                        self.list.push(id);
-                        self.fresh.push(id);
-                        added += 1;
-                    }
-                }
-                added
-            }
-            (Membership::Sparse(ours), Membership::Sparse(theirs)) => {
-                let mut merged = Vec::with_capacity(ours.len() + theirs.len());
-                let (mut i, mut j) = (0, 0);
-                let mut added = 0;
-                while i < ours.len() && j < theirs.len() {
-                    let (x, y) = (ours[i], theirs[j]);
-                    merged.push(x.min(y));
-                    if y < x {
-                        let id = NodeId::new(y);
-                        self.list.push(id);
-                        self.fresh.push(id);
-                        added += 1;
-                    }
-                    i += (x <= y) as usize;
-                    j += (y <= x) as usize;
-                }
-                merged.extend_from_slice(&ours[i..]);
-                for &raw in &theirs[j..] {
-                    merged.push(raw);
-                    let id = NodeId::new(raw);
-                    self.list.push(id);
-                    self.fresh.push(id);
-                    added += 1;
-                }
-                *ours = merged;
-                self.maybe_spill();
-                added
-            }
-            (Membership::Sparse(_), Membership::Dense(_)) => {
-                unreachable!("sparse self promoted above when other is dense")
+        let Some(max) = ids.iter().map(|id| id.index()).max() else {
+            return 0;
+        };
+        self.spill();
+        let Membership::Dense(bits) = &mut self.membership else {
+            unreachable!("spilled above")
+        };
+        if max / 64 >= bits.len() {
+            bits.resize(max / 64 + 1, 0);
+        }
+        // Every listed id has its bit set, so the clear bits bound how
+        // many ids can still be new: a duplicate-heavy payload reserves
+        // almost nothing.
+        let before = self.list.len();
+        self.list.reserve(ids.len().min(bits.len() * 64 - before));
+        for &id in ids {
+            let (w, b) = word_bit(id.index());
+            if bits[w] & b == 0 {
+                bits[w] |= b;
+                self.list.push(id);
             }
         }
-    }
-
-    /// Forces the sparse→dense promotion regardless of the threshold.
-    fn spill_now(&mut self) {
-        if let Membership::Sparse(sorted) = &self.membership {
-            let max = sorted.last().copied().unwrap_or(0) as usize;
-            let mut bits = vec![0u64; max / 64 + 1];
-            for &raw in sorted {
-                bits[raw as usize / 64] |= 1 << (raw % 64);
-            }
-            self.membership = Membership::Dense(bits);
-        }
+        self.list.len() - before
     }
 
     /// Number of identifiers known.
@@ -334,10 +273,10 @@ impl KnowledgeSet {
 
     /// The current frontier position: the number of ids learned so far.
     /// Capture it after a send, and [`since`](Self::since) later yields
-    /// exactly the ids learned after that point — a borrow-only
-    /// alternative to the [`take_fresh`](Self::take_fresh) queue that
-    /// supports any number of independent readers (e.g. one high-water
-    /// mark per neighbor).
+    /// exactly the ids learned after that point — the caller-held
+    /// sibling of the [`take_fresh`](Self::take_fresh) window, for any
+    /// number of independent readers (e.g. one high-water mark per
+    /// neighbor).
     pub fn mark(&self) -> usize {
         self.list.len()
     }
@@ -348,15 +287,18 @@ impl KnowledgeSet {
         &self.list[mark.min(self.list.len())..]
     }
 
-    /// Drains and returns identifiers learned since the previous drain
-    /// (never includes the node's own id from construction).
-    pub fn take_fresh(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.fresh)
+    /// The identifiers learned since the previous drain, in learning
+    /// order (never the ids the set was constructed with), and closes
+    /// the window behind them.
+    pub fn take_fresh(&mut self) -> &[NodeId] {
+        let fresh = &self.list[self.drained..];
+        self.drained = self.list.len();
+        fresh
     }
 
     /// `true` if identifiers have been learned since the last drain.
     pub fn has_fresh(&self) -> bool {
-        !self.fresh.is_empty()
+        self.drained < self.list.len()
     }
 
     /// A uniformly random known id, excluding `exclude` (typically the
@@ -376,18 +318,29 @@ impl KnowledgeSet {
     }
 
     /// The maximum known id (total-order tie-breaking primitive used by
-    /// the deterministic baseline and the cluster protocol).
+    /// the deterministic baseline and the cluster protocol), read off
+    /// the membership tier: the last sorted entry, or the top bit of
+    /// the highest non-zero bitmap word.
     pub fn max_id(&self) -> Option<NodeId> {
-        self.list.iter().copied().max()
+        let raw = match &self.membership {
+            Membership::Sparse(sorted) => *sorted.last()?,
+            Membership::Dense(bits) => {
+                let w = bits.iter().rposition(|&word| word != 0)?;
+                (w * 64) as u32 + 63 - bits[w].leading_zeros()
+            }
+        };
+        Some(NodeId::new(raw))
     }
 }
 
 impl FromIterator<NodeId> for KnowledgeSet {
+    /// Collects a set whose fresh window is empty: the ids it is built
+    /// from are its starting state, not news.
     fn from_iter<T: IntoIterator<Item = NodeId>>(iter: T) -> Self {
         let mut k = KnowledgeSet::default();
-        for id in iter {
-            k.insert_quiet(id);
-        }
+        k.extend(iter);
+        k.drained = k.list.len();
+        debug_assert!(!k.has_fresh(), "construction leaves the window empty");
         k
     }
 }
@@ -472,15 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn max_id_tracks_maximum() {
-        let mut k = KnowledgeSet::new(id(4));
-        assert_eq!(k.max_id(), Some(id(4)));
-        k.insert(id(9));
-        k.insert(id(2));
-        assert_eq!(k.max_id(), Some(id(9)));
-    }
-
-    #[test]
     fn huge_ids_in_small_sets_stay_sparse() {
         // The scale-critical property: holding a few ids never costs
         // O(max id) memory — a million-node simulation allocates
@@ -523,57 +467,62 @@ mod tests {
         k.insert(id(7));
         let m = k.mark();
         assert!(k.since(m).is_empty());
-        k.insert_untracked(id(3));
-        k.insert_untracked(id(9));
+        k.insert(id(3));
+        k.insert(id(9));
         assert_eq!(k.since(m), &[id(3), id(9)]);
         assert_eq!(k.list()[0], id(0));
-        assert!(!k.has_fresh() || k.take_fresh() == vec![id(7)]);
+        // Marks read the list without moving the fresh cursor: the
+        // window still holds everything inserted since construction.
+        assert_eq!(k.take_fresh(), [id(7), id(3), id(9)]);
+        assert_eq!(k.since(m), &[id(3), id(9)]);
         // A stale over-long mark (can't arise from `mark()`) clamps.
         assert!(k.since(usize::MAX).is_empty());
     }
 
     #[test]
-    fn untracked_inserts_skip_fresh_queue() {
+    fn construction_leaves_the_window_empty_and_inserts_fill_it() {
         let mut k = KnowledgeSet::new(id(0));
-        assert!(k.insert_untracked(id(4)));
-        assert!(!k.insert_untracked(id(4)));
-        assert_eq!(k.extend_untracked([id(4), id(5), id(6)]), 2);
         assert!(!k.has_fresh());
+        assert!(k.insert(id(4)));
+        assert!(!k.insert(id(4)));
+        assert_eq!(k.extend([id(4), id(5), id(6)]), 2);
+        assert!(k.has_fresh());
+        // The window is a view of the one list, not a second copy.
+        let before = k.resident_bytes();
+        assert_eq!(k.take_fresh(), [id(4), id(5), id(6)]);
+        assert!(!k.has_fresh());
+        assert_eq!(k.resident_bytes(), before);
         assert_eq!(k.len(), 4);
     }
 
     #[test]
-    fn union_from_covers_all_tier_pairs() {
-        // (self tier, other tier) — every Sparse/Dense combination.
-        let sparse_small: KnowledgeSet = (0..10u32).map(|i| id(5 * i)).collect();
-        let dense_big: KnowledgeSet = (0..2000u32).map(|i| id(3 * i)).collect();
-        for a_src in [&sparse_small, &dense_big] {
-            for b in [&sparse_small, &dense_big] {
-                let mut a = a_src.clone();
-                let expect_new = b.iter().filter(|&v| !a.contains(v)).count();
-                let added = a.union_from(b);
-                assert_eq!(added, expect_new);
-                assert_eq!(a.len(), a_src.len() + expect_new);
-                for v in b.iter() {
-                    assert!(a.contains(v));
-                }
-                for v in a_src.iter() {
-                    assert!(a.contains(v));
-                }
-                // Idempotent: a second union learns nothing.
-                assert_eq!(a.union_from(b), 0);
-            }
-        }
+    fn covers_tests_masks_on_both_tiers() {
+        let sparse: KnowledgeSet = [id(1), id(64), id(200)].into_iter().collect();
+        let dense: KnowledgeSet = (0..1000u32).map(id).collect();
+        assert!(matches!(sparse.membership, Membership::Sparse(_)));
+        assert!(matches!(dense.membership, Membership::Dense(_)));
+        assert!(sparse.covers(&[0b10, 0b1]));
+        assert!(!sparse.covers(&[0b110]));
+        assert!(sparse.covers(&[]));
+        assert!(dense.covers(&[u64::MAX; 15]));
+        // Bit 1000 (word 15, bit 40) is the first id the set lacks.
+        assert!(dense.covers(&[&[0; 15][..], &[(1 << 40) - 1]].concat()));
+        assert!(!dense.covers(&[&[0; 15][..], &[1 << 40]].concat()));
+        // Words past the bitmap must be empty.
+        assert!(dense.covers(&[0; 40]));
+        assert!(!dense.covers(&[&[0; 39][..], &[1]].concat()));
     }
 
     #[test]
-    fn union_from_queues_new_ids_as_fresh() {
-        let mut a = KnowledgeSet::new(id(0));
-        a.insert(id(2));
-        a.take_fresh();
-        let b: KnowledgeSet = [id(2), id(4), id(6)].into_iter().collect();
-        assert_eq!(a.union_from(&b), 2);
-        assert_eq!(a.take_fresh(), vec![id(4), id(6)]);
+    fn max_id_reads_the_membership_tier() {
+        let mut k = KnowledgeSet::default();
+        assert_eq!(k.max_id(), None);
+        for i in 0..2 * SPARSE_MAX as u32 {
+            k.insert(id(5 * i + 3));
+            assert_eq!(k.max_id(), Some(id(5 * i + 3)));
+        }
+        k.insert(id(2));
+        assert_eq!(k.max_id(), Some(id(5 * (2 * SPARSE_MAX as u32 - 1) + 3)));
     }
 
     #[test]

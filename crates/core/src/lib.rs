@@ -11,9 +11,8 @@
 //!
 //! # Contents
 //!
-//! * [`knowledge`] — the per-node knowledge set with freshness tracking,
-//! * [`delta`] — per-neighbor high-water marks for delta-encoded
-//!   knowledge transfers,
+//! * [`knowledge`] — the per-node knowledge set: one learning-order
+//!   list with a fresh window and a bulk payload merge,
 //! * [`merge`] — branchless sorted-set merge kernels for capped
 //!   knowledge vectors,
 //! * [`problem`] — instance construction from an initial knowledge graph
@@ -48,7 +47,6 @@
 //! ```
 
 pub mod algorithms;
-pub mod delta;
 pub mod gossip;
 pub mod knowledge;
 pub mod merge;

@@ -6,7 +6,7 @@
 //! harness over the node population; protocols cannot see them.
 
 use crate::algorithms::KnowledgeView;
-use crate::problem::InitialKnowledge;
+use crate::problem::{self, InitialKnowledge};
 use rd_graphs::{connectivity, DiGraph};
 use rd_sim::NodeId;
 
@@ -16,7 +16,7 @@ pub fn no_fabricated_ids<N: KnowledgeView>(nodes: &[N]) -> bool {
     let n = nodes.len();
     nodes
         .iter()
-        .all(|node| node.known_ids().iter().all(|id| id.index() < n))
+        .all(|node| node.max_known().is_none_or(|top| top.index() < n))
 }
 
 /// Checks that every node still knows its entire initial knowledge
@@ -81,19 +81,21 @@ pub fn live_component_complete<N: KnowledgeView>(
         }
     }
     let labels = connectivity::weak_components(&DiGraph::from_edges(n, edges));
-    let mut members: std::collections::HashMap<usize, Vec<NodeId>> =
+    let mut members: std::collections::HashMap<usize, Vec<usize>> =
         std::collections::HashMap::new();
     for (i, &label) in labels.iter().enumerate() {
         if live[i] {
-            members
-                .entry(label)
-                .or_default()
-                .push(NodeId::new(i as u32));
+            members.entry(label).or_default().push(i);
         }
     }
-    (0..n).filter(|&i| live[i]).all(|i| {
-        let component = &members[&labels[i]];
-        nodes[i].knows_count() >= component.len() && component.iter().all(|&id| nodes[i].knows(id))
+    // One coverage mask per component (no longer than its largest
+    // member needs), tested word-level against each of its members.
+    members.values().all(|component| {
+        let span = component.last().map_or(0, |&top| top + 1);
+        let (mask, size) = problem::id_mask(span, component.iter().copied());
+        component
+            .iter()
+            .all(|&i| nodes[i].knows_count() >= size && nodes[i].covers(&mask))
     })
 }
 

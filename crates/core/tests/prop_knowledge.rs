@@ -1,0 +1,222 @@
+//! Property tests for the knowledge-set kernels the payload-bound path
+//! runs on:
+//!
+//! 1. the bulk payload merge ([`KnowledgeSet::extend_from_slice`]) is
+//!    the per-id [`insert`](KnowledgeSet::insert) loop — same learning
+//!    order, same fresh window, same newly-learned count — in the
+//!    sparse tier, across the 511/512/513 spill boundary, in the dense
+//!    tier, and for payloads that repeat ids;
+//! 2. the word-level [`covers`](KnowledgeSet::covers) is `knows` of
+//!    every set bit, on either tier and for masks longer or shorter
+//!    than the set's own bitmap;
+//! 3. any interleaving of `insert`, bulk merge, `take_fresh`, `mark`,
+//!    `since` and `clone` agrees with a `BTreeSet` + order-`Vec` model,
+//!    so the window and the marks can share one set.
+
+use proptest::prelude::*;
+use rd_core::KnowledgeSet;
+use rd_sim::NodeId;
+use std::collections::BTreeSet;
+
+fn ids(raw: &[u32]) -> Vec<NodeId> {
+    raw.iter().map(|&i| NodeId::new(i)).collect()
+}
+
+/// Id lists that keep sets sparse, push them dense (> 512 members),
+/// straddle the promotion threshold, or repeat a handful of ids.
+fn arb_ids() -> impl Strategy<Value = Vec<u32>> {
+    prop_oneof![
+        // Small sparse set over a wide id range.
+        proptest::collection::vec(0u32..100_000, 0..40),
+        // Around the SPARSE_MAX = 512 promotion boundary.
+        proptest::collection::vec(0u32..4_000, 400..700),
+        // Comfortably dense.
+        proptest::collection::vec(0u32..10_000, 600..1200),
+        // Mostly internal duplicates.
+        proptest::collection::vec(0u32..24, 0..700),
+    ]
+}
+
+/// What the per-id oracle must agree with the bulk merge on.
+fn assert_same(bulk: &mut KnowledgeSet, per_id: &mut KnowledgeSet) -> Result<(), TestCaseError> {
+    prop_assert_eq!(bulk.list(), per_id.list(), "learning order diverged");
+    prop_assert_eq!(bulk.max_id(), per_id.max_id());
+    prop_assert_eq!(
+        bulk.take_fresh(),
+        per_id.take_fresh(),
+        "fresh window diverged"
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Bulk merge ≡ per-id insert loop, whatever tier either starts in.
+    #[test]
+    fn bulk_merge_matches_per_id_inserts(
+        start in arb_ids(),
+        payloads in proptest::collection::vec(arb_ids(), 1..4),
+        own in 0u32..100_000,
+        drain_first in any::<bool>(),
+    ) {
+        let mut bulk = KnowledgeSet::new(NodeId::new(own));
+        bulk.extend(ids(&start));
+        if drain_first {
+            bulk.take_fresh();
+        }
+        let mut per_id = bulk.clone();
+        for payload in &payloads {
+            let payload = ids(payload);
+            let mut expected = 0;
+            for &id in &payload {
+                expected += usize::from(per_id.insert(id));
+            }
+            prop_assert_eq!(bulk.extend_from_slice(&payload), expected, "newly-learned count diverged");
+            prop_assert_eq!(bulk.extend_from_slice(&payload), 0, "second merge must be a no-op");
+        }
+        assert_same(&mut bulk, &mut per_id)?;
+    }
+
+    /// The same equivalence pinned at the spill threshold: a set of
+    /// 511, 512 or 513 distinct ids is reached by one bulk merge, by
+    /// two, and by per-id inserts, and all three agree.
+    #[test]
+    fn bulk_merge_agrees_at_the_spill_boundary(
+        total in 509usize..516,
+        split in 0usize..516,
+        stride in 1u32..50,
+    ) {
+        let payload: Vec<NodeId> = (0..total as u32).map(|i| NodeId::new(1 + i * stride)).collect();
+        let split = split.min(total);
+        let mut per_id = KnowledgeSet::new(NodeId::new(0));
+        for &id in &payload {
+            per_id.insert(id);
+        }
+        let mut once = KnowledgeSet::new(NodeId::new(0));
+        prop_assert_eq!(once.extend_from_slice(&payload), total);
+        let mut twice = KnowledgeSet::new(NodeId::new(0));
+        prop_assert_eq!(twice.extend_from_slice(&payload[..split]), split);
+        // The second payload overlaps the first: only its tail is new.
+        prop_assert_eq!(twice.extend_from_slice(&payload[split / 2..]), total - split);
+        assert_same(&mut once, &mut per_id.clone())?;
+        assert_same(&mut twice, &mut per_id)?;
+    }
+
+    /// `covers(mask)` ≡ every set bit is known.
+    #[test]
+    fn covers_matches_per_id_knows(
+        known in arb_ids(),
+        extra_words in 0usize..4,
+        probes in proptest::collection::vec((0usize..2_000, any::<u64>()), 0..6),
+        subset in any::<bool>(),
+    ) {
+        let set: KnowledgeSet = ids(&known).into_iter().collect();
+        let top = known.iter().copied().max().unwrap_or(0) as usize;
+        // From shorter than the set's bitmap to past its end.
+        let words = (top / 64 + 1 + extra_words).saturating_sub(2).max(1);
+        let mut mask = vec![0u64; words];
+        if subset {
+            // Start from a mask the set does cover, so `true` is reachable.
+            for &i in known.iter().step_by(3) {
+                if (i as usize) / 64 < words {
+                    mask[i as usize / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+        for &(word, bits) in &probes {
+            // Sparse random bits: a dense random word is never covered.
+            mask[word % words] |= bits & bits.rotate_left(17) & bits.rotate_left(31);
+        }
+        let expected = (0..words * 64)
+            .filter(|i| mask[i / 64] >> (i % 64) & 1 == 1)
+            .all(|i| set.contains(NodeId::new(i as u32)));
+        prop_assert_eq!(set.covers(&mask), expected);
+    }
+}
+
+/// One step of the reference-model test.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(u32),
+    Merge(Vec<u32>),
+    TakeFresh,
+    Mark,
+    /// Read `since` at the `n`-th recorded mark (modulo how many exist).
+    Since(usize),
+    /// Continue on a clone: window and marks must carry over.
+    Fork,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u32..1_500).prop_map(Op::Insert),
+        proptest::collection::vec(0u32..1_500, 0..300).prop_map(Op::Merge),
+        proptest::collection::vec(0u32..1_000_000, 0..8).prop_map(Op::Merge),
+        Just(Op::TakeFresh),
+        Just(Op::Mark),
+        (0usize..64).prop_map(Op::Since),
+        Just(Op::Fork),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `KnowledgeSet` against a `BTreeSet` (membership) + `Vec`
+    /// (learning order) + cursor (fresh window) model.
+    #[test]
+    fn set_agrees_with_the_reference_model(
+        own in 0u32..1_500,
+        ops in proptest::collection::vec(arb_op(), 1..60),
+    ) {
+        let mut set = KnowledgeSet::new(NodeId::new(own));
+        let mut members = BTreeSet::from([own]);
+        let mut order = vec![own];
+        let mut drained = 1;
+        let mut marks: Vec<usize> = Vec::new();
+        let learn = |members: &mut BTreeSet<u32>, order: &mut Vec<u32>, id: u32| {
+            let new = members.insert(id);
+            if new {
+                order.push(id);
+            }
+            new
+        };
+        for op in &ops {
+            match op {
+                Op::Insert(id) => {
+                    let new = learn(&mut members, &mut order, *id);
+                    prop_assert_eq!(set.insert(NodeId::new(*id)), new);
+                }
+                Op::Merge(payload) => {
+                    let new = payload
+                        .iter()
+                        .filter(|&&id| learn(&mut members, &mut order, id))
+                        .count();
+                    prop_assert_eq!(set.extend_from_slice(&ids(payload)), new);
+                }
+                Op::TakeFresh => {
+                    prop_assert_eq!(set.take_fresh(), ids(&order[drained..]));
+                    drained = order.len();
+                }
+                Op::Mark => {
+                    prop_assert_eq!(set.mark(), order.len());
+                    marks.push(set.mark());
+                }
+                Op::Since(n) => {
+                    if let Some(&mark) = marks.get(n % marks.len().max(1)) {
+                        prop_assert_eq!(set.since(mark), ids(&order[mark..]));
+                    }
+                }
+                Op::Fork => set = set.clone(),
+            }
+            prop_assert_eq!(set.len(), order.len());
+            prop_assert_eq!(set.has_fresh(), drained < order.len());
+            prop_assert_eq!(set.max_id(), members.last().map(|&i| NodeId::new(i)));
+        }
+        prop_assert_eq!(set.list(), ids(&order));
+        for probe in 0..1_600u32 {
+            prop_assert_eq!(set.contains(NodeId::new(probe)), members.contains(&probe));
+        }
+    }
+}

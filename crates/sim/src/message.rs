@@ -2,6 +2,7 @@
 
 use crate::id::NodeId;
 use std::fmt;
+use std::sync::Arc;
 
 /// Number of header bits charged to every message regardless of payload
 /// (source, destination, and a small type tag) when converting pointer
@@ -50,7 +51,7 @@ impl<M> Envelope<M> {
 const INLINE_POINTERS: usize = 4;
 
 /// A list of node identifiers with a small-payload inline
-/// representation.
+/// representation and a shared large-payload one.
 ///
 /// Resource-discovery messages overwhelmingly carry *short* pointer
 /// lists — a single learned identifier, a two-element frontier — yet a
@@ -59,6 +60,12 @@ const INLINE_POINTERS: usize = 4;
 /// `PointerList` stores up to four identifiers inline in the envelope
 /// and only spills to a heap `Vec` beyond that, which removes the
 /// per-message allocation for bounded-gossip traffic entirely.
+///
+/// At the other end, a broadcast carries one long list to many
+/// receivers. [`shared`](Self::shared) builds a reference-counted list
+/// whose clones are a counter bump, so the sender allocates the payload
+/// once however many envelopes carry it. Sharing is a representation
+/// only: pointer accounting, equality and iteration see the same ids.
 ///
 /// The type behaves like a read-mostly `Vec<NodeId>`: build it with
 /// [`push`](Self::push), [`collect`](Iterator::collect), or a
@@ -74,6 +81,7 @@ enum Repr {
         ids: [NodeId; INLINE_POINTERS],
     },
     Heap(Vec<NodeId>),
+    Shared(Arc<[NodeId]>),
 }
 
 impl PointerList {
@@ -85,31 +93,46 @@ impl PointerList {
         })
     }
 
+    /// A list meant to be cloned into many envelopes: past the inline
+    /// size the ids live in one reference-counted allocation that every
+    /// clone shares.
+    pub fn shared(ids: &[NodeId]) -> Self {
+        if ids.len() <= INLINE_POINTERS {
+            PointerList::from(ids)
+        } else {
+            PointerList(Repr::Shared(ids.into()))
+        }
+    }
+
     /// Appends an identifier, spilling to the heap past the inline
     /// capacity.
     pub fn push(&mut self, id: NodeId) {
         match &mut self.0 {
-            Repr::Inline { len, ids } => {
-                if (*len as usize) < INLINE_POINTERS {
-                    ids[*len as usize] = id;
-                    *len += 1;
-                } else {
-                    let mut spilled = Vec::with_capacity(INLINE_POINTERS * 2);
-                    spilled.extend_from_slice(&ids[..]);
-                    spilled.push(id);
-                    self.0 = Repr::Heap(spilled);
-                }
+            Repr::Inline { len, ids } if (*len as usize) < INLINE_POINTERS => {
+                ids[*len as usize] = id;
+                *len += 1;
             }
-            Repr::Heap(v) => v.push(id),
+            _ => self.heap_mut(1).push(id),
+        }
+    }
+
+    /// Moves the list into an exclusively owned heap vector with room
+    /// for `additional` more ids.
+    fn heap_mut(&mut self, additional: usize) -> &mut Vec<NodeId> {
+        if !matches!(self.0, Repr::Heap(_)) {
+            let mut owned = Vec::with_capacity(self.len() + additional);
+            owned.extend_from_slice(self.as_slice());
+            self.0 = Repr::Heap(owned);
+        }
+        match &mut self.0 {
+            Repr::Heap(v) => v,
+            _ => unreachable!("converted above"),
         }
     }
 
     /// Number of identifiers.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Heap(v) => v.len(),
-        }
+        self.as_slice().len()
     }
 
     /// `true` when the list is empty.
@@ -122,6 +145,7 @@ impl PointerList {
         match &self.0 {
             Repr::Inline { len, ids } => &ids[..*len as usize],
             Repr::Heap(v) => v,
+            Repr::Shared(ids) => ids,
         }
     }
 
@@ -187,17 +211,21 @@ impl From<Vec<NodeId>> for PointerList {
 impl FromIterator<NodeId> for PointerList {
     fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
         let mut list = PointerList::new();
-        for id in iter {
-            list.push(id);
-        }
+        list.extend(iter);
         list
     }
 }
 
 impl Extend<NodeId> for PointerList {
     fn extend<I: IntoIterator<Item = NodeId>>(&mut self, iter: I) {
-        for id in iter {
-            self.push(id);
+        let iter = iter.into_iter();
+        let expected = iter.size_hint().0;
+        if self.len() + expected > INLINE_POINTERS {
+            // Known to outgrow the inline array: one sized heap vector
+            // takes the ids directly.
+            self.heap_mut(expected).extend(iter);
+        } else {
+            iter.for_each(|id| self.push(id));
         }
     }
 }
@@ -312,6 +340,55 @@ mod tests {
         let heap = PointerList(Repr::Heap(nid(0..3)));
         assert_eq!(inline, heap);
         assert_ne!(inline, PointerList::from(nid(0..4)));
+    }
+
+    #[test]
+    fn shared_list_equals_its_heap_twin_and_clones_share_the_allocation() {
+        let heap = PointerList::from(nid(0..9));
+        let shared = PointerList::shared(&nid(0..9));
+        assert!(matches!(shared.0, Repr::Shared(_)));
+        assert_eq!(shared, heap);
+        assert_eq!(shared.pointers(), heap.pointers());
+        let visited = |list: &PointerList| {
+            let mut seen = Vec::new();
+            list.visit_ids(&mut |id| seen.push(id));
+            seen
+        };
+        assert_eq!(visited(&shared), visited(&heap));
+        let copy = shared.clone();
+        assert_eq!(copy.as_slice().as_ptr(), shared.as_slice().as_ptr());
+        assert_ne!(heap.clone().as_slice().as_ptr(), heap.as_slice().as_ptr());
+        assert_eq!(copy.into_iter().collect::<Vec<_>>(), nid(0..9));
+        // Short lists stay inline; a push un-shares instead of
+        // writing through to the other clones.
+        assert!(matches!(
+            PointerList::shared(&nid(0..4)).0,
+            Repr::Inline { len: 4, .. }
+        ));
+        let mut grown = shared.clone();
+        grown.push(NodeId::new(9));
+        assert_eq!(grown.as_slice(), nid(0..10).as_slice());
+        assert_eq!(shared, heap);
+    }
+
+    #[test]
+    fn collect_and_extend_size_the_heap_vector_once() {
+        let long: PointerList = (0..100).map(NodeId::new).collect();
+        match &long.0 {
+            Repr::Heap(v) => assert_eq!((v.len(), v.capacity()), (100, 100)),
+            _ => panic!("a 100-id collect must land on the heap"),
+        }
+        let mut list = PointerList::from(nid(0..3));
+        list.extend((3..4).map(NodeId::new));
+        assert!(matches!(list.0, Repr::Inline { len: 4, .. }));
+        list.extend((4..7).map(NodeId::new));
+        assert_eq!(list.as_slice(), nid(0..7).as_slice());
+        // An iterator with no lower bound still lands correctly.
+        let filtered: PointerList = (0..20)
+            .map(NodeId::new)
+            .filter(|v| v.index() % 2 == 0)
+            .collect();
+        assert_eq!(filtered.len(), 10);
     }
 
     #[test]
