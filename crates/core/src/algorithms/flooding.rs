@@ -60,44 +60,43 @@ impl Node for FloodingNode {
     ) {
         for env in inbox.drain(..) {
             self.knowledge.insert(env.src);
-            self.knowledge.extend_from_slice(&env.payload.ids);
+            self.knowledge.adopt(&env.payload.ids);
         }
         if self.sent == self.knowledge.mark() && self.started {
             return; // quiescent until something new arrives
         }
         let me = ctx.id();
+        // Both payloads are built once a round and every envelope
+        // carries a clone of the handle.
         let list = self.knowledge.list();
-        let full: Vec<NodeId> = list.iter().copied().filter(|&v| v != me).collect();
+        let others: Vec<NodeId> = list.iter().copied().filter(|&v| v != me).collect();
+        let full = PointerList::shared(&others);
         if !self.started {
             // Opening round: introduce the full (initial) knowledge to
             // every initially known node.
             self.started = true;
-            for &dst in &full {
-                ctx.send(
-                    dst,
-                    FloodMsg {
-                        ids: full.as_slice().into(),
-                    },
-                );
+            for &dst in &others {
+                ctx.send(dst, FloodMsg { ids: full.clone() });
             }
-            self.sent = self.knowledge.mark();
+            self.sent = list.len();
             return;
         }
         // Steady state: deltas to old acquaintances, full knowledge to
         // newly met nodes (they may have missed everything so far).
-        let fresh = self.knowledge.since(self.sent);
+        let fresh = PointerList::shared(&list[self.sent..]);
         for (pos, &dst) in list.iter().enumerate() {
             if dst == me {
                 continue;
             }
-            let payload: PointerList = if pos >= self.sent {
-                full.as_slice().into()
-            } else {
-                fresh.into()
-            };
-            ctx.send(dst, FloodMsg { ids: payload });
+            let payload = if pos >= self.sent { &full } else { &fresh };
+            ctx.send(
+                dst,
+                FloodMsg {
+                    ids: payload.clone(),
+                },
+            );
         }
-        self.sent = self.knowledge.mark();
+        self.sent = list.len();
     }
 }
 

@@ -111,7 +111,7 @@ impl HmNode {
     /// a plain member reports just itself). Exposed for white-box
     /// observation and tests.
     pub fn members(&self) -> Vec<NodeId> {
-        self.members.iter().collect()
+        self.members.to_vec()
     }
 
     /// Leader-only: whether the cluster has exhausted all leads and all
@@ -132,8 +132,11 @@ impl HmNode {
         if self.suspected.is_empty() {
             return self.members.len() == self.knowledge.len();
         }
+        // `to_vec`, not `iter`: this is asked through `&self`, and a
+        // roster the set has only adopted must still be looked through.
         self.knowledge
-            .iter()
+            .to_vec()
+            .into_iter()
             .all(|id| self.members.contains(id) || self.suspected.contains(id))
     }
 
@@ -143,6 +146,13 @@ impl HmNode {
     /// again, and a *retracted* suspicion (the node recovered) readmits
     /// the survivor to the exploration pipeline.
     fn digest_suspects(&mut self, report: &[NodeId]) {
+        // Nearly every round of nearly every node: the detector said
+        // the same as last time, and `suspected` was collected from
+        // that very report.
+        if self.suspected.list() == report {
+            return;
+        }
+        let reported: KnowledgeSet = report.iter().copied().collect();
         let newly: Vec<NodeId> = report
             .iter()
             .copied()
@@ -151,14 +161,14 @@ impl HmNode {
         let revived: Vec<NodeId> = self
             .suspected
             .iter()
-            .filter(|s| !report.contains(s))
+            .filter(|&s| !reported.contains(s))
             .collect();
         if newly.is_empty() && revived.is_empty() {
             return;
         }
-        // The report is the detector's full current view, so rebuilding
+        // The report is the detector's full current view, so replacing
         // handles suspicions and retractions in one shot.
-        self.suspected = report.iter().copied().collect();
+        self.suspected = reported;
         for &s in &newly {
             self.frontier.retain(|&t| t != s);
             self.outstanding.retain(|&t| t != s);
@@ -199,8 +209,7 @@ impl HmNode {
         self.pending_invites.clear();
         self.frontier.clear();
         self.seen = self.members.clone();
-        let known: Vec<NodeId> = self.knowledge.iter().collect();
-        for id in known {
+        for id in self.knowledge.to_vec() {
             self.enqueue_external(id);
         }
     }
@@ -401,7 +410,9 @@ impl HmNode {
                 }
             }
             HmMsg::Roster { ids } => {
-                self.knowledge.extend_from_slice(&ids);
+                // Held by reference: n - 1 receivers share the leader's
+                // one list until one of them needs learning order.
+                self.knowledge.adopt(&ids);
                 self.got_roster = true;
             }
         }
@@ -571,7 +582,7 @@ impl HmNode {
         handover.append(&mut self.outstanding);
         handover.extend(above.iter().copied().filter(|&d| d != target));
         handover.append(&mut self.pending_invites);
-        let members: Vec<NodeId> = self.members.iter().collect();
+        let members = self.members.to_vec();
         ctx.send(
             target,
             HmMsg::Join {
@@ -592,8 +603,7 @@ impl Node for HmNode {
         // Called even on an empty report: the previous round's suspects
         // may all have been retracted, and that shrink must be digested.
         if !ctx.suspects().is_empty() || !self.suspected.is_empty() {
-            let report: Vec<NodeId> = ctx.suspects().to_vec();
-            self.digest_suspects(&report);
+            self.digest_suspects(ctx.suspects());
         }
         for env in inbox.drain(..) {
             self.handle_message(env, ctx);
@@ -638,5 +648,101 @@ impl KnowledgeView for HmNode {
     }
     fn resident_bytes(&self) -> u64 {
         self.knowledge.resident_bytes() as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rd_sim::{Engine, FaultPlan};
+
+    /// Node 0 runs the protocol; the others only exist to send it one
+    /// scripted message and then crash.
+    #[derive(Debug)]
+    enum Actor {
+        Hm(Box<HmNode>),
+        Sends(Option<HmMsg>),
+    }
+
+    impl Node for Actor {
+        type Msg = HmMsg;
+
+        fn on_round(
+            &mut self,
+            inbox: &mut Vec<Envelope<HmMsg>>,
+            ctx: &mut RoundContext<'_, HmMsg>,
+        ) {
+            match self {
+                Actor::Hm(node) => node.on_round(inbox, ctx),
+                Actor::Sends(msg) => {
+                    if let Some(msg) = msg.take() {
+                        ctx.send(NodeId::new(0), msg);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Node 1 sends node 0 a roster naming nodes 1 and 2 and both then
+    /// crash, as a deposed leader's last broadcast reaches a node that
+    /// has failed over to leading itself. Returns, per round, whether
+    /// node 0 is quiescent, what it knows, and whether its knowledge
+    /// was still holding the roster by reference.
+    fn leader_receiving_a_stale_roster(roster: PointerList) -> Vec<(bool, Vec<NodeId>, bool)> {
+        let actors = vec![
+            Actor::Hm(Box::new(HmNode::new(
+                NodeId::new(0),
+                &[],
+                HmConfig::default(),
+            ))),
+            Actor::Sends(Some(HmMsg::Roster { ids: roster })),
+            Actor::Sends(None),
+        ];
+        let faults = FaultPlan::new()
+            .with_crash_at(1, 1)
+            .with_crash_at(2, 1)
+            .with_crash_detection_after(1);
+        let mut engine = Engine::new(actors, 5).with_faults(faults);
+        (0..PHASES)
+            .map(|_| {
+                engine.step();
+                let Actor::Hm(leader) = &engine.nodes()[0] else {
+                    unreachable!("node 0 is the protocol node")
+                };
+                assert!(leader.is_leader());
+                assert_eq!(leader.believes_done(), leader.is_quiescent());
+                (
+                    leader.is_quiescent(),
+                    leader.known_ids(),
+                    !leader.knowledge.is_settled(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_leader_holding_a_stale_roster_by_reference_still_answers_quiescence() {
+        let ids: Vec<NodeId> = [2, 1, 2, 1, 2].map(NodeId::new).to_vec();
+        let adopted = leader_receiving_a_stale_roster(PointerList::shared(&ids));
+        let merged = leader_receiving_a_stale_roster(PointerList::from(ids));
+        // Round 1 delivers the roster, and nothing before the next
+        // report phase asks for learning order: quiescence is judged on
+        // an unsettled set, first by count (no suspects yet), then id by
+        // id against the detector's report.
+        assert!(adopted[1..]
+            .iter()
+            .all(|&(_, _, by_reference)| by_reference));
+        assert!(merged.iter().all(|&(_, _, by_reference)| !by_reference));
+        let answers = |run: &[(bool, Vec<NodeId>, bool)]| -> Vec<(bool, Vec<NodeId>)> {
+            run.iter()
+                .map(|(q, known, _)| (*q, known.clone()))
+                .collect()
+        };
+        assert_eq!(answers(&adopted), answers(&merged));
+        // Knowing two nodes that are neither members nor suspected
+        // blocks quiescence; once both are reported crashed, it holds.
+        let known: Vec<NodeId> = [0, 1, 2].map(NodeId::new).to_vec();
+        assert_eq!(adopted[1], (false, known.clone(), true));
+        assert_eq!(adopted[PHASES as usize - 1], (true, known, true));
     }
 }

@@ -55,7 +55,7 @@ impl Node for NameDropperNode {
     ) {
         for env in inbox.drain(..) {
             self.knowledge.insert(env.src); // reverse pointer
-            self.knowledge.extend_from_slice(&env.payload.ids);
+            self.knowledge.adopt(&env.payload.ids);
         }
         let me = ctx.id();
         if let Some(target) = {

@@ -22,7 +22,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, RoundContext};
+use rd_sim::{Envelope, MessageCost, Node, NodeId, PointerList, RoundContext};
 
 /// Factory for the pointer-doubling baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,12 +35,12 @@ pub enum PdMsg {
     /// requests a reply.
     Query {
         /// The sender's entire knowledge.
-        ids: Vec<NodeId>,
+        ids: PointerList,
     },
     /// Knowledge returned to a querier.
     Reply {
         /// The replier's entire knowledge.
-        ids: Vec<NodeId>,
+        ids: PointerList,
     },
 }
 
@@ -53,11 +53,7 @@ impl MessageCost for PdMsg {
 
     fn visit_ids(&self, visit: &mut dyn FnMut(NodeId)) {
         match self {
-            PdMsg::Query { ids } | PdMsg::Reply { ids } => {
-                for &id in ids {
-                    visit(id);
-                }
-            }
+            PdMsg::Query { ids } | PdMsg::Reply { ids } => ids.visit_ids(visit),
         }
     }
 }
@@ -78,20 +74,21 @@ impl Node for PointerDoublingNode {
             self.knowledge.insert(env.src);
             match env.payload {
                 PdMsg::Query { ids } => {
-                    self.knowledge.extend_from_slice(&ids);
+                    self.knowledge.adopt(&ids);
                     queriers.push(env.src);
                 }
                 PdMsg::Reply { ids } => {
-                    self.knowledge.extend_from_slice(&ids);
+                    self.knowledge.adopt(&ids);
                 }
             }
         }
         let candidate = self.knowledge.max_id().expect("knows at least self");
-        let full = |k: &KnowledgeSet, except: NodeId| -> Vec<NodeId> {
-            k.iter().filter(|&v| v != except).collect()
+        let full = |k: &mut KnowledgeSet, except: NodeId| -> PointerList {
+            let ids: Vec<NodeId> = k.iter().filter(|&v| v != except).collect();
+            ids.into()
         };
         if candidate != me {
-            let ids = full(&self.knowledge, candidate);
+            let ids = full(&mut self.knowledge, candidate);
             ctx.send(candidate, PdMsg::Query { ids });
             // Everything fresh was just transferred upward.
             self.knowledge.take_fresh();
@@ -99,8 +96,8 @@ impl Node for PointerDoublingNode {
             // Local maximum: announce downward so smaller machines learn
             // a larger candidate exists and start querying us.
             self.knowledge.take_fresh();
-            for dst in full(&self.knowledge, me) {
-                let ids = full(&self.knowledge, dst);
+            for dst in full(&mut self.knowledge, me) {
+                let ids = full(&mut self.knowledge, dst);
                 ctx.send(dst, PdMsg::Reply { ids });
             }
         }
@@ -108,7 +105,7 @@ impl Node for PointerDoublingNode {
         queriers.dedup();
         for s in queriers {
             if s != me {
-                let ids = full(&self.knowledge, s);
+                let ids = full(&mut self.knowledge, s);
                 ctx.send(s, PdMsg::Reply { ids });
             }
         }

@@ -17,7 +17,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, RoundContext};
+use rd_sim::{Envelope, MessageCost, Node, NodeId, PointerList, RoundContext};
 
 /// Factory for the random-pointer-jump baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,7 +32,7 @@ pub enum RpjMsg {
     /// The puller's reward: the target's complete knowledge.
     Transfer {
         /// Every identifier the sender knows.
-        ids: Vec<NodeId>,
+        ids: PointerList,
     },
 }
 
@@ -47,11 +47,7 @@ impl MessageCost for RpjMsg {
     fn visit_ids(&self, visit: &mut dyn FnMut(NodeId)) {
         match self {
             RpjMsg::Pull => {}
-            RpjMsg::Transfer { ids } => {
-                for &id in ids {
-                    visit(id);
-                }
-            }
+            RpjMsg::Transfer { ids } => ids.visit_ids(visit),
         }
     }
 }
@@ -74,7 +70,7 @@ impl Node for RandomPointerJumpNode {
                 // edge is Name-Dropper's fix, not this algorithm.
                 RpjMsg::Pull => pullers.push(env.src),
                 RpjMsg::Transfer { ids } => {
-                    self.knowledge.extend_from_slice(&ids);
+                    self.knowledge.adopt(&ids);
                 }
             }
         }
@@ -83,7 +79,7 @@ impl Node for RandomPointerJumpNode {
         for p in pullers {
             if p != me {
                 let ids: Vec<NodeId> = self.knowledge.iter().filter(|&v| v != p).collect();
-                ctx.send(p, RpjMsg::Transfer { ids });
+                ctx.send(p, RpjMsg::Transfer { ids: ids.into() });
             }
         }
         if let Some(target) = {

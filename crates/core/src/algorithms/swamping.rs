@@ -61,7 +61,7 @@ impl Node for SwampingNode {
         let mut learned = false;
         for env in inbox.drain(..) {
             learned |= self.knowledge.insert(env.src);
-            learned |= self.knowledge.extend_from_slice(&env.payload.ids) > 0;
+            learned |= self.knowledge.adopt(&env.payload.ids) > 0;
         }
         if learned || ctx.round() == 0 {
             self.idle_rounds = 0;
@@ -76,9 +76,9 @@ impl Node for SwampingNode {
             return;
         }
         let me = ctx.id();
-        let all: Vec<NodeId> = self.knowledge.iter().filter(|&v| v != me).collect();
-        for &dst in &all {
-            let ids: PointerList = self.knowledge.iter().filter(|&v| v != dst).collect();
+        let list = self.knowledge.list();
+        for &dst in list.iter().filter(|&&v| v != me) {
+            let ids: PointerList = list.iter().copied().filter(|&v| v != dst).collect();
             ctx.send(dst, SwampMsg { ids });
         }
     }

@@ -1,7 +1,7 @@
 //! The per-node knowledge set.
 
 use rand::Rng;
-use rd_sim::NodeId;
+use rd_sim::{NodeId, PointerList};
 
 /// The set of identifiers a node has learned, with freshness tracking.
 ///
@@ -32,6 +32,18 @@ use rd_sim::NodeId;
 /// [`since`](Self::since) read the same list through caller-held
 /// positions and never move the cursor, so both styles can share a set.
 ///
+/// A broadcast payload is **adopted, not copied**: [`adopt`](Self::adopt)
+/// of a [shared](PointerList::shared) list counts what it teaches 64 ids
+/// per instruction, keeps a clone of the handle and writes nothing per
+/// id. Membership questions (`contains`, `covers`, `len`, `max_id`,
+/// `has_fresh`, `mark`) see through the adopted payload by its bitmap;
+/// whatever reads or grows the learning-order list (`list`, `iter`,
+/// `since`, `take_fresh`, `sample_other`, anything that brings a new
+/// id) first *settles* — merges the adopted payload exactly as
+/// [`extend_from_slice`](Self::extend_from_slice) would have on arrival
+/// — which is why those take `&mut self`. No observer can tell an
+/// adopting set from one that merged eagerly.
+///
 /// # Example
 ///
 /// ```
@@ -48,11 +60,38 @@ use rd_sim::NodeId;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeSet {
-    membership: Membership,
-    /// Every known id, in learning order.
+    state: State,
+    /// Every known id of the settled tier, in learning order.
     list: Vec<NodeId>,
     /// `list[drained..]` is the fresh window.
     drained: usize,
+}
+
+/// What answers membership questions: the set's own tier, or that tier
+/// looked at through an adopted payload. A variant, not a field: HM
+/// holds four sets per node, almost none of them ever adopts anything,
+/// and this way the ones that do not are byte for byte what they were.
+#[derive(Debug, Clone)]
+enum State {
+    Settled(Membership),
+    Adopting(Box<Adopting>),
+}
+
+/// A shared payload a set holds by reference until something asks for
+/// learning order.
+#[derive(Debug, Clone)]
+struct Adopting {
+    /// Membership of the ids in `list`.
+    settled: Membership,
+    payload: PointerList,
+    /// Ids of `payload` that `settled` lacks (> 0).
+    new: usize,
+}
+
+impl Default for State {
+    fn default() -> Self {
+        State::Settled(Membership::default())
+    }
 }
 
 /// Spill threshold: sets at or below this size stay sorted-vec (≤ 2 KiB,
@@ -78,6 +117,64 @@ fn word_bit(index: usize) -> (usize, u64) {
     (index / 64, 1u64 << (index % 64))
 }
 
+/// Word `w` of a bitmap that may end before it.
+fn word_at(bits: &[u64], w: usize) -> u64 {
+    bits.get(w).copied().unwrap_or(0)
+}
+
+/// The highest id set in a bitmap.
+fn top_bit(bits: &[u64]) -> Option<u32> {
+    let w = bits.iter().rposition(|&word| word != 0)?;
+    Some((w * 64) as u32 + 63 - bits[w].leading_zeros())
+}
+
+impl Membership {
+    #[inline]
+    fn contains(&self, id: NodeId) -> bool {
+        match self {
+            Membership::Sparse(sorted) => sorted.binary_search(&(id.index() as u32)).is_ok(),
+            Membership::Dense(bits) => {
+                let (w, b) = word_bit(id.index());
+                bits.get(w).is_some_and(|word| word & b != 0)
+            }
+        }
+    }
+
+    /// Converts the sorted tier to the bitmap (a bitmap stays one) and
+    /// hands the bitmap out.
+    fn spill(&mut self) -> &mut Vec<u64> {
+        if let Membership::Sparse(sorted) = self {
+            let max = sorted.last().copied().unwrap_or(0) as usize;
+            let mut bits = vec![0u64; max / 64 + 1];
+            for &raw in sorted.iter() {
+                let (w, b) = word_bit(raw as usize);
+                bits[w] |= b;
+            }
+            *self = Membership::Dense(bits);
+        }
+        match self {
+            Membership::Dense(bits) => bits,
+            Membership::Sparse(_) => unreachable!("converted above"),
+        }
+    }
+}
+
+impl Adopting {
+    fn bitmap(&self) -> &[u64] {
+        self.payload
+            .shared_bitmap()
+            .expect("only payloads with a bitmap are adopted")
+    }
+
+    /// Out of line: `contains` is the hottest query there is, and
+    /// almost no set it is asked of holds a payload.
+    #[cold]
+    fn contains(&self, id: NodeId) -> bool {
+        let (w, b) = word_bit(id.index());
+        self.settled.contains(id) || word_at(self.bitmap(), w) & b != 0
+    }
+}
+
 impl KnowledgeSet {
     /// Creates a knowledge set containing only the node's own id (which
     /// is *not* fresh: a node never needs to tell anyone about an id
@@ -86,27 +183,41 @@ impl KnowledgeSet {
         std::iter::once(own).collect()
     }
 
+    /// The settled tier, and the bitmap of the adopted payload (empty
+    /// when none is held).
+    fn tiers(&self) -> (&Membership, &[u64]) {
+        match &self.state {
+            State::Settled(tier) => (tier, &[]),
+            State::Adopting(adopting) => (&adopting.settled, adopting.bitmap()),
+        }
+    }
+
     /// Heap bytes this set currently holds (capacities, not lengths),
     /// plus the inline struct itself. Sampled per round by the profiler
     /// to build the memory timeline; never read by protocol logic.
     pub fn resident_bytes(&self) -> usize {
-        let membership = match &self.membership {
+        let membership = match self.tiers().0 {
             Membership::Sparse(sorted) => sorted.capacity() * std::mem::size_of::<u32>(),
             Membership::Dense(bits) => bits.capacity() * std::mem::size_of::<u64>(),
+        };
+        // An adopted payload is its sender's allocation and is counted
+        // once, there; this set owns only the handle.
+        let handle = match self.state {
+            State::Settled(_) => 0,
+            State::Adopting(_) => std::mem::size_of::<Adopting>(),
         };
         std::mem::size_of::<Self>()
             + membership
             + self.list.capacity() * std::mem::size_of::<NodeId>()
+            + handle
     }
 
     /// `true` if `id` has been learned.
+    #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
-        match &self.membership {
-            Membership::Sparse(sorted) => sorted.binary_search(&(id.index() as u32)).is_ok(),
-            Membership::Dense(bits) => {
-                let (w, b) = word_bit(id.index());
-                bits.get(w).is_some_and(|word| word & b != 0)
-            }
+        match &self.state {
+            State::Settled(tier) => tier.contains(id),
+            State::Adopting(adopting) => adopting.contains(id),
         }
     }
 
@@ -116,30 +227,137 @@ impl KnowledgeSet {
     /// 64 ids per instruction — the harness's completion checks ask it
     /// of every node every round.
     pub fn covers(&self, mask: &[u64]) -> bool {
-        match &self.membership {
-            Membership::Sparse(sorted) => mask.iter().enumerate().all(|(w, &word)| {
-                let mut missing = word;
-                while missing != 0 {
-                    let raw = (w * 64) as u32 + missing.trailing_zeros();
-                    if sorted.binary_search(&raw).is_err() {
-                        return false;
+        if let State::Settled(Membership::Dense(bits)) = &self.state {
+            let (shared, beyond) = mask.split_at(mask.len().min(bits.len()));
+            return shared.iter().zip(bits).all(|(&m, &b)| m & !b == 0)
+                && beyond.iter().all(|&m| m == 0);
+        }
+        let (tier, adopted) = self.tiers();
+        mask.iter().enumerate().all(|(w, &word)| {
+            let mut missing = word & !word_at(adopted, w);
+            match tier {
+                Membership::Dense(bits) => missing & !word_at(bits, w) == 0,
+                Membership::Sparse(sorted) => {
+                    while missing != 0 {
+                        let raw = (w * 64) as u32 + missing.trailing_zeros();
+                        if sorted.binary_search(&raw).is_err() {
+                            return false;
+                        }
+                        missing &= missing - 1;
                     }
-                    missing &= missing - 1;
+                    true
                 }
-                true
-            }),
-            Membership::Dense(bits) => {
-                let (shared, beyond) = mask.split_at(mask.len().min(bits.len()));
-                shared.iter().zip(bits).all(|(&m, &b)| m & !b == 0)
-                    && beyond.iter().all(|&m| m == 0)
+            }
+        })
+    }
+
+    /// How many ids of the bitmap `theirs` this set lacks.
+    fn count_new(&self, theirs: &[u64]) -> usize {
+        let (tier, adopted) = self.tiers();
+        // The payload's ids that the held payload did not bring.
+        let unseen = |w: usize| theirs[w] & !word_at(adopted, w);
+        match tier {
+            Membership::Dense(bits) => (0..theirs.len())
+                .map(|w| (unseen(w) & !word_at(bits, w)).count_ones() as usize)
+                .sum(),
+            // A sparse set probes its own few entries against the
+            // bitmap; probing the payload's ids against the entries
+            // would be a binary search per payload id.
+            Membership::Sparse(sorted) => {
+                let taught: usize = (0..theirs.len())
+                    .map(|w| unseen(w).count_ones() as usize)
+                    .sum();
+                let held = sorted
+                    .iter()
+                    .filter(|&&raw| {
+                        let (w, b) = word_bit(raw as usize);
+                        w < theirs.len() && unseen(w) & b != 0
+                    })
+                    .count();
+                taught - held
             }
         }
+    }
+
+    /// Learns the ids of a received payload; returns how many were new.
+    ///
+    /// Every observer sees what [`extend_from_slice`](Self::extend_from_slice)
+    /// on the same ids would have left. A [shared](PointerList::shared)
+    /// payload with a [bitmap](PointerList::shared_bitmap) is not
+    /// copied, though: its new ids are counted against the bitmap, a
+    /// clone of the handle is kept, and the per-id merge is put off
+    /// until something asks for learning order — O(n/64) words and no
+    /// bytes per receiver of a broadcast. A payload that teaches
+    /// nothing is not kept; one without a bitmap is merged on the spot.
+    ///
+    /// A set holds one payload at a time, so a second one that teaches
+    /// something settles the first. Looking through k held payloads
+    /// would cost k reads per word, and k senders flooding one receiver
+    /// in one round made that quadratic.
+    pub fn adopt(&mut self, payload: &PointerList) -> usize {
+        let Some(theirs) = payload.shared_bitmap() else {
+            return self.extend_from_slice(payload);
+        };
+        let new = self.count_new(theirs);
+        if new > 0 {
+            self.settle();
+            if let State::Settled(tier) = &mut self.state {
+                self.state = State::Adopting(Box::new(Adopting {
+                    settled: std::mem::take(tier),
+                    payload: payload.clone(),
+                    new,
+                }));
+            }
+        }
+        new
+    }
+
+    /// `true` when no adopted payload is waiting to be merged.
+    #[cfg(test)]
+    pub(crate) fn is_settled(&self) -> bool {
+        matches!(self.state, State::Settled(_))
+    }
+
+    /// Merges the adopted payload into the list.
+    fn settle(&mut self) {
+        if let State::Adopting(adopting) = &mut self.state {
+            let settled = std::mem::take(&mut adopting.settled);
+            let State::Adopting(adopting) =
+                std::mem::replace(&mut self.state, State::Settled(settled))
+            else {
+                unreachable!("matched just above")
+            };
+            let merged = self.extend_from_slice(&adopting.payload);
+            debug_assert_eq!(merged, adopting.new);
+        }
+    }
+
+    /// A merge into a set holding an adopted payload: `true` if `ids`
+    /// are all known, which leaves the payload where it is; otherwise
+    /// the payload is merged first, so that the new ids land after the
+    /// adopted ones. Out of line, like everything else that only a set
+    /// holding a payload runs: the merge loops stay as they were.
+    #[cold]
+    fn knows_all_or_settles(&mut self, ids: &[NodeId]) -> bool {
+        let known = ids.iter().all(|&id| self.contains(id));
+        if !known {
+            self.settle();
+        }
+        known
     }
 
     /// Learns `id`, which joins the fresh window if new. Returns `true`
     /// if new.
     pub fn insert(&mut self, id: NodeId) -> bool {
-        let added = match &mut self.membership {
+        let tier = match &mut self.state {
+            State::Settled(tier) => tier,
+            // Known already, the id leaves the payload where it is;
+            // new, it must land after the adopted ids.
+            State::Adopting(_) => {
+                return !self.knows_all_or_settles(&[id]) && self.insert(id);
+            }
+        };
+        let added = match tier {
             Membership::Sparse(sorted) => {
                 let raw = id.index() as u32;
                 match sorted.binary_search(&raw) {
@@ -165,40 +383,20 @@ impl KnowledgeSet {
         };
         if added {
             self.list.push(id);
-            if self.sparse_len().is_some_and(|len| len > SPARSE_MAX) {
-                self.spill();
+            if matches!(tier, Membership::Sparse(sorted) if sorted.len() > SPARSE_MAX) {
+                tier.spill();
             }
         }
         added
     }
 
-    fn sparse_len(&self) -> Option<usize> {
-        match &self.membership {
-            Membership::Sparse(sorted) => Some(sorted.len()),
-            Membership::Dense(_) => None,
-        }
-    }
-
-    /// Converts sparse membership to the bitmap.
-    fn spill(&mut self) {
-        if let Membership::Sparse(sorted) = &self.membership {
-            let max = sorted.last().copied().unwrap_or(0) as usize;
-            let mut bits = vec![0u64; max / 64 + 1];
-            for &raw in sorted {
-                let (w, b) = word_bit(raw as usize);
-                bits[w] |= b;
-            }
-            self.membership = Membership::Dense(bits);
-        }
-    }
-
     /// Learns every id in `ids`; returns how many were new.
     pub fn extend(&mut self, ids: impl IntoIterator<Item = NodeId>) -> usize {
-        let before = self.list.len();
+        let before = self.len();
         for id in ids {
             self.insert(id);
         }
-        self.list.len() - before
+        self.len() - before
     }
 
     /// Learns every id of a whole payload; returns how many were new.
@@ -212,19 +410,22 @@ impl KnowledgeSet {
     /// are sized once, and the merge is a test-and-set loop with no
     /// per-id tier match or growth check.
     pub fn extend_from_slice(&mut self, ids: &[NodeId]) -> usize {
-        if self
-            .sparse_len()
-            .is_some_and(|len| len + ids.len() <= SPARSE_MAX)
-        {
+        let tier = match &mut self.state {
+            State::Settled(tier) => tier,
+            State::Adopting(_) => {
+                if self.knows_all_or_settles(ids) {
+                    return 0;
+                }
+                return self.extend_from_slice(ids);
+            }
+        };
+        if matches!(tier, Membership::Sparse(sorted) if sorted.len() + ids.len() <= SPARSE_MAX) {
             return self.extend(ids.iter().copied());
         }
         let Some(max) = ids.iter().map(|id| id.index()).max() else {
             return 0;
         };
-        self.spill();
-        let Membership::Dense(bits) = &mut self.membership else {
-            unreachable!("spilled above")
-        };
+        let bits = tier.spill();
         if max / 64 >= bits.len() {
             bits.resize(max / 64 + 1, 0);
         }
@@ -245,29 +446,40 @@ impl KnowledgeSet {
 
     /// Number of identifiers known.
     pub fn len(&self) -> usize {
-        self.list.len()
+        match &self.state {
+            State::Settled(_) => self.list.len(),
+            State::Adopting(adopting) => self.list.len() + adopting.new,
+        }
     }
 
     /// `true` only for the (unreachable in practice) empty set.
     pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
+        self.len() == 0
     }
 
     /// All known identifiers, in learning order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.list.iter().copied()
+    pub fn iter(&mut self) -> impl Iterator<Item = NodeId> + '_ {
+        self.list().iter().copied()
     }
 
-    /// A copy of the full knowledge, in learning order.
+    /// A copy of the full knowledge, in learning order. Takes `&self`,
+    /// so on a set holding an adopted payload it settles a scratch
+    /// clone and leaves the set as it was.
     pub fn to_vec(&self) -> Vec<NodeId> {
-        self.list.clone()
+        if let State::Settled(_) = self.state {
+            return self.list.clone();
+        }
+        let mut settled = self.clone();
+        settled.settle();
+        settled.list
     }
 
     /// The full knowledge in learning order, borrowed — the zero-copy
     /// sibling of [`to_vec`](Self::to_vec). Position `0` is the id the
     /// set was constructed with ([`new`](Self::new)); the list is
     /// append-only, so positions are stable forever.
-    pub fn list(&self) -> &[NodeId] {
+    pub fn list(&mut self) -> &[NodeId] {
+        self.settle();
         &self.list
     }
 
@@ -278,19 +490,21 @@ impl KnowledgeSet {
     /// number of independent readers (e.g. one high-water mark per
     /// neighbor).
     pub fn mark(&self) -> usize {
-        self.list.len()
+        self.len()
     }
 
     /// The ids learned since `mark` (a value previously returned by
     /// [`mark`](Self::mark)), in learning order.
-    pub fn since(&self, mark: usize) -> &[NodeId] {
-        &self.list[mark.min(self.list.len())..]
+    pub fn since(&mut self, mark: usize) -> &[NodeId] {
+        let list = self.list();
+        &list[mark.min(list.len())..]
     }
 
     /// The identifiers learned since the previous drain, in learning
     /// order (never the ids the set was constructed with), and closes
     /// the window behind them.
     pub fn take_fresh(&mut self) -> &[NodeId] {
+        self.settle();
         let fresh = &self.list[self.drained..];
         self.drained = self.list.len();
         fresh
@@ -298,12 +512,17 @@ impl KnowledgeSet {
 
     /// `true` if identifiers have been learned since the last drain.
     pub fn has_fresh(&self) -> bool {
-        self.drained < self.list.len()
+        self.drained < self.len()
     }
 
     /// A uniformly random known id, excluding `exclude` (typically the
     /// node itself). Returns `None` if no other id is known.
-    pub fn sample_other<R: Rng + ?Sized>(&self, rng: &mut R, exclude: NodeId) -> Option<NodeId> {
+    pub fn sample_other<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        exclude: NodeId,
+    ) -> Option<NodeId> {
+        self.settle();
         // The list contains at most one excluded entry, so rejection
         // sampling terminates in O(1) expected tries once len > 1.
         if self.list.is_empty() || (self.list.len() == 1 && self.list[0] == exclude) {
@@ -322,14 +541,12 @@ impl KnowledgeSet {
     /// the membership tier: the last sorted entry, or the top bit of
     /// the highest non-zero bitmap word.
     pub fn max_id(&self) -> Option<NodeId> {
-        let raw = match &self.membership {
-            Membership::Sparse(sorted) => *sorted.last()?,
-            Membership::Dense(bits) => {
-                let w = bits.iter().rposition(|&word| word != 0)?;
-                (w * 64) as u32 + 63 - bits[w].leading_zeros()
-            }
+        let (tier, adopted) = self.tiers();
+        let settled = match tier {
+            Membership::Sparse(sorted) => sorted.last().copied(),
+            Membership::Dense(bits) => top_bit(bits),
         };
-        Some(NodeId::new(raw))
+        settled.max(top_bit(adopted)).map(NodeId::new)
     }
 }
 
@@ -434,7 +651,7 @@ mod tests {
         assert!(k.contains(id(1_000_000)));
         assert!(!k.contains(id(999_999)));
         assert_eq!(k.len(), 2);
-        assert!(matches!(k.membership, Membership::Sparse(_)));
+        assert!(matches!(k.tiers().0, Membership::Sparse(_)));
     }
 
     #[test]
@@ -443,7 +660,7 @@ mod tests {
         for i in 0..2 * SPARSE_MAX as u32 {
             k.insert(id(3 * i));
         }
-        assert!(matches!(k.membership, Membership::Dense(_)));
+        assert!(matches!(k.tiers().0, Membership::Dense(_)));
         assert_eq!(k.len(), 2 * SPARSE_MAX); // id(0) deduplicated
         for i in 0..2 * SPARSE_MAX as u32 {
             assert!(k.contains(id(3 * i)), "lost id {}", 3 * i);
@@ -499,8 +716,8 @@ mod tests {
     fn covers_tests_masks_on_both_tiers() {
         let sparse: KnowledgeSet = [id(1), id(64), id(200)].into_iter().collect();
         let dense: KnowledgeSet = (0..1000u32).map(id).collect();
-        assert!(matches!(sparse.membership, Membership::Sparse(_)));
-        assert!(matches!(dense.membership, Membership::Dense(_)));
+        assert!(matches!(sparse.tiers().0, Membership::Sparse(_)));
+        assert!(matches!(dense.tiers().0, Membership::Dense(_)));
         assert!(sparse.covers(&[0b10, 0b1]));
         assert!(!sparse.covers(&[0b110]));
         assert!(sparse.covers(&[]));
@@ -523,6 +740,70 @@ mod tests {
         }
         k.insert(id(2));
         assert_eq!(k.max_id(), Some(id(5 * (2 * SPARSE_MAX as u32 - 1) + 3)));
+    }
+
+    fn roster(range: std::ops::Range<u32>) -> PointerList {
+        PointerList::shared(&range.map(id).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn adopting_a_shared_payload_copies_nothing_until_order_is_asked_for() {
+        let everyone = roster(0..2000);
+        let mut k: KnowledgeSet = [id(7), id(3), id(5000)].into_iter().collect();
+        let before = k.resident_bytes();
+        assert_eq!(k.adopt(&everyone), 1998);
+        assert!(!k.is_settled());
+        // The handle is all this set holds of the 8 kB payload.
+        assert!(k.resident_bytes() < before + 128, "{}", k.resident_bytes());
+        assert_eq!(k.len(), 2001);
+        assert_eq!(k.mark(), 2001);
+        assert!(k.has_fresh());
+        assert!(k.contains(id(1999)) && k.contains(id(5000)) && !k.contains(id(2000)));
+        assert_eq!(k.max_id(), Some(id(5000)));
+        assert!(k.covers(&[u64::MAX; 31]));
+        assert!(!k.covers(&[u64::MAX; 32]));
+        // Neither a payload that teaches nothing (which is not even
+        // kept) nor a known id disturbs it.
+        assert_eq!(k.adopt(&roster(10..500)), 0);
+        assert!(!k.insert(id(1234)));
+        assert_eq!(k.extend_from_slice(&[id(3), id(44)]), 0);
+        assert!(matches!(&k.state, State::Adopting(held) if held.new == 1998));
+        assert!(!k.is_settled());
+        // `to_vec` answers through `&self` and leaves the set alone...
+        let order = k.to_vec();
+        assert_eq!(order[..5], [id(7), id(3), id(5000), id(0), id(1)]);
+        assert!(!k.is_settled());
+        // ...a new id settles first, so it lands after the payload.
+        assert!(k.insert(id(9999)));
+        assert!(k.is_settled());
+        assert_eq!(k.list()[..2001], order[..]);
+        assert_eq!(k.list()[2001], id(9999));
+        assert_eq!(k.take_fresh().len(), 1999);
+    }
+
+    #[test]
+    fn payloads_that_are_not_shared_merge_on_the_spot() {
+        let mut k = KnowledgeSet::new(id(0));
+        assert_eq!(k.adopt(&PointerList::from(vec![id(1), id(2)])), 2);
+        assert_eq!(k.adopt(&(0..100).map(id).collect::<PointerList>()), 97);
+        // Shared, but five ids over 16 words: no bitmap to count against.
+        assert_eq!(
+            k.adopt(&PointerList::shared(&[1, 2, 3, 4, 1000].map(id))),
+            1
+        );
+        assert!(k.is_settled());
+        assert_eq!(k.len(), 101);
+    }
+
+    #[test]
+    fn the_adopted_state_costs_no_bytes_and_stays_thread_safe() {
+        // HM holds four sets per node: 64 bytes before adoption, and
+        // 64 after, because holding a payload is a variant of the
+        // membership state (stored in the tier tag's spare values), not
+        // a field beside it.
+        assert!(std::mem::size_of::<KnowledgeSet>() <= 64);
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<KnowledgeSet>();
     }
 
     #[test]

@@ -9,13 +9,18 @@
 //! 2. the word-level [`covers`](KnowledgeSet::covers) is `knows` of
 //!    every set bit, on either tier and for masks longer or shorter
 //!    than the set's own bitmap;
-//! 3. any interleaving of `insert`, bulk merge, `take_fresh`, `mark`,
-//!    `since` and `clone` agrees with a `BTreeSet` + order-`Vec` model,
-//!    so the window and the marks can share one set.
+//! 3. any interleaving of `insert`, bulk merge, `adopt` (shared and
+//!    not), `take_fresh`, `mark`, `since`, `sample_other`, `list` and
+//!    `clone` agrees with a `BTreeSet` + order-`Vec` model and with a
+//!    twin that merged every payload on arrival, so the window and the
+//!    marks can share one set and holding a broadcast by reference is
+//!    invisible.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rd_core::KnowledgeSet;
-use rd_sim::NodeId;
+use rd_sim::{NodeId, PointerList};
 use std::collections::BTreeSet;
 
 fn ids(raw: &[u32]) -> Vec<NodeId> {
@@ -139,38 +144,88 @@ proptest! {
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u32),
+    /// Per-id `extend`.
+    Extend(Vec<u32>),
     Merge(Vec<u32>),
+    /// Receive a payload through `adopt`: shared (held by reference
+    /// until the set settles, if it is dense enough to have a bitmap)
+    /// or not (merged on the spot).
+    Adopt {
+        payload: Vec<u32>,
+        shared: bool,
+    },
     TakeFresh,
     Mark,
     /// Read `since` at the `n`-th recorded mark (modulo how many exist).
     Since(usize),
-    /// Continue on a clone: window and marks must carry over.
+    /// Draw `sample_other` under a fixed generator.
+    Sample(u64),
+    /// Read the whole list (which settles).
+    List,
+    /// Continue on a clone: window, marks and adopted payloads must
+    /// carry over.
     Fork,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
+    let arb_payload = || {
+        prop_oneof![
+            // Overlapping payloads, dense enough to have a bitmap from
+            // about two dozen ids up: a second one adopted on top of a
+            // first must settle it and count only what neither brought.
+            proptest::collection::vec(0u32..1_500, 0..300),
+            // A broadcast roster: contiguous, in order, large enough to
+            // carry a small receiver over the spill threshold, and
+            // often reaching past the receiver's own bitmap.
+            (0u32..900, 5u32..700).prop_map(|(from, len)| (from..from + len).collect()),
+            (0u32..18_000, 300u32..600).prop_map(|(from, len)| (from..from + len).collect()),
+            // A few ids from a wide range: shared, but too sparse for a
+            // bitmap.
+            proptest::collection::vec(0u32..1_000_000, 0..12),
+        ]
+    };
     prop_oneof![
         (0u32..1_500).prop_map(Op::Insert),
-        proptest::collection::vec(0u32..1_500, 0..300).prop_map(Op::Merge),
-        proptest::collection::vec(0u32..1_000_000, 0..8).prop_map(Op::Merge),
+        // Mostly ids the set has: an insert that must not settle.
+        (0u32..40).prop_map(Op::Insert),
+        arb_payload().prop_map(Op::Merge),
+        proptest::collection::vec(0u32..1_500, 0..40).prop_map(Op::Extend),
+        (arb_payload(), any::<bool>()).prop_map(|(payload, shared)| Op::Adopt { payload, shared }),
+        (arb_payload(), Just(true)).prop_map(|(payload, shared)| Op::Adopt { payload, shared }),
         Just(Op::TakeFresh),
         Just(Op::Mark),
         (0usize..64).prop_map(Op::Since),
+        any::<u64>().prop_map(Op::Sample),
+        Just(Op::List),
         Just(Op::Fork),
     ]
 }
 
+/// The membership bitmap of `members`, `extra` empty words longer than
+/// it needs to be.
+fn mask_of(members: &BTreeSet<u32>, extra: usize) -> Vec<u64> {
+    let top = members.last().map_or(0, |&i| i as usize / 64 + 1);
+    let mut mask = vec![0u64; top + extra];
+    for &i in members {
+        mask[i as usize / 64] |= 1 << (i % 64);
+    }
+    mask
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// `KnowledgeSet` against a `BTreeSet` (membership) + `Vec`
-    /// (learning order) + cursor (fresh window) model.
+    /// (learning order) + cursor (fresh window) model, and against an
+    /// eager twin that merges every received payload on arrival: after
+    /// any interleaving no observer can tell adopted from merged.
     #[test]
     fn set_agrees_with_the_reference_model(
         own in 0u32..1_500,
         ops in proptest::collection::vec(arb_op(), 1..60),
     ) {
         let mut set = KnowledgeSet::new(NodeId::new(own));
+        let mut eager = set.clone();
         let mut members = BTreeSet::from([own]);
         let mut order = vec![own];
         let mut drained = 1;
@@ -183,10 +238,21 @@ proptest! {
             new
         };
         for op in &ops {
+            let mut probes: &[u32] = &[];
             match op {
                 Op::Insert(id) => {
                     let new = learn(&mut members, &mut order, *id);
                     prop_assert_eq!(set.insert(NodeId::new(*id)), new);
+                    eager.insert(NodeId::new(*id));
+                }
+                Op::Extend(payload) => {
+                    let new = payload
+                        .iter()
+                        .filter(|&&id| learn(&mut members, &mut order, id))
+                        .count();
+                    prop_assert_eq!(set.extend(ids(payload)), new);
+                    eager.extend(ids(payload));
+                    probes = payload;
                 }
                 Op::Merge(payload) => {
                     let new = payload
@@ -194,9 +260,26 @@ proptest! {
                         .filter(|&&id| learn(&mut members, &mut order, id))
                         .count();
                     prop_assert_eq!(set.extend_from_slice(&ids(payload)), new);
+                    eager.extend_from_slice(&ids(payload));
+                    probes = payload;
+                }
+                Op::Adopt { payload, shared } => {
+                    let new = payload
+                        .iter()
+                        .filter(|&&id| learn(&mut members, &mut order, id))
+                        .count();
+                    let list = if *shared {
+                        PointerList::shared(&ids(payload))
+                    } else {
+                        PointerList::from(ids(payload))
+                    };
+                    prop_assert_eq!(set.adopt(&list), new);
+                    prop_assert_eq!(eager.extend_from_slice(&list), new);
+                    probes = payload;
                 }
                 Op::TakeFresh => {
                     prop_assert_eq!(set.take_fresh(), ids(&order[drained..]));
+                    eager.take_fresh();
                     drained = order.len();
                 }
                 Op::Mark => {
@@ -208,15 +291,80 @@ proptest! {
                         prop_assert_eq!(set.since(mark), ids(&order[mark..]));
                     }
                 }
+                Op::Sample(seed) => {
+                    let exclude = NodeId::new(order[*seed as usize % order.len()]);
+                    let drawn = set.sample_other(&mut StdRng::seed_from_u64(*seed), exclude);
+                    let twin = eager.sample_other(&mut StdRng::seed_from_u64(*seed), exclude);
+                    prop_assert_eq!(drawn, twin);
+                }
+                Op::List => prop_assert_eq!(set.list(), ids(&order)),
                 Op::Fork => set = set.clone(),
             }
+            // The observers that must see through adopted payloads
+            // without settling them.
             prop_assert_eq!(set.len(), order.len());
+            prop_assert_eq!(set.is_empty(), eager.is_empty());
+            prop_assert_eq!(set.mark(), eager.mark());
             prop_assert_eq!(set.has_fresh(), drained < order.len());
             prop_assert_eq!(set.max_id(), members.last().map(|&i| NodeId::new(i)));
+            prop_assert_eq!(set.to_vec(), ids(&order));
+            for &probe in probes {
+                prop_assert!(set.contains(NodeId::new(probe)));
+                let near = probe ^ 1;
+                prop_assert_eq!(set.contains(NodeId::new(near)), members.contains(&near));
+            }
+            // Masks longer and shorter than any bitmap involved, and
+            // one that asks for a single id too many.
+            let long = mask_of(&members, 3);
+            prop_assert!(set.covers(&long));
+            prop_assert!(set.covers(&long[..long.len() / 2]));
+            let lacked = (0..).find(|i| !members.contains(i)).expect("finite set");
+            let mut too_much = mask_of(&members, lacked as usize / 64 + 1);
+            too_much[lacked as usize / 64] |= 1 << (lacked % 64);
+            prop_assert!(!set.covers(&too_much));
+            prop_assert!(!eager.covers(&too_much));
         }
-        prop_assert_eq!(set.list(), ids(&order));
+        prop_assert_eq!(set.list(), eager.list());
+        prop_assert_eq!(set.take_fresh(), eager.take_fresh());
         for probe in 0..1_600u32 {
             prop_assert_eq!(set.contains(NodeId::new(probe)), members.contains(&probe));
         }
+    }
+
+    /// Adoption pinned at the spill threshold: a receiver holding 509
+    /// to 515 ids — sparse below 513, dense from there — adopts an
+    /// overlapping roster, then a second one, and every observer agrees
+    /// with the twin that merged both on arrival.
+    #[test]
+    fn adoption_agrees_at_the_spill_boundary(
+        held in 509u32..516,
+        stride in 1u32..4,
+        overlap in 0u32..600,
+        seed in any::<u64>(),
+    ) {
+        let mut set: KnowledgeSet = (0..held).map(|i| NodeId::new(i * stride)).collect();
+        let mut eager = set.clone();
+        let first = PointerList::shared(&ids(&(overlap..overlap + 700).rev().collect::<Vec<_>>()));
+        let second = PointerList::shared(&ids(&(0..2_000).step_by(3).collect::<Vec<_>>()));
+        for payload in [&first, &second] {
+            prop_assert_eq!(set.adopt(payload), eager.extend_from_slice(payload));
+            prop_assert_eq!(set.adopt(payload), 0, "a payload adopted twice teaches nothing");
+            prop_assert_eq!(set.len(), eager.len());
+            prop_assert_eq!(set.max_id(), eager.max_id());
+            prop_assert_eq!(set.has_fresh(), eager.has_fresh());
+            for probe in 0..2_100 {
+                prop_assert_eq!(set.contains(NodeId::new(probe)), eager.contains(NodeId::new(probe)));
+            }
+        }
+        // A clone of the unsettled set settles on its own.
+        let mut forked = set.clone();
+        let me = NodeId::new(0);
+        prop_assert_eq!(
+            forked.sample_other(&mut StdRng::seed_from_u64(seed), me),
+            eager.sample_other(&mut StdRng::seed_from_u64(seed), me)
+        );
+        prop_assert_eq!(forked.list(), eager.list());
+        prop_assert_eq!(set.to_vec(), eager.to_vec());
+        prop_assert_eq!(set.take_fresh(), eager.take_fresh());
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::id::NodeId;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of header bits charged to every message regardless of payload
 /// (source, destination, and a small type tag) when converting pointer
@@ -66,6 +66,10 @@ const INLINE_POINTERS: usize = 4;
 /// whose clones are a counter bump, so the sender allocates the payload
 /// once however many envelopes carry it. Sharing is a representation
 /// only: pointer accounting, equality and iteration see the same ids.
+/// A shared list also offers the same ids as a bitmap
+/// ([`shared_bitmap`](Self::shared_bitmap)), built by the first receiver
+/// that asks and then shared like the ids, so a receiver can compare a
+/// whole broadcast against what it knows 64 ids per instruction.
 ///
 /// The type behaves like a read-mostly `Vec<NodeId>`: build it with
 /// [`push`](Self::push), [`collect`](Iterator::collect), or a
@@ -81,7 +85,14 @@ enum Repr {
         ids: [NodeId; INLINE_POINTERS],
     },
     Heap(Vec<NodeId>),
-    Shared(Arc<[NodeId]>),
+    Shared(Arc<SharedIds>),
+}
+
+/// One broadcast payload: the ids in sending order and, once a receiver
+/// has asked, the same ids as a set (`None`: too sparse to have one).
+struct SharedIds {
+    ids: Box<[NodeId]>,
+    bitmap: OnceLock<Option<Box<[u64]>>>,
 }
 
 impl PointerList {
@@ -100,8 +111,39 @@ impl PointerList {
         if ids.len() <= INLINE_POINTERS {
             PointerList::from(ids)
         } else {
-            PointerList(Repr::Shared(ids.into()))
+            PointerList(Repr::Shared(Arc::new(SharedIds {
+                ids: ids.into(),
+                bitmap: OnceLock::new(),
+            })))
         }
+    }
+
+    /// The ids of a shared list as a bitmap (id `i` is bit `i % 64` of
+    /// word `i / 64`, no trailing empty word). The first call builds
+    /// it; every clone of the list, on any thread, then reads the same
+    /// words. An un-sharing [`push`](Self::push) leaves it behind with
+    /// the shared ids.
+    ///
+    /// `None` for a list that is not shared, and for one with fewer ids
+    /// than its bitmap would have words: reading such a bitmap costs a
+    /// receiver more than reading the ids (a five-id delta naming node
+    /// 60 000 would be 938 words).
+    pub fn shared_bitmap(&self) -> Option<&[u64]> {
+        let Repr::Shared(shared) = &self.0 else {
+            return None;
+        };
+        let bitmap = shared.bitmap.get_or_init(|| {
+            let max = shared.ids.iter().map(|id| id.index()).max()?;
+            let mut words = vec![0u64; max / 64 + 1];
+            if shared.ids.len() < words.len() {
+                return None;
+            }
+            for id in shared.ids.iter() {
+                words[id.index() / 64] |= 1 << (id.index() % 64);
+            }
+            Some(words.into())
+        });
+        bitmap.as_deref()
     }
 
     /// Appends an identifier, spilling to the heap past the inline
@@ -145,7 +187,7 @@ impl PointerList {
         match &self.0 {
             Repr::Inline { len, ids } => &ids[..*len as usize],
             Repr::Heap(v) => v,
-            Repr::Shared(ids) => ids,
+            Repr::Shared(shared) => &shared.ids,
         }
     }
 
@@ -369,6 +411,40 @@ mod tests {
         grown.push(NodeId::new(9));
         assert_eq!(grown.as_slice(), nid(0..10).as_slice());
         assert_eq!(shared, heap);
+    }
+
+    #[test]
+    fn shared_bitmap_is_built_once_and_shared_by_every_clone() {
+        let ids = nid([3, 130, 64, 3, 7, 129]);
+        let shared = PointerList::shared(&ids);
+        let copy = shared.clone();
+        let first = copy.shared_bitmap().expect("shared lists have a bitmap");
+        let mut per_id = vec![0u64; 3];
+        for id in &ids {
+            per_id[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        assert_eq!(first, per_id.as_slice());
+        // Asking again, through either handle, reads the same words.
+        assert!(std::ptr::eq(first, copy.shared_bitmap().unwrap()));
+        assert!(std::ptr::eq(first, shared.shared_bitmap().unwrap()));
+        assert!(std::ptr::eq(first, shared.clone().shared_bitmap().unwrap()));
+        // Inline and heap lists have none, nor has a shared list with
+        // fewer ids than bitmap words, and neither has a list that a
+        // push (or an extend) un-shared; its siblings keep theirs.
+        assert_eq!(PointerList::shared(&nid(0..4)).shared_bitmap(), None);
+        assert_eq!(PointerList::from(nid(0..9)).shared_bitmap(), None);
+        let sparse = PointerList::shared(&nid([1, 2, 3, 4, 5 * 64]));
+        assert!(matches!(sparse.0, Repr::Shared(_)));
+        assert_eq!(sparse.shared_bitmap(), None);
+        let dense_enough = PointerList::shared(&nid([1, 2, 3, 4, 5 * 64 - 1]));
+        assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(5));
+        let mut pushed = shared.clone();
+        pushed.push(NodeId::new(500));
+        assert_eq!(pushed.shared_bitmap(), None);
+        let mut extended = shared.clone();
+        extended.extend(nid(500..502));
+        assert_eq!(extended.shared_bitmap(), None);
+        assert!(std::ptr::eq(first, shared.shared_bitmap().unwrap()));
     }
 
     #[test]
