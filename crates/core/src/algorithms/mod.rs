@@ -15,7 +15,40 @@ pub use random_pointer_jump::RandomPointerJump;
 pub use swamping::Swamping;
 
 use crate::problem::InitialKnowledge;
-use rd_sim::NodeId;
+use rd_sim::{MessageCost, NodeId, PointerList};
+
+/// A sender's whole knowledge, minus one id: what Name-Dropper and
+/// swamping put on the wire.
+///
+/// Neither protocol tells a machine its own name, and the receiver of a
+/// message is one of the ids its sender knows. Building "everything but
+/// you" per destination would be a copy per message, so the message is
+/// the sender's [snapshot](crate::KnowledgeSet::snapshot) — one
+/// allocation, shared by every message that carries it — next to the id
+/// that is not part of it. Cost accounting and causal provenance see
+/// `ids` without `except`; the receiver may merge all of `ids`, because
+/// `except` is the receiver and every machine knows itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TransferMsg {
+    /// Every identifier the sender knew when it sent, `except` among
+    /// them, in the order it learned them.
+    pub ids: PointerList,
+    /// The destination: listed in `ids`, neither sent nor charged.
+    pub except: NodeId,
+}
+
+impl MessageCost for TransferMsg {
+    fn pointers(&self) -> usize {
+        self.ids.len() - 1
+    }
+
+    fn visit_ids(&self, visit: &mut dyn FnMut(NodeId)) {
+        self.ids
+            .iter()
+            .filter(|&id| id != self.except)
+            .for_each(visit);
+    }
+}
 
 /// Harness-side read access to a node's knowledge.
 ///
@@ -87,4 +120,22 @@ pub trait DiscoveryAlgorithm {
     /// identifiers machine `u` starts with (itself first), handed over
     /// in flat CSR form ([`InitialKnowledge`]).
     fn make_nodes(&self, initial: &InitialKnowledge) -> Vec<Self::NodeState>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_transfer_counts_and_teaches_everything_but_its_destination() {
+        let [a, b, c] = [4, 9, 2].map(NodeId::new);
+        let msg = TransferMsg {
+            ids: PointerList::from(vec![a, b, c]),
+            except: b,
+        };
+        assert_eq!(msg.pointers(), 2);
+        let mut taught = Vec::new();
+        msg.visit_ids(&mut |id| taught.push(id));
+        assert_eq!(taught, [a, c]);
+    }
 }

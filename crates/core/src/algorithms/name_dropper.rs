@@ -13,36 +13,24 @@
 //! measures convergence with the omniscient completion predicate, as the
 //! literature does.
 
-use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView};
+use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView, TransferMsg};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, PointerList, RoundContext};
+use rd_sim::{Envelope, Node, NodeId, PointerList, RoundContext};
 
 /// Factory for the Name-Dropper baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NameDropper;
 
-/// Name-Dropper payload: the sender's entire knowledge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransferMsg {
-    /// Every identifier the sender knew when it sent.
-    pub ids: PointerList,
-}
-
-impl MessageCost for TransferMsg {
-    fn pointers(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn visit_ids(&self, visit: &mut dyn FnMut(NodeId)) {
-        self.ids.visit_ids(visit);
-    }
-}
-
 /// Per-node state of Name-Dropper.
 #[derive(Debug, Clone)]
 pub struct NameDropperNode {
     knowledge: KnowledgeSet,
+    /// The snapshot last sent. Knowledge only grows, so it is still the
+    /// whole of it while the lengths agree, and most rounds teach a
+    /// node nothing: sending again is a clone of the handle. Kept here
+    /// and not in the set, which HM holds four of per node.
+    sent: PointerList,
 }
 
 impl Node for NameDropperNode {
@@ -62,17 +50,14 @@ impl Node for NameDropperNode {
             let rng = ctx.rng();
             self.knowledge.sample_other(rng, me)
         } {
-            // Everything but the target itself: two copies around its
-            // position in the list it was sampled from.
-            let list = self.knowledge.list();
-            let at = list
-                .iter()
-                .position(|&v| v == target)
-                .expect("the target was sampled from the list");
-            let mut ids = Vec::with_capacity(list.len() - 1);
-            ids.extend_from_slice(&list[..at]);
-            ids.extend_from_slice(&list[at + 1..]);
-            ctx.send(target, TransferMsg { ids: ids.into() });
+            if self.sent.len() != self.knowledge.len() {
+                self.sent = self.knowledge.snapshot();
+            }
+            let msg = TransferMsg {
+                ids: self.sent.clone(),
+                except: target,
+            };
+            ctx.send(target, msg);
         }
     }
 }
@@ -112,7 +97,10 @@ impl DiscoveryAlgorithm for NameDropper {
             .map(|(u, ids)| {
                 let mut knowledge = KnowledgeSet::new(NodeId::new(u as u32));
                 knowledge.extend_from_slice(ids);
-                NameDropperNode { knowledge }
+                NameDropperNode {
+                    knowledge,
+                    sent: PointerList::new(),
+                }
             })
             .collect()
     }

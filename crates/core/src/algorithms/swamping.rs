@@ -13,31 +13,14 @@
 //! `Θ(n²)` messages *per round* near completion and `Θ(n³)` pointers
 //! overall. Run it only at modest `n`.
 
-use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView};
+use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView, TransferMsg};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, PointerList, RoundContext};
+use rd_sim::{Envelope, Node, NodeId, RoundContext};
 
 /// Factory for the swamping baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Swamping;
-
-/// Swamping payload: the sender's entire knowledge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwampMsg {
-    /// Every identifier the sender knows.
-    pub ids: PointerList,
-}
-
-impl MessageCost for SwampMsg {
-    fn pointers(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn visit_ids(&self, visit: &mut dyn FnMut(NodeId)) {
-        self.ids.visit_ids(visit);
-    }
-}
 
 /// Per-node state of swamping.
 #[derive(Debug, Clone)]
@@ -51,12 +34,12 @@ pub struct SwampingNode {
 }
 
 impl Node for SwampingNode {
-    type Msg = SwampMsg;
+    type Msg = TransferMsg;
 
     fn on_round(
         &mut self,
-        inbox: &mut Vec<Envelope<SwampMsg>>,
-        ctx: &mut RoundContext<'_, SwampMsg>,
+        inbox: &mut Vec<Envelope<TransferMsg>>,
+        ctx: &mut RoundContext<'_, TransferMsg>,
     ) {
         let mut learned = false;
         for env in inbox.drain(..) {
@@ -75,11 +58,12 @@ impl Node for SwampingNode {
         if self.idle_rounds >= 2 {
             return;
         }
+        // One snapshot a round, whatever the number of neighbours.
         let me = ctx.id();
-        let list = self.knowledge.list();
-        for &dst in list.iter().filter(|&&v| v != me) {
-            let ids: PointerList = list.iter().copied().filter(|&v| v != dst).collect();
-            ctx.send(dst, SwampMsg { ids });
+        let ids = self.knowledge.snapshot();
+        for dst in ids.iter().filter(|&v| v != me) {
+            let ids = ids.clone();
+            ctx.send(dst, TransferMsg { ids, except: dst });
         }
     }
 }

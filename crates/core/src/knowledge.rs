@@ -42,7 +42,9 @@ use rd_sim::{NodeId, PointerList};
 /// id) first *settles* — merges the adopted payload exactly as
 /// [`extend_from_slice`](Self::extend_from_slice) would have on arrival
 /// — which is why those take `&mut self`. No observer can tell an
-/// adopting set from one that merged eagerly.
+/// adopting set from one that merged eagerly. The sending side of the
+/// same bargain is [`snapshot`](Self::snapshot): a set's whole
+/// knowledge as one shared payload that brings the set's own bitmap.
 ///
 /// # Example
 ///
@@ -327,7 +329,10 @@ impl KnowledgeSet {
             else {
                 unreachable!("matched just above")
             };
-            let merged = self.extend_from_slice(&adopting.payload);
+            // Counted at adoption: `new` ids to append, and a bitmap
+            // whose word count bounds every id.
+            let words = adopting.bitmap().len();
+            let merged = self.merge(&adopting.payload, Some(words), adopting.new);
             debug_assert_eq!(merged, adopting.new);
         }
     }
@@ -410,35 +415,47 @@ impl KnowledgeSet {
     /// are sized once, and the merge is a test-and-set loop with no
     /// per-id tier match or growth check.
     pub fn extend_from_slice(&mut self, ids: &[NodeId]) -> usize {
-        let tier = match &mut self.state {
-            State::Settled(tier) => tier,
-            State::Adopting(_) => {
-                if self.knows_all_or_settles(ids) {
-                    return 0;
-                }
-                return self.extend_from_slice(ids);
-            }
+        if matches!(self.state, State::Adopting(_)) && self.knows_all_or_settles(ids) {
+            return 0;
+        }
+        self.merge(ids, None, ids.len())
+    }
+
+    /// The merge loop of a settled set. At most `new` distinct ids of
+    /// `ids` are unknown, so once that many are appended the rest need
+    /// no look; `words`, where the caller has it, is a bitmap length
+    /// that holds every id and saves the pass that finds one.
+    fn merge(&mut self, ids: &[NodeId], words: Option<usize>, new: usize) -> usize {
+        let State::Settled(tier) = &mut self.state else {
+            unreachable!("a set holding a payload settles before it merges")
         };
         if matches!(tier, Membership::Sparse(sorted) if sorted.len() + ids.len() <= SPARSE_MAX) {
             return self.extend(ids.iter().copied());
         }
-        let Some(max) = ids.iter().map(|id| id.index()).max() else {
-            return 0;
-        };
+        let words =
+            words.unwrap_or_else(|| ids.iter().map(|id| id.index() / 64 + 1).max().unwrap_or(0));
         let bits = tier.spill();
-        if max / 64 >= bits.len() {
-            bits.resize(max / 64 + 1, 0);
+        if words > bits.len() {
+            bits.resize(words, 0);
         }
-        // Every listed id has its bit set, so the clear bits bound how
-        // many ids can still be new: a duplicate-heavy payload reserves
-        // almost nothing.
+        // Every listed id has its bit set, so the clear bits, too,
+        // bound how many ids can still be new: a duplicate-heavy
+        // payload reserves almost nothing, and a full set reads none.
         let before = self.list.len();
-        self.list.reserve(ids.len().min(bits.len() * 64 - before));
+        let mut left = new.min(bits.len() * 64 - before);
+        if left == 0 {
+            return 0;
+        }
+        self.list.reserve(left);
         for &id in ids {
             let (w, b) = word_bit(id.index());
             if bits[w] & b == 0 {
                 bits[w] |= b;
                 self.list.push(id);
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
             }
         }
         self.list.len() - before
@@ -481,6 +498,25 @@ impl KnowledgeSet {
     pub fn list(&mut self) -> &[NodeId] {
         self.settle();
         &self.list
+    }
+
+    /// The full knowledge as a payload: the learning-order list in one
+    /// [shared](PointerList::shared) allocation, so sending it to many
+    /// receivers, or again next round, is a clone of the handle. A set
+    /// in the bitmap tier also hands over a copy of its bitmap (this
+    /// set's own keeps changing; a payload's never does), which lets
+    /// every receiver [`adopt`](Self::adopt) it — or find it teaches
+    /// nothing — in words; a small set leaves the bitmap to the first
+    /// receiver that asks. The set appends only, so the snapshot stays
+    /// its whole knowledge for as long as [`len`](Self::len) stands.
+    pub fn snapshot(&mut self) -> PointerList {
+        self.settle();
+        match &self.state {
+            State::Settled(Membership::Dense(bits)) => {
+                PointerList::shared_with_bitmap(&self.list, bits)
+            }
+            _ => PointerList::shared(&self.list),
+        }
     }
 
     /// The current frontier position: the number of ids learned so far.

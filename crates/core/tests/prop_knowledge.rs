@@ -10,11 +10,17 @@
 //!    every set bit, on either tier and for masks longer or shorter
 //!    than the set's own bitmap;
 //! 3. any interleaving of `insert`, bulk merge, `adopt` (shared and
-//!    not), `take_fresh`, `mark`, `since`, `sample_other`, `list` and
-//!    `clone` agrees with a `BTreeSet` + order-`Vec` model and with a
-//!    twin that merged every payload on arrival, so the window and the
-//!    marks can share one set and holding a broadcast by reference is
-//!    invisible.
+//!    not), `take_fresh`, `mark`, `since`, `sample_other`, `list`,
+//!    `snapshot` and `clone` agrees with a `BTreeSet` + order-`Vec`
+//!    model and with a twin that merged every payload on arrival, so
+//!    the window and the marks can share one set and holding a
+//!    broadcast by reference is invisible;
+//! 4. a [`snapshot`](KnowledgeSet::snapshot) is the set's list and
+//!    membership at the moment it was taken, and adopting one — from a
+//!    sender on either side of the spill boundary, which decides
+//!    whether it brings its bitmap — is merging the sender's list; the
+//!    settle that stops once the ids counted at adoption are appended
+//!    never stops short, whatever a payload repeats.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -162,6 +168,9 @@ enum Op {
     Sample(u64),
     /// Read the whole list (which settles).
     List,
+    /// Take a snapshot and keep it: it must be the model's order and
+    /// set now, and still be that after whatever comes next.
+    Snapshot,
     /// Continue on a clone: window, marks and adopted payloads must
     /// carry over.
     Fork,
@@ -197,6 +206,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(Op::Since),
         any::<u64>().prop_map(Op::Sample),
         Just(Op::List),
+        Just(Op::Snapshot),
         Just(Op::Fork),
     ]
 }
@@ -230,6 +240,7 @@ proptest! {
         let mut order = vec![own];
         let mut drained = 1;
         let mut marks: Vec<usize> = Vec::new();
+        let mut snapshots: Vec<(PointerList, usize)> = Vec::new();
         let learn = |members: &mut BTreeSet<u32>, order: &mut Vec<u32>, id: u32| {
             let new = members.insert(id);
             if new {
@@ -298,6 +309,7 @@ proptest! {
                     prop_assert_eq!(drawn, twin);
                 }
                 Op::List => prop_assert_eq!(set.list(), ids(&order)),
+                Op::Snapshot => snapshots.push((set.snapshot(), order.len())),
                 Op::Fork => set = set.clone(),
             }
             // The observers that must see through adopted payloads
@@ -328,6 +340,17 @@ proptest! {
         prop_assert_eq!(set.take_fresh(), eager.take_fresh());
         for probe in 0..1_600u32 {
             prop_assert_eq!(set.contains(NodeId::new(probe)), members.contains(&probe));
+        }
+        // Every snapshot is the prefix the set had learned when it was
+        // taken, and its bitmap (a dense set's, or a small set's built
+        // here on asking) is that prefix as a set: nothing learned
+        // since shows through.
+        for (snapshot, taken_at) in &snapshots {
+            prop_assert_eq!(snapshot.as_slice(), ids(&order[..*taken_at]));
+            if let Some(bitmap) = snapshot.shared_bitmap() {
+                let then: BTreeSet<u32> = order[..*taken_at].iter().copied().collect();
+                prop_assert_eq!(bitmap, mask_of(&then, 0));
+            }
         }
     }
 
@@ -366,5 +389,60 @@ proptest! {
         prop_assert_eq!(forked.list(), eager.list());
         prop_assert_eq!(set.to_vec(), eager.to_vec());
         prop_assert_eq!(set.take_fresh(), eager.take_fresh());
+    }
+
+    /// Adopting a sender's snapshot is merging the sender's list. The
+    /// sender holds 509 to 515 ids, so its snapshot comes without a
+    /// bitmap below 513 and with its own from there; the receiver is
+    /// sparse or dense, and already knows part of what arrives.
+    #[test]
+    fn adopting_a_snapshot_is_merging_the_senders_list(
+        sent in 509u32..516,
+        held in prop_oneof![0u32..40, 509u32..516, 600u32..900],
+        stride in 1u32..4,
+        offset in 0u32..700,
+        later in 0u32..3_000,
+    ) {
+        let mut sender: KnowledgeSet = (0..sent).rev().map(|i| NodeId::new(offset + i * stride)).collect();
+        let mut receiver: KnowledgeSet = (0..held).map(|i| NodeId::new(i * 2)).collect();
+        let mut eager = receiver.clone();
+        let snapshot = sender.snapshot();
+        prop_assert_eq!(snapshot.as_slice(), sender.list());
+        // What the sender learns afterwards is not in it.
+        let grew = sender.insert(NodeId::new(later));
+        prop_assert_eq!(snapshot.len() + usize::from(grew), sender.len());
+        if let Some(bitmap) = snapshot.shared_bitmap() {
+            let then: BTreeSet<u32> = snapshot.iter().map(|id| id.index() as u32).collect();
+            prop_assert_eq!(bitmap, mask_of(&then, 0));
+        }
+        prop_assert_eq!(receiver.adopt(&snapshot), eager.extend_from_slice(&snapshot));
+        prop_assert_eq!(receiver.adopt(&snapshot), 0);
+        prop_assert_eq!(receiver.len(), eager.len());
+        prop_assert_eq!(receiver.max_id(), eager.max_id());
+        prop_assert_eq!(receiver.to_vec(), eager.to_vec());
+        // A snapshot of the receiver settles what it holds.
+        prop_assert_eq!(&receiver.snapshot()[..], eager.list());
+        prop_assert_eq!(receiver.take_fresh(), eager.take_fresh());
+    }
+
+    /// Settling stops reading a payload once the ids counted at
+    /// adoption are appended. A payload that repeats ids — new ones
+    /// too, before and after the last first occurrence — must leave
+    /// the list a per-id merge leaves.
+    #[test]
+    fn settling_early_never_stops_short_on_repeated_ids(
+        held in 480u32..700,
+        payload in proptest::collection::vec(0u32..1_200, 40..400),
+        repeats in 1usize..4,
+    ) {
+        let mut set: KnowledgeSet = (0..held).map(|i| NodeId::new(i * 2)).collect();
+        let mut per_id = set.clone();
+        let payload = ids(&payload.repeat(repeats));
+        let mut expected = 0;
+        for &id in &payload {
+            expected += usize::from(per_id.insert(id));
+        }
+        prop_assert_eq!(set.adopt(&PointerList::shared(&payload)), expected);
+        assert_same(&mut set, &mut per_id)?;
     }
 }

@@ -67,9 +67,11 @@ const INLINE_POINTERS: usize = 4;
 /// once however many envelopes carry it. Sharing is a representation
 /// only: pointer accounting, equality and iteration see the same ids.
 /// A shared list also offers the same ids as a bitmap
-/// ([`shared_bitmap`](Self::shared_bitmap)), built by the first receiver
-/// that asks and then shared like the ids, so a receiver can compare a
-/// whole broadcast against what it knows 64 ids per instruction.
+/// ([`shared_bitmap`](Self::shared_bitmap)) — the sender's own where it
+/// has one ([`shared_with_bitmap`](Self::shared_with_bitmap)), else
+/// built by the first receiver that asks — shared like the ids, so a
+/// receiver can compare a whole payload against what it knows 64 ids
+/// per instruction.
 ///
 /// The type behaves like a read-mostly `Vec<NodeId>`: build it with
 /// [`push`](Self::push), [`collect`](Iterator::collect), or a
@@ -88,11 +90,18 @@ enum Repr {
     Shared(Arc<SharedIds>),
 }
 
-/// One broadcast payload: the ids in sending order and, once a receiver
-/// has asked, the same ids as a set (`None`: too sparse to have one).
+/// One shared payload: the ids in sending order and — from the sender,
+/// or once a receiver has asked — the same ids as a set (`None`: too
+/// sparse to have one).
 struct SharedIds {
     ids: Box<[NodeId]>,
     bitmap: OnceLock<Option<Box<[u64]>>>,
+}
+
+/// The density rule: a list has a bitmap only if it has at least as
+/// many ids as the bitmap would have words.
+fn worth_a_bitmap(ids: usize, words: usize) -> bool {
+    ids >= words
 }
 
 impl PointerList {
@@ -108,18 +117,46 @@ impl PointerList {
     /// size the ids live in one reference-counted allocation that every
     /// clone shares.
     pub fn shared(ids: &[NodeId]) -> Self {
+        Self::share(ids, OnceLock::new())
+    }
+
+    /// A [shared](Self::shared) list of distinct ids whose sender
+    /// already holds them as a set: `bitmap` (id `i` is bit `i % 64` of
+    /// word `i / 64`, any number of trailing empty words) is copied
+    /// instead of being rebuilt per id by the first receiver. What
+    /// [`shared_bitmap`](Self::shared_bitmap) answers is what it would
+    /// have answered for `shared(ids)`.
+    pub fn shared_with_bitmap(ids: &[NodeId], bitmap: &[u64]) -> Self {
+        debug_assert_eq!(
+            bitmap
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>(),
+            ids.len(),
+            "the bitmap holds exactly the listed ids"
+        );
+        debug_assert!(ids
+            .iter()
+            .all(|id| bitmap[id.index() / 64] >> (id.index() % 64) & 1 == 1));
+        let words = bitmap.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
+        let bitmap = worth_a_bitmap(ids.len(), words).then(|| bitmap[..words].into());
+        Self::share(ids, OnceLock::from(bitmap))
+    }
+
+    fn share(ids: &[NodeId], bitmap: OnceLock<Option<Box<[u64]>>>) -> Self {
         if ids.len() <= INLINE_POINTERS {
             PointerList::from(ids)
         } else {
             PointerList(Repr::Shared(Arc::new(SharedIds {
                 ids: ids.into(),
-                bitmap: OnceLock::new(),
+                bitmap,
             })))
         }
     }
 
     /// The ids of a shared list as a bitmap (id `i` is bit `i % 64` of
-    /// word `i / 64`, no trailing empty word). The first call builds
+    /// word `i / 64`, no trailing empty word). Unless the sender
+    /// [supplied](Self::shared_with_bitmap) it, the first call builds
     /// it; every clone of the list, on any thread, then reads the same
     /// words. An un-sharing [`push`](Self::push) leaves it behind with
     /// the shared ids.
@@ -134,10 +171,10 @@ impl PointerList {
         };
         let bitmap = shared.bitmap.get_or_init(|| {
             let max = shared.ids.iter().map(|id| id.index()).max()?;
-            let mut words = vec![0u64; max / 64 + 1];
-            if shared.ids.len() < words.len() {
+            if !worth_a_bitmap(shared.ids.len(), max / 64 + 1) {
                 return None;
             }
+            let mut words = vec![0u64; max / 64 + 1];
             for id in shared.ids.iter() {
                 words[id.index() / 64] |= 1 << (id.index() % 64);
             }
@@ -445,6 +482,61 @@ mod tests {
         extended.extend(nid(500..502));
         assert_eq!(extended.shared_bitmap(), None);
         assert!(std::ptr::eq(first, shared.shared_bitmap().unwrap()));
+    }
+
+    #[test]
+    fn a_sender_supplied_bitmap_is_the_one_a_receiver_would_have_built() {
+        // A sender's own bitmap, eight words whatever the ids need.
+        let bitmap_of = |ids: &[NodeId]| {
+            let mut words = vec![0u64; 8];
+            for id in ids {
+                words[id.index() / 64] |= 1 << (id.index() % 64);
+            }
+            words
+        };
+        let ids = nid([3, 130, 64, 7, 129]);
+        let mut sender = bitmap_of(&ids);
+        let supplied = PointerList::shared_with_bitmap(&ids, &sender);
+        assert!(matches!(supplied.0, Repr::Shared(_)));
+        assert_eq!(supplied, PointerList::from(ids.clone()));
+        let words = supplied.shared_bitmap().expect("dense enough");
+        assert_eq!(words, PointerList::shared(&ids).shared_bitmap().unwrap());
+        assert_eq!(words, &sender[..3], "trailing empty words are trimmed");
+        // A copy: the sender's set moves on, the payload's does not.
+        sender[0] |= 1 << 9;
+        assert_eq!(supplied.shared_bitmap().unwrap()[0], (1 << 3) | (1 << 7));
+        assert!(std::ptr::eq(
+            words,
+            supplied.clone().shared_bitmap().unwrap()
+        ));
+        let mut pushed = supplied.clone();
+        pushed.push(NodeId::new(500));
+        assert_eq!(pushed.shared_bitmap(), None);
+        let mut extended = supplied.clone();
+        extended.extend(nid(500..502));
+        assert_eq!(extended.shared_bitmap(), None);
+        assert!(std::ptr::eq(words, supplied.shared_bitmap().unwrap()));
+        // Fewer ids than words: shared, but no bitmap — one id nearer
+        // and it has one. Up to four ids the list stays inline.
+        let sparse = nid([1, 2, 3, 4, 5 * 64]);
+        let sparse = PointerList::shared_with_bitmap(&sparse, &bitmap_of(&sparse));
+        assert!(matches!(sparse.0, Repr::Shared(_)));
+        assert_eq!(sparse.shared_bitmap(), None);
+        let dense_enough = nid([1, 2, 3, 4, 5 * 64 - 1]);
+        let dense_enough =
+            PointerList::shared_with_bitmap(&dense_enough, &bitmap_of(&dense_enough));
+        assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(5));
+        let short = nid([1, 2, 3, 300]);
+        let short = PointerList::shared_with_bitmap(&short, &bitmap_of(&short));
+        assert!(matches!(short.0, Repr::Inline { len: 4, .. }));
+        assert_eq!(short.shared_bitmap(), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exactly the listed ids")]
+    fn a_supplied_bitmap_must_hold_exactly_the_listed_ids() {
+        let _ = PointerList::shared_with_bitmap(&nid(0..6), &[0b1111111]);
     }
 
     #[test]
