@@ -5,8 +5,9 @@ use super::messages::HmMsg;
 use crate::algorithms::KnowledgeView;
 use crate::knowledge::KnowledgeSet;
 use rand::Rng;
-use rd_sim::{Envelope, Node, NodeId, PointerList, RoundContext};
+use rd_sim::{Envelope, Node, NodeId, PointerList, RoundContext, SuspectView};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Rounds per super-round. Phase 0 reports, phase 1 assigns, phase 2
 /// probes; phases 3–4 carry the probe-forward/reply hops; phase 5 merges.
@@ -59,8 +60,11 @@ pub struct HmNode {
     pending_join: Option<(Vec<NodeId>, Vec<NodeId>)>,
     /// Member-side: a roster has been received (speculative completion).
     got_roster: bool,
-    /// Nodes reported crashed by the failure detector (when configured).
-    suspected: KnowledgeSet,
+    /// The failure detector's report as last digested. Held, not
+    /// copied: quiescence is asked with no round context at hand, and
+    /// a node that slept through several reports diffs this one against
+    /// whichever is current when it wakes.
+    suspected: Arc<SuspectView>,
 }
 
 impl HmNode {
@@ -82,7 +86,7 @@ impl HmNode {
             inflight_report: None,
             pending_join: None,
             got_roster: false,
-            suspected: KnowledgeSet::default(),
+            suspected: SuspectView::none(),
         };
         for &id in initial {
             node.knowledge.insert(id);
@@ -129,66 +133,71 @@ impl HmNode {
     /// failure detector `suspected` is empty and this reduces to the
     /// count comparison `members == knowledge`.)
     fn all_known_accounted_for(&self) -> bool {
-        if self.suspected.is_empty() {
+        if self.suspected.list().is_empty() {
             return self.members.len() == self.knowledge.len();
         }
-        // `to_vec`, not `iter`: this is asked through `&self`, and a
-        // roster the set has only adopted must still be looked through.
         self.knowledge
-            .to_vec()
-            .into_iter()
-            .all(|id| self.members.contains(id) || self.suspected.contains(id))
+            .subset_of_union(&self.members, self.suspected.words())
     }
 
-    /// Digests the failure detector's report: newly crashed nodes are
-    /// purged from every work queue so the cluster can drain to
-    /// quiescence, a member whose leader died fails over to leading
-    /// again, and a *retracted* suspicion (the node recovered) readmits
-    /// the survivor to the exploration pipeline.
-    fn digest_suspects(&mut self, report: &[NodeId]) {
-        // Nearly every round of nearly every node: the detector said
-        // the same as last time, and `suspected` was collected from
-        // that very report.
-        if self.suspected.list() == report {
-            return;
-        }
-        let reported: KnowledgeSet = report.iter().copied().collect();
-        let newly: Vec<NodeId> = report
-            .iter()
-            .copied()
-            .filter(|&s| !self.suspected.contains(s))
-            .collect();
-        let revived: Vec<NodeId> = self
-            .suspected
-            .iter()
-            .filter(|&s| !reported.contains(s))
-            .collect();
-        if newly.is_empty() && revived.is_empty() {
+    /// Digests a failure detector's report that is not the one held:
+    /// newly crashed nodes are purged from every work queue so the
+    /// cluster can drain to quiescence, and a *retracted* suspicion
+    /// (the node recovered) readmits the survivor to the exploration
+    /// pipeline. (A member whose leader died fails over in `on_round`.)
+    fn digest_suspects(&mut self, view: &Arc<SuspectView>) {
+        let (old, new) = (self.suspected.words(), view.words());
+        let exceeds = |a: &[u64], b: &[u64]| {
+            a.iter()
+                .enumerate()
+                .any(|(w, &word)| word & !b.get(w).copied().unwrap_or(0) != 0)
+        };
+        let (any_new, any_revived) = (exceeds(new, old), exceeds(old, new));
+        if !any_new && !any_revived {
+            // The same set under another handle. The held view stays:
+            // its order is the order a later retraction is walked in.
             return;
         }
         // The report is the detector's full current view, so replacing
         // handles suspicions and retractions in one shot.
-        self.suspected = reported;
-        for &s in &newly {
-            self.frontier.retain(|&t| t != s);
-            self.outstanding.retain(|&t| t != s);
-            self.pending_invites.retain(|&t| t != s);
-            self.discovered.retain(|&t| t != s);
-            self.pending_probes.retain(|&t| t != s);
+        let old = std::mem::replace(&mut self.suspected, Arc::clone(view));
+        if any_new {
+            // Only what this report adds: `pending_probes` may hold a
+            // long-suspected target that a stale `Assign` put there.
+            let stays = |t: &NodeId| old.contains(*t) || !view.contains(*t);
+            self.frontier.retain(stays);
+            self.outstanding.retain(stays);
+            self.pending_invites.retain(stays);
+            self.discovered.retain(stays);
+            self.pending_probes.retain(stays);
         }
-        for r in revived {
-            // The recovered node must be re-integrated before the run
-            // can complete: it is a discovery target again. `seen` may
-            // already hold it from before the crash, so the frontier
-            // re-entry is forced rather than going through
-            // `enqueue_external`.
+        if !any_revived {
+            return;
+        }
+        // A recovered node must be re-integrated before the run can
+        // complete: it is a discovery target again. `seen` may already
+        // hold it from before the crash, so the frontier re-entry is
+        // forced rather than going through `enqueue_external` — unless
+        // a queue holds it already, which this bitmap answers for every
+        // id a retraction can name.
+        let leads = self.is_leader();
+        let mut queued = vec![0u64; if leads { old.words().len() } else { 0 }];
+        for &t in self.frontier.iter().chain(&self.outstanding) {
+            if let Some(word) = queued.get_mut(t.index() / 64) {
+                *word |= 1 << (t.index() % 64);
+            }
+        }
+        for &r in old.list() {
+            if view.contains(r) {
+                continue;
+            }
+            // More often than not this is how the node first learns of
+            // `r` at all.
             self.knowledge.insert(r);
             self.seen.insert(r);
-            if self.is_leader()
-                && !self.members.contains(r)
-                && !self.frontier.contains(&r)
-                && !self.outstanding.contains(&r)
-            {
+            let (w, b) = (r.index() / 64, 1 << (r.index() % 64));
+            if leads && !self.members.contains(r) && queued[w] & b == 0 {
+                queued[w] |= b;
                 self.frontier.push_back(r);
             }
         }
@@ -209,15 +218,34 @@ impl HmNode {
         self.pending_invites.clear();
         self.frontier.clear();
         self.seen = self.members.clone();
-        for id in self.knowledge.to_vec() {
-            self.enqueue_external(id);
+        let (knowledge, mut enqueue) = self.knowledge_and_enqueue();
+        for &id in knowledge.list() {
+            enqueue(id);
         }
     }
 
+    /// `knowledge`, lent out beside the step that offers an id to the
+    /// frontier (which touches every field but it), so that ids can be
+    /// enqueued straight out of the set.
+    fn knowledge_and_enqueue(&mut self) -> (&mut KnowledgeSet, impl FnMut(NodeId) + '_) {
+        let HmNode {
+            knowledge,
+            members,
+            suspected,
+            seen,
+            frontier,
+            ..
+        } = self;
+        let enqueue = move |id| {
+            if !members.contains(id) && !suspected.contains(id) && seen.insert(id) {
+                frontier.push_back(id);
+            }
+        };
+        (knowledge, enqueue)
+    }
+
     fn enqueue_external(&mut self, id: NodeId) {
-        if !self.members.contains(id) && !self.suspected.contains(id) && self.seen.insert(id) {
-            self.frontier.push_back(id);
-        }
+        self.knowledge_and_enqueue().1(id);
     }
 
     fn record_discovery(&mut self, foreign: NodeId) {
@@ -420,8 +448,9 @@ impl HmNode {
 
     fn phase_report(&mut self, ctx: &mut RoundContext<'_, HmMsg>) {
         if self.is_leader() {
-            for id in self.knowledge.take_fresh().to_vec() {
-                self.enqueue_external(id);
+            let (knowledge, mut enqueue) = self.knowledge_and_enqueue();
+            for &id in knowledge.take_fresh() {
+                enqueue(id);
             }
             return;
         }
@@ -600,9 +629,10 @@ impl Node for HmNode {
     type Msg = HmMsg;
 
     fn on_round(&mut self, inbox: &mut Vec<Envelope<HmMsg>>, ctx: &mut RoundContext<'_, HmMsg>) {
-        // Called even on an empty report: the previous round's suspects
-        // may all have been retracted, and that shrink must be digested.
-        if !ctx.suspects().is_empty() || !self.suspected.is_empty() {
+        // The engine hands out one view until the detector's report
+        // changes, so nearly every round of nearly every node stops at
+        // this pointer compare.
+        if !Arc::ptr_eq(&self.suspected, ctx.suspects()) {
             self.digest_suspects(ctx.suspects());
         }
         for env in inbox.drain(..) {
@@ -654,7 +684,152 @@ impl KnowledgeView for HmNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use rd_sim::{Engine, FaultPlan};
+
+    /// The digest as it stood when every node kept its own
+    /// `KnowledgeSet` of suspects and compared report lists: the
+    /// reference the view-diffing digest is tested against. `suspected`
+    /// stands in for the field the node no longer has.
+    fn digest_by_lists(node: &mut HmNode, suspected: &mut KnowledgeSet, report: &[NodeId]) {
+        if report.is_empty() && suspected.is_empty() {
+            return;
+        }
+        if suspected.list() == report {
+            return;
+        }
+        let reported: KnowledgeSet = report.iter().copied().collect();
+        let newly: Vec<NodeId> = report
+            .iter()
+            .copied()
+            .filter(|&s| !suspected.contains(s))
+            .collect();
+        let revived: Vec<NodeId> = suspected
+            .iter()
+            .filter(|&s| !reported.contains(s))
+            .collect();
+        if newly.is_empty() && revived.is_empty() {
+            return;
+        }
+        *suspected = reported;
+        for &s in &newly {
+            node.frontier.retain(|&t| t != s);
+            node.outstanding.retain(|&t| t != s);
+            node.pending_invites.retain(|&t| t != s);
+            node.discovered.retain(|&t| t != s);
+            node.pending_probes.retain(|&t| t != s);
+        }
+        for r in revived {
+            node.knowledge.insert(r);
+            node.seen.insert(r);
+            if node.is_leader()
+                && !node.members.contains(r)
+                && !node.frontier.contains(&r)
+                && !node.outstanding.contains(&r)
+            {
+                node.frontier.push_back(r);
+            }
+        }
+    }
+
+    /// Everything a digest may touch, in order.
+    fn digested_state(node: &mut HmNode) -> [Vec<NodeId>; 7] {
+        [
+            node.frontier.iter().copied().collect(),
+            node.outstanding.clone(),
+            node.discovered.clone(),
+            node.pending_invites.clone(),
+            node.pending_probes.clone(),
+            node.knowledge.list().to_vec(),
+            node.seen.list().to_vec(),
+        ]
+    }
+
+    #[test]
+    fn diffing_views_digests_what_comparing_lists_did() {
+        // Ids span several bitmap words, and the report's top id moves,
+        // so views of different word counts meet.
+        const IDS: u32 = 200;
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            // Half the draws come from seven ids, so that one id is
+            // suspected, retracted and suspected again within a nap.
+            let id = |rng: &mut StdRng| {
+                NodeId::new(match rng.random_range(0..2) {
+                    0 => 25 * rng.random_range(1..8u32),
+                    _ => rng.random_range(1..IDS),
+                })
+            };
+            let mut node = HmNode::new(NodeId::new(0), &[], HmConfig::default());
+            let mut reference = node.clone();
+            let mut listed = KnowledgeSet::default();
+            // The report hovers around a size set per case: short ones
+            // empty out and reorder often, long ones purge a lot at once.
+            let crowd = [4, 12, 40][case as usize % 3];
+            let mut report: Vec<NodeId> = Vec::new();
+            let mut view = SuspectView::none();
+            for step in 0..80 {
+                // The detector: a few reports and retractions on some
+                // rounds, the same handle on the others. A second report
+                // of a suspect leaves a repeated entry, as two
+                // overlapping crash windows of one node would.
+                if rng.random_range(0..3) == 0 {
+                    for _ in 0..rng.random_range(1..6) {
+                        let target = id(&mut rng);
+                        if report.len() <= rng.random_range(0..crowd) {
+                            report.push(target);
+                        } else {
+                            let held = report[target.index() % report.len()];
+                            report.retain(|&s| s != held);
+                        }
+                    }
+                    view = Arc::new(SuspectView::new(report.clone()));
+                }
+                // The protocol between digests: queue entries come and
+                // go whatever the detector says (a stale `Assign` names
+                // a suspect), clusters grow, leadership moves.
+                for _ in 0..rng.random_range(0..6) {
+                    let (which, t) = (rng.random_range(0..9), id(&mut rng));
+                    for n in [&mut node, &mut reference] {
+                        match which {
+                            0 => n.frontier.push_back(t),
+                            1 => n.outstanding.push(t),
+                            2 => n.discovered.push(t),
+                            3 => n.pending_invites.push(t),
+                            4 => n.pending_probes.push(t),
+                            5 => drop(n.frontier.pop_front()),
+                            // A member is always a known id.
+                            6 => drop((n.members.insert(t), n.knowledge.insert(t))),
+                            7 => drop(n.knowledge.insert(t)),
+                            _ => n.leader = if t.index() % 2 == 0 { n.me } else { t },
+                        }
+                    }
+                }
+                // A node that is down this round digests nothing, and
+                // meets whatever view is current when it is back.
+                if rng.random_range(0..3) == 0 {
+                    continue;
+                }
+                if !Arc::ptr_eq(&node.suspected, &view) {
+                    node.digest_suspects(&view);
+                }
+                digest_by_lists(&mut reference, &mut listed, &report);
+                assert_eq!(
+                    digested_state(&mut node),
+                    digested_state(&mut reference),
+                    "case {case} step {step}"
+                );
+                for raw in 0..IDS {
+                    let id = NodeId::new(raw);
+                    assert_eq!(node.suspected.contains(id), listed.contains(id));
+                }
+                let accounted = (node.knowledge.to_vec().into_iter())
+                    .all(|id| node.members.contains(id) || listed.contains(id));
+                assert_eq!(node.all_known_accounted_for(), accounted);
+            }
+        }
+    }
 
     /// Node 0 runs the protocol; the others only exist to send it one
     /// scripted message and then crash.

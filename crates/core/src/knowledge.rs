@@ -142,6 +142,26 @@ impl Membership {
         }
     }
 
+    /// `true` if every id whose bit is set in `word`, word `w` of a
+    /// mask, is in this tier or in the bitmap `adopted`.
+    #[inline]
+    fn covers_word(&self, adopted: &[u64], w: usize, word: u64) -> bool {
+        let mut missing = word & !word_at(adopted, w);
+        match self {
+            Membership::Dense(bits) => missing & !word_at(bits, w) == 0,
+            Membership::Sparse(sorted) => {
+                while missing != 0 {
+                    let raw = (w * 64) as u32 + missing.trailing_zeros();
+                    if sorted.binary_search(&raw).is_err() {
+                        return false;
+                    }
+                    missing &= missing - 1;
+                }
+                true
+            }
+        }
+    }
+
     /// Converts the sorted tier to the bitmap (a bitmap stays one) and
     /// hands the bitmap out.
     fn spill(&mut self) -> &mut Vec<u64> {
@@ -235,22 +255,29 @@ impl KnowledgeSet {
                 && beyond.iter().all(|&m| m == 0);
         }
         let (tier, adopted) = self.tiers();
-        mask.iter().enumerate().all(|(w, &word)| {
-            let mut missing = word & !word_at(adopted, w);
-            match tier {
-                Membership::Dense(bits) => missing & !word_at(bits, w) == 0,
-                Membership::Sparse(sorted) => {
-                    while missing != 0 {
-                        let raw = (w * 64) as u32 + missing.trailing_zeros();
-                        if sorted.binary_search(&raw).is_err() {
-                            return false;
-                        }
-                        missing &= missing - 1;
-                    }
-                    true
-                }
+        mask.iter()
+            .enumerate()
+            .all(|(w, &word)| tier.covers_word(adopted, w, word))
+    }
+
+    /// `true` if every learned id is in `set` or has its bit set in
+    /// `mask` (laid out as for [`covers`](Self::covers)). Nothing is
+    /// copied or settled on either side: an adopted payload is read
+    /// through its bitmap.
+    pub fn subset_of_union(&self, set: &KnowledgeSet, mask: &[u64]) -> bool {
+        let (theirs, their_adopted) = set.tiers();
+        let accounted =
+            |w: usize, word: u64| theirs.covers_word(their_adopted, w, word & !word_at(mask, w));
+        let bitmap = |bits: &[u64]| bits.iter().enumerate().all(|(w, &word)| accounted(w, word));
+        let (tier, adopted) = self.tiers();
+        bitmap(adopted)
+            && match tier {
+                Membership::Dense(bits) => bitmap(bits),
+                Membership::Sparse(sorted) => sorted.iter().all(|&raw| {
+                    let (w, b) = word_bit(raw as usize);
+                    accounted(w, b)
+                }),
             }
-        })
     }
 
     /// How many ids of the bitmap `theirs` this set lacks.
@@ -815,6 +842,55 @@ mod tests {
         assert_eq!(k.list()[..2001], order[..]);
         assert_eq!(k.list()[2001], id(9999));
         assert_eq!(k.take_fresh().len(), 1999);
+    }
+
+    #[test]
+    fn subset_of_union_reads_every_tier_without_settling() {
+        // Each set on the sorted tier, on the bitmap, and looking
+        // through an adopted roster; the mask shorter than, level with
+        // and longer than the sets.
+        let sparse = |ids: &[u32]| -> KnowledgeSet { ids.iter().map(|&i| id(i)).collect() };
+        let dense = |upto: u32| -> KnowledgeSet { (0..upto).map(|i| id(3 * i)).collect() };
+        let adopting = |mut k: KnowledgeSet| {
+            assert!(k.adopt(&roster(100..1100)) > 0);
+            assert!(!k.is_settled());
+            k
+        };
+        let sets = [
+            sparse(&[1, 64, 700]),
+            sparse(&[3, 6, 2400]),
+            dense(600),
+            dense(900),
+            adopting(sparse(&[1, 64])),
+            adopting(dense(600)),
+        ];
+        let masks: [Vec<u64>; 4] = [
+            vec![],
+            vec![0b10, 1],
+            vec![u64::MAX; 12],
+            (0..50)
+                .map(|w| 0x9249_2492_4924_9249u64.rotate_left(w))
+                .collect(),
+        ];
+        let mut held = 0;
+        for a in &sets {
+            for b in &sets {
+                for mask in &masks {
+                    let in_mask = |i: NodeId| {
+                        let (w, bit) = word_bit(i.index());
+                        word_at(mask, w) & bit != 0
+                    };
+                    let by_id = a.to_vec().into_iter().all(|i| b.contains(i) || in_mask(i));
+                    assert_eq!(a.subset_of_union(b, mask), by_id);
+                    held += by_id as usize;
+                }
+            }
+        }
+        assert!(
+            held > sets.len() * masks.len(),
+            "some pair other than a set and itself"
+        );
+        assert!(!sets[4].is_settled() && !sets[5].is_settled());
     }
 
     #[test]

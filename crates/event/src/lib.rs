@@ -267,7 +267,7 @@ impl<N: Node> EventEngine<N> {
         if let Some(rec) = &mut self.obs {
             rec.span_from(Phase::BeginRound, now, 0, t_begin.unwrap());
         }
-        let suspects = self.core.suspects().to_vec();
+        let suspects = self.core.suspects().clone();
 
         let t_step = self.obs.as_ref().map(|_| Instant::now());
         let state = self.core.step_state();

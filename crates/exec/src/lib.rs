@@ -299,7 +299,7 @@ where
         if let Some(rec) = &mut self.obs {
             rec.span_from(Phase::BeginRound, round, 0, t_begin.unwrap());
         }
-        let suspects = self.core.suspects().to_vec();
+        let suspects = self.core.suspects().clone();
         let n = self.nodes.len();
         // Contiguous blocks of ⌈n / workers⌉ nodes; the final shard may
         // be short. A worker without nodes is never spawned.
@@ -355,7 +355,7 @@ where
             let crashes_possible = faults.has_crashes();
             let seed = state.seed;
             let cap = state.receive_cap;
-            let suspects = &suspects[..];
+            let suspects = &suspects;
             let node_shards = self.nodes.chunks_mut(shard_len);
             let inbox_shards = state.inboxes.chunks_mut(shard_len);
             let stepped = crossbeam::thread::scope(|scope| {

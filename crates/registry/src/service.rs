@@ -15,8 +15,9 @@ use crate::hash::mix2;
 use rd_core::algorithms::hm::HmDiscovery;
 use rd_core::{problem, DiscoveryAlgorithm, KnowledgeView};
 use rd_graphs::Topology;
-use rd_sim::{Engine, Envelope, FaultPlan, MessageCost, Node, NodeId, RoundContext};
+use rd_sim::{Engine, Envelope, FaultPlan, MessageCost, Node, NodeId, RoundContext, SuspectView};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The resource key a machine holds, by machine index and slot
 /// (deterministic, so tests and queriers can name any resource).
@@ -104,8 +105,8 @@ pub struct RegistryNode {
     store: HashMap<u64, NodeId>,
     /// Resolved lookups: key → holder.
     resolved: HashMap<u64, NodeId>,
-    /// The failure detector's current suspect set (owner failover).
-    suspects: Vec<NodeId>,
+    /// The failure detector's report as last acted on (owner failover).
+    suspects: Arc<SuspectView>,
     /// Directory-operation counters (observability).
     ops: RegistryOps,
 }
@@ -119,7 +120,7 @@ impl RegistryNode {
             queries,
             store: HashMap::new(),
             resolved: HashMap::new(),
-            suspects: Vec::new(),
+            suspects: SuspectView::none(),
             ops: RegistryOps::default(),
         }
     }
@@ -131,7 +132,7 @@ impl RegistryNode {
         self.directory
             .replicas(key, self.directory.len())
             .into_iter()
-            .find(|o| !self.suspects.contains(o))
+            .find(|&o| !self.suspects.contains(o))
             .unwrap_or_else(|| self.directory.owner(key))
     }
 
@@ -191,9 +192,11 @@ impl Node for RegistryNode {
         // primary died have a new live owner — republish local resources
         // so the fallback owners hold them, and let the lookup retry
         // loop below re-aim at the survivors.
-        if ctx.suspects() != self.suspects.as_slice() {
-            self.suspects = ctx.suspects().to_vec();
-            self.publish_all(me, true, ctx);
+        if !Arc::ptr_eq(&self.suspects, ctx.suspects()) {
+            let held = std::mem::replace(&mut self.suspects, ctx.suspects().clone());
+            if held.list() != self.suspects.list() {
+                self.publish_all(me, true, ctx);
+            }
         }
         for env in inbox.drain(..) {
             match env.payload {

@@ -293,9 +293,9 @@ impl<N: Node> Engine<N> {
         if let Some(rec) = &mut self.obs {
             rec.span_from(Phase::BeginRound, round, 0, t_begin.unwrap());
         }
-        // Cloned so the report can be lent to nodes while the engine
-        // mutates them (the list is tiny: one entry per crash).
-        let suspects = self.core.suspects().to_vec();
+        // A handle of its own, so the report can be lent to nodes while
+        // the core's mailboxes are borrowed mutably.
+        let suspects = self.core.suspects().clone();
 
         let t_step = self.obs.as_ref().map(|_| Instant::now());
         let state = self.core.step_state();
@@ -600,7 +600,8 @@ mod tests {
     impl Node for SuspectWatcher {
         type Msg = Ids;
         fn on_round(&mut self, _inbox: &mut Vec<Envelope<Ids>>, ctx: &mut RoundContext<'_, Ids>) {
-            self.seen.push((ctx.round(), ctx.suspects().to_vec()));
+            self.seen
+                .push((ctx.round(), ctx.suspects().list().to_vec()));
         }
     }
 

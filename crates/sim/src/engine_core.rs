@@ -42,12 +42,13 @@ use crate::faults::{DropCause, FaultPlan};
 use crate::id::NodeId;
 use crate::message::{Envelope, MessageCost};
 use crate::metrics::{NodeLane, RoundMetrics, RunMetrics};
-use crate::node::{Node, RoundContext};
+use crate::node::{Node, RoundContext, SuspectView};
 use crate::pool::BufferPool;
 use crate::rng;
 use crate::trace::{Trace, TraceEvent};
 use rand::Rng;
 use rd_obs::{CausalTrace, ProvEdge};
+use std::sync::Arc;
 
 /// What the failure detector does at a scheduled instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -74,8 +75,9 @@ pub struct EngineCore<M: MessageCost> {
     causal: Option<CausalTrace>,
     /// Detector schedule `(round, node, action)`, report-time order.
     detect_schedule: Vec<(u64, NodeId, DetectorAction)>,
-    /// Crashes currently reported to the nodes.
-    active_suspects: Vec<NodeId>,
+    /// Crashes currently reported to the nodes; replaced, never
+    /// edited, on a round in which the schedule fires.
+    suspects: Arc<SuspectView>,
     next_detection: usize,
     /// Per-node per-round delivery cap (`None` = unbounded).
     receive_cap: Option<usize>,
@@ -621,7 +623,7 @@ impl<M: MessageCost> EngineCore<M> {
             trace: None,
             causal: None,
             detect_schedule: Vec::new(),
-            active_suspects: Vec::new(),
+            suspects: SuspectView::none(),
             next_detection: 0,
             receive_cap: None,
             max_extra_delay: 0,
@@ -793,18 +795,23 @@ impl<M: MessageCost> EngineCore<M> {
         // The perfect failure detector reports each crash once its
         // per-crash latency has elapsed, and retracts the report the
         // same latency after a recovery.
+        let mut report: Option<Vec<NodeId>> = None;
         while let Some(&(at, node, action)) = self.detect_schedule.get(self.next_detection) {
             if at > round {
                 break;
             }
+            let report = report.get_or_insert_with(|| self.suspects.list().to_vec());
             match action {
-                DetectorAction::Suspect => self.active_suspects.push(node),
+                DetectorAction::Suspect => report.push(node),
                 DetectorAction::Retract => {
-                    self.active_suspects.retain(|&s| s != node);
+                    report.retain(|&s| s != node);
                     self.metrics.record_retraction();
                 }
             }
             self.next_detection += 1;
+        }
+        if let Some(report) = report {
+            self.suspects = Arc::new(SuspectView::new(report));
         }
         while self
             .delayed
@@ -820,11 +827,12 @@ impl<M: MessageCost> EngineCore<M> {
         round
     }
 
-    /// The failure detector's current crash report. Engines clone it
-    /// (it is one entry per crash) and lend it to every node stepped
-    /// this round.
-    pub fn suspects(&self) -> &[NodeId] {
-        &self.active_suspects
+    /// The failure detector's current crash report: the same handle
+    /// until a round in which the detector reports or retracts
+    /// something. Engines clone the handle and lend it to every node
+    /// stepped this round.
+    pub fn suspects(&self) -> &Arc<SuspectView> {
+        &self.suspects
     }
 
     /// Borrows the state needed to step nodes; see [`StepState`].
@@ -1459,13 +1467,18 @@ pub fn step_node<N: Node>(
     index: usize,
     round: u64,
     seed: u64,
-    suspects: &[NodeId],
+    suspects: &Arc<SuspectView>,
     inbox: &mut Vec<Envelope<N::Msg>>,
     outbox: &mut Vec<Envelope<N::Msg>>,
 ) {
     let mut node_rng = rng::node_round_rng(seed, index, round);
-    let mut ctx = RoundContext::new(NodeId::new(index as u32), round, &mut node_rng, outbox)
-        .with_suspects(suspects);
+    let mut ctx = RoundContext::new(
+        NodeId::new(index as u32),
+        round,
+        &mut node_rng,
+        outbox,
+        suspects,
+    );
     node.on_round(inbox, &mut ctx);
     inbox.clear();
 }
@@ -1839,9 +1852,45 @@ mod tests {
             &[NodeId::new(2), NodeId::new(1)][..],
         ] {
             core.begin_round();
-            assert_eq!(core.suspects(), expect, "round {}", core.round());
+            assert_eq!(core.suspects().list(), expect, "round {}", core.round());
             core.finish_round();
         }
+    }
+
+    #[test]
+    fn the_suspect_view_is_one_handle_per_change_of_report() {
+        // Node 2 is reported at round 2, node 1 at round 5, node 2's
+        // recovery at round 6 + 2.
+        let mut core: EngineCore<u32> = EngineCore::new(200, 1);
+        core.set_faults(
+            FaultPlan::new()
+                .with_crashes([2])
+                .with_recovery_at(2, 6)
+                .with_crash_at(130, 3)
+                .with_crash_detection_after(2),
+        );
+        assert!(Arc::ptr_eq(core.suspects(), &SuspectView::none()));
+        let mut held = core.suspects().clone();
+        let mut changed_at = Vec::new();
+        for round in 0..12 {
+            core.begin_round();
+            let view = core.suspects().clone();
+            if !Arc::ptr_eq(&view, &held) {
+                changed_at.push(round);
+                assert_ne!(view.list(), held.list(), "a new view for the old report");
+            }
+            for raw in 0..200 {
+                let id = NodeId::new(raw);
+                assert_eq!(view.contains(id), view.list().contains(&id));
+                let word = view.words().get(id.index() / 64).copied().unwrap_or(0);
+                assert_eq!(word >> (id.index() % 64) & 1 == 1, view.contains(id));
+            }
+            assert_ne!(view.words().last(), Some(&0), "ends at its top id");
+            held = view;
+            core.finish_round();
+        }
+        assert_eq!(changed_at, [2, 5, 8]);
+        assert_eq!(held.list(), [NodeId::new(130)]);
     }
 
     #[test]
@@ -1871,7 +1920,7 @@ mod tests {
             (8, &[][..]),
         ] {
             core.begin_round();
-            assert_eq!(core.suspects(), expect, "round {round}");
+            assert_eq!(core.suspects().list(), expect, "round {round}");
             core.finish_round();
         }
         assert_eq!(core.metrics().detector_retractions(), 2);
@@ -1889,7 +1938,7 @@ mod tests {
         );
         for _ in 0..8 {
             core.begin_round();
-            assert_eq!(core.suspects(), &[][..]);
+            assert_eq!(core.suspects().list(), &[][..]);
             core.finish_round();
         }
         assert_eq!(core.metrics().detector_retractions(), 0);

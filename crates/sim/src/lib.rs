@@ -82,7 +82,7 @@ pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec}
 pub use id::NodeId;
 pub use message::{Envelope, MessageCost, PointerList};
 pub use metrics::{round_obs, DropTally, NodeLane, RoundMetrics, RunMetrics};
-pub use node::{Node, RoundContext};
+pub use node::{Node, RoundContext, SuspectView};
 pub use pool::{BufferPool, PoolStats};
 pub use trace::{Trace, TraceEvent};
 

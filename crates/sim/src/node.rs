@@ -3,6 +3,7 @@
 use crate::id::NodeId;
 use crate::message::Envelope;
 use rand::rngs::StdRng;
+use std::sync::{Arc, OnceLock};
 
 /// A node program: the protocol logic one machine runs.
 ///
@@ -30,6 +31,62 @@ pub trait Node {
     );
 }
 
+/// The failure detector's crash report at one instant: the suspected
+/// nodes in report order, and the same set as a bitmap.
+///
+/// A view never changes. The engine builds a new one on each round in
+/// which the detector reports or retracts something and hands every node
+/// a handle to the current one, so a node program that keeps the handle
+/// it last acted on learns that nothing changed from [`Arc::ptr_eq`],
+/// and what changed from the two bitmaps, 64 ids per word.
+#[derive(Debug, Default)]
+pub struct SuspectView {
+    list: Vec<NodeId>,
+    /// Bit `i % 64` of word `i / 64` is set iff node `i` is in `list`;
+    /// ends at the word of the largest suspected id.
+    words: Vec<u64>,
+}
+
+impl SuspectView {
+    /// The view of a report that lists `list`, in that order.
+    pub fn new(list: Vec<NodeId>) -> Self {
+        let top = list.iter().map(|id| id.index()).max();
+        let mut words = vec![0u64; top.map_or(0, |top| top / 64 + 1)];
+        for id in &list {
+            words[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        SuspectView { list, words }
+    }
+
+    /// The view of a detector that has reported nothing. Every call
+    /// returns a handle to one process-wide view, so engines and node
+    /// programs that start from it agree by pointer that nothing has
+    /// been reported yet.
+    pub fn none() -> Arc<SuspectView> {
+        static NONE: OnceLock<Arc<SuspectView>> = OnceLock::new();
+        NONE.get_or_init(Arc::default).clone()
+    }
+
+    /// The suspected nodes, in the order the detector reported them.
+    pub fn list(&self) -> &[NodeId] {
+        &self.list
+    }
+
+    /// Whether `id` is suspected.
+    #[inline]
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.words
+            .get(id.index() / 64)
+            .is_some_and(|word| word & (1 << (id.index() % 64)) != 0)
+    }
+
+    /// The suspected set as a bitmap: node `i` is bit `i % 64` of word
+    /// `i / 64`, and a word past the end is zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+}
+
 /// Per-round execution context handed to a node program: who it is,
 /// which round it is, a private deterministic random generator, and the
 /// outbox.
@@ -38,7 +95,7 @@ pub struct RoundContext<'a, M> {
     round: u64,
     rng: &'a mut StdRng,
     outbox: &'a mut Vec<Envelope<M>>,
-    suspects: &'a [NodeId],
+    suspects: &'a Arc<SuspectView>,
 }
 
 impl<'a, M> RoundContext<'a, M> {
@@ -47,19 +104,15 @@ impl<'a, M> RoundContext<'a, M> {
         round: u64,
         rng: &'a mut StdRng,
         outbox: &'a mut Vec<Envelope<M>>,
+        suspects: &'a Arc<SuspectView>,
     ) -> Self {
         RoundContext {
             id,
             round,
             rng,
             outbox,
-            suspects: &[],
+            suspects,
         }
-    }
-
-    pub(crate) fn with_suspects(mut self, suspects: &'a [NodeId]) -> Self {
-        self.suspects = suspects;
-        self
     }
 
     /// This node's identifier.
@@ -102,7 +155,9 @@ impl<'a, M> RoundContext<'a, M> {
     /// to have crashed. Empty until the configured detection delay has
     /// elapsed (and forever, when no detector is configured) — see
     /// [`FaultPlan::with_crash_detection_after`](crate::FaultPlan::with_crash_detection_after).
-    pub fn suspects(&self) -> &[NodeId] {
+    /// The same handle comes back every round until the report changes;
+    /// clone it to remember what was last acted on.
+    pub fn suspects(&self) -> &'a Arc<SuspectView> {
         self.suspects
     }
 }
@@ -117,7 +172,8 @@ mod tests {
     fn context_exposes_identity_and_round() {
         let mut rng = node_round_rng(1, 2, 3);
         let mut outbox = Vec::<Envelope<u32>>::new();
-        let ctx = RoundContext::new(NodeId::new(2), 3, &mut rng, &mut outbox);
+        let none = SuspectView::none();
+        let ctx = RoundContext::new(NodeId::new(2), 3, &mut rng, &mut outbox, &none);
         assert_eq!(ctx.id(), NodeId::new(2));
         assert_eq!(ctx.round(), 3);
     }
@@ -126,7 +182,8 @@ mod tests {
     fn send_queues_envelopes_in_order() {
         let mut rng = node_round_rng(1, 0, 0);
         let mut outbox = Vec::new();
-        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox);
+        let none = SuspectView::none();
+        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox, &none);
         ctx.send(NodeId::new(1), 10u32);
         ctx.send(NodeId::new(2), 20u32);
         assert_eq!(ctx.queued(), 2);
@@ -140,7 +197,8 @@ mod tests {
     fn self_send_rejected() {
         let mut rng = node_round_rng(1, 0, 0);
         let mut outbox = Vec::new();
-        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox);
+        let none = SuspectView::none();
+        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox, &none);
         ctx.send(NodeId::new(0), 0u32);
     }
 
@@ -148,7 +206,8 @@ mod tests {
     fn rng_is_usable_through_context() {
         let mut rng = node_round_rng(1, 0, 0);
         let mut outbox = Vec::<Envelope<u32>>::new();
-        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox);
+        let none = SuspectView::none();
+        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox, &none);
         let x: u64 = ctx.rng().random();
         let y: u64 = ctx.rng().random();
         assert_ne!(x, y, "stream should advance");
