@@ -42,7 +42,7 @@ use criterion::{BenchmarkId, Criterion};
 use rd_bench::workload::{make_nodes, Gossip, SEED};
 use rd_exec::ShardedEngine;
 use rd_obs::{CausalTrace, LiveBus, LivePublisher, LiveServer, LiveSnapshot, Recorder, RunMeta};
-use rd_sim::Engine;
+use rd_sim::{Engine, RoundEngine};
 use std::sync::Arc;
 use std::time::Instant;
 

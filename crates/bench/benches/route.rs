@@ -10,9 +10,10 @@
 //! threshold), every payload a three-identifier `PointerList` that
 //! stays in its inline representation — so the numbers isolate the
 //! router (fate coins, tallies, bucket fan-out, canonical merge) rather
-//! than payload shuffling. Both paths are bit-identical by construction
-//! (pinned by `tests/prop_engine_equivalence.rs` and the engine-core
-//! unit tests); this bench measures wall-clock only.
+//! than payload shuffling. Both are the same kernel (`route_shard`) at
+//! different shard counts, so they agree by construction (checked by
+//! `tests/prop_engine_equivalence.rs` and the engine-core unit tests);
+//! this bench measures wall-clock only.
 //!
 //! Besides the criterion report, a `cargo bench` run writes a
 //! machine-readable summary — rounds/sec and messages/sec per

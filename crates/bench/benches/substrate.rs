@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rd_core::KnowledgeSet;
 use rd_graphs::Topology;
-use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext};
+use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext, RoundEngine};
 use std::hint::black_box;
 
 fn bench_topologies(c: &mut Criterion) {

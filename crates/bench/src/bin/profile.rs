@@ -19,7 +19,7 @@
 
 use rd_bench::workload::{self, SEED};
 use rd_obs::{Recorder, RunMeta, RunOutcomeObs};
-use rd_sim::Engine;
+use rd_sim::{Engine, RoundEngine};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -65,7 +65,7 @@ fn main() {
                 .wrapping_add((id.index() as u64) << 1)
                 .wrapping_add(pos as u64)
         });
-    let recorder = rd_sim::RoundEngine::take_obs(&mut engine).expect("recorder attached");
+    let recorder = engine.take_obs().expect("recorder attached");
     let report = recorder
         .finish(
             RunOutcomeObs {

@@ -13,7 +13,7 @@ use rd_analysis::Table;
 use rd_core::algorithms::{HmDiscovery, NameDropper, PointerDoubling};
 use rd_core::{problem, DiscoveryAlgorithm};
 use rd_graphs::Topology;
-use rd_sim::{Engine, Node};
+use rd_sim::{Engine, Node, RoundEngine};
 
 fn rounds_with_jitter<A>(alg: &A, n: usize, seed: u64, jitter: u64) -> (bool, u64)
 where

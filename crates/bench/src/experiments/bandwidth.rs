@@ -12,7 +12,7 @@ use rd_analysis::Table;
 use rd_core::algorithms::{HmDiscovery, PointerDoubling};
 use rd_core::{problem, DiscoveryAlgorithm};
 use rd_graphs::Topology;
-use rd_sim::{Engine, Node};
+use rd_sim::{Engine, Node, RoundEngine};
 
 fn rounds_with_cap<A>(alg: &A, n: usize, seed: u64, cap: Option<usize>) -> (bool, u64)
 where

@@ -6,7 +6,7 @@ use rd_analysis::Table;
 use rd_core::algorithms::hm::{cluster_count, HmDiscovery, PHASES};
 use rd_core::{problem, DiscoveryAlgorithm};
 use rd_graphs::Topology;
-use rd_sim::Engine;
+use rd_sim::{Engine, RoundEngine};
 
 /// Cluster counts at every super-round boundary (index 0 = before any
 /// communication) for one run on the random-overlay workload.

@@ -153,7 +153,7 @@ mod tests {
     use super::*;
     use crate::problem;
     use rd_graphs::Topology;
-    use rd_sim::Engine;
+    use rd_sim::{Engine, RoundEngine};
 
     fn run_flooding(topo: Topology, n: usize) -> (rd_sim::RunOutcome, u64, u64) {
         let g = topo.generate(n, 11);

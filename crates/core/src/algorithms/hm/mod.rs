@@ -18,7 +18,7 @@
 //! use rd_core::algorithms::hm::{HmConfig, HmDiscovery};
 //! use rd_core::{problem, DiscoveryAlgorithm};
 //! use rd_graphs::Topology;
-//! use rd_sim::Engine;
+//! use rd_sim::{Engine, RoundEngine};
 //!
 //! let g = Topology::KOut { k: 3 }.generate(128, 1);
 //! let alg = HmDiscovery::new(HmConfig::default());
@@ -91,7 +91,7 @@ mod tests {
     use crate::algorithms::KnowledgeView;
     use crate::problem;
     use rd_graphs::Topology;
-    use rd_sim::{Engine, FaultPlan};
+    use rd_sim::{Engine, FaultPlan, RoundEngine};
 
     fn run_hm(topo: Topology, n: usize, seed: u64) -> (rd_sim::RunOutcome, u64, u64) {
         run_hm_cfg(topo, n, seed, HmConfig::default())

@@ -686,7 +686,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rd_sim::{Engine, FaultPlan};
+    use rd_sim::{Engine, FaultPlan, RoundEngine};
 
     /// The digest as it stood when every node kept its own
     /// `KnowledgeSet` of suspects and compared report lists: the

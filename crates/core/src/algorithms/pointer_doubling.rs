@@ -158,7 +158,7 @@ mod tests {
     use super::*;
     use crate::problem;
     use rd_graphs::Topology;
-    use rd_sim::Engine;
+    use rd_sim::{Engine, RoundEngine};
 
     fn run_pd(topo: Topology, n: usize, seed: u64) -> (rd_sim::RunOutcome, u64) {
         let g = topo.generate(n, seed);

@@ -119,7 +119,7 @@ mod tests {
     use crate::problem;
     use crate::runner::{run_algorithm, RunConfig};
     use rd_graphs::Topology;
-    use rd_sim::Engine;
+    use rd_sim::{Engine, RoundEngine};
 
     fn run_swamp(topo: Topology, n: usize, seed: u64) -> crate::RunReport {
         run_algorithm(

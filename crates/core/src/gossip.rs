@@ -24,7 +24,7 @@
 //! assert!(pushpull.messages > split.messages);
 //! ```
 
-use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext};
+use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext, RoundEngine};
 
 /// Which rumor-spreading protocol to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,8 +14,7 @@ use rd_obs::{
     LivePublisher, LiveServer, LiveSnapshot, MonitorEngine, PrometheusSink, Recorder, RunMeta,
     RunOutcomeObs,
 };
-use rd_sim::{DropTally, Engine, FaultPlan, Node, RetryPolicy, RoundEngine, RunOutcome};
-use std::cell::Cell;
+use rd_sim::{DropTally, Engine, FaultPlan, Node, RetryPolicy, RoundEngine};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -122,6 +121,15 @@ impl EngineKind {
             EngineKind::Sequential => "sequential".into(),
             EngineKind::Sharded { workers } => format!("sharded:{workers}"),
             EngineKind::Event { latency } => format!("event:{}", latency.name()),
+        }
+    }
+
+    /// Threads the engine steps nodes on: the worker count of the
+    /// sharded engine, 1 for the others.
+    pub fn workers(&self) -> usize {
+        match self {
+            EngineKind::Sharded { workers } => *workers,
+            EngineKind::Sequential | EngineKind::Event { .. } => 1,
         }
     }
 
@@ -493,63 +501,45 @@ where
     let graph = config.topology.generate(config.n, config.seed);
     let initial = problem::initial_knowledge(&graph);
     let nodes = alg.make_nodes(&initial);
-    let causal = config
-        .obs
-        .as_ref()
-        .and_then(|spec| spec.causal)
-        .map(|(capacity, sample_ppm)| make_causal_trace(capacity, sample_ppm, &initial));
+    let seed = config.seed;
     match config.engine {
-        EngineKind::Sequential => {
-            let mut engine = Engine::new(nodes, config.seed).with_faults(config.faults.clone());
-            if let Some(policy) = config.reliable {
-                engine = engine.with_reliable_delivery(policy);
-            }
-            if let Some(capacity) = config.trace_capacity {
-                engine = engine.with_trace(capacity);
-            }
-            if let Some(trace) = causal {
-                engine = engine.with_causal_trace(trace);
-            }
-            if let Some(spec) = &config.obs {
-                engine = engine.with_obs(make_recorder(&alg.name(), config, spec));
-            }
-            drive(alg, config, &initial, engine)
-        }
-        EngineKind::Sharded { workers } => {
-            let mut engine =
-                ShardedEngine::new(nodes, config.seed, workers).with_faults(config.faults.clone());
-            if let Some(policy) = config.reliable {
-                engine = engine.with_reliable_delivery(policy);
-            }
-            if let Some(capacity) = config.trace_capacity {
-                engine = engine.with_trace(capacity);
-            }
-            if let Some(trace) = causal {
-                engine = engine.with_causal_trace(trace);
-            }
-            if let Some(spec) = &config.obs {
-                engine = engine.with_obs(make_recorder(&alg.name(), config, spec));
-            }
-            drive(alg, config, &initial, engine)
-        }
-        EngineKind::Event { latency } => {
-            let mut engine =
-                EventEngine::new(nodes, config.seed, latency).with_faults(config.faults.clone());
-            if let Some(policy) = config.reliable {
-                engine = engine.with_reliable_delivery(policy);
-            }
-            if let Some(capacity) = config.trace_capacity {
-                engine = engine.with_trace(capacity);
-            }
-            if let Some(trace) = causal {
-                engine = engine.with_causal_trace(trace);
-            }
-            if let Some(spec) = &config.obs {
-                engine = engine.with_obs(make_recorder(&alg.name(), config, spec));
-            }
-            drive(alg, config, &initial, engine)
-        }
+        EngineKind::Sequential => drive(alg, config, &initial, Engine::new(nodes, seed)),
+        EngineKind::Sharded { workers } => drive(
+            alg,
+            config,
+            &initial,
+            ShardedEngine::new(nodes, seed, workers),
+        ),
+        EngineKind::Event { latency } => drive(
+            alg,
+            config,
+            &initial,
+            EventEngine::new(nodes, seed, latency),
+        ),
     }
+}
+
+/// Applies everything `config` asks of an engine — faults, delivery
+/// policy, traces, recorder — to a freshly constructed one.
+fn configure<A, E>(alg: &A, config: &RunConfig, initial: &problem::InitialKnowledge, engine: E) -> E
+where
+    A: DiscoveryAlgorithm,
+    E: RoundEngine<A::NodeState>,
+{
+    let mut engine = engine.with_faults(config.faults.clone());
+    if let Some(policy) = config.reliable {
+        engine = engine.with_reliable_delivery(policy);
+    }
+    if let Some(capacity) = config.trace_capacity {
+        engine = engine.with_trace(capacity);
+    }
+    let Some(spec) = &config.obs else {
+        return engine;
+    };
+    if let Some((capacity, sample_ppm)) = spec.causal {
+        engine = engine.with_causal_trace(make_causal_trace(capacity, sample_ppm, initial));
+    }
+    engine.with_obs(make_recorder(&alg.name(), config, spec))
 }
 
 /// Builds the causal provenance trace for one run, with every pair of
@@ -572,17 +562,13 @@ fn make_causal_trace(
 /// Builds the telemetry recorder for one run: identity from the config,
 /// one sink per exporter the spec enables.
 fn make_recorder(algorithm: &str, config: &RunConfig, spec: &ObsSpec) -> Recorder {
-    let workers = match config.engine {
-        EngineKind::Sequential | EngineKind::Event { .. } => 1,
-        EngineKind::Sharded { workers } => workers,
-    };
     let mut rec = Recorder::new(RunMeta {
         algorithm: algorithm.to_string(),
         topology: config.topology.name(),
         n: config.n,
         seed: config.seed,
         engine: config.engine.name(),
-        workers,
+        workers: config.engine.workers(),
         latency_model: config.engine.latency_model(),
     });
     if let Some(path) = &spec.archive {
@@ -603,17 +589,96 @@ fn make_recorder(algorithm: &str, config: &RunConfig, spec: &ObsSpec) -> Recorde
     rec
 }
 
-/// Runs the completion loop and soundness verification on any engine.
+/// Why the round loop ended.
+enum Exit {
+    Completed,
+    Stalled,
+    BudgetExhausted,
+}
+
+/// The one last-progress tracker: the watchdog's state, and what live
+/// snapshots report. Knowledge is monotone, so the live population's
+/// total knowledge is a convergence potential — a full stall window
+/// without growth means waiting longer cannot help.
+#[derive(Debug, Default)]
+struct Progress {
+    last_total: Option<u64>,
+    /// The last round in which the total grew (0 when nothing was
+    /// learned after the initial knowledge).
+    last_progress: u64,
+    /// Consecutive observations since without growth.
+    stagnant: u64,
+}
+
+impl Progress {
+    /// Feeds the live population's total knowledge after `round`.
+    fn observe(&mut self, round: u64, total: u64) {
+        if self.last_total == Some(total) {
+            self.stagnant += 1;
+        } else {
+            self.stagnant = 0;
+            self.last_total = Some(total);
+            self.last_progress = round;
+        }
+    }
+}
+
+/// What the driver measured about the population after one round, each
+/// sum taken at most once and handed to every consumer that wants it:
+/// the recorder's knowledge series (`known`), the watchdog and live
+/// snapshots (`live_known`), the memory timeline and snapshots
+/// (`resident`). Engines cannot see algorithm knowledge, so these
+/// observations live here.
+#[derive(Default)]
+struct RoundFacts {
+    round: u64,
+    known: u64,
+    live_known: u64,
+    resident: u64,
+}
+
+/// The live snapshot of the run after `facts.round` rounds.
+fn snapshot<N: Node, E: RoundEngine<N>>(
+    base: &LiveSnapshot,
+    engine: &mut E,
+    facts: &RoundFacts,
+    progress: &Progress,
+) -> LiveSnapshot {
+    let mut snap = base.clone();
+    snap.round = facts.round;
+    let m = engine.metrics();
+    snap.messages = m.total_messages();
+    snap.retransmissions = m.total_retransmissions();
+    let d = m.drop_tally();
+    snap.dropped_coin = d.coin;
+    snap.dropped_crash = d.crash;
+    snap.dropped_partition = d.partition;
+    snap.dropped_link = d.link;
+    snap.dropped_suppression = d.suppression;
+    snap.knowledge_total = facts.live_known;
+    snap.last_progress = progress.last_progress;
+    snap.resident_bytes = facts.resident;
+    snap.pool_bytes = engine.pool_high_water().iter().map(|&(_, b)| b).sum();
+    if let Some(rec) = engine.obs_mut() {
+        snap.shard_busy_ns = rec.live_shard_busy().to_vec();
+        snap.round_wall_ns = rec.last_round_wall_ns();
+    }
+    snap
+}
+
+/// Configures `engine`, runs the completion loop, verifies soundness
+/// and assembles the report — on any engine.
 fn drive<A, E>(
     alg: &A,
     config: &RunConfig,
     initial: &problem::InitialKnowledge,
-    mut engine: E,
+    engine: E,
 ) -> RunReport
 where
     A: DiscoveryAlgorithm,
     E: RoundEngine<A::NodeState>,
 {
+    let mut engine = configure(alg, config, initial, engine);
     let completion = config.completion;
     // Permanently crashed nodes are exempt from every completion
     // requirement: they neither learn nor need to be learned by the
@@ -622,76 +687,18 @@ where
     let live: Vec<bool> = (0..config.n)
         .map(|i| !config.faults.is_permanently_crashed(i))
         .collect();
-    let live_pred = live.clone();
-    // The watchdog and the completion predicate share the `done` hook:
-    // a fired watchdog terminates the run early, and the flag lets us
-    // tell the two exits apart afterwards.
-    let stalled = Cell::new(false);
-    let stalled_flag = &stalled;
-    // The stall watermark: the last round in which the live population's
-    // total knowledge grew. `observe` runs before `done` each round, so
-    // the cell already names the current round when `done` samples it.
-    let current_round = Cell::new(0u64);
-    let current_round_ref = &current_round;
-    let last_progress = Cell::new(0u64);
-    let last_progress_ref = &last_progress;
-    let stall_window = config.stall_window;
-    let mut last_knowledge: Option<usize> = None;
-    let mut stagnant_rounds: u64 = 0;
-    // When telemetry is on, the driver samples the live population's
-    // total knowledge after every round: the recorder turns the series
-    // into per-round knowledge deltas at finish. Engines cannot see
-    // algorithm knowledge, so this observation lives here.
-    let obs_on = engine.obs_mut().is_some();
-    let mut knowledge: Vec<(u64, u64)> = Vec::new();
-    if obs_on {
-        let total: u64 = engine.nodes().iter().map(|s| s.knows_count() as u64).sum();
-        knowledge.push((0, total));
-    }
-    let mut done = move |nodes: &[A::NodeState]| {
-        let done = match completion {
-            Completion::EveryoneKnowsEveryone => {
-                problem::everyone_knows_everyone_among(nodes, &live_pred)
-            }
-            Completion::LeaderKnowsAll => problem::leader_knows_all_among(nodes, &live_pred),
-            Completion::AllBelieveDone => nodes
-                .iter()
-                .zip(&live_pred)
-                .all(|(n, &l)| !l || n.believes_done()),
-        };
-        if done {
-            return true;
-        }
-        if let Some(window) = stall_window {
-            // Knowledge is monotone, so the live population's total
-            // knowledge is a convergence potential: a full window
-            // without growth means waiting longer cannot help.
-            let total: usize = nodes
-                .iter()
-                .zip(&live_pred)
-                .filter(|(_, &l)| l)
-                .map(|(n, _)| n.knows_count())
-                .sum();
-            if last_knowledge == Some(total) {
-                stagnant_rounds += 1;
-                if stagnant_rounds >= window {
-                    stalled_flag.set(true);
-                    return true;
-                }
-            } else {
-                stagnant_rounds = 0;
-                last_knowledge = Some(total);
-                last_progress_ref.set(current_round_ref.get());
-            }
-        }
-        false
+    let is_done = |nodes: &[A::NodeState]| match completion {
+        Completion::EveryoneKnowsEveryone => problem::everyone_knows_everyone_among(nodes, &live),
+        Completion::LeaderKnowsAll => problem::leader_knows_all_among(nodes, &live),
+        Completion::AllBelieveDone => nodes
+            .iter()
+            .zip(&live)
+            .all(|(n, &l)| !l || n.believes_done()),
     };
-    // Profiler-side observations the engines cannot make themselves:
-    // the memory timeline needs `KnowledgeView::resident_bytes` (an
-    // algorithm-level notion, like the knowledge series above), and the
-    // heartbeat needs `engine.metrics()` between rounds. The loop is
-    // therefore inlined here with `run_observed` semantics — observe
-    // work first, then the completion check — instead of delegated.
+    // When telemetry is on, the recorder turns the per-round knowledge
+    // totals into knowledge deltas at finish; under profiling the
+    // memory timeline needs `KnowledgeView::resident_bytes` too.
+    let obs_on = engine.obs_mut().is_some();
     let profiling = engine.obs_mut().is_some_and(|rec| rec.profiling_enabled());
     let mut heartbeat = config
         .obs
@@ -729,7 +736,6 @@ where
         .map(|s| MonitorEngine::new(s.rules.clone()));
     let alert_log = live_spec.as_ref().and_then(|s| s.log.clone());
     let mut alerts_fired: u64 = 0;
-    let live_count = live.iter().filter(|&&l| l).count() as u64;
     let mut snap_base = LiveSnapshot::default();
     if publisher.is_some() {
         snap_base.algorithm = alg.name();
@@ -737,116 +743,89 @@ where
         snap_base.engine = config.engine.name();
         snap_base.n = config.n as u64;
         snap_base.seed = config.seed;
-        snap_base.workers = match config.engine {
-            EngineKind::Sequential | EngineKind::Event { .. } => 1,
-            EngineKind::Sharded { workers } => workers as u64,
-        };
+        snap_base.workers = config.engine.workers() as u64;
         snap_base.max_rounds = config.max_rounds;
         // Every live node must know every live node (the default
         // completion notion): live² identifiers in total.
+        let live_count = live.iter().filter(|&&l| l).count() as u64;
         snap_base.knowledge_target = live_count * live_count;
     }
-    let mut live_last_total: Option<u64> = None;
-    let mut live_last_progress: u64 = 0;
-    let resident_total =
-        |nodes: &[A::NodeState]| -> u64 { nodes.iter().map(|s| s.resident_bytes()).sum() };
+
+    let mut knowledge: Vec<(u64, u64)> = Vec::new();
     let mut mem_samples: Vec<(u64, u64)> = Vec::new();
-    if profiling {
-        mem_samples.push((0, resident_total(engine.nodes())));
-    }
-    let outcome = if done(engine.nodes()) {
-        RunOutcome {
-            completed: true,
-            rounds: engine.round(),
-        }
-    } else {
-        let mut finished = None;
-        while engine.round() < config.max_rounds {
-            engine.step();
+    let mut progress = Progress::default();
+    let mut facts = RoundFacts::default();
+    // Every pass observes the population after `round` rounds — round 0
+    // is the initial knowledge — then decides whether to run another.
+    let exit =
+        loop {
             let round = engine.round();
-            current_round_ref.set(round);
-            if obs_on {
-                let total: u64 = engine.nodes().iter().map(|s| s.knows_count() as u64).sum();
-                knowledge.push((round, total));
+            facts.round = round;
+            // Snapshots go out every round under live telemetry, and at the
+            // heartbeat's own rate otherwise — so a heartbeat-only run pays
+            // the sampling cost at the heartbeat rate, not the round rate.
+            // Neither reports the initial state.
+            let publish = round > 0 && (live_on || heartbeat.as_ref().is_some_and(Heartbeat::due));
+            let watching = config.stall_window.is_some() || live_on || publish;
+            if obs_on || watching {
+                (facts.known, facts.live_known) = engine.nodes().iter().zip(&live).fold(
+                    (0, 0),
+                    |(known, live_known), (node, &l)| {
+                        let count = node.knows_count() as u64;
+                        (known + count, live_known + if l { count } else { 0 })
+                    },
+                );
             }
-            // Resident bytes are sampled when profiling, when live
-            // telemetry wants every round, or when the heartbeat is
-            // due — so a heartbeat-only run still pays the sampling
-            // cost at the heartbeat rate, not the round rate.
-            let hb_due = heartbeat.as_ref().is_some_and(Heartbeat::due);
-            if profiling || live_on || hb_due {
-                let resident = resident_total(engine.nodes());
-                if profiling {
-                    mem_samples.push((round, resident));
-                }
-                if live_on || hb_due {
-                    let mut snap = snap_base.clone();
-                    snap.round = round;
-                    {
-                        let m = engine.metrics();
-                        snap.messages = m.total_messages();
-                        snap.retransmissions = m.total_retransmissions();
-                        let d = m.drop_tally();
-                        snap.dropped_coin = d.coin;
-                        snap.dropped_crash = d.crash;
-                        snap.dropped_partition = d.partition;
-                        snap.dropped_link = d.link;
-                        snap.dropped_suppression = d.suppression;
-                    }
-                    snap.knowledge_total = engine
-                        .nodes()
-                        .iter()
-                        .zip(&live)
-                        .filter(|(_, &l)| l)
-                        .map(|(s, _)| s.knows_count() as u64)
-                        .sum();
-                    if live_last_total != Some(snap.knowledge_total) {
-                        live_last_total = Some(snap.knowledge_total);
-                        live_last_progress = round;
-                    }
-                    snap.last_progress = live_last_progress;
-                    snap.resident_bytes = resident;
-                    snap.pool_bytes = engine.pool_high_water().iter().map(|&(_, b)| b).sum();
-                    if let Some(rec) = engine.obs_mut() {
-                        snap.shard_busy_ns = rec.live_shard_busy().to_vec();
-                        snap.round_wall_ns = rec.last_round_wall_ns();
-                    }
-                    if let Some(mon) = &mut monitor {
-                        for alert in mon.evaluate(&snap) {
-                            alerts_fired += 1;
-                            eprintln!("[rd-live] ALERT {}: {}", alert.rule, alert.message);
-                            if let Some(log) = &alert_log {
-                                log.push(alert.clone());
-                            }
-                            if let Some(rec) = engine.obs_mut() {
-                                rec.record_alert(alert);
-                            }
+            if obs_on {
+                knowledge.push((round, facts.known));
+            }
+            if watching {
+                progress.observe(round, facts.live_known);
+            }
+            if profiling || live_on || publish {
+                facts.resident = engine.nodes().iter().map(|s| s.resident_bytes()).sum();
+            }
+            if profiling {
+                mem_samples.push((round, facts.resident));
+            }
+            if publish {
+                let mut snap = snapshot(&snap_base, &mut engine, &facts, &progress);
+                if let Some(mon) = &mut monitor {
+                    for alert in mon.evaluate(&snap) {
+                        alerts_fired += 1;
+                        eprintln!("[rd-live] ALERT {}: {}", alert.rule, alert.message);
+                        if let Some(log) = &alert_log {
+                            log.push(alert.clone());
+                        }
+                        if let Some(rec) = engine.obs_mut() {
+                            rec.record_alert(alert);
                         }
                     }
-                    snap.alerts = alerts_fired;
-                    if let Some(p) = &mut publisher {
-                        p.publish(&mut snap);
-                    }
-                    if let Some(hb) = &mut heartbeat {
-                        hb.emit(&snap);
-                    }
+                }
+                snap.alerts = alerts_fired;
+                if let Some(p) = &mut publisher {
+                    p.publish(&mut snap);
+                }
+                if let Some(hb) = &mut heartbeat {
+                    hb.emit(&snap);
                 }
             }
-            if done(engine.nodes()) {
-                finished = Some(RunOutcome {
-                    completed: true,
-                    rounds: round,
-                });
-                break;
+            if is_done(engine.nodes()) {
+                break Exit::Completed;
             }
-        }
-        finished.unwrap_or(RunOutcome {
-            completed: false,
-            rounds: engine.round(),
-        })
-    };
-    let stalled = stalled.get();
-    let completed = outcome.completed && !stalled;
+            if config
+                .stall_window
+                .is_some_and(|window| progress.stagnant >= window)
+            {
+                break Exit::Stalled;
+            }
+            if round >= config.max_rounds {
+                break Exit::BudgetExhausted;
+            }
+            engine.step();
+        };
+    let completed = matches!(exit, Exit::Completed);
+    let rounds = engine.round();
 
     let nodes = engine.nodes();
     let mut sound = verify::no_fabricated_ids(nodes) && verify::knows_self(nodes);
@@ -861,26 +840,35 @@ where
         sound &= verify::live_component_complete(nodes, initial, &live);
     }
 
-    let degraded = (0..config.n).any(|i| config.faults.is_permanently_crashed(i));
-    let verdict = if completed {
-        if degraded {
-            RunVerdict::DegradedComplete
-        } else {
-            RunVerdict::Complete
-        }
-    } else if stalled {
-        RunVerdict::Stalled {
-            last_progress: last_progress.get(),
-        }
-    } else {
-        RunVerdict::BudgetExhausted
+    let verdict = match exit {
+        Exit::Completed if live.contains(&false) => RunVerdict::DegradedComplete,
+        Exit::Completed => RunVerdict::Complete,
+        Exit::Stalled => RunVerdict::Stalled {
+            last_progress: progress.last_progress,
+        },
+        Exit::BudgetExhausted => RunVerdict::BudgetExhausted,
     };
+
+    // Terminal snapshot: scrape threads see the verdict before the
+    // server goes away. `publish_final` blocks on the back slot — the
+    // terminal state must not be dropped to a concurrent reader.
+    if live_on {
+        let mut snap = snapshot(&snap_base, &mut engine, &facts, &progress);
+        snap.alerts = alerts_fired;
+        snap.finished = true;
+        snap.verdict = verdict.name().to_string();
+        if let Some(p) = &mut publisher {
+            p.publish_final(&mut snap);
+        }
+    }
+    if let Some(server) = live_server.take() {
+        server.shutdown();
+    }
 
     let (trace_events, trace_overflow) = engine
         .trace()
         .map(|t| (t.total_events(), t.overflow()))
         .unwrap_or((0, 0));
-
     let pools = engine.pool_counters();
     let recorder = engine.take_obs();
     let causal = engine.take_causal();
@@ -892,7 +880,7 @@ where
         seed: config.seed,
         completed,
         verdict,
-        rounds: outcome.rounds,
+        rounds,
         messages: m.total_messages(),
         pointers: m.total_pointers(),
         bits: m.total_bits(),
@@ -906,44 +894,6 @@ where
         trace_overflow,
         sound,
     };
-
-    // Terminal snapshot: scrape threads see the verdict before the
-    // server goes away. `publish_final` blocks on the back slot — the
-    // terminal state must not be dropped to a concurrent reader.
-    if live_on {
-        let mut snap = snap_base.clone();
-        snap.round = outcome.rounds;
-        snap.messages = report.messages;
-        snap.retransmissions = report.retransmissions;
-        snap.dropped_coin = report.drops.coin;
-        snap.dropped_crash = report.drops.crash;
-        snap.dropped_partition = report.drops.partition;
-        snap.dropped_link = report.drops.link;
-        snap.dropped_suppression = report.drops.suppression;
-        snap.knowledge_total = engine
-            .nodes()
-            .iter()
-            .zip(&live)
-            .filter(|(_, &l)| l)
-            .map(|(s, _)| s.knows_count() as u64)
-            .sum();
-        snap.last_progress = live_last_progress;
-        snap.resident_bytes = resident_total(engine.nodes());
-        snap.pool_bytes = engine.pool_high_water().iter().map(|&(_, b)| b).sum();
-        if let Some(rec) = &recorder {
-            snap.shard_busy_ns = rec.live_shard_busy().to_vec();
-            snap.round_wall_ns = rec.last_round_wall_ns();
-        }
-        snap.alerts = alerts_fired;
-        snap.finished = true;
-        snap.verdict = verdict.name().to_string();
-        if let Some(p) = &mut publisher {
-            p.publish_final(&mut snap);
-        }
-    }
-    if let Some(server) = live_server.take() {
-        server.shutdown();
-    }
 
     if let Some(mut rec) = recorder {
         rec.registry_mut()
@@ -961,7 +911,7 @@ where
             verdict: verdict.name().to_string(),
             completed,
             sound,
-            rounds: outcome.rounds,
+            rounds,
             messages: report.messages,
             pointers: report.pointers,
             trace_events,
@@ -1092,6 +1042,26 @@ mod tests {
         // The watermark names the round knowledge last grew: exactly one
         // stall window before the watchdog fired.
         assert_eq!(last_progress, report.rounds - 25);
+    }
+
+    #[test]
+    fn the_progress_tracker_advances_only_on_growth() {
+        let mut progress = Progress::default();
+        // The first observation is the baseline, whatever its round.
+        progress.observe(0, 10);
+        assert_eq!((progress.last_progress, progress.stagnant), (0, 0));
+        progress.observe(1, 10);
+        progress.observe(2, 10);
+        assert_eq!((progress.last_progress, progress.stagnant), (0, 2));
+        progress.observe(3, 11);
+        assert_eq!((progress.last_progress, progress.stagnant), (3, 0));
+        // Observations may skip rounds (a heartbeat-only run samples at
+        // the heartbeat's rate): the watermark names the round that saw
+        // the growth, and only growth moves it.
+        progress.observe(9, 11);
+        assert_eq!((progress.last_progress, progress.stagnant), (3, 1));
+        progress.observe(12, 14);
+        assert_eq!((progress.last_progress, progress.stagnant), (12, 0));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rd_core::runner::{run, run_algorithm, AlgorithmKind, RunConfig};
 use rd_core::verify::MonotonicityChecker;
 use rd_core::{problem, DiscoveryAlgorithm};
 use rd_graphs::Topology;
-use rd_sim::Engine;
+use rd_sim::{Engine, RoundEngine};
 
 fn arb_topology() -> impl Strategy<Value = Topology> {
     prop_oneof![

@@ -30,14 +30,16 @@
 //!   message arms a wake-up in the [`TimerWheel`]; retransmission
 //!   attempts run exactly when their timer fires (and re-arm on
 //!   backoff), not via an every-round sweep.
-//! * **One tick of the event clock equals one round of the round
-//!   engines** when the model is `const:1` — the engines are then
-//!   bit-identical (same metrics, traces, node states, and archives),
-//!   which is enforced by the cross-engine equivalence property suite.
+//! * **A round is a latency of one tick.** The engine is the shared
+//!   round shell and routing kernel of `rd-sim` called with this
+//!   crate's latency sampler where the round engines pass
+//!   [`rd_sim::unit_latency`]; under `const:1` it therefore *is* a
+//!   round engine (same metrics, traces, node states, and archives —
+//!   the cross-engine equivalence property suite checks it).
 //!
 //! ```
 //! use rd_event::{EventEngine, LatencyModel};
-//! use rd_sim::{Envelope, MessageCost, Node, NodeId, RoundContext};
+//! use rd_sim::{Envelope, MessageCost, Node, NodeId, RoundContext, RoundEngine};
 //!
 //! struct Ping;
 //! #[derive(Debug)]
@@ -72,12 +74,7 @@ mod timer;
 pub use latency::LatencyModel;
 pub use timer::{TimerId, TimerWheel};
 
-use rd_obs::{CausalTrace, Phase, Recorder};
-use rd_sim::{
-    round_obs, step_node, take_capped, EngineCore, Envelope, FaultPlan, Node, RetryPolicy,
-    RoundEngine, RunMetrics, RunOutcome, Trace,
-};
-use std::time::Instant;
+use rd_sim::{Envelope, Node, RoundEngine, RoundShell};
 
 /// Engine-internal timer payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,16 +86,18 @@ enum TimerKind {
 /// Drives a population of [`Node`] programs through discrete simulated
 /// time with per-message latencies from a [`LatencyModel`].
 ///
-/// Each [`step`](EventEngine::step) advances simulated time by one
+/// Each [`step`](RoundEngine::step) advances simulated time by one
 /// tick: due deliveries and timers fire, every live node runs once (its
 /// logical clock advancing), and its sends are routed with latencies
 /// drawn from the model. Under `LatencyModel::Constant { ticks: 1 }`
 /// the engine is bit-identical to the synchronous round engines.
+/// Builders, accessors and run loops are [`RoundEngine`] methods; span
+/// rows and provenance edges carry the simulated tick in their round
+/// fields, so heavy-tail stragglers are visible in the causal DAG.
 ///
 /// See the crate-level documentation for the determinism argument.
 pub struct EventEngine<N: Node> {
-    nodes: Vec<N>,
-    core: EngineCore<N::Msg>,
+    shell: RoundShell<N>,
     latency: LatencyModel,
     /// Per-node logical clocks: ticks the node has actually executed.
     /// Crashed nodes freeze; recovered nodes resume behind global time.
@@ -111,7 +110,6 @@ pub struct EventEngine<N: Node> {
     staged: Vec<Envelope<N::Msg>>,
     /// Tick-persistent scratch buffer for capped inbox delivery.
     scratch: Vec<Envelope<N::Msg>>,
-    obs: Option<Recorder>,
 }
 
 impl<N: Node> EventEngine<N> {
@@ -127,100 +125,23 @@ impl<N: Node> EventEngine<N> {
         if let Err(err) = latency.validate() {
             panic!("invalid latency model: {err}");
         }
-        let core = EngineCore::new(nodes.len(), seed);
         let clocks = vec![0; nodes.len()];
         EventEngine {
-            nodes,
-            core,
+            shell: RoundShell::new(nodes, seed),
             latency,
             clocks,
             timers: TimerWheel::new(),
             retx_timer: None,
             staged: Vec::new(),
             scratch: Vec::new(),
-            obs: None,
         }
-    }
-
-    /// Attaches a telemetry [`Recorder`]. Purely observational — a run
-    /// with a recorder is bit-identical to the same run without one.
-    /// Span rows carry the simulated tick in their round field.
-    pub fn with_obs(mut self, mut recorder: Recorder) -> Self {
-        // One-time message-cost registration for the profiler (no-op
-        // unless profiling is on).
-        recorder.profile_msg_kind(
-            rd_sim::short_type_name::<N::Msg>(),
-            std::mem::size_of::<Envelope<N::Msg>>() as u64,
-            std::mem::size_of::<rd_sim::NodeId>() as u64,
-        );
-        self.obs = Some(recorder);
-        self
-    }
-
-    /// Installs a fault plan (drops, crashes, partitions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan crashes a node index that does not exist.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.core.set_faults(faults);
-        self
-    }
-
-    /// Enables message tracing with the given event capacity.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.core.enable_trace(capacity);
-        self
-    }
-
-    /// Attaches a causal knowledge-provenance trace. Purely
-    /// observational; provenance edges carry simulated send/delivery
-    /// ticks, so heavy-tail stragglers are visible in the causal DAG.
-    pub fn with_causal_trace(mut self, causal: CausalTrace) -> Self {
-        self.core.set_causal(causal);
-        self
-    }
-
-    /// Caps deliveries at `cap` messages per node per tick; excess
-    /// messages queue (in arrival order) for later ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn with_receive_cap(mut self, cap: usize) -> Self {
-        self.core.set_receive_cap(cap);
-        self
-    }
-
-    /// Enables reliable delivery. Unlike the round engines' end-of-round
-    /// sweep, timeouts here are real timer events: each parked
-    /// retransmission arms a wake-up in the timer wheel, and attempts
-    /// run exactly when it fires. Attempt latencies are drawn from the
-    /// latency model on the message's own counter-based axes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's timeout or retry budget is 0.
-    pub fn with_reliable_delivery(mut self, policy: RetryPolicy) -> Self {
-        self.core.set_reliable(policy);
-        self
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Read access to the node programs.
-    pub fn nodes(&self) -> &[N] {
-        &self.nodes
     }
 
     /// Simulated time: ticks executed so far. One tick is one unit of
     /// the latency model; under `const:1` it coincides with the round
     /// counter of the synchronous engines.
     pub fn now(&self) -> u64 {
-        self.core.round()
+        self.round()
     }
 
     /// The per-node logical clocks: how many ticks each node has
@@ -235,188 +156,79 @@ impl<N: Node> EventEngine<N> {
         self.latency
     }
 
-    /// The complexity record.
-    pub fn metrics(&self) -> &RunMetrics {
-        self.core.metrics()
-    }
-
-    /// The message trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.core.trace()
-    }
-
-    /// The causal provenance trace, if enabled.
-    pub fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
     /// `(fired, cancelled)` counters of the engine's timer wheel.
     pub fn timer_stats(&self) -> (u64, u64) {
         self.timers.stats()
     }
-
-    /// Executes one tick of simulated time: delivers due messages,
-    /// fires due timers, runs every live node, routes its sends with
-    /// model-drawn latencies, and makes due retransmission attempts.
-    pub fn step(&mut self) {
-        if let Some(rec) = &mut self.obs {
-            rec.begin_round();
-        }
-        let t_begin = self.obs.as_ref().map(|_| Instant::now());
-        let now = self.core.begin_round();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::BeginRound, now, 0, t_begin.unwrap());
-        }
-        let suspects = self.core.suspects().clone();
-
-        let t_step = self.obs.as_ref().map(|_| Instant::now());
-        let state = self.core.step_state();
-        let crashes_possible = state.faults.has_crashes();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if crashes_possible && state.faults.is_crashed_at(i, now) {
-                // Crashed nodes neither run nor receive (their clock
-                // freezes); pending deliveries are consumed and lost.
-                state.inboxes[i].clear();
-                continue;
-            }
-            self.clocks[i] += 1;
-            let inbox = take_capped(&mut state.inboxes[i], &mut self.scratch, state.receive_cap);
-            step_node(node, i, now, state.seed, &suspects, inbox, &mut self.staged);
-        }
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::OnRound, now, 0, t_step.unwrap());
-        }
-
-        let t_route = self.obs.as_ref().map(|_| Instant::now());
-        let seed = self.core.seed();
-        let latency = self.latency;
-        self.core
-            .route_batch_timed(&mut self.staged, |src, dst, sequence| {
-                latency.sample(seed, src, dst, now, sequence, 0)
-            });
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::RouteShard, now, 0, t_route.unwrap());
-        }
-
-        let t_finish = self.obs.as_ref().map(|_| Instant::now());
-        // Timers fire at the end of their tick, before time advances —
-        // the instant the round engines run their end-of-round sweep,
-        // so `const:1` runs replay them exactly.
-        let fired = self.timers.fire_due(now);
-        if fired.iter().any(|(_, kind)| *kind == TimerKind::Retransmit) {
-            self.retx_timer = None;
-            self.core.process_due_retransmissions_timed(
-                |src, dst, orig_round, orig_seq, attempt| {
-                    latency.sample(seed, src, dst, orig_round, orig_seq, attempt)
-                },
-            );
-        }
-        self.rearm_retransmission_timer();
-        self.core.finish_tick();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::FinishRound, now, 0, t_finish.unwrap());
-            // Profiler self-cost: time the recorder's own round-close
-            // bookkeeping as a `Telemetry` span (profiling only).
-            let t_tel = rec.profiling_enabled().then(Instant::now);
-            let row = *self.core.metrics().rounds().last().expect("open round row");
-            rec.end_round(round_obs(now, &row));
-            if let Some(t) = t_tel {
-                rec.span_from(Phase::Telemetry, now, 0, t);
-            }
-        }
-    }
-
-    /// Keeps exactly one armed wake-up, tracking the earliest due slot
-    /// of the retransmission queue: cancels a stale timer (the queue
-    /// head moved after a drain or a new earlier park) and arms the
-    /// current deadline. Missing a deadline would silently disable
-    /// reliable delivery, so the timer wheel is load-bearing here.
-    fn rearm_retransmission_timer(&mut self) {
-        let due = self.core.next_retransmission_due();
-        if self.retx_timer.map(|t| t.deadline()) == due {
-            return;
-        }
-        if let Some(stale) = self.retx_timer.take() {
-            self.timers.cancel(stale);
-        }
-        if let Some(at) = due {
-            self.retx_timer = Some(self.timers.arm(at, TimerKind::Retransmit));
-        }
-    }
-
-    /// Runs until `done(nodes)` holds (checked before the first tick
-    /// and after every tick) or `max_ticks` have executed.
-    pub fn run_until(&mut self, max_ticks: u64, done: impl FnMut(&[N]) -> bool) -> RunOutcome {
-        RoundEngine::run_until(self, max_ticks, done)
-    }
-
-    /// Like [`run_until`](Self::run_until), additionally invoking
-    /// `observe(tick, nodes)` after every tick.
-    pub fn run_observed(
-        &mut self,
-        max_ticks: u64,
-        done: impl FnMut(&[N]) -> bool,
-        observe: impl FnMut(u64, &[N]),
-    ) -> RunOutcome {
-        RoundEngine::run_observed(self, max_ticks, done, observe)
-    }
 }
 
 impl<N: Node> RoundEngine<N> for EventEngine<N> {
+    /// Executes one tick of simulated time: delivers due messages,
+    /// runs every live node, routes its sends with model-drawn
+    /// latencies, and — when the retransmission timer fires — makes the
+    /// due attempts, their latencies drawn from the model on the
+    /// message's own counter-based axes.
     fn step(&mut self) {
-        EventEngine::step(self)
+        let now = self.shell.begin_round();
+        let clocks = &mut self.clocks;
+        self.shell
+            .step_nodes(&mut self.staged, &mut self.scratch, |i| clocks[i] += 1);
+
+        let (seed, model) = (self.shell.core().seed(), self.latency);
+        let latency = move |src, dst, round, sequence, attempt| {
+            model.sample(seed, src, dst, round, sequence, attempt)
+        };
+        self.shell
+            .route(|core| core.route_batch_with(&mut self.staged, latency));
+
+        self.shell.close_round(|core| {
+            // Timers fire at the end of their tick, before time
+            // advances — the instant the round engines attempt their
+            // due retransmissions, so `const:1` runs replay them
+            // exactly.
+            let fired = self.timers.fire_due(now);
+            if fired.iter().any(|(_, kind)| *kind == TimerKind::Retransmit) {
+                self.retx_timer = None;
+                core.retransmit_due(latency);
+            }
+            // Keep exactly one armed wake-up, tracking the earliest due
+            // slot of the retransmission queue: cancel a stale timer
+            // (the queue head moved after a drain or a new earlier
+            // park) and arm the current deadline. Missing a deadline
+            // would silently disable reliable delivery, so the timer
+            // wheel is load-bearing here.
+            let due = core.next_retransmission_due();
+            if self.retx_timer.map(|t| t.deadline()) != due {
+                if let Some(stale) = self.retx_timer.take() {
+                    self.timers.cancel(stale);
+                }
+                self.retx_timer = due.map(|at| self.timers.arm(at, TimerKind::Retransmit));
+            }
+        });
     }
 
-    fn nodes(&self) -> &[N] {
-        EventEngine::nodes(self)
+    fn shell(&self) -> &RoundShell<N> {
+        &self.shell
     }
 
-    fn round(&self) -> u64 {
-        self.now()
-    }
-
-    fn metrics(&self) -> &RunMetrics {
-        EventEngine::metrics(self)
-    }
-
-    fn trace(&self) -> Option<&Trace> {
-        EventEngine::trace(self)
-    }
-
-    fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
-    fn take_causal(&mut self) -> Option<CausalTrace> {
-        self.core.take_causal()
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.as_mut()
-    }
-
-    fn take_obs(&mut self) -> Option<Recorder> {
-        self.obs.take()
+    fn shell_mut(&mut self) -> &mut RoundShell<N> {
+        &mut self.shell
     }
 
     fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        let stats = self.core.pool_stats();
+        let stats = self.shell.core().pool_stats();
         let (fired, cancelled) = self.timers.stats();
         vec![
             ("delay", stats.takes, stats.reuses),
             ("timer", fired, cancelled),
         ]
     }
-
-    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        vec![("delay", self.core.pool_high_water_bytes())]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_sim::{Engine, MessageCost, NodeId, RoundContext};
+    use rd_sim::{Engine, FaultPlan, MessageCost, NodeId, RetryPolicy, RoundContext};
 
     /// Test payload: a bag of ids.
     #[derive(Debug, Clone, PartialEq, Eq)]

@@ -353,9 +353,9 @@ impl ObsSink for FoldedStackSink {
 /// run state and prints to stderr so deterministic stdout reports stay
 /// byte-stable.
 ///
-/// The heartbeat is a *renderer* of [`LiveSnapshot`](crate::
-/// LiveSnapshot)s: throughput accounting lives solely in the
-/// [`LivePublisher`](crate::LivePublisher) that stamps the snapshot,
+/// The heartbeat is a *renderer* of
+/// [`LiveSnapshot`](crate::LiveSnapshot)s: throughput accounting lives
+/// solely in the [`LivePublisher`](crate::LivePublisher) that stamps the snapshot,
 /// so the stderr line and the `/status` endpoint can never disagree
 /// (the heartbeat used to recompute its own rounds/s — that duplicate
 /// accounting is gone).

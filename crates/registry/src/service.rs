@@ -15,7 +15,9 @@ use crate::hash::mix2;
 use rd_core::algorithms::hm::HmDiscovery;
 use rd_core::{problem, DiscoveryAlgorithm, KnowledgeView};
 use rd_graphs::Topology;
-use rd_sim::{Engine, Envelope, FaultPlan, MessageCost, Node, NodeId, RoundContext, SuspectView};
+use rd_sim::{
+    Engine, Envelope, FaultPlan, MessageCost, Node, NodeId, RoundContext, RoundEngine, SuspectView,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -1,6 +1,7 @@
-//! The synchronous round engine.
+//! The round shell every engine shares, the [`RoundEngine`] interface
+//! over it, and the sequential engine.
 
-use crate::engine_core::{step_node, take_capped, EngineCore, RetryPolicy};
+use crate::engine_core::{step_shard, unit_latency, EngineCore, RetryPolicy};
 use crate::faults::FaultPlan;
 use crate::message::Envelope;
 use crate::metrics::{round_obs, RunMetrics};
@@ -19,322 +20,117 @@ pub struct RunOutcome {
     pub rounds: u64,
 }
 
-/// The driving interface every execution engine exposes: step rounds,
-/// observe nodes, read the clock and the complexity record.
-///
-/// [`Engine`] (sequential, this crate) and the sharded engine in
-/// `rd-exec` both implement it, so runners, experiments, and completion
-/// predicates are engine-agnostic. The provided [`run_until`] and
-/// [`run_observed`] loops — including the per-round progress callback —
-/// are therefore shared, not re-implemented per engine.
-///
-/// [`run_until`]: RoundEngine::run_until
-/// [`run_observed`]: RoundEngine::run_observed
-pub trait RoundEngine<N: Node> {
-    /// Executes one synchronous round: delivers current inboxes, runs
-    /// every live node, and routes outboxes through the fault layer.
-    fn step(&mut self);
-
-    /// Read access to the node programs (for completion predicates,
-    /// verification, and white-box observations such as cluster counts).
-    fn nodes(&self) -> &[N];
-
-    /// Rounds executed so far.
-    fn round(&self) -> u64;
-
-    /// The complexity record.
-    fn metrics(&self) -> &RunMetrics;
-
-    /// The message trace, if enabled.
-    fn trace(&self) -> Option<&Trace>;
-
-    /// The causal knowledge-provenance trace, if enabled. Like the
-    /// recorder, it is write-only from the engine's side and never
-    /// feeds back into protocol execution.
-    fn causal(&self) -> Option<&CausalTrace> {
-        None
+/// Runs `work` and, when a recorder is attached, records it as a
+/// lane-0 span of `phase`. Without a recorder this costs one branch and
+/// never reads a clock.
+pub fn timed_phase<R>(
+    obs: Option<&mut Recorder>,
+    phase: Phase,
+    round: u64,
+    work: impl FnOnce() -> R,
+) -> R {
+    let start = obs.is_some().then(Instant::now);
+    let out = work();
+    if let (Some(rec), Some(start)) = (obs, start) {
+        rec.span_from(phase, round, 0, start);
     }
-
-    /// Detaches the causal provenance trace so the driver can archive
-    /// it after the run.
-    fn take_causal(&mut self) -> Option<CausalTrace> {
-        None
-    }
-
-    /// The attached telemetry recorder, if observability is enabled.
-    /// Strictly write-only from the engine's side: recorder state never
-    /// feeds back into protocol execution.
-    fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        None
-    }
-
-    /// Detaches the recorder so the driver can call
-    /// [`Recorder::finish`] after the run.
-    fn take_obs(&mut self) -> Option<Recorder> {
-        None
-    }
-
-    /// `(name, takes, reuses)` counters for every buffer pool the
-    /// engine owns (observability export).
-    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        Vec::new()
-    }
-
-    /// `(name, peak_bytes)` high-water marks for every buffer pool the
-    /// engine owns (profiler export). Like [`pool_counters`], read once
-    /// by the driver after the run; never consulted by engine logic.
-    ///
-    /// [`pool_counters`]: Self::pool_counters
-    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
-
-    /// Runs until `done(nodes)` holds (checked before the first round and
-    /// after every round) or `max_rounds` have executed.
-    fn run_until(&mut self, max_rounds: u64, mut done: impl FnMut(&[N]) -> bool) -> RunOutcome
-    where
-        Self: Sized,
-    {
-        self.run_observed(max_rounds, &mut done, |_, _| {})
-    }
-
-    /// Like [`run_until`](Self::run_until), additionally invoking
-    /// `observe(round, nodes)` after every round — the per-round progress
-    /// hook white-box experiments (e.g. cluster-count evolution, figure
-    /// F3) and long-run progress reporting use.
-    fn run_observed(
-        &mut self,
-        max_rounds: u64,
-        mut done: impl FnMut(&[N]) -> bool,
-        mut observe: impl FnMut(u64, &[N]),
-    ) -> RunOutcome
-    where
-        Self: Sized,
-    {
-        if done(self.nodes()) {
-            return RunOutcome {
-                completed: true,
-                rounds: self.round(),
-            };
-        }
-        while self.round() < max_rounds {
-            self.step();
-            observe(self.round(), self.nodes());
-            if done(self.nodes()) {
-                return RunOutcome {
-                    completed: true,
-                    rounds: self.round(),
-                };
-            }
-        }
-        RunOutcome {
-            completed: false,
-            rounds: self.round(),
-        }
-    }
+    out
 }
 
-/// Drives a population of [`Node`] programs through synchronous rounds.
-///
-/// Per round, the engine hands every live node its inbox (messages sent
-/// to it in the previous round) together with a deterministic
-/// per-`(seed, node, round)` random generator, then routes the node's
-/// outbox through the fault layer into next-round inboxes, accounting
-/// every message in [`RunMetrics`].
-///
-/// See the crate-level documentation for a complete example.
-pub struct Engine<N: Node> {
+/// The state and the round protocol every engine shares: the node
+/// programs, the [`EngineCore`], the optional telemetry recorder, and
+/// the parts of a round that do not depend on how nodes are stepped or
+/// what a link's latency is — opening the round, the serial node loop,
+/// and the close-out. An engine is a [`RoundEngine::step`] body over
+/// one of these.
+pub struct RoundShell<N: Node> {
     nodes: Vec<N>,
     core: EngineCore<N::Msg>,
-    /// Round-persistent staging buffer for outgoing envelopes; drained
-    /// by routing, so its allocation is reused every round.
-    staged: Vec<Envelope<N::Msg>>,
-    /// Round-persistent scratch buffer for capped inbox delivery.
-    scratch: Vec<Envelope<N::Msg>>,
     /// Telemetry recorder; `None` (the default) costs one branch per
-    /// phase and never reads a clock.
+    /// phase. Strictly outside deterministic state: wall-clock flows
+    /// *into* it, never back into the run.
     obs: Option<Recorder>,
 }
 
-impl<N: Node> Engine<N> {
-    /// Creates an engine over `nodes`, where node `i` has identifier
+impl<N: Node> RoundShell<N> {
+    /// A shell over `nodes`, where node `i` has identifier
     /// `NodeId::new(i)`. `seed` determines all protocol and fault
     /// randomness.
     pub fn new(nodes: Vec<N>, seed: u64) -> Self {
         let core = EngineCore::new(nodes.len(), seed);
-        Engine {
+        RoundShell {
             nodes,
             core,
-            staged: Vec::new(),
-            scratch: Vec::new(),
             obs: None,
         }
     }
 
-    /// Attaches a telemetry [`Recorder`]: phases are timed, rounds are
-    /// archived, and the recorder's sinks export at run end. Purely
-    /// observational — a run with a recorder is bit-identical to the
-    /// same run without one.
-    pub fn with_obs(mut self, mut recorder: Recorder) -> Self {
-        // One-time message-cost registration: the profiler attributes
-        // per-kind byte costs at finish from these constants plus the
-        // deterministic round counters (no-op unless profiling is on).
-        recorder.profile_msg_kind(
-            crate::short_type_name::<N::Msg>(),
-            std::mem::size_of::<Envelope<N::Msg>>() as u64,
-            std::mem::size_of::<crate::NodeId>() as u64,
-        );
-        self.obs = Some(recorder);
-        self
+    /// The core (clock, metrics, queues).
+    pub fn core(&self) -> &EngineCore<N::Msg> {
+        &self.core
     }
 
-    /// Installs a fault plan (drops, crashes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan crashes a node index that does not exist.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.core.set_faults(faults);
-        self
+    /// Disjoint borrows of the three parts, for a `step` body that
+    /// steps or routes on its own (the node slice cannot be resized, so
+    /// the population and the core's mailboxes stay matched).
+    pub fn parts_mut(&mut self) -> (&mut [N], &mut EngineCore<N::Msg>, Option<&mut Recorder>) {
+        (&mut self.nodes, &mut self.core, self.obs.as_mut())
     }
 
-    /// Enables message tracing with the given event capacity.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.core.enable_trace(capacity);
-        self
-    }
-
-    /// Attaches a causal knowledge-provenance trace: the routing phase
-    /// records, per `(id, node)` pair, the first delivered message that
-    /// could have taught `node` about `id` (deterministically sampled
-    /// at the trace's ppm rate). Purely observational — a run with the
-    /// trace is bit-identical to the same run without it.
-    pub fn with_causal_trace(mut self, causal: CausalTrace) -> Self {
-        self.core.set_causal(causal);
-        self
-    }
-
-    /// Caps deliveries at `cap` messages per node per round; excess
-    /// messages queue (in arrival order) for later rounds. Models the
-    /// *connection bottleneck* of bandwidth-limited networks: protocols
-    /// whose hot spots (e.g. a popular merge target) rely on unbounded
-    /// fan-in slow down accordingly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0` (nothing could ever be delivered).
-    pub fn with_receive_cap(mut self, cap: usize) -> Self {
-        self.core.set_receive_cap(cap);
-        self
-    }
-
-    /// Makes delivery asynchronous: every message independently takes
-    /// `1 + U{0..=max_extra}` rounds to arrive instead of exactly one.
-    /// With this knob the round counter reads as *time units* and the
-    /// synchronized phase structure of round-based protocols is
-    /// deliberately scrambled — the robustness-to-asynchrony experiment.
-    pub fn with_max_extra_delay(mut self, max_extra: u64) -> Self {
-        self.core.set_max_extra_delay(max_extra);
-        self
-    }
-
-    /// Enables reliable delivery: every dropped message is
-    /// retransmitted under `policy` (per-message timeout, capped
-    /// exponential backoff, bounded retry budget), with every attempt
-    /// charged against the message-complexity metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy's timeout or retry budget is 0.
-    pub fn with_reliable_delivery(mut self, policy: RetryPolicy) -> Self {
-        self.core.set_reliable(policy);
-        self
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Read access to the node programs (for completion predicates,
-    /// verification, and white-box observations such as cluster counts).
-    pub fn nodes(&self) -> &[N] {
-        &self.nodes
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.core.round()
-    }
-
-    /// The complexity record.
-    pub fn metrics(&self) -> &RunMetrics {
-        self.core.metrics()
-    }
-
-    /// The message trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.core.trace()
-    }
-
-    /// The causal provenance trace, if enabled.
-    pub fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
-    /// Executes one synchronous round: delivers current inboxes, runs
-    /// every live node, and routes outboxes through the fault layer.
-    pub fn step(&mut self) {
+    /// Opens the round ([`EngineCore::begin_round`]) and returns its
+    /// number.
+    pub fn begin_round(&mut self) -> u64 {
         if let Some(rec) = &mut self.obs {
             rec.begin_round();
         }
-        let t_begin = self.obs.as_ref().map(|_| Instant::now());
-        let round = self.core.begin_round();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::BeginRound, round, 0, t_begin.unwrap());
-        }
-        // A handle of its own, so the report can be lent to nodes while
-        // the core's mailboxes are borrowed mutably.
-        let suspects = self.core.suspects().clone();
+        let round = self.core.round();
+        timed_phase(self.obs.as_mut(), Phase::BeginRound, round, || {
+            self.core.begin_round()
+        })
+    }
 
-        let t_step = self.obs.as_ref().map(|_| Instant::now());
-        let state = self.core.step_state();
-        // Hoisted: with no crashes scheduled (the common case) the
-        // per-node map probe below is skipped entirely.
-        let crashes_possible = state.faults.has_crashes();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if crashes_possible && state.faults.is_crashed_at(i, round) {
-                // Crashed nodes neither run nor receive; their pending
-                // deliveries are consumed and lost.
-                state.inboxes[i].clear();
-                continue;
-            }
-            let inbox = take_capped(&mut state.inboxes[i], &mut self.scratch, state.receive_cap);
-            step_node(
-                node,
-                i,
-                round,
-                state.seed,
-                &suspects,
-                inbox,
-                &mut self.staged,
+    /// Steps every live node on the calling thread ([`step_shard`] over
+    /// the whole population), appending its sends to `staged`.
+    pub fn step_nodes(
+        &mut self,
+        staged: &mut Vec<Envelope<N::Msg>>,
+        scratch: &mut Vec<Envelope<N::Msg>>,
+        on_live: impl FnMut(usize),
+    ) {
+        let round = self.core.round();
+        timed_phase(self.obs.as_mut(), Phase::OnRound, round, || {
+            let state = self.core.step_state();
+            step_shard(
+                state.ctx,
+                0,
+                &mut self.nodes,
+                state.inboxes,
+                staged,
+                scratch,
+                on_live,
             );
-        }
+        });
+    }
 
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::OnRound, round, 0, t_step.unwrap());
-        }
+    /// Runs a serial routing call against the core as the round's
+    /// [`Phase::RouteShard`] span.
+    pub fn route(&mut self, route: impl FnOnce(&mut EngineCore<N::Msg>)) {
+        let round = self.core.round();
+        timed_phase(self.obs.as_mut(), Phase::RouteShard, round, || {
+            route(&mut self.core)
+        });
+    }
 
-        let t_route = self.obs.as_ref().map(|_| Instant::now());
-        self.core.route_batch(&mut self.staged);
+    /// Closes the round: `finish` makes whatever retransmission
+    /// attempts are due, the clock advances, and the closed metrics row
+    /// goes to the recorder.
+    pub fn close_round(&mut self, finish: impl FnOnce(&mut EngineCore<N::Msg>)) {
+        let round = self.core.round();
+        timed_phase(self.obs.as_mut(), Phase::FinishRound, round, || {
+            finish(&mut self.core);
+            self.core.finish_round();
+        });
         if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::RouteShard, round, 0, t_route.unwrap());
-        }
-
-        let t_finish = self.obs.as_ref().map(|_| Instant::now());
-        self.core.finish_round();
-        if let Some(rec) = &mut self.obs {
-            rec.span_from(Phase::FinishRound, round, 0, t_finish.unwrap());
             // Under profiling, the recorder's own round-close
             // bookkeeping is timed as a `Telemetry` span so the
             // profiler's self-cost shows up in the attribution instead
@@ -347,70 +143,272 @@ impl<N: Node> Engine<N> {
             }
         }
     }
+}
+
+/// The interface of every execution engine: configure it, step rounds,
+/// observe nodes, read the clock and the complexity record.
+///
+/// An engine supplies [`step`](Self::step) and access to its
+/// [`RoundShell`]; every builder, accessor and run loop below is
+/// provided once, over the shell, so [`Engine`], the sharded engine in
+/// `rd-exec` and the discrete-event engine in `rd-event` cannot differ
+/// in any of them — and runners, experiments and completion predicates
+/// are engine-agnostic.
+pub trait RoundEngine<N: Node>: Sized {
+    /// Executes one round: delivers current inboxes, runs every live
+    /// node, and routes outboxes through the fault layer.
+    fn step(&mut self);
+
+    /// The shared state this engine steps.
+    fn shell(&self) -> &RoundShell<N>;
+
+    /// Mutable access to the shared state.
+    fn shell_mut(&mut self) -> &mut RoundShell<N>;
+
+    /// Attaches a telemetry [`Recorder`]: phases are timed, rounds are
+    /// archived, and the recorder's sinks export at run end. Purely
+    /// observational — a run with a recorder is bit-identical to the
+    /// same run without one, on every engine and worker count.
+    fn with_obs(mut self, mut recorder: Recorder) -> Self {
+        // One-time message-cost registration: the profiler attributes
+        // per-kind byte costs at finish from these constants plus the
+        // deterministic round counters (no-op unless profiling is on).
+        recorder.profile_msg_kind(
+            crate::short_type_name::<N::Msg>(),
+            std::mem::size_of::<Envelope<N::Msg>>() as u64,
+            std::mem::size_of::<crate::NodeId>() as u64,
+        );
+        self.shell_mut().obs = Some(recorder);
+        self
+    }
+
+    /// Installs a fault plan (drops, crashes, partitions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan crashes a node index that does not exist.
+    fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.shell_mut().core.set_faults(faults);
+        self
+    }
+
+    /// Enables message tracing with the given event capacity.
+    fn with_trace(mut self, capacity: usize) -> Self {
+        self.shell_mut().core.enable_trace(capacity);
+        self
+    }
+
+    /// Attaches a causal knowledge-provenance trace: the routing phase
+    /// records, per `(id, node)` pair, the first delivered message that
+    /// could have taught `node` about `id` (deterministically sampled
+    /// at the trace's ppm rate, offers folded in canonical shard
+    /// order). Purely observational — a run with the trace is
+    /// bit-identical to the same run without it.
+    fn with_causal_trace(mut self, causal: CausalTrace) -> Self {
+        self.shell_mut().core.set_causal(causal);
+        self
+    }
+
+    /// Caps deliveries at `cap` messages per node per round; excess
+    /// messages queue (in arrival order) for later rounds. Models the
+    /// *connection bottleneck* of bandwidth-limited networks: protocols
+    /// whose hot spots (e.g. a popular merge target) rely on unbounded
+    /// fan-in slow down accordingly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == 0` (nothing could ever be delivered).
+    fn with_receive_cap(mut self, cap: usize) -> Self {
+        self.shell_mut().core.set_receive_cap(cap);
+        self
+    }
+
+    /// Makes delivery asynchronous: every message independently takes
+    /// `1 + U{0..=max_extra}` rounds to arrive instead of exactly one.
+    /// With this knob the round counter reads as *time units* and the
+    /// synchronized phase structure of round-based protocols is
+    /// deliberately scrambled — the robustness-to-asynchrony experiment.
+    /// It is the round engines' knob: a latency model above one tick
+    /// supersedes it, and routing panics if both are in play.
+    fn with_max_extra_delay(mut self, max_extra: u64) -> Self {
+        self.shell_mut().core.set_max_extra_delay(max_extra);
+        self
+    }
+
+    /// Enables reliable delivery: every dropped message is
+    /// retransmitted under `policy` (per-message timeout, capped
+    /// exponential backoff, bounded retry budget), with every attempt
+    /// charged against the message-complexity metrics. Attempts are
+    /// made serially at round close, so they stay bit-identical across
+    /// engines and worker counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy's timeout or retry budget is 0.
+    fn with_reliable_delivery(mut self, policy: RetryPolicy) -> Self {
+        self.shell_mut().core.set_reliable(policy);
+        self
+    }
+
+    /// Number of nodes.
+    fn node_count(&self) -> usize {
+        self.shell().nodes.len()
+    }
+
+    /// Read access to the node programs (for completion predicates,
+    /// verification, and white-box observations such as cluster counts).
+    fn nodes(&self) -> &[N] {
+        &self.shell().nodes
+    }
+
+    /// Rounds executed so far.
+    fn round(&self) -> u64 {
+        self.shell().core.round()
+    }
+
+    /// The complexity record.
+    fn metrics<'a>(&'a self) -> &'a RunMetrics
+    where
+        N: 'a,
+    {
+        self.shell().core.metrics()
+    }
+
+    /// The message trace, if enabled.
+    fn trace<'a>(&'a self) -> Option<&'a Trace>
+    where
+        N: 'a,
+    {
+        self.shell().core.trace()
+    }
+
+    /// The causal knowledge-provenance trace, if enabled. Like the
+    /// recorder, it is write-only from the engine's side and never
+    /// feeds back into protocol execution.
+    fn causal<'a>(&'a self) -> Option<&'a CausalTrace>
+    where
+        N: 'a,
+    {
+        self.shell().core.causal()
+    }
+
+    /// Detaches the causal provenance trace so the driver can archive
+    /// it after the run.
+    fn take_causal(&mut self) -> Option<CausalTrace> {
+        self.shell_mut().core.take_causal()
+    }
+
+    /// The attached telemetry recorder, if observability is enabled.
+    /// Strictly write-only from the engine's side: recorder state never
+    /// feeds back into protocol execution.
+    fn obs_mut<'a>(&'a mut self) -> Option<&'a mut Recorder>
+    where
+        N: 'a,
+    {
+        self.shell_mut().obs.as_mut()
+    }
+
+    /// Detaches the recorder so the driver can call
+    /// [`Recorder::finish`] after the run.
+    fn take_obs(&mut self) -> Option<Recorder> {
+        self.shell_mut().obs.take()
+    }
+
+    /// `(name, takes, reuses)` counters for every buffer pool the
+    /// engine owns (observability export): the core's delay-batch pool,
+    /// plus whatever an engine that overrides this adds.
+    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
+        let stats = self.shell().core.pool_stats();
+        vec![("delay", stats.takes, stats.reuses)]
+    }
+
+    /// `(name, peak_bytes)` high-water marks for every buffer pool the
+    /// engine owns (profiler export). Like [`pool_counters`], read once
+    /// by the driver after the run; never consulted by engine logic.
+    ///
+    /// [`pool_counters`]: Self::pool_counters
+    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
+        vec![("delay", self.shell().core.pool_high_water_bytes())]
+    }
 
     /// Runs until `done(nodes)` holds (checked before the first round and
     /// after every round) or `max_rounds` have executed.
-    pub fn run_until(&mut self, max_rounds: u64, done: impl FnMut(&[N]) -> bool) -> RunOutcome {
-        RoundEngine::run_until(self, max_rounds, done)
+    fn run_until(&mut self, max_rounds: u64, mut done: impl FnMut(&[N]) -> bool) -> RunOutcome {
+        self.run_observed(max_rounds, &mut done, |_, _| {})
     }
 
     /// Like [`run_until`](Self::run_until), additionally invoking
-    /// `observe(round, nodes)` after every round — the hook white-box
-    /// experiments (e.g. cluster-count evolution, figure F3) use.
-    pub fn run_observed(
+    /// `observe(round, nodes)` after every round — the per-round progress
+    /// hook white-box experiments (e.g. cluster-count evolution, figure
+    /// F3) and long-run progress reporting use.
+    fn run_observed(
         &mut self,
         max_rounds: u64,
-        done: impl FnMut(&[N]) -> bool,
-        observe: impl FnMut(u64, &[N]),
+        mut done: impl FnMut(&[N]) -> bool,
+        mut observe: impl FnMut(u64, &[N]),
     ) -> RunOutcome {
-        RoundEngine::run_observed(self, max_rounds, done, observe)
+        let mut completed = done(self.nodes());
+        while !completed && self.round() < max_rounds {
+            self.step();
+            observe(self.round(), self.nodes());
+            completed = done(self.nodes());
+        }
+        RunOutcome {
+            completed,
+            rounds: self.round(),
+        }
+    }
+}
+
+/// Drives a population of [`Node`] programs through synchronous rounds
+/// on the calling thread.
+///
+/// Per round, the engine hands every live node its inbox (messages sent
+/// to it in the previous round) together with a deterministic
+/// per-`(seed, node, round)` random generator, then routes the node's
+/// outbox through the fault layer into next-round inboxes, accounting
+/// every message in [`RunMetrics`]. Builders, accessors and run loops
+/// are [`RoundEngine`] methods.
+///
+/// See the crate-level documentation for a complete example.
+pub struct Engine<N: Node> {
+    shell: RoundShell<N>,
+    /// Round-persistent staging buffer for outgoing envelopes; drained
+    /// by routing, so its allocation is reused every round.
+    staged: Vec<Envelope<N::Msg>>,
+    /// Round-persistent scratch buffer for capped inbox delivery.
+    scratch: Vec<Envelope<N::Msg>>,
+}
+
+impl<N: Node> Engine<N> {
+    /// Creates an engine over `nodes`, where node `i` has identifier
+    /// `NodeId::new(i)`. `seed` determines all protocol and fault
+    /// randomness.
+    pub fn new(nodes: Vec<N>, seed: u64) -> Self {
+        Engine {
+            shell: RoundShell::new(nodes, seed),
+            staged: Vec::new(),
+            scratch: Vec::new(),
+        }
     }
 }
 
 impl<N: Node> RoundEngine<N> for Engine<N> {
     fn step(&mut self) {
-        Engine::step(self)
+        self.shell.begin_round();
+        self.shell
+            .step_nodes(&mut self.staged, &mut self.scratch, |_| {});
+        self.shell.route(|core| core.route_batch(&mut self.staged));
+        self.shell
+            .close_round(|core| core.retransmit_due(unit_latency));
     }
 
-    fn nodes(&self) -> &[N] {
-        Engine::nodes(self)
+    fn shell(&self) -> &RoundShell<N> {
+        &self.shell
     }
 
-    fn round(&self) -> u64 {
-        Engine::round(self)
-    }
-
-    fn metrics(&self) -> &RunMetrics {
-        Engine::metrics(self)
-    }
-
-    fn trace(&self) -> Option<&Trace> {
-        Engine::trace(self)
-    }
-
-    fn causal(&self) -> Option<&CausalTrace> {
-        self.core.causal()
-    }
-
-    fn take_causal(&mut self) -> Option<CausalTrace> {
-        self.core.take_causal()
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        self.obs.as_mut()
-    }
-
-    fn take_obs(&mut self) -> Option<Recorder> {
-        self.obs.take()
-    }
-
-    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        let stats = self.core.pool_stats();
-        vec![("delay", stats.takes, stats.reuses)]
-    }
-
-    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        vec![("delay", self.core.pool_high_water_bytes())]
+    fn shell_mut(&mut self) -> &mut RoundShell<N> {
+        &mut self.shell
     }
 }
 

@@ -2,41 +2,53 @@
 //!
 //! [`EngineCore`] owns everything about a run *except* the node programs:
 //! mailboxes, the round counter, metrics, the fault layer, tracing, the
-//! failure-detector schedule, receive caps, and delay jitter. The
-//! sequential [`Engine`](crate::Engine) in this crate and the sharded
-//! engine in `rd-exec` are both thin drivers over this core, so
-//! accounting and fault semantics cannot drift between them.
+//! failure-detector schedule, receive caps, and delay jitter. Every
+//! engine — [`Engine`](crate::Engine) here, the sharded engine in
+//! `rd-exec`, the discrete-event engine in `rd-event` — is a `step` body
+//! over this core, so accounting and fault semantics cannot drift
+//! between them.
 //!
-//! A round splits into three phases every engine performs identically:
+//! A round is three phases:
 //!
 //! 1. [`EngineCore::begin_round`] — metrics, detector reports, and
-//!    delivery of delay-expired messages;
-//! 2. node stepping — the engine takes each live node's inbox (via
-//!    [`take_capped`]) and runs it with [`step_node`]; node steps are
-//!    order-independent because each draws from a private
-//!    per-`(seed, node, round)` random stream, which is what makes
-//!    parallel stepping bit-identical to sequential stepping;
+//!    delivery of messages whose arrival round has come;
+//! 2. node stepping — [`step_shard`] runs every live node of a
+//!    contiguous block on its inbox; node steps are order-independent
+//!    because each draws from a private per-`(seed, node, round)` random
+//!    stream, which is what makes parallel stepping bit-identical to
+//!    sequential stepping;
 //! 3. routing — staged envelopes, in `(sender, send-sequence)` order,
-//!    pass through the fault layer and into next-round mailboxes, and
+//!    pass through the fault layer into mailboxes; due retransmissions
+//!    are attempted ([`EngineCore::retransmit_due`]) and
 //!    [`EngineCore::finish_round`] advances the clock.
 //!
-//! # Order-independent routing
+//! # One kernel, a latency function
 //!
-//! Routing used to be inherently serial: drop and delay coins were drawn
-//! from two shared random streams, so stream *position* — and therefore
-//! global routing order — was part of the deterministic contract. Now
-//! every message's fate is a pure function of
-//! `(seed, sender, round, send-sequence)` ([`route_fate`], backed by
-//! [`rng::message_route_rng`]): routing one envelope never advances any
-//! state another envelope reads. That makes the phase embarrassingly
-//! parallel. A sequential engine calls [`EngineCore::route_batch`] over
-//! the canonically ordered staging buffer; a parallel engine splits the
-//! same buffer by sender shard, routes each shard with [`route_shard`]
-//! into per-destination-shard buckets, merges the buckets per
-//! destination with [`merge_dest_shard`], and folds the shard-local
-//! [`RouteDelta`]s back with [`EngineCore::apply_route_deltas`]. Both
-//! paths evaluate `route_fate` on identical `(sender, sequence)` pairs,
-//! so they are bit-identical by construction.
+//! A message staged in round `r` over a link of latency `lat ≥ 1` ticks
+//! is checked against the fault plan at `r + lat`, and — if its
+//! counter-based fate ([`route_fate`]) lets it through — arrives at
+//! `r + lat + fate.extra_delay`. That arithmetic is the whole network
+//! model. *The synchronous round of the paper is latency one*
+//! ([`unit_latency`]); the discrete-event engine passes its latency
+//! model's sampler instead, and nothing else about routing differs. The
+//! kernel sees only the function `(src, dst, send round, send-sequence,
+//! attempt) → ticks`, never the model behind it.
+//!
+//! [`route_shard`] is that kernel: one loop over a sender shard's staged
+//! envelopes into per-destination-shard buckets, with
+//! [`merge_dest_shard`] delivering a destination shard's buckets and
+//! [`EngineCore::apply_route_deltas`] folding the shard-local
+//! [`RouteDelta`]s back. Because every fate is a pure function of
+//! `(seed, sender, round, send-sequence)`, routing one envelope never
+//! advances state another envelope reads, so the shards can run on
+//! independent workers — and the serial path
+//! ([`EngineCore::route_batch_with`]) is the same three calls over one
+//! whole-population shard, bit-identical by being the same code.
+//!
+//! One selection remains, made from the core's own state: a run with no
+//! faults, no jitter, no trace and no causal sampler under unit latency
+//! has nothing to decide per message, and [`EngineCore::route_batch`]
+//! delivers it with a straight-line tally-and-push loop instead.
 
 use crate::faults::{DropCause, FaultPlan};
 use crate::id::NodeId;
@@ -58,6 +70,11 @@ enum DetectorAction {
     /// Withdraw an earlier report after the node recovered.
     Retract,
 }
+
+/// Deliverable messages tagged with their delay in ticks beyond the
+/// next round (0 = next round) — or, once merged, with their arrival
+/// round.
+pub type Routed<M> = Vec<(u64, Envelope<M>)>;
 
 /// The non-node state of a run: mailboxes, clock, metrics, faults,
 /// tracing, and delivery policy. See the [module docs](self) for the
@@ -91,6 +108,11 @@ pub struct EngineCore<M: MessageCost> {
     reliable: Option<RetryPolicy>,
     /// Dropped messages awaiting retransmission, keyed by resend round.
     retransmit_queue: std::collections::BTreeMap<u64, Vec<RetryEnvelope<M>>>,
+    /// The serial path's one bucket and one delayed list, reused across
+    /// rounds. Plain vectors, not pool buffers: pool counters are
+    /// archive records, and the serial path must not move them.
+    serial_bucket: Routed<M>,
+    serial_delayed: Routed<M>,
 }
 
 /// The opt-in reliable-delivery policy: every dropped message is
@@ -146,19 +168,31 @@ pub struct RetryEnvelope<M> {
     attempts: u32,
 }
 
-/// The slice of [`EngineCore`] state an engine needs while stepping
-/// nodes: mailboxes plus the read-only delivery policy. Borrowing it
-/// (via [`EngineCore::step_state`]) leaves the routing state untouched,
-/// and the mailbox slice can be split per worker shard.
-pub struct StepState<'a, M: MessageCost> {
-    /// One mailbox per node, holding this round's deliveries.
-    pub inboxes: &'a mut [Vec<Envelope<M>>],
+/// The read-only half of what stepping a node needs: copied into every
+/// stepping worker.
+#[derive(Clone, Copy)]
+pub struct StepCtx<'a> {
     /// The fault plan (for the crashed-node check before stepping).
     pub faults: &'a FaultPlan,
     /// The run seed (for per-node round randomness).
     pub seed: u64,
+    /// The round being executed.
+    pub round: u64,
     /// Per-node per-round delivery cap (`None` = unbounded).
     pub receive_cap: Option<usize>,
+    /// The failure detector's current report, lent to every node.
+    pub suspects: &'a Arc<SuspectView>,
+}
+
+/// The slice of [`EngineCore`] state an engine needs while stepping
+/// nodes: mailboxes plus the read-only [`StepCtx`]. Borrowing it (via
+/// [`EngineCore::step_state`]) leaves the routing state untouched, and
+/// the mailbox slice can be split per worker shard.
+pub struct StepState<'a, M: MessageCost> {
+    /// One mailbox per node, holding this round's deliveries.
+    pub inboxes: &'a mut [Vec<Envelope<M>>],
+    /// Everything else [`step_shard`] reads.
+    pub ctx: StepCtx<'a>,
 }
 
 /// What the fault layer decided for one message: dropped (with a
@@ -167,13 +201,13 @@ pub struct StepState<'a, M: MessageCost> {
 pub struct RouteFate {
     /// Why the message was discarded (`None` = delivered).
     pub dropped: Option<DropCause>,
-    /// Extra delivery latency in rounds beyond the synchronous one
-    /// (always 0 for dropped messages and synchronous runs).
+    /// Extra delivery latency in rounds beyond the link's own
+    /// (always 0 for dropped messages and unjittered runs).
     pub extra_delay: u64,
 }
 
 impl RouteFate {
-    /// A synchronous delivery.
+    /// A delivery with no jitter.
     pub const DELIVER: RouteFate = RouteFate {
         dropped: None,
         extra_delay: 0,
@@ -193,28 +227,21 @@ impl RouteFate {
     }
 }
 
-/// Decides the fate of one message: a pure function of
-/// `(seed, round, sender, send-sequence)` plus the delivery policy.
-///
-/// This is the *single* source of routing randomness for every engine
-/// (and for test oracles that recompute fates independently). A message
-/// whose path is hard-`blocked` — crashed destination, active partition,
-/// or adversarial suppression, classified by [`FaultGuards::blocked`] —
-/// is dropped without consuming any randomness, so scheduling those
-/// faults never shifts the coins of any unaffected message. The coin
-/// itself drops with `drop_probability` and attributes to `coin_cause`
+/// The one body behind [`route_fate`] and [`retry_fate`]: they differ
+/// only in which counter-based stream `rng` opens. A message whose path
+/// is hard-`blocked` — crashed destination, active partition, or
+/// adversarial suppression, classified by [`FaultGuards::blocked`] — is
+/// dropped without consuming any randomness, so scheduling those faults
+/// never shifts the coins of any unaffected message. The coin itself
+/// drops with `drop_probability` and attributes to `coin_cause`
 /// ([`DropCause::Coin`] for the base plan coin, [`DropCause::Link`] when
 /// the per-link loss overlay supplied the probability); either way it is
 /// drawn from the same per-message stream, so enabling the overlay never
-/// re-keys a fate. A message under a fault-free, synchronous policy is
+/// re-keys a fate. A message under a fault-free, unjittered policy is
 /// delivered without even constructing a generator — the common case
 /// stays coin-free.
-#[allow(clippy::too_many_arguments)]
-pub fn route_fate(
-    seed: u64,
-    round: u64,
-    src: usize,
-    sequence: u64,
+fn fate_from<R: Rng>(
+    rng: impl FnOnce() -> R,
     blocked: Option<DropCause>,
     drop_probability: f64,
     coin_cause: DropCause,
@@ -226,7 +253,7 @@ pub fn route_fate(
     if drop_probability <= 0.0 && max_extra_delay == 0 {
         return RouteFate::DELIVER;
     }
-    let mut rng = rng::message_route_rng(seed, src, round, sequence);
+    let mut rng = rng();
     let dropped = drop_probability > 0.0 && rng.random_bool(drop_probability);
     let extra_delay = if !dropped && max_extra_delay > 0 {
         rng.random_range(0..=max_extra_delay)
@@ -239,9 +266,35 @@ pub fn route_fate(
     }
 }
 
-/// Decides the fate of one *retransmission attempt*: the retry analogue
-/// of [`route_fate`], drawing from the independent counter-based retry
-/// stream ([`rng::message_retry_rng`]) keyed by the message's original
+/// Decides the fate of one message: a pure function of
+/// `(seed, round, sender, send-sequence)` plus the delivery policy.
+///
+/// This is the *single* source of routing randomness for every engine
+/// (and for test oracles that recompute fates independently), backed by
+/// [`rng::message_route_rng`].
+#[allow(clippy::too_many_arguments)]
+pub fn route_fate(
+    seed: u64,
+    round: u64,
+    src: usize,
+    sequence: u64,
+    blocked: Option<DropCause>,
+    drop_probability: f64,
+    coin_cause: DropCause,
+    max_extra_delay: u64,
+) -> RouteFate {
+    fate_from(
+        || rng::message_route_rng(seed, src, round, sequence),
+        blocked,
+        drop_probability,
+        coin_cause,
+        max_extra_delay,
+    )
+}
+
+/// Decides the fate of one *retransmission attempt*: [`route_fate`] on
+/// the independent counter-based retry stream
+/// ([`rng::message_retry_rng`]), keyed by the message's original
 /// `(sender, round, send-sequence)` identity and the attempt number.
 /// Block checks use the state of the network at the attempt's own send
 /// round, so a retransmission outlives the fault that killed the
@@ -258,23 +311,32 @@ pub fn retry_fate(
     coin_cause: DropCause,
     max_extra_delay: u64,
 ) -> RouteFate {
-    if let Some(cause) = blocked {
-        return RouteFate::drop(cause);
-    }
-    if drop_probability <= 0.0 && max_extra_delay == 0 {
-        return RouteFate::DELIVER;
-    }
-    let mut rng = rng::message_retry_rng(seed, src, orig_round, orig_seq, attempt);
-    let dropped = drop_probability > 0.0 && rng.random_bool(drop_probability);
-    let extra_delay = if !dropped && max_extra_delay > 0 {
-        rng.random_range(0..=max_extra_delay)
-    } else {
-        0
-    };
-    RouteFate {
-        dropped: dropped.then_some(coin_cause),
-        extra_delay,
-    }
+    fate_from(
+        || rng::message_retry_rng(seed, src, orig_round, orig_seq, attempt),
+        blocked,
+        drop_probability,
+        coin_cause,
+        max_extra_delay,
+    )
+}
+
+/// The latency function of the synchronous model: every transmission
+/// takes one tick, so a tick is a round.
+pub fn unit_latency(_src: usize, _dst: usize, _round: u64, _sequence: u64, _attempt: u32) -> u64 {
+    1
+}
+
+/// Checks what the kernel relies on in a latency the caller's function
+/// returned: causality, and that at most one of the two delay mechanisms
+/// (a latency above one tick, the uniform-jitter knob) is in play.
+#[inline]
+fn checked_latency(lat: u64, max_extra_delay: u64) -> u64 {
+    assert!(lat >= 1, "a delivery latency of 0 beats causality");
+    assert!(
+        lat == 1 || max_extra_delay == 0,
+        "a latency model supersedes the uniform-jitter knob"
+    );
+    lat
 }
 
 /// The per-round hoisted fault classifier every routing path shares: one
@@ -375,11 +437,10 @@ pub struct RouteParams<'a> {
 }
 
 /// The shard-local output of routing one sender shard's staged
-/// envelopes: a metrics row, a trace fragment, and per-destination-shard
-/// buckets of deliverable messages. Deltas fold associatively into the
-/// core's `RunMetrics`/`Trace`/delay queue (via
-/// [`EngineCore::apply_route_deltas`]), which is what lets routing run
-/// on independent workers without locks.
+/// envelopes: a metrics row, a trace fragment, provenance offers and
+/// parked retries. Deltas fold associatively into the core's
+/// `RunMetrics`/`Trace`/queues (via [`EngineCore::apply_route_deltas`]),
+/// which is what lets routing run on independent workers without locks.
 pub struct RouteDelta<M> {
     /// Messages/pointers/drops routed by this shard.
     pub row: RoundMetrics,
@@ -394,65 +455,47 @@ pub struct RouteDelta<M> {
     pub prov: Vec<ProvEdge>,
     /// Delivered messages the causal sampler skipped in this shard.
     pub prov_sampled_out: u64,
-    /// Deliverable messages per destination shard, each tagged with its
-    /// extra delivery delay (0 = next round).
-    pub buckets: Vec<Vec<(u64, Envelope<M>)>>,
     /// Dropped messages parked for retransmission (canonical order;
     /// empty unless reliable delivery is enabled).
     pub retries: Vec<RetryEnvelope<M>>,
 }
 
-/// Routes one sender shard's staged envelopes (canonical
-/// `(sender, send-sequence)` order, senders contiguous) into
-/// per-destination-shard buckets, recording sender-side tallies into
-/// this shard's `sent_*` lanes (sliced from the run metrics;
-/// `sent_base` is the shard's first node index).
+/// The routing kernel: passes one sender shard's staged envelopes
+/// (canonical `(sender, send-sequence)` order, senders contiguous)
+/// through the fault layer into `buckets` — one per destination shard,
+/// each entry tagged with its delay beyond the next round — recording
+/// sender-side tallies into this shard's `sent_*` lanes (sliced from the
+/// run metrics; `sent_base` is the shard's first node index).
 ///
-/// `buckets` must hold one (empty) bucket per destination shard; they
-/// are returned inside the [`RouteDelta`].
+/// `latency(src, dst, round, sequence, 0)` is the transmission's link
+/// latency in whole ticks; see the [module docs](self) for the
+/// arithmetic. Archive rounds are 1-based: a message staged while the
+/// round counter reads `r` is the protocol's round `sent = r + 1` send,
+/// processed by its receiver in round `sent + lat + extra_delay`.
 ///
-/// Offers one sampled message's identifier payload to the causal trace.
-///
-/// Archive rounds are 1-based: a message staged while the round counter
-/// reads `r` is the protocol's round `sent = r + 1` send, processed by
-/// its receiver in round `delivered = sent + 1 + extra_delay`.
-fn offer_payload<M: MessageCost>(
-    causal: &mut CausalTrace,
-    env: &Envelope<M>,
-    sequence: u64,
-    sent: u64,
-    delivered: u64,
-) {
-    let (src, dst) = (u32::from(env.src), u32::from(env.dst));
-    env.payload.visit_ids(&mut |id| {
-        causal.offer(ProvEdge {
-            id: u32::from(id),
-            node: dst,
-            src,
-            sent,
-            round: delivered,
-            seq: sequence,
-        });
-    });
-}
-
 /// # Panics
 ///
-/// Panics if any envelope addresses a node index `>= params.node_count`.
-pub fn route_shard<M: MessageCost>(
+/// Panics if any envelope addresses a node index `>= params.node_count`,
+/// if a latency of 0 is returned, or if a latency above 1 meets a
+/// nonzero jitter knob.
+pub fn route_shard<M, L>(
     params: RouteParams<'_>,
+    latency: L,
     staged: &mut Vec<Envelope<M>>,
     sent_base: usize,
     sent_lanes: &mut [NodeLane],
-    mut buckets: Vec<Vec<(u64, Envelope<M>)>>,
-) -> RouteDelta<M> {
+    buckets: &mut [Routed<M>],
+) -> RouteDelta<M>
+where
+    M: MessageCost,
+    L: Fn(usize, usize, u64, u64, u32) -> u64,
+{
     let mut delta = RouteDelta {
         row: RoundMetrics::default(),
         trace_events: Vec::new(),
         trace_overflow: 0,
         prov: Vec::new(),
         prov_sampled_out: 0,
-        buckets: Vec::new(),
         retries: Vec::new(),
     };
     let guards = FaultGuards::new(params.faults);
@@ -475,9 +518,12 @@ pub fn route_shard<M: MessageCost>(
             env.src
         );
         let pointers = env.payload.pointers();
-        // Delivery happens at the start of the next round at the
-        // earliest; a node dead by then never sees the message.
-        let blocked = guards.blocked(src, dst, round, round + 1);
+        let lat = checked_latency(
+            latency(src, dst, round, sequence, 0),
+            params.max_extra_delay,
+        );
+        // A node dead at the message's arrival tick never sees it.
+        let blocked = guards.blocked(src, dst, round, round + lat);
         let (drop_p, coin_cause) = guards.coin(src, dst);
         let fate = route_fate(
             params.seed,
@@ -515,36 +561,31 @@ pub fn route_shard<M: MessageCost>(
                     attempts: 0,
                 });
             }
-        } else {
-            if pointers > 0 {
-                if let Some(ppm) = params.causal_ppm {
-                    // Same 1-based round arithmetic as the serial
-                    // path in `EngineCore::route_batch`.
-                    if rng::prov_sample(params.seed, src, round, sequence, ppm) {
-                        let sent = round + 1;
-                        let delivered = sent + 1 + fate.extra_delay;
-                        let (esrc, edst) = (u32::from(env.src), u32::from(env.dst));
-                        env.payload.visit_ids(&mut |id| {
-                            delta.prov.push(ProvEdge {
-                                id: u32::from(id),
-                                node: edst,
-                                src: esrc,
-                                sent,
-                                round: delivered,
-                                seq: sequence,
-                            });
-                        });
-                    } else {
-                        delta.prov_sampled_out += 1;
-                    }
-                }
-            }
-            delta.row.messages += 1;
-            delta.row.pointers += pointers as u64;
-            buckets[dst / params.shard_len].push((fate.extra_delay, env));
+            continue;
         }
+        if let Some(ppm) = params.causal_ppm.filter(|_| pointers > 0) {
+            if rng::prov_sample(params.seed, src, round, sequence, ppm) {
+                let sent = round + 1;
+                let delivered = sent + lat + fate.extra_delay;
+                let (esrc, edst) = (u32::from(env.src), u32::from(env.dst));
+                env.payload.visit_ids(&mut |id| {
+                    delta.prov.push(ProvEdge {
+                        id: u32::from(id),
+                        node: edst,
+                        src: esrc,
+                        sent,
+                        round: delivered,
+                        seq: sequence,
+                    });
+                });
+            } else {
+                delta.prov_sampled_out += 1;
+            }
+        }
+        delta.row.messages += 1;
+        delta.row.pointers += pointers as u64;
+        buckets[dst / params.shard_len].push((lat - 1 + fate.extra_delay, env));
     }
-    delta.buckets = buckets;
     delta
 }
 
@@ -555,15 +596,14 @@ pub fn route_shard<M: MessageCost>(
 /// `(arrival round, envelope)` instead of delivered.
 ///
 /// Processing workers in order preserves, for every destination, the
-/// canonical sender order of its deliveries — the same order the
-/// sequential [`EngineCore::route_batch`] produces.
+/// canonical sender order of its deliveries, whatever the shard count.
 pub fn merge_dest_shard<M: MessageCost>(
     round: u64,
     base: usize,
-    bucket_parts: &mut [Vec<(u64, Envelope<M>)>],
+    bucket_parts: &mut [Routed<M>],
     inboxes: &mut [Vec<Envelope<M>>],
     recv_lanes: &mut [NodeLane],
-    delayed_out: &mut Vec<(u64, Envelope<M>)>,
+    delayed_out: &mut Routed<M>,
 ) {
     for part in bucket_parts {
         for (extra, env) in part.drain(..) {
@@ -580,26 +620,13 @@ pub fn merge_dest_shard<M: MessageCost>(
     }
 }
 
-/// Disjoint borrows of everything a parallel router needs from the
-/// core: the routing parameters, the mailboxes, and the four per-node
-/// metric lanes, each independently sliceable per shard. Obtained via
-/// [`EngineCore::parallel_parts`].
-pub struct ParallelParts<'a, M: MessageCost> {
-    /// The run seed.
-    pub seed: u64,
-    /// The round being routed.
-    pub round: u64,
-    /// The fault plan.
-    pub faults: &'a FaultPlan,
-    /// Maximum extra delivery delay in rounds (0 = synchronous).
-    pub max_extra_delay: u64,
-    /// Trace event capacity, when tracing is enabled.
-    pub trace_capacity: Option<usize>,
-    /// Causal-trace sampling rate in ppm, when causal tracing is
-    /// enabled.
-    pub causal_ppm: Option<u32>,
-    /// Retransmission policy (`None` = best-effort delivery).
-    pub reliable: Option<RetryPolicy>,
+/// Disjoint borrows of everything a router needs from the core: the
+/// routing parameters, the mailboxes, and the per-node metric lanes,
+/// each independently sliceable per shard. Obtained via
+/// [`EngineCore::route_parts`].
+pub struct RouteParts<'a, M: MessageCost> {
+    /// The round's read-only routing parameters.
+    pub params: RouteParams<'a>,
     /// One mailbox per node.
     pub inboxes: &'a mut [Vec<Envelope<M>>],
     /// Per-node send/receive tallies. The route phase slices this by
@@ -631,6 +658,8 @@ impl<M: MessageCost> EngineCore<M> {
             pool: BufferPool::new(),
             reliable: None,
             retransmit_queue: std::collections::BTreeMap::new(),
+            serial_bucket: Vec::new(),
+            serial_delayed: Vec::new(),
         }
     }
 
@@ -787,8 +816,8 @@ impl<M: MessageCost> EngineCore<M> {
 
     /// Opens a round: starts its metrics row, folds newly reportable
     /// crashes into the suspect list, and moves messages whose
-    /// asynchronous delay expires this round into the mailboxes.
-    /// Returns the round number being executed.
+    /// arrival round has come into the mailboxes. Returns the round
+    /// number being executed.
     pub fn begin_round(&mut self) -> u64 {
         self.metrics.begin_round();
         let round = self.round;
@@ -829,8 +858,7 @@ impl<M: MessageCost> EngineCore<M> {
 
     /// The failure detector's current crash report: the same handle
     /// until a round in which the detector reports or retracts
-    /// something. Engines clone the handle and lend it to every node
-    /// stepped this round.
+    /// something.
     pub fn suspects(&self) -> &Arc<SuspectView> {
         &self.suspects
     }
@@ -839,127 +867,43 @@ impl<M: MessageCost> EngineCore<M> {
     pub fn step_state(&mut self) -> StepState<'_, M> {
         StepState {
             inboxes: &mut self.inboxes,
-            faults: &self.faults,
-            seed: self.seed,
-            receive_cap: self.receive_cap,
+            ctx: StepCtx {
+                faults: &self.faults,
+                seed: self.seed,
+                round: self.round,
+                receive_cap: self.receive_cap,
+                suspects: &self.suspects,
+            },
         }
     }
 
     /// Routes a round's staged envelopes — canonical
-    /// `(sender, send-sequence)` order, senders contiguous — through the
-    /// fault layer into next-round mailboxes (or the delay queue),
-    /// accounting every message in the metrics and the trace. The buffer
-    /// is drained and left empty for reuse.
+    /// `(sender, send-sequence)` order, senders contiguous — under unit
+    /// latency, accounting every message in the metrics and the trace.
+    /// The buffer is drained and left empty for reuse.
     ///
-    /// Because message fates are counter-based ([`route_fate`]), calling
-    /// this once over a whole round or once per sender shard (in shard
-    /// order) is observationally identical — and both are bit-identical
-    /// to the parallel shard/merge path.
+    /// When the core can see that no message has anything to decide — no
+    /// faults, no jitter, no trace, no causal sampler — every message is
+    /// a straight-line tally-and-push: no coins, no branches on
+    /// per-message state, no buckets. Otherwise this is
+    /// [`route_batch_with`](Self::route_batch_with) at [`unit_latency`],
+    /// which computes the same thing the long way round.
     ///
     /// # Panics
     ///
     /// Panics if any envelope addresses a node that does not exist.
     pub fn route_batch(&mut self, staged: &mut Vec<Envelope<M>>) {
-        let round = self.round;
-        let n = self.inboxes.len();
-        if self.trace.is_none() && self.max_extra_delay == 0 && self.faults.is_fault_free() {
-            if let Some(causal) = self.causal.as_mut() {
-                // Straight-line delivery, plus the causal sampler:
-                // every message is delivered (fault-free, no jitter), so
-                // the only extra work is the per-message sampling coin
-                // and, for the sampled few, the edge offers.
-                let seed = self.seed;
-                let ppm = causal.sample_ppm();
-                let lanes = self.metrics.lanes();
-                let mut prev_src = usize::MAX;
-                let mut seq = 0u64;
-                let mut base = 0u64;
-                let mut sampled_out = 0u64;
-                for env in staged.drain(..) {
-                    let src = env.src.index();
-                    if src != prev_src {
-                        prev_src = src;
-                        seq = 0;
-                        base = rng::prov_base(seed, src, round);
-                    }
-                    let sequence = seq;
-                    seq += 1;
-                    let dst = env.dst.index();
-                    assert!(
-                        dst < n,
-                        "message to unknown node {} from {}",
-                        env.dst,
-                        env.src
-                    );
-                    let pointers = env.payload.pointers() as u64;
-                    if pointers > 0 {
-                        if rng::prov_sample_from(base, sequence, ppm) {
-                            offer_payload(causal, &env, sequence, round + 1, round + 2);
-                        } else {
-                            sampled_out += 1;
-                        }
-                    }
-                    lanes.row.messages += 1;
-                    lanes.row.pointers += pointers;
-                    let lane = &mut lanes.nodes[src];
-                    lane.sent_messages += 1;
-                    lane.sent_pointers += pointers;
-                    let lane = &mut lanes.nodes[dst];
-                    lane.recv_messages += 1;
-                    lane.recv_pointers += pointers;
-                    self.inboxes[dst].push(env);
-                }
-                causal.note_sampled_out_by(sampled_out);
-            } else {
-                // Fault-free, synchronous, untraced: every message is a
-                // straight-line tally-and-push — no coins, no branches
-                // on per-message state, no map lookups.
-                let lanes = self.metrics.lanes();
-                for env in staged.drain(..) {
-                    let src = env.src.index();
-                    let dst = env.dst.index();
-                    assert!(
-                        dst < n,
-                        "message to unknown node {} from {}",
-                        env.dst,
-                        env.src
-                    );
-                    let pointers = env.payload.pointers() as u64;
-                    lanes.row.messages += 1;
-                    lanes.row.pointers += pointers;
-                    let lane = &mut lanes.nodes[src];
-                    lane.sent_messages += 1;
-                    lane.sent_pointers += pointers;
-                    let lane = &mut lanes.nodes[dst];
-                    lane.recv_messages += 1;
-                    lane.recv_pointers += pointers;
-                    self.inboxes[dst].push(env);
-                }
-            }
-            return;
+        let undecided = self.trace.is_some()
+            || self.causal.is_some()
+            || self.max_extra_delay > 0
+            || !self.faults.is_fault_free();
+        if undecided {
+            return self.route_batch_with(staged, unit_latency);
         }
-
-        let seed = self.seed;
-        let max_extra = self.max_extra_delay;
-        let reliable = self.reliable;
-        let guards = FaultGuards::new(&self.faults);
-        let trace = &mut self.trace;
-        let causal = &mut self.causal;
-        let delayed = &mut self.delayed;
-        let pool = &mut self.pool;
-        let inboxes = &mut self.inboxes;
-        let queue = &mut self.retransmit_queue;
+        let n = self.inboxes.len();
         let lanes = self.metrics.lanes();
-        let mut prev_src = usize::MAX;
-        let mut seq = 0u64;
         for env in staged.drain(..) {
             let src = env.src.index();
-            if src != prev_src {
-                prev_src = src;
-                seq = 0;
-            }
-            let sequence = seq;
-            seq += 1;
             let dst = env.dst.index();
             assert!(
                 dst < n,
@@ -967,212 +911,85 @@ impl<M: MessageCost> EngineCore<M> {
                 env.dst,
                 env.src
             );
-            let pointers = env.payload.pointers();
-            // Delivery happens at the start of the next round at the
-            // earliest; a node dead by then never sees the message.
-            let blocked = guards.blocked(src, dst, round, round + 1);
-            let (drop_p, coin_cause) = guards.coin(src, dst);
-            let fate = route_fate(
-                seed, round, src, sequence, blocked, drop_p, coin_cause, max_extra,
-            );
-            if let Some(trace) = trace.as_mut() {
-                trace.record(TraceEvent {
-                    round,
-                    src: env.src,
-                    dst: env.dst,
-                    pointers,
-                    dropped: fate.dropped,
-                });
-            }
+            let pointers = env.payload.pointers() as u64;
+            lanes.row.messages += 1;
+            lanes.row.pointers += pointers;
             let lane = &mut lanes.nodes[src];
             lane.sent_messages += 1;
-            lane.sent_pointers += pointers as u64;
-            if let Some(cause) = fate.dropped {
-                lanes.row.drops.add(cause);
-                if let Some(policy) = reliable {
-                    queue
-                        .entry(round + policy.timeout)
-                        .or_default()
-                        .push(RetryEnvelope {
-                            env,
-                            orig_round: round,
-                            orig_seq: sequence,
-                            attempts: 0,
-                        });
-                }
-            } else {
-                if pointers > 0 {
-                    if let Some(causal) = causal.as_mut() {
-                        if rng::prov_sample(seed, src, round, sequence, causal.sample_ppm()) {
-                            let sent = round + 1;
-                            offer_payload(
-                                causal,
-                                &env,
-                                sequence,
-                                sent,
-                                sent + 1 + fate.extra_delay,
-                            );
-                        } else {
-                            causal.note_sampled_out();
-                        }
-                    }
-                }
-                lanes.row.messages += 1;
-                lanes.row.pointers += pointers as u64;
-                let lane = &mut lanes.nodes[dst];
-                lane.recv_messages += 1;
-                lane.recv_pointers += pointers as u64;
-                if fate.extra_delay == 0 {
-                    inboxes[dst].push(env);
-                } else {
-                    delayed
-                        .entry(round + 1 + fate.extra_delay)
-                        .or_insert_with(|| pool.take())
-                        .push(env);
-                }
-            }
+            lane.sent_pointers += pointers;
+            let lane = &mut lanes.nodes[dst];
+            lane.recv_messages += 1;
+            lane.recv_pointers += pointers;
+            self.inboxes[dst].push(env);
         }
     }
 
-    /// Routes a round's staged envelopes with *caller-supplied delivery
-    /// latencies* — the entry point of the discrete-event engine, where
-    /// per-message latency comes from a pluggable model instead of the
-    /// core's uniform-jitter knob.
+    /// Routes a round's staged envelopes through the kernel on the
+    /// calling thread: [`route_shard`] over one whole-population shard,
+    /// [`merge_dest_shard`], [`apply_route_deltas`](Self::apply_route_deltas)
+    /// — the sharded pipeline at shard count 1, so the serial and
+    /// parallel paths are one function rather than two kept equal.
+    /// `latency` is the per-transmission link latency (see the
+    /// [module docs](self)); the discrete-event engine's entry point.
     ///
-    /// `latency(src, dst, sequence)` returns the delivery latency of
-    /// the message in whole ticks (`>= 1`); a message sent at tick `t`
-    /// arrives at tick `t + latency`. Envelope order, drop coins
-    /// ([`route_fate`] with the same `(seed, src, round, sequence)`
-    /// axes), and all accounting mirror [`route_batch`], so a model
-    /// that always returns 1 is bit-identical to synchronous routing.
-    /// Crash checks use the message's own *arrival* tick, so a
-    /// long-latency message can outlive its destination.
-    ///
-    /// Dropped messages still park in the retransmission queue (when
-    /// reliable delivery is on) at `round + timeout`; the caller decides
-    /// when to drain it via [`process_due_retransmissions_timed`]
-    /// (typically from a timer armed at [`next_retransmission_due`]).
-    ///
-    /// [`process_due_retransmissions_timed`]: EngineCore::process_due_retransmissions_timed
-    /// [`next_retransmission_due`]: EngineCore::next_retransmission_due
+    /// Dropped messages park in the retransmission queue (when reliable
+    /// delivery is on) at `round + timeout`; the caller decides when to
+    /// drain it via [`retransmit_due`](Self::retransmit_due).
     ///
     /// # Panics
     ///
-    /// Panics if any envelope addresses a node that does not exist, if
-    /// a latency of 0 is returned, or if the core's own delay jitter is
-    /// also configured (the latency model supersedes it).
-    pub fn route_batch_timed<F>(&mut self, staged: &mut Vec<Envelope<M>>, mut latency: F)
+    /// As [`route_shard`].
+    pub fn route_batch_with<L>(&mut self, staged: &mut Vec<Envelope<M>>, latency: L)
     where
-        F: FnMut(usize, usize, u64) -> u64,
+        L: Fn(usize, usize, u64, u64, u32) -> u64,
     {
-        assert_eq!(
-            self.max_extra_delay, 0,
-            "the latency model supersedes the uniform-jitter knob"
+        let mut bucket = std::mem::take(&mut self.serial_bucket);
+        let mut delayed = std::mem::take(&mut self.serial_delayed);
+        let parts = self.route_parts(self.inboxes.len().max(1));
+        let mut delta = route_shard(
+            parts.params,
+            latency,
+            staged,
+            0,
+            parts.node_lanes,
+            std::slice::from_mut(&mut bucket),
         );
-        let round = self.round;
-        let n = self.inboxes.len();
-        let seed = self.seed;
-        let reliable = self.reliable;
-        let guards = FaultGuards::new(&self.faults);
-        let trace = &mut self.trace;
-        let causal = &mut self.causal;
-        let delayed = &mut self.delayed;
-        let pool = &mut self.pool;
-        let inboxes = &mut self.inboxes;
-        let queue = &mut self.retransmit_queue;
-        let lanes = self.metrics.lanes();
-        let mut prev_src = usize::MAX;
-        let mut seq = 0u64;
-        for env in staged.drain(..) {
-            let src = env.src.index();
-            if src != prev_src {
-                prev_src = src;
-                seq = 0;
-            }
-            let sequence = seq;
-            seq += 1;
-            let dst = env.dst.index();
-            assert!(
-                dst < n,
-                "message to unknown node {} from {}",
-                env.dst,
-                env.src
-            );
-            let pointers = env.payload.pointers();
-            let lat = latency(src, dst, sequence);
-            assert!(lat >= 1, "a delivery latency of 0 beats causality");
-            // A node dead at the message's arrival tick never sees it.
-            let blocked = guards.blocked(src, dst, round, round + lat);
-            let (drop_p, coin_cause) = guards.coin(src, dst);
-            let fate = route_fate(seed, round, src, sequence, blocked, drop_p, coin_cause, 0);
-            if let Some(trace) = trace.as_mut() {
-                trace.record(TraceEvent {
-                    round,
-                    src: env.src,
-                    dst: env.dst,
-                    pointers,
-                    dropped: fate.dropped,
-                });
-            }
-            let lane = &mut lanes.nodes[src];
-            lane.sent_messages += 1;
-            lane.sent_pointers += pointers as u64;
-            if let Some(cause) = fate.dropped {
-                lanes.row.drops.add(cause);
-                if let Some(policy) = reliable {
-                    queue
-                        .entry(round + policy.timeout)
-                        .or_default()
-                        .push(RetryEnvelope {
-                            env,
-                            orig_round: round,
-                            orig_seq: sequence,
-                            attempts: 0,
-                        });
-                }
-            } else {
-                if pointers > 0 {
-                    if let Some(causal) = causal.as_mut() {
-                        if rng::prov_sample(seed, src, round, sequence, causal.sample_ppm()) {
-                            let sent = round + 1;
-                            offer_payload(causal, &env, sequence, sent, sent + lat);
-                        } else {
-                            causal.note_sampled_out();
-                        }
-                    }
-                }
-                lanes.row.messages += 1;
-                lanes.row.pointers += pointers as u64;
-                let lane = &mut lanes.nodes[dst];
-                lane.recv_messages += 1;
-                lane.recv_pointers += pointers as u64;
-                if lat == 1 {
-                    inboxes[dst].push(env);
-                } else {
-                    delayed
-                        .entry(round + lat)
-                        .or_insert_with(|| pool.take())
-                        .push(env);
-                }
-            }
-        }
+        merge_dest_shard(
+            parts.params.round,
+            0,
+            std::slice::from_mut(&mut bucket),
+            parts.inboxes,
+            parts.node_lanes,
+            &mut delayed,
+        );
+        self.apply_route_deltas(
+            std::slice::from_mut(&mut delta),
+            std::slice::from_mut(&mut delayed),
+        );
+        self.serial_bucket = bucket;
+        self.serial_delayed = delayed;
     }
 
-    /// Borrows the state a parallel router needs; see [`ParallelParts`].
+    /// Borrows the state a router needs, for shards of `shard_len`
+    /// nodes; see [`RouteParts`].
     ///
     /// # Panics
     ///
     /// Panics if no round is open (`begin_round` not called).
-    pub fn parallel_parts(&mut self) -> ParallelParts<'_, M> {
+    pub fn route_parts(&mut self, shard_len: usize) -> RouteParts<'_, M> {
         let lanes = self.metrics.lanes();
-        ParallelParts {
-            seed: self.seed,
-            round: self.round,
-            faults: &self.faults,
-            max_extra_delay: self.max_extra_delay,
-            trace_capacity: self.trace.as_ref().map(Trace::capacity),
-            causal_ppm: self.causal.as_ref().map(CausalTrace::sample_ppm),
-            reliable: self.reliable,
+        RouteParts {
+            params: RouteParams {
+                seed: self.seed,
+                round: self.round,
+                faults: &self.faults,
+                max_extra_delay: self.max_extra_delay,
+                trace_capacity: self.trace.as_ref().map(Trace::capacity),
+                causal_ppm: self.causal.as_ref().map(CausalTrace::sample_ppm),
+                reliable: self.reliable,
+                node_count: self.inboxes.len(),
+                shard_len,
+            },
             inboxes: &mut self.inboxes,
             node_lanes: lanes.nodes,
         }
@@ -1185,7 +1002,7 @@ impl<M: MessageCost> EngineCore<M> {
     ///
     /// Trace fragments concatenate to the canonical global order, so
     /// re-recording them through the capacity-bounded [`Trace`] stores
-    /// exactly the events the sequential path would have stored. Delayed
+    /// exactly the events a single shard would have stored. Delayed
     /// lists are keyed into the delay queue; only per-destination
     /// relative order is observable at delivery time, and that order
     /// (canonical sender order per destination) is already fixed by the
@@ -1193,7 +1010,7 @@ impl<M: MessageCost> EngineCore<M> {
     pub fn apply_route_deltas(
         &mut self,
         deltas: &mut [RouteDelta<M>],
-        delayed_lists: &mut [Vec<(u64, Envelope<M>)>],
+        delayed_lists: &mut [Routed<M>],
     ) {
         let reliable = self.reliable;
         let round = self.round;
@@ -1212,15 +1029,15 @@ impl<M: MessageCost> EngineCore<M> {
             }
             if let Some(causal) = self.causal.as_mut() {
                 // Shard order = canonical offer order, so re-offering
-                // the fragments reproduces the serial path's DAG,
-                // capacity effects included.
+                // the fragments builds the same DAG for every shard
+                // count, capacity effects included.
                 causal.fold(&delta.prov, delta.prov_sampled_out);
                 delta.prov.clear();
             }
             if let Some(policy) = reliable {
                 if !delta.retries.is_empty() {
                     // Shard order = canonical sender order, so the queue
-                    // batch matches what the serial path builds.
+                    // batch is the same for every shard count.
                     queue
                         .entry(round + policy.timeout)
                         .or_default()
@@ -1237,20 +1054,31 @@ impl<M: MessageCost> EngineCore<M> {
         }
     }
 
-    /// Closes the round: makes any due retransmission attempts (when
-    /// reliable delivery is enabled), then advances the clock.
+    /// Closes the round: advances the clock. Round engines make the due
+    /// retransmission attempts first ([`retransmit_due`]); a
+    /// timer-driven engine makes them when its timer fires.
+    ///
+    /// [`retransmit_due`]: Self::retransmit_due
     pub fn finish_round(&mut self) {
-        if self.reliable.is_some() {
-            self.process_retransmissions();
-        }
         self.round += 1;
     }
 
-    /// Makes every retransmission attempt due by the current round.
+    /// The earliest tick at which a parked retransmission becomes due,
+    /// if any. Timer-driven engines arm a wake-up at this instant and
+    /// call [`retransmit_due`](Self::retransmit_due) when it fires.
+    pub fn next_retransmission_due(&self) -> Option<u64> {
+        self.retransmit_queue.keys().next().copied()
+    }
+
+    /// Makes every retransmission attempt due by the current round; a
+    /// no-op without reliable delivery.
     ///
     /// Runs serially (after routing) in every engine, draining the
     /// resend queue in `(resend round, canonical drop order)` order, so
-    /// the sequential and sharded engines replay attempts identically.
+    /// every engine and worker count replays attempts identically.
+    /// `latency(src, dst, orig_round, orig_seq, attempt)` is the
+    /// attempt's link latency, with the same arithmetic as a first send
+    /// (see the [module docs](self)) on the [`retry_fate`] stream.
     /// Attempts are charged like fresh sends (plus the
     /// `retransmissions` tally) but are not traced — the trace records
     /// the protocol's own sends. A still-failing attempt re-parks the
@@ -1258,8 +1086,18 @@ impl<M: MessageCost> EngineCore<M> {
     /// budget runs out; because crash and partition checks use the
     /// attempt's own round, a retransmission can land after its
     /// destination recovers or the partition heals.
-    fn process_retransmissions(&mut self) {
-        let policy = self.reliable.expect("reliable delivery enabled");
+    ///
+    /// # Panics
+    ///
+    /// Panics if a latency of 0 is returned, or a latency above 1 meets
+    /// a nonzero jitter knob.
+    pub fn retransmit_due<L>(&mut self, latency: L)
+    where
+        L: Fn(usize, usize, u64, u64, u32) -> u64,
+    {
+        let Some(policy) = self.reliable else {
+            return;
+        };
         let round = self.round;
         let seed = self.seed;
         let max_extra = self.max_extra_delay;
@@ -1275,7 +1113,11 @@ impl<M: MessageCost> EngineCore<M> {
                 let src = retry.env.src.index();
                 let dst = retry.env.dst.index();
                 let attempt = retry.attempts + 1;
-                let blocked = guards.blocked(src, dst, round, round + 1);
+                let lat = checked_latency(
+                    latency(src, dst, retry.orig_round, retry.orig_seq, attempt),
+                    max_extra,
+                );
+                let blocked = guards.blocked(src, dst, round, round + lat);
                 let (drop_p, coin_cause) = guards.coin(src, dst);
                 let fate = retry_fate(
                     seed,
@@ -1313,122 +1155,18 @@ impl<M: MessageCost> EngineCore<M> {
                     let lane = &mut lanes.nodes[dst];
                     lane.recv_messages += 1;
                     lane.recv_pointers += pointers;
-                    if fate.extra_delay == 0 {
+                    let arrival = round + lat + fate.extra_delay;
+                    if arrival == round + 1 {
                         inboxes[dst].push(retry.env);
                     } else {
                         delayed
-                            .entry(round + 1 + fate.extra_delay)
+                            .entry(arrival)
                             .or_insert_with(|| pool.take())
                             .push(retry.env);
                     }
                 }
             }
         }
-    }
-
-    /// The earliest tick at which a parked retransmission becomes due,
-    /// if any. Timer-driven engines arm a wake-up at this instant and
-    /// drain the queue with [`process_due_retransmissions_timed`] when
-    /// it fires.
-    ///
-    /// [`process_due_retransmissions_timed`]: EngineCore::process_due_retransmissions_timed
-    pub fn next_retransmission_due(&self) -> Option<u64> {
-        self.retransmit_queue.keys().next().copied()
-    }
-
-    /// Makes every retransmission attempt due by the current tick, with
-    /// *caller-supplied delivery latencies* for the attempts that
-    /// succeed — the discrete-event counterpart of the per-round sweep
-    /// inside [`finish_round`](EngineCore::finish_round).
-    ///
-    /// `latency(src, dst, orig_round, orig_seq, attempt)` returns the
-    /// attempt's delivery latency in whole ticks (`>= 1`). Drain order,
-    /// attempt coins ([`retry_fate`] on the same axes), backoff
-    /// re-parking, and all accounting mirror the sweep, so a model that
-    /// always returns 1 is bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if reliable delivery is not enabled or a latency of 0 is
-    /// returned.
-    pub fn process_due_retransmissions_timed<F>(&mut self, mut latency: F)
-    where
-        F: FnMut(usize, usize, u64, u64, u32) -> u64,
-    {
-        let policy = self.reliable.expect("reliable delivery enabled");
-        let round = self.round;
-        let seed = self.seed;
-        let guards = FaultGuards::new(&self.faults);
-        let inboxes = &mut self.inboxes;
-        let delayed = &mut self.delayed;
-        let pool = &mut self.pool;
-        let queue = &mut self.retransmit_queue;
-        let lanes = self.metrics.lanes();
-        while queue.first_key_value().is_some_and(|(&at, _)| at <= round) {
-            let (_, batch) = queue.pop_first().expect("nonempty");
-            for retry in batch {
-                let src = retry.env.src.index();
-                let dst = retry.env.dst.index();
-                let attempt = retry.attempts + 1;
-                let lat = latency(src, dst, retry.orig_round, retry.orig_seq, attempt);
-                assert!(lat >= 1, "a delivery latency of 0 beats causality");
-                let blocked = guards.blocked(src, dst, round, round + lat);
-                let (drop_p, coin_cause) = guards.coin(src, dst);
-                let fate = retry_fate(
-                    seed,
-                    src,
-                    retry.orig_round,
-                    retry.orig_seq,
-                    attempt,
-                    blocked,
-                    drop_p,
-                    coin_cause,
-                    0,
-                );
-                let pointers = retry.env.payload.pointers() as u64;
-                lanes.row.retransmissions += 1;
-                let lane = &mut lanes.nodes[src];
-                lane.sent_messages += 1;
-                lane.sent_pointers += pointers;
-                if let Some(cause) = fate.dropped {
-                    lanes.row.drops.add(cause);
-                    if attempt < policy.max_retries {
-                        queue
-                            .entry(round + policy.delay_after(attempt))
-                            .or_default()
-                            .push(RetryEnvelope {
-                                attempts: attempt,
-                                ..retry
-                            });
-                    }
-                } else {
-                    lanes.row.messages += 1;
-                    lanes.row.pointers += pointers;
-                    let lane = &mut lanes.nodes[dst];
-                    lane.recv_messages += 1;
-                    lane.recv_pointers += pointers;
-                    if lat == 1 {
-                        inboxes[dst].push(retry.env);
-                    } else {
-                        delayed
-                            .entry(round + lat)
-                            .or_insert_with(|| pool.take())
-                            .push(retry.env);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Closes a tick *without* the per-round retransmission sweep:
-    /// advances the clock and nothing else. Timer-driven engines that
-    /// drain retransmissions explicitly (via
-    /// [`process_due_retransmissions_timed`]) call this instead of
-    /// [`finish_round`](EngineCore::finish_round).
-    ///
-    /// [`process_due_retransmissions_timed`]: EngineCore::process_due_retransmissions_timed
-    pub fn finish_tick(&mut self) {
-        self.round += 1;
     }
 }
 
@@ -1483,6 +1221,38 @@ pub fn step_node<N: Node>(
     inbox.clear();
 }
 
+/// The node loop of every engine: steps the contiguous block of nodes
+/// whose first index is `base`, each on its own mailbox, appending
+/// sends to `staged` in `(node, send)` order. A serial engine passes the
+/// whole population; a sharded engine one block per worker.
+/// `on_live(i)` runs for every node that is stepped (the event engine
+/// ticks logical clocks there).
+pub fn step_shard<N: Node>(
+    ctx: StepCtx<'_>,
+    base: usize,
+    nodes: &mut [N],
+    inboxes: &mut [Vec<Envelope<N::Msg>>],
+    staged: &mut Vec<Envelope<N::Msg>>,
+    scratch: &mut Vec<Envelope<N::Msg>>,
+    mut on_live: impl FnMut(usize),
+) {
+    // Hoisted: with no crashes scheduled (the common case) the
+    // per-node map probe below is skipped entirely.
+    let crashes_possible = ctx.faults.has_crashes();
+    for (offset, (node, inbox)) in nodes.iter_mut().zip(inboxes).enumerate() {
+        let i = base + offset;
+        if crashes_possible && ctx.faults.is_crashed_at(i, ctx.round) {
+            // Crashed nodes neither run nor receive; their pending
+            // deliveries are consumed and lost.
+            inbox.clear();
+            continue;
+        }
+        on_live(i);
+        let inbox = take_capped(inbox, scratch, ctx.receive_cap);
+        step_node(node, i, ctx.round, ctx.seed, ctx.suspects, inbox, staged);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1498,6 +1268,12 @@ mod tests {
 
     fn env(src: u32, dst: u32, payload: u32) -> Envelope<u32> {
         Envelope::new(NodeId::new(src), NodeId::new(dst), payload)
+    }
+
+    /// Closes a round the way the round engines do.
+    fn close_round(core: &mut EngineCore<u32>) {
+        core.retransmit_due(unit_latency);
+        core.finish_round();
     }
 
     #[test]
@@ -1554,11 +1330,21 @@ mod tests {
         };
         route_shard(
             params,
+            unit_latency,
             &mut vec![env(0, 5, 1)],
             0,
             &mut [NodeLane::default(), NodeLane::default()],
-            vec![Vec::new()],
+            &mut [Vec::new()],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "supersedes the uniform-jitter knob")]
+    fn a_latency_above_one_tick_refuses_the_jitter_knob() {
+        let mut core: EngineCore<u32> = EngineCore::new(2, 1);
+        core.set_max_extra_delay(2);
+        core.begin_round();
+        core.route_batch_with(&mut vec![env(0, 1, 7)], |_, _, _, _, _| 3);
     }
 
     #[test]
@@ -1691,145 +1477,155 @@ mod tests {
         assert_eq!(min.delay_after(5), 1, "floored at one round");
     }
 
-    #[test]
-    fn batch_and_shard_routing_agree_under_faults_and_delay() {
-        // The serial batch path and the shard/merge path must produce
-        // identical mailboxes, delay queues, metrics, and traces.
-        let staged = || -> Vec<Envelope<u32>> {
-            let mut v = Vec::new();
-            for src in 0..4u32 {
-                for k in 0..5u32 {
-                    v.push(env(src, (src + k + 1) % 6, src * 10 + k));
-                }
+    /// One round of a faulty, traced, causally sampled, reliable run
+    /// routed through `shards` sender shards under `latency` (and
+    /// `jitter` rounds of extra delay): the serial entry point for one
+    /// shard, the shard/merge/apply calls a parallel engine makes for
+    /// more.
+    fn routed_in_shards(
+        shards: usize,
+        jitter: u64,
+        latency: impl Fn(usize, usize, u64, u64, u32) -> u64 + Copy,
+    ) -> EngineCore<u32> {
+        let mut staged: Vec<Envelope<u32>> = Vec::new();
+        for src in 0..6u32 {
+            for k in 0..5u32 {
+                staged.push(env(src, (src + k + 1) % 6, src * 10 + k));
             }
-            v
-        };
-        let plan = || {
+        }
+        let mut core: EngineCore<u32> = EngineCore::new(6, 42);
+        core.set_faults(
             FaultPlan::new()
                 .with_drop_probability(0.3)
-                .with_crashes([5])
-                .with_partition([vec![0, 1, 2], vec![3, 4]], 0, 2)
-        };
-
-        let mut serial: EngineCore<u32> = EngineCore::new(6, 42);
-        serial.set_faults(plan());
-        serial.set_max_extra_delay(2);
-        serial.enable_trace(1 << 10);
-        serial.set_causal(CausalTrace::new(1 << 10, 600_000));
-        serial.set_reliable(RetryPolicy::default());
-        serial.begin_round();
-        serial.route_batch(&mut staged());
-
-        let mut sharded: EngineCore<u32> = EngineCore::new(6, 42);
-        sharded.set_faults(plan());
-        sharded.set_max_extra_delay(2);
-        sharded.enable_trace(1 << 10);
-        sharded.set_causal(CausalTrace::new(1 << 10, 600_000));
-        sharded.set_reliable(RetryPolicy::default());
-        sharded.begin_round();
-        let shard_len = 2;
-        {
-            let parts = sharded.parallel_parts();
-            let params = RouteParams {
-                seed: parts.seed,
-                round: parts.round,
-                faults: parts.faults,
-                max_extra_delay: parts.max_extra_delay,
-                trace_capacity: parts.trace_capacity,
-                causal_ppm: parts.causal_ppm,
-                reliable: parts.reliable,
-                node_count: 6,
-                shard_len,
-            };
-            let all = staged();
-            let mut deltas = Vec::new();
-            for w in 0..3 {
-                // Sender shard w: envelopes whose src is in the shard.
-                let mut mine: Vec<_> = all
-                    .iter()
-                    .filter(|e| e.src.index() / shard_len == w)
-                    .cloned()
-                    .collect();
-                let lo = w * shard_len;
-                let hi = lo + shard_len;
-                deltas.push(route_shard(
-                    params,
-                    &mut mine,
-                    lo,
-                    &mut parts.node_lanes[lo..hi],
-                    (0..3).map(|_| Vec::new()).collect(),
-                ));
-            }
-            let mut delayed_lists: Vec<Vec<(u64, Envelope<u32>)>> =
-                (0..3).map(|_| Vec::new()).collect();
-            for (d, delayed) in delayed_lists.iter_mut().enumerate() {
-                let mut parts_d: Vec<Vec<(u64, Envelope<u32>)>> = deltas
-                    .iter_mut()
-                    .map(|delta| std::mem::take(&mut delta.buckets[d]))
-                    .collect();
-                let lo = d * shard_len;
-                let hi = lo + shard_len;
-                merge_dest_shard(
-                    params.round,
-                    lo,
-                    &mut parts_d,
-                    &mut parts.inboxes[lo..hi],
-                    &mut parts.node_lanes[lo..hi],
-                    delayed,
-                );
-            }
-            sharded.apply_route_deltas(&mut deltas, &mut delayed_lists);
+                .with_crash_at(5, 2)
+                .with_partition([vec![0, 1, 2], vec![3, 4]], 0, 2),
+        );
+        core.set_max_extra_delay(jitter);
+        core.enable_trace(1 << 10);
+        core.set_causal(CausalTrace::new(1 << 10, 600_000));
+        core.set_reliable(RetryPolicy::default());
+        core.begin_round();
+        if shards == 1 {
+            core.route_batch_with(&mut staged, latency);
+            return core;
         }
-
-        assert_eq!(serial.metrics(), sharded.metrics());
-        assert!(serial.metrics().drop_tally().partition > 0);
-        assert_eq!(
-            serial.trace().unwrap().events(),
-            sharded.trace().unwrap().events()
-        );
-        // The provenance DAG (edges, roots, and every counter) folds to
-        // the exact serial result, sampling included.
-        assert_eq!(serial.causal(), sharded.causal());
-        assert!(!serial.causal().unwrap().is_empty());
-        assert!(serial.causal().unwrap().sampled_out() > 0);
-        // Every drop was parked for retransmission, in the same order.
-        assert_eq!(serial.retransmit_queue, sharded.retransmit_queue);
-        assert_eq!(
-            serial
-                .retransmit_queue
-                .values()
-                .map(Vec::len)
-                .sum::<usize>() as u64,
-            serial.metrics().total_dropped()
-        );
-        // Mailbox contents agree exactly.
-        for i in 0..6 {
-            assert_eq!(
-                serial.step_state().inboxes[i],
-                sharded.step_state().inboxes[i],
-                "mailbox {i} diverged"
+        let shard_len = 6 / shards;
+        let parts = core.route_parts(shard_len);
+        let mut deltas = Vec::new();
+        let mut bucket_sets: Vec<Vec<Routed<u32>>> = Vec::new();
+        for w in 0..shards {
+            // Sender shard w: envelopes whose src is in the shard.
+            let mut mine: Vec<_> = staged
+                .iter()
+                .filter(|e| e.src.index() / shard_len == w)
+                .cloned()
+                .collect();
+            let (lo, hi) = (w * shard_len, (w + 1) * shard_len);
+            let mut buckets = vec![Vec::new(); shards];
+            deltas.push(route_shard(
+                parts.params,
+                latency,
+                &mut mine,
+                lo,
+                &mut parts.node_lanes[lo..hi],
+                &mut buckets,
+            ));
+            bucket_sets.push(buckets);
+        }
+        let mut delayed_lists: Vec<Routed<u32>> = vec![Vec::new(); shards];
+        for (d, delayed) in delayed_lists.iter_mut().enumerate() {
+            let mut parts_d: Vec<Routed<u32>> = bucket_sets
+                .iter_mut()
+                .map(|set| std::mem::take(&mut set[d]))
+                .collect();
+            let (lo, hi) = (d * shard_len, (d + 1) * shard_len);
+            merge_dest_shard(
+                parts.params.round,
+                lo,
+                &mut parts_d,
+                &mut parts.inboxes[lo..hi],
+                &mut parts.node_lanes[lo..hi],
+                delayed,
             );
         }
-        // Delay queues agree on arrival rounds and, per destination, on
-        // the exact delivery sequence. (Cross-destination interleaving
-        // inside a batch is unobservable: `begin_round` splits every
-        // batch into per-node mailboxes.)
-        let keys = |c: &EngineCore<u32>| c.delayed.keys().copied().collect::<Vec<_>>();
-        assert_eq!(keys(&serial), keys(&sharded));
-        for (at, batch) in &serial.delayed {
-            let other = &sharded.delayed[at];
-            for dst in 0..6u32 {
-                let per_dst = |b: &[Envelope<u32>]| {
-                    b.iter()
-                        .filter(|e| e.dst == NodeId::new(dst))
-                        .map(|e| e.payload)
-                        .collect::<Vec<_>>()
-                };
+        core.apply_route_deltas(&mut deltas, &mut delayed_lists);
+        core
+    }
+
+    #[test]
+    fn batch_and_shard_routing_agree_under_faults_and_delay() {
+        // The kernel is one function of (seed, src, round, sequence,
+        // latency): however the senders are sharded, mailboxes, delay
+        // queue, metrics, trace, causal edges and parked retries agree —
+        // under unit latency with jitter, under directional latency, and
+        // under a seeded per-message latency.
+        fn asym(src: usize, dst: usize, _: u64, _: u64, _: u32) -> u64 {
+            if src < dst {
+                1
+            } else {
+                3
+            }
+        }
+        fn seeded(src: usize, dst: usize, round: u64, sequence: u64, _: u32) -> u64 {
+            1 + rng::derive_seed(7, (src * 8 + dst) as u64, sequence, round) % 5
+        }
+        type Latency = fn(usize, usize, u64, u64, u32) -> u64;
+        let axes: [(&str, u64, Latency); 3] = [
+            ("unit", 2, unit_latency),
+            ("asym", 0, asym),
+            ("seeded", 0, seeded),
+        ];
+        for (name, jitter, latency) in axes {
+            let mut serial = routed_in_shards(1, jitter, latency);
+            assert!(serial.metrics().drop_tally().partition > 0);
+            assert!(serial.metrics().drop_tally().coin > 0);
+            assert!(!serial.causal().unwrap().is_empty());
+            assert!(serial.causal().unwrap().sampled_out() > 0);
+            assert!(!serial.delayed.is_empty(), "{name}: nothing was delayed");
+            // Every drop was parked for retransmission.
+            let parked: usize = serial.retransmit_queue.values().map(Vec::len).sum();
+            assert_eq!(parked as u64, serial.metrics().total_dropped());
+            for shards in [2, 3] {
+                let mut sharded = routed_in_shards(shards, jitter, latency);
+                let at = format!("{name}, {shards} shards");
+                assert_eq!(serial.metrics(), sharded.metrics(), "{at}");
                 assert_eq!(
-                    per_dst(batch),
-                    per_dst(other),
-                    "delayed to {dst} at {at} diverged"
+                    serial.trace().unwrap().events(),
+                    sharded.trace().unwrap().events(),
+                    "{at}"
                 );
+                // The provenance DAG (edges, roots, and every counter)
+                // folds to the same result, sampling included.
+                assert_eq!(serial.causal(), sharded.causal(), "{at}");
+                assert_eq!(serial.retransmit_queue, sharded.retransmit_queue, "{at}");
+                assert_eq!(
+                    serial.step_state().inboxes,
+                    sharded.step_state().inboxes,
+                    "{at}"
+                );
+                // Delay queues agree on arrival rounds and, per
+                // destination, on the exact delivery sequence.
+                // (Cross-destination interleaving inside a batch is
+                // unobservable: `begin_round` splits every batch into
+                // per-node mailboxes.)
+                let keys = |c: &EngineCore<u32>| c.delayed.keys().copied().collect::<Vec<_>>();
+                assert_eq!(keys(&serial), keys(&sharded), "{at}");
+                for (arrival, batch) in &serial.delayed {
+                    let other = &sharded.delayed[arrival];
+                    for dst in 0..6u32 {
+                        let per_dst = |b: &[Envelope<u32>]| {
+                            b.iter()
+                                .filter(|e| e.dst == NodeId::new(dst))
+                                .map(|e| e.payload)
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(
+                            per_dst(batch),
+                            per_dst(other),
+                            "{at}: delayed to {dst} at {arrival}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1958,11 +1754,11 @@ mod tests {
         });
         core.begin_round();
         core.route_batch(&mut vec![env(0, 1, 99)]);
-        core.finish_round();
+        close_round(&mut core);
         for _ in 0..5 {
             core.begin_round();
             core.route_batch(&mut Vec::new());
-            core.finish_round();
+            close_round(&mut core);
         }
         let delivered = core.step_state().inboxes[1].iter().any(|e| e.payload == 99);
         assert!(delivered, "retransmission never landed");
@@ -1990,11 +1786,11 @@ mod tests {
         });
         core.begin_round();
         core.route_batch(&mut vec![env(0, 1, 99)]);
-        core.finish_round();
+        close_round(&mut core);
         for _ in 0..8 {
             core.begin_round();
             core.route_batch(&mut Vec::new());
-            core.finish_round();
+            close_round(&mut core);
         }
         assert!(core.step_state().inboxes[1].is_empty());
         assert!(core.retransmit_queue.is_empty(), "budget exhausted");
@@ -2013,11 +1809,11 @@ mod tests {
         });
         core.begin_round();
         core.route_batch(&mut vec![env(0, 2, 55)]);
-        core.finish_round();
+        close_round(&mut core);
         for _ in 0..4 {
             core.begin_round();
             core.route_batch(&mut Vec::new());
-            core.finish_round();
+            close_round(&mut core);
         }
         // Dropped at round 0 (partition), retried at round 2 (healed).
         assert!(core.step_state().inboxes[2].iter().any(|e| e.payload == 55));

@@ -35,6 +35,30 @@ impl NodeId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// Words in the bitmap of `ids`: it ends at the word of the largest
+    /// id, and is empty for no ids.
+    pub fn bitmap_words(ids: &[NodeId]) -> usize {
+        ids.iter()
+            .map(|id| id.index())
+            .max()
+            .map_or(0, |top| top / 64 + 1)
+    }
+
+    /// `ids` as a bitmap of `words` words: id `i` is bit `i % 64` of
+    /// word `i / 64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is less than [`bitmap_words`](Self::bitmap_words)
+    /// of `ids`.
+    pub fn bitmap(ids: &[NodeId], words: usize) -> Vec<u64> {
+        let mut bitmap = vec![0u64; words];
+        for id in ids {
+            bitmap[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        bitmap
+    }
 }
 
 impl From<u32> for NodeId {

@@ -23,7 +23,7 @@
 //! # Example: a two-node ping-pong protocol
 //!
 //! ```
-//! use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext};
+//! use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext, RoundEngine};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping;
@@ -73,10 +73,10 @@ pub mod pool;
 pub mod rng;
 pub mod trace;
 
-pub use engine::{Engine, RoundEngine, RunOutcome};
+pub use engine::{timed_phase, Engine, RoundEngine, RoundShell, RunOutcome};
 pub use engine_core::{
-    retry_fate, route_fate, step_node, take_capped, EngineCore, FaultGuards, RetryPolicy,
-    RouteFate, StepState,
+    retry_fate, route_fate, step_node, step_shard, take_capped, unit_latency, EngineCore,
+    FaultGuards, RetryPolicy, RouteFate, StepCtx, StepState,
 };
 pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec};
 pub use id::NodeId;

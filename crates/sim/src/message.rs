@@ -170,15 +170,9 @@ impl PointerList {
             return None;
         };
         let bitmap = shared.bitmap.get_or_init(|| {
-            let max = shared.ids.iter().map(|id| id.index()).max()?;
-            if !worth_a_bitmap(shared.ids.len(), max / 64 + 1) {
-                return None;
-            }
-            let mut words = vec![0u64; max / 64 + 1];
-            for id in shared.ids.iter() {
-                words[id.index() / 64] |= 1 << (id.index() % 64);
-            }
-            Some(words.into())
+            let words = NodeId::bitmap_words(&shared.ids);
+            (words > 0 && worth_a_bitmap(shared.ids.len(), words))
+                .then(|| NodeId::bitmap(&shared.ids, words).into())
         });
         bitmap.as_deref()
     }

@@ -50,11 +50,7 @@ pub struct SuspectView {
 impl SuspectView {
     /// The view of a report that lists `list`, in that order.
     pub fn new(list: Vec<NodeId>) -> Self {
-        let top = list.iter().map(|id| id.index()).max();
-        let mut words = vec![0u64; top.map_or(0, |top| top / 64 + 1)];
-        for id in &list {
-            words[id.index() / 64] |= 1 << (id.index() % 64);
-        }
+        let words = NodeId::bitmap(&list, NodeId::bitmap_words(&list));
         SuspectView { list, words }
     }
 

@@ -113,26 +113,7 @@ pub fn prov_sample(run_seed: u64, src: usize, round: u64, sequence: u64, sample_
     if sample_ppm >= 1_000_000 {
         return true;
     }
-    prov_sample_from(prov_base(run_seed, src, round), sequence, sample_ppm)
-}
-
-/// The `(run seed, src, round)`-dependent half of the provenance coin.
-/// Routing loops receive messages grouped by source, so they hoist this
-/// and flip the per-message half with [`prov_sample_from`].
-#[inline]
-pub fn prov_base(run_seed: u64, src: usize, round: u64) -> u64 {
-    derive_seed(run_seed, 0x7072_6f76, src as u64, round)
-}
-
-/// The per-message provenance coin given a hoisted [`prov_base`].
-/// `prov_sample_from(prov_base(seed, src, round), seq, ppm)` is
-/// identical to `prov_sample(seed, src, round, seq, ppm)` by
-/// construction.
-#[inline]
-pub fn prov_sample_from(base: u64, sequence: u64, sample_ppm: u32) -> bool {
-    if sample_ppm >= 1_000_000 {
-        return true;
-    }
+    let base = derive_seed(run_seed, 0x7072_6f76, src as u64, round);
     let coin = split_mix64(base ^ split_mix64(sequence.wrapping_mul(0xd6e8_feb8_6659_fd93)));
     coin % 1_000_000 < sample_ppm as u64
 }

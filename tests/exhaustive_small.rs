@@ -16,7 +16,7 @@ use resource_discovery::core::algorithms::{
 use resource_discovery::core::problem;
 use resource_discovery::core::runner::RunReport;
 use resource_discovery::graphs::{connectivity, DiGraph};
-use resource_discovery::sim::{Engine, NodeId};
+use resource_discovery::sim::{Engine, NodeId, RoundEngine};
 
 /// All ordered node pairs `(u, v)`, `u != v`, for `n` nodes.
 fn pairs(n: usize) -> Vec<(usize, usize)> {

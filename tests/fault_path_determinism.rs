@@ -4,6 +4,13 @@
 //! were recorded when every node kept a private copy of the report and
 //! compared lists; how a node digests the detector's view must not move
 //! one of them, on any engine.
+//!
+//! The second table pins the same campaigns under non-unit latency
+//! (`event:uniform:1:6`, `event:asym:1:3`), recorded while the event
+//! engine still had a routing loop and a retransmission sweep of its
+//! own: the one kernel must reproduce them from a latency function.
+//! `lognormal` is left out because its draws go through floating point
+//! (DESIGN §2.3).
 
 use resource_discovery::prelude::*;
 use resource_discovery::scenarios;
@@ -52,5 +59,146 @@ fn digesting_the_detector_moves_no_count_on_any_engine() {
                 engine.name()
             );
         }
+    }
+}
+
+#[test]
+fn one_routing_kernel_moves_no_count_under_non_unit_latency() {
+    let uniform = LatencyModel::Uniform { min: 1, max: 6 };
+    let asym = LatencyModel::Asymmetric {
+        forward: 1,
+        backward: 3,
+    };
+    // (rounds, messages, pointers, retransmissions, drops.total())
+    let recorded = [
+        (
+            uniform,
+            "continuous-churn",
+            1,
+            (290, 23_032, 356_251, 6_943, 7_747),
+        ),
+        (
+            uniform,
+            "continuous-churn",
+            7,
+            (290, 21_099, 344_425, 7_253, 8_136),
+        ),
+        (
+            uniform,
+            "continuous-churn",
+            42,
+            (296, 22_342, 366_388, 6_759, 7_610),
+        ),
+        (
+            uniform,
+            "crash-storm-recovery",
+            1,
+            (68, 13_598, 208_616, 196, 217),
+        ),
+        (
+            uniform,
+            "crash-storm-recovery",
+            7,
+            (68, 14_003, 208_243, 207, 229),
+        ),
+        (
+            uniform,
+            "crash-storm-recovery",
+            42,
+            (68, 13_818, 210_371, 222, 250),
+        ),
+        (
+            uniform,
+            "partition-heal",
+            1,
+            (74, 19_496, 228_067, 1_839, 1_839),
+        ),
+        (
+            uniform,
+            "partition-heal",
+            7,
+            (74, 20_075, 228_232, 1_861, 1_861),
+        ),
+        (
+            uniform,
+            "partition-heal",
+            42,
+            (74, 19_841, 226_382, 1_814, 1_814),
+        ),
+        (
+            asym,
+            "continuous-churn",
+            1,
+            (275, 18_622, 165_512, 7_324, 8_148),
+        ),
+        (
+            asym,
+            "continuous-churn",
+            7,
+            (275, 18_321, 160_712, 7_745, 8_708),
+        ),
+        (
+            asym,
+            "continuous-churn",
+            42,
+            (275, 18_414, 164_032, 7_157, 8_060),
+        ),
+        (
+            asym,
+            "crash-storm-recovery",
+            1,
+            (59, 11_261, 82_817, 228, 253),
+        ),
+        (
+            asym,
+            "crash-storm-recovery",
+            7,
+            (59, 10_779, 81_693, 243, 273),
+        ),
+        (
+            asym,
+            "crash-storm-recovery",
+            42,
+            (59, 10_969, 83_210, 248, 280),
+        ),
+        (
+            asym,
+            "partition-heal",
+            1,
+            (53, 16_017, 92_148, 2_094, 2_094),
+        ),
+        (
+            asym,
+            "partition-heal",
+            7,
+            (53, 15_897, 91_554, 2_050, 2_050),
+        ),
+        (
+            asym,
+            "partition-heal",
+            42,
+            (53, 16_072, 93_445, 1_968, 1_968),
+        ),
+    ];
+    for (latency, name, seed, expected) in recorded {
+        let mut scenario = scenarios::select(N, seed, &[name.to_string()])
+            .expect("a library campaign")
+            .remove(0);
+        scenario.engine = EngineKind::Event { latency };
+        let kind = scenario.algorithms[0];
+        let report = run(kind, &scenario.run_config(None, &kind));
+        assert!(report.completed && report.sound, "{report:?}");
+        assert_eq!(
+            (
+                report.rounds,
+                report.messages,
+                report.pointers,
+                report.retransmissions,
+                report.drops.total()
+            ),
+            expected,
+            "{name} seed {seed} on {}",
+            scenario.engine.name()
+        );
     }
 }
