@@ -3,7 +3,7 @@
 //! Statistics, scaling-model fitting, table rendering, and the
 //! experiment sweep driver for the resource-discovery reproduction.
 //!
-//! The benchmark harness (`rd-bench`) uses this crate to turn raw
+//! The `figures` harness (`rd-bench`) uses this crate to turn raw
 //! [`RunReport`](rd_core::RunReport)s into the tables and figure series
 //! listed in `DESIGN.md` §4:
 //!

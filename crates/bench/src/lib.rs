@@ -1,5 +1,5 @@
-//! Benchmark harness: regenerates every table and figure of the
-//! evaluation defined in `DESIGN.md` §4.
+//! The `figures` table generator: regenerates every table and figure of
+//! the evaluation defined in `DESIGN.md` §4.
 //!
 //! Each experiment lives in its own module under [`experiments`] and
 //! returns renderable [`Table`](rd_analysis::Table)s plus the raw data,
@@ -11,11 +11,11 @@
 //! cargo run --release -p rd-bench --bin figures -- --quick t1 f1
 //! ```
 //!
-//! Criterion wall-clock micro-benchmarks of the simulator and protocols
-//! live in `benches/`.
+//! Wall-clock performance is not measured here: the repository's one
+//! perf reference is the standalone `benchmark/` package declared by
+//! `BENCHMARK.json`.
 
 pub mod experiments;
 pub mod profile;
-pub mod workload;
 
 pub use profile::Profile;

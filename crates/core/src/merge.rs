@@ -1,13 +1,14 @@
-//! Sorted-set merge kernels for the gossip hot path.
+//! Sorted-set merge kernels for capped sorted id vectors.
 //!
-//! The bench gossip workload (and any protocol that keeps its knowledge
-//! as a **sorted, deduplicated** id vector) spends the bulk of each
-//! round folding incoming batches into local state. Re-sorting the
+//! A protocol that keeps its knowledge as a **sorted, deduplicated** id
+//! vector spends the bulk of each round folding incoming batches into
+//! local state (the synthetic bounded-gossip workload these kernels
+//! were written for was retired with the old bench stack; no protocol
+//! in the workspace calls them today). Re-sorting the
 //! concatenation is Θ((k+m)·log(k+m)) per round and was measured at
 //! ~3 µs/node at n=2^16; the two-pointer merge here is Θ(k+m) with a
 //! memcmp-only fast path for the common converged case, measured at
-//! ~0.6 µs/node on the same workload — the single largest win of the
-//! hot-path overhaul.
+//! ~0.6 µs/node on that workload.
 //!
 //! Correctness note for capped knowledge: iterating capped 2-way merges
 //! over a sequence of batches yields exactly the same result as the
@@ -15,8 +16,7 @@
 //! because both compute the smallest `cap` elements of the union — the
 //! intermediate truncation can only drop elements that are larger than
 //! `cap` smaller ones, which the global form would drop too. This
-//! equivalence is property-tested below and pinned end-to-end by the
-//! workload state digest in `rd-bench`'s `profile` binary.
+//! equivalence is property-tested below.
 
 use rd_sim::NodeId;
 

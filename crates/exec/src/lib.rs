@@ -231,9 +231,6 @@ where
 /// for every shard count; the staged buffers are drained and left empty
 /// for reuse.
 ///
-/// Public so the routing micro-benchmark can drive the exact pipeline
-/// the engine uses.
-///
 /// When a [`Recorder`] is passed, every route worker and merge job
 /// records a [`Phase::RouteShard`] / [`Phase::MergeDestShard`] span on
 /// its shard's lane, and the serial delta fold is timed as
@@ -242,7 +239,7 @@ where
 /// # Panics
 ///
 /// Panics if any envelope addresses a node that does not exist.
-pub fn route_staged<M: MessageCost + Send>(
+fn route_staged<M: MessageCost + Send>(
     core: &mut EngineCore<M>,
     staged_shards: &mut [Vec<Envelope<M>>],
     shard_len: usize,

@@ -1,5 +1,5 @@
 //! rd-inspect: summarize, diff, validate, and explain JSONL run
-//! archives, and gate benchmark summaries.
+//! archives, and watch a live run.
 //!
 //! ```text
 //! rd-inspect summarize [--strict] <archive.jsonl>
@@ -9,19 +9,16 @@
 //! rd-inspect flame <archive.jsonl>
 //! rd-inspect why <archive.jsonl>
 //! rd-inspect path <archive.jsonl> --from <id> --to <node>
-//! rd-inspect bench-diff <old.json> <new.json> [--fail-above PCT] [--warn-above PCT]
 //! rd-inspect watch <addr> [--once] [--interval-ms N]
 //! ```
 //!
 //! Exit codes: 0 on success, 1 when validation finds problems, a file
 //! fails to parse, `summarize --strict` sees a truncated trace or a
-//! profile section whose attribution coverage is below 90%, `profile`/
-//! `flame` run against an un-profiled archive, or `bench-diff` finds a
-//! regression above the failure threshold or a measurement below a
-//! pinned target floor from the committed baseline's `"targets"`
-//! section; 2 on usage errors.
+//! profile section whose attribution coverage is below 90%, or
+//! `profile`/`flame` run against an un-profiled archive; 2 on usage
+//! errors.
 
-use rd_obs::{archive, bench_diff, critical_path, inspect, watch};
+use rd_obs::{archive, critical_path, inspect, watch};
 use std::process::ExitCode;
 
 /// `--strict` fails profiled archives whose phase spans explain less
@@ -30,7 +27,7 @@ const MIN_COVERAGE_PCT: f64 = 90.0;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rd-inspect summarize [--strict] <archive.jsonl>\n  rd-inspect diff <a.jsonl> <b.jsonl>\n  rd-inspect validate <archive.jsonl>...\n  rd-inspect profile <archive.jsonl>\n  rd-inspect flame <archive.jsonl>\n  rd-inspect why <archive.jsonl>\n  rd-inspect path <archive.jsonl> --from <id> --to <node>\n  rd-inspect bench-diff <old.json> <new.json> [--fail-above PCT] [--warn-above PCT]\n  rd-inspect watch <addr> [--once] [--interval-ms N]"
+        "usage:\n  rd-inspect summarize [--strict] <archive.jsonl>\n  rd-inspect diff <a.jsonl> <b.jsonl>\n  rd-inspect validate <archive.jsonl>...\n  rd-inspect profile <archive.jsonl>\n  rd-inspect flame <archive.jsonl>\n  rd-inspect why <archive.jsonl>\n  rd-inspect path <archive.jsonl> --from <id> --to <node>\n  rd-inspect watch <addr> [--once] [--interval-ms N]"
     );
     ExitCode::from(2)
 }
@@ -47,19 +44,6 @@ fn parse(path: &str) -> Result<archive::Archive, ExitCode> {
         eprintln!("rd-inspect: {path}: {e}");
         ExitCode::from(1)
     })
-}
-
-fn parse_pct(args: &[String], flag: &str, default: f64) -> Result<f64, ExitCode> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(default),
-        Some(i) => match args.get(i + 1).map(|v| v.parse::<f64>()) {
-            Some(Ok(pct)) if pct >= 0.0 => Ok(pct),
-            _ => {
-                eprintln!("rd-inspect: {flag} needs a non-negative percentage");
-                Err(ExitCode::from(2))
-            }
-        },
-    }
 }
 
 fn main() -> ExitCode {
@@ -207,50 +191,6 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 Err(code) => code,
-            }
-        }
-        Some("bench-diff") => {
-            let rest = &args[1..];
-            let [old_path, new_path] = &rest[..2.min(rest.len())] else {
-                return usage();
-            };
-            let warn_above = match parse_pct(rest, "--warn-above", 5.0) {
-                Ok(p) => p,
-                Err(code) => return code,
-            };
-            let fail_above = match parse_pct(rest, "--fail-above", 15.0) {
-                Ok(p) => p,
-                Err(code) => return code,
-            };
-            // The committed (old) summary may carry pinned-floor target
-            // rows; they gate the new measurements in absolute terms.
-            let load = |path: &str| -> Result<
-                (Vec<bench_diff::BenchRow>, Vec<bench_diff::BenchTarget>),
-                ExitCode,
-            > {
-                let text = read(path)?;
-                let report = |e: String| {
-                    eprintln!("rd-inspect: {path}: {e}");
-                    ExitCode::from(1)
-                };
-                Ok((
-                    bench_diff::parse_bench(&text).map_err(report)?,
-                    bench_diff::parse_targets(&text).map_err(report)?,
-                ))
-            };
-            match (load(old_path), load(new_path)) {
-                (Ok((old, targets)), Ok((new, _))) => {
-                    let diff = bench_diff::compare_with_targets(
-                        &old, &new, &targets, warn_above, fail_above,
-                    );
-                    print!("{}", diff.render(true));
-                    if diff.failures() > 0 {
-                        ExitCode::from(1)
-                    } else {
-                        ExitCode::SUCCESS
-                    }
-                }
-                (Err(code), _) | (_, Err(code)) => code,
             }
         }
         Some("watch") => {

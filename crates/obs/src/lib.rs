@@ -28,9 +28,7 @@
 //! the determinism boundary, the driver attaches it to the recorder,
 //! and the archive exports it as a schema-v2 section.
 //! [`critical_path`] turns the DAG into the `rd-inspect why`/`path`
-//! narratives; [`bench_diff`] gives `rd-inspect bench-diff` its
-//! machine-readable perf-regression verdicts.
-
+//! narratives.
 //!
 //! Profiling ([`prof`]) layers cost attribution on the same spans:
 //! enabling [`Recorder::with_profiling`] yields a [`ProfileReport`]
@@ -49,7 +47,6 @@
 //! contract above is untouched.
 
 pub mod archive;
-pub mod bench_diff;
 pub mod critical_path;
 pub mod hist;
 pub mod http;

@@ -165,8 +165,7 @@ impl std::fmt::Debug for Recorder {
 impl Recorder {
     /// A recorder with no sinks: telemetry is still aggregated and the
     /// [`ObsReport`] still comes back from [`finish`](Self::finish),
-    /// there is just no file export. This is the configuration the
-    /// overhead benchmarks measure.
+    /// there is just no file export.
     pub fn new(meta: RunMeta) -> Self {
         let lanes = meta.workers.max(1);
         Recorder {

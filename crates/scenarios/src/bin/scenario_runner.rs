@@ -1,17 +1,15 @@
 //! Executes the declarative fault-campaign matrix and gates each run.
 //!
 //! ```text
-//! scenario_runner --all [--log2-n K] [--seed S] [--obs DIR]
-//!                 [--bench PATH] [--tighten F]
+//! scenario_runner --all [--log2-n K] [--seed S] [--obs DIR] [--tighten F]
 //!                 [--live[=ADDR]] [--alerts-fatal] [--alert-stall-window R]
 //! scenario_runner <name>... [same flags]
 //! scenario_runner --list
 //! ```
 //!
 //! The pass/fail report on stdout is deterministic for a given
-//! `(scenarios, n, seed)` — wall-clock timing goes only to the
-//! `--bench` summary (the `BENCH_faults.json` side of the `rd-inspect
-//! bench-diff` gate) and to stderr. Exits nonzero when any gate fails.
+//! `(scenarios, n, seed)` — wall-clock timing goes only to stderr.
+//! Exits nonzero when any gate fails.
 //!
 //! `--live` serves each run's `/metrics`, `/status`, and `/healthz` on
 //! a loopback listener and arms the default online monitors;
@@ -21,7 +19,7 @@
 //! archive either way).
 
 use rd_core::runner::{AlertLog, AlertRule, LiveSpec};
-use rd_scenarios::{library, render_bench, render_report, select, Scenario, ScenarioOutcome};
+use rd_scenarios::{library, render_report, select, Scenario, ScenarioOutcome};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -32,7 +30,6 @@ struct Options {
     log2_n: u32,
     seed: u64,
     obs: Option<PathBuf>,
-    bench: Option<PathBuf>,
     tighten: Option<f64>,
     /// `Some(None)` = `--live` on an ephemeral port, `Some(Some(a))` =
     /// `--live=a`.
@@ -49,7 +46,6 @@ fn parse_args() -> Result<Options, String> {
         log2_n: 10,
         seed: 42,
         obs: None,
-        bench: None,
         tighten: None,
         live: None,
         alerts_fatal: false,
@@ -72,7 +68,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--obs" => opts.obs = Some(PathBuf::from(value("--obs")?)),
-            "--bench" => opts.bench = Some(PathBuf::from(value("--bench")?)),
             "--live" => opts.live = Some(None),
             "--alerts-fatal" => opts.alerts_fatal = true,
             "--alert-stall-window" => {
@@ -96,7 +91,7 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: scenario_runner (--all | --list | <name>...) \
-                     [--log2-n K] [--seed S] [--obs DIR] [--bench PATH] [--tighten F] \
+                     [--log2-n K] [--seed S] [--obs DIR] [--tighten F] \
                      [--live[=ADDR]] [--alerts-fatal] [--alert-stall-window R]"
                 );
                 std::process::exit(0);
@@ -155,7 +150,6 @@ fn main() {
     }
 
     let mut outcomes: Vec<ScenarioOutcome> = Vec::new();
-    let mut walls: Vec<f64> = Vec::new();
     let mut alerts_fired: usize = 0;
     for scenario in &scenarios {
         for kind in &scenario.algorithms {
@@ -203,20 +197,10 @@ fn main() {
                 }
             }
             outcomes.push(report);
-            walls.push(wall);
         }
     }
 
     print!("{}", render_report(&outcomes));
-
-    if let Some(path) = &opts.bench {
-        let text = render_bench(&outcomes, &walls);
-        if let Err(err) = std::fs::write(path, text) {
-            eprintln!("scenario_runner: cannot write {}: {err}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("wrote {}", path.display());
-    }
 
     if opts.alerts_fatal && alerts_fired > 0 {
         eprintln!("scenario_runner: --alerts-fatal: {alerts_fired} alert(s) fired");

@@ -8,9 +8,7 @@
 //! acceptance [`Thresholds`] the run must meet — verdict class, rounds
 //! to converge, message overhead, retransmission overhead. The
 //! [`library`] assembles the standing campaign matrix; `scenario_runner`
-//! executes it, renders a deterministic pass/fail report, and appends
-//! throughput rows in the `BENCH_*.json` schema so the matrix sits
-//! under the `rd-inspect bench-diff` gate.
+//! executes it and renders a deterministic pass/fail report.
 //!
 //! Scenarios are *instantiated* for a concrete `(n, seed)`: fault
 //! campaigns that depend on the generated knowledge graph (the
@@ -96,7 +94,7 @@ impl Thresholds {
 /// gates, instantiated for a concrete `(n, seed)`.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Stable campaign name (also the bench-row key).
+    /// Stable campaign name.
     pub name: &'static str,
     /// One-line description for `--list` and the report.
     pub summary: &'static str,
@@ -284,8 +282,7 @@ fn verdict_detail(verdict: &RunVerdict) -> String {
 
 /// Renders the deterministic pass/fail report for a batch of gated
 /// runs. Contains no wall-clock measurements, so the same `(scenarios,
-/// n, seed)` renders byte-identically on every host — timing goes to
-/// the bench summary instead.
+/// n, seed)` renders byte-identically on every host.
 pub fn render_report(outcomes: &[ScenarioOutcome]) -> String {
     let mut out = String::new();
     let passed = outcomes.iter().filter(|o| o.passed()).count();
@@ -325,44 +322,6 @@ pub fn render_report(outcomes: &[ScenarioOutcome]) -> String {
         "scenario matrix: {passed}/{} runs passed",
         outcomes.len()
     );
-    out
-}
-
-/// Renders the batch as a `BENCH_*.json` summary (`bench-diff` schema):
-/// one config row per gated run, keyed `scenario:<name>/<algorithm>`,
-/// with the measured wall-clock seconds zipped in from the caller.
-///
-/// The `obs`/`trace` flags are part of the `bench-diff` join key and
-/// report whether the run archived (archives carry full causal traces,
-/// which dominate scenario wall-clock) — a baseline measured without
-/// archiving must never gate an archived run.
-///
-/// # Panics
-///
-/// Panics if `walls` and `outcomes` have different lengths.
-pub fn render_bench(outcomes: &[ScenarioOutcome], walls: &[f64]) -> String {
-    assert_eq!(outcomes.len(), walls.len(), "one wall time per outcome");
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fault-scenarios\",\n  \"configs\": [\n");
-    for (i, (o, wall)) in outcomes.iter().zip(walls).enumerate() {
-        let sep = if i + 1 == outcomes.len() { "" } else { "," };
-        let rps = o.report.rounds as f64 / wall.max(1e-9);
-        let archived = o.archive.is_some();
-        let _ = writeln!(
-            out,
-            "    {{\"n\": {}, \"engine\": \"scenario:{}/{}\", \"obs\": {archived}, \"trace\": {archived}, \"rounds\": {}, \"messages\": {}, \"verdict\": \"{}\", \"passed\": {}, \"best_seconds\": {:.6}, \"rounds_per_sec\": {:.2}}}{sep}",
-            o.report.n,
-            o.scenario,
-            o.algorithm,
-            o.report.rounds,
-            o.report.messages,
-            o.report.verdict.name(),
-            o.passed(),
-            wall,
-            rps,
-        );
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 
@@ -749,22 +708,5 @@ mod tests {
         let b = render_report(&scenario.execute(None));
         assert_eq!(a, b);
         assert!(a.contains("PASS partition-heal/hm"), "{a}");
-    }
-
-    #[test]
-    fn bench_rows_join_on_the_scenario_key() {
-        let lib = library(64, 7);
-        let scenario = lib.iter().find(|s| s.name == "flash-crowd-join").unwrap();
-        let outcomes = scenario.execute(None);
-        let walls = vec![0.25; outcomes.len()];
-        let text = render_bench(&outcomes, &walls);
-        assert!(
-            text.contains("\"engine\": \"scenario:flash-crowd-join/hm\""),
-            "{text}"
-        );
-        assert!(text.contains("\"bench\": \"fault-scenarios\""), "{text}");
-        // No archive was written, and obs/trace are join-key fields, so
-        // the row must say so.
-        assert!(text.contains("\"obs\": false, \"trace\": false"), "{text}");
     }
 }

@@ -1477,29 +1477,39 @@ mod tests {
         assert_eq!(min.delay_after(5), 1, "floored at one round");
     }
 
-    /// One round of a faulty, traced, causally sampled, reliable run
-    /// routed through `shards` sender shards under `latency` (and
-    /// `jitter` rounds of extra delay): the serial entry point for one
-    /// shard, the shard/merge/apply calls a parallel engine makes for
-    /// more.
+    /// Population of [`routed_in_shards`]: divisible by every shard
+    /// count the agreement test uses.
+    const ROUTED_N: u32 = 12;
+
+    /// One round of a traced, causally sampled, reliable run — under
+    /// drops, a crash and a partition when `faulty` — routed through
+    /// `shards` sender shards under `latency` (and `jitter` rounds of
+    /// extra delay): the serial entry point for one shard, the
+    /// shard/merge/apply calls a parallel engine makes for more.
     fn routed_in_shards(
         shards: usize,
+        faulty: bool,
         jitter: u64,
         latency: impl Fn(usize, usize, u64, u64, u32) -> u64 + Copy,
     ) -> EngineCore<u32> {
+        let n = ROUTED_N as usize;
         let mut staged: Vec<Envelope<u32>> = Vec::new();
-        for src in 0..6u32 {
+        for src in 0..ROUTED_N {
             for k in 0..5u32 {
-                staged.push(env(src, (src + k + 1) % 6, src * 10 + k));
+                staged.push(env(src, (src + k + 1) % ROUTED_N, src * 10 + k));
             }
         }
-        let mut core: EngineCore<u32> = EngineCore::new(6, 42);
-        core.set_faults(
-            FaultPlan::new()
-                .with_drop_probability(0.3)
-                .with_crash_at(5, 2)
-                .with_partition([vec![0, 1, 2], vec![3, 4]], 0, 2),
-        );
+        let mut core: EngineCore<u32> = EngineCore::new(n, 42);
+        if faulty {
+            core.set_faults(
+                FaultPlan::new()
+                    .with_drop_probability(0.3)
+                    .with_crash_at(5, 2)
+                    // The low group keeps the wrapped-around senders,
+                    // so some surviving messages travel src > dst.
+                    .with_partition([vec![0, 1, 2, 9, 10, 11], vec![3, 4]], 0, 2),
+            );
+        }
         core.set_max_extra_delay(jitter);
         core.enable_trace(1 << 10);
         core.set_causal(CausalTrace::new(1 << 10, 600_000));
@@ -1509,7 +1519,7 @@ mod tests {
             core.route_batch_with(&mut staged, latency);
             return core;
         }
-        let shard_len = 6 / shards;
+        let shard_len = n / shards;
         let parts = core.route_parts(shard_len);
         let mut deltas = Vec::new();
         let mut bucket_sets: Vec<Vec<Routed<u32>>> = Vec::new();
@@ -1557,8 +1567,9 @@ mod tests {
         // The kernel is one function of (seed, src, round, sequence,
         // latency): however the senders are sharded, mailboxes, delay
         // queue, metrics, trace, causal edges and parked retries agree —
-        // under unit latency with jitter, under directional latency, and
-        // under a seeded per-message latency.
+        // with no fault and no jitter, and with drops, a crash and a
+        // partition under unit latency with jitter, under directional
+        // latency, and under a seeded per-message latency.
         fn asym(src: usize, dst: usize, _: u64, _: u64, _: u32) -> u64 {
             if src < dst {
                 1
@@ -1570,23 +1581,29 @@ mod tests {
             1 + rng::derive_seed(7, (src * 8 + dst) as u64, sequence, round) % 5
         }
         type Latency = fn(usize, usize, u64, u64, u32) -> u64;
-        let axes: [(&str, u64, Latency); 3] = [
-            ("unit", 2, unit_latency),
-            ("asym", 0, asym),
-            ("seeded", 0, seeded),
+        let axes: [(&str, bool, u64, Latency); 4] = [
+            ("fault-free", false, 0, unit_latency),
+            ("unit", true, 2, unit_latency),
+            ("asym", true, 0, asym),
+            ("seeded", true, 0, seeded),
         ];
-        for (name, jitter, latency) in axes {
-            let mut serial = routed_in_shards(1, jitter, latency);
-            assert!(serial.metrics().drop_tally().partition > 0);
-            assert!(serial.metrics().drop_tally().coin > 0);
+        for (name, faulty, jitter, latency) in axes {
+            let mut serial = routed_in_shards(1, faulty, jitter, latency);
             assert!(!serial.causal().unwrap().is_empty());
             assert!(serial.causal().unwrap().sampled_out() > 0);
-            assert!(!serial.delayed.is_empty(), "{name}: nothing was delayed");
+            if faulty {
+                assert!(serial.metrics().drop_tally().partition > 0);
+                assert!(serial.metrics().drop_tally().coin > 0);
+                assert!(!serial.delayed.is_empty(), "{name}: nothing was delayed");
+            } else {
+                assert_eq!(serial.metrics().total_dropped(), 0);
+                assert!(serial.delayed.is_empty(), "{name}: a delivery was delayed");
+            }
             // Every drop was parked for retransmission.
             let parked: usize = serial.retransmit_queue.values().map(Vec::len).sum();
             assert_eq!(parked as u64, serial.metrics().total_dropped());
-            for shards in [2, 3] {
-                let mut sharded = routed_in_shards(shards, jitter, latency);
+            for shards in [2, 3, 4] {
+                let mut sharded = routed_in_shards(shards, faulty, jitter, latency);
                 let at = format!("{name}, {shards} shards");
                 assert_eq!(serial.metrics(), sharded.metrics(), "{at}");
                 assert_eq!(
@@ -1612,7 +1629,7 @@ mod tests {
                 assert_eq!(keys(&serial), keys(&sharded), "{at}");
                 for (arrival, batch) in &serial.delayed {
                     let other = &sharded.delayed[arrival];
-                    for dst in 0..6u32 {
+                    for dst in 0..ROUTED_N {
                         let per_dst = |b: &[Envelope<u32>]| {
                             b.iter()
                                 .filter(|e| e.dst == NodeId::new(dst))

@@ -3,7 +3,7 @@
 //!
 //! Runs a small rounds-vs-n sweep for two algorithms, fits every
 //! candidate scaling law, and draws the curves as a terminal plot —
-//! exactly what the full benchmark harness does, at espresso scale.
+//! exactly what the `figures` harness does, at espresso scale.
 //!
 //! ```text
 //! cargo run --release --example scaling_analysis
@@ -32,8 +32,8 @@
 //! at n = 2¹⁴ (by default) through 1% message drops, a 5% crash wave
 //! with half the casualties recovering, and a mid-run network
 //! partition, with reliable delivery and the convergence watchdog
-//! armed. The fault counters and the retransmission overhead go to
-//! `BENCH_faults.json` at the workspace root:
+//! armed. The fault counters and the retransmission overhead are
+//! printed:
 //!
 //! ```text
 //! cargo run --release --example scaling_analysis -- --churn      # n = 2^14
@@ -348,30 +348,6 @@ fn churn_run(log2_n: u32, workers: usize, obs_path: Option<&Path>, live: Option<
     );
     println!("  retractions       {}", report.detector_retractions);
     println!("  sound             {}", report.sound);
-
-    // The fresh-side half of the `rd-inspect bench-diff` gate: the same
-    // `{bench, configs}` schema `scenario_runner --bench` emits and the
-    // committed `BENCH_faults.json` baseline is written in. The engine
-    // key embeds the worker count, so the row only joins against a
-    // baseline measured at the same parallelism.
-    let wall = elapsed.as_secs_f64();
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"fault-scenarios\",\n  \"configs\": [\n");
-    json.push_str(&format!(
-        "    {{\"n\": {n}, \"engine\": \"churn-demo:sharded:{workers}\", \"obs\": {}, \"trace\": false, \
-         \"rounds\": {}, \"messages\": {}, \"verdict\": \"{}\", \"retransmission_overhead\": {overhead:.6}, \
-         \"best_seconds\": {:.6}, \"rounds_per_sec\": {:.2}}}\n",
-        obs_path.is_some(),
-        report.rounds,
-        report.messages,
-        report.verdict.name(),
-        wall,
-        report.rounds as f64 / wall.max(1e-9),
-    ));
-    json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_faults.fresh.json");
-    std::fs::write(path, &json).expect("write BENCH_faults.fresh.json");
-    println!("\nwrote {path} (diff against BENCH_faults.json with rd-inspect bench-diff)");
 }
 
 fn main() {
