@@ -858,24 +858,23 @@ mod tests {
         }
     }
 
-    /// Node 1 sends node 0 a roster naming nodes 1 and 2 and both then
-    /// crash, as a deposed leader's last broadcast reaches a node that
-    /// has failed over to leading itself. Returns, per round, whether
-    /// node 0 is quiescent, what it knows, and whether its knowledge
-    /// was still holding the roster by reference.
+    /// Node 1 sends node 0 a roster naming nodes 1 to 5 and all five
+    /// then crash, as a deposed leader's last broadcast reaches a node
+    /// that has failed over to leading itself. Returns, per round,
+    /// whether node 0 is quiescent, what it knows, and whether its
+    /// knowledge was still holding the roster by reference.
     fn leader_receiving_a_stale_roster(roster: PointerList) -> Vec<(bool, Vec<NodeId>, bool)> {
-        let actors = vec![
+        let mut actors = vec![
             Actor::Hm(Box::new(HmNode::new(
                 NodeId::new(0),
                 &[],
                 HmConfig::default(),
             ))),
             Actor::Sends(Some(HmMsg::Roster { ids: roster })),
-            Actor::Sends(None),
         ];
-        let faults = FaultPlan::new()
-            .with_crash_at(1, 1)
-            .with_crash_at(2, 1)
+        actors.extend((2..=5).map(|_| Actor::Sends(None)));
+        let faults = (1..=5)
+            .fold(FaultPlan::new(), |plan, node| plan.with_crash_at(node, 1))
             .with_crash_detection_after(1);
         let mut engine = Engine::new(actors, 5).with_faults(faults);
         (0..PHASES)
@@ -897,7 +896,9 @@ mod tests {
 
     #[test]
     fn a_leader_holding_a_stale_roster_by_reference_still_answers_quiescence() {
-        let ids: Vec<NodeId> = [2, 1, 2, 1, 2].map(NodeId::new).to_vec();
+        // Five ids, each once: past the inline size, so the list is
+        // shared, and distinct, so it offers the bitmap adoption needs.
+        let ids: Vec<NodeId> = [2, 1, 3, 4, 5].map(NodeId::new).to_vec();
         let adopted = leader_receiving_a_stale_roster(PointerList::shared(&ids));
         let merged = leader_receiving_a_stale_roster(PointerList::from(ids));
         // Round 1 delivers the roster, and nothing before the next
@@ -914,9 +915,9 @@ mod tests {
                 .collect()
         };
         assert_eq!(answers(&adopted), answers(&merged));
-        // Knowing two nodes that are neither members nor suspected
-        // blocks quiescence; once both are reported crashed, it holds.
-        let known: Vec<NodeId> = [0, 1, 2].map(NodeId::new).to_vec();
+        // Knowing nodes that are neither members nor suspected blocks
+        // quiescence; once all are reported crashed, it holds.
+        let known: Vec<NodeId> = (0..=5).map(NodeId::new).collect();
         assert_eq!(adopted[1], (false, known.clone(), true));
         assert_eq!(adopted[PHASES as usize - 1], (true, known, true));
     }

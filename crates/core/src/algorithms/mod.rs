@@ -17,10 +17,10 @@ pub use swamping::Swamping;
 use crate::problem::InitialKnowledge;
 use rd_sim::{MessageCost, NodeId, PointerList};
 
-/// A sender's whole knowledge, minus one id: what Name-Dropper and
-/// swamping put on the wire.
+/// A sender's whole knowledge, minus one id: what Name-Dropper,
+/// swamping and pointer doubling put on the wire.
 ///
-/// Neither protocol tells a machine its own name, and the receiver of a
+/// None of them tells a machine its own name, and the receiver of a
 /// message is one of the ids its sender knows. Building "everything but
 /// you" per destination would be a copy per message, so the message is
 /// the sender's [snapshot](crate::KnowledgeSet::snapshot) — one
@@ -30,11 +30,25 @@ use rd_sim::{MessageCost, NodeId, PointerList};
 /// `except` is the receiver and every machine knows itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferMsg {
-    /// Every identifier the sender knew when it sent, `except` among
-    /// them, in the order it learned them.
-    pub ids: PointerList,
-    /// The destination: listed in `ids`, neither sent nor charged.
-    pub except: NodeId,
+    ids: PointerList,
+    except: NodeId,
+}
+
+impl TransferMsg {
+    /// `ids` — every identifier the sender knows, in the order it
+    /// learned them — for the destination `except`, which is neither
+    /// sent nor charged. `except` must be listed in `ids` (checked in
+    /// debug builds): that is why [`pointers`](MessageCost::pointers)
+    /// may answer one less than the list's length without a search.
+    pub fn new(ids: PointerList, except: NodeId) -> Self {
+        debug_assert!(ids.contains(&except), "{except} is not among the ids sent");
+        TransferMsg { ids, except }
+    }
+
+    /// Everything the sender knew, the destination among them.
+    pub fn ids(&self) -> &PointerList {
+        &self.ids
+    }
 }
 
 impl MessageCost for TransferMsg {
@@ -129,13 +143,18 @@ mod tests {
     #[test]
     fn a_transfer_counts_and_teaches_everything_but_its_destination() {
         let [a, b, c] = [4, 9, 2].map(NodeId::new);
-        let msg = TransferMsg {
-            ids: PointerList::from(vec![a, b, c]),
-            except: b,
-        };
+        let msg = TransferMsg::new(PointerList::from(vec![a, b, c]), b);
         assert_eq!(msg.pointers(), 2);
         let mut taught = Vec::new();
         msg.visit_ids(&mut |id| taught.push(id));
         assert_eq!(taught, [a, c]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not among the ids sent")]
+    fn a_transfer_must_list_its_destination() {
+        let [a, b, c] = [4, 9, 2].map(NodeId::new);
+        let _ = TransferMsg::new(PointerList::from(vec![a, c]), b);
     }
 }

@@ -43,7 +43,7 @@ impl Node for NameDropperNode {
     ) {
         for env in inbox.drain(..) {
             self.knowledge.insert(env.src); // reverse pointer
-            self.knowledge.adopt(&env.payload.ids);
+            self.knowledge.adopt(env.payload.ids());
         }
         let me = ctx.id();
         if let Some(target) = {
@@ -53,11 +53,7 @@ impl Node for NameDropperNode {
             if self.sent.len() != self.knowledge.len() {
                 self.sent = self.knowledge.snapshot();
             }
-            let msg = TransferMsg {
-                ids: self.sent.clone(),
-                except: target,
-            };
-            ctx.send(target, msg);
+            ctx.send(target, TransferMsg::new(self.sent.clone(), target));
         }
     }
 }

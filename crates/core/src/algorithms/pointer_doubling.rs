@@ -19,42 +19,42 @@
 //! Deterministic, `Θ(log n)` rounds, `O(n log n)` messages — the
 //! strongest baseline the sub-logarithmic algorithm must beat.
 
-use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView};
+use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView, TransferMsg};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, PointerList, RoundContext};
+use rd_sim::{Envelope, MessageCost, Node, NodeId, RoundContext};
 
 /// Factory for the pointer-doubling baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PointerDoubling;
 
-/// Pointer-doubling messages.
+/// Pointer-doubling messages: the sender's entire knowledge, less the
+/// destination's own id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PdMsg {
     /// Knowledge pushed to the sender's current candidate; implicitly
     /// requests a reply.
-    Query {
-        /// The sender's entire knowledge.
-        ids: PointerList,
-    },
-    /// Knowledge returned to a querier.
-    Reply {
-        /// The replier's entire knowledge.
-        ids: PointerList,
-    },
+    Query(TransferMsg),
+    /// Knowledge returned to a querier, or announced by a local
+    /// maximum.
+    Reply(TransferMsg),
+}
+
+impl PdMsg {
+    fn transfer(&self) -> &TransferMsg {
+        match self {
+            PdMsg::Query(transfer) | PdMsg::Reply(transfer) => transfer,
+        }
+    }
 }
 
 impl MessageCost for PdMsg {
     fn pointers(&self) -> usize {
-        match self {
-            PdMsg::Query { ids } | PdMsg::Reply { ids } => ids.len(),
-        }
+        self.transfer().pointers()
     }
 
     fn visit_ids(&self, visit: &mut dyn FnMut(NodeId)) {
-        match self {
-            PdMsg::Query { ids } | PdMsg::Reply { ids } => ids.visit_ids(visit),
-        }
+        self.transfer().visit_ids(visit);
     }
 }
 
@@ -72,41 +72,37 @@ impl Node for PointerDoublingNode {
         let mut queriers: Vec<NodeId> = Vec::new();
         for env in inbox.drain(..) {
             self.knowledge.insert(env.src);
-            match env.payload {
-                PdMsg::Query { ids } => {
-                    self.knowledge.adopt(&ids);
-                    queriers.push(env.src);
-                }
-                PdMsg::Reply { ids } => {
-                    self.knowledge.adopt(&ids);
-                }
+            self.knowledge.adopt(env.payload.transfer().ids());
+            if matches!(env.payload, PdMsg::Query(_)) {
+                queriers.push(env.src);
             }
         }
         let candidate = self.knowledge.max_id().expect("knows at least self");
-        let full = |k: &mut KnowledgeSet, except: NodeId| -> PointerList {
-            let ids: Vec<NodeId> = k.iter().filter(|&v| v != except).collect();
-            ids.into()
-        };
+        if candidate == me && !self.knowledge.has_fresh() && queriers.is_empty() {
+            return;
+        }
+        // One snapshot a round, whoever it goes to. Every destination is
+        // among its ids: the candidate is the largest of them, announce
+        // targets are read off it, and queriers were inserted above.
+        let ids = self.knowledge.snapshot();
+        let transfer = |dst: NodeId| TransferMsg::new(ids.clone(), dst);
         if candidate != me {
-            let ids = full(&mut self.knowledge, candidate);
-            ctx.send(candidate, PdMsg::Query { ids });
+            ctx.send(candidate, PdMsg::Query(transfer(candidate)));
             // Everything fresh was just transferred upward.
             self.knowledge.take_fresh();
         } else if self.knowledge.has_fresh() {
             // Local maximum: announce downward so smaller machines learn
             // a larger candidate exists and start querying us.
             self.knowledge.take_fresh();
-            for dst in full(&mut self.knowledge, me) {
-                let ids = full(&mut self.knowledge, dst);
-                ctx.send(dst, PdMsg::Reply { ids });
+            for dst in ids.iter().filter(|&v| v != me) {
+                ctx.send(dst, PdMsg::Reply(transfer(dst)));
             }
         }
         queriers.sort_unstable();
         queriers.dedup();
         for s in queriers {
             if s != me {
-                let ids = full(&mut self.knowledge, s);
-                ctx.send(s, PdMsg::Reply { ids });
+                ctx.send(s, PdMsg::Reply(transfer(s)));
             }
         }
     }

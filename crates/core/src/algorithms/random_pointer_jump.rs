@@ -78,6 +78,10 @@ impl Node for RandomPointerJumpNode {
         pullers.dedup();
         for p in pullers {
             if p != me {
+                // Not a `TransferMsg`: a puller is not learned (above),
+                // so it may be missing from what this node knows, and
+                // "everything, one id uncharged" would then under-count
+                // the pointers sent by one.
                 let ids: Vec<NodeId> = self.knowledge.iter().filter(|&v| v != p).collect();
                 ctx.send(p, RpjMsg::Transfer { ids: ids.into() });
             }

@@ -44,7 +44,7 @@ impl Node for SwampingNode {
         let mut learned = false;
         for env in inbox.drain(..) {
             learned |= self.knowledge.insert(env.src);
-            learned |= self.knowledge.adopt(&env.payload.ids) > 0;
+            learned |= self.knowledge.adopt(env.payload.ids()) > 0;
         }
         if learned || ctx.round() == 0 {
             self.idle_rounds = 0;
@@ -62,8 +62,7 @@ impl Node for SwampingNode {
         let me = ctx.id();
         let ids = self.knowledge.snapshot();
         for dst in ids.iter().filter(|&v| v != me) {
-            let ids = ids.clone();
-            ctx.send(dst, TransferMsg { ids, except: dst });
+            ctx.send(dst, TransferMsg::new(ids.clone(), dst));
         }
     }
 }

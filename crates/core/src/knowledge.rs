@@ -39,11 +39,17 @@ use rd_sim::{NodeId, PointerList};
 /// `has_fresh`, `mark`) see through the adopted payload by its bitmap;
 /// whatever reads or grows the learning-order list (`list`, `iter`,
 /// `since`, `take_fresh`, `sample_other`, anything that brings a new
-/// id) first *settles* — merges the adopted payload exactly as
-/// [`extend_from_slice`](Self::extend_from_slice) would have on arrival
-/// — which is why those take `&mut self`. No observer can tell an
-/// adopting set from one that merged eagerly. The sending side of the
-/// same bargain is [`snapshot`](Self::snapshot): a set's whole
+/// id) first *settles* — leaves what
+/// [`extend_from_slice`](Self::extend_from_slice) would have left on
+/// arrival — which is why those take `&mut self`. No observer can tell
+/// an adopting set from one that merged eagerly. Settling is cheaper
+/// than that merge, though, because the payload brought its bitmap:
+/// learning order is one pass over the payload's ids against a mask
+/// that stays put, and membership is updated by words, not ids. Both
+/// lean on a payload with a bitmap listing each id once, which is
+/// [`shared_bitmap`](PointerList::shared_bitmap)'s rule: a list that
+/// repeats an id has none and is merged on the spot. The sending side
+/// of the same bargain is [`snapshot`](Self::snapshot): a set's whole
 /// knowledge as one shared payload that brings the set's own bitmap.
 ///
 /// # Example
@@ -128,6 +134,76 @@ fn word_at(bits: &[u64], w: usize) -> u64 {
 fn top_bit(bits: &[u64]) -> Option<u32> {
     let w = bits.iter().rposition(|&word| word != 0)?;
     Some((w * 64) as u32 + 63 - bits[w].leading_zeros())
+}
+
+/// Appends to `list`, in payload order, the `new` ids of `ids` that
+/// `is_new` picks out by word and bit, and reads no further. Every id
+/// is stored where the next new one belongs and only a new one moves
+/// that place on: which ids are new is as good as random, and a branch
+/// on it costs more than the store.
+fn append_new(
+    list: &mut Vec<NodeId>,
+    ids: &[NodeId],
+    new: usize,
+    is_new: impl Fn(usize, u64) -> bool,
+) {
+    let before = list.len();
+    list.resize(before + new, NodeId::new(0));
+    let tail = &mut list[before..];
+    let mut appended = 0;
+    for &id in ids {
+        let Some(slot) = tail.get_mut(appended) else {
+            break;
+        };
+        *slot = id;
+        let (w, b) = word_bit(id.index());
+        appended += usize::from(is_new(w, b));
+    }
+    debug_assert_eq!(appended, new, "counted at adoption");
+}
+
+/// Room for `additional` more entries, grown as a push at a time grows
+/// a vector: by doubling. The sorted tier used to learn a payload id by
+/// id, and its sets keep the capacities that gave them, so
+/// [`resident_bytes`](KnowledgeSet::resident_bytes) does not move — one
+/// bulk `reserve` lands between the doublings, and the next one then
+/// overshoots a universe the doubled list would have fitted exactly.
+/// (Four is where `Vec` starts for entries of this size.)
+fn reserve_doubling<T>(entries: &mut Vec<T>, additional: usize) {
+    let needed = entries.len() + additional;
+    if needed > entries.capacity() {
+        let mut capacity = entries.capacity().max(4);
+        while capacity < needed {
+            capacity *= 2;
+        }
+        entries.reserve_exact(capacity - entries.len());
+    }
+}
+
+/// Merges the set bits of `unknown` — `new` ids, none of them among
+/// `sorted` — into `sorted`, in place. The entries the mask reaches
+/// join it and are read back with the new ids among them, ascending
+/// for free; the entries past it only move up.
+fn merge_sorted(sorted: &mut Vec<u32>, unknown: &mut [u64], new: usize) {
+    let reach = sorted.partition_point(|&raw| (raw as usize) < unknown.len() * 64);
+    for &raw in &sorted[..reach] {
+        let (w, b) = word_bit(raw as usize);
+        unknown[w] |= b;
+    }
+    let old = sorted.len();
+    reserve_doubling(sorted, new);
+    sorted.resize(old + new, 0);
+    sorted.copy_within(reach..old, reach + new);
+    let mut at = 0;
+    for (w, &word) in unknown.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            sorted[at] = (w * 64) as u32 + word.trailing_zeros();
+            at += 1;
+            word &= word - 1;
+        }
+    }
+    debug_assert_eq!(at, reach + new, "counted at adoption");
 }
 
 impl Membership {
@@ -347,21 +423,47 @@ impl KnowledgeSet {
         matches!(self.state, State::Settled(_))
     }
 
-    /// Merges the adopted payload into the list.
+    /// Merges the adopted payload into the list. The payload brought its
+    /// bitmap and lists every id once, so the merge is two parts that
+    /// never touch the same memory. *Order* is one pass over the ids
+    /// against a mask the pass does not write — this set's own bitmap,
+    /// or on the sorted tier the payload's with this set's entries
+    /// cleared — that appends the ids counted at adoption and stops at
+    /// the last of them. *Membership* is then words: the payload's
+    /// bitmap ORed in, or its unknown bits merged into the sorted
+    /// entries, spilling exactly where
+    /// [`extend_from_slice`](Self::extend_from_slice) would have.
     fn settle(&mut self) {
-        if let State::Adopting(adopting) = &mut self.state {
-            let settled = std::mem::take(&mut adopting.settled);
-            let State::Adopting(adopting) =
-                std::mem::replace(&mut self.state, State::Settled(settled))
-            else {
-                unreachable!("matched just above")
-            };
-            // Counted at adoption: `new` ids to append, and a bitmap
-            // whose word count bounds every id.
-            let words = adopting.bitmap().len();
-            let merged = self.merge(&adopting.payload, Some(words), adopting.new);
-            debug_assert_eq!(merged, adopting.new);
+        let State::Adopting(adopting) = &mut self.state else {
+            return;
+        };
+        let mut tier = std::mem::take(&mut adopting.settled);
+        let (ids, theirs, new) = (&adopting.payload[..], adopting.bitmap(), adopting.new);
+        match &mut tier {
+            Membership::Sparse(sorted) if sorted.len() + ids.len() <= SPARSE_MAX => {
+                let mut unknown = theirs.to_vec();
+                for &raw in sorted.iter() {
+                    let (w, b) = word_bit(raw as usize);
+                    if let Some(word) = unknown.get_mut(w) {
+                        *word &= !b;
+                    }
+                }
+                reserve_doubling(&mut self.list, new);
+                append_new(&mut self.list, ids, new, |w, b| unknown[w] & b != 0);
+                merge_sorted(sorted, &mut unknown, new);
+            }
+            _ => {
+                let bits = tier.spill();
+                if bits.len() < theirs.len() {
+                    bits.resize(theirs.len(), 0);
+                }
+                append_new(&mut self.list, ids, new, |w, b| bits[w] & b == 0);
+                for (mine, &word) in bits.iter_mut().zip(theirs) {
+                    *mine |= word;
+                }
+            }
         }
+        self.state = State::Settled(tier);
     }
 
     /// A merge into a set holding an adopted payload: `true` if `ids`
@@ -445,44 +547,33 @@ impl KnowledgeSet {
         if matches!(self.state, State::Adopting(_)) && self.knows_all_or_settles(ids) {
             return 0;
         }
-        self.merge(ids, None, ids.len())
+        self.merge(ids)
     }
 
-    /// The merge loop of a settled set. At most `new` distinct ids of
-    /// `ids` are unknown, so once that many are appended the rest need
-    /// no look; `words`, where the caller has it, is a bitmap length
-    /// that holds every id and saves the pass that finds one.
-    fn merge(&mut self, ids: &[NodeId], words: Option<usize>, new: usize) -> usize {
+    /// The merge loop of a settled set, for a payload that comes
+    /// without a bitmap.
+    fn merge(&mut self, ids: &[NodeId]) -> usize {
         let State::Settled(tier) = &mut self.state else {
             unreachable!("a set holding a payload settles before it merges")
         };
         if matches!(tier, Membership::Sparse(sorted) if sorted.len() + ids.len() <= SPARSE_MAX) {
             return self.extend(ids.iter().copied());
         }
-        let words =
-            words.unwrap_or_else(|| ids.iter().map(|id| id.index() / 64 + 1).max().unwrap_or(0));
+        let words = NodeId::bitmap_words(ids);
         let bits = tier.spill();
         if words > bits.len() {
             bits.resize(words, 0);
         }
         // Every listed id has its bit set, so the clear bits, too,
-        // bound how many ids can still be new: a duplicate-heavy
-        // payload reserves almost nothing, and a full set reads none.
+        // bound how many ids can be new: a duplicate-heavy payload
+        // reserves almost nothing.
         let before = self.list.len();
-        let mut left = new.min(bits.len() * 64 - before);
-        if left == 0 {
-            return 0;
-        }
-        self.list.reserve(left);
+        self.list.reserve(ids.len().min(bits.len() * 64 - before));
         for &id in ids {
             let (w, b) = word_bit(id.index());
             if bits[w] & b == 0 {
                 bits[w] |= b;
                 self.list.push(id);
-                left -= 1;
-                if left == 0 {
-                    break;
-                }
             }
         }
         self.list.len() - before
@@ -842,6 +933,38 @@ mod tests {
         assert_eq!(k.list()[..2001], order[..]);
         assert_eq!(k.list()[2001], id(9999));
         assert_eq!(k.take_fresh().len(), 1999);
+    }
+
+    #[test]
+    fn settling_spills_the_sorted_tier_where_a_bulk_merge_does() {
+        for total in [SPARSE_MAX - 1, SPARSE_MAX, SPARSE_MAX + 1] {
+            for held in [1, 200, 400] {
+                // Collected twice: a clone is cut to size, and the
+                // two would grow from different capacities.
+                let receiver = || (0..held as u32).map(|i| id(2 * i)).collect();
+                let (mut adopted, mut merged): (KnowledgeSet, KnowledgeSet) =
+                    (receiver(), receiver());
+                // Half of it known to the larger receivers, and
+                // `held` + its length = `total`: what the spill rule reads.
+                let payload = roster(0..(total - held) as u32);
+                assert_eq!(adopted.adopt(&payload), merged.extend_from_slice(&payload));
+                assert!(!adopted.is_settled());
+                assert_eq!(adopted.list(), merged.list());
+                match (adopted.tiers().0, merged.tiers().0) {
+                    (Membership::Sparse(a), Membership::Sparse(b)) => {
+                        assert!(total <= SPARSE_MAX);
+                        assert_eq!(a, b);
+                        // Grown by doubling, as the per-id inserts grew it.
+                        assert_eq!(adopted.resident_bytes(), merged.resident_bytes());
+                    }
+                    (Membership::Dense(a), Membership::Dense(b)) => {
+                        assert!(total > SPARSE_MAX);
+                        assert_eq!(a, b);
+                    }
+                    _ => panic!("{held} + {} ids: one spilled, one did not", total - held),
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //!
 //! * [`knowledge`] — the per-node knowledge set: one learning-order
 //!   list with a fresh window and a bulk payload merge,
-//! * [`merge`] — branchless sorted-set merge kernels for capped
-//!   knowledge vectors,
 //! * [`problem`] — instance construction from an initial knowledge graph
 //!   and the two standard completion predicates,
 //! * [`algorithms`] — the six discovery protocols:
@@ -49,7 +47,6 @@
 pub mod algorithms;
 pub mod gossip;
 pub mod knowledge;
-pub mod merge;
 pub mod problem;
 pub mod runner;
 pub mod verify;

@@ -20,7 +20,11 @@
 //!    sender on either side of the spill boundary, which decides
 //!    whether it brings its bitmap — is merging the sender's list; the
 //!    settle that stops once the ids counted at adoption are appended
-//!    never stops short, whatever a payload repeats.
+//!    never stops short, whatever a payload repeats;
+//! 5. settling a payload that brought its bitmap — order in one pass
+//!    against a mask, membership by words — is per-id `insert` in
+//!    payload order, on the sorted tier, across its spill and on the
+//!    bitmap, wherever the payload's new ids sit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -45,6 +49,28 @@ fn arb_ids() -> impl Strategy<Value = Vec<u32>> {
         proptest::collection::vec(0u32..10_000, 600..1200),
         // Mostly internal duplicates.
         proptest::collection::vec(0u32..24, 0..700),
+    ]
+}
+
+/// `len` draws from `0..range`, first occurrences only: distinct ids in
+/// no particular order, which is what a payload that offers a bitmap
+/// lists.
+fn arb_distinct(range: u32, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(0..range, len).prop_map(|raw| {
+        let mut seen = BTreeSet::new();
+        raw.into_iter().filter(|&i| seen.insert(i)).collect()
+    })
+}
+
+/// A payload dense enough for a bitmap: small enough to leave a small
+/// receiver on the sorted tier; reaching four times past any
+/// receiver's last word; and past 512 ids, so that a sender's snapshot
+/// of it brings the sender's own bitmap.
+fn arb_teaching_payload() -> impl Strategy<Value = Vec<u32>> {
+    prop_oneof![
+        arb_distinct(1_500, 40..200),
+        arb_distinct(6_000, 150..700),
+        arb_distinct(4_000, 700..1_300),
     ]
 }
 
@@ -444,5 +470,67 @@ proptest! {
         }
         prop_assert_eq!(set.adopt(&PointerList::shared(&payload)), expected);
         assert_same(&mut set, &mut per_id)?;
+    }
+
+    /// Settling by mask ≡ per-id `insert` in payload order. The
+    /// receiver stays on the sorted tier, spills, or is on the bitmap
+    /// already; the payload's bitmap is built on asking or comes with a
+    /// sender's snapshot; the payload reaches past the receiver's last
+    /// word or not; all of it but its last id, or but its first, is
+    /// known already, so the pass has to read to the end, or may stop at
+    /// once; and a second teaching payload arrives while the first is
+    /// held.
+    #[test]
+    fn settling_by_mask_is_inserting_in_payload_order(
+        held in prop_oneof![
+            arb_distinct(3_000, 1..60),
+            arb_distinct(1_000, 380..520),
+            arb_distinct(1_500, 900..1_400),
+        ],
+        first in arb_teaching_payload(),
+        second in arb_teaching_payload(),
+        from_snapshot in any::<bool>(),
+        known_but in 0usize..3,
+        drain_first in any::<bool>(),
+    ) {
+        let mut set: KnowledgeSet = ids(&held).into_iter().collect();
+        match known_but {
+            1 => set.extend(ids(&first[..first.len() - 1])),
+            2 => set.extend(ids(&first[1..])),
+            _ => 0,
+        };
+        if drain_first {
+            set.take_fresh();
+        }
+        let mut per_id = set.clone();
+        for payload in [&first, &second] {
+            let payload = if from_snapshot {
+                ids(payload).into_iter().collect::<KnowledgeSet>().snapshot()
+            } else {
+                PointerList::shared(&ids(payload))
+            };
+            prop_assert!(payload.shared_bitmap().is_some(), "dense and distinct: adopted, not merged");
+            let mut expected = 0;
+            for id in &payload {
+                expected += usize::from(per_id.insert(id));
+            }
+            // The second adoption settles the first; what is asked
+            // next looks through the payload just taken.
+            prop_assert_eq!(set.adopt(&payload), expected);
+            prop_assert_eq!(set.len(), per_id.len());
+            prop_assert_eq!(set.max_id(), per_id.max_id());
+            prop_assert_eq!(set.has_fresh(), per_id.has_fresh());
+            for probe in (0..6_100).step_by(7).map(NodeId::new).chain(&payload) {
+                prop_assert_eq!(set.contains(probe), per_id.contains(probe));
+            }
+        }
+        assert_same(&mut set, &mut per_id)?;
+        prop_assert_eq!(set.len(), per_id.len());
+        for probe in (0..6_100).map(NodeId::new) {
+            prop_assert_eq!(set.contains(probe), per_id.contains(probe));
+        }
+        // The settled tier is a set again: a second merge is a no-op.
+        prop_assert_eq!(set.extend_from_slice(&ids(&second)), 0);
+        prop_assert_eq!(set.extend_from_slice(&ids(&held)), 0);
     }
 }

@@ -104,6 +104,11 @@ fn worth_a_bitmap(ids: usize, words: usize) -> bool {
     ids >= words
 }
 
+/// How many ids a bitmap holds.
+fn popcount(bitmap: &[u64]) -> usize {
+    bitmap.iter().map(|w| w.count_ones() as usize).sum()
+}
+
 impl PointerList {
     /// An empty list (inline, no allocation).
     pub fn new() -> Self {
@@ -125,13 +130,13 @@ impl PointerList {
     /// word `i / 64`, any number of trailing empty words) is copied
     /// instead of being rebuilt per id by the first receiver. What
     /// [`shared_bitmap`](Self::shared_bitmap) answers is what it would
-    /// have answered for `shared(ids)`.
+    /// have answered for `shared(ids)`. That the ids are distinct is a
+    /// precondition receivers rely on — a list that brings a bitmap is
+    /// merged without a look at whether an id came twice — and, like
+    /// the bitmap being theirs, is only checked in debug builds.
     pub fn shared_with_bitmap(ids: &[NodeId], bitmap: &[u64]) -> Self {
         debug_assert_eq!(
-            bitmap
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum::<usize>(),
+            popcount(bitmap),
             ids.len(),
             "the bitmap holds exactly the listed ids"
         );
@@ -164,7 +169,9 @@ impl PointerList {
     /// `None` for a list that is not shared, and for one with fewer ids
     /// than its bitmap would have words: reading such a bitmap costs a
     /// receiver more than reading the ids (a five-id delta naming node
-    /// 60 000 would be 938 words).
+    /// 60 000 would be 938 words). `None`, too, for a list that repeats
+    /// an id: a bitmap is offered only for distinct ids, so a receiver
+    /// handed one may take every listed id for a different bit.
     pub fn shared_bitmap(&self) -> Option<&[u64]> {
         let Repr::Shared(shared) = &self.0 else {
             return None;
@@ -172,7 +179,9 @@ impl PointerList {
         let bitmap = shared.bitmap.get_or_init(|| {
             let words = NodeId::bitmap_words(&shared.ids);
             (words > 0 && worth_a_bitmap(shared.ids.len(), words))
-                .then(|| NodeId::bitmap(&shared.ids, words).into())
+                .then(|| NodeId::bitmap(&shared.ids, words))
+                .filter(|bitmap| popcount(bitmap) == shared.ids.len())
+                .map(Vec::into_boxed_slice)
         });
         bitmap.as_deref()
     }
@@ -446,7 +455,7 @@ mod tests {
 
     #[test]
     fn shared_bitmap_is_built_once_and_shared_by_every_clone() {
-        let ids = nid([3, 130, 64, 3, 7, 129]);
+        let ids = nid([3, 130, 64, 7, 129]);
         let shared = PointerList::shared(&ids);
         let copy = shared.clone();
         let first = copy.shared_bitmap().expect("shared lists have a bitmap");
@@ -469,6 +478,11 @@ mod tests {
         assert_eq!(sparse.shared_bitmap(), None);
         let dense_enough = PointerList::shared(&nid([1, 2, 3, 4, 5 * 64 - 1]));
         assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(5));
+        // Nor has a list that names an id twice: whoever is handed a
+        // bitmap may count on one listed id per set bit.
+        let repeated = PointerList::shared(&nid([3, 130, 64, 3, 7, 129]));
+        assert!(matches!(repeated.0, Repr::Shared(_)));
+        assert_eq!(repeated.shared_bitmap(), None);
         let mut pushed = shared.clone();
         pushed.push(NodeId::new(500));
         assert_eq!(pushed.shared_bitmap(), None);

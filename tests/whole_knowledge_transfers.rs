@@ -1,8 +1,9 @@
-//! Name-Dropper and swamping ship their whole knowledge as one shared
-//! snapshot plus the id the receiver is not charged for (itself). The
-//! counts below were recorded before that change, when every send built
-//! its own filtered list: a payload shape must not move one of them, on
-//! any engine, nor when a lost transfer is sent again.
+//! Name-Dropper, swamping and pointer doubling ship their whole
+//! knowledge as one shared snapshot plus the id the receiver is not
+//! charged for (itself). The counts below were recorded before that
+//! change, when every send built its own filtered list: a payload shape
+//! must not move one of them, on any engine, nor when a lost transfer is
+//! sent again.
 
 use resource_discovery::prelude::*;
 
@@ -36,6 +37,9 @@ fn payload_shape_moves_no_count_on_any_engine() {
         (AlgorithmKind::Swamping, 1, (5, 160_802, 36_347_866, 0)),
         (AlgorithmKind::Swamping, 7, (5, 160_766, 36_332_940, 0)),
         (AlgorithmKind::Swamping, 42, (4, 95_200, 19_610_972, 0)),
+        (AlgorithmKind::PointerDoubling, 1, (7, 5_607, 698_943, 0)),
+        (AlgorithmKind::PointerDoubling, 7, (7, 5_784, 749_761, 0)),
+        (AlgorithmKind::PointerDoubling, 42, (6, 5_353, 655_567, 0)),
     ];
     for (kind, seed, expected) in recorded {
         for engine in ENGINES {
@@ -58,6 +62,10 @@ fn retransmitted_transfers_count_the_same_pointers() {
     let recorded = [
         (AlgorithmKind::NameDropper, (21, 6_519, 768_362, 1_143)),
         (AlgorithmKind::Swamping, (5, 155_321, 27_891_198, 4_187)),
+        (
+            AlgorithmKind::PointerDoubling,
+            (10, 9_303, 1_116_072, 1_532),
+        ),
     ];
     for (kind, expected) in recorded {
         for engine in ENGINES {
