@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Offline stand-in for the [`crossbeam`](https://crates.io/crates/crossbeam)
 //! crate, vendored so the workspace builds in network-less environments.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Offline stand-in for [`parking_lot`](https://crates.io/crates/parking_lot)
 //! over `std::sync`, vendored so the workspace builds in network-less

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Offline stand-in for the [`proptest`](https://crates.io/crates/proptest)
 //! crate, vendored so the workspace's property tests run in network-less

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Offline stand-in for the [`rand`](https://crates.io/crates/rand)
 //! crate (0.9 API), vendored so the workspace builds in network-less

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Statistics, scaling-model fitting, table rendering, and the
 //! experiment sweep driver for the resource-discovery reproduction.

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! The `figures` table generator: regenerates every table and figure of
 //! the evaluation defined in `DESIGN.md` §4.
 //!

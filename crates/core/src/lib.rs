@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Resource-discovery algorithms: the reconstructed Haeupler–Malkhi
 //! sub-logarithmic protocol and every baseline it is evaluated against.

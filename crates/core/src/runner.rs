@@ -83,9 +83,9 @@ impl AlgorithmKind {
 ///
 /// The round engines are bit-identical on the same configuration (the
 /// cross-engine equivalence property test enforces this), so choosing
-/// between them is purely about wall-clock: the sharded engine pays
-/// per-round thread fan-out to win parallel node stepping *and*
-/// parallel routing — message fates are counter-derived per `(seed,
+/// between them is purely about wall-clock: the sharded engine pays a
+/// per-round handoff to its worker threads to win parallel node
+/// stepping *and* parallel routing — message fates are counter-derived per `(seed,
 /// sender, round, sequence)`, so the routing phase shards as cleanly as
 /// the stepping phase — which starts paying off for populations around
 /// 2¹⁴ and up on multicore hosts.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! A sharded, multi-threaded execution engine for large discovery runs.
 //!
@@ -39,11 +40,14 @@
 //! node loop a worker runs is [`step_shard`], the one the sequential
 //! engine runs over the whole population; and the routing a worker does
 //! is [`route_shard`], the kernel the sequential engine runs as a single
-//! shard. What this crate adds is the fan-out: one job per shard on
-//! `crossbeam` scoped threads (one call site, `fan_out`), with
-//! shard-local routing results ([`rd_sim::engine_core::RouteDelta`])
-//! folding associatively back into the core's metrics, trace, and delay
-//! queue.
+//! shard. What this crate adds is the handoff: one job per shard —
+//! step the shard, then route what it staged — on threads that live as
+//! long as the engine does (the private `pool` module: shard `k` always
+//! on worker `k`, the last shard on the calling thread, nothing spawned
+//! after the first multi-shard round), with shard-local routing results
+//! ([`rd_sim::engine_core::RouteDelta`]) folding associatively back into
+//! the core's metrics, trace, and delay queue. Only the merge into the
+//! mailboxes waits for every shard.
 //!
 //! # Example
 //!
@@ -91,19 +95,20 @@
 //! assert_eq!(sharded.metrics(), sequential.metrics());
 //! ```
 
-use rd_obs::{Phase, Recorder, SpanEvent};
-use rd_sim::engine_core::{
-    merge_dest_shard, route_shard, step_shard, unit_latency, EngineCore, RouteDelta, Routed,
-};
-use rd_sim::{timed_phase, BufferPool, Envelope, MessageCost, Node, RoundEngine, RoundShell};
+mod pool;
+
+use pool::Pool;
+use rd_obs::{Phase, SpanEvent};
+use rd_sim::engine_core::{merge_dest_shard, route_shard, step_shard, unit_latency, Routed};
+use rd_sim::{timed_phase, BufferPool, Envelope, Node, RoundEngine, RoundShell};
 use std::time::Instant;
 
 /// Below this many staged messages per round, the per-destination merge
-/// runs on the calling thread: spawning merge workers costs more than
-/// the merge itself. (The *routing* fan-out has no such threshold — the
-/// route workers exist anyway, and running every configuration through
-/// the sharded route path keeps it continuously exercised by the
-/// equivalence tests.)
+/// runs on the calling thread: handing it to the workers is a futex wake
+/// and a wait for the slowest of them (tens of microseconds), which is
+/// more than a merge this small takes. (The step-and-route handoff has
+/// no such threshold — running every configuration through the sharded
+/// route path keeps it continuously exercised by the equivalence tests.)
 const PARALLEL_MERGE_MIN_MESSAGES: usize = 4096;
 
 /// The staged/scratch buffer pair one stepping worker owns for a round.
@@ -120,6 +125,8 @@ type RoutedBuckets<M> = Vec<Routed<M>>;
 pub struct ShardedEngine<N: Node> {
     shell: RoundShell<N>,
     workers: usize,
+    /// The threads shards run on, besides the caller's.
+    pool: Pool,
     /// Recycled staging/scratch buffers for the stepping phase.
     env_pool: BufferPool<Envelope<N::Msg>>,
     /// Recycled bucket/delay buffers for the routing phase.
@@ -134,7 +141,9 @@ where
     /// Creates an engine over `nodes` with the given worker-thread
     /// count, where node `i` has identifier `NodeId::new(i)`. `seed`
     /// determines all protocol and fault randomness, exactly as in the
-    /// sequential engine.
+    /// sequential engine. No thread is created here: the workers start
+    /// with the first round that has more than one shard, and live until
+    /// the engine is dropped.
     ///
     /// # Panics
     ///
@@ -144,6 +153,7 @@ where
         ShardedEngine {
             shell: RoundShell::new(nodes, seed),
             workers,
+            pool: Pool::new(),
             env_pool: BufferPool::new(),
             routed_pool: BufferPool::new(),
         }
@@ -153,178 +163,127 @@ where
     pub fn workers(&self) -> usize {
         self.workers
     }
-}
 
-/// Runs one job per shard and returns their results in shard order:
-/// on scoped threads when `threads` is set and there is more than one
-/// job, otherwise one after another on the calling thread. With a
-/// recorder, every job times itself against the recorder's shared epoch
-/// (`Instant` is `Copy + Send`) as a `phase` span on its shard's lane;
-/// the spans fold back only after the joins, in shard order, so
-/// telemetry never races and cannot perturb the run. A panicking job
-/// panics the caller, exactly as it would have on the calling thread.
-fn fan_out<T, J>(
-    obs: Option<&mut Recorder>,
-    phase: Phase,
-    round: u64,
-    threads: bool,
-    jobs: Vec<J>,
-) -> Vec<T>
-where
-    T: Send,
-    J: FnOnce() -> T + Send,
-{
-    let epoch = obs.as_ref().map(|rec| rec.epoch());
-    let run = move |(shard, job): (usize, J)| {
-        let start = epoch.map(|_| Instant::now());
-        let out = job();
-        let span = epoch.map(|e| {
-            SpanEvent::from_instants(
-                e,
-                phase,
-                round,
-                shard as u32,
-                start.unwrap(),
-                Instant::now(),
+    /// The multi-shard body of a round: `bufs` holds one staged/scratch
+    /// pair per shard of `shard_len` nodes, and comes back drained.
+    fn step_shards(&mut self, round: u64, shard_len: usize, bufs: &mut [ShardBufs<N::Msg>]) {
+        let shard_count = bufs.len();
+        let (nodes, core, mut obs) = self.shell.parts_mut();
+        let epoch = obs.as_ref().map(|rec| rec.epoch());
+        let mut bucket_sets: Vec<RoutedBuckets<N::Msg>> = (0..shard_count)
+            .map(|_| (0..shard_count).map(|_| self.routed_pool.take()).collect())
+            .collect();
+        let mut delayed_lists: Vec<Routed<N::Msg>> =
+            (0..shard_count).map(|_| self.routed_pool.take()).collect();
+        let parts = core.route_parts(shard_len);
+        let (ctx, params) = (parts.ctx, parts.params);
+
+        // One handoff steps and routes: routing shard `w` reads only the
+        // round's parameters and what `w` just staged, and writes only
+        // `w`'s sent-tally lanes and its own buckets, so it need not wait
+        // for any other shard to finish stepping.
+        let shard_jobs = nodes
+            .chunks_mut(shard_len)
+            .zip(parts.inboxes.chunks_mut(shard_len))
+            .zip(parts.node_lanes.chunks_mut(shard_len))
+            .zip(bufs.iter_mut().zip(bucket_sets.iter_mut()))
+            .enumerate()
+            .map(
+                |(w, (((nodes, inboxes), sent_lanes), ((staged, scratch), buckets)))| {
+                    move || {
+                        let base = w * shard_len;
+                        let (staged_len, stepped) =
+                            lane_span(epoch, Phase::OnRound, round, w, || {
+                                step_shard(ctx, base, nodes, inboxes, staged, scratch, |_| {});
+                                staged.len()
+                            });
+                        let (delta, routed) = lane_span(epoch, Phase::RouteShard, round, w, || {
+                            route_shard(params, unit_latency, staged, base, sent_lanes, buckets)
+                        });
+                        (staged_len, delta, stepped, routed)
+                    }
+                },
             )
-        });
-        (out, span)
-    };
-    let done: Vec<(T, Option<SpanEvent>)> = if threads && jobs.len() > 1 {
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .enumerate()
-                .map(|job| scope.spawn(move |_| run(job)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p))
-    } else {
-        jobs.into_iter().enumerate().map(run).collect()
-    };
-    let mut obs = obs;
-    done.into_iter()
-        .map(|(out, span)| {
-            if let (Some(rec), Some(span)) = (obs.as_deref_mut(), span) {
+            .collect();
+        let mut total_messages = 0;
+        let mut deltas = Vec::with_capacity(shard_count);
+        let (mut stepped, mut routed) = (Vec::new(), Vec::new());
+        for (staged_len, delta, step_span, route_span) in self.pool.run(shard_jobs) {
+            total_messages += staged_len;
+            deltas.push(delta);
+            stepped.push(step_span);
+            routed.push(route_span);
+        }
+
+        // Transpose: per destination shard, the per-worker bucket parts
+        // in worker (= sender shard) order.
+        let mut per_dest: Vec<RoutedBuckets<N::Msg>> = (0..shard_count)
+            .map(|_| Vec::with_capacity(shard_count))
+            .collect();
+        for set in bucket_sets {
+            for (d, bucket) in set.into_iter().enumerate() {
+                per_dest[d].push(bucket);
+            }
+        }
+
+        // Merge phase, behind the join because it fills the mailboxes
+        // the step phase drained: one job per destination shard, each
+        // owning its shard's mailboxes and recv-tally lanes.
+        let merge_jobs: Vec<_> = parts
+            .inboxes
+            .chunks_mut(shard_len)
+            .zip(parts.node_lanes.chunks_mut(shard_len))
+            .zip(per_dest.iter_mut().zip(delayed_lists.iter_mut()))
+            .enumerate()
+            .map(|(d, ((inboxes, recv_lanes), (parts_d, delayed)))| {
+                move || {
+                    let base = d * shard_len;
+                    let ((), merged) = lane_span(epoch, Phase::MergeDestShard, round, d, || {
+                        merge_dest_shard(round, base, parts_d, inboxes, recv_lanes, delayed)
+                    });
+                    merged
+                }
+            })
+            .collect();
+        let merged: Vec<Option<SpanEvent>> = if total_messages >= PARALLEL_MERGE_MIN_MESSAGES {
+            self.pool.run(merge_jobs)
+        } else {
+            merge_jobs.into_iter().map(|mut job| job()).collect()
+        };
+
+        if let Some(rec) = obs.as_deref_mut() {
+            // Phase by phase, each in shard order.
+            for span in stepped.into_iter().chain(routed).chain(merged).flatten() {
                 rec.record_span(span);
             }
-            out
-        })
-        .collect()
-}
-
-/// Routes one round's staged envelopes — one buffer per sender shard,
-/// shard order, each in canonical `(sender, send-sequence)` order —
-/// through the shard/route/merge pipeline into `core`.
-///
-/// With a single shard this is the serial [`EngineCore::route_batch`]
-/// (the same kernel at shard count 1, or its fault-free fast loop).
-/// Otherwise every sender shard is routed on its own thread into
-/// per-destination-shard buckets ([`route_shard`]), the buckets are
-/// merged per destination shard ([`merge_dest_shard`] — in parallel
-/// too, once the round carries enough messages to pay for the spawns),
-/// and the shard-local deltas fold back into the core. Bit-identical
-/// for every shard count; the staged buffers are drained and left empty
-/// for reuse.
-///
-/// When a [`Recorder`] is passed, every route worker and merge job
-/// records a [`Phase::RouteShard`] / [`Phase::MergeDestShard`] span on
-/// its shard's lane, and the serial delta fold is timed as
-/// [`Phase::ApplyDeltas`].
-///
-/// # Panics
-///
-/// Panics if any envelope addresses a node that does not exist.
-fn route_staged<M: MessageCost + Send>(
-    core: &mut EngineCore<M>,
-    staged_shards: &mut [Vec<Envelope<M>>],
-    shard_len: usize,
-    routed_pool: &mut BufferPool<(u64, Envelope<M>)>,
-    mut obs: Option<&mut Recorder>,
-) {
-    let round = core.round();
-    if let [staged] = staged_shards {
-        return timed_phase(obs, Phase::RouteShard, round, || core.route_batch(staged));
-    }
-    let shard_count = staged_shards.len();
-    let total_messages: usize = staged_shards.iter().map(Vec::len).sum();
-    let mut bucket_sets: Vec<RoutedBuckets<M>> = (0..shard_count)
-        .map(|_| (0..shard_count).map(|_| routed_pool.take()).collect())
-        .collect();
-    let mut delayed_lists: Vec<Routed<M>> = (0..shard_count).map(|_| routed_pool.take()).collect();
-
-    let parts = core.route_parts(shard_len);
-    let params = parts.params;
-
-    // Route phase: one worker per sender shard, each writing only its
-    // own shard's sent-tally lanes and its own destination buckets.
-    let route_jobs = staged_shards
-        .iter_mut()
-        .zip(parts.node_lanes.chunks_mut(shard_len))
-        .zip(bucket_sets.iter_mut())
-        .enumerate()
-        .map(|(w, ((staged, sent_lanes), buckets))| {
-            move || {
-                route_shard(
-                    params,
-                    unit_latency,
-                    staged,
-                    w * shard_len,
-                    sent_lanes,
-                    buckets,
-                )
-            }
-        })
-        .collect();
-    let mut deltas: Vec<RouteDelta<M>> = fan_out(
-        obs.as_deref_mut(),
-        Phase::RouteShard,
-        round,
-        true,
-        route_jobs,
-    );
-
-    // Transpose: per destination shard, the per-worker bucket parts in
-    // worker (= sender shard) order.
-    let mut per_dest: Vec<RoutedBuckets<M>> = (0..shard_count)
-        .map(|_| Vec::with_capacity(shard_count))
-        .collect();
-    for set in bucket_sets {
-        for (d, bucket) in set.into_iter().enumerate() {
-            per_dest[d].push(bucket);
+        }
+        timed_phase(obs, Phase::ApplyDeltas, round, || {
+            core.apply_route_deltas(&mut deltas, &mut delayed_lists)
+        });
+        for bucket in per_dest.into_iter().flatten().chain(delayed_lists) {
+            self.routed_pool.put(bucket);
         }
     }
+}
 
-    // Merge phase: one job per destination shard, each owning its
-    // shard's mailboxes and recv-tally lanes.
-    let merge_jobs = parts
-        .inboxes
-        .chunks_mut(shard_len)
-        .zip(parts.node_lanes.chunks_mut(shard_len))
-        .zip(per_dest.iter_mut().zip(delayed_lists.iter_mut()))
-        .enumerate()
-        .map(|(d, ((inboxes, recv_lanes), (parts_d, delayed)))| {
-            move || merge_dest_shard(round, d * shard_len, parts_d, inboxes, recv_lanes, delayed)
-        })
-        .collect();
-    fan_out(
-        obs.as_deref_mut(),
-        Phase::MergeDestShard,
-        round,
-        total_messages >= PARALLEL_MERGE_MIN_MESSAGES,
-        merge_jobs,
-    );
-
-    timed_phase(obs, Phase::ApplyDeltas, round, || {
-        core.apply_route_deltas(&mut deltas, &mut delayed_lists)
+/// Runs `work` and, under a recorder whose shared epoch is `epoch`
+/// (`Instant` is `Copy + Send`), times it as a `phase` span on `shard`'s
+/// lane. A job hands its spans back with its result; they fold into the
+/// recorder only after the handoff, in shard order, so telemetry never
+/// races and cannot perturb the run.
+fn lane_span<T>(
+    epoch: Option<Instant>,
+    phase: Phase,
+    round: u64,
+    shard: usize,
+    work: impl FnOnce() -> T,
+) -> (T, Option<SpanEvent>) {
+    let start = epoch.map(|_| Instant::now());
+    let out = work();
+    let span = epoch.zip(start).map(|(epoch, start)| {
+        SpanEvent::from_instants(epoch, phase, round, shard as u32, start, Instant::now())
     });
-    for bucket in per_dest.into_iter().flatten().chain(delayed_lists) {
-        routed_pool.put(bucket);
-    }
+    (out, span)
 }
 
 impl<N> RoundEngine<N> for ShardedEngine<N>
@@ -333,55 +292,48 @@ where
     N::Msg: Send,
 {
     /// Executes one synchronous round; see the [crate docs](crate) for
-    /// the three phases and which of them run in parallel.
+    /// its phases and which of them run in parallel.
+    ///
+    /// A lone shard is the sequential engine's round on the calling
+    /// thread (the serial [`rd_sim::engine_core::EngineCore::route_batch`]
+    /// — the same kernel at shard count 1, or its fault-free fast loop).
+    /// Otherwise every shard is stepped and routed by one job on its own
+    /// thread ([`step_shard`], then [`route_shard`] into
+    /// per-destination-shard buckets), the buckets are merged per
+    /// destination shard ([`merge_dest_shard`] — by the workers too, once
+    /// the round carries enough messages to pay for a second handoff),
+    /// and the shard-local deltas fold back into the core. Bit-identical
+    /// for every shard count.
+    ///
+    /// With a recorder attached, a shard's job records a
+    /// [`Phase::OnRound`] and a [`Phase::RouteShard`] span and its merge a
+    /// [`Phase::MergeDestShard`] span on the shard's lane, and the serial
+    /// delta fold is timed as [`Phase::ApplyDeltas`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any envelope addresses a node that does not exist.
     fn step(&mut self) {
         let round = self.shell.begin_round();
-        let (nodes, core, mut obs) = self.shell.parts_mut();
-        let n = nodes.len();
+        let n = self.shell.core().node_count();
         // Contiguous blocks of ⌈n / workers⌉ nodes; the final shard may
-        // be short. A worker without nodes is never spawned, and a lone
-        // shard runs on the calling thread.
+        // be short, and a worker without nodes gets no shard.
         let shard_len = n.div_ceil(self.workers.min(n).max(1)).max(1);
         let mut bufs: Vec<ShardBufs<N::Msg>> = (0..n.div_ceil(shard_len))
             .map(|_| (self.env_pool.take(), self.env_pool.take()))
             .collect();
-
-        let state = core.step_state();
-        let ctx = state.ctx;
-        let step_jobs = nodes
-            .chunks_mut(shard_len)
-            .zip(state.inboxes.chunks_mut(shard_len))
-            .zip(bufs.iter_mut())
-            .enumerate()
-            .map(|(shard, ((nodes, inboxes), (staged, scratch)))| {
-                move || {
-                    step_shard(
-                        ctx,
-                        shard * shard_len,
-                        nodes,
-                        inboxes,
-                        staged,
-                        scratch,
-                        |_| {},
-                    )
-                }
-            })
-            .collect();
-        fan_out(obs.as_deref_mut(), Phase::OnRound, round, true, step_jobs);
-
-        let mut staged_shards: Vec<Vec<Envelope<N::Msg>>> = Vec::with_capacity(bufs.len());
-        for (staged, scratch) in bufs {
-            self.env_pool.put(scratch);
-            staged_shards.push(staged);
+        if let [(staged, scratch)] = &mut bufs[..] {
+            self.shell.step_nodes(staged, scratch, |_| {});
+            self.shell.route(|core| core.route_batch(staged));
+        } else {
+            self.step_shards(round, shard_len, &mut bufs);
         }
-        route_staged(
-            core,
-            &mut staged_shards,
-            shard_len,
-            &mut self.routed_pool,
-            obs,
-        );
-        for staged in staged_shards {
+        // Scratch buffers first, then the staged ones: the order the
+        // pool's counters — archive records — have always seen.
+        for (_, scratch) in &mut bufs {
+            self.env_pool.put(std::mem::take(scratch));
+        }
+        for (staged, _) in bufs {
             self.env_pool.put(staged);
         }
         self.shell
@@ -630,6 +582,112 @@ mod tests {
             seq.trace().unwrap().overflow(),
             par.trace().unwrap().overflow()
         );
+    }
+
+    /// A gossiper that can run for hundreds of rounds: what it hears is
+    /// folded, in inbox order, into one word.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Folder {
+        n: u32,
+        heard: u32,
+    }
+
+    impl Node for Folder {
+        type Msg = Rumor;
+        fn on_round(
+            &mut self,
+            inbox: &mut Vec<Envelope<Rumor>>,
+            ctx: &mut RoundContext<'_, Rumor>,
+        ) {
+            use rand::Rng;
+            for env in inbox.drain(..) {
+                let word = env.payload.0.iter().fold(u32::from(env.src), |w, &id| {
+                    w.wrapping_mul(31).wrapping_add(u32::from(id))
+                });
+                self.heard = self.heard.rotate_left(5) ^ word;
+            }
+            for _ in 0..2 {
+                let dst = NodeId::new(ctx.rng().random_range(0..self.n));
+                if dst != ctx.id() {
+                    ctx.send(dst, Rumor(vec![NodeId::new(self.heard % self.n)]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_engines_stepped_alternately_each_keep_their_own_workers() {
+        // Long enough for a lost wake-up or a result read too early to
+        // show, and with a second engine's handoffs interleaved on the
+        // same calling thread.
+        let folders = || vec![Folder { n: 23, heard: 0 }; 23];
+        let plan = || FaultPlan::new().with_drop_probability(0.1);
+        let mut seq = Engine::new(folders(), 3)
+            .with_faults(plan())
+            .with_trace(1 << 14);
+        let mut pars: Vec<_> = [2, 5]
+            .into_iter()
+            .map(|workers| {
+                ShardedEngine::new(folders(), 3, workers)
+                    .with_faults(plan())
+                    .with_trace(1 << 14)
+            })
+            .collect();
+        for _ in 0..200 {
+            seq.step();
+            for par in &mut pars {
+                par.step();
+            }
+        }
+        for par in &pars {
+            assert_eq!(seq.nodes(), par.nodes());
+            assert_eq!(seq.metrics(), par.metrics());
+            let (seq, par) = (seq.trace().unwrap(), par.trace().unwrap());
+            assert_eq!(seq.events(), par.events());
+            assert_eq!(seq.overflow(), par.overflow());
+        }
+    }
+
+    /// Records the thread every one of its rounds ran on.
+    #[derive(Clone)]
+    struct Witness(Vec<std::thread::ThreadId>);
+
+    impl Node for Witness {
+        type Msg = Rumor;
+        fn on_round(&mut self, _: &mut Vec<Envelope<Rumor>>, _: &mut RoundContext<'_, Rumor>) {
+            self.0.push(std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn no_thread_is_created_after_the_first_round() {
+        // Seven nodes on three workers: shards 0..3, 3..6 and 6..7.
+        let mut engine = ShardedEngine::new(vec![Witness(Vec::new()); 7], 1, 3);
+        for _ in 0..50 {
+            engine.step();
+        }
+        let first: Vec<_> = engine.nodes().iter().map(|w| w.0[0]).collect();
+        for (witness, first) in engine.nodes().iter().zip(&first) {
+            assert_eq!(witness.0.len(), 50);
+            assert!(witness.0.iter().all(|id| id == first));
+        }
+        // One thread per shard, the last of them the caller's.
+        assert_eq!(first[0], first[2]);
+        assert_eq!(first[3], first[5]);
+        assert_ne!(first[0], first[3]);
+        assert_eq!(first[6], std::thread::current().id());
+        assert!(!first[..6].contains(&first[6]));
+    }
+
+    #[test]
+    fn a_lone_shard_creates_no_thread() {
+        let caller = std::thread::current().id();
+        for (n, workers) in [(7, 1), (1, 4)] {
+            let mut engine = ShardedEngine::new(vec![Witness(Vec::new()); n], 1, workers);
+            engine.step();
+            engine.step();
+            assert!(engine.nodes().iter().all(|w| w.0 == [caller, caller]));
+        }
     }
 
     #[test]

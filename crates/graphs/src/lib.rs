@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Directed-graph substrate for the resource-discovery reproduction.
 //!

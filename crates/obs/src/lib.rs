@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! rd-obs: structured telemetry, run archives, and inspection tooling
 //! for resource-discovery runs.
 //!

@@ -371,7 +371,7 @@ impl LiveSpec {
 }
 
 /// The double-buffered snapshot bus. See the module docs for why this
-/// is two mutexed slots rather than an unsafe seqlock.
+/// is two mutexed slots rather than a hand-rolled seqlock.
 #[derive(Debug, Default)]
 pub struct LiveBus {
     slots: [Mutex<LiveSnapshot>; 2],

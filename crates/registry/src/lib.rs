@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The motivating application of resource discovery: a
 //! **coordination-free resource directory**.

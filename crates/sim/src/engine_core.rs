@@ -620,11 +620,15 @@ pub fn merge_dest_shard<M: MessageCost>(
     }
 }
 
-/// Disjoint borrows of everything a router needs from the core: the
-/// routing parameters, the mailboxes, and the per-node metric lanes,
-/// each independently sliceable per shard. Obtained via
-/// [`EngineCore::route_parts`].
+/// Disjoint borrows of everything stepping and routing a round need
+/// from the core: the read-only stepping context and routing
+/// parameters, the mailboxes, and the per-node metric lanes, each
+/// independently sliceable per shard — so one worker can step a shard
+/// and route what it staged without coming back to the core in between.
+/// Obtained via [`EngineCore::route_parts`].
 pub struct RouteParts<'a, M: MessageCost> {
+    /// The round's read-only stepping context.
+    pub ctx: StepCtx<'a>,
     /// The round's read-only routing parameters.
     pub params: RouteParams<'a>,
     /// One mailbox per node.
@@ -970,8 +974,8 @@ impl<M: MessageCost> EngineCore<M> {
         self.serial_delayed = delayed;
     }
 
-    /// Borrows the state a router needs, for shards of `shard_len`
-    /// nodes; see [`RouteParts`].
+    /// Borrows the state stepping and routing need, for shards of
+    /// `shard_len` nodes; see [`RouteParts`].
     ///
     /// # Panics
     ///
@@ -979,6 +983,13 @@ impl<M: MessageCost> EngineCore<M> {
     pub fn route_parts(&mut self, shard_len: usize) -> RouteParts<'_, M> {
         let lanes = self.metrics.lanes();
         RouteParts {
+            ctx: StepCtx {
+                faults: &self.faults,
+                seed: self.seed,
+                round: self.round,
+                receive_cap: self.receive_cap,
+                suspects: &self.suspects,
+            },
             params: RouteParams {
                 seed: self.seed,
                 round: self.round,
