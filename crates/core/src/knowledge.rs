@@ -13,15 +13,19 @@ use rd_sim::{NodeId, PointerList};
 ///
 /// Internally membership starts as a small **sorted index** (binary
 /// search) and spills into a **growable bitmap** over raw identifier
-/// indices once the set exceeds [`SPARSE_MAX`] entries, plus one
-/// append-only learning-order list for O(1) random sampling. The hybrid
-/// matters at scale: a bitmap alone costs `max_id / 8` bytes *per set*,
-/// which sums to Θ(n²) bytes across a million singleton clusters — the
-/// sparse tier keeps per-set memory proportional to what the set
-/// actually holds, while big sets (merged clusters, full rosters) still
-/// get O(1) bitmap lookups. This is a set *representation* choice only —
-/// protocols still treat identifiers as opaque and learn them
-/// exclusively through messages.
+/// indices once the set holds more ids than that bitmap would have
+/// words ([`NodeId::worth_a_bitmap`], the rule a shared payload offers
+/// its bitmap by) or more than [`SPARSE_MAX`] ids, plus one append-only
+/// learning-order list for O(1) random sampling. The hybrid matters at
+/// scale: a bitmap alone costs `max_id / 8` bytes *per set*, which sums
+/// to Θ(n²) bytes across a million singleton clusters — the sorted tier
+/// keeps per-set memory proportional to what the set actually holds,
+/// while dense sets (ids from a narrow range, merged clusters, full
+/// rosters) get O(1) bitmap lookups, and a first-heard id costs a
+/// bit, not a sorted insert. At the switch the bitmap takes at most
+/// twice the bytes of the entries it replaces. This is a set
+/// *representation* choice only — protocols still treat identifiers as
+/// opaque and learn them exclusively through messages.
 ///
 /// Freshness is **one window over that list**, not a second queue: a
 /// cursor marks how far [`take_fresh`](Self::take_fresh) has read, so
@@ -102,10 +106,43 @@ impl Default for State {
     }
 }
 
-/// Spill threshold: sets at or below this size stay sorted-vec (≤ 2 KiB,
-/// O(log s) lookups); beyond it the bitmap's `max_id / 8` bytes are
-/// amortised over enough members to be worth paying.
+/// The sorted tier's cap: however wide its id range, a set of more ids
+/// than this is a bitmap, whose `max_id / 8` bytes are then amortised
+/// over enough members to be worth paying. Below it density decides
+/// ([`stays_sorted`]); the sorted entries of a set never pass 2 KiB.
 const SPARSE_MAX: usize = 512;
+
+/// The tier rule: `ids` ids whose bitmap would have `words` words keep
+/// sorted entries unless that bitmap is
+/// [worth having](NodeId::worth_a_bitmap) or they are more than
+/// [`SPARSE_MAX`].
+fn stays_sorted(ids: usize, words: usize) -> bool {
+    ids <= SPARSE_MAX && !NodeId::worth_a_bitmap(ids, words)
+}
+
+/// Words in the bitmap of sorted entries: their last is their largest.
+fn words_of(sorted: &[u32]) -> usize {
+    sorted.last().map_or(0, |&top| top as usize / 64 + 1)
+}
+
+/// The tier rule for a merge of `ids` ids whose bitmap has `words`
+/// words into sorted entries, read once up front on the merged length
+/// bound and the larger word count. A bulk merge and a settle both ask
+/// it, so the two land on the same tier.
+fn stays_sorted_merging(sorted: &[u32], ids: usize, words: usize) -> bool {
+    stays_sorted(sorted.len() + ids, words.max(words_of(sorted)))
+}
+
+/// Adds `raw` to sorted entries; `true` if it was not among them.
+fn insert_sorted(sorted: &mut Vec<u32>, raw: u32) -> bool {
+    match sorted.binary_search(&raw) {
+        Ok(_) => false,
+        Err(pos) => {
+            sorted.insert(pos, raw);
+            true
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Membership {
@@ -163,8 +200,8 @@ fn append_new(
 }
 
 /// Room for `additional` more entries, grown as a push at a time grows
-/// a vector: by doubling. The sorted tier used to learn a payload id by
-/// id, and its sets keep the capacities that gave them, so
+/// a vector: by doubling. Sets used to learn a payload id by id, and
+/// keep the capacities that gave them, so
 /// [`resident_bytes`](KnowledgeSet::resident_bytes) does not move — one
 /// bulk `reserve` lands between the doublings, and the next one then
 /// overshoots a universe the doubled list would have fitted exactly.
@@ -432,15 +469,17 @@ impl KnowledgeSet {
     /// the last of them. *Membership* is then words: the payload's
     /// bitmap ORed in, or its unknown bits merged into the sorted
     /// entries, spilling exactly where
-    /// [`extend_from_slice`](Self::extend_from_slice) would have.
+    /// [`extend_from_slice`](Self::extend_from_slice) would have. Either
+    /// way the list grows by doubling, as a push at a time grows it.
     fn settle(&mut self) {
         let State::Adopting(adopting) = &mut self.state else {
             return;
         };
         let mut tier = std::mem::take(&mut adopting.settled);
         let (ids, theirs, new) = (&adopting.payload[..], adopting.bitmap(), adopting.new);
+        reserve_doubling(&mut self.list, new);
         match &mut tier {
-            Membership::Sparse(sorted) if sorted.len() + ids.len() <= SPARSE_MAX => {
+            Membership::Sparse(sorted) if stays_sorted_merging(sorted, ids.len(), theirs.len()) => {
                 let mut unknown = theirs.to_vec();
                 for &raw in sorted.iter() {
                     let (w, b) = word_bit(raw as usize);
@@ -448,7 +487,6 @@ impl KnowledgeSet {
                         *word &= !b;
                     }
                 }
-                reserve_doubling(&mut self.list, new);
                 append_new(&mut self.list, ids, new, |w, b| unknown[w] & b != 0);
                 merge_sorted(sorted, &mut unknown, new);
             }
@@ -482,6 +520,10 @@ impl KnowledgeSet {
 
     /// Learns `id`, which joins the fresh window if new. Returns `true`
     /// if new.
+    // Inlined on purpose: with the tier check the body outgrew what the
+    // compiler inlines unasked, and building an HM node calls it nine
+    // times (set-up read 3–4 % slower out of line).
+    #[inline]
     pub fn insert(&mut self, id: NodeId) -> bool {
         let tier = match &mut self.state {
             State::Settled(tier) => tier,
@@ -492,16 +534,7 @@ impl KnowledgeSet {
             }
         };
         let added = match tier {
-            Membership::Sparse(sorted) => {
-                let raw = id.index() as u32;
-                match sorted.binary_search(&raw) {
-                    Ok(_) => false,
-                    Err(pos) => {
-                        sorted.insert(pos, raw);
-                        true
-                    }
-                }
-            }
+            Membership::Sparse(sorted) => insert_sorted(sorted, id.index() as u32),
             Membership::Dense(bits) => {
                 let (w, b) = word_bit(id.index());
                 if w >= bits.len() {
@@ -517,7 +550,8 @@ impl KnowledgeSet {
         };
         if added {
             self.list.push(id);
-            if matches!(tier, Membership::Sparse(sorted) if sorted.len() > SPARSE_MAX) {
+            if matches!(tier, Membership::Sparse(sorted) if !stays_sorted(sorted.len(), words_of(sorted)))
+            {
                 tier.spill();
             }
         }
@@ -538,11 +572,16 @@ impl KnowledgeSet {
     /// Equivalent to [`insert`](Self::insert) on each id **in slice
     /// order** — same learning order, same fresh window, same count —
     /// so routing a payload through it moves no simulated statistic.
-    /// The difference is cost: a payload that could push the set past
-    /// the sparse tier spills it once up front (possibly a few ids
-    /// earlier than per-id inserts would have), the bitmap and the list
-    /// are sized once, and the merge is a test-and-set loop with no
-    /// per-id tier match or growth check.
+    /// The difference is cost, and may be the tier, because the tier
+    /// rule is read once, up front, on the merged length bound and the
+    /// larger of the set's and the payload's word counts. A payload that
+    /// could push the set past the sorted tier spills it at once
+    /// (possibly a few ids earlier than per-id inserts would have), the
+    /// bitmap and the list are sized once, and the merge is a
+    /// test-and-set loop with no per-id tier match or growth check; one
+    /// that cannot is inserted into the sorted entries, which then stay
+    /// sorted even where per-id inserts, reading the rule on a narrower
+    /// range part-way, would have spilled them.
     pub fn extend_from_slice(&mut self, ids: &[NodeId]) -> usize {
         if matches!(self.state, State::Adopting(_)) && self.knows_all_or_settles(ids) {
             return 0;
@@ -556,10 +595,18 @@ impl KnowledgeSet {
         let State::Settled(tier) = &mut self.state else {
             unreachable!("a set holding a payload settles before it merges")
         };
-        if matches!(tier, Membership::Sparse(sorted) if sorted.len() + ids.len() <= SPARSE_MAX) {
-            return self.extend(ids.iter().copied());
-        }
         let words = NodeId::bitmap_words(ids);
+        if let Membership::Sparse(sorted) = tier {
+            if stays_sorted_merging(sorted, ids.len(), words) {
+                let before = self.list.len();
+                for &id in ids {
+                    if insert_sorted(sorted, id.index() as u32) {
+                        self.list.push(id);
+                    }
+                }
+                return self.list.len() - before;
+            }
+        }
         let bits = tier.spill();
         if words > bits.len() {
             bits.resize(words, 0);
@@ -810,19 +857,62 @@ mod tests {
 
     #[test]
     fn spill_to_bitmap_preserves_membership() {
-        let mut k = KnowledgeSet::new(id(0));
-        for i in 0..2 * SPARSE_MAX as u32 {
-            k.insert(id(3 * i));
+        // Narrow: own id 1023 makes the bitmap 16 words, and ids filled
+        // in from below keep the set sorted while it has no more ids
+        // than that (16) and spill it at 17. Wide: at stride 128 the
+        // bitmap would have twice as many words as the set has ids, so
+        // only the cap spills it, at 513.
+        for (own, stride, spills_at) in [(1023, 3, 17), (0, 128, SPARSE_MAX + 1)] {
+            let mut k = KnowledgeSet::new(id(own));
+            for i in 0..2 * SPARSE_MAX as u32 {
+                k.insert(id(stride * i));
+                let dense = matches!(k.tiers().0, Membership::Dense(_));
+                assert_eq!(
+                    dense,
+                    k.len() >= spills_at,
+                    "stride {stride}, {} ids",
+                    k.len()
+                );
+            }
+            assert_eq!(k.len(), 2 * SPARSE_MAX); // own id deduplicated
+            for i in 0..2 * SPARSE_MAX as u32 {
+                assert!(k.contains(id(stride * i)), "lost id {}", stride * i);
+                assert!(!k.contains(id(stride * i + 1)));
+            }
+            // Dedup keeps working across the representation change.
+            assert!(!k.insert(id(stride)));
+            assert!(k.insert(id(1)));
         }
-        assert!(matches!(k.tiers().0, Membership::Dense(_)));
-        assert_eq!(k.len(), 2 * SPARSE_MAX); // id(0) deduplicated
-        for i in 0..2 * SPARSE_MAX as u32 {
-            assert!(k.contains(id(3 * i)), "lost id {}", 3 * i);
-            assert!(!k.contains(id(3 * i + 1)));
+    }
+
+    #[test]
+    fn a_spill_by_density_at_most_doubles_the_bytes_and_wide_sets_reach_the_cap() {
+        // Every id of a range once, in a scrambled order, so the top id
+        // and the count race each other. A set that spills below the
+        // cap does so on the insert that makes its ids outnumber its
+        // words by one, when the bitmap takes 8 bytes a word against
+        // the 4 an entry took; the widest range stays sorted to 512.
+        for range in [64u32, 1 << 10, 1 << 13, 1 << 16] {
+            let mut k = KnowledgeSet::default();
+            let mut spilled_at = None;
+            for i in 0..u64::from(range) {
+                let sorted = matches!(k.tiers().0, Membership::Sparse(_));
+                k.insert(id((i * 0x9E37_79B1 % u64::from(range)) as u32));
+                if let (true, Membership::Dense(bits)) = (sorted, k.tiers().0) {
+                    spilled_at = Some(k.len());
+                    if k.len() <= SPARSE_MAX {
+                        assert_eq!(bits.len(), k.len() - 1, "range {range}");
+                        assert!(bits.len() * 8 <= 2 * k.len() * 4);
+                    }
+                }
+            }
+            let spilled_at = spilled_at.expect("a full range is a bitmap");
+            if range < 1 << 16 {
+                assert!(spilled_at <= SPARSE_MAX, "range {range}: {spilled_at}");
+            } else {
+                assert_eq!(spilled_at, SPARSE_MAX + 1);
+            }
         }
-        // Dedup keeps working across the representation change.
-        assert!(!k.insert(id(3)));
-        assert!(k.insert(id(1)));
     }
 
     #[test]
@@ -937,31 +1027,43 @@ mod tests {
 
     #[test]
     fn settling_spills_the_sorted_tier_where_a_bulk_merge_does() {
-        for total in [SPARSE_MAX - 1, SPARSE_MAX, SPARSE_MAX + 1] {
-            for held in [1, 200, 400] {
-                // Collected twice: a clone is cut to size, and the
-                // two would grow from different capacities.
-                let receiver = || (0..held as u32).map(|i| id(2 * i)).collect();
-                let (mut adopted, mut merged): (KnowledgeSet, KnowledgeSet) =
-                    (receiver(), receiver());
-                // Half of it known to the larger receivers, and
-                // `held` + its length = `total`: what the spill rule reads.
-                let payload = roster(0..(total - held) as u32);
-                assert_eq!(adopted.adopt(&payload), merged.extend_from_slice(&payload));
-                assert!(!adopted.is_settled());
-                assert_eq!(adopted.list(), merged.list());
-                match (adopted.tiers().0, merged.tiers().0) {
-                    (Membership::Sparse(a), Membership::Sparse(b)) => {
-                        assert!(total <= SPARSE_MAX);
-                        assert_eq!(a, b);
-                        // Grown by doubling, as the per-id inserts grew it.
-                        assert_eq!(adopted.resident_bytes(), merged.resident_bytes());
+        // The receiver's own id, its largest, fixes its bitmap at 40
+        // words — a narrow range, where density decides, at `total` 40
+        // — or at 1 025, wide enough that the cap decides, at 512.
+        let narrow = (39 * 64, 40, [1, 10, 20]);
+        let wide = (1024 * 64, SPARSE_MAX, [1, 200, 400]);
+        for (top, limit, helds) in [narrow, wide] {
+            for total in [limit - 1, limit, limit + 1] {
+                for held in helds {
+                    // Collected twice: a clone is cut to size, and the
+                    // two would grow from different capacities.
+                    let receiver = || {
+                        let below = (0..held as u32 - 1).map(|i| id(2 * i));
+                        std::iter::once(id(top)).chain(below).collect()
+                    };
+                    let (mut adopted, mut merged): (KnowledgeSet, KnowledgeSet) =
+                        (receiver(), receiver());
+                    assert!(matches!(adopted.tiers().0, Membership::Sparse(_)));
+                    // Half of it known to the larger receivers, and
+                    // `held` + its length = `total`: the bound the tier
+                    // rule reads, against the receiver's words.
+                    let payload = roster(0..(total - held) as u32);
+                    assert_eq!(adopted.adopt(&payload), merged.extend_from_slice(&payload));
+                    assert!(!adopted.is_settled());
+                    assert_eq!(adopted.list(), merged.list());
+                    match (adopted.tiers().0, merged.tiers().0) {
+                        (Membership::Sparse(a), Membership::Sparse(b)) => {
+                            assert!(total <= limit);
+                            assert_eq!(a, b);
+                            // Grown by doubling, as per-id inserts grow it.
+                            assert_eq!(adopted.resident_bytes(), merged.resident_bytes());
+                        }
+                        (Membership::Dense(a), Membership::Dense(b)) => {
+                            assert!(total > limit, "{held} + {} ids spilled", total - held);
+                            assert_eq!(a, b);
+                        }
+                        _ => panic!("{held} + {} ids: one spilled, one did not", total - held),
                     }
-                    (Membership::Dense(a), Membership::Dense(b)) => {
-                        assert!(total > SPARSE_MAX);
-                        assert_eq!(a, b);
-                    }
-                    _ => panic!("{held} + {} ids: one spilled, one did not", total - held),
                 }
             }
         }
@@ -981,7 +1083,7 @@ mod tests {
         };
         let sets = [
             sparse(&[1, 64, 700]),
-            sparse(&[3, 6, 2400]),
+            sparse(&[3, 129, 2400]),
             dense(600),
             dense(900),
             adopting(sparse(&[1, 64])),

@@ -4,8 +4,11 @@
 //! 1. the bulk payload merge ([`KnowledgeSet::extend_from_slice`]) is
 //!    the per-id [`insert`](KnowledgeSet::insert) loop — same learning
 //!    order, same fresh window, same newly-learned count — in the
-//!    sparse tier, across the 511/512/513 spill boundary, in the dense
-//!    tier, and for payloads that repeat ids;
+//!    sorted tier, across both of its spills (where a set's ids come to
+//!    outnumber its bitmap's words, on narrow id ranges and at strides
+//!    62–66 around one id a word; and at 511/512/513 ids, the cap, on
+//!    ranges of stride 128 or more, where density never spills it), in
+//!    the bitmap tier, and for payloads that repeat ids;
 //! 2. the word-level [`covers`](KnowledgeSet::covers) is `knows` of
 //!    every set bit, on either tier and for masks longer or shorter
 //!    than the set's own bitmap;
@@ -37,13 +40,20 @@ fn ids(raw: &[u32]) -> Vec<NodeId> {
     raw.iter().map(|&i| NodeId::new(i)).collect()
 }
 
-/// Id lists that keep sets sparse, push them dense (> 512 members),
-/// straddle the promotion threshold, or repeat a handful of ids.
+/// Id lists that keep sets sorted, spill them where their ids come to
+/// outnumber their bitmap's words or where they pass the 512 cap, push
+/// them well past both, or repeat a handful of ids.
 fn arb_ids() -> impl Strategy<Value = Vec<u32>> {
     prop_oneof![
-        // Small sparse set over a wide id range.
+        // Small sorted set over a wide id range.
         proptest::collection::vec(0u32..100_000, 0..40),
-        // Around the SPARSE_MAX = 512 promotion boundary.
+        // Up to 60 ids over 32 words: straddles ids == words.
+        proptest::collection::vec(0u32..2_048, 0..60),
+        // Around the 512 cap at stride 128: 8 000 words, so the set is
+        // still sorted when the cap spills it.
+        proptest::collection::vec(0u32..4_000, 400..700)
+            .prop_map(|raw| raw.into_iter().map(|i| i * 128).collect()),
+        // As many ids over a narrow range: a bitmap long before 512.
         proptest::collection::vec(0u32..4_000, 400..700),
         // Comfortably dense.
         proptest::collection::vec(0u32..10_000, 600..1200),
@@ -62,13 +72,20 @@ fn arb_distinct(range: u32, len: std::ops::Range<usize>) -> impl Strategy<Value 
     })
 }
 
-/// A payload dense enough for a bitmap: small enough to leave a small
-/// receiver on the sorted tier; reaching four times past any
-/// receiver's last word; and past 512 ids, so that a sender's snapshot
-/// of it brings the sender's own bitmap.
+/// A payload dense enough for a bitmap: small enough to leave a wide
+/// receiver on the sorted tier; as wide as a payload with a bitmap gets,
+/// one id a word or a little more (stride 48–63, in turned order), so
+/// that with a receiver's ids it straddles ids == words; reaching four
+/// times past any receiver's last word; and past 512 ids, so that a
+/// sender's snapshot of it brings the sender's own bitmap.
 fn arb_teaching_payload() -> impl Strategy<Value = Vec<u32>> {
     prop_oneof![
         arb_distinct(1_500, 40..200),
+        (8u32..200, 48u32..64, any::<usize>()).prop_map(|(len, stride, turn)| {
+            let mut ids: Vec<u32> = (0..len).map(|i| i * stride).collect();
+            ids.rotate_left(turn % len as usize);
+            ids
+        }),
         arb_distinct(6_000, 150..700),
         arb_distinct(4_000, 700..1_300),
     ]
@@ -115,16 +132,21 @@ proptest! {
         assert_same(&mut bulk, &mut per_id)?;
     }
 
-    /// The same equivalence pinned at the spill threshold: a set of
-    /// 511, 512 or 513 distinct ids is reached by one bulk merge, by
-    /// two, and by per-id inserts, and all three agree.
+    /// The same equivalence pinned at the spill thresholds: a set of
+    /// 509 to 515 distinct ids is reached by one bulk merge, by two,
+    /// and by per-id inserts, and all three agree. At stride 65 or
+    /// more the set is sorted up to the 512 cap (at 128 or more with
+    /// room to spare); at stride 64 it has exactly as many ids as
+    /// words all the way, the density boundary itself; narrower, its
+    /// second id already outnumbers its words.
     #[test]
     fn bulk_merge_agrees_at_the_spill_boundary(
         total in 509usize..516,
         split in 0usize..516,
-        stride in 1u32..50,
+        stride in prop_oneof![1u32..50, 62u32..67, 128u32..400],
     ) {
-        let payload: Vec<NodeId> = (0..total as u32).map(|i| NodeId::new(1 + i * stride)).collect();
+        let payload: Vec<NodeId> =
+            (0..total as u32).map(|i| NodeId::new((1 + i) * stride)).collect();
         let split = split.min(total);
         let mut per_id = KnowledgeSet::new(NodeId::new(0));
         for &id in &payload {
@@ -380,14 +402,16 @@ proptest! {
         }
     }
 
-    /// Adoption pinned at the spill threshold: a receiver holding 509
-    /// to 515 ids — sparse below 513, dense from there — adopts an
+    /// Adoption pinned at the spill thresholds: a receiver holding 509
+    /// to 515 ids — a bitmap from the start over a narrow range (strides
+    /// 1–3, 62–63), as many ids as words at stride 64, and at stride 128
+    /// or more sorted below 513 and a bitmap from there — adopts an
     /// overlapping roster, then a second one, and every observer agrees
     /// with the twin that merged both on arrival.
     #[test]
     fn adoption_agrees_at_the_spill_boundary(
         held in 509u32..516,
-        stride in 1u32..4,
+        stride in prop_oneof![1u32..4, 62u32..67, 128u32..200],
         overlap in 0u32..600,
         seed in any::<u64>(),
     ) {
@@ -418,15 +442,20 @@ proptest! {
     }
 
     /// Adopting a sender's snapshot is merging the sender's list. The
-    /// sender holds 509 to 515 ids, so its snapshot comes without a
-    /// bitmap below 513 and with its own from there; the receiver is
-    /// sparse or dense, and already knows part of what arrives.
+    /// sender holds 509 to 515 ids: over a narrow range (strides 1–3,
+    /// and 62–63 from a small offset) it is a bitmap and its snapshot
+    /// brings it; level with its words (stride 64 from an offset below
+    /// 64), about level (62–66, by the offset) or wider (128 or more:
+    /// sorted below 513, a bitmap by the cap from there) its snapshot
+    /// has no bitmap and is merged on the spot — a payload has one
+    /// exactly when its ids outnumber its words. The receiver is sorted
+    /// or a bitmap, and already knows part of what arrives.
     #[test]
     fn adopting_a_snapshot_is_merging_the_senders_list(
         sent in 509u32..516,
         held in prop_oneof![0u32..40, 509u32..516, 600u32..900],
-        stride in 1u32..4,
-        offset in 0u32..700,
+        stride in prop_oneof![1u32..4, 62u32..67, 128u32..200],
+        offset in prop_oneof![0u32..64, 0u32..700],
         later in 0u32..3_000,
     ) {
         let mut sender: KnowledgeSet = (0..sent).rev().map(|i| NodeId::new(offset + i * stride)).collect();
@@ -437,9 +466,11 @@ proptest! {
         // What the sender learns afterwards is not in it.
         let grew = sender.insert(NodeId::new(later));
         prop_assert_eq!(snapshot.len() + usize::from(grew), sender.len());
+        let then: BTreeSet<u32> = snapshot.iter().map(|id| id.index() as u32).collect();
+        let words = mask_of(&then, 0);
+        prop_assert_eq!(snapshot.shared_bitmap().is_some(), snapshot.len() > words.len());
         if let Some(bitmap) = snapshot.shared_bitmap() {
-            let then: BTreeSet<u32> = snapshot.iter().map(|id| id.index() as u32).collect();
-            prop_assert_eq!(bitmap, mask_of(&then, 0));
+            prop_assert_eq!(bitmap, words);
         }
         prop_assert_eq!(receiver.adopt(&snapshot), eager.extend_from_slice(&snapshot));
         prop_assert_eq!(receiver.adopt(&snapshot), 0);
@@ -473,8 +504,9 @@ proptest! {
     }
 
     /// Settling by mask ≡ per-id `insert` in payload order. The
-    /// receiver stays on the sorted tier, spills, or is on the bitmap
-    /// already; the payload's bitmap is built on asking or comes with a
+    /// receiver stays on the sorted tier, spills (by density, or at
+    /// stride 128 by the cap), or is on the bitmap already; the
+    /// payload's bitmap is built on asking or comes with a
     /// sender's snapshot; the payload reaches past the receiver's last
     /// word or not; all of it but its last id, or but its first, is
     /// known already, so the pass has to read to the end, or may stop at
@@ -485,6 +517,7 @@ proptest! {
         held in prop_oneof![
             arb_distinct(3_000, 1..60),
             arb_distinct(1_000, 380..520),
+            arb_distinct(4_000, 380..520).prop_map(|raw| raw.into_iter().map(|i| i * 128).collect()),
             arb_distinct(1_500, 900..1_400),
         ],
         first in arb_teaching_payload(),

@@ -45,6 +45,16 @@ impl NodeId {
             .map_or(0, |top| top / 64 + 1)
     }
 
+    /// The density rule: `ids` distinct ids are worth holding as a
+    /// bitmap of `words` words only if they outnumber its words. At
+    /// 8 bytes a word against at least 4 an id, such a bitmap never
+    /// costs twice what listing the ids does, and it answers membership
+    /// in one read. A shared payload offers a bitmap by it, and a
+    /// knowledge set leaves its sorted tier by it.
+    pub const fn worth_a_bitmap(ids: usize, words: usize) -> bool {
+        ids > words
+    }
+
     /// `ids` as a bitmap of `words` words: id `i` is bit `i % 64` of
     /// word `i / 64`.
     ///
@@ -113,6 +123,14 @@ mod tests {
     fn debug_and_display_nonempty() {
         assert_eq!(format!("{}", NodeId::new(4)), "n4");
         assert_eq!(format!("{:?}", NodeId::new(4)), "NodeId(4)");
+    }
+
+    #[test]
+    fn a_bitmap_is_worth_it_once_ids_outnumber_its_words() {
+        assert!(!NodeId::worth_a_bitmap(0, 0));
+        assert!(!NodeId::worth_a_bitmap(5, 5));
+        assert!(NodeId::worth_a_bitmap(6, 5));
+        assert!(!NodeId::worth_a_bitmap(5, 938));
     }
 
     #[test]

@@ -66,7 +66,10 @@ const INLINE_POINTERS: usize = 4;
 /// whose clones are a counter bump, so the sender allocates the payload
 /// once however many envelopes carry it. Sharing is a representation
 /// only: pointer accounting, equality and iteration see the same ids.
-/// A shared list also offers the same ids as a bitmap
+/// A shared list of distinct ids that outnumber the words of their
+/// bitmap (the workspace's one density rule,
+/// [`NodeId::worth_a_bitmap`], which also decides a knowledge set's
+/// tier) offers the same ids as a bitmap
 /// ([`shared_bitmap`](Self::shared_bitmap)) — the sender's own where it
 /// has one ([`shared_with_bitmap`](Self::shared_with_bitmap)), else
 /// built by the first receiver that asks — shared like the ids, so a
@@ -96,12 +99,6 @@ enum Repr {
 struct SharedIds {
     ids: Box<[NodeId]>,
     bitmap: OnceLock<Option<Box<[u64]>>>,
-}
-
-/// The density rule: a list has a bitmap only if it has at least as
-/// many ids as the bitmap would have words.
-fn worth_a_bitmap(ids: usize, words: usize) -> bool {
-    ids >= words
 }
 
 /// How many ids a bitmap holds.
@@ -144,7 +141,7 @@ impl PointerList {
             .iter()
             .all(|id| bitmap[id.index() / 64] >> (id.index() % 64) & 1 == 1));
         let words = bitmap.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
-        let bitmap = worth_a_bitmap(ids.len(), words).then(|| bitmap[..words].into());
+        let bitmap = NodeId::worth_a_bitmap(ids.len(), words).then(|| bitmap[..words].into());
         Self::share(ids, OnceLock::from(bitmap))
     }
 
@@ -166,19 +163,21 @@ impl PointerList {
     /// words. An un-sharing [`push`](Self::push) leaves it behind with
     /// the shared ids.
     ///
-    /// `None` for a list that is not shared, and for one with fewer ids
-    /// than its bitmap would have words: reading such a bitmap costs a
-    /// receiver more than reading the ids (a five-id delta naming node
-    /// 60 000 would be 938 words). `None`, too, for a list that repeats
-    /// an id: a bitmap is offered only for distinct ids, so a receiver
-    /// handed one may take every listed id for a different bit.
+    /// `None` for a list that is not shared, and for one with no more
+    /// ids than its bitmap would have words
+    /// ([`worth_a_bitmap`](NodeId::worth_a_bitmap)): reading such a
+    /// bitmap costs a receiver more than reading the ids (a five-id
+    /// delta naming node 60 000 would be 938 words). `None`, too, for a
+    /// list that repeats an id: a bitmap is offered only for distinct
+    /// ids, so a receiver handed one may take every listed id for a
+    /// different bit.
     pub fn shared_bitmap(&self) -> Option<&[u64]> {
         let Repr::Shared(shared) = &self.0 else {
             return None;
         };
         let bitmap = shared.bitmap.get_or_init(|| {
             let words = NodeId::bitmap_words(&shared.ids);
-            (words > 0 && worth_a_bitmap(shared.ids.len(), words))
+            NodeId::worth_a_bitmap(shared.ids.len(), words)
                 .then(|| NodeId::bitmap(&shared.ids, words))
                 .filter(|bitmap| popcount(bitmap) == shared.ids.len())
                 .map(Vec::into_boxed_slice)
@@ -469,15 +468,17 @@ mod tests {
         assert!(std::ptr::eq(first, shared.shared_bitmap().unwrap()));
         assert!(std::ptr::eq(first, shared.clone().shared_bitmap().unwrap()));
         // Inline and heap lists have none, nor has a shared list with
-        // fewer ids than bitmap words, and neither has a list that a
+        // no more ids than bitmap words, and neither has a list that a
         // push (or an extend) un-shared; its siblings keep theirs.
         assert_eq!(PointerList::shared(&nid(0..4)).shared_bitmap(), None);
         assert_eq!(PointerList::from(nid(0..9)).shared_bitmap(), None);
         let sparse = PointerList::shared(&nid([1, 2, 3, 4, 5 * 64]));
         assert!(matches!(sparse.0, Repr::Shared(_)));
         assert_eq!(sparse.shared_bitmap(), None);
-        let dense_enough = PointerList::shared(&nid([1, 2, 3, 4, 5 * 64 - 1]));
-        assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(5));
+        let level = PointerList::shared(&nid([1, 2, 3, 4, 5 * 64 - 1]));
+        assert_eq!(level.shared_bitmap(), None, "five ids, five words");
+        let dense_enough = PointerList::shared(&nid([1, 2, 3, 4, 4 * 64 - 1]));
+        assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(4));
         // Nor has a list that names an id twice: whoever is handed a
         // bitmap may count on one listed id per set bit.
         let repeated = PointerList::shared(&nid([3, 130, 64, 3, 7, 129]));
@@ -524,16 +525,17 @@ mod tests {
         extended.extend(nid(500..502));
         assert_eq!(extended.shared_bitmap(), None);
         assert!(std::ptr::eq(words, supplied.shared_bitmap().unwrap()));
-        // Fewer ids than words: shared, but no bitmap — one id nearer
-        // and it has one. Up to four ids the list stays inline.
-        let sparse = nid([1, 2, 3, 4, 5 * 64]);
+        // No more ids than words: shared, but no bitmap — the last id a
+        // word nearer and it has one. Up to four ids the list stays
+        // inline.
+        let sparse = nid([1, 2, 3, 4, 5 * 64 - 1]);
         let sparse = PointerList::shared_with_bitmap(&sparse, &bitmap_of(&sparse));
         assert!(matches!(sparse.0, Repr::Shared(_)));
         assert_eq!(sparse.shared_bitmap(), None);
-        let dense_enough = nid([1, 2, 3, 4, 5 * 64 - 1]);
+        let dense_enough = nid([1, 2, 3, 4, 4 * 64 - 1]);
         let dense_enough =
             PointerList::shared_with_bitmap(&dense_enough, &bitmap_of(&dense_enough));
-        assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(5));
+        assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(4));
         let short = nid([1, 2, 3, 300]);
         let short = PointerList::shared_with_bitmap(&short, &bitmap_of(&short));
         assert!(matches!(short.0, Repr::Inline { len: 4, .. }));

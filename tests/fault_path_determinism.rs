@@ -11,6 +11,13 @@
 //! own: the one kernel must reproduce them from a latency function.
 //! `lognormal` is left out because its draws go through floating point
 //! (DESIGN §2.3).
+//!
+//! The third table pins `continuous-churn` at n = 2^10, where a
+//! knowledge set's bitmap is 16 words: sets leave their sorted tier
+//! while the run is under way, where at n = 2^8 nearly all of them are
+//! 4-word bitmaps within a few rounds. Recorded while the tier was
+//! still chosen by count alone; which tier holds an id must not move
+//! one count.
 
 use resource_discovery::prelude::*;
 use resource_discovery::scenarios;
@@ -56,6 +63,40 @@ fn digesting_the_detector_moves_no_count_on_any_engine() {
                 ),
                 expected,
                 "{name} seed {seed} on {}",
+                engine.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn sets_that_change_tier_mid_run_move_no_count() {
+    // (rounds, messages, pointers, retransmissions, drops.total());
+    // seed 42 is the `hm_churn_2p10_sharded2` benchmark workload.
+    let recorded = [
+        (1, (267, 69_552, 2_717_414, 30_892, 34_606)),
+        (7, (267, 63_583, 2_631_676, 30_068, 33_715)),
+        (42, (267, 65_907, 2_580_988, 31_357, 35_259)),
+    ];
+    for (seed, expected) in recorded {
+        let mut scenario = scenarios::select(1 << 10, seed, &["continuous-churn".to_string()])
+            .expect("a library campaign")
+            .remove(0);
+        for engine in [EngineKind::Sequential, EngineKind::Sharded { workers: 2 }] {
+            scenario.engine = engine;
+            let kind = scenario.algorithms[0];
+            let report = run(kind, &scenario.run_config(None, &kind));
+            assert!(report.completed && report.sound, "{report:?}");
+            assert_eq!(
+                (
+                    report.rounds,
+                    report.messages,
+                    report.pointers,
+                    report.retransmissions,
+                    report.drops.total()
+                ),
+                expected,
+                "continuous-churn seed {seed} on {}",
                 engine.name()
             );
         }
