@@ -23,10 +23,10 @@
 //! Prometheus text snapshot for the sharded run. When an event engine is
 //! selected, a third archive (`hm-event.jsonl`) is written under the
 //! chosen latency model. `--profile` adds cost-attribution profiling
-//! (schema-3 `profile_*` records plus a folded-stack file per engine,
+//! (`profile_*` archive records plus a folded-stack file per engine,
 //! for `rd-inspect profile` / `flame`). `--trace` adds causal provenance tracing to
 //! those reference runs (full sampling), so the archives carry the
-//! schema-v2 edge section that `rd-inspect why` and `rd-inspect path`
+//! causal edge section that `rd-inspect why` and `rd-inspect path`
 //! read. `--live[=ADDR]` serves each instrumented reference run's
 //! `/metrics`, `/status`, and `/healthz` on a loopback listener while
 //! it runs (`rd-inspect watch` renders it; telemetry only, results are
@@ -184,7 +184,7 @@ fn obs_runs(
         }
     }
     if prof {
-        // Cost-attribution profiling: schema-3 `profile_*` records in
+        // Cost-attribution profiling: `profile_*` records in
         // every archive, plus a folded-stack file per engine for
         // `rd-inspect flame` / external flamegraph tooling.
         for (engine, spec) in &mut runs {
@@ -465,7 +465,7 @@ fn main() {
 /// T14 — where the nanosecond goes: per-phase cost attribution for
 /// the HM reference run, sequential vs 4-way sharded, across sizes.
 /// Each configuration runs once with profiling on; the report is then
-/// rebuilt from the archive's schema-3 profile section exactly the
+/// rebuilt from the archive's profile section exactly the
 /// way `rd-inspect profile` reads it, so the table doubles as an
 /// end-to-end check of the export path. Archives land in a temp
 /// directory — the rendered report is the product.

@@ -206,12 +206,12 @@ pub struct ObsSpec {
     /// Prometheus text exposition snapshot.
     pub prometheus: Option<PathBuf>,
     /// Causal knowledge-provenance tracing as `(pair capacity,
-    /// sampling rate in ppm)`; the DAG lands in the archive's schema-2
+    /// sampling rate in ppm)`; the DAG lands in the archive's causal
     /// section and feeds `rd-inspect why` / `path`.
     pub causal: Option<(usize, u32)>,
     /// Cost-attribution profiling: per-phase/per-shard wall time,
     /// per-kind message costs, and the memory timeline land in the
-    /// archive's schema-3 `profile_*` section and feed
+    /// archive's `profile_*` section and feed
     /// `rd-inspect profile` / `flame`.
     pub profile: bool,
     /// Folded-stack file for flamegraph tooling (implies [`profile`]).
@@ -264,7 +264,7 @@ impl ObsSpec {
         self
     }
 
-    /// Enables cost-attribution profiling (schema-3 archive section,
+    /// Enables cost-attribution profiling (the archive's profile section,
     /// `rd-inspect profile` / `flame`). Purely observational.
     pub fn with_profile(mut self) -> Self {
         self.profile = true;

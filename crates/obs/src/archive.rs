@@ -1,354 +1,83 @@
-//! The JSONL run-archive format: schemas v1 through v4.
+//! The JSONL run archive: one schema, optional sections.
 //!
 //! One file per run, one JSON object per line, `"type"` tagging the
-//! record kind. Line order is fixed so archives diff cleanly as text:
+//! record kind. Almost every line is one recorder value: the archive
+//! writes the recorder's own types and parses back into them. Each type
+//! lists its fields once, in its `Record::fields` walk; the writer walks
+//! that list to render a line and the reader walks it to parse one.
+//! Lines come in a fixed order, so archives diff cleanly as text:
 //!
 //! ```text
-//! {"type":"header","schema":1,"algorithm":…,"topology":…,"n":…,"seed":"…","engine":…,"workers":…
-//!   [,"latency_model":"…"]}       (the latency model appears only for event-engine runs)
-//! {"type":"round","round":1,"wall_ns":…,"messages":…,"pointers":…,"dropped_coin":…,
-//!   "dropped_crash":…,"dropped_partition":…,"dropped_link":…,"dropped_suppression":…,
-//!   "retransmissions":…,"knowledge_delta":…|null}                                           × rounds
-//! {"type":"phase","phase":"route_shard","count":…,"total_ns":…,"p50_ns":…,"p99_ns":…,"max_ns":…} × phases
-//! {"type":"worker","worker":0,"spans":…,"busy_ns":…}                                        × workers
-//! {"type":"counter","name":…,"value":…}                                                     × counters
-//! {"type":"gauge","name":…,"value":…}                                                       × gauges
-//! {"type":"hist","name":…,"count":…,"mean":…,"min":…,"p50":…,"p90":…,"p99":…,"max":…}        × histograms
-//! {"type":"hot_nodes","metric":"sent"|"recv","top":[{"node":…,"value":…},…]}                × 2
-//! {"type":"trace_meta","capacity":…,"sample_ppm":…,"edges":…,"candidates":…,
-//!   "sampled_out":…,"overflow":…}                                                  (v2) × 0..1
-//! {"type":"edge","id":…,"node":…,"src":…,"sent":…,"round":…,"seq":…}               (v2) × edges
-//! {"type":"profile_meta","coverage_pct":…,"samples":…,"utilization_pct":…,
-//!   "imbalance_mean":…,"imbalance_max":…,"peak_knowledge_bytes":…,
-//!   "peak_pool_bytes":…,"peak_rss_bytes":…}                                        (v3) × 0..1
-//! {"type":"profile_phase","phase":…,"total_ns":…,"round_pct":…,"ns_per_envelope":…} (v3) × phases
-//! {"type":"profile_msg","kind":…,"envelopes":…,"payload_bytes":…,"ns_per_envelope":…}(v3) × kinds
-//! {"type":"profile_mem","round":…,"knowledge_bytes":…,"pool_bytes":…,"rss_bytes":…} (v3) × samples
-//! {"type":"alert","rule":…,"round":…,"value":…,"threshold":…,"message":…}           (v4) × alerts
-//! {"type":"summary","verdict":…,"completed":…,"sound":…,"rounds":…,"messages":…,"pointers":…,
-//!   "trace_events":…,"trace_overflow":…,"span_overflow":…,"wall_ns_total":…
-//!   [,"last_progress":…]}        (the stall watermark appears only when the driver tracked it)
+//! header          × 1          RunMeta, plus "schema"
+//! round           × rounds     RoundObs
+//! phase           × phases     PhaseSummary
+//! worker          × workers    WorkerSummary
+//! counter, gauge  × metrics    {"name", "value"}
+//! hist            × metrics    HistSummary
+//! hot_nodes       × 2          {"name": "sent" | "recv", "value": [{"node", "value"}, …]}
+//! trace_meta      × 0..1       TraceMeta      ┐ the causal section,
+//! edge            × edges      ProvEdge       ┘ when tracing was on
+//! profile_meta    × 0..1       ProfileReport  ┐
+//! profile_phase   × phases     ProfilePhase   │ the profile section,
+//! profile_msg     × kinds      ProfileMsg     │ when profiling was on
+//! profile_mem     × samples    ProfileMem     ┘
+//! alert           × alerts     Alert
+//! summary         × 1          RunOutcomeObs
 //! ```
 //!
-//! The header is always first, the summary always last and unique.
-//! `seed` is a JSON *string*: a full-range `u64` does not survive the
-//! f64 number pipeline. Consumers must reject unknown record types and
-//! unknown schema versions — that is what makes the version field
-//! load-bearing ([`validate`] enforces both).
+//! Every archive declares [`SCHEMA_VERSION`]; a section is present or
+//! absent, never versioned. Absent optional values render as `null`.
+//! `seed` is a JSON *string*, because a full-range `u64` does not
+//! survive the f64 number pipeline; every other integer must stay
+//! within 2^53 for the same reason.
 //!
-//! Schema v2 adds the causal-provenance section (`trace_meta` + `edge`
-//! records, in ascending `(id, node)` order). Schema v3 adds the
-//! profiling section (`profile_meta` first, then `profile_phase` /
-//! `profile_msg` / `profile_mem` records, the memory timeline in
-//! strictly ascending round order). Schema v4 adds `alert` records —
-//! online SLO monitor firings, in ascending round order just before
-//! the summary. Each section is opt-in and the declared schema is the
-//! *lowest* that covers the records actually present: a run without
-//! causal tracing or profiling still renders as schema 1,
-//! byte-identical to what earlier builds wrote, a profiled-but-
-//! untraced run skips the v2 section while declaring v3, and an
-//! alert-free live run declares whatever its other sections need.
-//! Archives may not contain record types newer than their declared
-//! schema.
+//! [`validate`] reports every problem it finds: an unknown record type
+//! or schema; a missing or malformed field (ids above `u32::MAX` and
+//! unknown phase names included); a header that is not first or a
+//! summary that is not last and unique; rounds, edges (by `(id, node)`)
+//! or memory samples out of strictly ascending order, or alerts out of
+//! non-decreasing round order; an edge or sample count that disagrees
+//! with its meta record; and a section row before its meta record.
 
+use crate::hist::Histogram;
 use crate::json::{escape, fmt_f64, Json};
-use crate::recorder::ObsReport;
+use crate::monitor::Alert;
+use crate::prof::{ProfileMem, ProfileMsg, ProfilePhase, ProfileReport};
+use crate::recorder::{ObsReport, PhaseSummary, RoundObs, RunMeta, RunOutcomeObs, WorkerSummary};
+use crate::span::Phase;
+use crate::trace::{CausalTrace, ProvEdge};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Debug, Display, Write as _};
 
-/// The newest archive schema this crate reads and writes. Archives
-/// declare the lowest schema covering the sections they contain:
-/// without alerts they render as schema 3 (or 2 without a profile
-/// section, or 1 without a causal-trace section either).
-pub const SCHEMA_VERSION: u64 = 4;
+/// The one archive schema this crate reads and writes.
+pub const SCHEMA_VERSION: u64 = 5;
 
-const KNOWN_TYPES: [&str; 16] = [
-    "header",
-    "round",
-    "phase",
-    "worker",
-    "counter",
-    "gauge",
-    "hist",
-    "hot_nodes",
-    "trace_meta",
-    "edge",
-    "profile_meta",
-    "profile_phase",
-    "profile_msg",
-    "profile_mem",
-    "alert",
-    "summary",
-];
-
-/// Record types that need at least a schema v2 archive.
-const V2_TYPES: [&str; 2] = ["trace_meta", "edge"];
-
-/// Record types that need at least a schema v3 archive.
-const V3_TYPES: [&str; 4] = [
-    "profile_meta",
-    "profile_phase",
-    "profile_msg",
-    "profile_mem",
-];
-
-/// Record types that need at least a schema v4 archive.
-const V4_TYPES: [&str; 1] = ["alert"];
-
-/// Renders a finished run as the full archive text.
-pub fn render(report: &ObsReport) -> String {
-    let mut out = String::new();
-    let m = &report.meta;
-    // The lowest schema that covers the sections actually present, so
-    // un-profiled (and untraced) archives stay byte-identical to what
-    // earlier builds wrote.
-    let schema = if !report.alerts.is_empty() {
-        SCHEMA_VERSION
-    } else if report.profile.is_some() {
-        3
-    } else if report.causal.is_some() {
-        2
-    } else {
-        1
-    };
-    // `latency_model` renders only when set, so round-engine archives
-    // stay byte-identical to what pre-event-engine builds wrote.
-    let latency = m.latency_model.as_ref().map_or(String::new(), |l| {
-        format!(",\"latency_model\":{}", escape(l))
-    });
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"header\",\"schema\":{schema},\"algorithm\":{},\"topology\":{},\"n\":{},\"seed\":{},\"engine\":{},\"workers\":{}{latency}}}",
-        escape(&m.algorithm),
-        escape(&m.topology),
-        m.n,
-        escape(&m.seed.to_string()),
-        escape(&m.engine),
-        m.workers
-    );
-    for r in &report.rounds {
-        let delta = r
-            .knowledge_delta
-            .map_or("null".to_string(), |d| d.to_string());
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"round\",\"round\":{},\"wall_ns\":{},\"messages\":{},\"pointers\":{},\"dropped_coin\":{},\"dropped_crash\":{},\"dropped_partition\":{},\"dropped_link\":{},\"dropped_suppression\":{},\"retransmissions\":{},\"knowledge_delta\":{delta}}}",
-            r.round, r.wall_ns, r.messages, r.pointers, r.dropped_coin, r.dropped_crash,
-            r.dropped_partition, r.dropped_link, r.dropped_suppression, r.retransmissions
-        );
-    }
-    for p in &report.phases {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"phase\",\"phase\":{},\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            escape(p.phase.name()),
-            p.count,
-            p.total_ns,
-            p.hist.quantile(0.5),
-            p.hist.quantile(0.99),
-            p.hist.max()
-        );
-    }
-    for w in &report.workers {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"worker\",\"worker\":{},\"spans\":{},\"busy_ns\":{}}}",
-            w.worker, w.spans, w.busy_ns
-        );
-    }
-    for (name, v) in report.registry.counters() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"counter\",\"name\":{},\"value\":{v}}}",
-            escape(name)
-        );
-    }
-    for (name, v) in report.registry.gauges() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}",
-            escape(name),
-            fmt_f64(v)
-        );
-    }
-    for (name, h) in report.registry.histograms() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"hist\",\"name\":{},\"count\":{},\"mean\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-            escape(name),
-            h.count(),
-            fmt_f64(h.mean()),
-            h.min(),
-            h.quantile(0.5),
-            h.quantile(0.9),
-            h.quantile(0.99),
-            h.max()
-        );
-    }
-    for (metric, top) in [
-        ("sent", &report.hot_senders),
-        ("recv", &report.hot_receivers),
-    ] {
-        let items: Vec<String> = top
-            .iter()
-            .map(|&(node, value)| format!("{{\"node\":{node},\"value\":{value}}}"))
-            .collect();
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"hot_nodes\",\"metric\":{},\"top\":[{}]}}",
-            escape(metric),
-            items.join(",")
-        );
-    }
-    if let Some(causal) = &report.causal {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"trace_meta\",\"capacity\":{},\"sample_ppm\":{},\"edges\":{},\"candidates\":{},\"sampled_out\":{},\"overflow\":{}}}",
-            causal.capacity(),
-            causal.sample_ppm(),
-            causal.len(),
-            causal.candidates(),
-            causal.sampled_out(),
-            causal.overflow()
-        );
-        for e in causal.edges() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"edge\",\"id\":{},\"node\":{},\"src\":{},\"sent\":{},\"round\":{},\"seq\":{}}}",
-                e.id, e.node, e.src, e.sent, e.round, e.seq
-            );
-        }
-    }
-    if let Some(prof) = &report.profile {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"profile_meta\",\"coverage_pct\":{},\"samples\":{},\"utilization_pct\":{},\"imbalance_mean\":{},\"imbalance_max\":{},\"peak_knowledge_bytes\":{},\"peak_pool_bytes\":{},\"peak_rss_bytes\":{}}}",
-            fmt_f64(prof.coverage_pct),
-            prof.samples,
-            fmt_f64(prof.utilization_pct),
-            fmt_f64(prof.imbalance_mean),
-            fmt_f64(prof.imbalance_max),
-            prof.peak_knowledge_bytes,
-            prof.peak_pool_bytes,
-            prof.peak_rss_bytes
-        );
-        for p in &prof.phases {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"profile_phase\",\"phase\":{},\"total_ns\":{},\"round_pct\":{},\"ns_per_envelope\":{}}}",
-                escape(p.phase.name()),
-                p.total_ns,
-                fmt_f64(p.round_pct),
-                fmt_f64(p.ns_per_envelope)
-            );
-        }
-        for msg in &prof.msgs {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"profile_msg\",\"kind\":{},\"envelopes\":{},\"payload_bytes\":{},\"ns_per_envelope\":{}}}",
-                escape(&msg.kind),
-                msg.envelopes,
-                msg.payload_bytes,
-                fmt_f64(msg.ns_per_envelope)
-            );
-        }
-        for s in &prof.mem {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"profile_mem\",\"round\":{},\"knowledge_bytes\":{},\"pool_bytes\":{},\"rss_bytes\":{}}}",
-                s.round, s.knowledge_bytes, s.pool_bytes, s.rss_bytes
-            );
-        }
-    }
-    for a in &report.alerts {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"alert\",\"rule\":{},\"round\":{},\"value\":{},\"threshold\":{},\"message\":{}}}",
-            escape(&a.rule),
-            a.round,
-            fmt_f64(a.value),
-            fmt_f64(a.threshold),
-            escape(&a.message)
-        );
-    }
-    let o = &report.outcome;
-    let wall_total: u64 = report.rounds.iter().map(|r| r.wall_ns).sum();
-    // `last_progress` renders only when the driver tracked it, so
-    // archives from drivers without a watchdog stay byte-identical.
-    let last_progress = o
-        .last_progress
-        .map_or(String::new(), |r| format!(",\"last_progress\":{r}"));
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"summary\",\"verdict\":{},\"completed\":{},\"sound\":{},\"rounds\":{},\"messages\":{},\"pointers\":{},\"trace_events\":{},\"trace_overflow\":{},\"span_overflow\":{},\"wall_ns_total\":{wall_total}{last_progress}}}",
-        escape(&o.verdict),
-        o.completed,
-        o.sound,
-        o.rounds,
-        o.messages,
-        o.pointers,
-        o.trace_events,
-        o.trace_overflow,
-        report.span_overflow
-    );
-    out
+/// A parsed archive, in the recorder's own types.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Archive {
+    pub meta: RunMeta,
+    pub rounds: Vec<RoundObs>,
+    pub phases: Vec<PhaseSummary>,
+    pub workers: Vec<WorkerSummary>,
+    pub counters: BTreeMap<String, u64>,
+    pub gauges: BTreeMap<String, f64>,
+    pub hists: Vec<HistSummary>,
+    /// `"sent"`/`"recv"` → `(node, messages)`, hottest first.
+    pub hot: BTreeMap<String, Vec<(u32, u64)>>,
+    /// The causal section's meta record; `None` without causal tracing.
+    pub trace_meta: Option<TraceMeta>,
+    /// Provenance edges in ascending `(id, node)` order.
+    pub edges: Vec<ProvEdge>,
+    /// The profile section; `None` without profiling.
+    pub profile: Option<ProfileReport>,
+    /// Online-monitor firings in round order.
+    pub alerts: Vec<Alert>,
+    pub outcome: RunOutcomeObs,
 }
 
-/// Parsed `header` record.
+/// A registry histogram as archived: count, mean and quantiles.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Header {
-    pub schema: u64,
-    pub algorithm: String,
-    pub topology: String,
-    pub n: u64,
-    pub seed: String,
-    pub engine: String,
-    pub workers: u64,
-    /// Latency-model spec of event-engine runs; absent (and not
-    /// rendered) for round-engine archives.
-    pub latency_model: Option<String>,
-}
-
-/// Parsed `round` record.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RoundRec {
-    pub round: u64,
-    pub wall_ns: u64,
-    pub messages: u64,
-    pub pointers: u64,
-    pub dropped_coin: u64,
-    pub dropped_crash: u64,
-    pub dropped_partition: u64,
-    /// Zero on archives written before link-loss overlays existed.
-    pub dropped_link: u64,
-    /// Zero on archives written before suppression campaigns existed.
-    pub dropped_suppression: u64,
-    pub retransmissions: u64,
-    pub knowledge_delta: Option<u64>,
-}
-
-/// Parsed `phase` record.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PhaseRec {
-    pub phase: String,
-    pub count: u64,
-    pub total_ns: u64,
-    pub p50_ns: u64,
-    pub p99_ns: u64,
-    pub max_ns: u64,
-}
-
-/// Parsed `worker` record.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WorkerRec {
-    pub worker: u64,
-    pub spans: u64,
-    pub busy_ns: u64,
-}
-
-/// Parsed `hist` record.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistRec {
+pub struct HistSummary {
     pub name: String,
     pub count: u64,
     pub mean: f64,
@@ -359,125 +88,107 @@ pub struct HistRec {
     pub max: u64,
 }
 
-/// Parsed `trace_meta` record (schema v2).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceMetaRec {
+impl HistSummary {
+    /// The archived summary of histogram `name`.
+    pub fn of(name: &str, h: &Histogram) -> Self {
+        HistSummary {
+            name: name.to_string(),
+            count: h.count(),
+            mean: h.mean(),
+            min: h.min(),
+            p50: h.quantile(0.5),
+            p90: h.quantile(0.9),
+            p99: h.quantile(0.99),
+            max: h.max(),
+        }
+    }
+}
+
+/// The causal section's meta record: how the provenance DAG was bounded
+/// and sampled. [`CausalTrace`] keeps these counters private.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceMeta {
     pub capacity: u64,
-    pub sample_ppm: u64,
+    pub sample_ppm: u32,
+    /// How many `edge` records follow.
     pub edges: u64,
     pub candidates: u64,
     pub sampled_out: u64,
     pub overflow: u64,
 }
 
-/// Parsed `edge` record (schema v2): one provenance edge of the
-/// knowledge DAG — the first delivery that taught `node` about `id`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EdgeRec {
-    pub id: u64,
-    pub node: u64,
-    pub src: u64,
-    pub sent: u64,
-    pub round: u64,
-    pub seq: u64,
+impl TraceMeta {
+    /// The meta record of `trace`.
+    pub fn of(trace: &CausalTrace) -> Self {
+        TraceMeta {
+            capacity: trace.capacity() as u64,
+            sample_ppm: trace.sample_ppm(),
+            edges: trace.len() as u64,
+            candidates: trace.candidates(),
+            sampled_out: trace.sampled_out(),
+            overflow: trace.overflow(),
+        }
+    }
 }
 
-/// Parsed `profile_meta` record (schema v3): run-level attribution
-/// summary.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProfileMetaRec {
-    pub coverage_pct: f64,
-    pub samples: u64,
-    pub utilization_pct: f64,
-    pub imbalance_mean: f64,
-    pub imbalance_max: f64,
-    pub peak_knowledge_bytes: u64,
-    pub peak_pool_bytes: u64,
-    pub peak_rss_bytes: u64,
-}
-
-/// Parsed `profile_phase` record (schema v3): one phase's share.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProfilePhaseRec {
-    pub phase: String,
-    pub total_ns: u64,
-    pub round_pct: f64,
-    pub ns_per_envelope: f64,
-}
-
-/// Parsed `profile_msg` record (schema v3): one message kind's cost.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProfileMsgRec {
-    pub kind: String,
-    pub envelopes: u64,
-    pub payload_bytes: u64,
-    pub ns_per_envelope: f64,
-}
-
-/// Parsed `profile_mem` record (schema v3): one memory sample.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfileMemRec {
-    pub round: u64,
-    pub knowledge_bytes: u64,
-    pub pool_bytes: u64,
-    pub rss_bytes: u64,
-}
-
-/// Parsed `alert` record (schema v4): one online-monitor firing.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AlertRec {
-    pub rule: String,
-    pub round: u64,
-    pub value: f64,
-    pub threshold: f64,
-    pub message: String,
-}
-
-/// Parsed `summary` record.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SummaryRec {
-    pub verdict: String,
-    pub completed: bool,
-    pub sound: bool,
-    pub rounds: u64,
-    pub messages: u64,
-    pub pointers: u64,
-    pub trace_events: u64,
-    pub trace_overflow: u64,
-    pub span_overflow: u64,
-    pub wall_ns_total: u64,
-    /// Last round that still grew total knowledge; present only when
-    /// the driver tracked a stall watermark.
-    pub last_progress: Option<u64>,
-}
-
-/// A fully parsed archive.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Archive {
-    pub header: Header,
-    pub rounds: Vec<RoundRec>,
-    pub phases: Vec<PhaseRec>,
-    pub workers: Vec<WorkerRec>,
-    pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, f64>,
-    pub hists: Vec<HistRec>,
-    /// `metric name → [(node, value)]`, hottest first.
-    pub hot: BTreeMap<String, Vec<(u64, u64)>>,
-    /// Causal-trace metadata (schema v2; `None` on v1 archives).
-    pub trace_meta: Option<TraceMetaRec>,
-    /// Provenance edges in ascending `(id, node)` order (schema v2).
-    pub edges: Vec<EdgeRec>,
-    /// Profile summary (schema v3; `None` on un-profiled archives).
-    pub profile_meta: Option<ProfileMetaRec>,
-    /// Per-phase attribution rows (schema v3).
-    pub profile_phases: Vec<ProfilePhaseRec>,
-    /// Per-message-kind cost rows (schema v3).
-    pub profile_msgs: Vec<ProfileMsgRec>,
-    /// The memory timeline in ascending round order (schema v3).
-    pub profile_mem: Vec<ProfileMemRec>,
-    /// Online-monitor firings in ascending round order (schema v4).
-    pub alerts: Vec<AlertRec>,
-    pub summary: SummaryRec,
+/// Renders a finished run as the full archive text.
+pub fn render(report: &ObsReport) -> String {
+    let mut out = String::new();
+    line(&mut out, "header", report.meta.clone());
+    for r in &report.rounds {
+        line(&mut out, "round", r.clone());
+    }
+    for p in &report.phases {
+        line(&mut out, "phase", p.clone());
+    }
+    for w in &report.workers {
+        line(&mut out, "worker", w.clone());
+    }
+    for (name, value) in report.registry.counters() {
+        line(&mut out, "counter", (name.to_string(), value));
+    }
+    for (name, value) in report.registry.gauges() {
+        line(&mut out, "gauge", (name.to_string(), value));
+    }
+    for (name, h) in report.registry.histograms() {
+        line(&mut out, "hist", HistSummary::of(name, h));
+    }
+    for (name, top) in [
+        ("sent", &report.hot_senders),
+        ("recv", &report.hot_receivers),
+    ] {
+        line(&mut out, "hot_nodes", (name.to_string(), top.clone()));
+    }
+    if let Some(causal) = &report.causal {
+        line(&mut out, "trace_meta", TraceMeta::of(causal));
+        for e in causal.edges() {
+            line(&mut out, "edge", *e);
+        }
+    }
+    if let Some(prof) = &report.profile {
+        // The meta record walks only the scalars, so copy only them.
+        let scalars = ProfileReport {
+            phases: Vec::new(),
+            msgs: Vec::new(),
+            mem: Vec::new(),
+            ..*prof
+        };
+        line(&mut out, "profile_meta", scalars);
+        for p in &prof.phases {
+            line(&mut out, "profile_phase", p.clone());
+        }
+        for m in &prof.msgs {
+            line(&mut out, "profile_msg", m.clone());
+        }
+        for s in &prof.mem {
+            line(&mut out, "profile_mem", s.clone());
+        }
+    }
+    for a in &report.alerts {
+        line(&mut out, "alert", a.clone());
+    }
+    line(&mut out, "summary", report.outcome.clone());
+    out
 }
 
 /// Parses an archive strictly; the error is the first problem
@@ -490,432 +201,568 @@ pub fn parse(text: &str) -> Result<Archive, String> {
     }
 }
 
-/// Validates an archive against schema v1, returning *every* problem
-/// found (empty = valid).
+/// Validates an archive, returning *every* problem found (empty =
+/// valid).
 pub fn validate(text: &str) -> Vec<String> {
     scan(text).1
 }
 
 fn scan(text: &str) -> (Archive, Vec<String>) {
-    let mut archive = Archive::default();
+    let mut a = Archive::default();
     let mut problems = Vec::new();
     let mut saw_header = false;
-    let mut summary_line: Option<usize> = None;
-    let mut last_round: Option<u64> = None;
-    let mut last_edge: Option<(u64, u64)> = None;
-    let mut last_mem_round: Option<u64> = None;
-    let mut last_alert_round: Option<u64> = None;
-    let mut nonempty_lines = 0usize;
+    let mut summary_at: Option<usize> = None;
+    let mut records = 0usize;
 
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if line.trim().is_empty() {
+    for (i, text) in text.lines().enumerate() {
+        if text.trim().is_empty() {
             continue;
         }
-        nonempty_lines += 1;
-        let v = match Json::parse(line) {
+        records += 1;
+        let at = i + 1;
+        let json = match Json::parse(text) {
             Ok(v) => v,
             Err(e) => {
-                problems.push(format!("line {lineno}: invalid JSON: {e}"));
+                problems.push(format!("line {at}: invalid JSON: {e}"));
                 continue;
             }
         };
-        let ty = match v.get("type").and_then(Json::as_str) {
-            Some(t) => t.to_string(),
-            None => {
-                problems.push(format!("line {lineno}: missing \"type\""));
-                continue;
-            }
+        let Some(ty) = json.get("type").and_then(Json::as_str) else {
+            problems.push(format!("line {at}: missing \"type\""));
+            continue;
         };
-        if !KNOWN_TYPES.contains(&ty.as_str()) {
-            problems.push(format!("line {lineno}: unknown record type \"{ty}\""));
+        let mut line = Line {
+            json: &json,
+            at,
+            ty,
+            problems: &mut problems,
+        };
+        if records == 1 && ty != "header" {
+            line.flag("first record must be the header");
+        }
+        let duplicate = match ty {
+            "header" => saw_header,
+            "summary" => summary_at.is_some(),
+            "trace_meta" => a.trace_meta.is_some(),
+            "profile_meta" => a.profile.is_some(),
+            _ => false,
+        };
+        if duplicate {
+            line.flag(format!("duplicate {ty}"));
             continue;
         }
-        if nonempty_lines == 1 && ty != "header" {
-            problems.push(format!("line {lineno}: first record must be the header"));
-        }
-        if V2_TYPES.contains(&ty.as_str()) && saw_header && archive.header.schema < 2 {
-            problems.push(format!(
-                "line {lineno}: record type \"{ty}\" requires schema 2, archive declares {}",
-                archive.header.schema
-            ));
-        }
-        if V3_TYPES.contains(&ty.as_str()) && saw_header && archive.header.schema < 3 {
-            problems.push(format!(
-                "line {lineno}: record type \"{ty}\" requires schema 3, archive declares {}",
-                archive.header.schema
-            ));
-        }
-        if V4_TYPES.contains(&ty.as_str()) && saw_header && archive.header.schema < 4 {
-            problems.push(format!(
-                "line {lineno}: record type \"{ty}\" requires schema 4, archive declares {}",
-                archive.header.schema
-            ));
-        }
-        macro_rules! field {
-            ($name:literal) => {
-                num_field(&v, $name, &ty, lineno, &mut problems)
-            };
-        }
-        match ty.as_str() {
+        match ty {
             "header" => {
-                if saw_header {
-                    problems.push(format!("line {lineno}: duplicate header"));
-                    continue;
-                }
                 saw_header = true;
-                let schema = field!("schema");
-                if !(1..=SCHEMA_VERSION).contains(&schema) {
-                    problems.push(format!(
-                        "line {lineno}: unsupported schema {schema} (this build reads 1..={SCHEMA_VERSION})"
-                    ));
-                }
-                archive.header = Header {
-                    schema,
-                    algorithm: str_field(&v, "algorithm", lineno, &mut problems),
-                    topology: str_field(&v, "topology", lineno, &mut problems),
-                    n: field!("n"),
-                    seed: str_field(&v, "seed", lineno, &mut problems),
-                    engine: str_field(&v, "engine", lineno, &mut problems),
-                    workers: field!("workers"),
-                    latency_model: v
-                        .get("latency_model")
-                        .and_then(Json::as_str)
-                        .map(str::to_string),
-                };
+                a.meta = line.read();
             }
             "round" => {
-                let rec = RoundRec {
-                    round: field!("round"),
-                    wall_ns: field!("wall_ns"),
-                    messages: field!("messages"),
-                    pointers: field!("pointers"),
-                    dropped_coin: field!("dropped_coin"),
-                    dropped_crash: field!("dropped_crash"),
-                    dropped_partition: field!("dropped_partition"),
-                    // Lenient: archives written before these fault
-                    // classes existed omit the fields and stay valid.
-                    dropped_link: v.get("dropped_link").and_then(Json::as_u64).unwrap_or(0),
-                    dropped_suppression: v
-                        .get("dropped_suppression")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                    retransmissions: field!("retransmissions"),
-                    knowledge_delta: match v.get("knowledge_delta") {
-                        Some(Json::Null) => None,
-                        Some(d) => d.as_u64().or_else(|| {
-                            problems.push(format!(
-                                "line {lineno}: knowledge_delta must be a number or null"
-                            ));
-                            None
-                        }),
-                        None => {
-                            problems.push(format!(
-                                "line {lineno}: round record missing \"knowledge_delta\""
-                            ));
-                            None
-                        }
-                    },
-                };
-                if let Some(prev) = last_round {
-                    if rec.round <= prev {
-                        problems.push(format!(
-                            "line {lineno}: round {} out of order (previous {prev})",
-                            rec.round
-                        ));
-                    }
-                }
-                last_round = Some(rec.round);
-                archive.rounds.push(rec);
+                let r: RoundObs = line.read();
+                line.ascending(a.rounds.last().map(|p| p.round), r.round, true);
+                a.rounds.push(r);
             }
-            "phase" => archive.phases.push(PhaseRec {
-                phase: str_field(&v, "phase", lineno, &mut problems),
-                count: field!("count"),
-                total_ns: field!("total_ns"),
-                p50_ns: field!("p50_ns"),
-                p99_ns: field!("p99_ns"),
-                max_ns: field!("max_ns"),
-            }),
-            "worker" => archive.workers.push(WorkerRec {
-                worker: field!("worker"),
-                spans: field!("spans"),
-                busy_ns: field!("busy_ns"),
-            }),
+            "phase" => a.phases.push(line.read()),
+            "worker" => a.workers.push(line.read()),
             "counter" => {
-                let name = str_field(&v, "name", lineno, &mut problems);
-                archive.counters.insert(name, field!("value"));
+                let (name, value) = line.read();
+                a.counters.insert(name, value);
             }
             "gauge" => {
-                let name = str_field(&v, "name", lineno, &mut problems);
-                let value = match v.get("value").and_then(Json::as_f64) {
-                    Some(x) => x,
-                    None => {
-                        problems.push(format!(
-                            "line {lineno}: gauge record missing numeric \"value\""
-                        ));
-                        0.0
-                    }
-                };
-                archive.gauges.insert(name, value);
+                let (name, value) = line.read();
+                a.gauges.insert(name, value);
             }
-            "hist" => archive.hists.push(HistRec {
-                name: str_field(&v, "name", lineno, &mut problems),
-                count: field!("count"),
-                mean: v.get("mean").and_then(Json::as_f64).unwrap_or_else(|| {
-                    problems.push(format!("line {lineno}: hist record missing \"mean\""));
-                    0.0
-                }),
-                min: field!("min"),
-                p50: field!("p50"),
-                p90: field!("p90"),
-                p99: field!("p99"),
-                max: field!("max"),
-            }),
+            "hist" => a.hists.push(line.read()),
             "hot_nodes" => {
-                let metric = str_field(&v, "metric", lineno, &mut problems);
-                let mut top = Vec::new();
-                match v.get("top").and_then(Json::as_arr) {
-                    Some(items) => {
-                        for item in items {
-                            match (
-                                item.get("node").and_then(Json::as_u64),
-                                item.get("value").and_then(Json::as_u64),
-                            ) {
-                                (Some(node), Some(value)) => top.push((node, value)),
-                                _ => problems.push(format!(
-                                    "line {lineno}: hot_nodes entries need \"node\" and \"value\""
-                                )),
-                            }
-                        }
-                    }
-                    None => problems.push(format!(
-                        "line {lineno}: hot_nodes record missing \"top\" array"
-                    )),
-                }
-                archive.hot.insert(metric, top);
+                let (name, top) = line.read();
+                a.hot.insert(name, top);
             }
-            "trace_meta" => {
-                if archive.trace_meta.is_some() {
-                    problems.push(format!("line {lineno}: duplicate trace_meta"));
-                    continue;
-                }
-                archive.trace_meta = Some(TraceMetaRec {
-                    capacity: field!("capacity"),
-                    sample_ppm: field!("sample_ppm"),
-                    edges: field!("edges"),
-                    candidates: field!("candidates"),
-                    sampled_out: field!("sampled_out"),
-                    overflow: field!("overflow"),
-                });
-            }
+            "trace_meta" => a.trace_meta = Some(line.read()),
             "edge" => {
-                let rec = EdgeRec {
-                    id: field!("id"),
-                    node: field!("node"),
-                    src: field!("src"),
-                    sent: field!("sent"),
-                    round: field!("round"),
-                    seq: field!("seq"),
-                };
-                if archive.trace_meta.is_none() {
-                    problems.push(format!("line {lineno}: edge record before any trace_meta"));
+                let e: ProvEdge = line.read();
+                if a.trace_meta.is_none() {
+                    line.flag("edge record before any trace_meta");
                 }
-                if let Some(prev) = last_edge {
-                    if (rec.id, rec.node) <= prev {
-                        problems.push(format!(
-                            "line {lineno}: edge ({}, {}) out of (id, node) order",
-                            rec.id, rec.node
-                        ));
-                    }
-                }
-                last_edge = Some((rec.id, rec.node));
-                archive.edges.push(rec);
+                let prev = a.edges.last().map(|p| (p.id, p.node));
+                line.ascending(prev, (e.id, e.node), true);
+                a.edges.push(e);
             }
-            "profile_meta" => {
-                if archive.profile_meta.is_some() {
-                    problems.push(format!("line {lineno}: duplicate profile_meta"));
+            "profile_meta" => a.profile = Some(line.read()),
+            "profile_phase" | "profile_msg" | "profile_mem" => {
+                let Some(p) = a.profile.as_mut() else {
+                    line.flag(format!("{ty} record before any profile_meta"));
                     continue;
-                }
-                archive.profile_meta = Some(ProfileMetaRec {
-                    coverage_pct: f64_field(&v, "coverage_pct", &ty, lineno, &mut problems),
-                    samples: field!("samples"),
-                    utilization_pct: f64_field(&v, "utilization_pct", &ty, lineno, &mut problems),
-                    imbalance_mean: f64_field(&v, "imbalance_mean", &ty, lineno, &mut problems),
-                    imbalance_max: f64_field(&v, "imbalance_max", &ty, lineno, &mut problems),
-                    peak_knowledge_bytes: field!("peak_knowledge_bytes"),
-                    peak_pool_bytes: field!("peak_pool_bytes"),
-                    peak_rss_bytes: field!("peak_rss_bytes"),
-                });
-            }
-            "profile_phase" => {
-                if archive.profile_meta.is_none() {
-                    problems.push(format!(
-                        "line {lineno}: profile_phase record before any profile_meta"
-                    ));
-                }
-                archive.profile_phases.push(ProfilePhaseRec {
-                    phase: str_field(&v, "phase", lineno, &mut problems),
-                    total_ns: field!("total_ns"),
-                    round_pct: f64_field(&v, "round_pct", &ty, lineno, &mut problems),
-                    ns_per_envelope: f64_field(&v, "ns_per_envelope", &ty, lineno, &mut problems),
-                });
-            }
-            "profile_msg" => {
-                if archive.profile_meta.is_none() {
-                    problems.push(format!(
-                        "line {lineno}: profile_msg record before any profile_meta"
-                    ));
-                }
-                archive.profile_msgs.push(ProfileMsgRec {
-                    kind: str_field(&v, "kind", lineno, &mut problems),
-                    envelopes: field!("envelopes"),
-                    payload_bytes: field!("payload_bytes"),
-                    ns_per_envelope: f64_field(&v, "ns_per_envelope", &ty, lineno, &mut problems),
-                });
-            }
-            "profile_mem" => {
-                if archive.profile_meta.is_none() {
-                    problems.push(format!(
-                        "line {lineno}: profile_mem record before any profile_meta"
-                    ));
-                }
-                let rec = ProfileMemRec {
-                    round: field!("round"),
-                    knowledge_bytes: field!("knowledge_bytes"),
-                    pool_bytes: field!("pool_bytes"),
-                    rss_bytes: field!("rss_bytes"),
                 };
-                if let Some(prev) = last_mem_round {
-                    if rec.round <= prev {
-                        problems.push(format!(
-                            "line {lineno}: profile_mem round {} out of order (previous {prev})",
-                            rec.round
-                        ));
+                match ty {
+                    "profile_phase" => p.phases.push(line.read()),
+                    "profile_msg" => p.msgs.push(line.read()),
+                    _ => {
+                        let s: ProfileMem = line.read();
+                        line.ascending(p.mem.last().map(|m| m.round), s.round, true);
+                        p.mem.push(s);
                     }
                 }
-                last_mem_round = Some(rec.round);
-                archive.profile_mem.push(rec);
             }
             "alert" => {
-                let rec = AlertRec {
-                    rule: str_field(&v, "rule", lineno, &mut problems),
-                    round: field!("round"),
-                    value: f64_field(&v, "value", &ty, lineno, &mut problems),
-                    threshold: f64_field(&v, "threshold", &ty, lineno, &mut problems),
-                    message: str_field(&v, "message", lineno, &mut problems),
-                };
-                // Two rules may fire in the same round, so the order
-                // constraint is non-strict, unlike rounds and samples.
-                if let Some(prev) = last_alert_round {
-                    if rec.round < prev {
-                        problems.push(format!(
-                            "line {lineno}: alert round {} out of order (previous {prev})",
-                            rec.round
-                        ));
-                    }
-                }
-                last_alert_round = Some(rec.round);
-                archive.alerts.push(rec);
+                let alert: Alert = line.read();
+                // Two rules may fire in the same round, so the order is
+                // non-strict, unlike rounds and samples.
+                line.ascending(a.alerts.last().map(|p| p.round), alert.round, false);
+                a.alerts.push(alert);
             }
             "summary" => {
-                if summary_line.is_some() {
-                    problems.push(format!("line {lineno}: duplicate summary"));
-                    continue;
-                }
-                summary_line = Some(nonempty_lines);
-                archive.summary = SummaryRec {
-                    verdict: str_field(&v, "verdict", lineno, &mut problems),
-                    completed: bool_field(&v, "completed", lineno, &mut problems),
-                    sound: bool_field(&v, "sound", lineno, &mut problems),
-                    rounds: field!("rounds"),
-                    messages: field!("messages"),
-                    pointers: field!("pointers"),
-                    trace_events: field!("trace_events"),
-                    trace_overflow: field!("trace_overflow"),
-                    span_overflow: field!("span_overflow"),
-                    wall_ns_total: field!("wall_ns_total"),
-                    last_progress: v.get("last_progress").and_then(Json::as_u64),
-                };
+                summary_at = Some(records);
+                a.outcome = line.read();
             }
-            _ => unreachable!("filtered by KNOWN_TYPES"),
+            _ => line.flag(format!("unknown record type \"{ty}\"")),
         }
     }
 
-    if let Some(tm) = &archive.trace_meta {
-        if tm.edges != archive.edges.len() as u64 {
+    let mut declared = |meta: &str, what: &str, declared: u64, found: usize| {
+        if declared != found as u64 {
             problems.push(format!(
-                "trace_meta declares {} edges, archive contains {}",
-                tm.edges,
-                archive.edges.len()
+                "{meta} declares {declared} {what}, archive contains {found}"
             ));
         }
+    };
+    if let Some(tm) = &a.trace_meta {
+        declared("trace_meta", "edges", tm.edges, a.edges.len());
     }
-    if let Some(pm) = &archive.profile_meta {
-        if pm.samples != archive.profile_mem.len() as u64 {
-            problems.push(format!(
-                "profile_meta declares {} samples, archive contains {}",
-                pm.samples,
-                archive.profile_mem.len()
-            ));
-        }
+    if let Some(p) = &a.profile {
+        declared("profile_meta", "samples", p.samples, p.mem.len());
     }
-    if nonempty_lines == 0 {
+    if records == 0 {
         problems.push("empty archive".to_string());
     } else {
         if !saw_header {
             problems.push("no header record".to_string());
         }
-        match summary_line {
+        match summary_at {
             None => problems.push("no summary record".to_string()),
-            Some(at) if at != nonempty_lines => {
+            Some(at) if at != records => {
                 problems.push("summary record is not the last record".to_string());
             }
             Some(_) => {}
         }
     }
-    (archive, problems)
+    (a, problems)
 }
 
-fn num_field(v: &Json, name: &str, ty: &str, lineno: usize, problems: &mut Vec<String>) -> u64 {
-    match v.get(name).and_then(Json::as_u64) {
-        Some(x) => x,
-        None => {
-            problems.push(format!(
-                "line {lineno}: {ty} record missing numeric \"{name}\""
-            ));
-            0
+/// One archive line being scanned, and where its problems go.
+struct Line<'a> {
+    json: &'a Json,
+    at: usize,
+    ty: &'a str,
+    problems: &'a mut Vec<String>,
+}
+
+impl Line<'_> {
+    fn flag(&mut self, problem: impl Display) {
+        self.problems.push(format!("line {}: {problem}", self.at));
+    }
+
+    /// The line's record, with a problem for each bad field.
+    fn read<R: Record>(&mut self) -> R {
+        let (row, bad) = read(self.json);
+        for p in bad {
+            self.flag(format!("{} {p}", self.ty));
+        }
+        row
+    }
+
+    /// Flags `next` when it does not follow `prev` in ascending order
+    /// (`strict`: no repeats).
+    fn ascending<K: PartialOrd + Debug>(&mut self, prev: Option<K>, next: K, strict: bool) {
+        match prev {
+            Some(prev) if next < prev || (strict && next == prev) => {
+                self.flag(format!("{} {next:?} out of order after {prev:?}", self.ty));
+            }
+            _ => {}
         }
     }
 }
 
-fn f64_field(v: &Json, name: &str, ty: &str, lineno: usize, problems: &mut Vec<String>) -> f64 {
-    match v.get(name).and_then(Json::as_f64) {
-        Some(x) => x,
-        None => {
-            problems.push(format!(
-                "line {lineno}: {ty} record missing numeric \"{name}\""
-            ));
-            0.0
+/// Walks a record's fields, one `(key, place)` pair at a time.
+trait Visit {
+    fn field<T: Value>(&mut self, key: &'static str, place: &mut T);
+}
+
+/// A type archived as one JSON object. `fields` names each field once;
+/// `Writer` walks it to render the object and `Reader` to parse it.
+trait Record: Clone + Default {
+    fn fields(&mut self, v: &mut impl Visit);
+}
+
+/// How one field's value is written and read.
+trait Value: Sized {
+    fn render(&self, out: &mut String);
+    fn parse(json: &Json) -> Result<Self, String>;
+}
+
+/// Renders the fields it walks as JSON object members.
+struct Writer<'a> {
+    out: &'a mut String,
+}
+
+impl Visit for Writer<'_> {
+    fn field<T: Value>(&mut self, key: &'static str, place: &mut T) {
+        if !self.out.ends_with('{') {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        place.render(self.out);
+    }
+}
+
+/// Parses the fields it walks out of a JSON object, keeping one
+/// problem per missing or malformed field.
+struct Reader<'a> {
+    json: &'a Json,
+    problems: Vec<String>,
+}
+
+impl Visit for Reader<'_> {
+    fn field<T: Value>(&mut self, key: &'static str, place: &mut T) {
+        match self.json.get(key).map_or(Err("missing".into()), T::parse) {
+            Ok(value) => *place = value,
+            Err(why) => self.problems.push(format!("\"{key}\": {why}")),
         }
     }
 }
 
-fn str_field(v: &Json, name: &str, lineno: usize, problems: &mut Vec<String>) -> String {
-    match v.get(name).and_then(Json::as_str) {
-        Some(s) => s.to_string(),
-        None => {
-            problems.push(format!("line {lineno}: missing string \"{name}\""));
-            String::new()
+/// Writes `row` as one JSON object, tagged with `ty` when it is a line.
+fn object(out: &mut String, ty: Option<&str>, mut row: impl Record) {
+    out.push('{');
+    if let Some(ty) = ty {
+        let _ = write!(out, "\"type\":\"{ty}\"");
+    }
+    row.fields(&mut Writer { out });
+    out.push('}');
+}
+
+fn line(out: &mut String, ty: &str, row: impl Record) {
+    object(out, Some(ty), row);
+    out.push('\n');
+}
+
+fn read<R: Record>(json: &Json) -> (R, Vec<String>) {
+    let mut row = R::default();
+    let mut reader = Reader {
+        json,
+        problems: Vec::new(),
+    };
+    row.fields(&mut reader);
+    (row, reader.problems)
+}
+
+impl Record for RunMeta {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("schema", &mut Schema);
+        v.field("algorithm", &mut self.algorithm);
+        v.field("topology", &mut self.topology);
+        v.field("n", &mut self.n);
+        let mut seed = Seed(self.seed);
+        v.field("seed", &mut seed);
+        self.seed = seed.0;
+        v.field("engine", &mut self.engine);
+        v.field("workers", &mut self.workers);
+        v.field("latency_model", &mut self.latency_model);
+    }
+}
+
+impl Record for RoundObs {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("round", &mut self.round);
+        v.field("wall_ns", &mut self.wall_ns);
+        v.field("messages", &mut self.messages);
+        v.field("pointers", &mut self.pointers);
+        v.field("dropped_coin", &mut self.dropped_coin);
+        v.field("dropped_crash", &mut self.dropped_crash);
+        v.field("dropped_partition", &mut self.dropped_partition);
+        v.field("dropped_link", &mut self.dropped_link);
+        v.field("dropped_suppression", &mut self.dropped_suppression);
+        v.field("retransmissions", &mut self.retransmissions);
+        v.field("knowledge_delta", &mut self.knowledge_delta);
+    }
+}
+
+impl Record for PhaseSummary {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("phase", &mut self.phase);
+        v.field("count", &mut self.count);
+        v.field("total_ns", &mut self.total_ns);
+        v.field("p50_ns", &mut self.p50_ns);
+        v.field("p99_ns", &mut self.p99_ns);
+        v.field("max_ns", &mut self.max_ns);
+    }
+}
+
+impl Record for WorkerSummary {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("worker", &mut self.worker);
+        v.field("spans", &mut self.spans);
+        v.field("busy_ns", &mut self.busy_ns);
+    }
+}
+
+/// A named registry value: a counter, a gauge, or a hot-node list.
+impl<T: Value + Clone + Default> Record for (String, T) {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("name", &mut self.0);
+        v.field("value", &mut self.1);
+    }
+}
+
+/// One hot node: `(node, messages)`.
+impl Record for (u32, u64) {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("node", &mut self.0);
+        v.field("value", &mut self.1);
+    }
+}
+
+impl Record for HistSummary {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("name", &mut self.name);
+        v.field("count", &mut self.count);
+        v.field("mean", &mut self.mean);
+        v.field("min", &mut self.min);
+        v.field("p50", &mut self.p50);
+        v.field("p90", &mut self.p90);
+        v.field("p99", &mut self.p99);
+        v.field("max", &mut self.max);
+    }
+}
+
+impl Record for TraceMeta {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("capacity", &mut self.capacity);
+        v.field("sample_ppm", &mut self.sample_ppm);
+        v.field("edges", &mut self.edges);
+        v.field("candidates", &mut self.candidates);
+        v.field("sampled_out", &mut self.sampled_out);
+        v.field("overflow", &mut self.overflow);
+    }
+}
+
+impl Record for ProvEdge {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("id", &mut self.id);
+        v.field("node", &mut self.node);
+        v.field("src", &mut self.src);
+        v.field("sent", &mut self.sent);
+        v.field("round", &mut self.round);
+        v.field("seq", &mut self.seq);
+    }
+}
+
+/// The `profile_meta` record: the report's scalars. Its row lists
+/// follow as records of their own.
+impl Record for ProfileReport {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("coverage_pct", &mut self.coverage_pct);
+        v.field("samples", &mut self.samples);
+        v.field("utilization_pct", &mut self.utilization_pct);
+        v.field("imbalance_mean", &mut self.imbalance_mean);
+        v.field("imbalance_max", &mut self.imbalance_max);
+        v.field("peak_knowledge_bytes", &mut self.peak_knowledge_bytes);
+        v.field("peak_pool_bytes", &mut self.peak_pool_bytes);
+        v.field("peak_rss_bytes", &mut self.peak_rss_bytes);
+    }
+}
+
+impl Record for ProfilePhase {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("phase", &mut self.phase);
+        v.field("total_ns", &mut self.total_ns);
+        v.field("round_pct", &mut self.round_pct);
+        v.field("ns_per_envelope", &mut self.ns_per_envelope);
+    }
+}
+
+impl Record for ProfileMsg {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("kind", &mut self.kind);
+        v.field("envelopes", &mut self.envelopes);
+        v.field("payload_bytes", &mut self.payload_bytes);
+        v.field("ns_per_envelope", &mut self.ns_per_envelope);
+    }
+}
+
+impl Record for ProfileMem {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("round", &mut self.round);
+        v.field("knowledge_bytes", &mut self.knowledge_bytes);
+        v.field("pool_bytes", &mut self.pool_bytes);
+        v.field("rss_bytes", &mut self.rss_bytes);
+    }
+}
+
+impl Record for Alert {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("rule", &mut self.rule);
+        v.field("round", &mut self.round);
+        v.field("value", &mut self.value);
+        v.field("threshold", &mut self.threshold);
+        v.field("message", &mut self.message);
+    }
+}
+
+impl Record for RunOutcomeObs {
+    fn fields(&mut self, v: &mut impl Visit) {
+        v.field("verdict", &mut self.verdict);
+        v.field("completed", &mut self.completed);
+        v.field("sound", &mut self.sound);
+        v.field("rounds", &mut self.rounds);
+        v.field("messages", &mut self.messages);
+        v.field("pointers", &mut self.pointers);
+        v.field("trace_events", &mut self.trace_events);
+        v.field("trace_overflow", &mut self.trace_overflow);
+        v.field("last_progress", &mut self.last_progress);
+    }
+}
+
+impl Value for u64 {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        json.as_u64()
+            .ok_or_else(|| "expected a non-negative integer".into())
+    }
+}
+
+impl Value for u32 {
+    fn render(&self, out: &mut String) {
+        u64::from(*self).render(out);
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        narrow(json)
+    }
+}
+
+impl Value for usize {
+    fn render(&self, out: &mut String) {
+        (*self as u64).render(out);
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        narrow(json)
+    }
+}
+
+fn narrow<T: TryFrom<u64>>(json: &Json) -> Result<T, String> {
+    let x = u64::parse(json)?;
+    T::try_from(x).map_err(|_| format!("{x} is out of range"))
+}
+
+impl Value for f64 {
+    fn render(&self, out: &mut String) {
+        out.push_str(&fmt_f64(*self));
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        json.as_f64().ok_or_else(|| "expected a number".into())
+    }
+}
+
+impl Value for bool {
+    fn render(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        json.as_bool().ok_or_else(|| "expected a boolean".into())
+    }
+}
+
+impl Value for String {
+    fn render(&self, out: &mut String) {
+        out.push_str(&escape(self));
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        json.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".into())
+    }
+}
+
+impl<T: Value> Value for Option<T> {
+    fn render(&self, out: &mut String) {
+        match self {
+            Some(x) => x.render(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        match json {
+            Json::Null => Ok(None),
+            j => T::parse(j).map(Some),
         }
     }
 }
 
-fn bool_field(v: &Json, name: &str, lineno: usize, problems: &mut Vec<String>) -> bool {
-    match v.get(name).and_then(Json::as_bool) {
-        Some(b) => b,
-        None => {
-            problems.push(format!("line {lineno}: missing boolean \"{name}\""));
-            false
+impl Value for Phase {
+    fn render(&self, out: &mut String) {
+        out.push_str(&escape(self.name()));
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        let name = String::parse(json)?;
+        Phase::from_name(&name).ok_or_else(|| format!("unknown phase {name:?}"))
+    }
+}
+
+/// A list of records, as an array of objects.
+impl<R: Record> Value for Vec<R> {
+    fn render(&self, out: &mut String) {
+        out.push('[');
+        for (i, row) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            object(out, None, row.clone());
+        }
+        out.push(']');
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        let items = json.as_arr().ok_or("expected an array")?;
+        items
+            .iter()
+            .map(|item| match read(item) {
+                (row, bad) if bad.is_empty() => Ok(row),
+                (_, bad) => Err(bad.join(", ")),
+            })
+            .collect()
+    }
+}
+
+/// A `u64` carried as a decimal string, so it survives f64 parsing.
+struct Seed(u64);
+
+impl Value for Seed {
+    fn render(&self, out: &mut String) {
+        self.0.to_string().render(out);
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        let text = String::parse(json)?;
+        text.parse()
+            .map(Seed)
+            .map_err(|_| format!("{text:?} is not a decimal u64"))
+    }
+}
+
+/// The header's declared schema: written as [`SCHEMA_VERSION`], read
+/// only if it equals it.
+struct Schema;
+
+impl Value for Schema {
+    fn render(&self, out: &mut String) {
+        SCHEMA_VERSION.render(out);
+    }
+    fn parse(json: &Json) -> Result<Self, String> {
+        match u64::parse(json)? {
+            SCHEMA_VERSION => Ok(Schema),
+            other => Err(format!(
+                "unsupported schema {other} (this build reads {SCHEMA_VERSION})"
+            )),
         }
     }
 }
@@ -923,11 +770,12 @@ fn bool_field(v: &Json, name: &str, lineno: usize, problems: &mut Vec<String>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, RoundObs, RunMeta, RunOutcomeObs};
-    use crate::span::Phase;
+    use crate::recorder::Recorder;
     use std::time::Instant;
 
-    fn sample_archive_text() -> String {
+    /// A recorded run; with `sections`, also causal-traced, profiled,
+    /// and with two alerts.
+    fn sample(sections: bool) -> ObsReport {
         let mut rec = Recorder::new(RunMeta {
             algorithm: "name-dropper".into(),
             topology: "k-out-3".into(),
@@ -937,6 +785,10 @@ mod tests {
             workers: 4,
             latency_model: None,
         });
+        if sections {
+            rec = rec.with_profiling();
+            rec.profile_msg_kind("Rumor", 40, 4);
+        }
         for r in 1..=4u64 {
             rec.begin_round();
             for w in 0..4 {
@@ -944,445 +796,181 @@ mod tests {
                 rec.span_from(Phase::RouteShard, r, w, Instant::now());
             }
             rec.span_from(Phase::FinishRound, r, 0, Instant::now());
-            rec.end_round(RoundObs {
-                round: r,
-                wall_ns: 0,
-                messages: 100 + r,
-                pointers: 300 + r,
-                dropped_coin: r % 2,
-                dropped_crash: 0,
-                dropped_partition: 0,
-                dropped_link: 0,
-                dropped_suppression: 0,
-                retransmissions: 1,
-                knowledge_delta: None,
-            });
-        }
-        let report = rec
-            .finish(
-                RunOutcomeObs {
-                    verdict: "complete-sound".into(),
-                    completed: true,
-                    sound: true,
-                    rounds: 4,
-                    messages: 410,
-                    pointers: 1210,
-                    trace_events: 77,
-                    trace_overflow: 3,
-                    last_progress: None,
-                },
-                &[9, 1, 4],
-                &[2, 8, 4],
-                &[(0, 500), (1, 600), (2, 640), (3, 680), (4, 700)],
-                &[("delay", 8, 5)],
-            )
-            .unwrap();
-        render(&report)
-    }
-
-    #[test]
-    fn rendered_archives_validate_and_round_trip() {
-        let text = sample_archive_text();
-        assert_eq!(validate(&text), Vec::<String>::new());
-        let a = parse(&text).unwrap();
-        // No causal section: stays on schema 1 so v1 readers keep working.
-        assert_eq!(a.header.schema, 1);
-        assert!(a.trace_meta.is_none());
-        assert!(a.edges.is_empty());
-        assert_eq!(a.header.seed, (u64::MAX - 1).to_string());
-        assert_eq!(a.rounds.len(), 4);
-        assert_eq!(a.rounds[1].knowledge_delta, Some(40));
-        assert_eq!(a.summary.trace_overflow, 3);
-        assert_eq!(a.counters["retransmissions_total"], 4);
-        assert_eq!(a.hot["sent"][0], (0, 9));
-        assert!(a.phases.iter().any(|p| p.phase == "route_shard"));
-        assert_eq!(a.workers.len(), 4);
-    }
-
-    fn sample_v2_archive_text() -> String {
-        let mut rec = Recorder::new(RunMeta {
-            algorithm: "hm".into(),
-            topology: "k-out-3".into(),
-            n: 8,
-            seed: 7,
-            engine: "sequential".into(),
-            workers: 1,
-            latency_model: None,
-        });
-        rec.begin_round();
-        rec.end_round(RoundObs {
-            round: 1,
-            wall_ns: 0,
-            messages: 3,
-            pointers: 5,
-            dropped_coin: 0,
-            dropped_crash: 0,
-            dropped_partition: 0,
-            dropped_link: 0,
-            dropped_suppression: 0,
-            retransmissions: 0,
-            knowledge_delta: None,
-        });
-        let mut causal = crate::trace::CausalTrace::new(64, 1_000_000);
-        causal.offer(crate::trace::ProvEdge {
-            id: 3,
-            node: 1,
-            src: 0,
-            sent: 1,
-            round: 2,
-            seq: 0,
-        });
-        causal.offer(crate::trace::ProvEdge {
-            id: 4,
-            node: 2,
-            src: 3,
-            sent: 1,
-            round: 2,
-            seq: 1,
-        });
-        rec.attach_causal(causal);
-        let report = rec
-            .finish(
-                RunOutcomeObs {
-                    verdict: "complete".into(),
-                    completed: true,
-                    sound: true,
-                    rounds: 2,
-                    messages: 3,
-                    pointers: 5,
-                    trace_events: 0,
-                    trace_overflow: 0,
-                    last_progress: None,
-                },
-                &[],
-                &[],
-                &[],
-                &[],
-            )
-            .unwrap();
-        render(&report)
-    }
-
-    #[test]
-    fn causal_sections_render_as_schema_2_and_round_trip() {
-        let text = sample_v2_archive_text();
-        assert_eq!(validate(&text), Vec::<String>::new());
-        let a = parse(&text).unwrap();
-        assert_eq!(a.header.schema, 2);
-        let tm = a.trace_meta.as_ref().unwrap();
-        assert_eq!(tm.edges, 2);
-        assert_eq!(tm.sample_ppm, 1_000_000);
-        assert_eq!(a.edges.len(), 2);
-        assert_eq!(
-            a.edges[0],
-            EdgeRec {
-                id: 3,
-                node: 1,
-                src: 0,
-                sent: 1,
-                round: 2,
-                seq: 0
-            }
-        );
-        assert_eq!(a.counters["causal_edges_total"], 2);
-    }
-
-    fn sample_v3_archive_text() -> String {
-        let mut rec = Recorder::new(RunMeta {
-            algorithm: "hm".into(),
-            topology: "k-out-3".into(),
-            n: 16,
-            seed: 3,
-            engine: "sharded:2".into(),
-            workers: 2,
-            latency_model: None,
-        })
-        .with_profiling();
-        rec.profile_msg_kind("Rumor", 40, 4);
-        for r in 1..=3u64 {
-            rec.begin_round();
-            for w in 0..2 {
-                rec.span_from(Phase::OnRound, r, w, Instant::now());
-            }
-            rec.span_from(Phase::FinishRound, r, 0, Instant::now());
             rec.profile_memory(r, 512 * r);
             rec.end_round(RoundObs {
                 round: r,
-                wall_ns: 0,
-                messages: 10,
-                pointers: 20,
-                dropped_coin: 0,
-                dropped_crash: 0,
-                dropped_partition: 0,
-                dropped_link: 0,
-                dropped_suppression: 0,
-                retransmissions: 0,
-                knowledge_delta: None,
+                messages: 100 + r,
+                pointers: 300 + r,
+                dropped_coin: r % 2,
+                retransmissions: 1,
+                ..RoundObs::default()
             });
         }
-        rec.profile_pool_high_water(&[("env", 2048)]);
-        let report = rec
-            .finish(
-                RunOutcomeObs {
-                    verdict: "complete-sound".into(),
-                    completed: true,
-                    sound: true,
-                    rounds: 3,
-                    messages: 30,
-                    pointers: 60,
-                    trace_events: 0,
-                    trace_overflow: 0,
-                    last_progress: None,
-                },
-                &[1, 2],
-                &[2, 1],
-                &[],
-                &[("env", 6, 4)],
-            )
-            .unwrap();
-        render(&report)
-    }
-
-    #[test]
-    fn profiled_archives_render_as_schema_3_and_round_trip() {
-        let text = sample_v3_archive_text();
-        assert_eq!(validate(&text), Vec::<String>::new());
-        let a = parse(&text).unwrap();
-        assert_eq!(a.header.schema, 3);
-        // Profiling without causal tracing: no v2 section.
-        assert!(a.trace_meta.is_none());
-        let pm = a.profile_meta.as_ref().unwrap();
-        assert_eq!(pm.samples, 3);
-        assert_eq!(pm.peak_knowledge_bytes, 512 * 3);
-        assert_eq!(pm.peak_pool_bytes, 2048);
-        assert!(pm.peak_rss_bytes >= pm.peak_knowledge_bytes + pm.peak_pool_bytes);
-        assert!(a.profile_phases.iter().any(|p| p.phase == "on_round"));
-        assert_eq!(a.profile_msgs.len(), 1);
-        assert_eq!(a.profile_msgs[0].kind, "Rumor");
-        assert_eq!(a.profile_msgs[0].envelopes, 30);
-        assert_eq!(a.profile_msgs[0].payload_bytes, 30 * 40 + 60 * 4);
-        assert_eq!(a.profile_mem.len(), 3);
-        assert_eq!(a.profile_mem[2].round, 3);
-        assert_eq!(a.profile_mem[2].knowledge_bytes, 1536);
-    }
-
-    #[test]
-    fn v3_records_are_rejected_under_lower_schemas() {
-        let text = sample_v3_archive_text();
-        for downgrade in ["\"schema\":1", "\"schema\":2"] {
-            let downgraded = text.replace("\"schema\":3", downgrade);
-            assert!(
-                validate(&downgraded)
-                    .iter()
-                    .any(|p| p.contains("requires schema 3")),
-                "downgrade to {downgrade} must be rejected"
-            );
+        if sections {
+            let mut causal = CausalTrace::new(64, 1_000_000);
+            for (id, node) in [(3, 1), (4, 2)] {
+                causal.offer(ProvEdge {
+                    id,
+                    node,
+                    src: 0,
+                    sent: 1,
+                    round: 2,
+                    seq: 0,
+                });
+            }
+            rec.attach_causal(causal);
+            rec.profile_pool_high_water(&[("env", 2048)]);
+            for (rule, value) in [("stall", 40.0), ("drop-rate", 0.95)] {
+                rec.record_alert(Alert {
+                    rule: rule.into(),
+                    round: 4,
+                    value,
+                    threshold: 0.9,
+                    message: format!("{rule} fired"),
+                });
+            }
         }
+        rec.finish(
+            RunOutcomeObs {
+                verdict: "complete-sound".into(),
+                completed: true,
+                sound: true,
+                rounds: 4,
+                messages: 410,
+                pointers: 1210,
+                trace_events: 77,
+                trace_overflow: 3,
+                last_progress: sections.then_some(3),
+            },
+            &[9, 1, 4],
+            &[2, 8, 4],
+            &[(0, 500), (1, 600), (2, 640), (3, 680), (4, 700)],
+            &[("delay", 8, 5)],
+        )
+        .unwrap()
     }
 
-    #[test]
-    fn profile_section_structure_is_validated() {
-        let text = sample_v3_archive_text();
-        // Drop one memory sample: profile_meta's count no longer holds.
-        let truncated: String = text
-            .lines()
-            .filter(|l| !(l.contains("profile_mem") && l.contains("\"round\":2")))
+    fn without(text: &str, needle: &str) -> String {
+        text.lines()
+            .filter(|l| !l.contains(needle))
             .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(validate(&truncated)
-            .iter()
-            .any(|p| p.contains("declares 3 samples, archive contains 2")));
+            .collect()
+    }
 
-        // Swap two memory samples: round order breaks.
+    fn swapped(text: &str, ty: &str) -> String {
         let mut lines: Vec<&str> = text.lines().collect();
-        let first_mem = lines
+        let first = lines
             .iter()
-            .position(|l| l.contains("\"type\":\"profile_mem\""))
+            .position(|l| l.contains(&format!("\"type\":\"{ty}\"")))
             .unwrap();
-        lines.swap(first_mem, first_mem + 1);
-        let swapped: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        assert!(validate(&swapped)
-            .iter()
-            .any(|p| p.contains("out of order")));
-
-        // A profile row with no preceding profile_meta is orphaned.
-        let orphaned: String = text
-            .lines()
-            .filter(|l| !l.contains("\"type\":\"profile_meta\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(validate(&orphaned)
-            .iter()
-            .any(|p| p.contains("before any profile_meta")));
+        lines.swap(first, first + 1);
+        lines.iter().map(|l| format!("{l}\n")).collect()
     }
 
-    fn sample_v4_archive_text() -> String {
-        let mut rec = Recorder::new(RunMeta {
-            algorithm: "hm".into(),
-            topology: "k-out-3".into(),
-            n: 32,
-            seed: 11,
-            engine: "sequential".into(),
-            workers: 1,
-            latency_model: None,
-        });
-        rec.begin_round();
-        rec.end_round(RoundObs {
-            round: 1,
-            wall_ns: 0,
-            messages: 4,
-            pointers: 8,
-            dropped_coin: 0,
-            dropped_crash: 0,
-            dropped_partition: 0,
-            dropped_link: 0,
-            dropped_suppression: 0,
-            retransmissions: 0,
-            knowledge_delta: None,
-        });
-        rec.record_alert(crate::monitor::Alert {
-            rule: "stall".into(),
-            round: 40,
-            value: 40.0,
-            threshold: 5.0,
-            message: "no knowledge growth for 40 rounds".into(),
-        });
-        rec.record_alert(crate::monitor::Alert {
-            rule: "drop-rate".into(),
-            round: 40,
-            value: 0.95,
-            threshold: 0.9,
-            message: "drop ratio 0.95 exceeds 0.9".into(),
-        });
-        let report = rec
-            .finish(
-                RunOutcomeObs {
-                    verdict: "stalled".into(),
-                    completed: false,
-                    sound: true,
-                    rounds: 40,
-                    messages: 4,
-                    pointers: 8,
-                    trace_events: 0,
-                    trace_overflow: 0,
-                    last_progress: Some(1),
-                },
-                &[],
-                &[],
-                &[],
-                &[],
-            )
-            .unwrap();
-        render(&report)
+    fn flags(text: &str, problem: &str) -> bool {
+        validate(text).iter().any(|p| p.contains(problem))
     }
 
     #[test]
-    fn alert_archives_render_as_schema_4_and_round_trip() {
-        let text = sample_v4_archive_text();
-        assert_eq!(validate(&text), Vec::<String>::new());
-        let a = parse(&text).unwrap();
-        assert_eq!(a.header.schema, 4);
-        assert_eq!(a.alerts.len(), 2);
-        assert_eq!(a.alerts[0].rule, "stall");
-        assert_eq!(a.alerts[0].round, 40);
-        assert!((a.alerts[1].value - 0.95).abs() < 1e-9);
-        assert_eq!(a.counters["alerts_total"], 2);
-        // Same round twice is fine (two rules firing together).
-        assert_eq!(a.alerts[1].round, a.alerts[0].round);
-    }
-
-    #[test]
-    fn v4_records_are_rejected_under_lower_schemas() {
-        let text = sample_v4_archive_text();
-        for downgrade in ["\"schema\":1", "\"schema\":2", "\"schema\":3"] {
-            let downgraded = text.replace("\"schema\":4", downgrade);
-            assert!(
-                validate(&downgraded)
+    fn archives_parse_back_into_the_recorder_types() {
+        for sections in [false, true] {
+            let report = sample(sections);
+            let text = render(&report);
+            assert_eq!(validate(&text), Vec::<String>::new());
+            assert!(text.starts_with("{\"type\":\"header\",\"schema\":5,"));
+            let a = parse(&text).unwrap();
+            assert_eq!(a.meta, report.meta);
+            assert_eq!(a.rounds, report.rounds);
+            assert_eq!(a.rounds[1].knowledge_delta, Some(40));
+            assert_eq!(a.phases, report.phases);
+            assert_eq!(a.workers, report.workers);
+            assert_eq!(a.hot["sent"], report.hot_senders);
+            assert_eq!(a.counters["alerts_total"], report.alerts.len() as u64);
+            assert_eq!(a.counters["retransmissions_total"], 4);
+            if sections {
+                assert_eq!(a.counters["causal_edges_total"], 2);
+            }
+            assert_eq!(
+                a.edges,
+                report
+                    .causal
                     .iter()
-                    .any(|p| p.contains("requires schema 4")),
-                "downgrade to {downgrade} must be rejected"
+                    .flat_map(|c| c.edges().copied())
+                    .collect::<Vec<_>>()
             );
+            assert_eq!(a.trace_meta, report.causal.as_ref().map(TraceMeta::of));
+            assert_eq!(a.profile, report.profile);
+            assert_eq!(a.alerts, report.alerts);
+            assert_eq!(a.outcome, report.outcome);
         }
-    }
-
-    #[test]
-    fn alert_free_archives_keep_their_pre_v4_schema() {
-        // No alerts + no profile + no causal ⇒ still schema 1: a live
-        // run on which nothing fired archives byte-identically to
-        // builds without the monitor.
-        assert!(sample_archive_text().contains("\"schema\":1"));
-        assert!(sample_v3_archive_text().contains("\"schema\":3"));
-    }
-
-    #[test]
-    fn v2_records_are_rejected_under_schema_1() {
-        let text = sample_v2_archive_text();
-        let downgraded = text.replace("\"schema\":2", "\"schema\":1");
-        assert!(validate(&downgraded)
-            .iter()
-            .any(|p| p.contains("requires schema 2")));
-    }
-
-    #[test]
-    fn edge_order_and_counts_are_validated() {
-        let text = sample_v2_archive_text();
-        // Swap the two edge lines: (id, node) order breaks.
-        let mut lines: Vec<&str> = text.lines().collect();
-        let first_edge = lines
-            .iter()
-            .position(|l| l.contains("\"type\":\"edge\""))
-            .unwrap();
-        lines.swap(first_edge, first_edge + 1);
-        let swapped: String = lines.iter().map(|l| format!("{l}\n")).collect();
-        assert!(validate(&swapped)
-            .iter()
-            .any(|p| p.contains("out of (id, node) order")));
-
-        // Drop one edge line: trace_meta's count no longer matches.
-        let truncated: String = text
-            .lines()
-            .filter(|l| !l.contains("\"id\":4"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(validate(&truncated)
-            .iter()
-            .any(|p| p.contains("declares 2 edges, archive contains 1")));
     }
 
     #[test]
     fn validate_rejects_schema_drift() {
-        let text = sample_archive_text();
-        let bumped = text.replace("\"schema\":1", "\"schema\":999");
-        assert!(validate(&bumped)
-            .iter()
-            .any(|p| p.contains("unsupported schema 999")));
-
-        let unknown = text.replace("\"type\":\"worker\"", "\"type\":\"wurker\"");
-        assert!(validate(&unknown)
-            .iter()
-            .any(|p| p.contains("unknown record type")));
+        let text = render(&sample(false));
+        for other in ["999", "4", "\"5\""] {
+            let drifted = text.replace("\"schema\":5", &format!("\"schema\":{other}"));
+            assert!(parse(&drifted).is_err(), "schema {other}");
+        }
+        assert!(flags(
+            &text.replace("\"schema\":5", "\"schema\":999"),
+            "unsupported schema 999"
+        ));
+        assert!(flags(
+            &text.replace("\"type\":\"worker\"", "\"type\":\"wurker\""),
+            "unknown record type"
+        ));
     }
 
     #[test]
     fn validate_rejects_structural_damage() {
-        let text = sample_archive_text();
-        // Drop the summary line.
-        let truncated: String = text
-            .lines()
-            .filter(|l| !l.contains("\"type\":\"summary\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(validate(&truncated)
-            .iter()
-            .any(|p| p.contains("no summary record")));
+        let text = render(&sample(true));
+        assert!(flags(
+            &without(&text, "\"type\":\"summary\""),
+            "no summary record"
+        ));
+        assert!(flags(&swapped(&text, "header"), "first record"));
+        assert!(flags("", "empty archive"));
+        let repeated = format!("{text}{}", text.lines().last().unwrap());
+        assert!(flags(&repeated, "duplicate summary"));
+        let unknown_phase = text.replace("\"phase\":\"on_round\"", "\"phase\":\"on_rund\"");
+        assert!(flags(&unknown_phase, "unknown phase \"on_rund\""));
+        let wide_id = text.replace("\"id\":3,", "\"id\":4294967296,");
+        assert!(flags(&wide_id, "4294967296 is out of range"));
+        let lenient = text.replace(",\"dropped_link\":0", "");
+        assert!(flags(&lenient, "round \"dropped_link\": missing"));
+    }
 
-        // Reorder so the header is not first.
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.swap(0, 1);
-        let swapped = lines.join("\n");
-        let problems = validate(&swapped);
-        assert!(problems.iter().any(|p| p.contains("first record")));
-
-        assert!(validate("").iter().any(|p| p.contains("empty archive")));
+    #[test]
+    fn section_order_and_counts_are_validated() {
+        let text = render(&sample(true));
+        assert!(flags(&swapped(&text, "edge"), "out of order"));
+        assert!(flags(&swapped(&text, "profile_mem"), "out of order"));
+        assert!(flags(&swapped(&text, "round"), "out of order"));
+        assert!(flags(
+            &without(&text, "\"id\":4,"),
+            "declares 2 edges, archive contains 1"
+        ));
+        assert!(flags(
+            &without(&text, "\"knowledge_bytes\":1024,"),
+            "declares 4 samples, archive contains 3"
+        ));
+        assert!(flags(
+            &without(&text, "\"type\":\"profile_meta\""),
+            "before any profile_meta"
+        ));
+        assert!(flags(
+            &without(&text, "\"type\":\"trace_meta\""),
+            "before any trace_meta"
+        ));
+        // Same-round alerts are fine; an earlier round after a later
+        // one is not.
+        assert!(flags(
+            &text.replace(
+                "\"rule\":\"drop-rate\",\"round\":4",
+                "\"rule\":\"drop-rate\",\"round\":3"
+            ),
+            "out of order"
+        ));
     }
 }

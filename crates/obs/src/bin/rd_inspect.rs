@@ -58,21 +58,21 @@ fn main() -> ExitCode {
             match parse(path) {
                 Ok(a) => {
                     print!("{}", inspect::summarize(&a));
-                    let truncated = a.summary.trace_overflow > 0
+                    let truncated = a.outcome.trace_overflow > 0
                         || a.trace_meta.as_ref().is_some_and(|tm| tm.overflow > 0);
                     // A profiled archive whose spans explain less than
                     // 90% of round wall time is an attribution gap the
                     // profiler exists to close — strict mode treats it
                     // as a failure, like a truncated trace.
                     let uncovered = a
-                        .profile_meta
+                        .profile
                         .as_ref()
                         .is_some_and(|pm| pm.coverage_pct < MIN_COVERAGE_PCT);
                     if strict && truncated {
                         eprintln!("rd-inspect: --strict: trace truncated (see WARN above)");
                         ExitCode::from(1)
                     } else if strict && uncovered {
-                        let pct = a.profile_meta.as_ref().map_or(0.0, |pm| pm.coverage_pct);
+                        let pct = a.profile.as_ref().map_or(0.0, |pm| pm.coverage_pct);
                         eprintln!(
                             "rd-inspect: --strict: profile attribution covers only {pct:.1}% of round wall time (< {MIN_COVERAGE_PCT}%)"
                         );
@@ -141,10 +141,7 @@ fn main() -> ExitCode {
                 };
                 let problems = archive::validate(&text);
                 if problems.is_empty() {
-                    let schema = archive::parse(&text)
-                        .map(|a| a.header.schema)
-                        .unwrap_or(archive::SCHEMA_VERSION);
-                    println!("{path}: ok (schema {schema})");
+                    println!("{path}: ok (schema {})", archive::SCHEMA_VERSION);
                 } else {
                     failed = true;
                     println!("{path}: {} problem(s)", problems.len());
@@ -180,7 +177,7 @@ fn main() -> ExitCode {
                 rest.iter()
                     .position(|a| a == flag)
                     .and_then(|i| rest.get(i + 1))
-                    .and_then(|v| v.parse::<u64>().ok())
+                    .and_then(|v| v.parse::<u32>().ok())
             };
             let (Some(from), Some(to)) = (lookup("--from"), lookup("--to")) else {
                 return usage();

@@ -1,5 +1,5 @@
 //! Critical-path extraction and convergence attribution over the
-//! schema-v2 provenance section of a run archive.
+//! causal section of a run archive.
 //!
 //! The provenance DAG stores, per `(id, node)` pair, the first delivery
 //! that taught `node` about `id`. Chaining each edge to the edge by
@@ -10,13 +10,14 @@
 //! the per-round fault tallies along the path's span attribute the slow
 //! hops to their injected causes.
 
-use crate::archive::{Archive, EdgeRec};
+use crate::archive::Archive;
+use crate::trace::ProvEdge;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The causal chain ending at the run's last recorded delivery, from
 /// root hop to terminal hop. `None` when the archive has no provenance
-/// section (schema 1, or tracing sampled everything out).
+/// edges (tracing was off, or sampled everything out).
 ///
 /// The terminal edge is the retained edge with the highest delivery
 /// round, ties broken toward the smallest `(id, node)` pair. Each
@@ -25,7 +26,7 @@ use std::fmt::Write as _;
 /// current hop was sent (`pred.round <= cur.sent`); otherwise the chain
 /// roots there (the sender knew the id initially, or the linking edge
 /// was sampled out).
-pub fn critical_path(archive: &Archive) -> Option<Vec<EdgeRec>> {
+pub fn critical_path(archive: &Archive) -> Option<Vec<ProvEdge>> {
     let terminal = archive
         .edges
         .iter()
@@ -35,17 +36,17 @@ pub fn critical_path(archive: &Archive) -> Option<Vec<EdgeRec>> {
 
 /// The provenance chain for one `(id, node)` pair, root hop first.
 /// `None` when no edge for the pair was retained.
-pub fn id_chain(archive: &Archive, id: u64, node: u64) -> Option<Vec<EdgeRec>> {
-    let by_pair: BTreeMap<(u64, u64), &EdgeRec> =
+pub fn id_chain(archive: &Archive, id: u32, node: u32) -> Option<Vec<ProvEdge>> {
+    let by_pair: BTreeMap<(u32, u32), &ProvEdge> =
         archive.edges.iter().map(|e| ((e.id, e.node), e)).collect();
     let terminal = *by_pair.get(&(id, node))?;
     Some(chain_to(archive, terminal))
 }
 
-fn chain_to(archive: &Archive, terminal: &EdgeRec) -> Vec<EdgeRec> {
-    let by_pair: BTreeMap<(u64, u64), &EdgeRec> =
+fn chain_to(archive: &Archive, terminal: &ProvEdge) -> Vec<ProvEdge> {
+    let by_pair: BTreeMap<(u32, u32), &ProvEdge> =
         archive.edges.iter().map(|e| ((e.id, e.node), e)).collect();
-    let mut chain = vec![terminal.clone()];
+    let mut chain = vec![*terminal];
     let mut cur = terminal;
     // `pred.round <= cur.sent < cur.round` makes delivery rounds
     // strictly decrease along the walk, so it always terminates.
@@ -53,7 +54,7 @@ fn chain_to(archive: &Archive, terminal: &EdgeRec) -> Vec<EdgeRec> {
         if pred.round > cur.sent {
             break;
         }
-        chain.push(pred.clone());
+        chain.push(*pred);
         cur = pred;
     }
     chain.reverse();
@@ -110,7 +111,7 @@ pub fn faults_in_span(archive: &Archive, lo: u64, hi: u64) -> SpanFaults {
     f
 }
 
-fn hop_lines(out: &mut String, chain: &[EdgeRec]) {
+fn hop_lines(out: &mut String, chain: &[ProvEdge]) {
     for e in chain {
         let _ = writeln!(
             out,
@@ -125,12 +126,11 @@ fn hop_lines(out: &mut String, chain: &[EdgeRec]) {
 /// attribution of the slow hops to the fault causes active along them.
 pub fn why(archive: &Archive) -> String {
     let mut out = String::new();
-    let s = &archive.summary;
+    let s = &archive.outcome;
     let Some(chain) = critical_path(archive) else {
         let _ = writeln!(
             out,
-            "no causal trace in this archive (schema {}): run with causal tracing enabled to attribute convergence",
-            archive.header.schema
+            "no causal trace in this archive: run with causal tracing enabled to attribute convergence"
         );
         return out;
     };
@@ -192,7 +192,7 @@ pub fn why(archive: &Archive) -> String {
         );
         // The largest wait: the hop whose id sat longest at a node
         // between being learned and being successfully forwarded.
-        let mut worst: Option<(u64, &EdgeRec, &EdgeRec)> = None;
+        let mut worst: Option<(u64, &ProvEdge, &ProvEdge)> = None;
         for pair in chain.windows(2) {
             let (pred, e) = (&pair[0], &pair[1]);
             let gap = e.sent.saturating_sub(pred.round);
@@ -229,7 +229,7 @@ pub fn why(archive: &Archive) -> String {
 
 /// The `rd-inspect path` narrative: the provenance chain for one id at
 /// one node.
-pub fn path_report(archive: &Archive, id: u64, node: u64) -> String {
+pub fn path_report(archive: &Archive, id: u32, node: u32) -> String {
     let mut out = String::new();
     match id_chain(archive, id, node) {
         Some(chain) => {
@@ -259,10 +259,11 @@ pub fn path_report(archive: &Archive, id: u64, node: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::{Archive, EdgeRec, Header, RoundRec, SummaryRec, TraceMetaRec};
+    use crate::archive::TraceMeta;
+    use crate::recorder::{RoundObs, RunOutcomeObs};
 
-    fn edge(id: u64, node: u64, src: u64, sent: u64, round: u64) -> EdgeRec {
-        EdgeRec {
+    fn edge(id: u32, node: u32, src: u32, sent: u64, round: u64) -> ProvEdge {
+        ProvEdge {
             id,
             node,
             src,
@@ -272,34 +273,30 @@ mod tests {
         }
     }
 
-    fn archive(edges: Vec<EdgeRec>, rounds: Vec<RoundRec>, verdict: &str) -> Archive {
+    fn archive(edges: Vec<ProvEdge>, rounds: Vec<RoundObs>, verdict: &str) -> Archive {
         Archive {
-            header: Header {
-                schema: 2,
-                ..Header::default()
-            },
             rounds,
-            trace_meta: Some(TraceMetaRec {
+            trace_meta: Some(TraceMeta {
                 capacity: 1024,
                 sample_ppm: 1_000_000,
                 edges: edges.len() as u64,
-                ..TraceMetaRec::default()
+                ..TraceMeta::default()
             }),
-            summary: SummaryRec {
+            outcome: RunOutcomeObs {
                 verdict: verdict.into(),
                 rounds: edges.iter().map(|e| e.round).max().unwrap_or(0),
-                ..SummaryRec::default()
+                ..RunOutcomeObs::default()
             },
             edges,
             ..Archive::default()
         }
     }
 
-    fn round(round: u64, partition: u64) -> RoundRec {
-        RoundRec {
+    fn round(round: u64, partition: u64) -> RoundObs {
+        RoundObs {
             round,
             dropped_partition: partition,
-            ..RoundRec::default()
+            ..RoundObs::default()
         }
     }
 
@@ -349,7 +346,7 @@ mod tests {
 
     #[test]
     fn why_names_the_final_round_and_attributes_partitions() {
-        let mut rounds: Vec<RoundRec> = (1..=6).map(|r| round(r, 0)).collect();
+        let mut rounds: Vec<RoundObs> = (1..=6).map(|r| round(r, 0)).collect();
         rounds[3].dropped_partition = 12; // round 4
         let a = archive(
             vec![edge(9, 1, 0, 1, 2), edge(9, 2, 1, 5, 6)],
@@ -365,7 +362,7 @@ mod tests {
 
     #[test]
     fn why_attributes_suppression_when_it_dominates() {
-        let mut rounds: Vec<RoundRec> = (1..=6).map(|r| round(r, 0)).collect();
+        let mut rounds: Vec<RoundObs> = (1..=6).map(|r| round(r, 0)).collect();
         rounds[3].dropped_suppression = 20; // round 4, inside the wait
         rounds[3].dropped_partition = 3;
         rounds[2].dropped_link = 5;

@@ -8,51 +8,27 @@ use std::fmt::Write as _;
 /// verdict, headline totals, per-round distributions, phase timings,
 /// worker utilization, and hot nodes.
 pub fn summarize(archive: &Archive) -> String {
-    let h = &archive.header;
-    let s = &archive.summary;
+    let h = &archive.meta;
+    let s = &archive.outcome;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "run: {} on {}, n={}, seed={}, engine={} (schema {})",
-        h.algorithm, h.topology, h.n, h.seed, h.engine, h.schema
+        "run: {} on {}, n={}, seed={}, engine={}",
+        h.algorithm, h.topology, h.n, h.seed, h.engine
     );
     let _ = writeln!(
         out,
         "verdict: {} in {} rounds, {:.3}s wall",
         s.verdict,
         s.rounds,
-        s.wall_ns_total as f64 / 1e9
+        wall_ns(archive) as f64 / 1e9
     );
-    let coin = archive
-        .counters
-        .get("dropped_coin_total")
-        .copied()
-        .unwrap_or(0);
-    let crash = archive
-        .counters
-        .get("dropped_crash_total")
-        .copied()
-        .unwrap_or(0);
-    let partition = archive
-        .counters
-        .get("dropped_partition_total")
-        .copied()
-        .unwrap_or(0);
-    let link = archive
-        .counters
-        .get("dropped_link_total")
-        .copied()
-        .unwrap_or(0);
-    let suppression = archive
-        .counters
-        .get("dropped_suppression_total")
-        .copied()
-        .unwrap_or(0);
-    let retrans = archive
-        .counters
-        .get("retransmissions_total")
-        .copied()
-        .unwrap_or(0);
+    let coin = count(archive, "dropped_coin_total");
+    let crash = count(archive, "dropped_crash_total");
+    let partition = count(archive, "dropped_partition_total");
+    let link = count(archive, "dropped_link_total");
+    let suppression = count(archive, "dropped_suppression_total");
+    let retrans = count(archive, "retransmissions_total");
     // Mention the adversarial classes only when they fired, so
     // fault-free summaries keep their historical shape.
     let adversarial = if link + suppression > 0 {
@@ -100,8 +76,9 @@ pub fn summarize(archive: &Archive) -> String {
             );
         }
     }
-    if s.span_overflow > 0 {
-        let _ = writeln!(out, "spans: {} overflowed the span buffer", s.span_overflow);
+    let span_overflow = count(archive, "span_overflow_total");
+    if span_overflow > 0 {
+        let _ = writeln!(out, "spans: {span_overflow} overflowed the span buffer");
     }
 
     if !archive.hists.is_empty() {
@@ -131,7 +108,7 @@ pub fn summarize(archive: &Archive) -> String {
             let _ = writeln!(
                 out,
                 "  {:<18} {:>8} {:>12.3} {:>12.1} {:>12.1} {:>12.1}",
-                p.phase,
+                p.phase.name(),
                 p.count,
                 p.total_ns as f64 / 1e6,
                 p.p50_ns as f64 / 1e3,
@@ -141,7 +118,7 @@ pub fn summarize(archive: &Archive) -> String {
         }
     }
 
-    if let Some(pm) = &archive.profile_meta {
+    if let Some(pm) = &archive.profile {
         let _ = writeln!(
             out,
             "\nprofile: {:.1}% of round wall attributed, utilization {:.1}%, imbalance mean {:.2} / max {:.2}",
@@ -155,13 +132,13 @@ pub fn summarize(archive: &Archive) -> String {
             fmt_bytes(pm.peak_rss_bytes),
             pm.samples
         );
-        if !archive.profile_msgs.is_empty() {
+        if !pm.msgs.is_empty() {
             let _ = writeln!(
                 out,
                 "  {:<20} {:>12} {:>14} {:>13}",
                 "kind", "envelopes", "payload_bytes", "ns/envelope"
             );
-            for m in &archive.profile_msgs {
+            for m in &pm.msgs {
                 let _ = writeln!(
                     out,
                     "  {:<20} {:>12} {:>14} {:>13.1}",
@@ -215,13 +192,13 @@ pub fn diff(label_a: &str, a: &Archive, label_b: &str, b: &Archive) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "a: {label_a}\nb: {label_b}");
 
-    let ha = &a.header;
-    let hb = &b.header;
+    let ha = &a.meta;
+    let hb = &b.meta;
     let identity = [
         ("algorithm", ha.algorithm.clone(), hb.algorithm.clone()),
         ("topology", ha.topology.clone(), hb.topology.clone()),
         ("n", ha.n.to_string(), hb.n.to_string()),
-        ("seed", ha.seed.clone(), hb.seed.clone()),
+        ("seed", ha.seed.to_string(), hb.seed.to_string()),
         ("engine", ha.engine.clone(), hb.engine.clone()),
     ];
     let mismatched: Vec<&(&str, String, String)> =
@@ -241,8 +218,8 @@ pub fn diff(label_a: &str, a: &Archive, label_b: &str, b: &Archive) -> String {
         "  {:<20} {:>16} {:>16} {:>10}",
         "field", "a", "b", "delta"
     );
-    let sa = &a.summary;
-    let sb = &b.summary;
+    let sa = &a.outcome;
+    let sb = &b.outcome;
     for (name, x, y) in [
         ("rounds", sa.rounds, sb.rounds),
         ("messages", sa.messages, sb.messages),
@@ -279,7 +256,7 @@ pub fn diff(label_a: &str, a: &Archive, label_b: &str, b: &Archive) -> String {
         ),
         ("trace_events", sa.trace_events, sb.trace_events),
         ("trace_overflow", sa.trace_overflow, sb.trace_overflow),
-        ("wall_ns_total", sa.wall_ns_total, sb.wall_ns_total),
+        ("wall_ns_total", wall_ns(a), wall_ns(b)),
     ] {
         let _ = writeln!(
             out,
@@ -305,7 +282,7 @@ pub fn diff(label_a: &str, a: &Archive, label_b: &str, b: &Archive) -> String {
             b.phases
                 .iter()
                 .find(|pb| pb.phase == pa.phase)
-                .map(|pb| (pa.phase.as_str(), pa.total_ns, pb.total_ns))
+                .map(|pb| (pa.phase.name(), pa.total_ns, pb.total_ns))
         })
         .collect();
     if !phase_pairs.is_empty() {
@@ -346,16 +323,15 @@ pub fn diff(label_a: &str, a: &Archive, label_b: &str, b: &Archive) -> String {
     out
 }
 
-/// Renders the top-down cost-attribution table of a profiled (schema
-/// v3) archive: per-phase wall share and ns/envelope, message-kind
-/// costs, and memory peaks. Errors when the archive carries no profile
-/// section.
+/// Renders the top-down cost-attribution table of a profiled archive:
+/// per-phase wall share and ns/envelope, message-kind costs, and memory
+/// peaks. Errors when the archive carries no profile section.
 pub fn profile_report(archive: &Archive) -> Result<String, String> {
     let pm = archive
-        .profile_meta
+        .profile
         .as_ref()
         .ok_or("archive has no profile section (run with profiling enabled)")?;
-    let h = &archive.header;
+    let h = &archive.meta;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -366,7 +342,7 @@ pub fn profile_report(archive: &Archive) -> Result<String, String> {
         out,
         "attribution: {:.1}% of round wall time covered across {} phases",
         pm.coverage_pct,
-        archive.profile_phases.len()
+        pm.phases.len()
     );
     let _ = writeln!(
         out,
@@ -381,11 +357,11 @@ pub fn profile_report(archive: &Archive) -> Result<String, String> {
     let mut total_ns = 0u64;
     let mut total_pct = 0.0f64;
     let mut total_nspe = 0.0f64;
-    for p in &archive.profile_phases {
+    for p in &pm.phases {
         let _ = writeln!(
             out,
             "  {:<18} {:>12.3} {:>11.1} {:>13.1}",
-            p.phase,
+            p.phase.name(),
             p.total_ns as f64 / 1e6,
             p.round_pct,
             p.ns_per_envelope
@@ -402,14 +378,14 @@ pub fn profile_report(archive: &Archive) -> Result<String, String> {
         total_pct,
         total_nspe
     );
-    if !archive.profile_msgs.is_empty() {
+    if !pm.msgs.is_empty() {
         let _ = writeln!(out, "\nmessage kinds:");
         let _ = writeln!(
             out,
             "  {:<20} {:>12} {:>14} {:>13}",
             "kind", "envelopes", "payload_bytes", "ns/envelope"
         );
-        for m in &archive.profile_msgs {
+        for m in &pm.msgs {
             let _ = writeln!(
                 out,
                 "  {:<20} {:>12} {:>14} {:>13.1}",
@@ -434,12 +410,19 @@ pub fn profile_report(archive: &Archive) -> Result<String, String> {
 /// per-shard view lives in the run-time folded-stack file
 /// ([`crate::FoldedStackSink`]); this is the archive-side equivalent.
 pub fn flame(archive: &Archive) -> Result<String, String> {
-    if archive.profile_meta.is_none() {
-        return Err("archive has no profile section (run with profiling enabled)".to_string());
-    }
+    let pm = archive
+        .profile
+        .as_ref()
+        .ok_or("archive has no profile section (run with profiling enabled)")?;
     let mut out = String::new();
-    for p in &archive.profile_phases {
-        let _ = writeln!(out, "{};{} {}", archive.header.engine, p.phase, p.total_ns);
+    for p in &pm.phases {
+        let _ = writeln!(
+            out,
+            "{};{} {}",
+            archive.meta.engine,
+            p.phase.name(),
+            p.total_ns
+        );
     }
     Ok(out)
 }
@@ -460,6 +443,11 @@ fn fmt_bytes(bytes: u64) -> String {
 
 fn count(a: &Archive, name: &str) -> u64 {
     a.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Summed round wall time.
+fn wall_ns(a: &Archive) -> u64 {
+    a.rounds.iter().map(|r| r.wall_ns).sum()
 }
 
 fn delta_pct(a: u64, b: u64) -> String {
@@ -484,8 +472,8 @@ mod tests {
     fn sample(messages: u64, overflow: u64) -> String {
         format!(
             concat!(
-                "{{\"type\":\"header\",\"schema\":1,\"algorithm\":\"hm\",\"topology\":\"k-out-3\",\"n\":64,\"seed\":\"7\",\"engine\":\"sharded:2\",\"workers\":2}}\n",
-                "{{\"type\":\"round\",\"round\":1,\"wall_ns\":1000,\"messages\":{m},\"pointers\":9,\"dropped_coin\":1,\"dropped_crash\":0,\"dropped_partition\":0,\"retransmissions\":0,\"knowledge_delta\":null}}\n",
+                "{{\"type\":\"header\",\"schema\":5,\"algorithm\":\"hm\",\"topology\":\"k-out-3\",\"n\":64,\"seed\":\"7\",\"engine\":\"sharded:2\",\"workers\":2,\"latency_model\":null}}\n",
+                "{{\"type\":\"round\",\"round\":1,\"wall_ns\":1000,\"messages\":{m},\"pointers\":9,\"dropped_coin\":1,\"dropped_crash\":0,\"dropped_partition\":0,\"dropped_link\":0,\"dropped_suppression\":0,\"retransmissions\":0,\"knowledge_delta\":null}}\n",
                 "{{\"type\":\"phase\",\"phase\":\"route_shard\",\"count\":2,\"total_ns\":800,\"p50_ns\":400,\"p99_ns\":500,\"max_ns\":500}}\n",
                 "{{\"type\":\"worker\",\"worker\":0,\"spans\":2,\"busy_ns\":700}}\n",
                 "{{\"type\":\"worker\",\"worker\":1,\"spans\":2,\"busy_ns\":500}}\n",
@@ -493,9 +481,9 @@ mod tests {
                 "{{\"type\":\"counter\",\"name\":\"dropped_coin_total\",\"value\":1}}\n",
                 "{{\"type\":\"gauge\",\"name\":\"worker_imbalance\",\"value\":1.17}}\n",
                 "{{\"type\":\"hist\",\"name\":\"round_messages\",\"count\":1,\"mean\":{m},\"min\":{m},\"p50\":{m},\"p90\":{m},\"p99\":{m},\"max\":{m}}}\n",
-                "{{\"type\":\"hot_nodes\",\"metric\":\"sent\",\"top\":[{{\"node\":3,\"value\":5}}]}}\n",
-                "{{\"type\":\"hot_nodes\",\"metric\":\"recv\",\"top\":[]}}\n",
-                "{{\"type\":\"summary\",\"verdict\":\"complete-sound\",\"completed\":true,\"sound\":true,\"rounds\":1,\"messages\":{m},\"pointers\":9,\"trace_events\":4,\"trace_overflow\":{ov},\"span_overflow\":0,\"wall_ns_total\":1000}}\n",
+                "{{\"type\":\"hot_nodes\",\"name\":\"sent\",\"value\":[{{\"node\":3,\"value\":5}}]}}\n",
+                "{{\"type\":\"hot_nodes\",\"name\":\"recv\",\"value\":[]}}\n",
+                "{{\"type\":\"summary\",\"verdict\":\"complete-sound\",\"completed\":true,\"sound\":true,\"rounds\":1,\"messages\":{m},\"pointers\":9,\"trace_events\":4,\"trace_overflow\":{ov},\"last_progress\":null}}\n",
             ),
             m = messages,
             ov = overflow
@@ -523,10 +511,7 @@ mod tests {
     #[test]
     fn summarize_surfaces_stall_watermark_and_adversarial_drops() {
         let text = sample(42, 0)
-            .replace(
-                "\"wall_ns_total\":1000",
-                "\"wall_ns_total\":1000,\"last_progress\":7",
-            )
+            .replace("\"last_progress\":null", "\"last_progress\":7")
             .replace(
                 "{\"type\":\"counter\",\"name\":\"dropped_coin_total\",\"value\":1}",
                 concat!(
@@ -548,9 +533,7 @@ mod tests {
 
     #[test]
     fn summarize_reports_causal_sections_and_overflow() {
-        let text = sample(42, 0)
-            .replace("\"schema\":1", "\"schema\":2")
-            .replace(
+        let text = sample(42, 0).replace(
                 "{\"type\":\"summary\"",
                 concat!(
                     "{\"type\":\"trace_meta\",\"capacity\":128,\"sample_ppm\":250000,",
@@ -566,9 +549,7 @@ mod tests {
     }
 
     fn profiled_sample() -> String {
-        sample(42, 0)
-            .replace("\"schema\":1", "\"schema\":3")
-            .replace(
+        sample(42, 0).replace(
                 "{\"type\":\"summary\"",
                 concat!(
                     "{\"type\":\"profile_meta\",\"coverage_pct\":95.5,\"samples\":2,\"utilization_pct\":80.2,",

@@ -19,8 +19,8 @@
 //!    and worker counts (property-tested in
 //!    `tests/prop_engine_equivalence.rs`).
 //!
-//! Exporters: [`JsonlArchiveSink`] (the schema-versioned run archive —
-//! see [`archive`]), [`ChromeTraceSink`] (Perfetto-loadable trace of
+//! Exporters: [`JsonlArchiveSink`] (the run archive: one schema with
+//! optional sections — see [`archive`]), [`ChromeTraceSink`] (Perfetto-loadable trace of
 //! per-worker phase spans), [`PrometheusSink`] (text exposition). The
 //! `rd-inspect` binary summarizes, diffs, and validates archives.
 //!
@@ -28,23 +28,22 @@
 //! provenance: the engines collect a [`CausalTrace`] — the per-run
 //! knowledge-provenance DAG of first-delivery edges — strictly outside
 //! the determinism boundary, the driver attaches it to the recorder,
-//! and the archive exports it as a schema-v2 section.
+//! and the archive exports it as its causal section.
 //! [`critical_path`] turns the DAG into the `rd-inspect why`/`path`
 //! narratives.
 //!
 //! Profiling ([`prof`]) layers cost attribution on the same spans:
 //! enabling [`Recorder::with_profiling`] yields a [`ProfileReport`]
 //! (per-phase ns/envelope, shard utilization/imbalance, memory
-//! timeline), schema-v3 `profile_*` archive records, and optionally a
-//! folded-stack file ([`FoldedStackSink`]) for flamegraph tooling —
-//! while un-profiled archives stay byte-identical to schema v2.
+//! timeline), the archive's `profile_*` section, and optionally a
+//! folded-stack file ([`FoldedStackSink`]) for flamegraph tooling.
 //!
 //! Live telemetry ([`live`], [`http`], [`monitor`]) streams the same
 //! facts *during* the run: the driver publishes one [`LiveSnapshot`]
 //! per round to a never-blocking [`LiveBus`], a loopback-only
 //! [`LiveServer`] serves `/metrics`, `/status`, and `/healthz` from the
 //! latest snapshot, and a [`MonitorEngine`] evaluates declarative
-//! [`AlertRule`]s online, firing schema-v4 `alert` archive records.
+//! [`AlertRule`]s online, firing `alert` archive records.
 //! Snapshots are one-way facts out of the run, so the determinism
 //! contract above is untouched.
 

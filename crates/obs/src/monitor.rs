@@ -2,7 +2,7 @@
 //! each [`LiveSnapshot`](crate::LiveSnapshot) as the run executes.
 //!
 //! Fired alerts become structured `alert` records in the run archive
-//! (schema v4) and land in the shared [`AlertLog`] side-channel so
+//! and land in the shared [`AlertLog`] side-channel so
 //! `scenario_runner --alerts-fatal` can exit non-zero — they NEVER
 //! touch the deterministic `RunReport`, because two of the rules
 //! (imbalance, RSS) observe wall-clock- and host-dependent facts.
@@ -93,7 +93,7 @@ impl AlertRule {
 }
 
 /// One fired alert.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Alert {
     /// Rule name (`stall`, `drop-rate`, `imbalance`, `rss-budget`).
     pub rule: String,

@@ -7,15 +7,15 @@
 //! engines feed it one-time facts (message-kind sizes) and the driver
 //! feeds it per-round memory samples, but nothing deterministic ever
 //! reads it back. When profiling is off, no profiler exists, no extra
-//! clock is read, and archives stay byte-identical to schema v2.
+//! clock is read, and archives carry no profile section.
 //!
 //! All the expensive work happens once, at
 //! [`Recorder::finish`](crate::Recorder::finish): the profiler folds
 //! the recorder's existing span stream into per-phase attribution
 //! (with ns/envelope), per-round shard utilization and imbalance, and
 //! a memory timeline — the assembled [`ProfileReport`] rides on the
-//! [`ObsReport`](crate::ObsReport) and is exported as archive schema
-//! v3 `profile_*` records and (optionally) a folded-stack file for
+//! [`ObsReport`](crate::ObsReport) and is exported as the archive's
+//! `profile_*` records and (optionally) a folded-stack file for
 //! standard flamegraph tooling.
 
 use crate::recorder::{ObsReport, RoundObs, RunOutcomeObs};
@@ -54,7 +54,7 @@ pub struct Profiler {
 }
 
 /// One phase's share of the run in the attribution table.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfilePhase {
     /// Which engine phase.
     pub phase: Phase,
@@ -69,7 +69,7 @@ pub struct ProfilePhase {
 }
 
 /// Per-message-kind cost accounting.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileMsg {
     /// Payload type name.
     pub kind: String,
@@ -84,7 +84,7 @@ pub struct ProfileMsg {
 }
 
 /// One per-round memory sample.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileMem {
     /// Round the sample was taken after.
     pub round: u64,
@@ -98,7 +98,7 @@ pub struct ProfileMem {
 }
 
 /// Everything the profiler attributed, ready for export.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileReport {
     /// Percentage of summed round wall time covered by phase spans
     /// (per-round contributions are capped at that round's wall, so

@@ -24,7 +24,7 @@ use crate::trace::CausalTrace;
 use std::time::Instant;
 
 /// Identity of a run, echoed into every exported artifact.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunMeta {
     pub algorithm: String,
     pub topology: String,
@@ -34,13 +34,12 @@ pub struct RunMeta {
     pub engine: String,
     pub workers: usize,
     /// The latency model's spec string when the run used the
-    /// discrete-event engine (`None` for the round engines, which keeps
-    /// their archives byte-identical to what earlier builds wrote).
+    /// discrete-event engine (`None` for the round engines).
     pub latency_model: Option<String>,
 }
 
 /// One round's observed counters plus its wall-clock cost.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundObs {
     pub round: u64,
     pub wall_ns: u64,
@@ -74,17 +73,20 @@ pub struct RunOutcomeObs {
     pub last_progress: Option<u64>,
 }
 
-/// Aggregate timing of one phase across the whole run.
-#[derive(Clone, Debug, PartialEq)]
+/// Aggregate timing of one phase across the whole run: span count,
+/// total, and the span-duration quantiles the archive keeps.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseSummary {
     pub phase: Phase,
     pub count: u64,
     pub total_ns: u64,
-    pub hist: Histogram,
+    pub p50_ns: u64,
+    pub p99_ns: u64,
+    pub max_ns: u64,
 }
 
 /// One worker's total observed busy time.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSummary {
     pub worker: u32,
     pub spans: u64,
@@ -105,16 +107,17 @@ pub struct ObsReport {
     pub hot_senders: Vec<(u32, u64)>,
     pub hot_receivers: Vec<(u32, u64)>,
     pub spans: Vec<SpanEvent>,
+    /// Spans dropped past the buffer cap (also the registry's
+    /// `span_overflow_total`).
     pub span_overflow: u64,
     /// The knowledge-provenance DAG, when causal tracing was enabled
-    /// (exported as the schema-v2 archive section).
+    /// (exported as the archive's causal section).
     pub causal: Option<CausalTrace>,
     /// Cost attribution, when profiling was enabled (exported as the
-    /// schema-v3 archive section).
+    /// archive's profile section).
     pub profile: Option<ProfileReport>,
     /// Alerts the online monitor fired, in firing order (exported as
-    /// schema-v4 `alert` records; empty for alert-free runs, which
-    /// keeps their archives byte-identical to earlier schemas).
+    /// `alert` records).
     pub alerts: Vec<Alert>,
 }
 
@@ -194,8 +197,8 @@ impl Recorder {
     /// Enables cost-attribution profiling. Purely additive: a profiled
     /// run is bit-identical to an un-profiled one (wall-clock still
     /// only flows *into* the recorder), but the finished report gains
-    /// a [`ProfileReport`](crate::ProfileReport) and archives move to
-    /// schema v3. Chainable.
+    /// a [`ProfileReport`](crate::ProfileReport) and archives gain
+    /// their profile section. Chainable.
     pub fn with_profiling(mut self) -> Self {
         self.prof = Some(Profiler::new());
         self
@@ -234,7 +237,7 @@ impl Recorder {
     }
 
     /// Hands the engine's finished causal trace to the recorder so the
-    /// archive sink can export it as the schema-v2 provenance section.
+    /// archive sink can export it as the provenance section.
     /// Called by the driver after the run, never during it — the trace
     /// is engine-collected but strictly observational.
     pub fn attach_causal(&mut self, causal: CausalTrace) {
@@ -327,8 +330,8 @@ impl Recorder {
         self.last_round_wall_ns
     }
 
-    /// Stores an alert the online monitor fired, for export as a
-    /// schema-v4 `alert` archive record.
+    /// Stores an alert the online monitor fired, for export as an
+    /// `alert` archive record.
     pub fn record_alert(&mut self, alert: Alert) {
         self.alerts.push(alert);
     }
@@ -376,12 +379,8 @@ impl Recorder {
         reg.add_counter("retransmissions_total", retrans);
         reg.add_counter("trace_events_total", outcome.trace_events);
         reg.add_counter("trace_overflow_total", outcome.trace_overflow);
-        // Registered only when something fired: alert-free runs keep
-        // their registry — and therefore their archive bytes —
-        // identical to builds without the monitor.
-        if !self.alerts.is_empty() {
-            reg.add_counter("alerts_total", self.alerts.len() as u64);
-        }
+        reg.add_counter("span_overflow_total", self.span_overflow);
+        reg.add_counter("alerts_total", self.alerts.len() as u64);
         if let Some(causal) = &self.causal {
             reg.add_counter("causal_edges_total", causal.len() as u64);
             reg.add_counter("causal_candidates_total", causal.candidates());
@@ -421,7 +420,9 @@ impl Recorder {
                     phase,
                     count: hist.count(),
                     total_ns,
-                    hist,
+                    p50_ns: hist.quantile(0.5),
+                    p99_ns: hist.quantile(0.99),
+                    max_ns: hist.max(),
                 });
             }
         }
@@ -468,8 +469,7 @@ impl Recorder {
 
         // Profile assembly is the one place attribution arithmetic
         // runs — nothing above this line changes shape when profiling
-        // is enabled, which is what keeps un-profiled archives
-        // byte-identical.
+        // is enabled.
         let profile = self
             .prof
             .take()
@@ -605,5 +605,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.spans.len(), 2);
         assert_eq!(report.span_overflow, 3);
+        assert_eq!(report.registry.counter("span_overflow_total"), Some(3));
     }
 }

@@ -29,8 +29,8 @@ pub trait ObsSink: Send {
     }
 }
 
-/// Writes the schema-versioned JSONL run archive (one file per run,
-/// one record per line — see `crate::archive` for the schema).
+/// Writes the JSONL run archive (one file per run, one record per
+/// line — see `crate::archive` for the schema).
 pub struct JsonlArchiveSink {
     path: PathBuf,
 }

@@ -16,9 +16,10 @@ use std::time::Instant;
 /// The engine phases that get timed. Serial engines emit every phase
 /// from worker 0; the sharded engine emits `OnRound`, `RouteShard`,
 /// and `MergeDestShard` once per worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Detector schedule, delayed-delivery promotion, retransmissions.
+    #[default]
     BeginRound,
     /// Node stepping: inbox drain + `Node::on_round`.
     OnRound,

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 /// Rounds are 1-based, matching the archive's `round` records: a
 /// message sent during round `sent` is processed by its receiver during
 /// round `round = sent + 1 + extra_delay`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProvEdge {
     /// The identifier being learned.
     pub id: u32,

@@ -15,7 +15,7 @@
 //! a loopback listener and arms the default online monitors;
 //! `--alert-stall-window R` tightens the stall monitor to `R` rounds,
 //! and `--alerts-fatal` turns any fired alert into a nonzero exit
-//! (the alerts also land as schema-v4 `alert` records in the `--obs`
+//! (the alerts also land as `alert` records in the `--obs`
 //! archive either way).
 
 use rd_core::runner::{AlertLog, AlertRule, LiveSpec};

@@ -126,7 +126,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// The [`RunConfig`] for one algorithm of this scenario. With
-    /// `obs_dir`, the run writes a schema-versioned JSONL archive plus
+    /// `obs_dir`, the run writes a JSONL run archive plus
     /// a causal provenance trace, so `rd-inspect why` can attribute a
     /// failed gate to its dominant fault cause.
     pub fn run_config(&self, obs_dir: Option<&Path>, algorithm: &AlgorithmKind) -> RunConfig {

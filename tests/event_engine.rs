@@ -26,7 +26,7 @@ fn event_config(latency: LatencyModel, archive: PathBuf) -> RunConfig {
 /// Strips the host-timing telemetry — the only archive content that
 /// measures the machine rather than the simulated run, and therefore
 /// the only content outside the determinism boundary on *any* engine:
-/// per-round `wall_ns` and the summary's `wall_ns_total`, the `phase`
+/// per-round `wall_ns`, the `phase`
 /// and `worker` span-timing records, the `wall_seconds_total` gauge,
 /// and the `*_ns` histograms. Every other byte must replay exactly.
 fn without_wall_clock(text: &str) -> String {
@@ -91,8 +91,7 @@ fn same_seed_same_model_means_byte_identical_archives() {
 }
 
 /// Event-engine archives carry the latency model in their header and
-/// still validate; round-engine archives keep omitting the field, so
-/// their byte format is untouched by this subsystem.
+/// still validate; round-engine archives declare it `null`.
 #[test]
 fn archives_record_the_latency_model() {
     let dir = tmp_dir("header");
@@ -104,8 +103,8 @@ fn archives_record_the_latency_model() {
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(archive::validate(&text).is_empty());
     let parsed = archive::parse(&text).unwrap();
-    assert_eq!(parsed.header.engine, "event:uniform:1:4");
-    assert_eq!(parsed.header.latency_model.as_deref(), Some("uniform:1:4"));
+    assert_eq!(parsed.meta.engine, "event:uniform:1:4");
+    assert_eq!(parsed.meta.latency_model.as_deref(), Some("uniform:1:4"));
 
     let seq_path = dir.join("seq.jsonl");
     run(
@@ -115,11 +114,8 @@ fn archives_record_the_latency_model() {
     );
     let seq_text = std::fs::read_to_string(&seq_path).unwrap();
     let seq = archive::parse(&seq_text).unwrap();
-    assert_eq!(seq.header.latency_model, None);
-    assert!(
-        !seq_text.contains("latency_model"),
-        "round-engine archive grew a latency_model field"
-    );
+    assert_eq!(seq.meta.latency_model, None);
+    assert!(seq_text.contains("\"latency_model\":null"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

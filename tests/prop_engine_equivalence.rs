@@ -418,8 +418,8 @@ proptest! {
     /// Telemetry is strictly outside the determinism boundary: attaching
     /// every exporter at once (JSONL archive, Chrome trace, Prometheus)
     /// changes no field of the `RunReport`, on either engine — and the
-    /// archives both engines emit validate against schema v1 and agree
-    /// with the report's own numbers.
+    /// archives both engines emit validate and agree with the report's
+    /// own numbers.
     #[test]
     fn observability_never_changes_results(
         topo in arb_topology(),
@@ -472,9 +472,9 @@ proptest! {
             let problems = archive::validate(&text);
             prop_assert!(problems.is_empty(), "{}: invalid archive: {:?}", tag, problems);
             let parsed = archive::parse(&text).unwrap();
-            prop_assert_eq!(parsed.summary.rounds, observed.rounds);
-            prop_assert_eq!(parsed.summary.messages, observed.messages);
-            prop_assert_eq!(parsed.summary.completed, observed.completed);
+            prop_assert_eq!(parsed.outcome.rounds, observed.rounds);
+            prop_assert_eq!(parsed.outcome.messages, observed.messages);
+            prop_assert_eq!(parsed.outcome.completed, observed.completed);
             prop_assert_eq!(parsed.rounds.len() as u64, observed.rounds);
             // Both exporters must have produced something well-formed
             // enough to be non-empty.
@@ -551,8 +551,7 @@ proptest! {
 
         // Profiling is also outside the boundary: at every worker count
         // the RunReport stays byte-for-byte the blind run's, and the
-        // archive it writes is a valid schema-3 one with a complete
-        // profile section.
+        // archive it writes is valid, with a complete profile section.
         for (tag, engine) in [
             ("pw1", EngineKind::Sharded { workers: 1 }),
             ("pw2", EngineKind::Sharded { workers: 2 }),
@@ -575,12 +574,11 @@ proptest! {
             let problems = archive::validate(&text);
             prop_assert!(problems.is_empty(), "{}: invalid archive: {:?}", tag, problems);
             let parsed = archive::parse(&text).unwrap();
-            prop_assert_eq!(parsed.header.schema, 3, "{}: profiled archive must be v3", tag);
-            let meta = parsed.profile_meta.as_ref().expect("profile section present");
+            let profile = parsed.profile.as_ref().expect("profile section present");
             // One memory sample per round plus the pre-run baseline.
-            prop_assert_eq!(meta.samples, observed.rounds + 1);
-            prop_assert!(!parsed.profile_phases.is_empty(), "{}: no phase rows", tag);
-            prop_assert!(!parsed.profile_msgs.is_empty(), "{}: no msg-kind rows", tag);
+            prop_assert_eq!(profile.samples, observed.rounds + 1);
+            prop_assert!(!profile.phases.is_empty(), "{}: no phase rows", tag);
+            prop_assert!(!profile.msgs.is_empty(), "{}: no msg-kind rows", tag);
             let folded_text = std::fs::read_to_string(&folded).unwrap();
             prop_assert!(
                 folded_text.lines().all(|l| l.rsplit_once(' ')
@@ -595,10 +593,9 @@ proptest! {
         // loopback listener bound, the publisher streaming a snapshot
         // every round, and the default online monitors armed, the
         // RunReport stays byte-for-byte the blind run's at every worker
-        // count. And since the deliberately generous default rules
-        // cannot fire on a healthy fault-free run, the archive keeps
-        // its pre-alert schema — `alert` records are the only thing
-        // that bumps an archive to v4.
+        // count. And the deliberately generous default rules cannot
+        // fire on a healthy fault-free run, so the archive carries no
+        // `alert` record.
         for (tag, engine) in [
             ("lw1", EngineKind::Sharded { workers: 1 }),
             ("lw2", EngineKind::Sharded { workers: 2 }),
@@ -620,18 +617,12 @@ proptest! {
             prop_assert!(problems.is_empty(), "{}: invalid archive: {:?}", tag, problems);
             let parsed = archive::parse(&text).unwrap();
             prop_assert!(
-                parsed.header.schema < 4,
-                "{}: alert-free archive must keep its pre-v4 schema (got v{})",
-                tag,
-                parsed.header.schema
-            );
-            prop_assert!(
-                !text.contains("\"type\":\"alert\""),
+                parsed.alerts.is_empty(),
                 "{}: default monitors fired on a healthy run",
                 tag
             );
-            prop_assert_eq!(parsed.summary.rounds, observed.rounds);
-            prop_assert_eq!(parsed.summary.messages, observed.messages);
+            prop_assert_eq!(parsed.outcome.rounds, observed.rounds);
+            prop_assert_eq!(parsed.outcome.messages, observed.messages);
         }
 
         std::fs::remove_dir_all(&dir).ok();
