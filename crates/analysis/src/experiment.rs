@@ -1,7 +1,6 @@
 //! The multi-threaded `(algorithm × n × seed)` sweep driver.
 
 use crate::stats::{summarize, Summary};
-use parking_lot::Mutex;
 use rd_core::runner::{
     run, AlgorithmKind, Completion, EngineKind, RunConfig, RunReport, RunVerdict,
 };
@@ -9,6 +8,7 @@ use rd_graphs::Topology;
 use rd_sim::{FaultPlan, RetryPolicy};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Specification of a sweep: the cross product of algorithms, instance
 /// sizes, and seeds on one topology family.
@@ -159,13 +159,18 @@ pub fn sweep(spec: &SweepSpec) -> Vec<SweepCell> {
                     trace_capacity: None,
                 };
                 let report = run(spec.kinds[job.kind_idx], &config);
-                results.lock()[job.kind_idx * spec.ns.len() + job.n_idx].push(report);
+                // A poisoned lock only means another worker panicked;
+                // the scope below re-raises that panic, so the data is
+                // never read in a half-written state.
+                results.lock().unwrap_or_else(PoisonError::into_inner)
+                    [job.kind_idx * spec.ns.len() + job.n_idx]
+                    .push(report);
             });
         }
     })
     .expect("sweep worker panicked");
 
-    let results = results.into_inner();
+    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut out = Vec::with_capacity(cells);
     for (kind_idx, kind) in spec.kinds.iter().enumerate() {
         for (n_idx, &n) in spec.ns.iter().enumerate() {

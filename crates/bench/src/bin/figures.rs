@@ -11,8 +11,9 @@
 //! engine-aware sweeps (T1/F1/T2/F2/F4 and F5) on the `rd-exec` sharded
 //! engine with `W` worker threads; results are bit-identical either way,
 //! only wall-clock changes. `--engine=event[:<latency model>]` runs them
-//! on the `rd-event` discrete-event engine instead (models: `const:T`,
-//! `uniform:MIN:MAX`, `lognormal:MU_MILLI:SIGMA_MILLI:CAP`, `asym:F:B`);
+//! on the serial engine under a latency model instead (models: `const:T`,
+//! `uniform:MIN:MAX`, `lognormal:MU_MILLI:SIGMA_MILLI:CAP`, `asym:F:B`,
+//! `slow:BASE:SLOW:FRAC_PPM`);
 //! with the default `const:1` model results again match bit-for-bit,
 //! while jittered models measure convergence under asynchrony.
 //!
@@ -20,7 +21,7 @@
 //! (sequential and sharded:4) and writes their telemetry into `DIR`:
 //! JSONL run archives for both (`rd-inspect summarize/diff/validate`
 //! reads them), plus a Chrome trace-event file (load in Perfetto) and a
-//! Prometheus text snapshot for the sharded run. When an event engine is
+//! Prometheus text snapshot for the sharded run. When `--engine=event…` is
 //! selected, a third archive (`hm-event.jsonl`) is written under the
 //! chosen latency model. `--profile` adds cost-attribution profiling
 //! (`profile_*` archive records plus a folded-stack file per engine,
@@ -40,8 +41,8 @@ use rd_bench::experiments::{
 use rd_bench::Profile;
 use rd_core::algorithms::hm::HmConfig;
 use rd_core::runner::{run, AlgorithmKind, EngineKind, LiveSpec, ObsSpec, RunConfig};
-use rd_event::LatencyModel;
 use rd_graphs::Topology;
+use rd_sim::LatencyModel;
 use std::path::PathBuf;
 
 struct Options {
@@ -60,7 +61,7 @@ fn parse_engine(spec: &str) -> EngineKind {
         return EngineKind::Sequential;
     }
     if spec == "event" {
-        // Bare `event` is the synchronous baseline on the event engine.
+        // Bare `event` is the synchronous baseline, `event:const:1`.
         return EngineKind::Event {
             latency: LatencyModel::default(),
         };
@@ -136,7 +137,7 @@ fn parse_args() -> Options {
 /// archives let `rd-inspect diff` show that the engines agree on every
 /// deterministic field and differ only in wall-clock and worker layout.
 /// When `--engine=event[:<model>]` is selected, a third archive is
-/// written from the event engine under that latency model; its header
+/// written from the serial engine under that latency model; its header
 /// carries the `latency_model` field so the archive is self-describing.
 fn obs_runs(
     profile: Profile,

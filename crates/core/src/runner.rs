@@ -6,7 +6,6 @@ use crate::algorithms::{
     RandomPointerJump, Swamping,
 };
 use crate::{problem, verify};
-use rd_event::{EventEngine, LatencyModel};
 use rd_exec::ShardedEngine;
 use rd_graphs::Topology;
 use rd_obs::{
@@ -14,7 +13,7 @@ use rd_obs::{
     LivePublisher, LiveServer, LiveSnapshot, MonitorEngine, PrometheusSink, Recorder, RunMeta,
     RunOutcomeObs,
 };
-use rd_sim::{DropTally, Engine, FaultPlan, Node, RetryPolicy, RoundEngine};
+use rd_sim::{DropTally, Engine, FaultPlan, LatencyModel, Node, RetryPolicy, RoundEngine};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -90,12 +89,11 @@ impl AlgorithmKind {
 /// the stepping phase — which starts paying off for populations around
 /// 2¹⁴ and up on multicore hosts.
 ///
-/// The event engine changes the *network model* instead: per-message
-/// delivery latency comes from a pluggable [`LatencyModel`], which
-/// expresses constant multi-tick RTTs, heavy-tailed stragglers, and
-/// asymmetric links that the round model structurally cannot. Under
-/// `LatencyModel::Constant { ticks: 1 }` it, too, is bit-identical to
-/// the round engines.
+/// `Event` changes the *network model* instead: the serial engine draws
+/// per-message delivery latency from a [`LatencyModel`], which expresses
+/// constant multi-tick RTTs, heavy-tailed stragglers, and asymmetric
+/// links that the synchronous round cannot. Under
+/// `LatencyModel::Constant { ticks: 1 }` it is the sequential engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The single-threaded lockstep engine in `rd-sim` (default).
@@ -106,7 +104,7 @@ pub enum EngineKind {
         /// Worker-thread count (must be nonzero).
         workers: usize,
     },
-    /// The discrete-event engine in `rd-event`.
+    /// The serial engine of `rd-sim` under a latency model.
     Event {
         /// Per-message delivery-latency model.
         latency: LatencyModel,
@@ -514,7 +512,7 @@ where
             alg,
             config,
             &initial,
-            EventEngine::new(nodes, seed, latency),
+            Engine::new(nodes, seed).with_latency(latency),
         ),
     }
 }

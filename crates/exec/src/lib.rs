@@ -194,7 +194,7 @@ where
                         let base = w * shard_len;
                         let (staged_len, stepped) =
                             lane_span(epoch, Phase::OnRound, round, w, || {
-                                step_shard(ctx, base, nodes, inboxes, staged, scratch, |_| {});
+                                step_shard(ctx, base, nodes, inboxes, staged, scratch);
                                 staged.len()
                             });
                         let (delta, routed) = lane_span(epoch, Phase::RouteShard, round, w, || {
@@ -323,7 +323,7 @@ where
             .map(|_| (self.env_pool.take(), self.env_pool.take()))
             .collect();
         if let [(staged, scratch)] = &mut bufs[..] {
-            self.shell.step_nodes(staged, scratch, |_| {});
+            self.shell.step_nodes(staged, scratch);
             self.shell.route(|core| core.route_batch(staged));
         } else {
             self.step_shards(round, shard_len, &mut bufs);

@@ -33,8 +33,8 @@ pub struct RunMeta {
     /// `"sequential"`, `"sharded:<workers>"`, or `"event:<model>"`.
     pub engine: String,
     pub workers: usize,
-    /// The latency model's spec string when the run used the
-    /// discrete-event engine (`None` for the round engines).
+    /// The latency model's spec string for `event:<model>` runs
+    /// (`None` for the others).
     pub latency_model: Option<String>,
 }
 
@@ -295,9 +295,6 @@ impl Recorder {
             }
             self.round_busy[lane] += span.dur_ns;
         }
-        for sink in &mut self.sinks {
-            sink.on_span(&span);
-        }
         if self.spans.len() < self.span_cap {
             self.spans.push(span);
         } else {
@@ -313,9 +310,6 @@ impl Recorder {
             .take()
             .map_or(0, |t| t.elapsed().as_nanos() as u64);
         self.last_round_wall_ns = obs.wall_ns;
-        for sink in &mut self.sinks {
-            sink.on_round(&obs);
-        }
         self.rounds.push(obs);
     }
 

@@ -1,28 +1,19 @@
 //! The [`ObsSink`] trait and the built-in exporters.
 //!
-//! A sink sees telemetry as it is recorded (`on_span`, `on_round`) and
-//! once at the end with the fully assembled [`ObsReport`]
-//! (`on_finish`). The three built-ins — JSONL archive, Chrome
-//! trace-event JSON, Prometheus text exposition — do all their writing
-//! in `on_finish`, because the most useful views (distributions,
+//! A sink sees a run once, at the end, with the fully assembled
+//! [`ObsReport`] (`on_finish`): the most useful views (distributions,
 //! knowledge deltas, worker imbalance) only exist once the run is
-//! complete. Streaming consumers (a live dashboard, a test harness
-//! counting events) implement the per-event hooks.
+//! complete. Streaming consumers read the live bus instead
+//! (`crate::live`).
 
 use crate::json::{escape, fmt_f64};
-use crate::recorder::{ObsReport, RoundObs};
-use crate::span::SpanEvent;
+use crate::recorder::ObsReport;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Where exported telemetry goes. All hooks have empty defaults, so a
-/// sink implements only what it consumes.
+/// Where exported telemetry goes.
 pub trait ObsSink: Send {
-    /// A span was recorded (called in recording order).
-    fn on_span(&mut self, _span: &SpanEvent) {}
-    /// A round closed out.
-    fn on_round(&mut self, _round: &RoundObs) {}
     /// The run ended; `report` is final. Exporters write here.
     fn on_finish(&mut self, _report: &ObsReport) -> io::Result<()> {
         Ok(())
@@ -401,7 +392,7 @@ pub(crate) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Recorder, RunMeta, RunOutcomeObs};
+    use crate::recorder::{Recorder, RoundObs, RunMeta, RunOutcomeObs};
     use crate::span::Phase;
     use std::time::Instant;
 

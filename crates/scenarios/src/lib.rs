@@ -19,9 +19,8 @@
 //! the run uses.
 
 use rd_core::runner::{run, AlgorithmKind, EngineKind, ObsSpec, RunConfig, RunReport, RunVerdict};
-use rd_event::LatencyModel;
 use rd_graphs::{DiGraph, Topology};
-use rd_sim::{ChurnSpec, FaultPlan, LinkLossSpec, RetryPolicy, SuppressionSpec};
+use rd_sim::{ChurnSpec, FaultPlan, LatencyModel, LinkLossSpec, RetryPolicy, SuppressionSpec};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -478,11 +477,11 @@ pub fn library(n: usize, seed: u64) -> Vec<Scenario> {
         },
         // Grey failure: nothing crashes and nothing is dropped, but a
         // tenth of the machines are slow — every message touching one
-        // takes 4 ticks instead of 1 on the event engine. Convergence
-        // must degrade gracefully (bounded slowdown), not stall.
+        // takes 4 ticks instead of 1. Convergence must degrade
+        // gracefully (bounded slowdown), not stall.
         Scenario {
             name: "grey-failure",
-            summary: "10% slow nodes (4x latency) on the event engine",
+            summary: "10% slow nodes (4x latency) under event:slow",
             topology: Topology::KOut { k: 3 },
             algorithms: vec![AlgorithmKind::Hm(Default::default())],
             engine: EngineKind::Event {

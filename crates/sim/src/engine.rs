@@ -1,8 +1,9 @@
 //! The round shell every engine shares, the [`RoundEngine`] interface
-//! over it, and the sequential engine.
+//! over it, and the serial engine with its latency model.
 
-use crate::engine_core::{step_shard, unit_latency, EngineCore, RetryPolicy};
+use crate::engine_core::{step_shard, EngineCore, RetryPolicy};
 use crate::faults::FaultPlan;
+use crate::latency::LatencyModel;
 use crate::message::Envelope;
 use crate::metrics::{round_obs, RunMetrics};
 use crate::node::Node;
@@ -95,7 +96,6 @@ impl<N: Node> RoundShell<N> {
         &mut self,
         staged: &mut Vec<Envelope<N::Msg>>,
         scratch: &mut Vec<Envelope<N::Msg>>,
-        on_live: impl FnMut(usize),
     ) {
         let round = self.core.round();
         timed_phase(self.obs.as_mut(), Phase::OnRound, round, || {
@@ -107,7 +107,6 @@ impl<N: Node> RoundShell<N> {
                 state.inboxes,
                 staged,
                 scratch,
-                on_live,
             );
         });
     }
@@ -150,10 +149,9 @@ impl<N: Node> RoundShell<N> {
 ///
 /// An engine supplies [`step`](Self::step) and access to its
 /// [`RoundShell`]; every builder, accessor and run loop below is
-/// provided once, over the shell, so [`Engine`], the sharded engine in
-/// `rd-exec` and the discrete-event engine in `rd-event` cannot differ
-/// in any of them — and runners, experiments and completion predicates
-/// are engine-agnostic.
+/// provided once, over the shell, so [`Engine`] and the sharded engine
+/// in `rd-exec` cannot differ in any of them — and runners, experiments
+/// and completion predicates are engine-agnostic.
 pub trait RoundEngine<N: Node>: Sized {
     /// Executes one round: delivers current inboxes, runs every live
     /// node, and routes outboxes through the fault layer.
@@ -228,7 +226,7 @@ pub trait RoundEngine<N: Node>: Sized {
     /// With this knob the round counter reads as *time units* and the
     /// synchronized phase structure of round-based protocols is
     /// deliberately scrambled — the robustness-to-asynchrony experiment.
-    /// It is the round engines' knob: a latency model above one tick
+    /// A latency model above one tick ([`Engine::with_latency`])
     /// supersedes it, and routing panics if both are in play.
     fn with_max_extra_delay(mut self, max_extra: u64) -> Self {
         self.shell_mut().core.set_max_extra_delay(max_extra);
@@ -360,19 +358,23 @@ pub trait RoundEngine<N: Node>: Sized {
     }
 }
 
-/// Drives a population of [`Node`] programs through synchronous rounds
-/// on the calling thread.
+/// Drives a population of [`Node`] programs through rounds on the
+/// calling thread, each message taking the ticks its [`LatencyModel`]
+/// draws.
 ///
-/// Per round, the engine hands every live node its inbox (messages sent
-/// to it in the previous round) together with a deterministic
+/// Per round, the engine hands every live node its inbox (messages
+/// whose arrival tick has come) together with a deterministic
 /// per-`(seed, node, round)` random generator, then routes the node's
-/// outbox through the fault layer into next-round inboxes, accounting
-/// every message in [`RunMetrics`]. Builders, accessors and run loops
-/// are [`RoundEngine`] methods.
+/// outbox through the fault layer, accounting every message in
+/// [`RunMetrics`]. Under the default model, `const:1`, that is the
+/// paper's synchronous round; any other model is the same kernel under
+/// its sampler, so a round reads as one tick of simulated time.
+/// Builders, accessors and run loops are [`RoundEngine`] methods.
 ///
 /// See the crate-level documentation for a complete example.
 pub struct Engine<N: Node> {
     shell: RoundShell<N>,
+    latency: LatencyModel,
     /// Round-persistent staging buffer for outgoing envelopes; drained
     /// by routing, so its allocation is reused every round.
     staged: Vec<Envelope<N::Msg>>,
@@ -381,26 +383,49 @@ pub struct Engine<N: Node> {
 }
 
 impl<N: Node> Engine<N> {
-    /// Creates an engine over `nodes`, where node `i` has identifier
-    /// `NodeId::new(i)`. `seed` determines all protocol and fault
-    /// randomness.
+    /// Creates an engine over `nodes` under unit latency, where node `i`
+    /// has identifier `NodeId::new(i)`. `seed` determines all protocol,
+    /// fault and latency randomness.
     pub fn new(nodes: Vec<N>, seed: u64) -> Self {
         Engine {
             shell: RoundShell::new(nodes, seed),
+            latency: LatencyModel::UNIT,
             staged: Vec::new(),
             scratch: Vec::new(),
         }
+    }
+
+    /// Draws every transmission's latency from `latency`, retransmission
+    /// attempts included, on the message's own counter-based axes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's parameters are invalid (see
+    /// [`LatencyModel::validate`]).
+    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
+        if let Err(err) = latency.validate() {
+            panic!("invalid latency model: {err}");
+        }
+        self.latency = latency;
+        self
     }
 }
 
 impl<N: Node> RoundEngine<N> for Engine<N> {
     fn step(&mut self) {
         self.shell.begin_round();
-        self.shell
-            .step_nodes(&mut self.staged, &mut self.scratch, |_| {});
-        self.shell.route(|core| core.route_batch(&mut self.staged));
-        self.shell
-            .close_round(|core| core.retransmit_due(unit_latency));
+        self.shell.step_nodes(&mut self.staged, &mut self.scratch);
+        let latency = self.latency.sampler(self.shell.core().seed());
+        // The synchronous round keeps `route_batch` for its straight-line
+        // fault-free loop; every other model is the kernel under its
+        // sampler.
+        if self.latency == LatencyModel::UNIT {
+            self.shell.route(|core| core.route_batch(&mut self.staged));
+        } else {
+            self.shell
+                .route(|core| core.route_batch_with(&mut self.staged, latency));
+        }
+        self.shell.close_round(|core| core.retransmit_due(latency));
     }
 
     fn shell(&self) -> &RoundShell<N> {
@@ -747,6 +772,105 @@ mod tests {
             e.run_until(100, |nodes| nodes.iter().all(|r| r.has_token))
         };
         assert_eq!(sync, zero);
+    }
+
+    fn all_have_token(nodes: &[RingRelay]) -> bool {
+        nodes.iter().all(|r| r.has_token)
+    }
+
+    #[test]
+    fn constant_latency_stretches_time_proportionally() {
+        // Each ring hop takes 3 ticks instead of 1: the last of 4 nodes
+        // first processes the token at tick 9, i.e. on the 10th step.
+        let mut engine = Engine::new(ring(4), 1).with_latency(LatencyModel::Constant { ticks: 3 });
+        let outcome = engine.run_until(100, all_have_token);
+        assert!(outcome.completed);
+        assert_eq!(outcome.rounds, 10);
+        assert_eq!(engine.metrics().total_messages(), 4);
+    }
+
+    #[test]
+    fn asymmetric_links_are_directional() {
+        // A 2-node ping over both directions: 0→1 takes 1 tick, 1→0
+        // takes 5. The round trip therefore completes at tick 6.
+        struct Pong {
+            start: bool,
+            got: Vec<u64>,
+        }
+        impl Node for Pong {
+            type Msg = Ids;
+            fn on_round(
+                &mut self,
+                inbox: &mut Vec<Envelope<Ids>>,
+                ctx: &mut RoundContext<'_, Ids>,
+            ) {
+                for env in inbox.drain(..) {
+                    self.got.push(ctx.round());
+                    if env.src == NodeId::new(0) {
+                        ctx.send(NodeId::new(0), Ids(vec![]));
+                    }
+                }
+                if self.start && ctx.round() == 0 {
+                    ctx.send(NodeId::new(1), Ids(vec![]));
+                }
+            }
+        }
+        let nodes = [true, false].map(|start| Pong { start, got: vec![] });
+        let model = LatencyModel::Asymmetric {
+            forward: 1,
+            backward: 5,
+        };
+        let mut engine = Engine::new(nodes.into(), 3).with_latency(model);
+        for _ in 0..8 {
+            engine.step();
+        }
+        assert_eq!(engine.nodes()[1].got, vec![1], "0→1 took one tick");
+        assert_eq!(engine.nodes()[0].got, vec![6], "1→0 took five ticks");
+    }
+
+    #[test]
+    fn heavy_tail_draws_preserve_every_message() {
+        let model = LatencyModel::LogNormal {
+            mu_milli: 1200,
+            sigma_milli: 900,
+            cap: 24,
+        };
+        let mut engine = Engine::new(ring(8), 9).with_latency(model);
+        let outcome = engine.run_until(400, all_have_token);
+        assert!(outcome.completed);
+        assert_eq!(
+            engine.metrics().total_messages(),
+            8,
+            "no message lost to delay"
+        );
+        assert!(outcome.rounds >= 8, "stragglers cannot beat sync time");
+    }
+
+    #[test]
+    fn reliable_delivery_retries_under_a_latency_model() {
+        // Node 1 is dead for ticks 1..8, when the token reaches it;
+        // retransmissions, their latencies drawn from the model, recover
+        // the broadcast.
+        let faults = FaultPlan::new().with_crash_at(1, 1).with_recovery_at(1, 8);
+        let policy = RetryPolicy {
+            timeout: 2,
+            max_retries: 8,
+            max_backoff: 4,
+        };
+        let mut engine = Engine::new(ring(4), 1)
+            .with_latency(LatencyModel::Uniform { min: 1, max: 3 })
+            .with_faults(faults)
+            .with_reliable_delivery(policy);
+        let outcome = engine.run_until(100, all_have_token);
+        assert!(outcome.completed);
+        assert!(engine.metrics().total_retransmissions() >= 1);
+        assert!(engine.metrics().drop_tally().crash >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid latency model")]
+    fn invalid_latency_model_is_rejected() {
+        let _ = Engine::new(ring(2), 1).with_latency(LatencyModel::Constant { ticks: 0 });
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! [`EngineCore`] owns everything about a run *except* the node programs:
 //! mailboxes, the round counter, metrics, the fault layer, tracing, the
-//! failure-detector schedule, receive caps, and delay jitter. Every
-//! engine — [`Engine`](crate::Engine) here, the sharded engine in
-//! `rd-exec`, the discrete-event engine in `rd-event` — is a `step` body
-//! over this core, so accounting and fault semantics cannot drift
-//! between them.
+//! failure-detector schedule, receive caps, and delay jitter. Both
+//! engines — [`Engine`](crate::Engine) here and the sharded engine in
+//! `rd-exec` — are a `step` body over this core, so accounting and fault
+//! semantics cannot drift between them.
 //!
 //! A round is three phases:
 //!
@@ -29,10 +28,11 @@
 //! counter-based fate ([`route_fate`]) lets it through — arrives at
 //! `r + lat + fate.extra_delay`. That arithmetic is the whole network
 //! model. *The synchronous round of the paper is latency one*
-//! ([`unit_latency`]); the discrete-event engine passes its latency
-//! model's sampler instead, and nothing else about routing differs. The
-//! kernel sees only the function `(src, dst, send round, send-sequence,
-//! attempt) → ticks`, never the model behind it.
+//! ([`unit_latency`]); an engine under any other
+//! [`LatencyModel`](crate::LatencyModel) passes the model's sampler
+//! instead, and nothing else about routing differs. The kernel sees only
+//! the function `(src, dst, send round, send-sequence, attempt) → ticks`,
+//! never the model behind it.
 //!
 //! [`route_shard`] is that kernel: one loop over a sender shard's staged
 //! envelopes into per-destination-shard buckets, with
@@ -106,7 +106,9 @@ pub struct EngineCore<M: MessageCost> {
     pool: BufferPool<Envelope<M>>,
     /// Retransmission policy (`None` = best-effort delivery).
     reliable: Option<RetryPolicy>,
-    /// Dropped messages awaiting retransmission, keyed by resend round.
+    /// Dropped messages awaiting retransmission, keyed by resend round:
+    /// the run's one timer, drained by [`retransmit_due`](Self::retransmit_due)
+    /// at every round's close.
     retransmit_queue: std::collections::BTreeMap<u64, Vec<RetryEnvelope<M>>>,
     /// The serial path's one bucket and one delayed list, reused across
     /// rounds. Plain vectors, not pool buffers: pool counters are
@@ -934,7 +936,8 @@ impl<M: MessageCost> EngineCore<M> {
     /// — the sharded pipeline at shard count 1, so the serial and
     /// parallel paths are one function rather than two kept equal.
     /// `latency` is the per-transmission link latency (see the
-    /// [module docs](self)); the discrete-event engine's entry point.
+    /// [module docs](self)); the entry point of every latency model but
+    /// unit latency.
     ///
     /// Dropped messages park in the retransmission queue (when reliable
     /// delivery is on) at `round + timeout`; the caller decides when to
@@ -1065,20 +1068,12 @@ impl<M: MessageCost> EngineCore<M> {
         }
     }
 
-    /// Closes the round: advances the clock. Round engines make the due
-    /// retransmission attempts first ([`retransmit_due`]); a
-    /// timer-driven engine makes them when its timer fires.
+    /// Closes the round: advances the clock. Engines make the due
+    /// retransmission attempts first ([`retransmit_due`]).
     ///
     /// [`retransmit_due`]: Self::retransmit_due
     pub fn finish_round(&mut self) {
         self.round += 1;
-    }
-
-    /// The earliest tick at which a parked retransmission becomes due,
-    /// if any. Timer-driven engines arm a wake-up at this instant and
-    /// call [`retransmit_due`](Self::retransmit_due) when it fires.
-    pub fn next_retransmission_due(&self) -> Option<u64> {
-        self.retransmit_queue.keys().next().copied()
     }
 
     /// Makes every retransmission attempt due by the current round; a
@@ -1236,8 +1231,6 @@ pub fn step_node<N: Node>(
 /// whose first index is `base`, each on its own mailbox, appending
 /// sends to `staged` in `(node, send)` order. A serial engine passes the
 /// whole population; a sharded engine one block per worker.
-/// `on_live(i)` runs for every node that is stepped (the event engine
-/// ticks logical clocks there).
 pub fn step_shard<N: Node>(
     ctx: StepCtx<'_>,
     base: usize,
@@ -1245,7 +1238,6 @@ pub fn step_shard<N: Node>(
     inboxes: &mut [Vec<Envelope<N::Msg>>],
     staged: &mut Vec<Envelope<N::Msg>>,
     scratch: &mut Vec<Envelope<N::Msg>>,
-    mut on_live: impl FnMut(usize),
 ) {
     // Hoisted: with no crashes scheduled (the common case) the
     // per-node map probe below is skipped entirely.
@@ -1258,7 +1250,6 @@ pub fn step_shard<N: Node>(
             inbox.clear();
             continue;
         }
-        on_live(i);
         let inbox = take_capped(inbox, scratch, ctx.receive_cap);
         step_node(node, i, ctx.round, ctx.seed, ctx.suspects, inbox, staged);
     }

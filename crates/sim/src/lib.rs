@@ -16,6 +16,11 @@
 //!   *pointers* (identifiers carried) and *bits*, the complexity measures
 //!   the literature reports.
 //!
+//! That round is one latency model among several: [`Engine::with_latency`]
+//! gives every message a [`LatencyModel`] draw of whole ticks instead
+//! (constant, uniform, heavy-tailed, asymmetric, grey-failure), routed
+//! by the same kernel, so a round reads as one tick of simulated time.
+//!
 //! The simulator is fully deterministic: node programs receive
 //! per-`(seed, node, round)` random generators, so a run is reproducible
 //! from `(protocol, topology, seed)` alone, independent of iteration
@@ -67,6 +72,7 @@ pub mod engine;
 pub mod engine_core;
 pub mod faults;
 pub mod id;
+pub mod latency;
 pub mod message;
 pub mod metrics;
 pub mod node;
@@ -81,6 +87,7 @@ pub use engine_core::{
 };
 pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec};
 pub use id::NodeId;
+pub use latency::LatencyModel;
 pub use message::{Envelope, MessageCost, PointerList};
 pub use metrics::{round_obs, DropTally, NodeLane, RoundMetrics, RunMetrics};
 pub use node::{Node, RoundContext, SuspectView};

@@ -81,9 +81,8 @@ pub fn message_retry_rng(
 /// the first retransmission, …).
 ///
 /// A separate domain keeps latency draws independent of the route,
-/// retry, and provenance streams: switching latency models (or moving
-/// between the round engines and the discrete-event engine) never
-/// perturbs any drop coin, and each draw is a pure function of
+/// retry, and provenance streams: switching latency models (or engines)
+/// never perturbs any drop coin, and each draw is a pure function of
 /// `(seed, src, round, sequence, attempt)` — independent of event
 /// ordering, engine kind, or queue state.
 pub fn message_latency_rng(

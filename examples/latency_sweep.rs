@@ -1,7 +1,7 @@
 //! Convergence under message latency: the same algorithm, seed, and
-//! overlay on the discrete-event engine across latency models — the
-//! experiment the round engines cannot express, since their only
-//! asynchrony knob is bounded uniform delay added after the fact.
+//! overlay on the engine under each latency model — the experiment the
+//! synchronous round cannot express, since its only asynchrony knob is
+//! bounded uniform delay added after the fact.
 //!
 //! ```text
 //! cargo run --release --example latency_sweep

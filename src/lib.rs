@@ -43,7 +43,6 @@
 
 pub use rd_analysis as analysis;
 pub use rd_core as core;
-pub use rd_event as event;
 pub use rd_exec as exec;
 pub use rd_graphs as graphs;
 pub use rd_obs as obs;
@@ -52,6 +51,22 @@ pub use rd_scenarios as scenarios;
 pub use rd_sim as sim;
 
 pub use rd_core::runner::run;
+
+/// The two names the standalone `benchmark/` package imports; ROADMAP
+/// item 5 deletes this module along with the benchmark's use of them.
+pub mod event {
+    pub use rd_sim::LatencyModel;
+    use rd_sim::{Engine, Node};
+    /// Builds the serial engine under a latency model.
+    pub struct EventEngine;
+    impl EventEngine {
+        /// `Engine::new(nodes, seed).with_latency(latency)`.
+        #[allow(clippy::new_ret_no_self)]
+        pub fn new<N: Node>(nodes: Vec<N>, seed: u64, latency: LatencyModel) -> Engine<N> {
+            Engine::new(nodes, seed).with_latency(latency)
+        }
+    }
+}
 
 /// The names most programs need, in one import.
 pub mod prelude {
@@ -62,12 +77,11 @@ pub mod prelude {
         run, AlgorithmKind, Completion, EngineKind, ObsSpec, RunConfig, RunReport, RunVerdict,
     };
     pub use rd_core::{problem, verify, DiscoveryAlgorithm, KnowledgeSet, KnowledgeView};
-    pub use rd_event::{EventEngine, LatencyModel};
     pub use rd_exec::ShardedEngine;
     pub use rd_graphs::{connectivity, metrics, DiGraph, Topology};
     pub use rd_obs::{ChromeTraceSink, JsonlArchiveSink, PrometheusSink, Recorder, RunMeta};
     pub use rd_sim::{
-        ChurnSpec, DropCause, DropTally, Engine, FaultPlan, LinkLossSpec, NodeId, RetryPolicy,
-        RoundEngine, SuppressionSpec,
+        ChurnSpec, DropCause, DropTally, Engine, FaultPlan, LatencyModel, LinkLossSpec, NodeId,
+        RetryPolicy, RoundEngine, SuppressionSpec,
     };
 }

@@ -1,8 +1,8 @@
-//! End-to-end contracts of the discrete-event engine through the
-//! public runner API: replay determinism down to archive bytes, the
-//! `latency_model` archive header field, and behaviour only an event
-//! engine can express (latency-dependent convergence at identical
-//! drop coins).
+//! End-to-end contracts of `event:<model>` runs — the engine under a
+//! latency model — through the public runner API: replay determinism
+//! down to archive bytes, the `latency_model` archive header field, and
+//! behaviour only a latency model can express (latency-dependent
+//! convergence at identical drop coins).
 
 use resource_discovery::core::algorithms::hm::HmConfig;
 use resource_discovery::obs::archive;
@@ -10,7 +10,7 @@ use resource_discovery::prelude::*;
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rd-event-it-{}-{tag}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("rd-latency-it-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -90,7 +90,7 @@ fn same_seed_same_model_means_byte_identical_archives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Event-engine archives carry the latency model in their header and
+/// `event:` run archives carry the latency model in their header and
 /// still validate; round-engine archives declare it `null`.
 #[test]
 fn archives_record_the_latency_model() {

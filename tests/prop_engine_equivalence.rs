@@ -268,12 +268,12 @@ where
     Ok(())
 }
 
-/// Runs one algorithm on the sequential round engine and on the
-/// discrete-event engine at unit latency (`const:1`, zero jitter) and
-/// asserts bit-identical results: the event engine's tick loop, timed
-/// routing, and timer-driven retransmissions must collapse exactly onto
-/// the round semantics when every message takes one tick.
-fn assert_event_equivalent<A>(alg: &A, inst: &Instance) -> Result<(), TestCaseError>
+/// Runs one algorithm on the plain engine and on the same engine under
+/// `uniform:1:1` and asserts bit-identical results. That model is not
+/// `const:1`, so it routes and retransmits through the kernel with the
+/// model's sampler, yet every draw is one tick: the sampler path must
+/// collapse exactly onto the unit-latency path.
+fn assert_sampler_equivalent<A>(alg: &A, inst: &Instance) -> Result<(), TestCaseError>
 where
     A: DiscoveryAlgorithm,
     A::NodeState: Node + KnowledgeView,
@@ -282,56 +282,54 @@ where
     let graph = inst.topo.generate(inst.n, inst.seed);
     let initial = problem::initial_knowledge(&graph);
 
-    // The event engine has no `max_extra_delay` knob — jitter lives in
-    // the latency model — so the round engine runs without it too: the
-    // equivalence contract is pinned at zero jitter on both sides.
-    let mut seq = Engine::new(alg.make_nodes(&initial), inst.seed)
-        .with_faults(inst.faults.clone())
-        .with_trace(1 << 13);
-    let mut evt = EventEngine::new(
-        alg.make_nodes(&initial),
-        inst.seed,
-        LatencyModel::Constant { ticks: 1 },
-    )
-    .with_faults(inst.faults.clone())
-    .with_trace(1 << 13);
-    if let Some(cap) = inst.receive_cap {
-        seq = seq.with_receive_cap(cap);
-        evt = evt.with_receive_cap(cap);
-    }
-    if let Some(policy) = inst.reliable {
-        seq = seq.with_reliable_delivery(policy);
-        evt = evt.with_reliable_delivery(policy);
-    }
+    let configure = |mut e: Engine<A::NodeState>| {
+        e = e.with_faults(inst.faults.clone()).with_trace(1 << 13);
+        if let Some(cap) = inst.receive_cap {
+            e = e.with_receive_cap(cap);
+        }
+        if let Some(policy) = inst.reliable {
+            e = e.with_reliable_delivery(policy);
+        }
+        e
+    };
+    let mut unit = configure(Engine::new(alg.make_nodes(&initial), inst.seed));
+    let mut sampled = configure(
+        Engine::new(alg.make_nodes(&initial), inst.seed)
+            .with_latency(LatencyModel::Uniform { min: 1, max: 1 }),
+    );
 
-    let seq_outcome = seq.run_until(MAX_ROUNDS, problem::everyone_knows_everyone);
-    let evt_outcome = evt.run_until(MAX_ROUNDS, problem::everyone_knows_everyone);
+    let unit_outcome = unit.run_until(MAX_ROUNDS, problem::everyone_knows_everyone);
+    let sampled_outcome = sampled.run_until(MAX_ROUNDS, problem::everyone_knows_everyone);
 
-    prop_assert_eq!(seq_outcome, evt_outcome, "{}: outcome diverged", alg.name());
     prop_assert_eq!(
-        seq.metrics(),
-        evt.metrics(),
+        unit_outcome,
+        sampled_outcome,
+        "{}: outcome diverged",
+        alg.name()
+    );
+    prop_assert_eq!(
+        unit.metrics(),
+        sampled.metrics(),
         "{}: metrics diverged",
         alg.name()
     );
     prop_assert_eq!(
-        seq.trace().unwrap().events(),
-        evt.trace().unwrap().events(),
+        unit.trace().unwrap().events(),
+        sampled.trace().unwrap().events(),
         "{}: trace diverged",
         alg.name()
     );
-    prop_assert_eq!(seq.round(), evt.now(), "{}: clock diverged", alg.name());
-    for (i, (s, e)) in seq.nodes().iter().zip(evt.nodes()).enumerate() {
+    for (i, (u, s)) in unit.nodes().iter().zip(sampled.nodes()).enumerate() {
         prop_assert_eq!(
+            u.known_ids(),
             s.known_ids(),
-            e.known_ids(),
             "{}: node {} knowledge diverged",
             alg.name(),
             i
         );
         prop_assert_eq!(
+            u.believes_done(),
             s.believes_done(),
-            e.believes_done(),
             "{}: node {} termination belief diverged",
             alg.name(),
             i
@@ -356,18 +354,18 @@ proptest! {
         assert_equivalent(&HmDiscovery::new(HmConfig::default()), &inst)?;
     }
 
-    /// At `const:1` latency with zero jitter the discrete-event engine
-    /// *is* the round engine: same outcome, metrics, trace, clocks, and
-    /// final knowledge for every algorithm in the suite, under faults,
-    /// receive caps, and reliable delivery.
+    /// A latency model whose every draw is one tick takes the sampler
+    /// path and still *is* the unit-latency engine: same outcome,
+    /// metrics, trace, and final knowledge for every algorithm in the
+    /// suite, under faults, receive caps, and reliable delivery.
     #[test]
-    fn event_engine_at_unit_latency_is_bit_identical(inst in arb_instance()) {
-        assert_event_equivalent(&Flooding, &inst)?;
-        assert_event_equivalent(&Swamping, &inst)?;
-        assert_event_equivalent(&RandomPointerJump, &inst)?;
-        assert_event_equivalent(&NameDropper, &inst)?;
-        assert_event_equivalent(&PointerDoubling, &inst)?;
-        assert_event_equivalent(&HmDiscovery::new(HmConfig::default()), &inst)?;
+    fn one_tick_sampler_is_bit_identical_to_unit_latency(inst in arb_instance()) {
+        assert_sampler_equivalent(&Flooding, &inst)?;
+        assert_sampler_equivalent(&Swamping, &inst)?;
+        assert_sampler_equivalent(&RandomPointerJump, &inst)?;
+        assert_sampler_equivalent(&NameDropper, &inst)?;
+        assert_sampler_equivalent(&PointerDoubling, &inst)?;
+        assert_sampler_equivalent(&HmDiscovery::new(HmConfig::default()), &inst)?;
     }
 
     /// The worker count is a pure performance knob: any two worker
