@@ -55,9 +55,10 @@ pub struct HmNode {
     report_epoch: u64,
     /// Member-side: `(epoch, ids covered)` of the report in flight.
     inflight_report: Option<(u64, usize)>,
-    /// Ex-leader: the join payload retried every merge phase until an
-    /// [`HmMsg::Adopt`] proves some leader absorbed it.
-    pending_join: Option<(Vec<NodeId>, Vec<NodeId>)>,
+    /// Ex-leader: the join payload — members and handed-over frontier,
+    /// built once as shared lists — retried by handle every merge phase
+    /// until an [`HmMsg::Adopt`] proves some leader absorbed it.
+    pending_join: Option<(PointerList, PointerList)>,
     /// Member-side: a roster has been received (speculative completion).
     got_roster: bool,
     /// The failure detector's report as last digested. Held, not
@@ -65,6 +66,10 @@ pub struct HmNode {
     /// a node that slept through several reports diffs this one against
     /// whichever is current when it wakes.
     suspected: Arc<SuspectView>,
+    /// Leader-side scratch of [`digest_suspects`](Self::digest_suspects):
+    /// the ids of frontier ∪ outstanding as a bitmap, kept between
+    /// digests so that a retraction allocates nothing.
+    queued: Vec<u64>,
 }
 
 impl HmNode {
@@ -87,6 +92,7 @@ impl HmNode {
             pending_join: None,
             got_roster: false,
             suspected: SuspectView::none(),
+            queued: Vec::new(),
         };
         for &id in initial {
             node.knowledge.insert(id);
@@ -181,7 +187,9 @@ impl HmNode {
         // a queue holds it already, which this bitmap answers for every
         // id a retraction can name.
         let leads = self.is_leader();
-        let mut queued = vec![0u64; if leads { old.words().len() } else { 0 }];
+        let queued = &mut self.queued;
+        queued.clear();
+        queued.resize(if leads { old.words().len() } else { 0 }, 0);
         for &t in self.frontier.iter().chain(&self.outstanding) {
             if let Some(word) = queued.get_mut(t.index() / 64) {
                 *word |= 1 << (t.index() % 64);
@@ -483,47 +491,48 @@ impl HmNode {
         // Recycle unconfirmed probes from the previous super-round
         // (drops, forwarding latency): they go back to the front so
         // retries happen before new exploration.
-        for t in std::mem::take(&mut self.outstanding).into_iter().rev() {
+        for &t in self.outstanding.iter().rev() {
             self.frontier.push_front(t);
         }
+        self.outstanding.clear();
         let cap = if self.cfg.parallel_probes {
             self.members.len()
         } else {
             1
         };
-        let mut targets = Vec::new();
-        while targets.len() < cap {
+        // This super-round's targets go straight into `outstanding`.
+        while self.outstanding.len() < cap {
             let Some(t) = self.frontier.pop_front() else {
                 break;
             };
             if self.members.contains(t) {
                 continue; // became internal since enqueue
             }
-            targets.push(t);
+            self.outstanding.push(t);
         }
-        if targets.is_empty() {
+        let Some(&first) = self.outstanding.first() else {
             self.maybe_broadcast_roster(ctx);
             return;
-        }
+        };
         // First target is probed by the leader itself; the rest go to
         // members in roster order.
-        let assignees: Vec<NodeId> = self
-            .members
-            .iter()
-            .filter(|&m| m != self.me)
-            .take(targets.len().saturating_sub(1))
-            .collect();
-        self.outstanding.push(targets[0]);
-        self.pending_probes.push(targets[0]);
-        for (&t, &m) in targets[1..].iter().zip(&assignees) {
-            self.outstanding.push(t);
-            ctx.send(m, HmMsg::Assign { target: t });
+        self.pending_probes.push(first);
+        let mut assigned = 1;
+        for m in self.members.iter() {
+            let Some(&target) = self.outstanding.get(assigned) else {
+                break;
+            };
+            if m != self.me {
+                ctx.send(m, HmMsg::Assign { target });
+                assigned += 1;
+            }
         }
         // Targets beyond the member pool (cannot happen with the default
         // cap, but kept for safety) return to the frontier.
-        for &t in targets[1 + assignees.len()..].iter().rev() {
+        for &t in self.outstanding[assigned..].iter().rev() {
             self.frontier.push_front(t);
         }
+        self.outstanding.truncate(assigned);
     }
 
     fn maybe_broadcast_roster(&mut self, ctx: &mut RoundContext<'_, HmMsg>) {
@@ -552,12 +561,12 @@ impl HmNode {
 
     fn phase_probe(&mut self, ctx: &mut RoundContext<'_, HmMsg>) {
         let from_leader = self.leader;
-        for t in std::mem::take(&mut self.pending_probes) {
-            if t == self.me {
-                continue;
+        for &t in &self.pending_probes {
+            if t != self.me {
+                ctx.send(t, HmMsg::Probe { from_leader });
             }
-            ctx.send(t, HmMsg::Probe { from_leader });
         }
+        self.pending_probes.clear();
     }
 
     fn phase_merge(&mut self, ctx: &mut RoundContext<'_, HmMsg>) {
@@ -566,8 +575,8 @@ impl HmNode {
         if let Some((members, frontier)) = &self.pending_join {
             debug_assert!(!self.is_leader());
             let msg = HmMsg::Join {
-                members: members.as_slice().into(),
-                frontier: frontier.as_slice().into(),
+                members: members.clone(),
+                frontier: frontier.clone(),
             };
             ctx.send(self.leader, msg);
             return;
@@ -575,20 +584,30 @@ impl HmNode {
         if !self.is_leader() {
             return;
         }
-        // Sort the discoveries of this super-round.
-        let mut above: Vec<NodeId> = Vec::new();
-        for d in std::mem::take(&mut self.discovered) {
-            if self.members.contains(d) {
-                continue; // merged into us in the meantime
+        // Sort the discoveries of this super-round: smaller leaders
+        // join the invitations, larger ones stay in `discovered`.
+        let HmNode {
+            me,
+            members,
+            discovered,
+            pending_invites,
+            ..
+        } = self;
+        discovered.retain(|&d| {
+            if members.contains(d) {
+                return false; // merged into us in the meantime
             }
-            if d > self.me {
-                above.push(d);
-            } else if !self.pending_invites.contains(&d) {
-                self.pending_invites.push(d);
+            if d > *me {
+                return true;
             }
-        }
+            if !pending_invites.contains(&d) {
+                pending_invites.push(d);
+            }
+            false
+        });
         self.pending_invites
             .retain(|&b| !self.members.contains(b) && !self.suspected.contains(b));
+        let above = &self.discovered;
         if above.is_empty() {
             if self.cfg.invites {
                 // Retried every merge phase until the invitee joins (or
@@ -607,21 +626,23 @@ impl HmNode {
         // Hand over every lead we hold: the frontier, unconfirmed
         // probes, unresolved invites, and the discovered leaders we are
         // not joining.
-        let mut handover: Vec<NodeId> = std::mem::take(&mut self.frontier).into_iter().collect();
+        let mut handover: Vec<NodeId> = self.frontier.drain(..).collect();
         handover.append(&mut self.outstanding);
         handover.extend(above.iter().copied().filter(|&d| d != target));
         handover.append(&mut self.pending_invites);
-        let members = self.members.to_vec();
+        self.discovered.clear();
+        let members = PointerList::shared(self.members.list());
+        let frontier = PointerList::shared(&handover);
         ctx.send(
             target,
             HmMsg::Join {
-                members: members.as_slice().into(),
-                frontier: handover.as_slice().into(),
+                members: members.clone(),
+                frontier: frontier.clone(),
             },
         );
         self.leader = target;
         self.knowledge.insert(target);
-        self.pending_join = Some((members, handover));
+        self.pending_join = Some((members, frontier));
     }
 }
 

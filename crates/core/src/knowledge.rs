@@ -11,21 +11,27 @@ use rd_sim::{NodeId, PointerList};
 /// [`take_fresh`](Self::take_fresh)), and *pick a uniformly random known
 /// id* (Name-Dropper's only primitive). `KnowledgeSet` serves all three.
 ///
-/// Internally membership starts as a small **sorted index** (binary
-/// search) and spills into a **growable bitmap** over raw identifier
-/// indices once the set holds more ids than that bitmap would have
-/// words ([`NodeId::worth_a_bitmap`], the rule a shared payload offers
-/// its bitmap by) or more than [`SPARSE_MAX`] ids, plus one append-only
-/// learning-order list for O(1) random sampling. The hybrid matters at
-/// scale: a bitmap alone costs `max_id / 8` bytes *per set*, which sums
-/// to Θ(n²) bytes across a million singleton clusters — the sorted tier
-/// keeps per-set memory proportional to what the set actually holds,
-/// while dense sets (ids from a narrow range, merged clusters, full
-/// rosters) get O(1) bitmap lookups, and a first-heard id costs a
-/// bit, not a sorted insert. At the switch the bitmap takes at most
-/// twice the bytes of the entries it replaces. This is a set
-/// *representation* choice only — protocols still treat identifiers as
-/// opaque and learn them exclusively through messages.
+/// Internally a set of up to [`SMALL`] ids keeps them **in place**, in
+/// learning order, and answers membership by a scan: no heap at all, and
+/// most sets of a large run (an HM node's `members` and `seen`, and its
+/// `knowledge` early on) never learn more. Past that, membership is a
+/// **sorted index** (binary search) that spills into a **growable
+/// bitmap** over raw identifier indices once the set holds more ids than
+/// that bitmap would have words ([`NodeId::worth_a_bitmap`], the rule a
+/// shared payload offers its bitmap by) or more than [`SPARSE_MAX`] ids,
+/// plus one append-only learning-order list for O(1) random sampling.
+/// The hybrid matters at scale: a bitmap alone costs `max_id / 8` bytes
+/// *per set*, which sums to Θ(n²) bytes across a million singleton
+/// clusters — the sorted tier keeps per-set memory proportional to what
+/// the set actually holds, while dense sets (ids from a narrow range,
+/// merged clusters, full rosters) get O(1) bitmap lookups, and a
+/// first-heard id costs a bit, not a sorted insert. At the switch the
+/// bitmap takes at most twice the bytes of the entries it replaces. A
+/// set that leaves its place starts the list and the entries where
+/// pushing one id at a time would have them (8 ids, room for 8), so they
+/// grow 16, 32, … as before. This is a set *representation* choice only
+/// — protocols still treat identifiers as opaque and learn them
+/// exclusively through messages.
 ///
 /// Freshness is **one window over that list**, not a second queue: a
 /// cursor marks how far [`take_fresh`](Self::take_fresh) has read, so
@@ -73,7 +79,8 @@ use rd_sim::{NodeId, PointerList};
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeSet {
     state: State,
-    /// Every known id of the settled tier, in learning order.
+    /// Every known id of the settled tier, in learning order — empty
+    /// while the tier is small, which keeps its ids in order itself.
     list: Vec<NodeId>,
     /// `list[drained..]` is the fresh window.
     drained: usize,
@@ -106,11 +113,23 @@ impl Default for State {
     }
 }
 
+/// Ids a set holds in place before it needs the heap: as many as fit,
+/// with their count, beside the tier's tag in the bytes a heap tier's
+/// vector takes, so a set is no larger for having them.
+const SMALL: usize = 7;
+
 /// The sorted tier's cap: however wide its id range, a set of more ids
 /// than this is a bitmap, whose `max_id / 8` bytes are then amortised
 /// over enough members to be worth paying. Below it density decides
 /// ([`stays_sorted`]); the sorted entries of a set never pass 2 KiB.
 const SPARSE_MAX: usize = 512;
+
+/// The capacity pushing `len` entries one at a time leaves a vector
+/// with: four (where `Vec` starts for entries of this size), doubled
+/// until they fit.
+fn push_capacity(len: usize) -> usize {
+    len.next_power_of_two().max(4)
+}
 
 /// The tier rule: `ids` ids whose bitmap would have `words` words keep
 /// sorted entries unless that bitmap is
@@ -146,15 +165,21 @@ fn insert_sorted(sorted: &mut Vec<u32>, raw: u32) -> bool {
 
 #[derive(Debug, Clone)]
 enum Membership {
-    /// Sorted raw indices — the small-set tier.
+    /// Up to [`SMALL`] ids in place, in learning order — the tier of a
+    /// set that has learned almost nothing. The set's list is empty.
+    Small { len: u8, ids: [NodeId; SMALL] },
+    /// Sorted raw indices — the sparse tier.
     Sparse(Vec<u32>),
-    /// Bitmap over raw indices — the large-set tier.
+    /// Bitmap over raw indices — the dense tier.
     Dense(Vec<u64>),
 }
 
 impl Default for Membership {
     fn default() -> Self {
-        Membership::Sparse(Vec::new())
+        Membership::Small {
+            len: 0,
+            ids: [NodeId::new(0); SMALL],
+        }
     }
 }
 
@@ -244,9 +269,26 @@ fn merge_sorted(sorted: &mut Vec<u32>, unknown: &mut [u64], new: usize) {
 }
 
 impl Membership {
+    /// The tier the distinct `ids` of a small set land on when it
+    /// leaves its place: sorted entries with the room pushing them one
+    /// at a time would have left, or the bitmap where the tier rule says
+    /// so.
+    fn of(ids: &[NodeId]) -> Membership {
+        let mut sorted = Vec::with_capacity(push_capacity(ids.len()));
+        sorted.extend(ids.iter().map(|&id| u32::from(id)));
+        sorted.sort_unstable();
+        let stays = stays_sorted(sorted.len(), words_of(&sorted));
+        let mut tier = Membership::Sparse(sorted);
+        if !stays {
+            tier.spill();
+        }
+        tier
+    }
+
     #[inline]
     fn contains(&self, id: NodeId) -> bool {
         match self {
+            Membership::Small { len, ids } => ids[..*len as usize].contains(&id),
             Membership::Sparse(sorted) => sorted.binary_search(&(id.index() as u32)).is_ok(),
             Membership::Dense(bits) => {
                 let (w, b) = word_bit(id.index());
@@ -255,33 +297,54 @@ impl Membership {
         }
     }
 
+    /// The raw ids of a tier that lists them — the small tier's in
+    /// learning order, the sorted tier's ascending; none of the bitmap's.
+    fn listed(&self) -> impl Iterator<Item = u32> + '_ {
+        let (small, sorted): (&[NodeId], &[u32]) = match self {
+            Membership::Small { len, ids } => (&ids[..*len as usize], &[]),
+            Membership::Sparse(sorted) => (&[], sorted),
+            Membership::Dense(_) => (&[], &[]),
+        };
+        small
+            .iter()
+            .map(|&id| u32::from(id))
+            .chain(sorted.iter().copied())
+    }
+
+    /// The highest id of the tier.
+    fn top(&self) -> Option<u32> {
+        match self {
+            Membership::Small { .. } => self.listed().max(),
+            Membership::Sparse(sorted) => sorted.last().copied(),
+            Membership::Dense(bits) => top_bit(bits),
+        }
+    }
+
     /// `true` if every id whose bit is set in `word`, word `w` of a
     /// mask, is in this tier or in the bitmap `adopted`.
     #[inline]
     fn covers_word(&self, adopted: &[u64], w: usize, word: u64) -> bool {
         let mut missing = word & !word_at(adopted, w);
-        match self {
-            Membership::Dense(bits) => missing & !word_at(bits, w) == 0,
-            Membership::Sparse(sorted) => {
-                while missing != 0 {
-                    let raw = (w * 64) as u32 + missing.trailing_zeros();
-                    if sorted.binary_search(&raw).is_err() {
-                        return false;
-                    }
-                    missing &= missing - 1;
-                }
-                true
-            }
+        if let Membership::Dense(bits) = self {
+            return missing & !word_at(bits, w) == 0;
         }
+        while missing != 0 {
+            let raw = (w * 64) as u32 + missing.trailing_zeros();
+            if !self.contains(NodeId::new(raw)) {
+                return false;
+            }
+            missing &= missing - 1;
+        }
+        true
     }
 
-    /// Converts the sorted tier to the bitmap (a bitmap stays one) and
-    /// hands the bitmap out.
+    /// Converts the tier to the bitmap (a bitmap stays one) and hands
+    /// the bitmap out.
     fn spill(&mut self) -> &mut Vec<u64> {
-        if let Membership::Sparse(sorted) = self {
-            let max = sorted.last().copied().unwrap_or(0) as usize;
-            let mut bits = vec![0u64; max / 64 + 1];
-            for &raw in sorted.iter() {
+        if !matches!(self, Membership::Dense(_)) {
+            let top = self.top().unwrap_or(0) as usize;
+            let mut bits = vec![0u64; top / 64 + 1];
+            for raw in self.listed() {
                 let (w, b) = word_bit(raw as usize);
                 bits[w] |= b;
             }
@@ -289,7 +352,7 @@ impl Membership {
         }
         match self {
             Membership::Dense(bits) => bits,
-            Membership::Sparse(_) => unreachable!("converted above"),
+            _ => unreachable!("converted above"),
         }
     }
 }
@@ -327,11 +390,21 @@ impl KnowledgeSet {
         }
     }
 
+    /// The settled tier's ids in learning order: in place on the small
+    /// tier, the list on the others.
+    fn settled_order(&self) -> &[NodeId] {
+        match self.tiers().0 {
+            Membership::Small { len, ids } => &ids[..*len as usize],
+            _ => &self.list,
+        }
+    }
+
     /// Heap bytes this set currently holds (capacities, not lengths),
     /// plus the inline struct itself. Sampled per round by the profiler
     /// to build the memory timeline; never read by protocol logic.
     pub fn resident_bytes(&self) -> usize {
         let membership = match self.tiers().0 {
+            Membership::Small { .. } => 0,
             Membership::Sparse(sorted) => sorted.capacity() * std::mem::size_of::<u32>(),
             Membership::Dense(bits) => bits.capacity() * std::mem::size_of::<u64>(),
         };
@@ -386,7 +459,7 @@ impl KnowledgeSet {
         bitmap(adopted)
             && match tier {
                 Membership::Dense(bits) => bitmap(bits),
-                Membership::Sparse(sorted) => sorted.iter().all(|&raw| {
+                _ => tier.listed().all(|raw| {
                     let (w, b) = word_bit(raw as usize);
                     accounted(w, b)
                 }),
@@ -402,16 +475,16 @@ impl KnowledgeSet {
             Membership::Dense(bits) => (0..theirs.len())
                 .map(|w| (unseen(w) & !word_at(bits, w)).count_ones() as usize)
                 .sum(),
-            // A sparse set probes its own few entries against the
-            // bitmap; probing the payload's ids against the entries
-            // would be a binary search per payload id.
-            Membership::Sparse(sorted) => {
+            // A small or sparse set probes its own few entries against
+            // the bitmap; probing the payload's ids against the entries
+            // would be a search per payload id.
+            _ => {
                 let taught: usize = (0..theirs.len())
                     .map(|w| unseen(w).count_ones() as usize)
                     .sum();
-                let held = sorted
-                    .iter()
-                    .filter(|&&raw| {
+                let held = tier
+                    .listed()
+                    .filter(|&raw| {
                         let (w, b) = word_bit(raw as usize);
                         w < theirs.len() && unseen(w) & b != 0
                     })
@@ -470,13 +543,21 @@ impl KnowledgeSet {
     /// bitmap ORed in, or its unknown bits merged into the sorted
     /// entries, spilling exactly where
     /// [`extend_from_slice`](Self::extend_from_slice) would have. Either
-    /// way the list grows by doubling, as a push at a time grows it.
+    /// way the list grows by doubling, as a push at a time grows it. A
+    /// small set first moves its ids into the list and its tier onto the
+    /// heap, sized as pushing them would have sized them.
     fn settle(&mut self) {
         let State::Adopting(adopting) = &mut self.state else {
             return;
         };
         let mut tier = std::mem::take(&mut adopting.settled);
         let (ids, theirs, new) = (&adopting.payload[..], adopting.bitmap(), adopting.new);
+        if let Membership::Small { len, ids: held } = tier {
+            let held = &held[..len as usize];
+            reserve_doubling(&mut self.list, held.len() + new);
+            self.list.extend_from_slice(held);
+            tier = Membership::of(held);
+        }
         reserve_doubling(&mut self.list, new);
         match &mut tier {
             Membership::Sparse(sorted) if stays_sorted_merging(sorted, ids.len(), theirs.len()) => {
@@ -534,6 +615,23 @@ impl KnowledgeSet {
             }
         };
         let added = match tier {
+            Membership::Small { len, ids } => {
+                let held = *len as usize;
+                if ids[..held].contains(&id) {
+                    return false;
+                }
+                if held < SMALL {
+                    ids[held] = id;
+                    *len += 1;
+                } else {
+                    // The eighth id: the set leaves its place.
+                    self.list = Vec::with_capacity(push_capacity(SMALL + 1));
+                    self.list.extend_from_slice(ids);
+                    self.list.push(id);
+                    *tier = Membership::of(&self.list);
+                }
+                return true;
+            }
             Membership::Sparse(sorted) => insert_sorted(sorted, id.index() as u32),
             Membership::Dense(bits) => {
                 let (w, b) = word_bit(id.index());
@@ -595,6 +693,18 @@ impl KnowledgeSet {
         let State::Settled(tier) = &mut self.state else {
             unreachable!("a set holding a payload settles before it merges")
         };
+        if let Membership::Small { .. } = tier {
+            // In place until the set leaves it; the rest of the payload
+            // then merges into the tier it left for.
+            let mut new = 0;
+            for (k, &id) in ids.iter().enumerate() {
+                new += usize::from(self.insert(id));
+                if !matches!(self.state, State::Settled(Membership::Small { .. })) {
+                    return new + self.merge(&ids[k + 1..]);
+                }
+            }
+            return new;
+        }
         let words = NodeId::bitmap_words(ids);
         if let Membership::Sparse(sorted) = tier {
             if stays_sorted_merging(sorted, ids.len(), words) {
@@ -628,10 +738,11 @@ impl KnowledgeSet {
 
     /// Number of identifiers known.
     pub fn len(&self) -> usize {
-        match &self.state {
-            State::Settled(_) => self.list.len(),
-            State::Adopting(adopting) => self.list.len() + adopting.new,
-        }
+        let adopted = match &self.state {
+            State::Settled(_) => 0,
+            State::Adopting(adopting) => adopting.new,
+        };
+        self.settled_order().len() + adopted
     }
 
     /// `true` only for the (unreachable in practice) empty set.
@@ -649,7 +760,7 @@ impl KnowledgeSet {
     /// clone and leaves the set as it was.
     pub fn to_vec(&self) -> Vec<NodeId> {
         if let State::Settled(_) = self.state {
-            return self.list.clone();
+            return self.settled_order().to_vec();
         }
         let mut settled = self.clone();
         settled.settle();
@@ -662,7 +773,7 @@ impl KnowledgeSet {
     /// append-only, so positions are stable forever.
     pub fn list(&mut self) -> &[NodeId] {
         self.settle();
-        &self.list
+        self.settled_order()
     }
 
     /// The full knowledge as a payload: the learning-order list in one
@@ -680,7 +791,7 @@ impl KnowledgeSet {
             State::Settled(Membership::Dense(bits)) => {
                 PointerList::shared_with_bitmap(&self.list, bits)
             }
-            _ => PointerList::shared(&self.list),
+            _ => PointerList::shared(self.settled_order()),
         }
     }
 
@@ -706,9 +817,9 @@ impl KnowledgeSet {
     /// the window behind them.
     pub fn take_fresh(&mut self) -> &[NodeId] {
         self.settle();
-        let fresh = &self.list[self.drained..];
-        self.drained = self.list.len();
-        fresh
+        let (drained, len) = (self.drained, self.len());
+        self.drained = len;
+        &self.settled_order()[drained..]
     }
 
     /// `true` if identifiers have been learned since the last drain.
@@ -724,13 +835,14 @@ impl KnowledgeSet {
         exclude: NodeId,
     ) -> Option<NodeId> {
         self.settle();
+        let list = self.settled_order();
         // The list contains at most one excluded entry, so rejection
         // sampling terminates in O(1) expected tries once len > 1.
-        if self.list.is_empty() || (self.list.len() == 1 && self.list[0] == exclude) {
+        if list.is_empty() || (list.len() == 1 && list[0] == exclude) {
             return None;
         }
         loop {
-            let id = self.list[rng.random_range(0..self.list.len())];
+            let id = list[rng.random_range(0..list.len())];
             if id != exclude {
                 return Some(id);
             }
@@ -739,15 +851,12 @@ impl KnowledgeSet {
 
     /// The maximum known id (total-order tie-breaking primitive used by
     /// the deterministic baseline and the cluster protocol), read off
-    /// the membership tier: the last sorted entry, or the top bit of
-    /// the highest non-zero bitmap word.
+    /// the membership tier: the largest of the few ids in place, the
+    /// last sorted entry, or the top bit of the highest non-zero bitmap
+    /// word.
     pub fn max_id(&self) -> Option<NodeId> {
         let (tier, adopted) = self.tiers();
-        let settled = match tier {
-            Membership::Sparse(sorted) => sorted.last().copied(),
-            Membership::Dense(bits) => top_bit(bits),
-        };
-        settled.max(top_bit(adopted)).map(NodeId::new)
+        tier.top().max(top_bit(adopted)).map(NodeId::new)
     }
 }
 
@@ -757,7 +866,7 @@ impl FromIterator<NodeId> for KnowledgeSet {
     fn from_iter<T: IntoIterator<Item = NodeId>>(iter: T) -> Self {
         let mut k = KnowledgeSet::default();
         k.extend(iter);
-        k.drained = k.list.len();
+        k.drained = k.len();
         debug_assert!(!k.has_fresh(), "construction leaves the window empty");
         k
     }
@@ -843,16 +952,84 @@ mod tests {
     }
 
     #[test]
-    fn huge_ids_in_small_sets_stay_sparse() {
+    fn huge_ids_in_small_sets_cost_no_bitmap() {
         // The scale-critical property: holding a few ids never costs
         // O(max id) memory — a million-node simulation allocates
-        // per-node sets proportional to what each node knows.
+        // per-node sets proportional to what each node knows. Up to
+        // seven ids that is no heap at all; the eighth moves them to
+        // sorted entries, not to a bitmap.
         let mut k = KnowledgeSet::new(id(0));
         k.insert(id(1_000_000));
         assert!(k.contains(id(1_000_000)));
         assert!(!k.contains(id(999_999)));
         assert_eq!(k.len(), 2);
+        assert!(matches!(k.tiers().0, Membership::Small { .. }));
+        assert_eq!(k.resident_bytes(), std::mem::size_of::<KnowledgeSet>());
+        for i in 2..SMALL as u32 {
+            k.insert(id(1_000_000 * i));
+        }
+        assert!(matches!(k.tiers().0, Membership::Small { len: 7, .. }));
+        assert!(k.insert(id(5)));
         assert!(matches!(k.tiers().0, Membership::Sparse(_)));
+        let expected: Vec<NodeId> = [0, 1, 2, 3, 4, 5, 6]
+            .map(|i| id(1_000_000 * i))
+            .into_iter()
+            .chain([id(5)])
+            .collect();
+        assert_eq!(k.list(), expected);
+        assert!(k.contains(id(6_000_000)) && !k.contains(id(7_000_000)));
+    }
+
+    #[test]
+    fn a_set_leaves_its_place_with_the_capacities_pushes_would_have_grown() {
+        // The bytes a set holds once it has left the small tier, as if
+        // its list and its sorted entries had been pushed to one id at a
+        // time from the start: 8, 16, 32, … entries. A set that left at
+        // a capacity of 7 would grow 7, 14, 28, …, off the series every
+        // set that was never small is on.
+        fn pushed(len: usize) -> usize {
+            let mut entries: Vec<u32> = Vec::new();
+            (0..len as u32).for_each(|i| entries.push(i));
+            std::mem::size_of::<KnowledgeSet>() + 2 * 4 * entries.capacity()
+        }
+        // Ids 1 000 apart: the sorted tier all the way to the cap.
+        let wide = |i: u32| id(1_000 * i + 3);
+        let mut by_insert = KnowledgeSet::new(wide(0));
+        for i in 1..SPARSE_MAX as u32 {
+            by_insert.insert(wide(i));
+            let len = by_insert.len();
+            let expected = if len <= SMALL {
+                std::mem::size_of::<KnowledgeSet>()
+            } else {
+                pushed(len)
+            };
+            assert_eq!(by_insert.resident_bytes(), expected, "{len} ids");
+        }
+        // A payload that carries a small set past its place, merged in
+        // bulk or adopted and settled.
+        for len in [SMALL + 1, 9, 16, 17, 100, SPARSE_MAX] {
+            let payload: Vec<NodeId> = (1..len as u32).map(wide).collect();
+            let mut merged = KnowledgeSet::new(wide(0));
+            merged.extend_from_slice(&payload);
+            assert_eq!(merged.resident_bytes(), pushed(len), "{len} ids merged");
+            // Dense enough for a bitmap at 1 000 apart only when close
+            // to every word: settle a roster of the first ids instead.
+            let roster = PointerList::shared(&(0..len as u32).map(id).collect::<Vec<_>>());
+            let mut adopted = KnowledgeSet::new(id(0));
+            adopted.adopt(&roster);
+            assert!(!adopted.is_settled());
+            adopted.list();
+            let expected = std::mem::size_of::<KnowledgeSet>()
+                + 4 * push_capacity(len)
+                + 8 * adopted_words(&adopted);
+            assert_eq!(adopted.resident_bytes(), expected, "{len} ids adopted");
+        }
+        fn adopted_words(k: &KnowledgeSet) -> usize {
+            match k.tiers().0 {
+                Membership::Dense(bits) => bits.capacity(),
+                _ => 0,
+            }
+        }
     }
 
     #[test]
@@ -892,15 +1069,21 @@ mod tests {
         // cap does so on the insert that makes its ids outnumber its
         // words by one, when the bitmap takes 8 bytes a word against
         // the 4 an entry took; the widest range stays sorted to 512.
+        // A set that leaves the small tier for the bitmap at once does
+        // so because its eight ids already outnumber the words.
         for range in [64u32, 1 << 10, 1 << 13, 1 << 16] {
             let mut k = KnowledgeSet::default();
             let mut spilled_at = None;
             for i in 0..u64::from(range) {
-                let sorted = matches!(k.tiers().0, Membership::Sparse(_));
+                let small = matches!(k.tiers().0, Membership::Small { .. });
+                let listed = !matches!(k.tiers().0, Membership::Dense(_));
                 k.insert(id((i * 0x9E37_79B1 % u64::from(range)) as u32));
-                if let (true, Membership::Dense(bits)) = (sorted, k.tiers().0) {
+                if let (true, Membership::Dense(bits)) = (listed, k.tiers().0) {
                     spilled_at = Some(k.len());
-                    if k.len() <= SPARSE_MAX {
+                    if small {
+                        assert_eq!(k.len(), SMALL + 1, "range {range}");
+                        assert!(bits.len() < k.len(), "range {range}");
+                    } else if k.len() <= SPARSE_MAX {
                         assert_eq!(bits.len(), k.len() - 1, "range {range}");
                         assert!(bits.len() * 8 <= 2 * k.len() * 4);
                     }
@@ -957,14 +1140,23 @@ mod tests {
     }
 
     #[test]
-    fn covers_tests_masks_on_both_tiers() {
-        let sparse: KnowledgeSet = [id(1), id(64), id(200)].into_iter().collect();
+    fn covers_tests_masks_on_every_tier() {
+        let few = [1, 64, 200];
+        let small: KnowledgeSet = few.map(id).into_iter().collect();
+        let sparse: KnowledgeSet = (few.into_iter().chain((1..6).map(|i| 4_000 * i)))
+            .map(id)
+            .collect();
         let dense: KnowledgeSet = (0..1000u32).map(id).collect();
+        assert!(matches!(small.tiers().0, Membership::Small { .. }));
         assert!(matches!(sparse.tiers().0, Membership::Sparse(_)));
         assert!(matches!(dense.tiers().0, Membership::Dense(_)));
-        assert!(sparse.covers(&[0b10, 0b1]));
-        assert!(!sparse.covers(&[0b110]));
-        assert!(sparse.covers(&[]));
+        for set in [&small, &sparse] {
+            assert!(set.covers(&[0b10, 0b1]));
+            assert!(!set.covers(&[0b110]));
+            assert!(set.covers(&[]));
+        }
+        assert!(sparse.covers(&[&[0; 62][..], &[1 << 32]].concat()));
+        assert!(!small.covers(&[&[0; 62][..], &[1 << 32]].concat()));
         assert!(dense.covers(&[u64::MAX; 15]));
         // Bit 1000 (word 15, bit 40) is the first id the set lacks.
         assert!(dense.covers(&[&[0; 15][..], &[(1 << 40) - 1]].concat()));
@@ -1043,7 +1235,8 @@ mod tests {
                     };
                     let (mut adopted, mut merged): (KnowledgeSet, KnowledgeSet) =
                         (receiver(), receiver());
-                    assert!(matches!(adopted.tiers().0, Membership::Sparse(_)));
+                    // In place at one id, sorted at ten and twenty.
+                    assert!(!matches!(adopted.tiers().0, Membership::Dense(_)));
                     // Half of it known to the larger receivers, and
                     // `held` + its length = `total`: the bound the tier
                     // rule reads, against the receiver's words.
@@ -1134,10 +1327,11 @@ mod tests {
 
     #[test]
     fn the_adopted_state_costs_no_bytes_and_stays_thread_safe() {
-        // HM holds four sets per node: 64 bytes before adoption, and
+        // HM holds three sets per node: 64 bytes before adoption, and
         // 64 after, because holding a payload is a variant of the
         // membership state (stored in the tier tag's spare values), not
-        // a field beside it.
+        // a field beside it — and the seven ids of the small tier sit
+        // in the bytes the heap tiers' vector takes.
         assert!(std::mem::size_of::<KnowledgeSet>() <= 64);
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<KnowledgeSet>();

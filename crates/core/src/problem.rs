@@ -129,50 +129,98 @@ pub(crate) fn id_mask(n: usize, selected: impl IntoIterator<Item = usize>) -> (V
     (mask, count)
 }
 
-fn live_mask(live: &[bool]) -> (Vec<u64>, usize) {
-    id_mask(live.len(), (0..live.len()).filter(|&i| live[i]))
+/// The live nodes of a crash-faulted instance as the completion checks
+/// read them — a bitmap of the live ids and how many there are — built
+/// once per run, where the harness asks its predicates every round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiveMask {
+    /// Node `i` is live iff bit `i % 64` of word `i / 64` is set.
+    mask: Vec<u64>,
+    count: usize,
+    nodes: usize,
+}
+
+impl LiveMask {
+    /// The mask of `live`, where `live[i]` marks node `i` live.
+    pub fn new(live: &[bool]) -> Self {
+        let (mask, count) = id_mask(live.len(), (0..live.len()).filter(|&i| live[i]));
+        LiveMask {
+            mask,
+            count,
+            nodes: live.len(),
+        }
+    }
+
+    /// How many nodes are live.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    fn is_live(&self, i: usize) -> bool {
+        self.mask[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// [`everyone_knows_everyone`] restricted to the live nodes: every
+    /// live node knows every live node. With every node live this is the
+    /// unrestricted predicate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask is not of `nodes.len()` nodes.
+    pub fn everyone_knows_everyone<N: KnowledgeView>(&self, nodes: &[N]) -> bool {
+        assert_eq!(nodes.len(), self.nodes, "live mask size mismatch");
+        // A node knowing fewer ids than there are live nodes cannot know
+        // them all — the O(1) count check prunes the word-level coverage
+        // test, which matters because the harness evaluates this every
+        // round.
+        nodes.iter().enumerate().all(|(i, node)| {
+            !self.is_live(i) || (node.knows_count() >= self.count && node.covers(&self.mask))
+        })
+    }
+
+    /// [`leader_knows_all`] restricted to the live nodes: some live ℓ
+    /// knows every live node, and every live node knows ℓ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mask is not of `nodes.len()` nodes.
+    pub fn leader_knows_all<N: KnowledgeView>(&self, nodes: &[N]) -> bool {
+        assert_eq!(nodes.len(), self.nodes, "live mask size mismatch");
+        // Same count-based prune as `everyone_knows_everyone`.
+        nodes.iter().enumerate().any(|(i, node)| {
+            self.is_live(i)
+                && node.knows_count() >= self.count
+                && node.covers(&self.mask)
+                && nodes
+                    .iter()
+                    .enumerate()
+                    .all(|(j, other)| !self.is_live(j) || other.knows(NodeId::new(i as u32)))
+        })
+    }
 }
 
 /// [`everyone_knows_everyone`] restricted to the live nodes of a
 /// crash-faulted instance: every live node knows every live node.
 /// (`live[i]` marks node `i` live; with every node live this is
-/// equivalent to the unrestricted predicate.)
+/// equivalent to the unrestricted predicate.) A caller that asks every
+/// round builds the [`LiveMask`] once instead.
 ///
 /// # Panics
 ///
 /// Panics if `live.len() != nodes.len()`.
 pub fn everyone_knows_everyone_among<N: KnowledgeView>(nodes: &[N], live: &[bool]) -> bool {
-    assert_eq!(nodes.len(), live.len(), "live mask size mismatch");
-    // A node knowing fewer ids than there are live nodes cannot know
-    // them all — the O(1) count check prunes the word-level coverage
-    // test, which matters because the harness evaluates this every
-    // round.
-    let (mask, live_count) = live_mask(live);
-    nodes
-        .iter()
-        .zip(live)
-        .all(|(node, &l)| !l || (node.knows_count() >= live_count && node.covers(&mask)))
+    LiveMask::new(live).everyone_knows_everyone(nodes)
 }
 
 /// [`leader_knows_all`] restricted to live nodes: some live ℓ knows
-/// every live node, and every live node knows ℓ.
+/// every live node, and every live node knows ℓ. A caller that asks
+/// every round builds the [`LiveMask`] once instead.
 ///
 /// # Panics
 ///
 /// Panics if `live.len() != nodes.len()`.
 pub fn leader_knows_all_among<N: KnowledgeView>(nodes: &[N], live: &[bool]) -> bool {
-    assert_eq!(nodes.len(), live.len(), "live mask size mismatch");
-    // Same count-based prune as `everyone_knows_everyone_among`.
-    let (mask, live_count) = live_mask(live);
-    nodes.iter().enumerate().any(|(i, node)| {
-        live[i]
-            && node.knows_count() >= live_count
-            && node.covers(&mask)
-            && nodes
-                .iter()
-                .zip(live)
-                .all(|(other, &l)| !l || other.knows(NodeId::new(i as u32)))
-    })
+    LiveMask::new(live).leader_knows_all(nodes)
 }
 
 #[cfg(test)]

@@ -685,9 +685,10 @@ where
     let live: Vec<bool> = (0..config.n)
         .map(|i| !config.faults.is_permanently_crashed(i))
         .collect();
+    let live_mask = problem::LiveMask::new(&live);
     let is_done = |nodes: &[A::NodeState]| match completion {
-        Completion::EveryoneKnowsEveryone => problem::everyone_knows_everyone_among(nodes, &live),
-        Completion::LeaderKnowsAll => problem::leader_knows_all_among(nodes, &live),
+        Completion::EveryoneKnowsEveryone => live_mask.everyone_knows_everyone(nodes),
+        Completion::LeaderKnowsAll => live_mask.leader_knows_all(nodes),
         Completion::AllBelieveDone => nodes
             .iter()
             .zip(&live)
@@ -745,7 +746,7 @@ where
         snap_base.max_rounds = config.max_rounds;
         // Every live node must know every live node (the default
         // completion notion): live² identifiers in total.
-        let live_count = live.iter().filter(|&&l| l).count() as u64;
+        let live_count = live_mask.count() as u64;
         snap_base.knowledge_target = live_count * live_count;
     }
 
@@ -832,7 +833,7 @@ where
         sound &= verify::retains_initial_knowledge(nodes, initial);
     }
     if completed && completion == Completion::EveryoneKnowsEveryone {
-        sound &= problem::everyone_knows_everyone_among(nodes, &live);
+        sound &= live_mask.everyone_knows_everyone(nodes);
         // Redundant given the predicate above, but it exercises the
         // fault-aware check the churn property tests rely on.
         sound &= verify::live_component_complete(nodes, initial, &live);

@@ -27,7 +27,11 @@
 //! 5. settling a payload that brought its bitmap — order in one pass
 //!    against a mask, membership by words — is per-id `insert` in
 //!    payload order, on the sorted tier, across its spill and on the
-//!    bitmap, wherever the payload's new ids sit.
+//!    bitmap, wherever the payload's new ids sit;
+//! 6. a set that starts with one to seven ids, held in place, agrees
+//!    with the model of 3 while `insert`, bulk merge, `adopt` and its
+//!    settle, `snapshot`, and the `take_fresh` and `mark` windows carry
+//!    it across seven and eight ids.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -270,6 +274,163 @@ fn mask_of(members: &BTreeSet<u32>, extra: usize) -> Vec<u64> {
     mask
 }
 
+/// Ops that keep a set near its small tier: single ids, and payloads
+/// of a few ids — within one word (so a shared one of two or more
+/// distinct ids has a bitmap and is adopted), spread too wide for one,
+/// or a short contiguous run.
+fn arb_small_op() -> impl Strategy<Value = Op> {
+    let arb_payload = || {
+        prop_oneof![
+            proptest::collection::vec(0u32..64, 0..10),
+            proptest::collection::vec(0u32..100_000, 0..10),
+            (0u32..300, 1u32..12).prop_map(|(from, len)| (from..from + len).collect()),
+        ]
+    };
+    prop_oneof![
+        (0u32..64).prop_map(Op::Insert),
+        (0u32..100_000).prop_map(Op::Insert),
+        arb_payload().prop_map(Op::Merge),
+        arb_payload().prop_map(Op::Extend),
+        (arb_payload(), any::<bool>()).prop_map(|(payload, shared)| Op::Adopt { payload, shared }),
+        Just(Op::TakeFresh),
+        Just(Op::Mark),
+        (0usize..64).prop_map(Op::Since),
+        any::<u64>().prop_map(Op::Sample),
+        Just(Op::List),
+        Just(Op::Snapshot),
+        Just(Op::Fork),
+    ]
+}
+
+/// Runs `ops` on a set built from `start` (its window empty) against the
+/// `BTreeSet` + order-`Vec` + cursor model and an eager twin.
+fn agrees_with_the_model(start: &[u32], ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut set: KnowledgeSet = ids(start).into_iter().collect();
+    let mut eager = set.clone();
+    let mut members = BTreeSet::new();
+    let order: Vec<u32> = start
+        .iter()
+        .copied()
+        .filter(|&id| members.insert(id))
+        .collect();
+    let mut order = order;
+    let mut drained = order.len();
+    let mut marks: Vec<usize> = Vec::new();
+    let mut snapshots: Vec<(PointerList, usize)> = Vec::new();
+    let learn = |members: &mut BTreeSet<u32>, order: &mut Vec<u32>, id: u32| {
+        let new = members.insert(id);
+        if new {
+            order.push(id);
+        }
+        new
+    };
+    for op in ops {
+        let mut probes: &[u32] = &[];
+        match op {
+            Op::Insert(id) => {
+                let new = learn(&mut members, &mut order, *id);
+                prop_assert_eq!(set.insert(NodeId::new(*id)), new);
+                eager.insert(NodeId::new(*id));
+            }
+            Op::Extend(payload) => {
+                let new = payload
+                    .iter()
+                    .filter(|&&id| learn(&mut members, &mut order, id))
+                    .count();
+                prop_assert_eq!(set.extend(ids(payload)), new);
+                eager.extend(ids(payload));
+                probes = payload;
+            }
+            Op::Merge(payload) => {
+                let new = payload
+                    .iter()
+                    .filter(|&&id| learn(&mut members, &mut order, id))
+                    .count();
+                prop_assert_eq!(set.extend_from_slice(&ids(payload)), new);
+                eager.extend_from_slice(&ids(payload));
+                probes = payload;
+            }
+            Op::Adopt { payload, shared } => {
+                let new = payload
+                    .iter()
+                    .filter(|&&id| learn(&mut members, &mut order, id))
+                    .count();
+                let list = if *shared {
+                    PointerList::shared(&ids(payload))
+                } else {
+                    PointerList::from(ids(payload))
+                };
+                prop_assert_eq!(set.adopt(&list), new);
+                prop_assert_eq!(eager.extend_from_slice(&list), new);
+                probes = payload;
+            }
+            Op::TakeFresh => {
+                prop_assert_eq!(set.take_fresh(), ids(&order[drained..]));
+                eager.take_fresh();
+                drained = order.len();
+            }
+            Op::Mark => {
+                prop_assert_eq!(set.mark(), order.len());
+                marks.push(set.mark());
+            }
+            Op::Since(n) => {
+                if let Some(&mark) = marks.get(n % marks.len().max(1)) {
+                    prop_assert_eq!(set.since(mark), ids(&order[mark..]));
+                }
+            }
+            Op::Sample(seed) => {
+                let exclude = NodeId::new(order[*seed as usize % order.len()]);
+                let drawn = set.sample_other(&mut StdRng::seed_from_u64(*seed), exclude);
+                let twin = eager.sample_other(&mut StdRng::seed_from_u64(*seed), exclude);
+                prop_assert_eq!(drawn, twin);
+            }
+            Op::List => prop_assert_eq!(set.list(), ids(&order)),
+            Op::Snapshot => snapshots.push((set.snapshot(), order.len())),
+            Op::Fork => set = set.clone(),
+        }
+        // The observers that must see through adopted payloads
+        // without settling them.
+        prop_assert_eq!(set.len(), order.len());
+        prop_assert_eq!(set.is_empty(), eager.is_empty());
+        prop_assert_eq!(set.mark(), eager.mark());
+        prop_assert_eq!(set.has_fresh(), drained < order.len());
+        prop_assert_eq!(set.max_id(), members.last().map(|&i| NodeId::new(i)));
+        prop_assert_eq!(set.to_vec(), ids(&order));
+        for &probe in probes {
+            prop_assert!(set.contains(NodeId::new(probe)));
+            let near = probe ^ 1;
+            prop_assert_eq!(set.contains(NodeId::new(near)), members.contains(&near));
+        }
+        // Masks longer and shorter than any bitmap involved, and
+        // one that asks for a single id too many.
+        let long = mask_of(&members, 3);
+        prop_assert!(set.covers(&long));
+        prop_assert!(set.covers(&long[..long.len() / 2]));
+        let lacked = (0..).find(|i| !members.contains(i)).expect("finite set");
+        let mut too_much = mask_of(&members, lacked as usize / 64 + 1);
+        too_much[lacked as usize / 64] |= 1 << (lacked % 64);
+        prop_assert!(!set.covers(&too_much));
+        prop_assert!(!eager.covers(&too_much));
+    }
+    prop_assert_eq!(set.list(), eager.list());
+    prop_assert_eq!(set.take_fresh(), eager.take_fresh());
+    for probe in 0..1_600u32 {
+        prop_assert_eq!(set.contains(NodeId::new(probe)), members.contains(&probe));
+    }
+    // Every snapshot is the prefix the set had learned when it was
+    // taken, and its bitmap (a dense set's, or a small set's built
+    // here on asking) is that prefix as a set: nothing learned
+    // since shows through.
+    for (snapshot, taken_at) in &snapshots {
+        prop_assert_eq!(snapshot.as_slice(), ids(&order[..*taken_at]));
+        if let Some(bitmap) = snapshot.shared_bitmap() {
+            let then: BTreeSet<u32> = order[..*taken_at].iter().copied().collect();
+            prop_assert_eq!(bitmap, mask_of(&then, 0));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -282,124 +443,21 @@ proptest! {
         own in 0u32..1_500,
         ops in proptest::collection::vec(arb_op(), 1..60),
     ) {
-        let mut set = KnowledgeSet::new(NodeId::new(own));
-        let mut eager = set.clone();
-        let mut members = BTreeSet::from([own]);
-        let mut order = vec![own];
-        let mut drained = 1;
-        let mut marks: Vec<usize> = Vec::new();
-        let mut snapshots: Vec<(PointerList, usize)> = Vec::new();
-        let learn = |members: &mut BTreeSet<u32>, order: &mut Vec<u32>, id: u32| {
-            let new = members.insert(id);
-            if new {
-                order.push(id);
-            }
-            new
-        };
-        for op in &ops {
-            let mut probes: &[u32] = &[];
-            match op {
-                Op::Insert(id) => {
-                    let new = learn(&mut members, &mut order, *id);
-                    prop_assert_eq!(set.insert(NodeId::new(*id)), new);
-                    eager.insert(NodeId::new(*id));
-                }
-                Op::Extend(payload) => {
-                    let new = payload
-                        .iter()
-                        .filter(|&&id| learn(&mut members, &mut order, id))
-                        .count();
-                    prop_assert_eq!(set.extend(ids(payload)), new);
-                    eager.extend(ids(payload));
-                    probes = payload;
-                }
-                Op::Merge(payload) => {
-                    let new = payload
-                        .iter()
-                        .filter(|&&id| learn(&mut members, &mut order, id))
-                        .count();
-                    prop_assert_eq!(set.extend_from_slice(&ids(payload)), new);
-                    eager.extend_from_slice(&ids(payload));
-                    probes = payload;
-                }
-                Op::Adopt { payload, shared } => {
-                    let new = payload
-                        .iter()
-                        .filter(|&&id| learn(&mut members, &mut order, id))
-                        .count();
-                    let list = if *shared {
-                        PointerList::shared(&ids(payload))
-                    } else {
-                        PointerList::from(ids(payload))
-                    };
-                    prop_assert_eq!(set.adopt(&list), new);
-                    prop_assert_eq!(eager.extend_from_slice(&list), new);
-                    probes = payload;
-                }
-                Op::TakeFresh => {
-                    prop_assert_eq!(set.take_fresh(), ids(&order[drained..]));
-                    eager.take_fresh();
-                    drained = order.len();
-                }
-                Op::Mark => {
-                    prop_assert_eq!(set.mark(), order.len());
-                    marks.push(set.mark());
-                }
-                Op::Since(n) => {
-                    if let Some(&mark) = marks.get(n % marks.len().max(1)) {
-                        prop_assert_eq!(set.since(mark), ids(&order[mark..]));
-                    }
-                }
-                Op::Sample(seed) => {
-                    let exclude = NodeId::new(order[*seed as usize % order.len()]);
-                    let drawn = set.sample_other(&mut StdRng::seed_from_u64(*seed), exclude);
-                    let twin = eager.sample_other(&mut StdRng::seed_from_u64(*seed), exclude);
-                    prop_assert_eq!(drawn, twin);
-                }
-                Op::List => prop_assert_eq!(set.list(), ids(&order)),
-                Op::Snapshot => snapshots.push((set.snapshot(), order.len())),
-                Op::Fork => set = set.clone(),
-            }
-            // The observers that must see through adopted payloads
-            // without settling them.
-            prop_assert_eq!(set.len(), order.len());
-            prop_assert_eq!(set.is_empty(), eager.is_empty());
-            prop_assert_eq!(set.mark(), eager.mark());
-            prop_assert_eq!(set.has_fresh(), drained < order.len());
-            prop_assert_eq!(set.max_id(), members.last().map(|&i| NodeId::new(i)));
-            prop_assert_eq!(set.to_vec(), ids(&order));
-            for &probe in probes {
-                prop_assert!(set.contains(NodeId::new(probe)));
-                let near = probe ^ 1;
-                prop_assert_eq!(set.contains(NodeId::new(near)), members.contains(&near));
-            }
-            // Masks longer and shorter than any bitmap involved, and
-            // one that asks for a single id too many.
-            let long = mask_of(&members, 3);
-            prop_assert!(set.covers(&long));
-            prop_assert!(set.covers(&long[..long.len() / 2]));
-            let lacked = (0..).find(|i| !members.contains(i)).expect("finite set");
-            let mut too_much = mask_of(&members, lacked as usize / 64 + 1);
-            too_much[lacked as usize / 64] |= 1 << (lacked % 64);
-            prop_assert!(!set.covers(&too_much));
-            prop_assert!(!eager.covers(&too_much));
-        }
-        prop_assert_eq!(set.list(), eager.list());
-        prop_assert_eq!(set.take_fresh(), eager.take_fresh());
-        for probe in 0..1_600u32 {
-            prop_assert_eq!(set.contains(NodeId::new(probe)), members.contains(&probe));
-        }
-        // Every snapshot is the prefix the set had learned when it was
-        // taken, and its bitmap (a dense set's, or a small set's built
-        // here on asking) is that prefix as a set: nothing learned
-        // since shows through.
-        for (snapshot, taken_at) in &snapshots {
-            prop_assert_eq!(snapshot.as_slice(), ids(&order[..*taken_at]));
-            if let Some(bitmap) = snapshot.shared_bitmap() {
-                let then: BTreeSet<u32> = order[..*taken_at].iter().copied().collect();
-                prop_assert_eq!(bitmap, mask_of(&then, 0));
-            }
-        }
+        agrees_with_the_model(&[own], &ops)?;
+    }
+
+    /// The same model from a set of one to seven ids — the ids it holds
+    /// in place — through ops that take it past seven and eight ids one
+    /// or a few at a time, by every path that brings an id.
+    #[test]
+    fn the_small_tier_agrees_with_the_model_across_its_spill(
+        start in prop_oneof![
+            proptest::collection::vec(0u32..64, 1..8),
+            proptest::collection::vec(0u32..100_000, 1..8),
+        ],
+        ops in proptest::collection::vec(arb_small_op(), 1..24),
+    ) {
+        agrees_with_the_model(&start, &ops)?;
     }
 
     /// Adoption pinned at the spill thresholds: a receiver holding 509

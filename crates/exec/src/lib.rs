@@ -7,9 +7,9 @@
 //! [`rd_sim::Engine`], at the same [`RoundEngine`] interface, but steps
 //! nodes on several worker threads per round. The population is sharded
 //! *statically by `NodeId`* into contiguous blocks — one block of nodes
-//! and the matching block of mailboxes per worker — so workers need no
-//! locks: each owns its slice of nodes and inboxes for the duration of
-//! the stepping phase.
+//! and the block's one mailbox per worker — so workers need no locks:
+//! each owns its slice of nodes and its mailbox for the duration of the
+//! stepping phase.
 //!
 //! # Determinism
 //!
@@ -31,7 +31,7 @@
 //!    (each node's sends in send order) into per-destination-shard
 //!    buckets; the merge phase processes, for every destination shard,
 //!    the workers' buckets in worker (= sender shard) order. Because
-//!    shards are contiguous index blocks, every mailbox receives its
+//!    shards are contiguous index blocks, every node receives its
 //!    messages in exactly the global sender order the sequential engine
 //!    produces.
 //!
@@ -111,7 +111,8 @@ use std::time::Instant;
 /// route path keeps it continuously exercised by the equivalence tests.)
 const PARALLEL_MERGE_MIN_MESSAGES: usize = 4096;
 
-/// The staged/scratch buffer pair one stepping worker owns for a round.
+/// The staged/held buffer pair one stepping worker owns for a round:
+/// its shard's sends, and the mail a receive cap holds back.
 type ShardBufs<M> = (Vec<Envelope<M>>, Vec<Envelope<M>>);
 
 /// One bucket of routed messages per destination shard.
@@ -127,7 +128,7 @@ pub struct ShardedEngine<N: Node> {
     workers: usize,
     /// The threads shards run on, besides the caller's.
     pool: Pool,
-    /// Recycled staging/scratch buffers for the stepping phase.
+    /// Recycled staged/held buffers for the stepping phase.
     env_pool: BufferPool<Envelope<N::Msg>>,
     /// Recycled bucket/delay buffers for the routing phase.
     routed_pool: BufferPool<(u64, Envelope<N::Msg>)>,
@@ -150,8 +151,12 @@ where
     /// Panics if `workers == 0`.
     pub fn new(nodes: Vec<N>, seed: u64, workers: usize) -> Self {
         assert!(workers > 0, "a sharded engine needs at least one worker");
+        // Contiguous blocks of ⌈n / workers⌉ nodes; the final shard may
+        // be short, and a worker without nodes gets no shard.
+        let n = nodes.len();
+        let shard_len = n.div_ceil(workers.min(n).max(1)).max(1);
         ShardedEngine {
-            shell: RoundShell::new(nodes, seed),
+            shell: RoundShell::sharded(nodes, seed, shard_len),
             workers,
             pool: Pool::new(),
             env_pool: BufferPool::new(),
@@ -164,7 +169,7 @@ where
         self.workers
     }
 
-    /// The multi-shard body of a round: `bufs` holds one staged/scratch
+    /// The multi-shard body of a round: `bufs` holds one staged/held
     /// pair per shard of `shard_len` nodes, and comes back drained.
     fn step_shards(&mut self, round: u64, shard_len: usize, bufs: &mut [ShardBufs<N::Msg>]) {
         let shard_count = bufs.len();
@@ -175,7 +180,7 @@ where
             .collect();
         let mut delayed_lists: Vec<Routed<N::Msg>> =
             (0..shard_count).map(|_| self.routed_pool.take()).collect();
-        let parts = core.route_parts(shard_len);
+        let parts = core.route_parts();
         let (ctx, params) = (parts.ctx, parts.params);
 
         // One handoff steps and routes: routing shard `w` reads only the
@@ -184,17 +189,17 @@ where
         // for any other shard to finish stepping.
         let shard_jobs = nodes
             .chunks_mut(shard_len)
-            .zip(parts.inboxes.chunks_mut(shard_len))
+            .zip(parts.mailboxes.iter_mut())
             .zip(parts.node_lanes.chunks_mut(shard_len))
             .zip(bufs.iter_mut().zip(bucket_sets.iter_mut()))
             .enumerate()
             .map(
-                |(w, (((nodes, inboxes), sent_lanes), ((staged, scratch), buckets)))| {
+                |(w, (((nodes, mailbox), sent_lanes), ((staged, held), buckets)))| {
                     move || {
                         let base = w * shard_len;
                         let (staged_len, stepped) =
                             lane_span(epoch, Phase::OnRound, round, w, || {
-                                step_shard(ctx, base, nodes, inboxes, staged, scratch);
+                                step_shard(ctx, base, nodes, mailbox, staged, held);
                                 staged.len()
                             });
                         let (delta, routed) = lane_span(epoch, Phase::RouteShard, round, w, || {
@@ -228,18 +233,18 @@ where
 
         // Merge phase, behind the join because it fills the mailboxes
         // the step phase drained: one job per destination shard, each
-        // owning its shard's mailboxes and recv-tally lanes.
+        // owning its shard's mailbox and recv-tally lanes.
         let merge_jobs: Vec<_> = parts
-            .inboxes
-            .chunks_mut(shard_len)
+            .mailboxes
+            .iter_mut()
             .zip(parts.node_lanes.chunks_mut(shard_len))
             .zip(per_dest.iter_mut().zip(delayed_lists.iter_mut()))
             .enumerate()
-            .map(|(d, ((inboxes, recv_lanes), (parts_d, delayed)))| {
+            .map(|(d, ((mailbox, recv_lanes), (parts_d, delayed)))| {
                 move || {
                     let base = d * shard_len;
                     let ((), merged) = lane_span(epoch, Phase::MergeDestShard, round, d, || {
-                        merge_dest_shard(round, base, parts_d, inboxes, recv_lanes, delayed)
+                        merge_dest_shard(round, base, parts_d, mailbox, recv_lanes, delayed)
                     });
                     merged
                 }
@@ -316,22 +321,23 @@ where
     fn step(&mut self) {
         let round = self.shell.begin_round();
         let n = self.shell.core().node_count();
-        // Contiguous blocks of ⌈n / workers⌉ nodes; the final shard may
-        // be short, and a worker without nodes gets no shard.
-        let shard_len = n.div_ceil(self.workers.min(n).max(1)).max(1);
+        let shard_len = self.shell.core().shard_len();
         let mut bufs: Vec<ShardBufs<N::Msg>> = (0..n.div_ceil(shard_len))
             .map(|_| (self.env_pool.take(), self.env_pool.take()))
             .collect();
-        if let [(staged, scratch)] = &mut bufs[..] {
-            self.shell.step_nodes(staged, scratch);
+        if let [(staged, held)] = &mut bufs[..] {
+            self.shell.step_nodes(staged, held);
             self.shell.route(|core| core.route_batch(staged));
         } else {
             self.step_shards(round, shard_len, &mut bufs);
         }
-        // Scratch buffers first, then the staged ones: the order the
-        // pool's counters — archive records — have always seen.
-        for (_, scratch) in &mut bufs {
-            self.env_pool.put(std::mem::take(scratch));
+        // Held buffers first, then the staged ones: the order the
+        // pool's counters — archive records — have always seen. A held
+        // buffer has capacity, and is pooled, only after a receive cap
+        // held something back in its shard, as the capped-delivery
+        // scratch it replaces had.
+        for (_, held) in &mut bufs {
+            self.env_pool.put(std::mem::take(held));
         }
         for (staged, _) in bufs {
             self.env_pool.put(staged);

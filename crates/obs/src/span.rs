@@ -25,7 +25,7 @@ pub enum Phase {
     OnRound,
     /// Fate coins, tallies, and per-destination-shard bucket fan-out.
     RouteShard,
-    /// Canonical-order merge of route buckets into one shard's inboxes.
+    /// Canonical-order merge of route buckets into one shard's mailbox.
     MergeDestShard,
     /// Serial fold of per-shard metric/trace/retry deltas.
     ApplyDeltas,

@@ -66,6 +66,15 @@ impl<N: Node> RoundShell<N> {
         }
     }
 
+    /// A shell whose core keeps one mailbox per block of `shard_len`
+    /// nodes ([`EngineCore::set_shard_len`]), for an engine that steps
+    /// the blocks on separate workers.
+    pub fn sharded(nodes: Vec<N>, seed: u64, shard_len: usize) -> Self {
+        let mut shell = Self::new(nodes, seed);
+        shell.core.set_shard_len(shard_len);
+        shell
+    }
+
     /// The core (clock, metrics, queues).
     pub fn core(&self) -> &EngineCore<N::Msg> {
         &self.core
@@ -91,23 +100,21 @@ impl<N: Node> RoundShell<N> {
     }
 
     /// Steps every live node on the calling thread ([`step_shard`] over
-    /// the whole population), appending its sends to `staged`.
+    /// each mailbox's block in turn — the whole population, unless the
+    /// core was split into shards), appending its sends to `staged`;
+    /// `held` is where a receive cap's leftovers wait for the block.
     pub fn step_nodes(
         &mut self,
         staged: &mut Vec<Envelope<N::Msg>>,
-        scratch: &mut Vec<Envelope<N::Msg>>,
+        held: &mut Vec<Envelope<N::Msg>>,
     ) {
         let round = self.core.round();
         timed_phase(self.obs.as_mut(), Phase::OnRound, round, || {
             let state = self.core.step_state();
-            step_shard(
-                state.ctx,
-                0,
-                &mut self.nodes,
-                state.inboxes,
-                staged,
-                scratch,
-            );
+            let blocks = self.nodes.chunks_mut(state.shard_len);
+            for (w, (nodes, mailbox)) in blocks.zip(state.mailboxes).enumerate() {
+                step_shard(state.ctx, w * state.shard_len, nodes, mailbox, staged, held);
+            }
         });
     }
 
@@ -153,7 +160,7 @@ impl<N: Node> RoundShell<N> {
 /// in `rd-exec` cannot differ in any of them — and runners, experiments
 /// and completion predicates are engine-agnostic.
 pub trait RoundEngine<N: Node>: Sized {
-    /// Executes one round: delivers current inboxes, runs every live
+    /// Executes one round: delivers current mail, runs every live
     /// node, and routes outboxes through the fault layer.
     fn step(&mut self);
 
@@ -378,8 +385,8 @@ pub struct Engine<N: Node> {
     /// Round-persistent staging buffer for outgoing envelopes; drained
     /// by routing, so its allocation is reused every round.
     staged: Vec<Envelope<N::Msg>>,
-    /// Round-persistent scratch buffer for capped inbox delivery.
-    scratch: Vec<Envelope<N::Msg>>,
+    /// Round-persistent buffer for the mail a receive cap holds back.
+    held: Vec<Envelope<N::Msg>>,
 }
 
 impl<N: Node> Engine<N> {
@@ -391,7 +398,7 @@ impl<N: Node> Engine<N> {
             shell: RoundShell::new(nodes, seed),
             latency: LatencyModel::UNIT,
             staged: Vec::new(),
-            scratch: Vec::new(),
+            held: Vec::new(),
         }
     }
 
@@ -414,7 +421,7 @@ impl<N: Node> Engine<N> {
 impl<N: Node> RoundEngine<N> for Engine<N> {
     fn step(&mut self) {
         self.shell.begin_round();
-        self.shell.step_nodes(&mut self.staged, &mut self.scratch);
+        self.shell.step_nodes(&mut self.staged, &mut self.held);
         let latency = self.latency.sampler(self.shell.core().seed());
         // The synchronous round keeps `route_batch` for its straight-line
         // fault-free loop; every other model is the kernel under its

@@ -12,7 +12,7 @@
 //! 1. [`EngineCore::begin_round`] — metrics, detector reports, and
 //!    delivery of messages whose arrival round has come;
 //! 2. node stepping — [`step_shard`] runs every live node of a
-//!    contiguous block on its inbox; node steps are order-independent
+//!    contiguous block on its mail; node steps are order-independent
 //!    because each draws from a private per-`(seed, node, round)` random
 //!    stream, which is what makes parallel stepping bit-identical to
 //!    sequential stepping;
@@ -20,6 +20,22 @@
 //!    pass through the fault layer into mailboxes; due retransmissions
 //!    are attempted ([`EngineCore::retransmit_due`]) and
 //!    [`EngineCore::finish_round`] advances the clock.
+//!
+//! # One mailbox per shard
+//!
+//! Mail is not kept per node. Each shard — the whole population on the
+//! serial engine — has one [`Mailbox`]: everything that arrives for its
+//! nodes is appended to one buffer in the order it arrives, and stepping
+//! the shard sorts that buffer by destination with a stable counting
+//! sort, so each node's mail is one contiguous run in arrival order,
+//! handed to its `on_round` in a vector the mailbox keeps for that.
+//! What a node sees is therefore exactly what pushing each arrival onto
+//! a vector of its own gave: receive-cap leftovers first (stepping
+//! re-queues them before anything is routed), then routed mail in
+//! canonical sender order, then retransmissions landing next round (the
+//! close-out sweep), then delayed arrivals (the next `begin_round`). The
+//! buffers keep their capacity, so a round in steady state allocates
+//! nothing for delivery, however its traffic is spread over nodes.
 //!
 //! # One kernel, a latency function
 //!
@@ -76,11 +92,98 @@ enum DetectorAction {
 /// round.
 pub type Routed<M> = Vec<(u64, Envelope<M>)>;
 
+/// One round's mail for a contiguous block of nodes, in one buffer; see
+/// the [module docs](self#one-mailbox-per-shard).
+#[derive(Debug)]
+pub struct Mailbox<M> {
+    /// Mail for the block's next step: in arrival order until stepping
+    /// sorts it by destination.
+    mail: Vec<Envelope<M>>,
+    /// The destination of each envelope of `mail`, in the same order:
+    /// what the sort reads, at four bytes an envelope.
+    dsts: Vec<u32>,
+    /// Sort scratch: the place each envelope of `mail` moves to.
+    to: Vec<u32>,
+    /// After the sort, node `base + i`'s mail is
+    /// `mail[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+    ends: Vec<u32>,
+    /// The run of `mail` being handed to one node: what its
+    /// `on_round` receives.
+    inbox: Vec<Envelope<M>>,
+}
+
+impl<M> Default for Mailbox<M> {
+    fn default() -> Self {
+        Mailbox {
+            mail: Vec::new(),
+            dsts: Vec::new(),
+            to: Vec::new(),
+            ends: Vec::new(),
+            inbox: Vec::new(),
+        }
+    }
+}
+
+impl<M> Mailbox<M> {
+    /// Queues `env` behind everything that arrived for the block before
+    /// it.
+    #[inline]
+    fn push(&mut self, env: Envelope<M>) {
+        self.dsts.push(u32::from(env.dst));
+        self.mail.push(env);
+    }
+
+    /// Sorts the queued mail of the `len` nodes from `base` by
+    /// destination, in arrival order within a destination: a stable
+    /// counting sort, O(mail + len), that reads the destinations alone
+    /// and then moves each envelope to its place in one swap.
+    fn sort(&mut self, base: usize, len: usize) {
+        let Mailbox {
+            mail,
+            dsts,
+            to,
+            ends,
+            ..
+        } = self;
+        ends.clear();
+        ends.resize(len + 1, 0);
+        for &dst in dsts.iter() {
+            ends[dst as usize - base + 1] += 1;
+        }
+        // Now `ends[i]` is where node `base + i`'s mail starts; placing
+        // it moves the mark to where it ends.
+        for i in 1..=len {
+            ends[i] += ends[i - 1];
+        }
+        to.clear();
+        to.extend(dsts.drain(..).map(|dst| {
+            let at = &mut ends[dst as usize - base];
+            *at += 1;
+            *at - 1
+        }));
+        // One cycle at a time: each swap puts an envelope where it
+        // belongs, and brings the one it displaces to be placed next.
+        for i in 0..mail.len() {
+            loop {
+                let j = to[i] as usize;
+                if j == i {
+                    break;
+                }
+                mail.swap(i, j);
+                to.swap(i, j);
+            }
+        }
+    }
+}
+
 /// The non-node state of a run: mailboxes, clock, metrics, faults,
 /// tracing, and delivery policy. See the [module docs](self) for the
 /// round protocol engines drive it with.
 pub struct EngineCore<M: MessageCost> {
-    inboxes: Vec<Vec<Envelope<M>>>,
+    node_count: usize,
+    /// Nodes per mailbox: node `i`'s mail is in `mailboxes[i / shard_len]`.
+    shard_len: usize,
+    mailboxes: Vec<Mailbox<M>>,
     round: u64,
     seed: u64,
     metrics: RunMetrics,
@@ -110,10 +213,11 @@ pub struct EngineCore<M: MessageCost> {
     /// the run's one timer, drained by [`retransmit_due`](Self::retransmit_due)
     /// at every round's close.
     retransmit_queue: std::collections::BTreeMap<u64, Vec<RetryEnvelope<M>>>,
-    /// The serial path's one bucket and one delayed list, reused across
-    /// rounds. Plain vectors, not pool buffers: pool counters are
-    /// archive records, and the serial path must not move them.
-    serial_bucket: Routed<M>,
+    /// The serial path's buckets (one per mailbox) and delayed list,
+    /// reused across rounds. Plain vectors, not pool buffers: pool
+    /// counters are archive records, and the serial path must not move
+    /// them.
+    serial_buckets: Vec<Routed<M>>,
     serial_delayed: Routed<M>,
 }
 
@@ -188,11 +292,13 @@ pub struct StepCtx<'a> {
 
 /// The slice of [`EngineCore`] state an engine needs while stepping
 /// nodes: mailboxes plus the read-only [`StepCtx`]. Borrowing it (via
-/// [`EngineCore::step_state`]) leaves the routing state untouched, and
-/// the mailbox slice can be split per worker shard.
+/// [`EngineCore::step_state`]) leaves the routing state untouched.
 pub struct StepState<'a, M: MessageCost> {
-    /// One mailbox per node, holding this round's deliveries.
-    pub inboxes: &'a mut [Vec<Envelope<M>>],
+    /// One mailbox per shard of [`shard_len`](Self::shard_len) nodes,
+    /// holding this round's deliveries.
+    pub mailboxes: &'a mut [Mailbox<M>],
+    /// Nodes per mailbox.
+    pub shard_len: usize,
     /// Everything else [`step_shard`] reads.
     pub ctx: StepCtx<'a>,
 }
@@ -592,7 +698,7 @@ where
 }
 
 /// Merges one destination shard's buckets — one per routing worker, in
-/// worker (= sender shard) order — into that shard's mailboxes and
+/// worker (= sender shard) order — into that shard's mailbox and
 /// `recv_*` lanes (`base` is the shard's first node index). Messages
 /// with a nonzero delay are appended to `delayed_out` as
 /// `(arrival round, envelope)` instead of delivered.
@@ -603,18 +709,17 @@ pub fn merge_dest_shard<M: MessageCost>(
     round: u64,
     base: usize,
     bucket_parts: &mut [Routed<M>],
-    inboxes: &mut [Vec<Envelope<M>>],
+    mailbox: &mut Mailbox<M>,
     recv_lanes: &mut [NodeLane],
     delayed_out: &mut Routed<M>,
 ) {
     for part in bucket_parts {
         for (extra, env) in part.drain(..) {
-            let slot = env.dst.index() - base;
-            let lane = &mut recv_lanes[slot];
+            let lane = &mut recv_lanes[env.dst.index() - base];
             lane.recv_messages += 1;
             lane.recv_pointers += env.payload.pointers() as u64;
             if extra == 0 {
-                inboxes[slot].push(env);
+                mailbox.push(env);
             } else {
                 delayed_out.push((round + 1 + extra, env));
             }
@@ -633,8 +738,8 @@ pub struct RouteParts<'a, M: MessageCost> {
     pub ctx: StepCtx<'a>,
     /// The round's read-only routing parameters.
     pub params: RouteParams<'a>,
-    /// One mailbox per node.
-    pub inboxes: &'a mut [Vec<Envelope<M>>],
+    /// One mailbox per shard of `params.shard_len` nodes.
+    pub mailboxes: &'a mut [Mailbox<M>],
     /// Per-node send/receive tallies. The route phase slices this by
     /// *sender* shard (writing `sent_*` fields only) and the merge
     /// phase re-slices it by *destination* shard (writing `recv_*`
@@ -644,11 +749,13 @@ pub struct RouteParts<'a, M: MessageCost> {
 }
 
 impl<M: MessageCost> EngineCore<M> {
-    /// Creates the core for a population of `n` nodes. `seed` determines
-    /// all protocol and fault randomness.
+    /// Creates the core for a population of `n` nodes, all served by
+    /// one mailbox. `seed` determines all protocol and fault randomness.
     pub fn new(n: usize, seed: u64) -> Self {
         EngineCore {
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
+            node_count: n,
+            shard_len: n.max(1),
+            mailboxes: vec![Mailbox::default()],
             round: 0,
             seed,
             metrics: RunMetrics::new(n),
@@ -664,9 +771,30 @@ impl<M: MessageCost> EngineCore<M> {
             pool: BufferPool::new(),
             reliable: None,
             retransmit_queue: std::collections::BTreeMap::new(),
-            serial_bucket: Vec::new(),
+            serial_buckets: vec![Vec::new()],
             serial_delayed: Vec::new(),
         }
+    }
+
+    /// Splits the population into shards of `shard_len` nodes (the last
+    /// may be short), one mailbox each, for an engine that steps and
+    /// routes them on separate workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_len` is 0 or a round has already run.
+    pub fn set_shard_len(&mut self, shard_len: usize) {
+        assert!(shard_len > 0, "a shard holds at least one node");
+        assert_eq!(self.round, 0, "shards are fixed before the first round");
+        let shards = self.node_count.div_ceil(shard_len).max(1);
+        self.shard_len = shard_len;
+        self.mailboxes = (0..shards).map(|_| Mailbox::default()).collect();
+        self.serial_buckets = (0..shards).map(|_| Vec::new()).collect();
+    }
+
+    /// Nodes per mailbox.
+    pub fn shard_len(&self) -> usize {
+        self.shard_len
     }
 
     /// Installs a fault plan (drops, crashes, recoveries, partitions).
@@ -676,7 +804,7 @@ impl<M: MessageCost> EngineCore<M> {
     /// Panics if the plan crashes a node index that does not exist.
     pub fn set_faults(&mut self, faults: FaultPlan) {
         for c in faults.crashed_nodes() {
-            assert!(c < self.inboxes.len(), "crash target {c} out of range");
+            assert!(c < self.node_count, "crash target {c} out of range");
         }
         if let Some(delay) = faults.detection_delay() {
             let mut schedule = Vec::new();
@@ -703,7 +831,7 @@ impl<M: MessageCost> EngineCore<M> {
             // suspect/retract pair; a nap shorter than the detector's
             // latency goes unnoticed.
             if let Some(churn) = faults.churn() {
-                for node in 0..self.inboxes.len() {
+                for node in 0..self.node_count {
                     let id = NodeId::new(node as u32);
                     for (down, up) in churn.naps(node) {
                         let report = down.saturating_add(delay);
@@ -785,7 +913,7 @@ impl<M: MessageCost> EngineCore<M> {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.inboxes.len()
+        self.node_count
     }
 
     /// The run seed.
@@ -855,7 +983,7 @@ impl<M: MessageCost> EngineCore<M> {
         {
             let (_, mut batch) = self.delayed.pop_first().expect("nonempty");
             for env in batch.drain(..) {
-                self.inboxes[env.dst.index()].push(env);
+                self.mailboxes[env.dst.index() / self.shard_len].push(env);
             }
             self.pool.put(batch);
         }
@@ -872,7 +1000,8 @@ impl<M: MessageCost> EngineCore<M> {
     /// Borrows the state needed to step nodes; see [`StepState`].
     pub fn step_state(&mut self) -> StepState<'_, M> {
         StepState {
-            inboxes: &mut self.inboxes,
+            mailboxes: &mut self.mailboxes,
+            shard_len: self.shard_len,
             ctx: StepCtx {
                 faults: &self.faults,
                 seed: self.seed,
@@ -889,11 +1018,11 @@ impl<M: MessageCost> EngineCore<M> {
     /// The buffer is drained and left empty for reuse.
     ///
     /// When the core can see that no message has anything to decide — no
-    /// faults, no jitter, no trace, no causal sampler — every message is
-    /// a straight-line tally-and-push: no coins, no branches on
-    /// per-message state, no buckets. Otherwise this is
-    /// [`route_batch_with`](Self::route_batch_with) at [`unit_latency`],
-    /// which computes the same thing the long way round.
+    /// faults, no jitter, no trace, no causal sampler — and one mailbox
+    /// serves every node, every message is a straight-line tally-and-push:
+    /// no coins, no branches on per-message state, no buckets. Otherwise
+    /// this is [`route_batch_with`](Self::route_batch_with) at
+    /// [`unit_latency`], which computes the same thing the long way round.
     ///
     /// # Panics
     ///
@@ -903,10 +1032,11 @@ impl<M: MessageCost> EngineCore<M> {
             || self.causal.is_some()
             || self.max_extra_delay > 0
             || !self.faults.is_fault_free();
-        if undecided {
+        if undecided || self.mailboxes.len() > 1 {
             return self.route_batch_with(staged, unit_latency);
         }
-        let n = self.inboxes.len();
+        let mailbox = &mut self.mailboxes[0];
+        let n = self.node_count;
         let lanes = self.metrics.lanes();
         for env in staged.drain(..) {
             let src = env.src.index();
@@ -926,15 +1056,16 @@ impl<M: MessageCost> EngineCore<M> {
             let lane = &mut lanes.nodes[dst];
             lane.recv_messages += 1;
             lane.recv_pointers += pointers;
-            self.inboxes[dst].push(env);
+            mailbox.push(env);
         }
     }
 
     /// Routes a round's staged envelopes through the kernel on the
-    /// calling thread: [`route_shard`] over one whole-population shard,
-    /// [`merge_dest_shard`], [`apply_route_deltas`](Self::apply_route_deltas)
-    /// — the sharded pipeline at shard count 1, so the serial and
-    /// parallel paths are one function rather than two kept equal.
+    /// calling thread: [`route_shard`] over one whole-population sender
+    /// shard, [`merge_dest_shard`] into each mailbox,
+    /// [`apply_route_deltas`](Self::apply_route_deltas) — the sharded
+    /// pipeline at shard count 1, so the serial and parallel paths are
+    /// one function rather than two kept equal.
     /// `latency` is the per-transmission link latency (see the
     /// [module docs](self)); the entry point of every latency model but
     /// unit latency.
@@ -950,40 +1081,45 @@ impl<M: MessageCost> EngineCore<M> {
     where
         L: Fn(usize, usize, u64, u64, u32) -> u64,
     {
-        let mut bucket = std::mem::take(&mut self.serial_bucket);
+        let mut buckets = std::mem::take(&mut self.serial_buckets);
         let mut delayed = std::mem::take(&mut self.serial_delayed);
-        let parts = self.route_parts(self.inboxes.len().max(1));
+        let parts = self.route_parts();
+        let shard_len = parts.params.shard_len;
         let mut delta = route_shard(
             parts.params,
             latency,
             staged,
             0,
             parts.node_lanes,
-            std::slice::from_mut(&mut bucket),
+            &mut buckets,
         );
-        merge_dest_shard(
-            parts.params.round,
-            0,
-            std::slice::from_mut(&mut bucket),
-            parts.inboxes,
-            parts.node_lanes,
-            &mut delayed,
-        );
+        for (d, (bucket, mailbox)) in buckets.iter_mut().zip(parts.mailboxes).enumerate() {
+            let base = d * shard_len;
+            let end = (base + shard_len).min(parts.node_lanes.len());
+            merge_dest_shard(
+                parts.params.round,
+                base,
+                std::slice::from_mut(bucket),
+                mailbox,
+                &mut parts.node_lanes[base..end],
+                &mut delayed,
+            );
+        }
         self.apply_route_deltas(
             std::slice::from_mut(&mut delta),
             std::slice::from_mut(&mut delayed),
         );
-        self.serial_bucket = bucket;
+        self.serial_buckets = buckets;
         self.serial_delayed = delayed;
     }
 
-    /// Borrows the state stepping and routing need, for shards of
-    /// `shard_len` nodes; see [`RouteParts`].
+    /// Borrows the state stepping and routing need, shard by shard; see
+    /// [`RouteParts`].
     ///
     /// # Panics
     ///
     /// Panics if no round is open (`begin_round` not called).
-    pub fn route_parts(&mut self, shard_len: usize) -> RouteParts<'_, M> {
+    pub fn route_parts(&mut self) -> RouteParts<'_, M> {
         let lanes = self.metrics.lanes();
         RouteParts {
             ctx: StepCtx {
@@ -1001,10 +1137,10 @@ impl<M: MessageCost> EngineCore<M> {
                 trace_capacity: self.trace.as_ref().map(Trace::capacity),
                 causal_ppm: self.causal.as_ref().map(CausalTrace::sample_ppm),
                 reliable: self.reliable,
-                node_count: self.inboxes.len(),
-                shard_len,
+                node_count: self.node_count,
+                shard_len: self.shard_len,
             },
-            inboxes: &mut self.inboxes,
+            mailboxes: &mut self.mailboxes,
             node_lanes: lanes.nodes,
         }
     }
@@ -1108,7 +1244,7 @@ impl<M: MessageCost> EngineCore<M> {
         let seed = self.seed;
         let max_extra = self.max_extra_delay;
         let guards = FaultGuards::new(&self.faults);
-        let inboxes = &mut self.inboxes;
+        let (mailboxes, shard_len) = (&mut self.mailboxes, self.shard_len);
         let delayed = &mut self.delayed;
         let pool = &mut self.pool;
         let queue = &mut self.retransmit_queue;
@@ -1163,7 +1299,7 @@ impl<M: MessageCost> EngineCore<M> {
                     lane.recv_pointers += pointers;
                     let arrival = round + lat + fate.extra_delay;
                     if arrival == round + 1 {
-                        inboxes[dst].push(retry.env);
+                        mailboxes[dst / shard_len].push(retry.env);
                     } else {
                         delayed
                             .entry(arrival)
@@ -1176,32 +1312,11 @@ impl<M: MessageCost> EngineCore<M> {
     }
 }
 
-/// Takes a node's deliverable inbox for this round: the whole mailbox,
-/// or — under a receive cap — the oldest `cap` messages (moved into
-/// `scratch`, which is overwritten), leaving the rest queued for later
-/// rounds. Either way the returned buffer is the one to hand to
-/// [`step_node`], which clears it after the node runs, so mailbox
-/// capacity is recycled across rounds instead of reallocated.
-pub fn take_capped<'a, M>(
-    inbox: &'a mut Vec<Envelope<M>>,
-    scratch: &'a mut Vec<Envelope<M>>,
-    cap: Option<usize>,
-) -> &'a mut Vec<Envelope<M>> {
-    match cap {
-        Some(cap) if inbox.len() > cap => {
-            // Deliver the oldest `cap` messages; the rest wait.
-            scratch.clear();
-            scratch.extend(inbox.drain(..cap));
-            scratch
-        }
-        _ => inbox,
-    }
-}
-
-/// Runs one node for one round: builds its private
-/// per-`(seed, node, round)` random stream and its [`RoundContext`],
-/// and hands it `inbox` (cleared afterwards, so the buffer can be
-/// reused). Sends are appended to `outbox` in send order.
+/// Runs one node for one round: builds its [`RoundContext`] (whose
+/// private per-`(seed, node, round)` random stream is derived when the
+/// node first asks for it) and hands it `inbox` (cleared afterwards, so
+/// the buffer can be reused). Sends are appended to `outbox` in send
+/// order.
 ///
 /// This is the single entry point through which every engine executes
 /// protocol logic, so context construction (and thus the randomness a
@@ -1215,43 +1330,57 @@ pub fn step_node<N: Node>(
     inbox: &mut Vec<Envelope<N::Msg>>,
     outbox: &mut Vec<Envelope<N::Msg>>,
 ) {
-    let mut node_rng = rng::node_round_rng(seed, index, round);
-    let mut ctx = RoundContext::new(
-        NodeId::new(index as u32),
-        round,
-        &mut node_rng,
-        outbox,
-        suspects,
-    );
+    let mut ctx = RoundContext::new(NodeId::new(index as u32), round, seed, outbox, suspects);
     node.on_round(inbox, &mut ctx);
     inbox.clear();
 }
 
-/// The node loop of every engine: steps the contiguous block of nodes
-/// whose first index is `base`, each on its own mailbox, appending
-/// sends to `staged` in `(node, send)` order. A serial engine passes the
-/// whole population; a sharded engine one block per worker.
+/// The node loop of every engine: sorts `mailbox`, the mail of the
+/// contiguous block of nodes whose first index is `base`, and steps
+/// every node of the block on its run of it; sends are appended to
+/// `staged` in `(node, send)` order. A serial engine passes the whole
+/// population; a sharded engine one block per worker.
+///
+/// Under a receive cap a node is handed its oldest `cap` messages, and
+/// the rest wait in `held` until every node of the block has stepped,
+/// then go back to the mailbox — ahead of anything routed to it this
+/// round, as they were ahead of it in its queue.
 pub fn step_shard<N: Node>(
     ctx: StepCtx<'_>,
     base: usize,
     nodes: &mut [N],
-    inboxes: &mut [Vec<Envelope<N::Msg>>],
+    mailbox: &mut Mailbox<N::Msg>,
     staged: &mut Vec<Envelope<N::Msg>>,
-    scratch: &mut Vec<Envelope<N::Msg>>,
+    held: &mut Vec<Envelope<N::Msg>>,
 ) {
     // Hoisted: with no crashes scheduled (the common case) the
     // per-node map probe below is skipped entirely.
     let crashes_possible = ctx.faults.has_crashes();
-    for (offset, (node, inbox)) in nodes.iter_mut().zip(inboxes).enumerate() {
+    mailbox.sort(base, nodes.len());
+    let Mailbox {
+        mail, ends, inbox, ..
+    } = &mut *mailbox;
+    let mut arrived = mail.drain(..);
+    let mut start = 0;
+    for (offset, node) in nodes.iter_mut().enumerate() {
+        let end = ends[offset] as usize;
+        let count = end - start;
+        start = end;
         let i = base + offset;
         if crashes_possible && ctx.faults.is_crashed_at(i, ctx.round) {
             // Crashed nodes neither run nor receive; their pending
             // deliveries are consumed and lost.
-            inbox.clear();
+            arrived.by_ref().take(count).for_each(drop);
             continue;
         }
-        let inbox = take_capped(inbox, scratch, ctx.receive_cap);
+        let deliver = ctx.receive_cap.map_or(count, |cap| cap.min(count));
+        inbox.extend(arrived.by_ref().take(deliver));
+        held.extend(arrived.by_ref().take(count - deliver));
         step_node(node, i, ctx.round, ctx.seed, ctx.suspects, inbox, staged);
+    }
+    drop(arrived);
+    for env in held.drain(..) {
+        mailbox.push(env);
     }
 }
 
@@ -1278,21 +1407,27 @@ mod tests {
         core.finish_round();
     }
 
-    #[test]
-    fn take_capped_full_and_split() {
-        let mut inbox = vec![env(1, 0, 10), env(2, 0, 20), env(3, 0, 30)];
-        let mut scratch = Vec::new();
-        {
-            let got = take_capped(&mut inbox, &mut scratch, Some(2));
-            assert_eq!(got.len(), 2);
-            assert_eq!(got[0].payload, 10);
-        }
-        assert_eq!(inbox.len(), 1);
-        assert_eq!(inbox[0].payload, 30);
+    /// The payloads queued for `node`'s next step, in arrival order.
+    fn mail_of(core: &EngineCore<u32>, node: usize) -> Vec<u32> {
+        core.mailboxes[node / core.shard_len]
+            .mail
+            .iter()
+            .filter(|e| e.dst.index() == node)
+            .map(|e| e.payload)
+            .collect()
+    }
 
-        let got = take_capped(&mut inbox, &mut scratch, None);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].payload, 30);
+    #[test]
+    fn a_mailbox_sorts_by_destination_in_arrival_order() {
+        // Nodes 10..14: 13 hears three times, 11 twice, 10 and 12 never.
+        let mut mailbox = Mailbox::default();
+        for (dst, payload) in [(13, 1), (11, 2), (13, 3), (11, 4), (13, 5)] {
+            mailbox.push(env(0, dst, payload));
+        }
+        mailbox.sort(10, 4);
+        assert_eq!(mailbox.ends, [0, 2, 2, 5, 5]);
+        let sorted: Vec<u32> = mailbox.mail.iter().map(|e| e.payload).collect();
+        assert_eq!(sorted, [2, 4, 1, 3, 5]);
     }
 
     #[test]
@@ -1303,9 +1438,8 @@ mod tests {
         core.finish_round();
         assert_eq!(core.round(), 1);
         assert_eq!(core.metrics().total_messages(), 1);
-        let state = core.step_state();
-        assert_eq!(state.inboxes[2].len(), 1);
-        assert!(state.inboxes[0].is_empty());
+        assert_eq!(mail_of(&core, 2), [7]);
+        assert!(mail_of(&core, 0).is_empty());
     }
 
     #[test]
@@ -1483,6 +1617,59 @@ mod tests {
     /// count the agreement test uses.
     const ROUTED_N: u32 = 12;
 
+    /// Routes one round's `staged` envelopes (canonical order) the way
+    /// the sharded engine does for `shards` shards: [`route_shard`] per
+    /// sender shard, [`merge_dest_shard`] per destination shard, then
+    /// [`EngineCore::apply_route_deltas`]. The core must have been split
+    /// into those shards.
+    fn route_in_shards(
+        core: &mut EngineCore<u32>,
+        staged: &[Envelope<u32>],
+        latency: impl Fn(usize, usize, u64, u64, u32) -> u64 + Copy,
+    ) {
+        let parts = core.route_parts();
+        let (n, shard_len) = (parts.params.node_count, parts.params.shard_len);
+        let shards = parts.mailboxes.len();
+        let mut deltas = Vec::new();
+        let mut bucket_sets: Vec<Vec<Routed<u32>>> = Vec::new();
+        for w in 0..shards {
+            // Sender shard w: envelopes whose src is in the shard.
+            let mut mine: Vec<_> = staged
+                .iter()
+                .filter(|e| e.src.index() / shard_len == w)
+                .cloned()
+                .collect();
+            let (lo, hi) = (w * shard_len, ((w + 1) * shard_len).min(n));
+            let mut buckets = vec![Vec::new(); shards];
+            deltas.push(route_shard(
+                parts.params,
+                latency,
+                &mut mine,
+                lo,
+                &mut parts.node_lanes[lo..hi],
+                &mut buckets,
+            ));
+            bucket_sets.push(buckets);
+        }
+        let mut delayed_lists: Vec<Routed<u32>> = vec![Vec::new(); shards];
+        for (d, (delayed, mailbox)) in delayed_lists.iter_mut().zip(parts.mailboxes).enumerate() {
+            let mut parts_d: Vec<Routed<u32>> = bucket_sets
+                .iter_mut()
+                .map(|set| std::mem::take(&mut set[d]))
+                .collect();
+            let (lo, hi) = (d * shard_len, ((d + 1) * shard_len).min(n));
+            merge_dest_shard(
+                parts.params.round,
+                lo,
+                &mut parts_d,
+                mailbox,
+                &mut parts.node_lanes[lo..hi],
+                delayed,
+            );
+        }
+        core.apply_route_deltas(&mut deltas, &mut delayed_lists);
+    }
+
     /// One round of a traced, causally sampled, reliable run — under
     /// drops, a crash and a partition when `faulty` — routed through
     /// `shards` sender shards under `latency` (and `jitter` rounds of
@@ -1502,6 +1689,9 @@ mod tests {
             }
         }
         let mut core: EngineCore<u32> = EngineCore::new(n, 42);
+        if shards > 1 {
+            core.set_shard_len(n / shards);
+        }
         if faulty {
             core.set_faults(
                 FaultPlan::new()
@@ -1519,49 +1709,229 @@ mod tests {
         core.begin_round();
         if shards == 1 {
             core.route_batch_with(&mut staged, latency);
-            return core;
+        } else {
+            route_in_shards(&mut core, &staged, latency);
         }
-        let shard_len = n / shards;
-        let parts = core.route_parts(shard_len);
-        let mut deltas = Vec::new();
-        let mut bucket_sets: Vec<Vec<Routed<u32>>> = Vec::new();
-        for w in 0..shards {
-            // Sender shard w: envelopes whose src is in the shard.
-            let mut mine: Vec<_> = staged
-                .iter()
-                .filter(|e| e.src.index() / shard_len == w)
-                .cloned()
-                .collect();
-            let (lo, hi) = (w * shard_len, (w + 1) * shard_len);
-            let mut buckets = vec![Vec::new(); shards];
-            deltas.push(route_shard(
-                parts.params,
-                latency,
-                &mut mine,
-                lo,
-                &mut parts.node_lanes[lo..hi],
-                &mut buckets,
-            ));
-            bucket_sets.push(buckets);
-        }
-        let mut delayed_lists: Vec<Routed<u32>> = vec![Vec::new(); shards];
-        for (d, delayed) in delayed_lists.iter_mut().enumerate() {
-            let mut parts_d: Vec<Routed<u32>> = bucket_sets
-                .iter_mut()
-                .map(|set| std::mem::take(&mut set[d]))
-                .collect();
-            let (lo, hi) = (d * shard_len, (d + 1) * shard_len);
-            merge_dest_shard(
-                parts.params.round,
-                lo,
-                &mut parts_d,
-                &mut parts.inboxes[lo..hi],
-                &mut parts.node_lanes[lo..hi],
-                delayed,
-            );
-        }
-        core.apply_route_deltas(&mut deltas, &mut delayed_lists);
         core
+    }
+
+    /// Directional links: upward sends take one tick, downward three.
+    fn asym(src: usize, dst: usize, _: u64, _: u64, _: u32) -> u64 {
+        if src < dst {
+            1
+        } else {
+            3
+        }
+    }
+
+    /// A seeded per-message latency of 1 to 5 ticks.
+    fn seeded(src: usize, dst: usize, round: u64, sequence: u64, _: u32) -> u64 {
+        1 + rng::derive_seed(7, (src * 8 + dst) as u64, sequence, round) % 5
+    }
+
+    type Latency = fn(usize, usize, u64, u64, u32) -> u64;
+
+    /// Records what it is handed each round and, for the first rounds,
+    /// sends numbered messages: one to node 0 — the hot spot a receive
+    /// cap queues at — and up to two to nodes picked from its id and the
+    /// round.
+    struct Listener {
+        n: u32,
+        heard: Vec<(u64, Vec<u32>)>,
+    }
+
+    impl Node for Listener {
+        type Msg = u32;
+
+        fn on_round(&mut self, inbox: &mut Vec<Envelope<u32>>, ctx: &mut RoundContext<'_, u32>) {
+            let heard = inbox.drain(..).map(|e| e.payload).collect();
+            self.heard.push((ctx.round(), heard));
+            let (me, round) = (u32::from(ctx.id()), ctx.round() as u32);
+            if round >= 6 {
+                return;
+            }
+            for k in 0..1 + (me + round) % 3 {
+                let dst = match k {
+                    0 => 0,
+                    _ => (me + 1 + (k * 5 + round * 3) % (self.n - 1)) % self.n,
+                };
+                if dst != me {
+                    ctx.send(NodeId::new(dst), me * 1000 + round * 10 + k);
+                }
+            }
+        }
+    }
+
+    /// A multi-round delivery set-up: a receive cap, jitter, a fault
+    /// plan, retransmissions and a latency function (`None`: unit
+    /// latency, routed by `route_batch` on one shard).
+    struct Delivery {
+        cap: Option<usize>,
+        jitter: u64,
+        faults: FaultPlan,
+        reliable: Option<RetryPolicy>,
+        latency: Option<Latency>,
+    }
+
+    /// Population and length of the multi-round oracle runs: eleven
+    /// nodes, so two and three shards leave a short last one.
+    const ORACLE_N: u32 = 11;
+    const ORACLE_ROUNDS: u64 = 90;
+
+    /// Per node, the payloads it was handed in each round it stepped.
+    type Heard = Vec<Vec<(u64, Vec<u32>)>>;
+
+    /// What every node was handed, round by round, when the core's
+    /// mailboxes — split into `shards` — deliver.
+    fn heard_through_mailboxes(shards: usize, setup: &Delivery) -> Heard {
+        let n = ORACLE_N as usize;
+        let mut core: EngineCore<u32> = EngineCore::new(n, 5);
+        core.set_shard_len(n.div_ceil(shards));
+        core.set_faults(setup.faults.clone());
+        core.set_max_extra_delay(setup.jitter);
+        if let Some(cap) = setup.cap {
+            core.set_receive_cap(cap);
+        }
+        if let Some(policy) = setup.reliable {
+            core.set_reliable(policy);
+        }
+        let mut nodes: Vec<Listener> = (0..n)
+            .map(|_| Listener {
+                n: ORACLE_N,
+                heard: Vec::new(),
+            })
+            .collect();
+        let latency = setup.latency.unwrap_or(unit_latency);
+        let (mut staged, mut held) = (Vec::new(), Vec::new());
+        for _ in 0..ORACLE_ROUNDS {
+            core.begin_round();
+            let state = core.step_state();
+            let blocks = nodes.chunks_mut(state.shard_len);
+            for (w, (block, mailbox)) in blocks.zip(state.mailboxes).enumerate() {
+                let base = w * state.shard_len;
+                step_shard(state.ctx, base, block, mailbox, &mut staged, &mut held);
+            }
+            // One shard takes the serial entry points, two the sharded
+            // engine's calls, three the serial kernel into every mailbox.
+            match (shards, setup.latency) {
+                (1, None) => core.route_batch(&mut staged),
+                (2, _) => {
+                    route_in_shards(&mut core, &staged, latency);
+                    staged.clear();
+                }
+                _ => core.route_batch_with(&mut staged, latency),
+            }
+            core.retransmit_due(latency);
+            core.finish_round();
+        }
+        nodes.into_iter().map(|node| node.heard).collect()
+    }
+
+    /// The same, delivered the way the engines did before mailboxes were
+    /// per shard: one vector per node, pushed onto as mail arrives, the
+    /// oldest `cap` handed over and the rest kept. Routing, delay and
+    /// retransmission are rebuilt here from the public fate functions,
+    /// so the reference shares no delivery code with the core.
+    fn heard_through_inboxes(setup: &Delivery) -> (Heard, usize) {
+        type Parked = (Envelope<u32>, u64, u64, u32);
+        let (n, seed) = (ORACLE_N as usize, 5);
+        let guards = FaultGuards::new(&setup.faults);
+        let latency = setup.latency.unwrap_or(unit_latency);
+        let mut inboxes = vec![Vec::new(); n];
+        let mut delayed: std::collections::BTreeMap<u64, Vec<Envelope<u32>>> = Default::default();
+        let mut parked: std::collections::BTreeMap<u64, Vec<Parked>> = Default::default();
+        let mut nodes: Vec<Listener> = (0..n)
+            .map(|_| Listener {
+                n: ORACLE_N,
+                heard: Vec::new(),
+            })
+            .collect();
+        let (mut staged, mut scratch) = (Vec::new(), Vec::new());
+        let none = SuspectView::none();
+        let mut deferred = 0;
+        for round in 0..ORACLE_ROUNDS {
+            while let Some(entry) = delayed.first_entry().filter(|e| *e.key() <= round) {
+                for env in entry.remove() {
+                    inboxes[env.dst.index()].push(env);
+                }
+            }
+            for (i, (node, inbox)) in nodes.iter_mut().zip(&mut inboxes).enumerate() {
+                if setup.faults.is_crashed_at(i, round) {
+                    inbox.clear();
+                    continue;
+                }
+                let inbox = match setup.cap {
+                    Some(cap) if inbox.len() > cap => {
+                        deferred += 1;
+                        scratch.clear();
+                        scratch.extend(inbox.drain(..cap));
+                        &mut scratch
+                    }
+                    _ => inbox,
+                };
+                step_node(node, i, round, seed, &none, inbox, &mut staged);
+            }
+            let mut seq = (usize::MAX, 0);
+            for env in staged.drain(..) {
+                let (src, dst) = (env.src.index(), env.dst.index());
+                seq = if seq.0 == src {
+                    (src, seq.1 + 1)
+                } else {
+                    (src, 0)
+                };
+                let lat = latency(src, dst, round, seq.1, 0);
+                let blocked = guards.blocked(src, dst, round, round + lat);
+                let (p, cause) = guards.coin(src, dst);
+                let fate = route_fate(seed, round, src, seq.1, blocked, p, cause, setup.jitter);
+                match (fate.dropped, setup.reliable) {
+                    (Some(_), Some(policy)) => parked
+                        .entry(round + policy.timeout)
+                        .or_default()
+                        .push((env, round, seq.1, 0)),
+                    (Some(_), None) => {}
+                    (None, _) if lat + fate.extra_delay == 1 => inboxes[dst].push(env),
+                    (None, _) => {
+                        let arrival = round + lat + fate.extra_delay;
+                        delayed.entry(arrival).or_default().push(env);
+                    }
+                }
+            }
+            while let Some(entry) = parked.first_entry().filter(|e| *e.key() <= round) {
+                let policy = setup.reliable.expect("only a reliable run parks");
+                for (env, orig_round, orig_seq, attempts) in entry.remove() {
+                    let (src, dst, attempt) = (env.src.index(), env.dst.index(), attempts + 1);
+                    let lat = latency(src, dst, orig_round, orig_seq, attempt);
+                    let blocked = guards.blocked(src, dst, round, round + lat);
+                    let (p, cause) = guards.coin(src, dst);
+                    let fate = retry_fate(
+                        seed,
+                        src,
+                        orig_round,
+                        orig_seq,
+                        attempt,
+                        blocked,
+                        p,
+                        cause,
+                        setup.jitter,
+                    );
+                    let arrival = round + lat + fate.extra_delay;
+                    if fate.is_dropped() {
+                        if attempt < policy.max_retries {
+                            parked
+                                .entry(round + policy.delay_after(attempt))
+                                .or_default()
+                                .push((env, orig_round, orig_seq, attempt));
+                        }
+                    } else if arrival == round + 1 {
+                        inboxes[dst].push(env);
+                    } else {
+                        delayed.entry(arrival).or_default().push(env);
+                    }
+                }
+            }
+        }
+        let heard = nodes.into_iter().map(|node| node.heard).collect();
+        (heard, deferred)
     }
 
     #[test]
@@ -1572,17 +1942,6 @@ mod tests {
         // with no fault and no jitter, and with drops, a crash and a
         // partition under unit latency with jitter, under directional
         // latency, and under a seeded per-message latency.
-        fn asym(src: usize, dst: usize, _: u64, _: u64, _: u32) -> u64 {
-            if src < dst {
-                1
-            } else {
-                3
-            }
-        }
-        fn seeded(src: usize, dst: usize, round: u64, sequence: u64, _: u32) -> u64 {
-            1 + rng::derive_seed(7, (src * 8 + dst) as u64, sequence, round) % 5
-        }
-        type Latency = fn(usize, usize, u64, u64, u32) -> u64;
         let axes: [(&str, bool, u64, Latency); 4] = [
             ("fault-free", false, 0, unit_latency),
             ("unit", true, 2, unit_latency),
@@ -1590,7 +1949,7 @@ mod tests {
             ("seeded", true, 0, seeded),
         ];
         for (name, faulty, jitter, latency) in axes {
-            let mut serial = routed_in_shards(1, faulty, jitter, latency);
+            let serial = routed_in_shards(1, faulty, jitter, latency);
             assert!(!serial.causal().unwrap().is_empty());
             assert!(serial.causal().unwrap().sampled_out() > 0);
             if faulty {
@@ -1605,7 +1964,7 @@ mod tests {
             let parked: usize = serial.retransmit_queue.values().map(Vec::len).sum();
             assert_eq!(parked as u64, serial.metrics().total_dropped());
             for shards in [2, 3, 4] {
-                let mut sharded = routed_in_shards(shards, faulty, jitter, latency);
+                let sharded = routed_in_shards(shards, faulty, jitter, latency);
                 let at = format!("{name}, {shards} shards");
                 assert_eq!(serial.metrics(), sharded.metrics(), "{at}");
                 assert_eq!(
@@ -1617,16 +1976,13 @@ mod tests {
                 // folds to the same result, sampling included.
                 assert_eq!(serial.causal(), sharded.causal(), "{at}");
                 assert_eq!(serial.retransmit_queue, sharded.retransmit_queue, "{at}");
-                assert_eq!(
-                    serial.step_state().inboxes,
-                    sharded.step_state().inboxes,
-                    "{at}"
-                );
+                for node in 0..ROUTED_N as usize {
+                    assert_eq!(mail_of(&serial, node), mail_of(&sharded, node), "{at}");
+                }
                 // Delay queues agree on arrival rounds and, per
                 // destination, on the exact delivery sequence.
                 // (Cross-destination interleaving inside a batch is
-                // unobservable: `begin_round` splits every batch into
-                // per-node mailboxes.)
+                // unobservable: stepping sorts every mailbox by node.)
                 let keys = |c: &EngineCore<u32>| c.delayed.keys().copied().collect::<Vec<_>>();
                 assert_eq!(keys(&serial), keys(&sharded), "{at}");
                 for (arrival, batch) in &serial.delayed {
@@ -1644,6 +2000,73 @@ mod tests {
                             "{at}: delayed to {dst} at {arrival}"
                         );
                     }
+                }
+            }
+        }
+
+        // Over many rounds, with receive caps, what each node is handed
+        // — contents and order, round by round — is what one vector per
+        // node handed it, on one, two and three shards: capped
+        // leftovers ahead of routed mail, then retransmissions, then
+        // delayed arrivals.
+        let churn = || {
+            FaultPlan::new()
+                .with_drop_probability(0.2)
+                .with_crash_at(4, 3)
+                .with_recovery_at(4, 9)
+                .with_crash_at(0, 20)
+                .with_recovery_at(0, 24)
+        };
+        let split = FaultPlan::new().with_partition([vec![0, 1, 2, 3, 4], vec![5, 6, 7]], 2, 7);
+        let policy = RetryPolicy {
+            timeout: 1,
+            max_retries: 6,
+            max_backoff: 4,
+        };
+        let setups = [
+            ("fault-free", None, 0, FaultPlan::new(), None, None),
+            ("capped", Some(2), 0, FaultPlan::new(), None, None),
+            (
+                "capped jitter churn",
+                Some(2),
+                2,
+                churn(),
+                Some(policy),
+                None,
+            ),
+            (
+                "cap 1 asym partition",
+                Some(1),
+                0,
+                split,
+                Some(policy),
+                Some(asym as Latency),
+            ),
+            (
+                "cap 3 seeded churn",
+                Some(3),
+                0,
+                churn(),
+                Some(policy),
+                Some(seeded),
+            ),
+        ];
+        for (name, cap, jitter, faults, reliable, latency) in setups {
+            let setup = Delivery {
+                cap,
+                jitter,
+                faults,
+                reliable,
+                latency,
+            };
+            let (expected, deferred) = heard_through_inboxes(&setup);
+            assert_eq!(cap.is_some(), deferred > 0, "{name}: a cap that never bit");
+            let delivered: usize = expected.iter().flatten().map(|(_, mail)| mail.len()).sum();
+            assert!(delivered > 60, "{name}: only {delivered} deliveries");
+            for shards in [1, 2, 3] {
+                let heard = heard_through_mailboxes(shards, &setup);
+                for (node, (got, want)) in heard.iter().zip(&expected).enumerate() {
+                    assert_eq!(got, want, "{name}, {shards} shards, node {node}");
                 }
             }
         }
@@ -1779,8 +2202,10 @@ mod tests {
             core.route_batch(&mut Vec::new());
             close_round(&mut core);
         }
-        let delivered = core.step_state().inboxes[1].iter().any(|e| e.payload == 99);
-        assert!(delivered, "retransmission never landed");
+        assert!(
+            mail_of(&core, 1).contains(&99),
+            "retransmission never landed"
+        );
         let m = core.metrics();
         assert_eq!(m.total_retransmissions(), 2, "attempts at rounds 1 and 3");
         assert_eq!(m.total_dropped(), 2, "original send plus first retry");
@@ -1811,7 +2236,7 @@ mod tests {
             core.route_batch(&mut Vec::new());
             close_round(&mut core);
         }
-        assert!(core.step_state().inboxes[1].is_empty());
+        assert!(mail_of(&core, 1).is_empty());
         assert!(core.retransmit_queue.is_empty(), "budget exhausted");
         assert_eq!(core.metrics().total_retransmissions(), 2);
         assert_eq!(core.metrics().total_dropped(), 3);
@@ -1835,7 +2260,7 @@ mod tests {
             close_round(&mut core);
         }
         // Dropped at round 0 (partition), retried at round 2 (healed).
-        assert!(core.step_state().inboxes[2].iter().any(|e| e.payload == 55));
+        assert!(mail_of(&core, 2).contains(&55));
         let m = core.metrics();
         assert_eq!(m.drop_tally().partition, 1);
         assert_eq!(m.total_retransmissions(), 1);

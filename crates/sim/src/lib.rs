@@ -82,8 +82,8 @@ pub mod trace;
 
 pub use engine::{timed_phase, Engine, RoundEngine, RoundShell, RunOutcome};
 pub use engine_core::{
-    retry_fate, route_fate, step_node, step_shard, take_capped, unit_latency, EngineCore,
-    FaultGuards, RetryPolicy, RouteFate, StepCtx, StepState,
+    retry_fate, route_fate, step_node, step_shard, unit_latency, EngineCore, FaultGuards, Mailbox,
+    RetryPolicy, RouteFate, StepCtx, StepState,
 };
 pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec};
 pub use id::NodeId;

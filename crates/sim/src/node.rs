@@ -2,6 +2,7 @@
 
 use crate::id::NodeId;
 use crate::message::Envelope;
+use crate::rng;
 use rand::rngs::StdRng;
 use std::sync::{Arc, OnceLock};
 
@@ -89,7 +90,12 @@ impl SuspectView {
 pub struct RoundContext<'a, M> {
     id: NodeId,
     round: u64,
-    rng: &'a mut StdRng,
+    seed: u64,
+    /// Derived on the first [`rng`](Self::rng) call: most node-rounds of
+    /// most protocols (all of HM's but a random merge rule's) draw
+    /// nothing, and the stream is a pure function of
+    /// `(seed, id, round)`, so when it is built cannot change a draw.
+    rng: Option<StdRng>,
     outbox: &'a mut Vec<Envelope<M>>,
     suspects: &'a Arc<SuspectView>,
 }
@@ -98,14 +104,15 @@ impl<'a, M> RoundContext<'a, M> {
     pub(crate) fn new(
         id: NodeId,
         round: u64,
-        rng: &'a mut StdRng,
+        seed: u64,
         outbox: &'a mut Vec<Envelope<M>>,
         suspects: &'a Arc<SuspectView>,
     ) -> Self {
         RoundContext {
             id,
             round,
-            rng,
+            seed,
+            rng: None,
             outbox,
             suspects,
         }
@@ -121,11 +128,13 @@ impl<'a, M> RoundContext<'a, M> {
         self.round
     }
 
-    /// This node's private random generator for this round. Streams are
-    /// independent across `(seed, node, round)` triples, so protocol
-    /// randomness never couples nodes accidentally.
+    /// This node's private random generator for this round
+    /// ([`rng::node_round_rng`]). Streams are independent across
+    /// `(seed, node, round)` triples, so protocol randomness never
+    /// couples nodes accidentally.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
+            .get_or_insert_with(|| rng::node_round_rng(self.seed, self.id.index(), self.round))
     }
 
     /// Queues `payload` for delivery to `dst` at the start of the next
@@ -166,20 +175,18 @@ mod tests {
 
     #[test]
     fn context_exposes_identity_and_round() {
-        let mut rng = node_round_rng(1, 2, 3);
         let mut outbox = Vec::<Envelope<u32>>::new();
         let none = SuspectView::none();
-        let ctx = RoundContext::new(NodeId::new(2), 3, &mut rng, &mut outbox, &none);
+        let ctx = RoundContext::new(NodeId::new(2), 3, 1, &mut outbox, &none);
         assert_eq!(ctx.id(), NodeId::new(2));
         assert_eq!(ctx.round(), 3);
     }
 
     #[test]
     fn send_queues_envelopes_in_order() {
-        let mut rng = node_round_rng(1, 0, 0);
         let mut outbox = Vec::new();
         let none = SuspectView::none();
-        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox, &none);
+        let mut ctx = RoundContext::new(NodeId::new(0), 0, 1, &mut outbox, &none);
         ctx.send(NodeId::new(1), 10u32);
         ctx.send(NodeId::new(2), 20u32);
         assert_eq!(ctx.queued(), 2);
@@ -191,21 +198,38 @@ mod tests {
     #[test]
     #[should_panic(expected = "self-send")]
     fn self_send_rejected() {
-        let mut rng = node_round_rng(1, 0, 0);
         let mut outbox = Vec::new();
         let none = SuspectView::none();
-        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox, &none);
+        let mut ctx = RoundContext::new(NodeId::new(0), 0, 1, &mut outbox, &none);
         ctx.send(NodeId::new(0), 0u32);
     }
 
     #[test]
     fn rng_is_usable_through_context() {
-        let mut rng = node_round_rng(1, 0, 0);
         let mut outbox = Vec::<Envelope<u32>>::new();
         let none = SuspectView::none();
-        let mut ctx = RoundContext::new(NodeId::new(0), 0, &mut rng, &mut outbox, &none);
+        let mut ctx = RoundContext::new(NodeId::new(0), 0, 1, &mut outbox, &none);
         let x: u64 = ctx.rng().random();
         let y: u64 = ctx.rng().random();
         assert_ne!(x, y, "stream should advance");
+    }
+
+    #[test]
+    fn a_lazily_built_rng_draws_the_node_round_stream() {
+        // Asked for only after two sends, the context still hands out
+        // `node_round_rng(seed, node, round)`'s stream from its start.
+        let none = SuspectView::none();
+        for (seed, node, round) in [(1, 0, 0), (7, 3, 12), (u64::MAX, 200, 1 << 40)] {
+            let mut expected = node_round_rng(seed, node, round);
+            let expected: Vec<u64> = (0..3).map(|_| expected.random()).collect();
+            let mut outbox = Vec::<Envelope<u32>>::new();
+            let me = NodeId::new(node as u32);
+            let mut ctx = RoundContext::new(me, round, seed, &mut outbox, &none);
+            ctx.send(NodeId::new(node as u32 + 1), 10);
+            ctx.send(NodeId::new(node as u32 + 2), 20);
+            let drawn: Vec<u64> = (0..3).map(|_| ctx.rng().random()).collect();
+            assert_eq!(drawn, expected, "seed {seed}, node {node}, round {round}");
+            assert_eq!(ctx.queued(), 2);
+        }
     }
 }

@@ -18,7 +18,15 @@
 //! 4-word bitmaps within a few rounds. Recorded while the tier was
 //! still chosen by count alone; which tier holds an id must not move
 //! one count.
+//!
+//! The fourth table drives two of the campaigns through engines built
+//! by hand under a receive cap, which the runner has no option for: at
+//! cap 2 the backlog outgrows the round budget, at cap 8 the runs
+//! complete. Recorded while every node still had a mailbox of its own;
+//! one buffer per shard, sorted by destination, must hand every node
+//! the same mail in the same order.
 
+use resource_discovery::core::algorithms::hm::HmNode;
 use resource_discovery::prelude::*;
 use resource_discovery::scenarios;
 
@@ -241,5 +249,110 @@ fn one_routing_kernel_moves_no_count_under_non_unit_latency() {
             "{name} seed {seed} on {}",
             scenario.engine.name()
         );
+    }
+}
+
+/// Runs `engine` under `config`'s faults, retransmissions and
+/// completion predicate with deliveries capped at `cap` a round:
+/// `(completed, rounds, messages, pointers, retransmissions,
+/// drops.total())`.
+fn capped<E: RoundEngine<HmNode>>(
+    engine: E,
+    config: &RunConfig,
+    cap: usize,
+) -> (bool, u64, u64, u64, u64, u64) {
+    let mut engine = engine
+        .with_faults(config.faults.clone())
+        .with_receive_cap(cap);
+    if let Some(policy) = config.reliable {
+        engine = engine.with_reliable_delivery(policy);
+    }
+    let live: Vec<bool> = (0..config.n)
+        .map(|i| !config.faults.is_permanently_crashed(i))
+        .collect();
+    assert_eq!(config.completion, Completion::EveryoneKnowsEveryone);
+    let outcome = engine.run_until(config.max_rounds, |nodes| {
+        problem::everyone_knows_everyone_among(nodes, &live)
+    });
+    let m = engine.metrics();
+    (
+        outcome.completed,
+        outcome.rounds,
+        m.total_messages(),
+        m.total_pointers(),
+        m.total_retransmissions(),
+        m.drop_tally().total(),
+    )
+}
+
+#[test]
+fn one_mailbox_per_shard_moves_no_count_under_a_receive_cap() {
+    let recorded = [
+        (
+            "crash-storm-recovery",
+            7,
+            2,
+            (false, 640, 83_110, 952_118, 235, 261),
+        ),
+        (
+            "crash-storm-recovery",
+            7,
+            8,
+            (true, 327, 24_731, 339_700, 234, 259),
+        ),
+        (
+            "crash-storm-recovery",
+            42,
+            2,
+            (false, 640, 81_098, 1_030_826, 250, 283),
+        ),
+        (
+            "crash-storm-recovery",
+            42,
+            8,
+            (true, 195, 17_618, 223_834, 234, 263),
+        ),
+        (
+            "continuous-churn",
+            7,
+            2,
+            (false, 720, 78_298, 1_701_101, 7_606, 8_532),
+        ),
+        (
+            "continuous-churn",
+            7,
+            8,
+            (true, 429, 29_468, 326_635, 7_776, 8_724),
+        ),
+        (
+            "continuous-churn",
+            42,
+            2,
+            (false, 720, 78_799, 1_721_599, 7_074, 7_955),
+        ),
+        (
+            "continuous-churn",
+            42,
+            8,
+            (true, 579, 50_865, 641_559, 7_203, 8_103),
+        ),
+    ];
+    for (name, seed, cap, expected) in recorded {
+        let scenario = scenarios::select(N, seed, &[name.to_string()])
+            .expect("a library campaign")
+            .remove(0);
+        let kind = scenario.algorithms[0];
+        let AlgorithmKind::Hm(cfg) = kind else {
+            panic!("{name} runs HM");
+        };
+        let config = scenario.run_config(None, &kind);
+        let graph = config.topology.generate(config.n, config.seed);
+        let initial = problem::initial_knowledge(&graph);
+        let alg = HmDiscovery::new(cfg);
+        let at = format!("{name} seed {seed} cap {cap}");
+        let serial = Engine::new(alg.make_nodes(&initial), config.seed);
+        assert_eq!(capped(serial, &config, cap), expected, "{at} on sequential");
+        let sharded = ShardedEngine::new(alg.make_nodes(&initial), config.seed, 2);
+        assert_eq!(capped(sharded, &config, cap), expected, "{at} on sharded:2");
     }
 }
