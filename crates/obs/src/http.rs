@@ -6,8 +6,9 @@
 //! * `/metrics`  — Prometheus text exposition rendered from the latest
 //!   [`LiveSnapshot`](crate::LiveSnapshot) (the same conformant format
 //!   the end-of-run [`PrometheusSink`](crate::PrometheusSink) writes),
-//! * `/status`   — the snapshot as JSON (parsed by `rd-inspect watch`
-//!   with the crate's serde-free parser),
+//! * `/status`   — the snapshot as one JSON object, rendered by the
+//!   archive writer ([`archive::render_status`](crate::archive::render_status))
+//!   and read back by `rd-inspect watch` with the archive reader,
 //! * `/healthz`  — liveness (`200 ok` as soon as the listener is up).
 //!
 //! The accept loop runs nonblocking on a named thread, polling a stop
@@ -154,7 +155,11 @@ fn serve_connection(mut stream: TcpStream, bus: &LiveBus) {
     let (status, content_type, body) = match path.as_str() {
         "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
         "/status" => match bus.read() {
-            Some(snap) => ("200 OK", "application/json", snap.status_json()),
+            Some(snap) => (
+                "200 OK",
+                "application/json",
+                crate::archive::render_status(&snap),
+            ),
             None => (
                 "503 Service Unavailable",
                 "application/json",

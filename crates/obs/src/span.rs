@@ -66,6 +66,13 @@ impl Phase {
     pub fn from_name(name: &str) -> Option<Phase> {
         Phase::ALL.into_iter().find(|p| p.name() == name)
     }
+
+    /// Whether the sharded engine runs this phase on every worker at
+    /// once: busy-time imbalance and utilization are measured over
+    /// these.
+    pub fn is_parallel(self) -> bool {
+        matches!(self, Phase::OnRound | Phase::RouteShard)
+    }
 }
 
 /// One timed slice of engine work, relative to the recorder's epoch.
