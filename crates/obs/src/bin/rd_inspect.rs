@@ -84,28 +84,16 @@ fn main() -> ExitCode {
                 Err(code) => code,
             }
         }
-        Some("profile") => {
+        Some(cmd @ ("profile" | "flame")) => {
             let [path] = &args[1..] else { return usage() };
+            let render = match cmd {
+                "profile" => inspect::profile_report,
+                _ => inspect::flame,
+            };
             match parse(path) {
-                Ok(a) => match inspect::profile_report(&a) {
-                    Ok(report) => {
-                        print!("{report}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("rd-inspect: {path}: {e}");
-                        ExitCode::from(1)
-                    }
-                },
-                Err(code) => code,
-            }
-        }
-        Some("flame") => {
-            let [path] = &args[1..] else { return usage() };
-            match parse(path) {
-                Ok(a) => match inspect::flame(&a) {
-                    Ok(folded) => {
-                        print!("{folded}");
+                Ok(a) => match render(&a) {
+                    Ok(text) => {
+                        print!("{text}");
                         ExitCode::SUCCESS
                     }
                     Err(e) => {
@@ -206,7 +194,7 @@ fn main() -> ExitCode {
                     }
                 },
             };
-            let mut state = watch::WatchState::new();
+            let mut state = watch::WatchState::default();
             let mut frames = 0u64;
             loop {
                 match watch::poll_frame(addr, &mut state) {

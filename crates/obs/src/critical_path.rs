@@ -11,6 +11,7 @@
 //! hops to their injected causes.
 
 use crate::archive::Archive;
+use crate::recorder::DropTally;
 use crate::trace::ProvEdge;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -61,54 +62,28 @@ fn chain_to(archive: &Archive, terminal: &ProvEdge) -> Vec<ProvEdge> {
     chain
 }
 
-/// Per-cause drop totals over a round range, summed from the archive's
-/// round records (the exported form of the engine's `DropTally`).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SpanFaults {
-    pub coin: u64,
-    pub crash: u64,
-    pub partition: u64,
-    pub link: u64,
-    pub suppression: u64,
+/// The cause with the most drops, or `None` when there are none. A tie
+/// goes to the cause listed last of suppression, partition, crash,
+/// link, coin.
+pub fn dominant_cause(drops: &DropTally) -> Option<&'static str> {
+    [
+        (drops.suppression, "suppression"),
+        (drops.partition, "partition"),
+        (drops.crash, "crash"),
+        (drops.link, "link"),
+        (drops.coin, "coin"),
+    ]
+    .into_iter()
+    .filter(|&(count, _)| count > 0)
+    .max_by_key(|&(count, _)| count)
+    .map(|(_, name)| name)
 }
 
-impl SpanFaults {
-    pub fn total(&self) -> u64 {
-        self.coin + self.crash + self.partition + self.link + self.suppression
-    }
-
-    /// The dominant cause name, or `None` when the span saw no drops.
-    pub fn dominant(&self) -> Option<&'static str> {
-        let entries = [
-            (self.suppression, "suppression"),
-            (self.partition, "partition"),
-            (self.crash, "crash"),
-            (self.link, "link"),
-            (self.coin, "coin"),
-        ];
-        entries
-            .iter()
-            .filter(|&&(count, _)| count > 0)
-            .max_by_key(|&&(count, _)| count)
-            .map(|&(_, name)| name)
-    }
-}
-
-/// Sums fault drops over `rounds` (inclusive) from the round records.
-pub fn faults_in_span(archive: &Archive, lo: u64, hi: u64) -> SpanFaults {
-    let mut f = SpanFaults::default();
-    for r in archive
-        .rounds
-        .iter()
-        .filter(|r| r.round >= lo && r.round <= hi)
-    {
-        f.coin += r.dropped_coin;
-        f.crash += r.dropped_crash;
-        f.partition += r.dropped_partition;
-        f.link += r.dropped_link;
-        f.suppression += r.dropped_suppression;
-    }
-    f
+/// Fault drops over rounds `lo..=hi`, summed from the round records.
+pub fn faults_in_span(archive: &Archive, lo: u64, hi: u64) -> DropTally {
+    let span = lo..=hi;
+    let rows = archive.rounds.iter().filter(|r| span.contains(&r.round));
+    rows.map(|r| r.drops).sum()
 }
 
 fn hop_lines(out: &mut String, chain: &[ProvEdge]) {
@@ -180,15 +155,10 @@ pub fn why(archive: &Archive) -> String {
         let _ = writeln!(out, "\nattribution (verdict {}):", s.verdict);
         let _ = writeln!(
             out,
-            "  path span rounds {}..={}: {} drops (coin {}, crash {}, partition {}, link {}, suppression {})",
+            "  path span rounds {}..={}: {} drops ({span})",
             root.sent,
             terminal.round,
-            span.total(),
-            span.coin,
-            span.crash,
-            span.partition,
-            span.link,
-            span.suppression
+            span.total()
         );
         // The largest wait: the hop whose id sat longest at a node
         // between being learned and being successfully forwarded.
@@ -209,18 +179,12 @@ pub fn why(archive: &Archive) -> String {
             );
             let _ = writeln!(
                 out,
-                "  during that window: coin {}, crash {}, partition {}, link {}, suppression {} drops{}",
-                window.coin,
-                window.crash,
-                window.partition,
-                window.link,
-                window.suppression,
-                window
-                    .dominant()
+                "  during that window: {window} drops{}",
+                dominant_cause(&window)
                     .map(|c| format!(" — dominant cause: {c}"))
                     .unwrap_or_default()
             );
-        } else if let Some(cause) = span.dominant() {
+        } else if let Some(cause) = dominant_cause(&span) {
             let _ = writeln!(out, "  dominant cause over the span: {cause}");
         }
     }
@@ -295,7 +259,10 @@ mod tests {
     fn round(round: u64, partition: u64) -> RoundObs {
         RoundObs {
             round,
-            dropped_partition: partition,
+            drops: DropTally {
+                partition,
+                ..DropTally::default()
+            },
             ..RoundObs::default()
         }
     }
@@ -347,7 +314,7 @@ mod tests {
     #[test]
     fn why_names_the_final_round_and_attributes_partitions() {
         let mut rounds: Vec<RoundObs> = (1..=6).map(|r| round(r, 0)).collect();
-        rounds[3].dropped_partition = 12; // round 4
+        rounds[3].drops.partition = 12; // round 4
         let a = archive(
             vec![edge(9, 1, 0, 1, 2), edge(9, 2, 1, 5, 6)],
             rounds,
@@ -363,9 +330,9 @@ mod tests {
     #[test]
     fn why_attributes_suppression_when_it_dominates() {
         let mut rounds: Vec<RoundObs> = (1..=6).map(|r| round(r, 0)).collect();
-        rounds[3].dropped_suppression = 20; // round 4, inside the wait
-        rounds[3].dropped_partition = 3;
-        rounds[2].dropped_link = 5;
+        rounds[3].drops.suppression = 20; // round 4, inside the wait
+        rounds[3].drops.partition = 3;
+        rounds[2].drops.link = 5;
         let a = archive(
             vec![edge(9, 1, 0, 1, 2), edge(9, 2, 1, 5, 6)],
             rounds,

@@ -69,7 +69,7 @@
 use crate::faults::{DropCause, FaultPlan};
 use crate::id::NodeId;
 use crate::message::{Envelope, MessageCost};
-use crate::metrics::{NodeLane, RoundMetrics, RunMetrics};
+use crate::metrics::{charge, NodeLane, RoundMetrics, RunMetrics};
 use crate::node::{Node, RoundContext, SuspectView};
 use crate::pool::BufferPool;
 use crate::rng;
@@ -660,7 +660,7 @@ where
         lane.sent_messages += 1;
         lane.sent_pointers += pointers as u64;
         if let Some(cause) = fate.dropped {
-            delta.row.drops.add(cause);
+            charge(&mut delta.row.drops, cause);
             if params.reliable.is_some() {
                 delta.retries.push(RetryEnvelope {
                     env,
@@ -1169,7 +1169,7 @@ impl<M: MessageCost> EngineCore<M> {
         for delta in deltas.iter_mut() {
             lanes.row.messages += delta.row.messages;
             lanes.row.pointers += delta.row.pointers;
-            lanes.row.drops.merge(&delta.row.drops);
+            lanes.row.drops = [lanes.row.drops, delta.row.drops].into_iter().sum();
             lanes.row.retransmissions += delta.row.retransmissions;
             if let Some(trace) = self.trace.as_mut() {
                 for event in delta.trace_events.drain(..) {
@@ -1278,7 +1278,7 @@ impl<M: MessageCost> EngineCore<M> {
                 lane.sent_messages += 1;
                 lane.sent_pointers += pointers;
                 if let Some(cause) = fate.dropped {
-                    lanes.row.drops.add(cause);
+                    charge(&mut lanes.row.drops, cause);
                     if attempt < policy.max_retries {
                         // Backoff delays are ≥ 1, so the new slot is
                         // strictly in the future and never re-drained

@@ -4,49 +4,21 @@
 use crate::faults::DropCause;
 use crate::message::HEADER_BITS;
 
-/// Messages lost to fault injection, broken down by cause.
-///
-/// This is the *single* source of truth for drop accounting: the total
-/// is always [`DropTally::total`], never a separately maintained field
-/// that could drift from the per-cause counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DropTally {
-    /// Losses to the independent drop coin.
-    pub coin: u64,
-    /// Messages addressed to a dead node.
-    pub crash: u64,
-    /// Messages blocked by an active partition.
-    pub partition: u64,
-    /// Losses on lossy links (the per-link loss overlay's coin).
-    pub link: u64,
-    /// Sends suppressed by an adversarial campaign.
-    pub suppression: u64,
-}
+/// Messages lost to fault injection, broken down by cause. The type
+/// lives in `rd-obs`, so an engine's tally and an archive's round rows
+/// are one type. It is the *single* source of truth for drop
+/// accounting: the total is always `total()`, never a separately
+/// maintained field that could drift from the per-cause counts.
+pub use rd_obs::DropTally;
 
-impl DropTally {
-    /// Total messages dropped, across every cause.
-    pub fn total(&self) -> u64 {
-        self.coin + self.crash + self.partition + self.link + self.suppression
-    }
-
-    /// Charges one drop to its cause.
-    pub fn add(&mut self, cause: DropCause) {
-        match cause {
-            DropCause::Coin => self.coin += 1,
-            DropCause::Crash => self.crash += 1,
-            DropCause::Partition => self.partition += 1,
-            DropCause::Link => self.link += 1,
-            DropCause::Suppression => self.suppression += 1,
-        }
-    }
-
-    /// Folds another tally into this one.
-    pub fn merge(&mut self, other: &DropTally) {
-        self.coin += other.coin;
-        self.crash += other.crash;
-        self.partition += other.partition;
-        self.link += other.link;
-        self.suppression += other.suppression;
+/// Charges one drop to its cause.
+pub(crate) fn charge(tally: &mut DropTally, cause: DropCause) {
+    match cause {
+        DropCause::Coin => tally.coin += 1,
+        DropCause::Crash => tally.crash += 1,
+        DropCause::Partition => tally.partition += 1,
+        DropCause::Link => tally.link += 1,
+        DropCause::Suppression => tally.suppression += 1,
     }
 }
 
@@ -162,11 +134,7 @@ impl RunMetrics {
 
     /// Run-wide drop tally, by cause.
     pub fn drop_tally(&self) -> DropTally {
-        let mut tally = DropTally::default();
-        for r in &self.rounds {
-            tally.merge(&r.drops);
-        }
-        tally
+        self.rounds.iter().map(|r| r.drops).sum()
     }
 
     /// Total retransmission attempts made by the reliable-delivery
@@ -264,11 +232,7 @@ pub fn round_obs(round: u64, row: &RoundMetrics) -> rd_obs::RoundObs {
         wall_ns: 0,
         messages: row.messages,
         pointers: row.pointers,
-        dropped_coin: row.drops.coin,
-        dropped_crash: row.drops.crash,
-        dropped_partition: row.drops.partition,
-        dropped_link: row.drops.link,
-        dropped_suppression: row.drops.suppression,
+        drops: row.drops,
         retransmissions: row.retransmissions,
         knowledge_delta: None,
     }
@@ -302,7 +266,7 @@ mod tests {
     /// sender still pays for it; the receiver never sees it).
     fn drop_one(m: &mut RunMetrics, src: usize, pointers: u64) {
         let lanes = m.lanes();
-        lanes.row.drops.add(DropCause::Coin);
+        charge(&mut lanes.row.drops, DropCause::Coin);
         lanes.nodes[src].sent_messages += 1;
         lanes.nodes[src].sent_pointers += pointers;
     }
@@ -355,8 +319,8 @@ mod tests {
         drop_one(&mut m, 0, 1);
         {
             let lanes = m.lanes();
-            lanes.row.drops.add(DropCause::Crash);
-            lanes.row.drops.add(DropCause::Partition);
+            charge(&mut lanes.row.drops, DropCause::Crash);
+            charge(&mut lanes.row.drops, DropCause::Partition);
             lanes.row.retransmissions += 3;
         }
         m.record_retraction();

@@ -16,8 +16,8 @@ use resource_discovery::obs::archive::{self, HistSummary, TraceMeta};
 use resource_discovery::obs::prof::{ProfileMem, ProfileMsg, ProfilePhase};
 use resource_discovery::obs::recorder::{PhaseSummary, WorkerSummary};
 use resource_discovery::obs::{
-    Alert, CausalTrace, MetricsRegistry, ObsReport, Phase, ProfileReport, ProvEdge, RoundObs,
-    RunMeta, RunOutcomeObs,
+    Alert, CausalTrace, DropTally, MetricsRegistry, ObsReport, Phase, ProfileReport, ProvEdge,
+    RoundObs, RunMeta, RunOutcomeObs,
 };
 use std::collections::BTreeMap;
 
@@ -94,11 +94,13 @@ fn random_report(rng: &mut StdRng) -> ObsReport {
             wall_ns: int(rng),
             messages: int(rng),
             pointers: int(rng),
-            dropped_coin: int(rng),
-            dropped_crash: int(rng),
-            dropped_partition: int(rng),
-            dropped_link: int(rng),
-            dropped_suppression: int(rng),
+            drops: DropTally {
+                coin: int(rng),
+                crash: int(rng),
+                partition: int(rng),
+                link: int(rng),
+                suppression: int(rng),
+            },
             retransmissions: int(rng),
             knowledge_delta: maybe(rng, int),
         })
