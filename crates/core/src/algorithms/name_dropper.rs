@@ -16,7 +16,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView, TransferMsg};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, Node, NodeId, PointerList, RoundContext};
+use rd_sim::{Envelope, Node, NodeId, RoundContext};
 
 /// Factory for the Name-Dropper baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -25,12 +25,10 @@ pub struct NameDropper;
 /// Per-node state of Name-Dropper.
 #[derive(Debug, Clone)]
 pub struct NameDropperNode {
+    /// Sent whole every round as a [snapshot](KnowledgeSet::snapshot),
+    /// which lends the set's own list: most rounds teach a node
+    /// nothing, and sending again is then a clone of the handle.
     knowledge: KnowledgeSet,
-    /// The snapshot last sent. Knowledge only grows, so it is still the
-    /// whole of it while the lengths agree, and most rounds teach a
-    /// node nothing: sending again is a clone of the handle. Kept here
-    /// and not in the set, which HM holds four of per node.
-    sent: PointerList,
 }
 
 impl Node for NameDropperNode {
@@ -50,10 +48,7 @@ impl Node for NameDropperNode {
             let rng = ctx.rng();
             self.knowledge.sample_other(rng, me)
         } {
-            if self.sent.len() != self.knowledge.len() {
-                self.sent = self.knowledge.snapshot();
-            }
-            ctx.send(target, TransferMsg::new(self.sent.clone(), target));
+            ctx.send(target, TransferMsg::new(self.knowledge.snapshot(), target));
         }
     }
 }
@@ -93,10 +88,7 @@ impl DiscoveryAlgorithm for NameDropper {
             .map(|(u, ids)| {
                 let mut knowledge = KnowledgeSet::new(NodeId::new(u as u32));
                 knowledge.extend_from_slice(ids);
-                NameDropperNode {
-                    knowledge,
-                    sent: PointerList::new(),
-                }
+                NameDropperNode { knowledge }
             })
             .collect()
     }

@@ -31,7 +31,14 @@
 //! 6. a set that starts with one to seven ids, held in place, agrees
 //!    with the model of 3 while `insert`, bulk merge, `adopt` and its
 //!    settle, `snapshot`, and the `take_fresh` and `mark` windows carry
-//!    it across seven and eight ids.
+//!    it across seven and eight ids;
+//! 7. a set that lends its list to its snapshots — payloads held by
+//!    receivers that adopted them or by nobody, kept across appends or
+//!    dropped in any order, so the set appends in place, to its spare
+//!    brought up to date, and to a whole copy — is a set whose
+//!    snapshots copy: same list, membership and samples, every payload
+//!    the prefix it was lent as, with that prefix's bitmap, and a clone
+//!    never sees the other's appends.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -623,5 +630,210 @@ proptest! {
         // The settled tier is a set again: a second merge is a no-op.
         prop_assert_eq!(set.extend_from_slice(&ids(&second)), 0);
         prop_assert_eq!(set.extend_from_slice(&ids(&held)), 0);
+    }
+}
+
+/// One step of the lending test. Positions pick a set (modulo how many
+/// there are) or a held payload (modulo how many are held).
+#[derive(Debug, Clone)]
+enum LendOp {
+    Insert(usize, u32),
+    Merge(usize, Vec<u32>),
+    /// Adopt a shared payload from outside the family.
+    Adopt(usize, Vec<u32>),
+    /// Take a snapshot and hold it.
+    Snapshot(usize),
+    /// The first set's snapshot, adopted by the second: held by the
+    /// receiver until it settles.
+    Send(usize, usize),
+    /// Drop a held snapshot.
+    Drop(usize),
+    /// Continue with one more set, a clone of this one.
+    Clone(usize),
+    Sample(usize, u64),
+    /// Read the list (which settles).
+    List(usize),
+}
+
+fn arb_lend_op() -> impl Strategy<Value = LendOp> {
+    let arb_ids = || {
+        prop_oneof![
+            // A few ids from a wide range: the sorted tier, and shared
+            // payloads too sparse for a bitmap.
+            proptest::collection::vec(0u32..100_000, 0..12),
+            // Dense enough to spill a set to the bitmap tier.
+            proptest::collection::vec(0u32..2_000, 0..200),
+            (0u32..1_500, 5u32..400).prop_map(|(from, len)| (from..from + len).collect()),
+        ]
+    };
+    let at = || 0usize..4;
+    prop_oneof![
+        (at(), 0u32..2_000).prop_map(|(at, id)| LendOp::Insert(at, id)),
+        (at(), 0u32..100_000).prop_map(|(at, id)| LendOp::Insert(at, id)),
+        (at(), arb_ids()).prop_map(|(at, ids)| LendOp::Merge(at, ids)),
+        (at(), arb_ids()).prop_map(|(at, ids)| LendOp::Adopt(at, ids)),
+        // Lending and dropping, oftener than the rest.
+        at().prop_map(LendOp::Snapshot),
+        at().prop_map(LendOp::Snapshot),
+        (at(), at()).prop_map(|(from, to)| LendOp::Send(from, to)),
+        (at(), at()).prop_map(|(from, to)| LendOp::Send(from, to)),
+        (0usize..16).prop_map(LendOp::Drop),
+        (0usize..16).prop_map(LendOp::Drop),
+        at().prop_map(LendOp::Clone),
+        (at(), any::<u64>()).prop_map(|(at, seed)| LendOp::Sample(at, seed)),
+        at().prop_map(LendOp::List),
+    ]
+}
+
+/// A set that lends and its reference, a set that is never asked for a
+/// snapshot and so keeps its own list: the snapshot it stands for is a
+/// copy of that list.
+struct Lender {
+    set: KnowledgeSet,
+    reference: KnowledgeSet,
+}
+
+impl Lender {
+    fn copied_snapshot(&mut self) -> PointerList {
+        PointerList::shared(self.reference.list())
+    }
+}
+
+/// A payload as it was lent must stay: the ids, and the bitmap a copy
+/// of the same ids offers, which is those ids as a set.
+fn assert_lent_as(payload: &PointerList, copy: &PointerList) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        payload.as_slice(),
+        copy.as_slice(),
+        "a lent payload changed"
+    );
+    prop_assert_eq!(payload.shared_bitmap(), copy.shared_bitmap());
+    if let Some(bitmap) = payload.shared_bitmap() {
+        prop_assert_eq!(
+            bitmap,
+            NodeId::bitmap(payload, NodeId::bitmap_words(payload))
+        );
+    }
+    Ok(())
+}
+
+fn lends_like_a_copying_set(start: &[u32], ops: &[LendOp]) -> Result<(), TestCaseError> {
+    let set: KnowledgeSet = ids(start).into_iter().collect();
+    let mut family = vec![Lender {
+        reference: set.clone(),
+        set,
+    }];
+    // Held snapshots, each with the copy a copying set would have sent.
+    let mut held: Vec<(PointerList, PointerList)> = Vec::new();
+    for op in ops {
+        let n = family.len();
+        let mut probes: &[u32] = &[];
+        match op {
+            LendOp::Insert(at, id) => {
+                let l = &mut family[at % n];
+                let id = NodeId::new(*id);
+                prop_assert_eq!(l.set.insert(id), l.reference.insert(id));
+            }
+            LendOp::Merge(at, raw) => {
+                let l = &mut family[at % n];
+                prop_assert_eq!(
+                    l.set.extend_from_slice(&ids(raw)),
+                    l.reference.extend_from_slice(&ids(raw))
+                );
+                probes = raw;
+            }
+            LendOp::Adopt(at, raw) => {
+                let l = &mut family[at % n];
+                let payload = PointerList::shared(&ids(raw));
+                prop_assert_eq!(l.set.adopt(&payload), l.reference.adopt(&payload));
+                probes = raw;
+            }
+            LendOp::Snapshot(at) => {
+                let l = &mut family[at % n];
+                let lent = l.set.snapshot();
+                let copy = l.copied_snapshot();
+                assert_lent_as(&lent, &copy)?;
+                held.push((lent, copy));
+            }
+            LendOp::Send(from, to) => {
+                let l = &mut family[from % n];
+                let (lent, copy) = (l.set.snapshot(), l.copied_snapshot());
+                assert_lent_as(&lent, &copy)?;
+                let r = &mut family[to % n];
+                prop_assert_eq!(r.set.adopt(&lent), r.reference.adopt(&copy));
+            }
+            LendOp::Drop(which) => {
+                if !held.is_empty() {
+                    let (lent, copy) = held.remove(which % held.len());
+                    assert_lent_as(&lent, &copy)?;
+                }
+            }
+            LendOp::Clone(at) => {
+                let l = &family[at % n];
+                let twin = Lender {
+                    set: l.set.clone(),
+                    reference: l.reference.clone(),
+                };
+                family.push(twin);
+            }
+            LendOp::Sample(at, seed) => {
+                let l = &mut family[at % n];
+                let me = l.reference.list()[0];
+                prop_assert_eq!(
+                    l.set.sample_other(&mut StdRng::seed_from_u64(*seed), me),
+                    l.reference
+                        .sample_other(&mut StdRng::seed_from_u64(*seed), me)
+                );
+            }
+            LendOp::List(at) => {
+                let l = &mut family[at % n];
+                prop_assert_eq!(l.set.list(), l.reference.list());
+            }
+        }
+        // Every set after every step, so that one set's append showing
+        // through another's list — a clone's, or a receiver's held
+        // payload — is caught where it happens.
+        for l in &family {
+            prop_assert_eq!(l.set.len(), l.reference.len());
+            prop_assert_eq!(l.set.to_vec(), l.reference.to_vec());
+            for &probe in probes {
+                for id in [probe, probe ^ 1] {
+                    let id = NodeId::new(id);
+                    prop_assert_eq!(l.set.contains(id), l.reference.contains(id));
+                }
+            }
+        }
+        for (lent, copy) in &held {
+            assert_lent_as(lent, copy)?;
+        }
+    }
+    for l in &mut family {
+        prop_assert_eq!(l.set.list(), l.reference.list());
+        prop_assert_eq!(l.set.take_fresh(), l.reference.take_fresh());
+        for probe in (0..2_100).map(NodeId::new) {
+            prop_assert_eq!(l.set.contains(probe), l.reference.contains(probe));
+        }
+        let (lent, copy) = (l.set.snapshot(), l.copied_snapshot());
+        assert_lent_as(&lent, &copy)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A set whose snapshots lend its list ≡ a set whose snapshots copy
+    /// it, from one id (the small tier, left for the sorted tier and
+    /// the bitmap while lent), from a sparse set, and from a dense one.
+    #[test]
+    fn lending_snapshots_is_copying_them(
+        start in prop_oneof![
+            proptest::collection::vec(0u32..64, 1..3),
+            proptest::collection::vec(0u32..100_000, 8..40),
+            proptest::collection::vec(0u32..1_500, 100..600),
+        ],
+        ops in proptest::collection::vec(arb_lend_op(), 1..60),
+    ) {
+        lends_like_a_copying_set(&start, &ops)?;
     }
 }

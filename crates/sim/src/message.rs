@@ -71,10 +71,14 @@ const INLINE_POINTERS: usize = 4;
 /// [`NodeId::worth_a_bitmap`], which also decides a knowledge set's
 /// tier) offers the same ids as a bitmap
 /// ([`shared_bitmap`](Self::shared_bitmap)) — the sender's own where it
-/// has one ([`shared_with_bitmap`](Self::shared_with_bitmap)), else
-/// built by the first receiver that asks — shared like the ids, so a
-/// receiver can compare a whole payload against what it knows 64 ids
-/// per instruction.
+/// lends one ([`LentList::lend`]), else built by the first receiver
+/// that asks — shared like the ids, so a receiver can compare a whole
+/// payload against what it knows 64 ids per instruction.
+///
+/// A sender that sends its whole knowledge again and again does not
+/// copy it into each payload: it keeps its list behind a [`LentList`]
+/// and lends that, so a payload is the sender's own list, frozen for as
+/// long as someone holds it.
 ///
 /// The type behaves like a read-mostly `Vec<NodeId>`: build it with
 /// [`push`](Self::push), [`collect`](Iterator::collect), or a
@@ -95,9 +99,10 @@ enum Repr {
 
 /// One shared payload: the ids in sending order and — from the sender,
 /// or once a receiver has asked — the same ids as a set (`None`: too
-/// sparse to have one).
+/// sparse to have one). A `Vec`, so that the one holder of a
+/// [`LentList`] can append to it in place.
 struct SharedIds {
-    ids: Box<[NodeId]>,
+    ids: Vec<NodeId>,
     bitmap: OnceLock<Option<Box<[u64]>>>,
 }
 
@@ -119,46 +124,19 @@ impl PointerList {
     /// size the ids live in one reference-counted allocation that every
     /// clone shares.
     pub fn shared(ids: &[NodeId]) -> Self {
-        Self::share(ids, OnceLock::new())
-    }
-
-    /// A [shared](Self::shared) list of distinct ids whose sender
-    /// already holds them as a set: `bitmap` (id `i` is bit `i % 64` of
-    /// word `i / 64`, any number of trailing empty words) is copied
-    /// instead of being rebuilt per id by the first receiver. What
-    /// [`shared_bitmap`](Self::shared_bitmap) answers is what it would
-    /// have answered for `shared(ids)`. That the ids are distinct is a
-    /// precondition receivers rely on — a list that brings a bitmap is
-    /// merged without a look at whether an id came twice — and, like
-    /// the bitmap being theirs, is only checked in debug builds.
-    pub fn shared_with_bitmap(ids: &[NodeId], bitmap: &[u64]) -> Self {
-        debug_assert_eq!(
-            popcount(bitmap),
-            ids.len(),
-            "the bitmap holds exactly the listed ids"
-        );
-        debug_assert!(ids
-            .iter()
-            .all(|id| bitmap[id.index() / 64] >> (id.index() % 64) & 1 == 1));
-        let words = bitmap.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
-        let bitmap = NodeId::worth_a_bitmap(ids.len(), words).then(|| bitmap[..words].into());
-        Self::share(ids, OnceLock::from(bitmap))
-    }
-
-    fn share(ids: &[NodeId], bitmap: OnceLock<Option<Box<[u64]>>>) -> Self {
         if ids.len() <= INLINE_POINTERS {
             PointerList::from(ids)
         } else {
             PointerList(Repr::Shared(Arc::new(SharedIds {
-                ids: ids.into(),
-                bitmap,
+                ids: ids.to_vec(),
+                bitmap: OnceLock::new(),
             })))
         }
     }
 
     /// The ids of a shared list as a bitmap (id `i` is bit `i % 64` of
     /// word `i / 64`, no trailing empty word). Unless the sender
-    /// [supplied](Self::shared_with_bitmap) it, the first call builds
+    /// [lent](LentList::lend) it, the first call builds
     /// it; every clone of the list, on any thread, then reads the same
     /// words. An un-sharing [`push`](Self::push) leaves it behind with
     /// the shared ids.
@@ -359,6 +337,98 @@ impl MessageCost for PointerList {
     }
 }
 
+/// A list of distinct ids that its holder appends to and lends out as
+/// [shared](PointerList::shared) payloads without copying it: one
+/// reference-counted allocation, which a payload [lent](Self::lend)
+/// from it shares and its holder appends to in place
+/// ([`ids_mut`](Self::ids_mut)) once no payload holds it any more.
+/// Lending again after nothing was appended is a clone of the handle;
+/// after an append, the holder offers its bitmap of the grown list
+/// anew.
+///
+/// A knowledge set keeps its learning-order list in one of these once
+/// it has sent it as a snapshot; the set, not the handle, decides what
+/// to do while a payload still holds the list.
+#[derive(Clone)]
+pub struct LentList(Arc<SharedIds>);
+
+impl LentList {
+    /// A handle on `ids`, which must be distinct; nothing is offered as
+    /// a bitmap yet.
+    pub fn new(ids: Vec<NodeId>) -> Self {
+        LentList(Arc::new(SharedIds {
+            ids,
+            bitmap: OnceLock::new(),
+        }))
+    }
+
+    /// The ids.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.0.ids
+    }
+
+    /// The ids to append to, if this handle is the list's only holder
+    /// (`None` while a lent payload still holds it). Whatever bitmap a
+    /// lend offered is withdrawn: the list is about to outgrow it.
+    pub fn ids_mut(&mut self) -> Option<&mut Vec<NodeId>> {
+        let shared = Arc::get_mut(&mut self.0)?;
+        shared.bitmap.take();
+        Some(&mut shared.ids)
+    }
+
+    /// The list as a payload, shared with this handle (or inline, up to
+    /// four ids, as [`shared`](PointerList::shared) keeps them). `bitmap`
+    /// — the holder's own set of exactly these ids, id `i` bit `i % 64`
+    /// of word `i / 64`, any number of trailing empty words — is offered
+    /// to receivers as the payload's
+    /// [`shared_bitmap`](PointerList::shared_bitmap) unless one is on
+    /// offer already: trimmed and copied, once per length of the list.
+    /// With `None` the first receiver that asks builds it. That the ids
+    /// are distinct and the bitmap theirs is a precondition receivers
+    /// rely on, checked only in debug builds.
+    pub fn lend(&self, bitmap: Option<&[u64]>) -> PointerList {
+        let ids = self.ids();
+        if let Some(bitmap) = bitmap {
+            self.0.bitmap.get_or_init(|| {
+                debug_assert_eq!(
+                    popcount(bitmap),
+                    ids.len(),
+                    "the bitmap holds exactly the listed ids"
+                );
+                debug_assert!(ids
+                    .iter()
+                    .all(|id| bitmap[id.index() / 64] >> (id.index() % 64) & 1 == 1));
+                let words = bitmap.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
+                NodeId::worth_a_bitmap(ids.len(), words).then(|| bitmap[..words].into())
+            });
+        }
+        if ids.len() <= INLINE_POINTERS {
+            PointerList::from(ids)
+        } else {
+            PointerList(Repr::Shared(Arc::clone(&self.0)))
+        }
+    }
+
+    /// Heap bytes of the list and of the bitmap on offer (capacities).
+    pub fn heap_bytes(&self) -> usize {
+        let offered = self.0.bitmap.get().and_then(Option::as_ref);
+        self.0.ids.capacity() * std::mem::size_of::<NodeId>()
+            + offered.map_or(0, |words| words.len() * std::mem::size_of::<u64>())
+    }
+
+    /// The ids as a vector: the list itself if no payload holds it,
+    /// else a copy.
+    pub fn into_vec(self) -> Vec<NodeId> {
+        Arc::try_unwrap(self.0).map_or_else(|shared| shared.ids.clone(), |own| own.ids)
+    }
+}
+
+impl fmt::Debug for LentList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.ids()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,19 +563,21 @@ mod tests {
         assert!(std::ptr::eq(first, shared.shared_bitmap().unwrap()));
     }
 
+    /// A sender's own bitmap, eight words whatever the ids need.
+    fn bitmap_of(ids: &[NodeId]) -> Vec<u64> {
+        let mut words = vec![0u64; 8];
+        for id in ids {
+            words[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        words
+    }
+
     #[test]
-    fn a_sender_supplied_bitmap_is_the_one_a_receiver_would_have_built() {
-        // A sender's own bitmap, eight words whatever the ids need.
-        let bitmap_of = |ids: &[NodeId]| {
-            let mut words = vec![0u64; 8];
-            for id in ids {
-                words[id.index() / 64] |= 1 << (id.index() % 64);
-            }
-            words
-        };
+    fn a_lent_bitmap_is_the_one_a_receiver_would_have_built() {
         let ids = nid([3, 130, 64, 7, 129]);
         let mut sender = bitmap_of(&ids);
-        let supplied = PointerList::shared_with_bitmap(&ids, &sender);
+        let lent = LentList::new(ids.clone());
+        let supplied = lent.lend(Some(&sender));
         assert!(matches!(supplied.0, Repr::Shared(_)));
         assert_eq!(supplied, PointerList::from(ids.clone()));
         let words = supplied.shared_bitmap().expect("dense enough");
@@ -518,6 +590,11 @@ mod tests {
             words,
             supplied.clone().shared_bitmap().unwrap()
         ));
+        // Lending the same list again offers the same words.
+        assert!(std::ptr::eq(
+            words,
+            lent.lend(None).shared_bitmap().unwrap()
+        ));
         let mut pushed = supplied.clone();
         pushed.push(NodeId::new(500));
         assert_eq!(pushed.shared_bitmap(), None);
@@ -528,16 +605,13 @@ mod tests {
         // No more ids than words: shared, but no bitmap — the last id a
         // word nearer and it has one. Up to four ids the list stays
         // inline.
-        let sparse = nid([1, 2, 3, 4, 5 * 64 - 1]);
-        let sparse = PointerList::shared_with_bitmap(&sparse, &bitmap_of(&sparse));
+        let lend = |ids: Vec<NodeId>| LentList::new(ids.clone()).lend(Some(&bitmap_of(&ids)));
+        let sparse = lend(nid([1, 2, 3, 4, 5 * 64 - 1]));
         assert!(matches!(sparse.0, Repr::Shared(_)));
         assert_eq!(sparse.shared_bitmap(), None);
-        let dense_enough = nid([1, 2, 3, 4, 4 * 64 - 1]);
-        let dense_enough =
-            PointerList::shared_with_bitmap(&dense_enough, &bitmap_of(&dense_enough));
+        let dense_enough = lend(nid([1, 2, 3, 4, 4 * 64 - 1]));
         assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(4));
-        let short = nid([1, 2, 3, 300]);
-        let short = PointerList::shared_with_bitmap(&short, &bitmap_of(&short));
+        let short = lend(nid([1, 2, 3, 300]));
         assert!(matches!(short.0, Repr::Inline { len: 4, .. }));
         assert_eq!(short.shared_bitmap(), None);
     }
@@ -545,8 +619,46 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "exactly the listed ids")]
-    fn a_supplied_bitmap_must_hold_exactly_the_listed_ids() {
-        let _ = PointerList::shared_with_bitmap(&nid(0..6), &[0b1111111]);
+    fn a_lent_bitmap_must_hold_exactly_the_listed_ids() {
+        let _ = LentList::new(nid(0..6)).lend(Some(&[0b1111111]));
+    }
+
+    #[test]
+    fn a_lent_list_grows_in_place_once_no_payload_holds_it() {
+        let mut lent = LentList::new(Vec::with_capacity(16));
+        lent.ids_mut().expect("nothing lent yet").extend(nid(0..6));
+        let payload = lent.lend(Some(&bitmap_of(&nid(0..6))));
+        assert_eq!(payload.as_slice().as_ptr(), lent.ids().as_ptr());
+        assert!(lent.ids_mut().is_none(), "a payload holds the list");
+        assert_eq!(lent.heap_bytes(), 16 * 4 + 8);
+        drop(payload);
+        // The holder appends where the payload was, and the bitmap it
+        // offered is withdrawn with the first id the payload lacked.
+        let before = lent.ids().as_ptr();
+        lent.ids_mut()
+            .expect("no payload left")
+            .push(NodeId::new(6));
+        assert_eq!(lent.ids().as_ptr(), before);
+        assert_eq!(lent.heap_bytes(), 16 * 4);
+        let grown = lent.lend(None);
+        assert_eq!(grown.as_slice(), nid(0..7).as_slice());
+        assert_eq!(
+            grown.shared_bitmap(),
+            Some(&[0b111_1111][..]),
+            "built on asking"
+        );
+        let again = lent.lend(Some(&[u64::MAX]));
+        assert!(std::ptr::eq(
+            grown.shared_bitmap().unwrap(),
+            again.shared_bitmap().unwrap()
+        ));
+        // Handed out as a vector: copied while a payload holds it, moved
+        // once none does.
+        let copy = lent.clone().into_vec();
+        assert_ne!(copy.as_ptr(), lent.ids().as_ptr());
+        drop((grown, again));
+        let moved = lent.into_vec();
+        assert_eq!(moved.as_ptr(), before);
     }
 
     #[test]
