@@ -1,6 +1,7 @@
 //! Wire messages of the cluster-merge protocol.
 
 use rd_sim::{MessageCost, NodeId, PointerList};
+use std::sync::Arc;
 
 /// Protocol messages of the reconstructed Haeupler–Malkhi algorithm.
 ///
@@ -55,14 +56,14 @@ pub enum HmMsg {
         /// The node that was probed (lets the prober retire the probe).
         target: NodeId,
     },
-    /// Smaller leader → larger leader: "absorb my whole cluster".
-    Join {
-        /// Every member of the joining cluster (its leader included).
-        members: PointerList,
-        /// The joining cluster's unexplored pointers, handed over so no
-        /// discovery lead is ever lost in a merge.
-        frontier: PointerList,
-    },
+    /// Smaller leader → larger leader: "absorb my whole cluster". The
+    /// payload is `(members, frontier)`: every member of the joining
+    /// cluster (its leader included), and the cluster's unexplored
+    /// pointers, handed over so no discovery lead is ever lost in a
+    /// merge. One shared allocation, held by the sender until the join
+    /// is acknowledged, so a retry costs a reference count — and the
+    /// rare join does not size every other message.
+    Join(Arc<(PointerList, PointerList)>),
     /// Larger leader → smaller leader: "you should join me" (sent when
     /// the discovery was one-sided in the wrong direction).
     Invite {
@@ -91,7 +92,7 @@ impl MessageCost for HmMsg {
             HmMsg::ReportAck { .. } => 0,
             HmMsg::Assign { .. } | HmMsg::Probe { .. } => 1,
             HmMsg::ProbeFwd { .. } | HmMsg::ProbeReply { .. } => 2,
-            HmMsg::Join { members, frontier } => members.len() + frontier.len(),
+            HmMsg::Join(join) => join.0.len() + join.1.len(),
             HmMsg::Invite { .. } | HmMsg::Adopt { .. } => 1,
         }
     }
@@ -117,9 +118,9 @@ impl MessageCost for HmMsg {
                 visit(*leader);
                 visit(*target);
             }
-            HmMsg::Join { members, frontier } => {
-                members.visit_ids(visit);
-                frontier.visit_ids(visit);
+            HmMsg::Join(join) => {
+                join.0.visit_ids(visit);
+                join.1.visit_ids(visit);
             }
             HmMsg::Invite { leader } | HmMsg::Adopt { leader } => visit(*leader),
         }
@@ -157,10 +158,10 @@ mod tests {
             2
         );
         assert_eq!(
-            HmMsg::Join {
-                members: vec![id(1), id(2), id(3)].into(),
-                frontier: vec![id(9)].into()
-            }
+            HmMsg::Join(Arc::new((
+                vec![id(1), id(2), id(3)].into(),
+                vec![id(9)].into()
+            )))
             .pointers(),
             4
         );

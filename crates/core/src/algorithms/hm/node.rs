@@ -26,6 +26,12 @@ const MERGE: u64 = 5;
 /// target to probe, and merge clusters along discovered leader–leader
 /// edges, always toward the larger identifier. See `DESIGN.md` §3.2 for
 /// the full protocol narrative and the complexity argument.
+///
+/// The exploration state marked *leader-only* below lives as long as
+/// the node leads. A node stops leading when its cluster joins a larger
+/// leader, and then gives that state up — buffers and all — because a
+/// non-leader never reads it and can lead again only by failing over,
+/// which rebuilds it from `members` and `knowledge`.
 #[derive(Debug, Clone)]
 pub struct HmNode {
     me: NodeId,
@@ -34,7 +40,8 @@ pub struct HmNode {
     knowledge: KnowledgeSet,
     /// Current leader pointer (`me` while this node leads).
     leader: NodeId,
-    /// Leader-only: cluster members (this node first).
+    /// Cluster members (this node first). Kept past demotion: a failed
+    /// over ex-leader resumes leading the members it had.
     members: KnowledgeSet,
     /// Leader-only: external ids awaiting a probe, oldest first.
     frontier: VecDeque<NodeId>,
@@ -56,9 +63,9 @@ pub struct HmNode {
     /// Member-side: `(epoch, ids covered)` of the report in flight.
     inflight_report: Option<(u64, usize)>,
     /// Ex-leader: the join payload — members and handed-over frontier,
-    /// built once as shared lists — retried by handle every merge phase
-    /// until an [`HmMsg::Adopt`] proves some leader absorbed it.
-    pending_join: Option<(PointerList, PointerList)>,
+    /// built once — retried by handle every merge phase until an
+    /// [`HmMsg::Adopt`] proves some leader absorbed it.
+    pending_join: Option<Arc<(PointerList, PointerList)>>,
     /// Member-side: a roster has been received (speculative completion).
     got_roster: bool,
     /// The failure detector's report as last digested. Held, not
@@ -66,7 +73,7 @@ pub struct HmNode {
     /// a node that slept through several reports diffs this one against
     /// whichever is current when it wakes.
     suspected: Arc<SuspectView>,
-    /// Leader-side scratch of [`digest_suspects`](Self::digest_suspects):
+    /// Leader-only scratch of [`digest_suspects`](Self::digest_suspects):
     /// the ids of frontier ∪ outstanding as a bitmap, kept between
     /// digests so that a retraction allocates nothing.
     queued: Vec<u64>,
@@ -202,9 +209,12 @@ impl HmNode {
             // More often than not this is how the node first learns of
             // `r` at all.
             self.knowledge.insert(r);
+            if !leads {
+                continue;
+            }
             self.seen.insert(r);
             let (w, b) = (r.index() / 64, 1 << (r.index() % 64));
-            if leads && !self.members.contains(r) && queued[w] & b == 0 {
+            if !self.members.contains(r) && queued[w] & b == 0 {
                 queued[w] |= b;
                 self.frontier.push_back(r);
             }
@@ -279,24 +289,23 @@ impl HmNode {
 
     fn absorb_join(
         &mut self,
-        members: PointerList,
-        frontier: PointerList,
+        (members, frontier): &(PointerList, PointerList),
         ctx: &mut RoundContext<'_, HmMsg>,
     ) {
-        self.knowledge.extend_from_slice(&members);
-        self.knowledge.extend_from_slice(&frontier);
+        self.knowledge.extend_from_slice(members);
+        self.knowledge.extend_from_slice(frontier);
         let held = self.members.mark();
-        self.members.extend_from_slice(&members);
+        self.members.extend_from_slice(members);
         self.seen.extend_from_slice(self.members.since(held));
         // Adopt is (re)sent even for members we already hold: a retried
         // Join means the original Adopt may have been lost, and the
         // Adopt doubles as the join acknowledgement.
-        for m in members {
+        for m in members.iter() {
             if m != self.me {
                 ctx.send(m, HmMsg::Adopt { leader: self.me });
             }
         }
-        for f in frontier {
+        for f in frontier.iter() {
             self.enqueue_external(f);
         }
     }
@@ -411,11 +420,11 @@ impl HmNode {
                     self.forward(ctx, HmMsg::ProbeReply { leader, target });
                 }
             }
-            HmMsg::Join { members, frontier } => {
+            HmMsg::Join(join) => {
                 if self.is_leader() {
-                    self.absorb_join(members, frontier, ctx);
+                    self.absorb_join(&join, ctx);
                 } else {
-                    self.forward(ctx, HmMsg::Join { members, frontier });
+                    self.forward(ctx, HmMsg::Join(join));
                 }
             }
             HmMsg::Invite { leader } => {
@@ -572,13 +581,9 @@ impl HmNode {
     fn phase_merge(&mut self, ctx: &mut RoundContext<'_, HmMsg>) {
         // Join retry: until some leader's Adopt confirms our payload was
         // absorbed, re-send it along the freshest leader pointer we hold.
-        if let Some((members, frontier)) = &self.pending_join {
+        if let Some(join) = &self.pending_join {
             debug_assert!(!self.is_leader());
-            let msg = HmMsg::Join {
-                members: members.clone(),
-                frontier: frontier.clone(),
-            };
-            ctx.send(self.leader, msg);
+            ctx.send(self.leader, HmMsg::Join(Arc::clone(join)));
             return;
         }
         if !self.is_leader() {
@@ -630,19 +635,26 @@ impl HmNode {
         handover.append(&mut self.outstanding);
         handover.extend(above.iter().copied().filter(|&d| d != target));
         handover.append(&mut self.pending_invites);
-        self.discovered.clear();
-        let members = PointerList::shared(self.members.list());
-        let frontier = PointerList::shared(&handover);
-        ctx.send(
-            target,
-            HmMsg::Join {
-                members: members.clone(),
-                frontier: frontier.clone(),
-            },
-        );
+        let join = Arc::new((self.members.list().into(), handover.into()));
+        ctx.send(target, HmMsg::Join(Arc::clone(&join)));
         self.leader = target;
         self.knowledge.insert(target);
-        self.pending_join = Some((members, frontier));
+        self.pending_join = Some(join);
+        self.give_up_the_lead();
+    }
+
+    /// Demotion: frees the leader-only state. The queues are empty by
+    /// now (their leads went into the join); `seen` is dropped whole.
+    /// Nothing here is read again unless [`fail_over`](Self::fail_over)
+    /// makes this node lead, and that rebuilds every one of them.
+    fn give_up_the_lead(&mut self) {
+        debug_assert!(!self.is_leader());
+        self.frontier = VecDeque::new();
+        self.seen = KnowledgeSet::default();
+        self.outstanding = Vec::new();
+        self.discovered = Vec::new();
+        self.pending_invites = Vec::new();
+        self.queued = Vec::new();
     }
 }
 
@@ -712,7 +724,9 @@ mod tests {
     /// The digest as it stood when every node kept its own
     /// `KnowledgeSet` of suspects and compared report lists: the
     /// reference the view-diffing digest is tested against. `suspected`
-    /// stands in for the field the node no longer has.
+    /// stands in for the field the node no longer has. One change since:
+    /// only a leader marks a revived id `seen`, the leader-only state a
+    /// demoted node gives up.
     fn digest_by_lists(node: &mut HmNode, suspected: &mut KnowledgeSet, report: &[NodeId]) {
         if report.is_empty() && suspected.is_empty() {
             return;
@@ -743,9 +757,11 @@ mod tests {
         }
         for r in revived {
             node.knowledge.insert(r);
+            if !node.is_leader() {
+                continue;
+            }
             node.seen.insert(r);
-            if node.is_leader()
-                && !node.members.contains(r)
+            if !node.members.contains(r)
                 && !node.frontier.contains(&r)
                 && !node.outstanding.contains(&r)
             {
@@ -853,11 +869,12 @@ mod tests {
     }
 
     /// Node 0 runs the protocol; the others only exist to send it one
-    /// scripted message and then crash.
+    /// scripted message (and then crash), or to keep what it sends them.
     #[derive(Debug)]
     enum Actor {
         Hm(Box<HmNode>),
         Sends(Option<HmMsg>),
+        Hears(Vec<(u64, HmMsg)>),
     }
 
     impl Node for Actor {
@@ -875,8 +892,18 @@ mod tests {
                         ctx.send(NodeId::new(0), msg);
                     }
                 }
+                Actor::Hears(heard) => {
+                    heard.extend(inbox.drain(..).map(|env| (ctx.round(), env.payload)));
+                }
             }
         }
+    }
+
+    fn protocol_node(engine: &Engine<Actor>) -> &HmNode {
+        let Actor::Hm(node) = &engine.nodes()[0] else {
+            unreachable!("node 0 is the protocol node")
+        };
+        node
     }
 
     /// Node 1 sends node 0 a roster naming nodes 1 to 5 and all five
@@ -901,9 +928,7 @@ mod tests {
         (0..PHASES)
             .map(|_| {
                 engine.step();
-                let Actor::Hm(leader) = &engine.nodes()[0] else {
-                    unreachable!("node 0 is the protocol node")
-                };
+                let leader = protocol_node(&engine);
                 assert!(leader.is_leader());
                 assert_eq!(leader.believes_done(), leader.is_quiescent());
                 (
@@ -941,5 +966,127 @@ mod tests {
         let known: Vec<NodeId> = (0..=5).map(NodeId::new).collect();
         assert_eq!(adopted[1], (false, known.clone(), true));
         assert_eq!(adopted[PHASES as usize - 1], (true, known, true));
+    }
+
+    /// Heap bytes of the state only a leader reads.
+    fn leader_only_bytes(node: &HmNode) -> usize {
+        let ids = node.frontier.capacity()
+            + node.outstanding.capacity()
+            + node.discovered.capacity()
+            + node.pending_invites.capacity();
+        ids * std::mem::size_of::<NodeId>()
+            + node.queued.capacity() * std::mem::size_of::<u64>()
+            + (node.seen.resident_bytes() - std::mem::size_of::<KnowledgeSet>())
+    }
+
+    #[test]
+    fn leaders_demoted_in_a_run_hold_no_leader_only_state() {
+        use crate::algorithms::{DiscoveryAlgorithm, HmDiscovery};
+        let graph = rd_graphs::Topology::KOut { k: 3 }.generate(256, 7);
+        let initial = crate::problem::initial_knowledge(&graph);
+        let nodes = HmDiscovery::new(HmConfig::default()).make_nodes(&initial);
+        let mut engine = Engine::new(nodes, 7);
+        // Fault-free, so every demotion is a merge's and nothing fails
+        // over: a non-leader holds none of it from then on.
+        while !crate::problem::everyone_knows_everyone(engine.nodes()) {
+            engine.step();
+            for node in engine.nodes().iter().filter(|node| !node.is_leader()) {
+                assert_eq!(leader_only_bytes(node), 0, "round {}", engine.round());
+            }
+        }
+        let leaders = engine.nodes().iter().filter(|node| node.is_leader());
+        assert_eq!(leaders.count(), 1);
+    }
+
+    /// Node 0 leads the cluster node 1 joins with two leads, hears of
+    /// leader 5, and joins it at its first merge phase; nothing reaches
+    /// it in that round. Returns node 0 before that round and after it.
+    fn demoted_by_a_merge() -> (HmNode, HmNode) {
+        let ids = |raw: &[u32]| {
+            raw.iter()
+                .copied()
+                .map(NodeId::new)
+                .collect::<PointerList>()
+        };
+        let me = HmNode::new(NodeId::new(0), &ids(&[2, 3]), HmConfig::default());
+        let mut actors = vec![
+            Actor::Hm(Box::new(me)),
+            Actor::Sends(Some(HmMsg::Join(Arc::new((ids(&[1]), ids(&[6, 7])))))),
+            Actor::Sends(Some(HmMsg::Invite {
+                leader: NodeId::new(5),
+            })),
+        ];
+        actors.extend((3..8).map(|_| Actor::Sends(None)));
+        let mut engine = Engine::new(actors, 5);
+        for _ in 0..PHASES {
+            let before = protocol_node(&engine).clone();
+            engine.step();
+            if !protocol_node(&engine).is_leader() {
+                return (before, protocol_node(&engine).clone());
+            }
+        }
+        panic!("node 0 never joined leader 5");
+    }
+
+    #[test]
+    fn a_merge_that_demotes_a_leader_frees_its_leader_only_state() {
+        let (before, after) = demoted_by_a_merge();
+        assert!(before.is_leader() && before.seen.len() > 4);
+        assert!(leader_only_bytes(&before) > 0);
+        assert_eq!(after.leader(), NodeId::new(5));
+        assert_eq!(leader_only_bytes(&after), 0);
+        // Members stay: failing over resumes leading them.
+        assert_eq!(after.members(), before.members());
+    }
+
+    /// Runs `node` as node 0 of eight for two super-rounds in which its
+    /// leader, node 5, is down from the start and reported one round
+    /// later. Returns node 0's state at the end and everything the
+    /// others heard from it, by round.
+    fn failing_over(node: HmNode) -> (HmNode, Vec<Vec<(u64, HmMsg)>>) {
+        let mut actors = vec![Actor::Hm(Box::new(node))];
+        actors.extend((1..8).map(|_| Actor::Hears(Vec::new())));
+        let faults = FaultPlan::new()
+            .with_crash_at(5, 0)
+            .with_crash_detection_after(1);
+        let mut engine = Engine::new(actors, 5).with_faults(faults);
+        for _ in 0..2 * PHASES {
+            engine.step();
+        }
+        let heard = engine.nodes()[1..]
+            .iter()
+            .map(|actor| match actor {
+                Actor::Hears(heard) => heard.clone(),
+                _ => unreachable!("nodes 1 to 7 listen"),
+            })
+            .collect();
+        (protocol_node(&engine).clone(), heard)
+    }
+
+    #[test]
+    fn failing_over_after_demotion_rebuilds_what_was_given_up() {
+        let (before, demoted) = demoted_by_a_merge();
+        // The node as it stood when demotion gave nothing up: `seen`
+        // whole, the queues emptied into the join but still sized.
+        let mut kept = demoted.clone();
+        kept.seen = before.seen.clone();
+        kept.queued = before.queued.clone();
+        kept.frontier.reserve(before.frontier.capacity());
+        kept.outstanding.reserve(before.outstanding.capacity());
+        kept.discovered.reserve(before.discovered.capacity());
+        kept.pending_invites
+            .reserve(before.pending_invites.capacity());
+        assert!(leader_only_bytes(&kept) > 0);
+        let (mut node, heard) = failing_over(demoted);
+        let (mut reference, reference_heard) = failing_over(kept);
+        assert!(node.is_leader() && reference.is_leader());
+        assert_eq!(node.frontier, reference.frontier);
+        assert_eq!(node.outstanding, reference.outstanding);
+        assert_eq!(node.seen.list(), reference.seen.list());
+        assert_eq!(heard, reference_heard);
+        // Not vacuous: the new leader's cluster was told to explore.
+        assert!(heard[0]
+            .iter()
+            .any(|(_, msg)| matches!(msg, HmMsg::Assign { .. })));
     }
 }

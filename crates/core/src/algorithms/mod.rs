@@ -72,7 +72,9 @@ impl MessageCost for TransferMsg {
 pub trait KnowledgeView {
     /// Does this node know `id`?
     fn knows(&self, id: NodeId) -> bool;
-    /// Number of identifiers this node knows.
+    /// Number of distinct identifiers this node knows. The completion
+    /// predicates rely on the distinctness: n ids of a node, all below
+    /// n, are the whole population.
     fn knows_count(&self) -> usize;
     /// All identifiers this node knows.
     fn known_ids(&self) -> Vec<NodeId>;

@@ -1467,6 +1467,20 @@ mod tests {
     }
 
     #[test]
+    fn hm_nodes_and_envelopes_keep_their_sizes() {
+        use crate::algorithms::hm::{HmMsg, HmNode};
+        use std::mem::size_of;
+        // Every node holds its state for the whole run and every
+        // envelope is sized for the largest message. A join is one
+        // shared allocation, so the largest message is a report and a
+        // node's join retry handle is one pointer.
+        assert!(size_of::<HmNode>() <= 432, "{}", size_of::<HmNode>());
+        assert!(size_of::<HmMsg>() <= 48, "{}", size_of::<HmMsg>());
+        let envelope = size_of::<rd_sim::Envelope<HmMsg>>();
+        assert!(envelope <= 56, "{envelope}");
+    }
+
+    #[test]
     fn extend_trait_matches_inherent() {
         let mut k = KnowledgeSet::new(id(0));
         Extend::extend(&mut k, [id(1), id(2)]);

@@ -160,6 +160,23 @@ impl LiveMask {
         self.mask[i / 64] >> (i % 64) & 1 == 1
     }
 
+    /// Whether `node` knows every live node. A node knowing fewer ids
+    /// than there are live nodes cannot — an O(1) count check that
+    /// prunes the word-level [`covers`](KnowledgeView::covers). With
+    /// every node live the live ids are all of `0..n`, and a node that
+    /// knows at least n ids, none of them n or above, knows exactly
+    /// those: its count and its largest id answer without the words.
+    /// Any other mask, or a node knowing an id ≥ n (the fabricated-ids
+    /// check's concern, not this one's), asks `covers`.
+    fn knows_every_live<N: KnowledgeView>(&self, node: &N) -> bool {
+        if node.knows_count() < self.count {
+            return false;
+        }
+        let everyone_live = self.count == self.nodes;
+        (everyone_live && node.max_known().is_some_and(|top| top.index() < self.nodes))
+            || node.covers(&self.mask)
+    }
+
     /// [`everyone_knows_everyone`] restricted to the live nodes: every
     /// live node knows every live node. With every node live this is the
     /// unrestricted predicate.
@@ -169,13 +186,10 @@ impl LiveMask {
     /// Panics if the mask is not of `nodes.len()` nodes.
     pub fn everyone_knows_everyone<N: KnowledgeView>(&self, nodes: &[N]) -> bool {
         assert_eq!(nodes.len(), self.nodes, "live mask size mismatch");
-        // A node knowing fewer ids than there are live nodes cannot know
-        // them all — the O(1) count check prunes the word-level coverage
-        // test, which matters because the harness evaluates this every
-        // round.
-        nodes.iter().enumerate().all(|(i, node)| {
-            !self.is_live(i) || (node.knows_count() >= self.count && node.covers(&self.mask))
-        })
+        nodes
+            .iter()
+            .enumerate()
+            .all(|(i, node)| !self.is_live(i) || self.knows_every_live(node))
     }
 
     /// [`leader_knows_all`] restricted to the live nodes: some live ℓ
@@ -186,11 +200,9 @@ impl LiveMask {
     /// Panics if the mask is not of `nodes.len()` nodes.
     pub fn leader_knows_all<N: KnowledgeView>(&self, nodes: &[N]) -> bool {
         assert_eq!(nodes.len(), self.nodes, "live mask size mismatch");
-        // Same count-based prune as `everyone_knows_everyone`.
         nodes.iter().enumerate().any(|(i, node)| {
             self.is_live(i)
-                && node.knows_count() >= self.count
-                && node.covers(&self.mask)
+                && self.knows_every_live(node)
                 && nodes
                     .iter()
                     .enumerate()

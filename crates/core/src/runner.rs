@@ -781,10 +781,14 @@ where
         // Crashed nodes legitimately miss initial knowledge updates.
         sound &= verify::retains_initial_knowledge(nodes, initial);
     }
-    if completed && completion == Completion::EveryoneKnowsEveryone {
-        sound &= live_mask.everyone_knows_everyone(nodes);
-        // Redundant given the predicate above, but it exercises the
-        // fault-aware check the churn property tests rely on.
+    // Completion under `EveryoneKnowsEveryone` is the last `is_done`
+    // answering true on these very nodes, so it is not asked again. That
+    // answer implies the live-component check: every live node knows
+    // every live node, its own component's included. A fault-free
+    // instance is one weakly connected component, where the check would
+    // repeat the predicate itself; it runs only with a node dead, as the
+    // in-run cross-check of the oracle the churn property tests rely on.
+    if completed && completion == Completion::EveryoneKnowsEveryone && live.contains(&false) {
         sound &= verify::live_component_complete(nodes, initial, &live);
     }
 
@@ -860,6 +864,49 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `alg` fault-free, then replays the same instance on the
+    /// same engine for the run's rounds and asks the live-component
+    /// oracle of the nodes it ends with — the check the run itself
+    /// skips when every node is live.
+    fn fault_free_run_covers_the_live_component<A>(alg: &A, config: &RunConfig)
+    where
+        A: DiscoveryAlgorithm,
+        A::NodeState: Node + Send,
+        <A::NodeState as Node>::Msg: Send,
+    {
+        assert!(config.faults.is_fault_free());
+        let report = run_algorithm(alg, config);
+        assert!(report.completed && report.sound, "{report:?}");
+        let initial = problem::initial_knowledge(&config.topology.generate(config.n, config.seed));
+        let mut engine = Engine::new(alg.make_nodes(&initial), config.seed);
+        while engine.round() < report.rounds {
+            engine.step();
+        }
+        let live = vec![true; config.n];
+        assert!(
+            verify::live_component_complete(engine.nodes(), &initial, &live),
+            "{}",
+            report.algorithm
+        );
+    }
+
+    #[test]
+    fn fault_free_runs_end_on_a_complete_live_component() {
+        // Random pointer jump is left out: on directed instances it
+        // need not converge at all.
+        for (topology, n, seed) in [(Topology::KOut { k: 3 }, 96, 4), (Topology::Cycle, 40, 9)] {
+            let config = RunConfig::new(topology, n, seed).with_max_rounds(5_000);
+            fault_free_run_covers_the_live_component(&Flooding, &config);
+            fault_free_run_covers_the_live_component(&NameDropper, &config);
+            fault_free_run_covers_the_live_component(&PointerDoubling, &config);
+            fault_free_run_covers_the_live_component(&Swamping, &config);
+            fault_free_run_covers_the_live_component(
+                &HmDiscovery::new(HmConfig::default()),
+                &config,
+            );
+        }
+    }
 
     #[test]
     fn all_contenders_complete_soundly_on_the_default_workload() {

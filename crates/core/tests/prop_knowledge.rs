@@ -38,12 +38,18 @@
 //!    brought up to date, and to a whole copy — is a set whose
 //!    snapshots copy: same list, membership and samples, every payload
 //!    the prefix it was lent as, with that prefix's bitmap, and a clone
-//!    never sees the other's appends.
+//!    never sees the other's appends;
+//! 8. the completion predicates of [`LiveMask`], which answer a node of
+//!    a fully live instance from its count and largest id, are the
+//!    word-level `covers` they ask otherwise — on sets of every tier,
+//!    sets holding an adopted roster, sets with a fabricated id ≥ n,
+//!    and sets one id short.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rd_core::KnowledgeSet;
+use rand::{Rng, SeedableRng};
+use rd_core::problem::LiveMask;
+use rd_core::{KnowledgeSet, KnowledgeView};
 use rd_sim::{NodeId, PointerList};
 use std::collections::BTreeSet;
 
@@ -835,5 +841,125 @@ proptest! {
         ops in proptest::collection::vec(arb_lend_op(), 1..60),
     ) {
         lends_like_a_copying_set(&start, &ops)?;
+    }
+}
+
+/// A node as the completion predicates read it: one knowledge set.
+struct Knows(KnowledgeSet);
+
+impl KnowledgeView for Knows {
+    fn knows(&self, id: NodeId) -> bool {
+        self.0.contains(id)
+    }
+    fn knows_count(&self) -> usize {
+        self.0.len()
+    }
+    fn known_ids(&self) -> Vec<NodeId> {
+        self.0.to_vec()
+    }
+    fn max_known(&self) -> Option<NodeId> {
+        self.0.max_id()
+    }
+    fn covers(&self, mask: &[u64]) -> bool {
+        self.0.covers(mask)
+    }
+}
+
+/// What a node of an instance of `n` knows: `n` ids in shuffled order
+/// with `missing` of them left out, plus `fabricated` ids of `n` or
+/// above (a few past the instance or far past it, which keeps a set of
+/// up to 512 ids sorted); with `adopt`, the set first knows a handful
+/// of ids and adopts the rest as one shared roster.
+fn knowing(
+    rng: &mut StdRng,
+    n: u32,
+    missing: usize,
+    fabricated: usize,
+    adopt: bool,
+) -> KnowledgeSet {
+    let mut ids: Vec<u32> = (0..n).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.random_range(0..=i));
+    }
+    ids.truncate(ids.len().saturating_sub(missing));
+    for _ in 0..fabricated {
+        let past: u32 = [3, 100_000][rng.random_range(0..2usize)];
+        ids.push(n + rng.random_range(0..past));
+    }
+    let mut set = KnowledgeSet::default();
+    if !adopt {
+        set.extend(ids.into_iter().map(NodeId::new));
+        return set;
+    }
+    let held = rng.random_range(0..4usize).min(ids.len());
+    set.extend(ids[..held].iter().copied().map(NodeId::new));
+    let mut roster = ids[held..].to_vec();
+    roster.sort_unstable();
+    roster.dedup();
+    set.adopt(&PointerList::shared(
+        &roster.into_iter().map(NodeId::new).collect::<Vec<_>>(),
+    ));
+    set
+}
+
+/// The predicates as they read before the count-and-top answer:
+/// a live node knows every live node iff it knows as many ids and its
+/// set covers their mask.
+fn by_covers(nodes: &[Knows], live: &[bool]) -> (bool, bool) {
+    let mut mask = vec![0u64; live.len().div_ceil(64)];
+    for i in (0..live.len()).filter(|&i| live[i]) {
+        mask[i / 64] |= 1 << (i % 64);
+    }
+    let count = live.iter().filter(|&&l| l).count();
+    let knows_all = |node: &Knows| node.knows_count() >= count && node.covers(&mask);
+    let everyone = nodes
+        .iter()
+        .zip(live)
+        .all(|(node, &l)| !l || knows_all(node));
+    let leader = nodes.iter().enumerate().any(|(i, node)| {
+        live[i]
+            && knows_all(node)
+            && (nodes.iter().zip(live)).all(|(other, &l)| !l || other.knows(NodeId::new(i as u32)))
+    });
+    (everyone, leader)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every node knows everyone, one (the spoiler) may not: it is a
+    /// node one id short, or one with a fabricated id, or both, or one
+    /// holding an adopted roster, or a random subset. Instances of up to
+    /// seven nodes keep every set on the small tier; larger ones put
+    /// the sets with a far fabricated id on the sorted tier and the
+    /// rest on the bitmap.
+    #[test]
+    fn completion_by_count_and_top_is_completion_by_covers(
+        n in prop_oneof![1u32..8, 8u32..300],
+        seed in any::<u64>(),
+        everyone_live in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spoiler = rng.random_range(0..n as usize + 1);
+        let nodes: Vec<Knows> = (0..n as usize)
+            .map(|i| {
+                let shapes = if i == spoiler { 6 } else { 3 };
+                let (one, some) = (rng.random_range(1..3), rng.random_range(0..2));
+                let (missing, fabricated, adopt) = match rng.random_range(0..shapes) {
+                    0 => (0, 0, false),
+                    1 => (0, one, false),
+                    2 => (0, some, true),
+                    3 => (1, some, false),
+                    4 => (1, some, true),
+                    _ => (rng.random_range(0..n as usize + 1), 0, false),
+                };
+                Knows(knowing(&mut rng, n, missing, fabricated, adopt))
+            })
+            .collect();
+        let live: Vec<bool> = (0..n).map(|_| everyone_live || rng.random_range(0..4) > 0).collect();
+        let mask = LiveMask::new(&live);
+        let (everyone, leader) = by_covers(&nodes, &live);
+        prop_assert_eq!(mask.everyone_knows_everyone(&nodes), everyone);
+        prop_assert_eq!(mask.leader_knows_all(&nodes), leader);
     }
 }

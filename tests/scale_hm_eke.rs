@@ -1,7 +1,12 @@
 //! The memory result, pinned: HM to `EveryoneKnowsEveryone` at n = 2^16
-//! is 4.3 × 10^9 pointers of knowledge, and it must fit in well under a
-//! gibibyte because the n − 1 receivers of the final roster hold the
-//! leader's list by reference instead of copying it.
+//! is 4.3 × 10^9 pointers of knowledge, and it fits in about 100 MiB
+//! because the n − 1 receivers of the final roster hold the leader's
+//! list by reference instead of copying it, and because a leader gives
+//! up its exploration state when its cluster joins another. Peak
+//! resident set (`VmHWM`) on a 2-vCPU x86-64 Linux VM: 129 MiB when
+//! demoted leaders kept that state and every message was sized for a
+//! join's two inline lists, 96 MiB now. The gate is the latter plus
+//! about a fifth.
 //!
 //! Ignored by default — it wants an optimised build and is the only
 //! test in its binary, so the process's peak resident set is this run's:
@@ -23,7 +28,7 @@ fn peak_rss_mib() -> Option<u64> {
 
 #[test]
 #[ignore = "n = 2^16 to everyone-knows-everyone: run in release mode"]
-fn hm_reaches_everyone_knows_everyone_at_2p16_under_a_gibibyte() {
+fn hm_reaches_everyone_knows_everyone_at_2p16() {
     let config = RunConfig::new(Topology::KOut { k: 3 }, 1 << 16, 42);
     let report = run(AlgorithmKind::Hm(HmConfig::default()), &config);
     assert!(report.completed && report.sound, "{report:?}");
@@ -34,6 +39,6 @@ fn hm_reaches_everyone_knows_everyone_at_2p16_under_a_gibibyte() {
         (39, 2_225_055, 4_300_802_887)
     );
     if let Some(mib) = peak_rss_mib() {
-        assert!(mib < 1024, "peak resident set {mib} MiB");
+        assert!(mib < 115, "peak resident set {mib} MiB");
     }
 }
