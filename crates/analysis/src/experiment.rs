@@ -103,7 +103,8 @@ pub struct SweepCell {
 ///
 /// # Panics
 ///
-/// Panics if the spec has no algorithms, sizes, or seeds.
+/// Panics if the spec has no algorithms, sizes, or seeds, and re-raises
+/// the panic of any run (an invalid fault plan, say) on the caller.
 pub fn sweep(spec: &SweepSpec) -> Vec<SweepCell> {
     assert!(!spec.kinds.is_empty(), "sweep needs at least one algorithm");
     assert!(!spec.ns.is_empty(), "sweep needs at least one size");
@@ -140,35 +141,41 @@ pub fn sweep(spec: &SweepSpec) -> Vec<SweepCell> {
     .min(jobs.len())
     .max(1);
 
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let config = RunConfig {
-                    topology: spec.topology,
-                    n: spec.ns[job.n_idx],
-                    seed: job.seed,
-                    max_rounds: spec.max_rounds,
-                    completion: spec.completion,
-                    faults: spec.faults.clone(),
-                    engine: spec.engine,
-                    stall_window: spec.stall_window,
-                    reliable: spec.reliable,
-                    obs: None,
-                    trace_capacity: None,
-                };
-                let report = run(spec.kinds[job.kind_idx], &config);
-                // A poisoned lock only means another worker panicked;
-                // the scope below re-raises that panic, so the data is
-                // never read in a half-written state.
-                results.lock().unwrap_or_else(PoisonError::into_inner)
-                    [job.kind_idx * spec.ns.len() + job.n_idx]
-                    .push(report);
-            });
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let config = RunConfig {
+                        topology: spec.topology,
+                        n: spec.ns[job.n_idx],
+                        seed: job.seed,
+                        max_rounds: spec.max_rounds,
+                        completion: spec.completion,
+                        faults: spec.faults.clone(),
+                        engine: spec.engine,
+                        stall_window: spec.stall_window,
+                        reliable: spec.reliable,
+                        obs: None,
+                    };
+                    let report = run(spec.kinds[job.kind_idx], &config);
+                    // A poisoned lock only means another worker panicked;
+                    // the join below re-raises that panic, so the data is
+                    // never read in a half-written state.
+                    results.lock().unwrap_or_else(PoisonError::into_inner)
+                        [job.kind_idx * spec.ns.len() + job.n_idx]
+                        .push(report);
+                })
+            })
+            .collect();
+        // Re-raise a worker's own panic, message and all, on the caller.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut out = Vec::with_capacity(cells);
@@ -221,6 +228,16 @@ mod tests {
             seeds: 0..3,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "crash target 99 out of range for n=16")]
+    fn a_worker_panic_reaches_the_caller() {
+        sweep(&SweepSpec {
+            faults: FaultPlan::new().with_crashes([99]),
+            threads: 2,
+            ..small_spec()
+        });
     }
 
     #[test]

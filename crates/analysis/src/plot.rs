@@ -25,7 +25,6 @@ pub struct Plot {
     width: usize,
     height: usize,
     log_x: bool,
-    log_y: bool,
     series: Vec<(String, Vec<(f64, f64)>)>,
 }
 
@@ -44,7 +43,6 @@ impl Plot {
             width,
             height,
             log_x: false,
-            log_y: false,
             series: Vec::new(),
         }
     }
@@ -55,14 +53,8 @@ impl Plot {
         self
     }
 
-    /// Scales the y axis logarithmically (base 2).
-    pub fn with_log_y(mut self) -> Self {
-        self.log_y = true;
-        self
-    }
-
-    /// Adds a named series. Points with non-positive coordinates on a
-    /// log-scaled axis are skipped at render time.
+    /// Adds a named series. Points with a non-positive x on a
+    /// log-scaled x axis are skipped at render time.
     pub fn series(
         &mut self,
         label: impl Into<String>,
@@ -73,11 +65,11 @@ impl Plot {
         self
     }
 
-    fn scale(&self, v: f64, log: bool) -> Option<f64> {
-        if log {
-            (v > 0.0).then(|| v.log2())
+    fn scale_x(&self, x: f64) -> Option<f64> {
+        if self.log_x {
+            (x > 0.0).then(|| x.log2())
         } else {
-            Some(v)
+            Some(x)
         }
     }
 }
@@ -92,9 +84,7 @@ impl fmt::Display for Plot {
             .map(|(i, (_, pts))| {
                 let pts = pts
                     .iter()
-                    .filter_map(|&(x, y)| {
-                        Some((self.scale(x, self.log_x)?, self.scale(y, self.log_y)?))
-                    })
+                    .filter_map(|&(x, y)| Some((self.scale_x(x)?, y)))
                     .collect();
                 (i, pts)
             })
@@ -130,29 +120,19 @@ impl fmt::Display for Plot {
             }
         }
 
-        let unscale = |v: f64, log: bool| if log { 2f64.powf(v) } else { v };
-        writeln!(
-            f,
-            "{:>10.4} +{}",
-            unscale(max_y, self.log_y),
-            "-".repeat(self.width)
-        )?;
+        let unscale_x = |x: f64| if self.log_x { 2f64.powf(x) } else { x };
+        writeln!(f, "{:>10.4} +{}", max_y, "-".repeat(self.width))?;
         for row in &grid {
             writeln!(f, "{:>10} |{}", "", row.iter().collect::<String>())?;
         }
-        writeln!(
-            f,
-            "{:>10.4} +{}",
-            unscale(min_y, self.log_y),
-            "-".repeat(self.width)
-        )?;
+        writeln!(f, "{:>10.4} +{}", min_y, "-".repeat(self.width))?;
         writeln!(
             f,
             "{:>10} {:<.4}{}{:>.4}",
             "",
-            unscale(min_x, self.log_x),
+            unscale_x(min_x),
             " ".repeat(self.width.saturating_sub(8)),
-            unscale(max_x, self.log_x),
+            unscale_x(max_x),
         )?;
         for (i, (label, _)) in self.series.iter().enumerate() {
             writeln!(f, "{:>12} = {}", MARKERS[i % MARKERS.len()], label)?;

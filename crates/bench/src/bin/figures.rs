@@ -15,7 +15,7 @@
 //! `uniform:MIN:MAX`, `lognormal:MU_MILLI:SIGMA_MILLI:CAP`, `asym:F:B`,
 //! `slow:BASE:SLOW:FRAC_PPM`);
 //! with the default `const:1` model results again match bit-for-bit,
-//! while jittered models measure convergence under asynchrony.
+//! while any other model measures convergence under asynchrony.
 //!
 //! `--obs=DIR` additionally performs two instrumented HM reference runs
 //! (sequential and sharded:4) and writes their telemetry into `DIR`:
@@ -211,13 +211,8 @@ fn obs_runs(
             "[figures] instrumented HM reference run (n = {n}, {} engine)...",
             engine.name()
         );
-        // Profiled archives are strict-gated, and strict treats a
-        // truncated event ring as failure — size the ring for the
-        // full-size run's ~122k envelopes.
-        let trace_cap = if prof { 1 << 18 } else { 1 << 16 };
         let config = RunConfig::new(Topology::KOut { k: 3 }, n, seed)
             .with_engine(engine)
-            .with_trace(trace_cap)
             .with_obs(spec);
         let report = run(AlgorithmKind::Hm(HmConfig::default()), &config);
         println!(
@@ -453,7 +448,7 @@ fn main() {
         emit(
             &opts,
             "t10",
-            "completion time under random message delays (jitter)",
+            "completion time under uniform random message delays",
             &asynchrony::run(opts.profile),
         );
     }

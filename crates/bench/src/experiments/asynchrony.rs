@@ -2,8 +2,9 @@
 //! delays.
 //!
 //! The model (and the paper) is synchronous; real networks are not.
-//! Here every message independently takes `1 + U{0..=j}` time units to
-//! arrive. The HM implementation's handlers are event-driven and its
+//! Here every message independently takes `1 + U{0..=j}` ticks to
+//! arrive: the latency model `uniform:1:(1+j)`. The HM
+//! implementation's handlers are event-driven and its
 //! probe/join/report machinery retries, so correctness survives the
 //! scrambled phase structure — this experiment measures the slowdown,
 //! against Name-Dropper (whose single-transfer rounds barely care).
@@ -13,7 +14,7 @@ use rd_analysis::Table;
 use rd_core::algorithms::{HmDiscovery, NameDropper, PointerDoubling};
 use rd_core::{problem, DiscoveryAlgorithm};
 use rd_graphs::Topology;
-use rd_sim::{Engine, Node, RoundEngine};
+use rd_sim::{Engine, LatencyModel, Node, RoundEngine};
 
 fn rounds_with_jitter<A>(alg: &A, n: usize, seed: u64, jitter: u64) -> (bool, u64)
 where
@@ -22,7 +23,11 @@ where
 {
     let g = Topology::KOut { k: 3 }.generate(n, seed);
     let nodes = alg.make_nodes(&problem::initial_knowledge(&g));
-    let mut engine = Engine::new(nodes, seed).with_max_extra_delay(jitter);
+    let latency = LatencyModel::Uniform {
+        min: 1,
+        max: 1 + jitter,
+    };
+    let mut engine = Engine::new(nodes, seed).with_latency(latency);
     let outcome = engine.run_until(200_000, problem::everyone_knows_everyone);
     (outcome.completed, outcome.rounds)
 }
@@ -33,7 +38,7 @@ pub fn run(profile: Profile) -> Table {
     let seed = 1;
     let jitters = [0u64, 1, 2, 4, 8];
     let mut headers = vec!["algorithm".to_string()];
-    headers.extend(jitters.iter().map(|j| format!("jitter ≤ {j}")));
+    headers.extend(jitters.iter().map(|j| format!("uniform:1:{}", 1 + j)));
     let mut t = Table::new(headers);
 
     let mut add_row = |name: &str, f: &dyn Fn(u64) -> (bool, u64)| {

@@ -323,8 +323,6 @@ pub struct RunConfig {
     pub reliable: Option<RetryPolicy>,
     /// Telemetry exporters, if observability is enabled.
     pub obs: Option<ObsSpec>,
-    /// Message-trace ring capacity, if tracing is enabled.
-    pub trace_capacity: Option<usize>,
 }
 
 impl RunConfig {
@@ -342,7 +340,6 @@ impl RunConfig {
             stall_window: None,
             reliable: None,
             obs: None,
-            trace_capacity: None,
         }
     }
 
@@ -350,13 +347,6 @@ impl RunConfig {
     /// exported through the spec's sinks at run end.
     pub fn with_obs(mut self, spec: ObsSpec) -> Self {
         self.obs = Some(spec);
-        self
-    }
-
-    /// Enables message tracing with the given ring capacity (events past
-    /// the cap are counted, not stored; see `RunReport::trace_overflow`).
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
         self
     }
 
@@ -433,12 +423,6 @@ pub struct RunReport {
     pub drops: DropTally,
     /// Retransmission attempts made by the reliable-delivery layer.
     pub retransmissions: u64,
-    /// Messages the trace observed (stored plus overflowed); 0 when
-    /// tracing is disabled.
-    pub trace_events: u64,
-    /// Trace events discarded because the ring capacity was exceeded —
-    /// when nonzero, the stored trace is a truncated prefix.
-    pub trace_overflow: u64,
     /// Suspicions retracted by the failure detector after recoveries.
     pub detector_retractions: u64,
     /// Maximum messages any single node sent.
@@ -516,7 +500,7 @@ where
 }
 
 /// Applies everything `config` asks of an engine — faults, delivery
-/// policy, traces, recorder — to a freshly constructed one.
+/// policy, causal trace, recorder — to a freshly constructed one.
 fn configure<A, E>(alg: &A, config: &RunConfig, initial: &problem::InitialKnowledge, engine: E) -> E
 where
     A: DiscoveryAlgorithm,
@@ -525,9 +509,6 @@ where
     let mut engine = engine.with_faults(config.faults.clone());
     if let Some(policy) = config.reliable {
         engine = engine.with_reliable_delivery(policy);
-    }
-    if let Some(capacity) = config.trace_capacity {
-        engine = engine.with_trace(capacity);
     }
     let Some(spec) = &config.obs else {
         return engine;
@@ -665,8 +646,10 @@ fn outcome_obs(report: &RunReport) -> RunOutcomeObs {
         rounds: report.rounds,
         messages: report.messages,
         pointers: report.pointers,
-        trace_events: report.trace_events,
-        trace_overflow: report.trace_overflow,
+        // A run keeps no message trace; the archive schema still
+        // carries the two counts.
+        trace_events: 0,
+        trace_overflow: 0,
         last_progress: match report.verdict {
             RunVerdict::Stalled { last_progress } => Some(last_progress),
             _ => None,
@@ -807,10 +790,6 @@ where
         })
     });
 
-    let (trace_events, trace_overflow) = engine
-        .trace()
-        .map(|t| (t.total_events(), t.overflow()))
-        .unwrap_or((0, 0));
     let pools = engine.pool_counters();
     let recorder = engine.take_obs();
     let causal = engine.take_causal();
@@ -832,8 +811,6 @@ where
         max_sent_messages: m.max_sent_messages(),
         max_recv_messages: m.max_recv_messages(),
         mean_messages_per_node: m.mean_messages_per_node(),
-        trace_events,
-        trace_overflow,
         sound,
     };
 

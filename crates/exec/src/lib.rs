@@ -21,11 +21,12 @@
 //!    private per-`(seed, node, round)` random stream
 //!    ([`rd_sim::rng::node_round_rng`]) and sees only its own inbox, so
 //!    stepping nodes concurrently cannot change what any node computes.
-//! 2. *Message fates are order-independent.* Drop and delay coins are a
-//!    pure function of `(seed, sender, round, send-sequence)`
-//!    ([`rd_sim::route_fate`]): routing one envelope never advances any
-//!    stream another envelope reads, so routing order — and therefore
-//!    worker count — cannot change any coin.
+//! 2. *Message fates are order-independent.* Drop coins and latency
+//!    draws are pure functions of `(seed, sender, round, send-sequence)`
+//!    ([`rd_sim::route_fate`], [`rd_sim::LatencyModel::sample`]): routing
+//!    one envelope never advances any stream another envelope reads, so
+//!    routing order — and therefore worker count — cannot change any
+//!    coin or any latency.
 //! 3. *Deliveries merge in canonical `(sender, sequence)` order.* Each
 //!    worker stages and routes its shard's sends in node-index order
 //!    (each node's sends in send order) into per-destination-shard
@@ -99,7 +100,7 @@ mod pool;
 
 use pool::Pool;
 use rd_obs::{Phase, SpanEvent};
-use rd_sim::engine_core::{merge_dest_shard, route_shard, step_shard, unit_latency, Routed};
+use rd_sim::engine_core::{merge_dest_shard, route_shard, step_shard, Routed};
 use rd_sim::{timed_phase, BufferPool, Envelope, Node, RoundEngine, RoundShell};
 use std::time::Instant;
 
@@ -203,7 +204,7 @@ where
                                 staged.len()
                             });
                         let (delta, routed) = lane_span(epoch, Phase::RouteShard, round, w, || {
-                            route_shard(params, unit_latency, staged, base, sent_lanes, buckets)
+                            route_shard(params, staged, base, sent_lanes, buckets)
                         });
                         (staged_len, delta, stepped, routed)
                     }
@@ -296,8 +297,8 @@ where
     N: Node + Send,
     N::Msg: Send,
 {
-    /// Executes one synchronous round; see the [crate docs](crate) for
-    /// its phases and which of them run in parallel.
+    /// Executes one round; see the [crate docs](crate) for its phases
+    /// and which of them run in parallel.
     ///
     /// A lone shard is the sequential engine's round on the calling
     /// thread (the serial [`rd_sim::engine_core::EngineCore::route_batch`]
@@ -327,7 +328,7 @@ where
             .collect();
         if let [(staged, held)] = &mut bufs[..] {
             self.shell.step_nodes(staged, held);
-            self.shell.route(|core| core.route_batch(staged));
+            self.shell.route(staged);
         } else {
             self.step_shards(round, shard_len, &mut bufs);
         }
@@ -342,8 +343,7 @@ where
         for (staged, _) in bufs {
             self.env_pool.put(staged);
         }
-        self.shell
-            .close_round(|core| core.retransmit_due(unit_latency));
+        self.shell.close_round();
     }
 
     fn shell(&self) -> &RoundShell<N> {
@@ -377,7 +377,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_sim::{Engine, FaultPlan, MessageCost, NodeId, RetryPolicy, RoundContext};
+    use rd_sim::{Engine, FaultPlan, LatencyModel, MessageCost, NodeId, RetryPolicy, RoundContext};
 
     /// Gossip probe exercising every determinism-sensitive surface:
     /// randomness, fan-out, and inbox contents.
@@ -510,6 +510,9 @@ mod tests {
         }
     }
 
+    /// `1 + U{0..=3}` ticks a message.
+    const UNIFORM: LatencyModel = LatencyModel::Uniform { min: 1, max: 4 };
+
     #[test]
     fn matches_under_receive_cap_and_delay() {
         assert_engines_agree(
@@ -517,8 +520,8 @@ mod tests {
             9,
             3,
             15,
-            |e| e.with_receive_cap(2).with_max_extra_delay(3),
-            |e| e.with_receive_cap(2).with_max_extra_delay(3),
+            |e| e.with_receive_cap(2).with_latency(UNIFORM),
+            |e| e.with_receive_cap(2).with_latency(UNIFORM),
         );
     }
 
@@ -571,11 +574,11 @@ mod tests {
         };
         let mut seq = Engine::new(spammers(), 11)
             .with_faults(plan())
-            .with_max_extra_delay(2)
+            .with_latency(LatencyModel::Uniform { min: 1, max: 3 })
             .with_trace(1 << 12);
         let mut par = ShardedEngine::new(spammers(), 11, 4)
             .with_faults(plan())
-            .with_max_extra_delay(2)
+            .with_latency(LatencyModel::Uniform { min: 1, max: 3 })
             .with_trace(1 << 12);
         for _ in 0..6 {
             seq.step();

@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 /// identifier `id` to `node`.
 ///
 /// Rounds are 1-based, matching the archive's `round` records: a
-/// message sent during round `sent` is processed by its receiver during
-/// round `round = sent + 1 + extra_delay`.
+/// message sent during round `sent` over a link of latency `lat` ticks
+/// is processed by its receiver during round `round = sent + lat`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProvEdge {
     /// The identifier being learned.
@@ -127,20 +127,6 @@ impl CausalTrace {
                 }
             }
         }
-    }
-
-    /// Counts a message the sampler skipped (its id offers were never
-    /// inspected).
-    #[inline]
-    pub fn note_sampled_out(&mut self) {
-        self.sampled_out += 1;
-    }
-
-    /// Counts `extra` skipped messages in one shot — hot routing loops
-    /// tally locally and flush once per batch.
-    #[inline]
-    pub fn note_sampled_out_by(&mut self, extra: u64) {
-        self.sampled_out += extra;
     }
 
     /// The configured pair capacity.

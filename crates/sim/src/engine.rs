@@ -1,5 +1,5 @@
 //! The round shell every engine shares, the [`RoundEngine`] interface
-//! over it, and the serial engine with its latency model.
+//! over it, and the serial engine.
 
 use crate::engine_core::{step_shard, EngineCore, RetryPolicy};
 use crate::faults::FaultPlan;
@@ -40,9 +40,9 @@ pub fn timed_phase<R>(
 
 /// The state and the round protocol every engine shares: the node
 /// programs, the [`EngineCore`], the optional telemetry recorder, and
-/// the parts of a round that do not depend on how nodes are stepped or
-/// what a link's latency is — opening the round, the serial node loop,
-/// and the close-out. An engine is a [`RoundEngine::step`] body over
+/// the parts of a round that do not depend on how nodes are stepped —
+/// opening the round, the serial node loop, serial routing and the
+/// close-out. An engine is a [`RoundEngine::step`] body over
 /// one of these.
 pub struct RoundShell<N: Node> {
     nodes: Vec<N>,
@@ -118,22 +118,23 @@ impl<N: Node> RoundShell<N> {
         });
     }
 
-    /// Runs a serial routing call against the core as the round's
-    /// [`Phase::RouteShard`] span.
-    pub fn route(&mut self, route: impl FnOnce(&mut EngineCore<N::Msg>)) {
+    /// Routes `staged` on the calling thread
+    /// ([`EngineCore::route_batch`]) as the round's [`Phase::RouteShard`]
+    /// span.
+    pub fn route(&mut self, staged: &mut Vec<Envelope<N::Msg>>) {
         let round = self.core.round();
         timed_phase(self.obs.as_mut(), Phase::RouteShard, round, || {
-            route(&mut self.core)
+            self.core.route_batch(staged)
         });
     }
 
-    /// Closes the round: `finish` makes whatever retransmission
-    /// attempts are due, the clock advances, and the closed metrics row
-    /// goes to the recorder.
-    pub fn close_round(&mut self, finish: impl FnOnce(&mut EngineCore<N::Msg>)) {
+    /// Closes the round: the retransmission attempts that are due are
+    /// made ([`EngineCore::retransmit_due`]), the clock advances, and the
+    /// closed metrics row goes to the recorder.
+    pub fn close_round(&mut self) {
         let round = self.core.round();
         timed_phase(self.obs.as_mut(), Phase::FinishRound, round, || {
-            finish(&mut self.core);
+            self.core.retransmit_due();
             self.core.finish_round();
         });
         if let Some(rec) = &mut self.obs {
@@ -228,15 +229,18 @@ pub trait RoundEngine<N: Node>: Sized {
         self
     }
 
-    /// Makes delivery asynchronous: every message independently takes
-    /// `1 + U{0..=max_extra}` rounds to arrive instead of exactly one.
-    /// With this knob the round counter reads as *time units* and the
-    /// synchronized phase structure of round-based protocols is
-    /// deliberately scrambled — the robustness-to-asynchrony experiment.
-    /// A latency model above one tick ([`Engine::with_latency`])
-    /// supersedes it, and routing panics if both are in play.
-    fn with_max_extra_delay(mut self, max_extra: u64) -> Self {
-        self.shell_mut().core.set_max_extra_delay(max_extra);
+    /// Draws every transmission's latency from `latency`, retransmission
+    /// attempts included, on the message's own counter-based axes. Under
+    /// any model but the default `const:1` the round counter reads as
+    /// ticks of simulated time, and the synchronized phase structure of
+    /// round-based protocols is scrambled to the model's measure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's parameters are invalid (see
+    /// [`LatencyModel::validate`]).
+    fn with_latency(mut self, latency: LatencyModel) -> Self {
+        self.shell_mut().core.set_latency(latency);
         self
     }
 
@@ -366,22 +370,21 @@ pub trait RoundEngine<N: Node>: Sized {
 }
 
 /// Drives a population of [`Node`] programs through rounds on the
-/// calling thread, each message taking the ticks its [`LatencyModel`]
-/// draws.
+/// calling thread.
 ///
 /// Per round, the engine hands every live node its inbox (messages
 /// whose arrival tick has come) together with a deterministic
 /// per-`(seed, node, round)` random generator, then routes the node's
 /// outbox through the fault layer, accounting every message in
-/// [`RunMetrics`]. Under the default model, `const:1`, that is the
-/// paper's synchronous round; any other model is the same kernel under
-/// its sampler, so a round reads as one tick of simulated time.
-/// Builders, accessors and run loops are [`RoundEngine`] methods.
+/// [`RunMetrics`]. Under the default [`LatencyModel`], `const:1`, that
+/// is the paper's synchronous round; under any other
+/// ([`RoundEngine::with_latency`]) a round reads as one tick of
+/// simulated time. Builders, accessors and run loops are
+/// [`RoundEngine`] methods.
 ///
 /// See the crate-level documentation for a complete example.
 pub struct Engine<N: Node> {
     shell: RoundShell<N>,
-    latency: LatencyModel,
     /// Round-persistent staging buffer for outgoing envelopes; drained
     /// by routing, so its allocation is reused every round.
     staged: Vec<Envelope<N::Msg>>,
@@ -390,31 +393,15 @@ pub struct Engine<N: Node> {
 }
 
 impl<N: Node> Engine<N> {
-    /// Creates an engine over `nodes` under unit latency, where node `i`
-    /// has identifier `NodeId::new(i)`. `seed` determines all protocol,
-    /// fault and latency randomness.
+    /// Creates an engine over `nodes` under `const:1` latency, where
+    /// node `i` has identifier `NodeId::new(i)`. `seed` determines all
+    /// protocol, fault and latency randomness.
     pub fn new(nodes: Vec<N>, seed: u64) -> Self {
         Engine {
             shell: RoundShell::new(nodes, seed),
-            latency: LatencyModel::UNIT,
             staged: Vec::new(),
             held: Vec::new(),
         }
-    }
-
-    /// Draws every transmission's latency from `latency`, retransmission
-    /// attempts included, on the message's own counter-based axes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's parameters are invalid (see
-    /// [`LatencyModel::validate`]).
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        if let Err(err) = latency.validate() {
-            panic!("invalid latency model: {err}");
-        }
-        self.latency = latency;
-        self
     }
 }
 
@@ -422,17 +409,8 @@ impl<N: Node> RoundEngine<N> for Engine<N> {
     fn step(&mut self) {
         self.shell.begin_round();
         self.shell.step_nodes(&mut self.staged, &mut self.held);
-        let latency = self.latency.sampler(self.shell.core().seed());
-        // The synchronous round keeps `route_batch` for its straight-line
-        // fault-free loop; every other model is the kernel under its
-        // sampler.
-        if self.latency == LatencyModel::UNIT {
-            self.shell.route(|core| core.route_batch(&mut self.staged));
-        } else {
-            self.shell
-                .route(|core| core.route_batch_with(&mut self.staged, latency));
-        }
-        self.shell.close_round(|core| core.retransmit_due(latency));
+        self.shell.route(&mut self.staged);
+        self.shell.close_round();
     }
 
     fn shell(&self) -> &RoundShell<N> {
@@ -753,11 +731,12 @@ mod tests {
     }
 
     #[test]
-    fn async_delays_preserve_delivery_and_determinism() {
+    fn uniform_delays_preserve_delivery_and_determinism() {
         // The ring broadcast still completes under heavy jitter, just
         // slower, and identically for identical seeds.
         let run = |seed: u64| {
-            let mut e = Engine::new(ring(8), seed).with_max_extra_delay(4);
+            let mut e =
+                Engine::new(ring(8), seed).with_latency(LatencyModel::Uniform { min: 1, max: 5 });
             let o = e.run_until(200, |nodes| nodes.iter().all(|r| r.has_token));
             (o, e.metrics().total_messages())
         };
@@ -766,19 +745,6 @@ mod tests {
         assert_eq!(messages, 8, "no message may be lost to delay");
         assert!(outcome.rounds >= 8, "jitter cannot beat the sync time");
         assert_eq!(run(5), run(5));
-    }
-
-    #[test]
-    fn zero_extra_delay_is_exactly_synchronous() {
-        let sync = {
-            let mut e = Engine::new(ring(8), 1);
-            e.run_until(100, |nodes| nodes.iter().all(|r| r.has_token))
-        };
-        let zero = {
-            let mut e = Engine::new(ring(8), 1).with_max_extra_delay(0);
-            e.run_until(100, |nodes| nodes.iter().all(|r| r.has_token))
-        };
-        assert_eq!(sync, zero);
     }
 
     fn all_have_token(nodes: &[RingRelay]) -> bool {

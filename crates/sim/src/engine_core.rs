@@ -2,7 +2,7 @@
 //!
 //! [`EngineCore`] owns everything about a run *except* the node programs:
 //! mailboxes, the round counter, metrics, the fault layer, tracing, the
-//! failure-detector schedule, receive caps, and delay jitter. Both
+//! failure-detector schedule, receive caps, and the latency model. Both
 //! engines — [`Engine`](crate::Engine) here and the sharded engine in
 //! `rd-exec` — are a `step` body over this core, so accounting and fault
 //! semantics cannot drift between them.
@@ -37,18 +37,16 @@
 //! buffers keep their capacity, so a round in steady state allocates
 //! nothing for delivery, however its traffic is spread over nodes.
 //!
-//! # One kernel, a latency function
+//! # One kernel, one latency model
 //!
-//! A message staged in round `r` over a link of latency `lat ≥ 1` ticks
-//! is checked against the fault plan at `r + lat`, and — if its
-//! counter-based fate ([`route_fate`]) lets it through — arrives at
-//! `r + lat + fate.extra_delay`. That arithmetic is the whole network
-//! model. *The synchronous round of the paper is latency one*
-//! ([`unit_latency`]); an engine under any other
-//! [`LatencyModel`](crate::LatencyModel) passes the model's sampler
-//! instead, and nothing else about routing differs. The kernel sees only
-//! the function `(src, dst, send round, send-sequence, attempt) → ticks`,
-//! never the model behind it.
+//! A message staged in round `r` takes `lat ≥ 1` ticks, drawn from the
+//! core's [`LatencyModel`] on the message's own counter-based axes
+//! ([`LatencyModel::sample`]); it is checked against the fault plan at
+//! `r + lat` and — if its counter-based fate ([`route_fate`]) lets it
+//! through — arrives at `r + lat`. That arithmetic is the whole network
+//! model. *The synchronous round of the paper is `const:1`*, the
+//! default; under any other model the same kernel draws other
+//! latencies, and nothing else about routing differs.
 //!
 //! [`route_shard`] is that kernel: one loop over a sender shard's staged
 //! envelopes into per-destination-shard buckets, with
@@ -58,16 +56,17 @@
 //! `(seed, sender, round, send-sequence)`, routing one envelope never
 //! advances state another envelope reads, so the shards can run on
 //! independent workers — and the serial path
-//! ([`EngineCore::route_batch_with`]) is the same three calls over one
+//! ([`EngineCore::route_batch`]) is the same three calls over one
 //! whole-population shard, bit-identical by being the same code.
 //!
-//! One selection remains, made from the core's own state: a run with no
-//! faults, no jitter, no trace and no causal sampler under unit latency
-//! has nothing to decide per message, and [`EngineCore::route_batch`]
-//! delivers it with a straight-line tally-and-push loop instead.
+//! One selection remains, made from the core's own state: a run under
+//! `const:1` with no faults, no trace and no causal sampler has nothing
+//! to decide per message, and [`EngineCore::route_batch`] delivers it
+//! with a straight-line tally-and-push loop instead.
 
 use crate::faults::{DropCause, FaultPlan};
 use crate::id::NodeId;
+use crate::latency::LatencyModel;
 use crate::message::{Envelope, MessageCost};
 use crate::metrics::{charge, NodeLane, RoundMetrics, RunMetrics};
 use crate::node::{Node, RoundContext, SuspectView};
@@ -201,8 +200,9 @@ pub struct EngineCore<M: MessageCost> {
     next_detection: usize,
     /// Per-node per-round delivery cap (`None` = unbounded).
     receive_cap: Option<usize>,
-    /// Maximum extra delivery delay in rounds (0 = synchronous).
-    max_extra_delay: u64,
+    /// What every transmission's latency is drawn from (`const:1` = the
+    /// synchronous round).
+    latency: LatencyModel,
     /// Messages awaiting a later delivery round, keyed by that round.
     delayed: std::collections::BTreeMap<u64, Vec<Envelope<M>>>,
     /// Recycled batch buffers for the delay queue.
@@ -303,38 +303,6 @@ pub struct StepState<'a, M: MessageCost> {
     pub ctx: StepCtx<'a>,
 }
 
-/// What the fault layer decided for one message: dropped (with a
-/// cause), or delivered with `extra_delay` additional rounds of latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteFate {
-    /// Why the message was discarded (`None` = delivered).
-    pub dropped: Option<DropCause>,
-    /// Extra delivery latency in rounds beyond the link's own
-    /// (always 0 for dropped messages and unjittered runs).
-    pub extra_delay: u64,
-}
-
-impl RouteFate {
-    /// A delivery with no jitter.
-    pub const DELIVER: RouteFate = RouteFate {
-        dropped: None,
-        extra_delay: 0,
-    };
-
-    /// A drop with the given cause.
-    pub const fn drop(cause: DropCause) -> RouteFate {
-        RouteFate {
-            dropped: Some(cause),
-            extra_delay: 0,
-        }
-    }
-
-    /// Whether the message was discarded.
-    pub fn is_dropped(&self) -> bool {
-        self.dropped.is_some()
-    }
-}
-
 /// The one body behind [`route_fate`] and [`retry_fate`]: they differ
 /// only in which counter-based stream `rng` opens. A message whose path
 /// is hard-`blocked` — crashed destination, active partition, or
@@ -345,42 +313,28 @@ impl RouteFate {
 /// ([`DropCause::Coin`] for the base plan coin, [`DropCause::Link`] when
 /// the per-link loss overlay supplied the probability); either way it is
 /// drawn from the same per-message stream, so enabling the overlay never
-/// re-keys a fate. A message under a fault-free, unjittered policy is
-/// delivered without even constructing a generator — the common case
-/// stays coin-free.
+/// re-keys a fate. A message under a fault-free policy is delivered
+/// without even constructing a generator — the common case stays
+/// coin-free.
 fn fate_from<R: Rng>(
     rng: impl FnOnce() -> R,
     blocked: Option<DropCause>,
     drop_probability: f64,
     coin_cause: DropCause,
-    max_extra_delay: u64,
-) -> RouteFate {
-    if let Some(cause) = blocked {
-        return RouteFate::drop(cause);
+) -> Option<DropCause> {
+    if blocked.is_some() {
+        return blocked;
     }
-    if drop_probability <= 0.0 && max_extra_delay == 0 {
-        return RouteFate::DELIVER;
-    }
-    let mut rng = rng();
-    let dropped = drop_probability > 0.0 && rng.random_bool(drop_probability);
-    let extra_delay = if !dropped && max_extra_delay > 0 {
-        rng.random_range(0..=max_extra_delay)
-    } else {
-        0
-    };
-    RouteFate {
-        dropped: dropped.then_some(coin_cause),
-        extra_delay,
-    }
+    (drop_probability > 0.0 && rng().random_bool(drop_probability)).then_some(coin_cause)
 }
 
-/// Decides the fate of one message: a pure function of
-/// `(seed, round, sender, send-sequence)` plus the delivery policy.
+/// Decides the fate of one message — why it is dropped, or `None` when
+/// it is delivered: a pure function of `(seed, round, sender,
+/// send-sequence)` plus the delivery policy.
 ///
 /// This is the *single* source of routing randomness for every engine
 /// (and for test oracles that recompute fates independently), backed by
 /// [`rng::message_route_rng`].
-#[allow(clippy::too_many_arguments)]
 pub fn route_fate(
     seed: u64,
     round: u64,
@@ -389,14 +343,12 @@ pub fn route_fate(
     blocked: Option<DropCause>,
     drop_probability: f64,
     coin_cause: DropCause,
-    max_extra_delay: u64,
-) -> RouteFate {
+) -> Option<DropCause> {
     fate_from(
         || rng::message_route_rng(seed, src, round, sequence),
         blocked,
         drop_probability,
         coin_cause,
-        max_extra_delay,
     )
 }
 
@@ -417,33 +369,21 @@ pub fn retry_fate(
     blocked: Option<DropCause>,
     drop_probability: f64,
     coin_cause: DropCause,
-    max_extra_delay: u64,
-) -> RouteFate {
+) -> Option<DropCause> {
     fate_from(
         || rng::message_retry_rng(seed, src, orig_round, orig_seq, attempt),
         blocked,
         drop_probability,
         coin_cause,
-        max_extra_delay,
     )
 }
 
-/// The latency function of the synchronous model: every transmission
-/// takes one tick, so a tick is a round.
-pub fn unit_latency(_src: usize, _dst: usize, _round: u64, _sequence: u64, _attempt: u32) -> u64 {
-    1
-}
-
-/// Checks what the kernel relies on in a latency the caller's function
-/// returned: causality, and that at most one of the two delay mechanisms
-/// (a latency above one tick, the uniform-jitter knob) is in play.
+/// Checks the causality the kernel relies on in a drawn latency: a
+/// model that passed [`LatencyModel::validate`] never draws 0, but
+/// [`RouteParams`] can be built by hand.
 #[inline]
-fn checked_latency(lat: u64, max_extra_delay: u64) -> u64 {
+fn checked_latency(lat: u64) -> u64 {
     assert!(lat >= 1, "a delivery latency of 0 beats causality");
-    assert!(
-        lat == 1 || max_extra_delay == 0,
-        "a latency model supersedes the uniform-jitter knob"
-    );
     lat
 }
 
@@ -528,8 +468,8 @@ pub struct RouteParams<'a> {
     pub round: u64,
     /// The fault plan.
     pub faults: &'a FaultPlan,
-    /// Maximum extra delivery delay in rounds (0 = synchronous).
-    pub max_extra_delay: u64,
+    /// What every transmission's latency is drawn from.
+    pub latency: LatencyModel,
     /// Trace event capacity, when tracing is enabled.
     pub trace_capacity: Option<usize>,
     /// Causal-trace sampling rate in ppm, when causal tracing is
@@ -575,29 +515,24 @@ pub struct RouteDelta<M> {
 /// sender-side tallies into this shard's `sent_*` lanes (sliced from the
 /// run metrics; `sent_base` is the shard's first node index).
 ///
-/// `latency(src, dst, round, sequence, 0)` is the transmission's link
-/// latency in whole ticks; see the [module docs](self) for the
-/// arithmetic. Archive rounds are 1-based: a message staged while the
-/// round counter reads `r` is the protocol's round `sent = r + 1` send,
-/// processed by its receiver in round `sent + lat + extra_delay`.
+/// Each transmission's latency `lat` is drawn from `params.latency`
+/// at `(seed, src, dst, round, sequence, attempt 0)`; see the
+/// [module docs](self) for the arithmetic. Archive rounds are 1-based:
+/// a message staged while the round counter reads `r` is the protocol's
+/// round `sent = r + 1` send, processed by its receiver in round
+/// `sent + lat`.
 ///
 /// # Panics
 ///
 /// Panics if any envelope addresses a node index `>= params.node_count`,
-/// if a latency of 0 is returned, or if a latency above 1 meets a
-/// nonzero jitter knob.
-pub fn route_shard<M, L>(
+/// or if the model draws a latency of 0 (an unvalidated model).
+pub fn route_shard<M: MessageCost>(
     params: RouteParams<'_>,
-    latency: L,
     staged: &mut Vec<Envelope<M>>,
     sent_base: usize,
     sent_lanes: &mut [NodeLane],
     buckets: &mut [Routed<M>],
-) -> RouteDelta<M>
-where
-    M: MessageCost,
-    L: Fn(usize, usize, u64, u64, u32) -> u64,
-{
+) -> RouteDelta<M> {
     let mut delta = RouteDelta {
         row: RoundMetrics::default(),
         trace_events: Vec::new(),
@@ -627,13 +562,14 @@ where
         );
         let pointers = env.payload.pointers();
         let lat = checked_latency(
-            latency(src, dst, round, sequence, 0),
-            params.max_extra_delay,
+            params
+                .latency
+                .sample(params.seed, src, dst, round, sequence, 0),
         );
         // A node dead at the message's arrival tick never sees it.
         let blocked = guards.blocked(src, dst, round, round + lat);
         let (drop_p, coin_cause) = guards.coin(src, dst);
-        let fate = route_fate(
+        let dropped = route_fate(
             params.seed,
             round,
             src,
@@ -641,7 +577,6 @@ where
             blocked,
             drop_p,
             coin_cause,
-            params.max_extra_delay,
         );
         if let Some(capacity) = params.trace_capacity {
             if delta.trace_events.len() < capacity {
@@ -650,7 +585,7 @@ where
                     src: env.src,
                     dst: env.dst,
                     pointers,
-                    dropped: fate.dropped,
+                    dropped,
                 });
             } else {
                 delta.trace_overflow += 1;
@@ -659,7 +594,7 @@ where
         let lane = &mut sent_lanes[src - sent_base];
         lane.sent_messages += 1;
         lane.sent_pointers += pointers as u64;
-        if let Some(cause) = fate.dropped {
+        if let Some(cause) = dropped {
             charge(&mut delta.row.drops, cause);
             if params.reliable.is_some() {
                 delta.retries.push(RetryEnvelope {
@@ -674,7 +609,7 @@ where
         if let Some(ppm) = params.causal_ppm.filter(|_| pointers > 0) {
             if rng::prov_sample(params.seed, src, round, sequence, ppm) {
                 let sent = round + 1;
-                let delivered = sent + lat + fate.extra_delay;
+                let delivered = sent + lat;
                 let (esrc, edst) = (u32::from(env.src), u32::from(env.dst));
                 env.payload.visit_ids(&mut |id| {
                     delta.prov.push(ProvEdge {
@@ -692,7 +627,7 @@ where
         }
         delta.row.messages += 1;
         delta.row.pointers += pointers as u64;
-        buckets[dst / params.shard_len].push((lat - 1 + fate.extra_delay, env));
+        buckets[dst / params.shard_len].push((lat - 1, env));
     }
     delta
 }
@@ -766,7 +701,7 @@ impl<M: MessageCost> EngineCore<M> {
             suspects: SuspectView::none(),
             next_detection: 0,
             receive_cap: None,
-            max_extra_delay: 0,
+            latency: LatencyModel::UNIT,
             delayed: std::collections::BTreeMap::new(),
             pool: BufferPool::new(),
             reliable: None,
@@ -905,10 +840,18 @@ impl<M: MessageCost> EngineCore<M> {
         self.receive_cap = Some(cap);
     }
 
-    /// Makes delivery asynchronous: every message independently takes
-    /// `1 + U{0..=max_extra}` rounds to arrive instead of exactly one.
-    pub fn set_max_extra_delay(&mut self, max_extra: u64) {
-        self.max_extra_delay = max_extra;
+    /// Draws every transmission's latency from `latency`, retransmission
+    /// attempts included, on the message's own counter-based axes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's parameters are invalid (see
+    /// [`LatencyModel::validate`]).
+    pub fn set_latency(&mut self, latency: LatencyModel) {
+        if let Err(err) = latency.validate() {
+            panic!("invalid latency model: {err}");
+        }
+        self.latency = latency;
     }
 
     /// Number of nodes.
@@ -1013,62 +956,19 @@ impl<M: MessageCost> EngineCore<M> {
     }
 
     /// Routes a round's staged envelopes — canonical
-    /// `(sender, send-sequence)` order, senders contiguous — under unit
-    /// latency, accounting every message in the metrics and the trace.
-    /// The buffer is drained and left empty for reuse.
+    /// `(sender, send-sequence)` order, senders contiguous — on the
+    /// calling thread, accounting every message in the metrics and the
+    /// trace. The buffer is drained and left empty for reuse.
     ///
-    /// When the core can see that no message has anything to decide — no
-    /// faults, no jitter, no trace, no causal sampler — and one mailbox
-    /// serves every node, every message is a straight-line tally-and-push:
-    /// no coins, no branches on per-message state, no buckets. Otherwise
-    /// this is [`route_batch_with`](Self::route_batch_with) at
-    /// [`unit_latency`], which computes the same thing the long way round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any envelope addresses a node that does not exist.
-    pub fn route_batch(&mut self, staged: &mut Vec<Envelope<M>>) {
-        let undecided = self.trace.is_some()
-            || self.causal.is_some()
-            || self.max_extra_delay > 0
-            || !self.faults.is_fault_free();
-        if undecided || self.mailboxes.len() > 1 {
-            return self.route_batch_with(staged, unit_latency);
-        }
-        let mailbox = &mut self.mailboxes[0];
-        let n = self.node_count;
-        let lanes = self.metrics.lanes();
-        for env in staged.drain(..) {
-            let src = env.src.index();
-            let dst = env.dst.index();
-            assert!(
-                dst < n,
-                "message to unknown node {} from {}",
-                env.dst,
-                env.src
-            );
-            let pointers = env.payload.pointers() as u64;
-            lanes.row.messages += 1;
-            lanes.row.pointers += pointers;
-            let lane = &mut lanes.nodes[src];
-            lane.sent_messages += 1;
-            lane.sent_pointers += pointers;
-            let lane = &mut lanes.nodes[dst];
-            lane.recv_messages += 1;
-            lane.recv_pointers += pointers;
-            mailbox.push(env);
-        }
-    }
-
-    /// Routes a round's staged envelopes through the kernel on the
-    /// calling thread: [`route_shard`] over one whole-population sender
-    /// shard, [`merge_dest_shard`] into each mailbox,
-    /// [`apply_route_deltas`](Self::apply_route_deltas) — the sharded
-    /// pipeline at shard count 1, so the serial and parallel paths are
-    /// one function rather than two kept equal.
-    /// `latency` is the per-transmission link latency (see the
-    /// [module docs](self)); the entry point of every latency model but
-    /// unit latency.
+    /// This is the kernel at shard count 1: [`route_shard`] over one
+    /// whole-population sender shard, [`merge_dest_shard`] into each
+    /// mailbox, [`apply_route_deltas`](Self::apply_route_deltas) — the
+    /// sharded pipeline, so the serial and parallel paths are one
+    /// function rather than two kept equal. When the core can see that no
+    /// message has anything to decide — `const:1`, no faults, no trace,
+    /// no causal sampler — and one mailbox serves every node, every
+    /// message is instead a straight-line tally-and-push: no coins, no
+    /// draws, no branches on per-message state, no buckets.
     ///
     /// Dropped messages park in the retransmission queue (when reliable
     /// delivery is on) at `round + timeout`; the caller decides when to
@@ -1077,22 +977,42 @@ impl<M: MessageCost> EngineCore<M> {
     /// # Panics
     ///
     /// As [`route_shard`].
-    pub fn route_batch_with<L>(&mut self, staged: &mut Vec<Envelope<M>>, latency: L)
-    where
-        L: Fn(usize, usize, u64, u64, u32) -> u64,
-    {
+    pub fn route_batch(&mut self, staged: &mut Vec<Envelope<M>>) {
+        let decided = self.latency == LatencyModel::UNIT
+            && self.trace.is_none()
+            && self.causal.is_none()
+            && self.faults.is_fault_free();
+        if decided && self.mailboxes.len() == 1 {
+            let mailbox = &mut self.mailboxes[0];
+            let n = self.node_count;
+            let lanes = self.metrics.lanes();
+            for env in staged.drain(..) {
+                let src = env.src.index();
+                let dst = env.dst.index();
+                assert!(
+                    dst < n,
+                    "message to unknown node {} from {}",
+                    env.dst,
+                    env.src
+                );
+                let pointers = env.payload.pointers() as u64;
+                lanes.row.messages += 1;
+                lanes.row.pointers += pointers;
+                let lane = &mut lanes.nodes[src];
+                lane.sent_messages += 1;
+                lane.sent_pointers += pointers;
+                let lane = &mut lanes.nodes[dst];
+                lane.recv_messages += 1;
+                lane.recv_pointers += pointers;
+                mailbox.push(env);
+            }
+            return;
+        }
         let mut buckets = std::mem::take(&mut self.serial_buckets);
         let mut delayed = std::mem::take(&mut self.serial_delayed);
         let parts = self.route_parts();
         let shard_len = parts.params.shard_len;
-        let mut delta = route_shard(
-            parts.params,
-            latency,
-            staged,
-            0,
-            parts.node_lanes,
-            &mut buckets,
-        );
+        let mut delta = route_shard(parts.params, staged, 0, parts.node_lanes, &mut buckets);
         for (d, (bucket, mailbox)) in buckets.iter_mut().zip(parts.mailboxes).enumerate() {
             let base = d * shard_len;
             let end = (base + shard_len).min(parts.node_lanes.len());
@@ -1133,7 +1053,7 @@ impl<M: MessageCost> EngineCore<M> {
                 seed: self.seed,
                 round: self.round,
                 faults: &self.faults,
-                max_extra_delay: self.max_extra_delay,
+                latency: self.latency,
                 trace_capacity: self.trace.as_ref().map(Trace::capacity),
                 causal_ppm: self.causal.as_ref().map(CausalTrace::sample_ppm),
                 reliable: self.reliable,
@@ -1218,9 +1138,10 @@ impl<M: MessageCost> EngineCore<M> {
     /// Runs serially (after routing) in every engine, draining the
     /// resend queue in `(resend round, canonical drop order)` order, so
     /// every engine and worker count replays attempts identically.
-    /// `latency(src, dst, orig_round, orig_seq, attempt)` is the
-    /// attempt's link latency, with the same arithmetic as a first send
-    /// (see the [module docs](self)) on the [`retry_fate`] stream.
+    /// An attempt's latency is drawn from the core's model at
+    /// `(seed, src, dst, orig_round, orig_seq, attempt)`, with the same
+    /// arithmetic as a first send (see the [module docs](self)) on the
+    /// [`retry_fate`] stream.
     /// Attempts are charged like fresh sends (plus the
     /// `retransmissions` tally) but are not traced — the trace records
     /// the protocol's own sends. A still-failing attempt re-parks the
@@ -1229,20 +1150,13 @@ impl<M: MessageCost> EngineCore<M> {
     /// attempt's own round, a retransmission can land after its
     /// destination recovers or the partition heals.
     ///
-    /// # Panics
-    ///
-    /// Panics if a latency of 0 is returned, or a latency above 1 meets
-    /// a nonzero jitter knob.
-    pub fn retransmit_due<L>(&mut self, latency: L)
-    where
-        L: Fn(usize, usize, u64, u64, u32) -> u64,
-    {
+    pub fn retransmit_due(&mut self) {
         let Some(policy) = self.reliable else {
             return;
         };
         let round = self.round;
         let seed = self.seed;
-        let max_extra = self.max_extra_delay;
+        let latency = self.latency;
         let guards = FaultGuards::new(&self.faults);
         let (mailboxes, shard_len) = (&mut self.mailboxes, self.shard_len);
         let delayed = &mut self.delayed;
@@ -1255,13 +1169,17 @@ impl<M: MessageCost> EngineCore<M> {
                 let src = retry.env.src.index();
                 let dst = retry.env.dst.index();
                 let attempt = retry.attempts + 1;
-                let lat = checked_latency(
-                    latency(src, dst, retry.orig_round, retry.orig_seq, attempt),
-                    max_extra,
-                );
+                let lat = checked_latency(latency.sample(
+                    seed,
+                    src,
+                    dst,
+                    retry.orig_round,
+                    retry.orig_seq,
+                    attempt,
+                ));
                 let blocked = guards.blocked(src, dst, round, round + lat);
                 let (drop_p, coin_cause) = guards.coin(src, dst);
-                let fate = retry_fate(
+                let dropped = retry_fate(
                     seed,
                     src,
                     retry.orig_round,
@@ -1270,14 +1188,13 @@ impl<M: MessageCost> EngineCore<M> {
                     blocked,
                     drop_p,
                     coin_cause,
-                    max_extra,
                 );
                 let pointers = retry.env.payload.pointers() as u64;
                 lanes.row.retransmissions += 1;
                 let lane = &mut lanes.nodes[src];
                 lane.sent_messages += 1;
                 lane.sent_pointers += pointers;
-                if let Some(cause) = fate.dropped {
+                if let Some(cause) = dropped {
                     charge(&mut lanes.row.drops, cause);
                     if attempt < policy.max_retries {
                         // Backoff delays are ≥ 1, so the new slot is
@@ -1297,12 +1214,11 @@ impl<M: MessageCost> EngineCore<M> {
                     let lane = &mut lanes.nodes[dst];
                     lane.recv_messages += 1;
                     lane.recv_pointers += pointers;
-                    let arrival = round + lat + fate.extra_delay;
-                    if arrival == round + 1 {
+                    if lat == 1 {
                         mailboxes[dst / shard_len].push(retry.env);
                     } else {
                         delayed
-                            .entry(arrival)
+                            .entry(round + lat)
                             .or_insert_with(|| pool.take())
                             .push(retry.env);
                     }
@@ -1403,7 +1319,7 @@ mod tests {
 
     /// Closes a round the way the round engines do.
     fn close_round(core: &mut EngineCore<u32>) {
-        core.retransmit_due(unit_latency);
+        core.retransmit_due();
         core.finish_round();
     }
 
@@ -1457,7 +1373,7 @@ mod tests {
             seed: 1,
             round: 0,
             faults: &FaultPlan::new(),
-            max_extra_delay: 0,
+            latency: LatencyModel::UNIT,
             trace_capacity: None,
             causal_ppm: None,
             reliable: None,
@@ -1466,7 +1382,6 @@ mod tests {
         };
         route_shard(
             params,
-            unit_latency,
             &mut vec![env(0, 5, 1)],
             0,
             &mut [NodeLane::default(), NodeLane::default()],
@@ -1475,24 +1390,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "supersedes the uniform-jitter knob")]
-    fn a_latency_above_one_tick_refuses_the_jitter_knob() {
-        let mut core: EngineCore<u32> = EngineCore::new(2, 1);
-        core.set_max_extra_delay(2);
-        core.begin_round();
-        core.route_batch_with(&mut vec![env(0, 1, 7)], |_, _, _, _, _| 3);
-    }
-
-    #[test]
     fn route_fate_is_a_pure_function_of_its_inputs() {
-        let fate = |seq| route_fate(9, 3, 1, seq, None, 0.5, DropCause::Coin, 4);
+        let fate = |seq| route_fate(9, 3, 1, seq, None, 0.5, DropCause::Coin);
         assert_eq!(fate(0), fate(0));
         assert_eq!(fate(7), fate(7));
-        // A fault-free synchronous policy never drops or delays.
-        assert_eq!(
-            route_fate(9, 3, 1, 0, None, 0.0, DropCause::Coin, 0),
-            RouteFate::DELIVER
-        );
+        // A fault-free policy never drops.
+        assert_eq!(route_fate(9, 3, 1, 0, None, 0.0, DropCause::Coin), None);
         // A blocked path always drops with its cause, without consuming
         // coins.
         for cause in [
@@ -1501,67 +1404,39 @@ mod tests {
             DropCause::Suppression,
         ] {
             assert_eq!(
-                route_fate(9, 3, 1, 0, Some(cause), 0.0, DropCause::Coin, 0),
-                RouteFate::drop(cause)
+                route_fate(9, 3, 1, 0, Some(cause), 0.0, DropCause::Coin),
+                Some(cause)
             );
         }
         // The coin attributes to the caller-selected cause (the link
         // overlay substitutes `Link`) without changing the coin itself.
         for seq in 0..128 {
-            let base = route_fate(9, 3, 1, seq, None, 0.5, DropCause::Coin, 4);
-            let link = route_fate(9, 3, 1, seq, None, 0.5, DropCause::Link, 4);
-            assert_eq!(base.is_dropped(), link.is_dropped(), "same coin, seq {seq}");
-            assert_eq!(base.extra_delay, link.extra_delay);
-            if link.is_dropped() {
-                assert_eq!(link.dropped, Some(DropCause::Link));
+            let base = route_fate(9, 3, 1, seq, None, 0.5, DropCause::Coin);
+            let link = route_fate(9, 3, 1, seq, None, 0.5, DropCause::Link);
+            assert_eq!(base.is_some(), link.is_some(), "same coin, seq {seq}");
+            if link.is_some() {
+                assert_eq!(link, Some(DropCause::Link));
             }
         }
         // Fates vary across the sequence axis (statistically: across
         // 128 sequence numbers at p = 0.5, both outcomes must occur).
-        let drops = (0..128).filter(|&s| fate(s).is_dropped()).count();
+        let drops = (0..128).filter(|&s| fate(s).is_some()).count();
         assert!(drops > 0 && drops < 128, "sequence axis ignored: {drops}");
     }
 
     #[test]
     fn retry_fate_is_pure_and_independent_of_the_route_stream() {
-        let fate = |attempt| retry_fate(9, 1, 3, 0, attempt, None, 0.5, DropCause::Coin, 0);
+        let fate = |attempt| retry_fate(9, 1, 3, 0, attempt, None, 0.5, DropCause::Coin);
         assert_eq!(fate(1), fate(1));
         // Attempts draw independent coins (statistically: across 128
         // attempts at p = 0.5, both outcomes must occur).
-        let drops = (1..=128).filter(|&a| fate(a).is_dropped()).count();
+        let drops = (1..=128).filter(|&a| fate(a).is_some()).count();
         assert!(drops > 0 && drops < 128, "attempt axis ignored: {drops}");
-        assert_eq!(
-            retry_fate(
-                9,
-                1,
-                3,
-                0,
-                1,
-                Some(DropCause::Crash),
-                0.0,
-                DropCause::Coin,
-                0
-            ),
-            RouteFate::drop(DropCause::Crash)
-        );
-        assert_eq!(
-            retry_fate(
-                9,
-                1,
-                3,
-                0,
-                1,
-                Some(DropCause::Partition),
-                0.0,
-                DropCause::Coin,
-                0
-            ),
-            RouteFate::drop(DropCause::Partition)
-        );
-        assert_eq!(
-            retry_fate(9, 1, 3, 0, 1, None, 0.0, DropCause::Coin, 0),
-            RouteFate::DELIVER
-        );
+        for cause in [DropCause::Crash, DropCause::Partition] {
+            let blocked = retry_fate(9, 1, 3, 0, 1, Some(cause), 0.0, DropCause::Coin);
+            assert_eq!(blocked, Some(cause));
+        }
+        assert_eq!(retry_fate(9, 1, 3, 0, 1, None, 0.0, DropCause::Coin), None);
     }
 
     #[test]
@@ -1622,11 +1497,7 @@ mod tests {
     /// sender shard, [`merge_dest_shard`] per destination shard, then
     /// [`EngineCore::apply_route_deltas`]. The core must have been split
     /// into those shards.
-    fn route_in_shards(
-        core: &mut EngineCore<u32>,
-        staged: &[Envelope<u32>],
-        latency: impl Fn(usize, usize, u64, u64, u32) -> u64 + Copy,
-    ) {
+    fn route_in_shards(core: &mut EngineCore<u32>, staged: &[Envelope<u32>]) {
         let parts = core.route_parts();
         let (n, shard_len) = (parts.params.node_count, parts.params.shard_len);
         let shards = parts.mailboxes.len();
@@ -1643,7 +1514,6 @@ mod tests {
             let mut buckets = vec![Vec::new(); shards];
             deltas.push(route_shard(
                 parts.params,
-                latency,
                 &mut mine,
                 lo,
                 &mut parts.node_lanes[lo..hi],
@@ -1672,15 +1542,10 @@ mod tests {
 
     /// One round of a traced, causally sampled, reliable run — under
     /// drops, a crash and a partition when `faulty` — routed through
-    /// `shards` sender shards under `latency` (and `jitter` rounds of
-    /// extra delay): the serial entry point for one shard, the
-    /// shard/merge/apply calls a parallel engine makes for more.
-    fn routed_in_shards(
-        shards: usize,
-        faulty: bool,
-        jitter: u64,
-        latency: impl Fn(usize, usize, u64, u64, u32) -> u64 + Copy,
-    ) -> EngineCore<u32> {
+    /// `shards` sender shards under `latency`: the serial entry point
+    /// for one shard, the shard/merge/apply calls a parallel engine
+    /// makes for more.
+    fn routed_in_shards(shards: usize, faulty: bool, latency: LatencyModel) -> EngineCore<u32> {
         let n = ROUTED_N as usize;
         let mut staged: Vec<Envelope<u32>> = Vec::new();
         for src in 0..ROUTED_N {
@@ -1702,34 +1567,31 @@ mod tests {
                     .with_partition([vec![0, 1, 2, 9, 10, 11], vec![3, 4]], 0, 2),
             );
         }
-        core.set_max_extra_delay(jitter);
+        core.set_latency(latency);
         core.enable_trace(1 << 10);
         core.set_causal(CausalTrace::new(1 << 10, 600_000));
         core.set_reliable(RetryPolicy::default());
         core.begin_round();
         if shards == 1 {
-            core.route_batch_with(&mut staged, latency);
+            core.route_batch(&mut staged);
         } else {
-            route_in_shards(&mut core, &staged, latency);
+            route_in_shards(&mut core, &staged);
         }
         core
     }
 
     /// Directional links: upward sends take one tick, downward three.
-    fn asym(src: usize, dst: usize, _: u64, _: u64, _: u32) -> u64 {
-        if src < dst {
-            1
-        } else {
-            3
-        }
-    }
+    const ASYM: LatencyModel = LatencyModel::Asymmetric {
+        forward: 1,
+        backward: 3,
+    };
 
-    /// A seeded per-message latency of 1 to 5 ticks.
-    fn seeded(src: usize, dst: usize, round: u64, sequence: u64, _: u32) -> u64 {
-        1 + rng::derive_seed(7, (src * 8 + dst) as u64, sequence, round) % 5
-    }
-
-    type Latency = fn(usize, usize, u64, u64, u32) -> u64;
+    /// A heavy-tailed per-message latency of 1 to 6 ticks.
+    const LOGNORMAL: LatencyModel = LatencyModel::LogNormal {
+        mu_milli: 500,
+        sigma_milli: 800,
+        cap: 6,
+    };
 
     /// Records what it is handed each round and, for the first rounds,
     /// sends numbered messages: one to node 0 — the hot spot a receive
@@ -1762,15 +1624,13 @@ mod tests {
         }
     }
 
-    /// A multi-round delivery set-up: a receive cap, jitter, a fault
-    /// plan, retransmissions and a latency function (`None`: unit
-    /// latency, routed by `route_batch` on one shard).
+    /// A multi-round delivery set-up: a receive cap, a fault plan,
+    /// retransmissions and a latency model.
     struct Delivery {
         cap: Option<usize>,
-        jitter: u64,
         faults: FaultPlan,
         reliable: Option<RetryPolicy>,
-        latency: Option<Latency>,
+        latency: LatencyModel,
     }
 
     /// Population and length of the multi-round oracle runs: eleven
@@ -1788,7 +1648,7 @@ mod tests {
         let mut core: EngineCore<u32> = EngineCore::new(n, 5);
         core.set_shard_len(n.div_ceil(shards));
         core.set_faults(setup.faults.clone());
-        core.set_max_extra_delay(setup.jitter);
+        core.set_latency(setup.latency);
         if let Some(cap) = setup.cap {
             core.set_receive_cap(cap);
         }
@@ -1801,7 +1661,6 @@ mod tests {
                 heard: Vec::new(),
             })
             .collect();
-        let latency = setup.latency.unwrap_or(unit_latency);
         let (mut staged, mut held) = (Vec::new(), Vec::new());
         for _ in 0..ORACLE_ROUNDS {
             core.begin_round();
@@ -1811,17 +1670,15 @@ mod tests {
                 let base = w * state.shard_len;
                 step_shard(state.ctx, base, block, mailbox, &mut staged, &mut held);
             }
-            // One shard takes the serial entry points, two the sharded
+            // One shard takes the serial entry point, two the sharded
             // engine's calls, three the serial kernel into every mailbox.
-            match (shards, setup.latency) {
-                (1, None) => core.route_batch(&mut staged),
-                (2, _) => {
-                    route_in_shards(&mut core, &staged, latency);
-                    staged.clear();
-                }
-                _ => core.route_batch_with(&mut staged, latency),
+            if shards == 2 {
+                route_in_shards(&mut core, &staged);
+                staged.clear();
+            } else {
+                core.route_batch(&mut staged);
             }
-            core.retransmit_due(latency);
+            core.retransmit_due();
             core.finish_round();
         }
         nodes.into_iter().map(|node| node.heard).collect()
@@ -1836,7 +1693,11 @@ mod tests {
         type Parked = (Envelope<u32>, u64, u64, u32);
         let (n, seed) = (ORACLE_N as usize, 5);
         let guards = FaultGuards::new(&setup.faults);
-        let latency = setup.latency.unwrap_or(unit_latency);
+        let latency = |src, dst, round, sequence, attempt| {
+            setup
+                .latency
+                .sample(seed, src, dst, round, sequence, attempt)
+        };
         let mut inboxes = vec![Vec::new(); n];
         let mut delayed: std::collections::BTreeMap<u64, Vec<Envelope<u32>>> = Default::default();
         let mut parked: std::collections::BTreeMap<u64, Vec<Parked>> = Default::default();
@@ -1882,18 +1743,15 @@ mod tests {
                 let lat = latency(src, dst, round, seq.1, 0);
                 let blocked = guards.blocked(src, dst, round, round + lat);
                 let (p, cause) = guards.coin(src, dst);
-                let fate = route_fate(seed, round, src, seq.1, blocked, p, cause, setup.jitter);
-                match (fate.dropped, setup.reliable) {
+                let dropped = route_fate(seed, round, src, seq.1, blocked, p, cause);
+                match (dropped, setup.reliable) {
                     (Some(_), Some(policy)) => parked
                         .entry(round + policy.timeout)
                         .or_default()
                         .push((env, round, seq.1, 0)),
                     (Some(_), None) => {}
-                    (None, _) if lat + fate.extra_delay == 1 => inboxes[dst].push(env),
-                    (None, _) => {
-                        let arrival = round + lat + fate.extra_delay;
-                        delayed.entry(arrival).or_default().push(env);
-                    }
+                    (None, _) if lat == 1 => inboxes[dst].push(env),
+                    (None, _) => delayed.entry(round + lat).or_default().push(env),
                 }
             }
             while let Some(entry) = parked.first_entry().filter(|e| *e.key() <= round) {
@@ -1903,29 +1761,19 @@ mod tests {
                     let lat = latency(src, dst, orig_round, orig_seq, attempt);
                     let blocked = guards.blocked(src, dst, round, round + lat);
                     let (p, cause) = guards.coin(src, dst);
-                    let fate = retry_fate(
-                        seed,
-                        src,
-                        orig_round,
-                        orig_seq,
-                        attempt,
-                        blocked,
-                        p,
-                        cause,
-                        setup.jitter,
-                    );
-                    let arrival = round + lat + fate.extra_delay;
-                    if fate.is_dropped() {
+                    let dropped =
+                        retry_fate(seed, src, orig_round, orig_seq, attempt, blocked, p, cause);
+                    if dropped.is_some() {
                         if attempt < policy.max_retries {
                             parked
                                 .entry(round + policy.delay_after(attempt))
                                 .or_default()
                                 .push((env, orig_round, orig_seq, attempt));
                         }
-                    } else if arrival == round + 1 {
+                    } else if lat == 1 {
                         inboxes[dst].push(env);
                     } else {
-                        delayed.entry(arrival).or_default().push(env);
+                        delayed.entry(round + lat).or_default().push(env);
                     }
                 }
             }
@@ -1937,19 +1785,19 @@ mod tests {
     #[test]
     fn batch_and_shard_routing_agree_under_faults_and_delay() {
         // The kernel is one function of (seed, src, round, sequence,
-        // latency): however the senders are sharded, mailboxes, delay
-        // queue, metrics, trace, causal edges and parked retries agree —
-        // with no fault and no jitter, and with drops, a crash and a
-        // partition under unit latency with jitter, under directional
-        // latency, and under a seeded per-message latency.
-        let axes: [(&str, bool, u64, Latency); 4] = [
-            ("fault-free", false, 0, unit_latency),
-            ("unit", true, 2, unit_latency),
-            ("asym", true, 0, asym),
-            ("seeded", true, 0, seeded),
+        // latency model): however the senders are sharded, mailboxes,
+        // delay queue, metrics, trace, causal edges and parked retries
+        // agree — with no fault under `const:1`, and with drops, a crash
+        // and a partition under a uniform, a directional and a
+        // heavy-tailed latency.
+        let axes = [
+            ("fault-free", false, LatencyModel::UNIT),
+            ("uniform", true, LatencyModel::Uniform { min: 1, max: 3 }),
+            ("asym", true, ASYM),
+            ("lognormal", true, LOGNORMAL),
         ];
-        for (name, faulty, jitter, latency) in axes {
-            let serial = routed_in_shards(1, faulty, jitter, latency);
+        for (name, faulty, latency) in axes {
+            let serial = routed_in_shards(1, faulty, latency);
             assert!(!serial.causal().unwrap().is_empty());
             assert!(serial.causal().unwrap().sampled_out() > 0);
             if faulty {
@@ -1964,7 +1812,7 @@ mod tests {
             let parked: usize = serial.retransmit_queue.values().map(Vec::len).sum();
             assert_eq!(parked as u64, serial.metrics().total_dropped());
             for shards in [2, 3, 4] {
-                let sharded = routed_in_shards(shards, faulty, jitter, latency);
+                let sharded = routed_in_shards(shards, faulty, latency);
                 let at = format!("{name}, {shards} shards");
                 assert_eq!(serial.metrics(), sharded.metrics(), "{at}");
                 assert_eq!(
@@ -2023,38 +1871,41 @@ mod tests {
             max_retries: 6,
             max_backoff: 4,
         };
+        let uniform = LatencyModel::Uniform { min: 1, max: 3 };
         let setups = [
-            ("fault-free", None, 0, FaultPlan::new(), None, None),
-            ("capped", Some(2), 0, FaultPlan::new(), None, None),
             (
-                "capped jitter churn",
-                Some(2),
-                2,
-                churn(),
-                Some(policy),
+                "fault-free",
                 None,
+                FaultPlan::new(),
+                None,
+                LatencyModel::UNIT,
             ),
             (
-                "cap 1 asym partition",
-                Some(1),
-                0,
-                split,
-                Some(policy),
-                Some(asym as Latency),
+                "capped",
+                Some(2),
+                FaultPlan::new(),
+                None,
+                LatencyModel::UNIT,
             ),
             (
-                "cap 3 seeded churn",
-                Some(3),
-                0,
+                "capped uniform churn",
+                Some(2),
                 churn(),
                 Some(policy),
-                Some(seeded),
+                uniform,
+            ),
+            ("cap 1 asym partition", Some(1), split, Some(policy), ASYM),
+            (
+                "cap 3 lognormal churn",
+                Some(3),
+                churn(),
+                Some(policy),
+                LOGNORMAL,
             ),
         ];
-        for (name, cap, jitter, faults, reliable, latency) in setups {
+        for (name, cap, faults, reliable, latency) in setups {
             let setup = Delivery {
                 cap,
-                jitter,
                 faults,
                 reliable,
                 latency,

@@ -95,7 +95,8 @@ impl LatencyModel {
     pub const UNIT: LatencyModel = LatencyModel::Constant { ticks: 1 };
 
     /// Checks the model's parameters, returning a description of the
-    /// first violation. [`Engine::with_latency`](crate::Engine::with_latency)
+    /// first violation.
+    /// [`RoundEngine::with_latency`](crate::RoundEngine::with_latency)
     /// calls this.
     pub fn validate(&self) -> Result<(), String> {
         match *self {
@@ -193,14 +194,6 @@ impl LatencyModel {
         };
         model.validate()?;
         Ok(model)
-    }
-
-    /// [`sample`](Self::sample) under one run's seed: the latency
-    /// function the routing kernel and the retransmission sweep take.
-    pub fn sampler(self, seed: u64) -> impl Fn(usize, usize, u64, u64, u32) -> u64 + Copy {
-        move |src, dst, tick, sequence, attempt| {
-            self.sample(seed, src, dst, tick, sequence, attempt)
-        }
     }
 
     /// Draws the delivery latency of one transmission, in ticks

@@ -16,10 +16,11 @@
 //!   *pointers* (identifiers carried) and *bits*, the complexity measures
 //!   the literature reports.
 //!
-//! That round is one latency model among several: [`Engine::with_latency`]
-//! gives every message a [`LatencyModel`] draw of whole ticks instead
-//! (constant, uniform, heavy-tailed, asymmetric, grey-failure), routed
-//! by the same kernel, so a round reads as one tick of simulated time.
+//! That round is one latency model among several:
+//! [`RoundEngine::with_latency`] gives every message a [`LatencyModel`]
+//! draw of whole ticks instead (constant, uniform, heavy-tailed,
+//! asymmetric, grey-failure), on either engine and through the same
+//! kernel, so a round reads as one tick of simulated time.
 //!
 //! The simulator is fully deterministic: node programs receive
 //! per-`(seed, node, round)` random generators, so a run is reproducible
@@ -82,8 +83,8 @@ pub mod trace;
 
 pub use engine::{timed_phase, Engine, RoundEngine, RoundShell, RunOutcome};
 pub use engine_core::{
-    retry_fate, route_fate, step_node, step_shard, unit_latency, EngineCore, FaultGuards, Mailbox,
-    RetryPolicy, RouteFate, StepCtx, StepState,
+    retry_fate, route_fate, step_node, step_shard, EngineCore, FaultGuards, Mailbox, RetryPolicy,
+    StepCtx, StepState,
 };
 pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec};
 pub use id::NodeId;

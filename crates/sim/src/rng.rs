@@ -39,8 +39,8 @@ pub fn node_round_rng(run_seed: u64, node: usize, round: u64) -> StdRng {
 /// first send of the round, 1 for its second, …).
 ///
 /// This is the *counter-based* randomness that lets the routing phase
-/// run in parallel: the fault-drop and delay-jitter coins of a message
-/// are a pure function of `(seed, src, round, sequence)`, so routing
+/// run in parallel: the fault-drop coin of a message is a pure function
+/// of `(seed, src, round, sequence)`, so routing
 /// one envelope never advances any stream another envelope reads —
 /// routing order (and therefore worker count) cannot change any coin.
 pub fn message_route_rng(run_seed: u64, src: usize, round: u64, sequence: u64) -> StdRng {

@@ -78,13 +78,6 @@ impl Trace {
         self.overflow
     }
 
-    /// Total events observed: stored plus overflowed. A consumer must
-    /// compare this against `events().len()` (or check `overflow()`)
-    /// before treating the stored prefix as the complete story.
-    pub fn total_events(&self) -> u64 {
-        self.events.len() as u64 + self.overflow
-    }
-
     /// Events sent in a given round.
     pub fn in_round(&self, round: u64) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().filter(move |e| e.round == round)
@@ -113,7 +106,6 @@ mod tests {
         t.record(ev(1));
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.overflow(), 1);
-        assert_eq!(t.total_events(), 3);
     }
 
     #[test]

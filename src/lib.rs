@@ -56,7 +56,7 @@ pub use rd_core::runner::run;
 /// item 5 deletes this module along with the benchmark's use of them.
 pub mod event {
     pub use rd_sim::LatencyModel;
-    use rd_sim::{Engine, Node};
+    use rd_sim::{Engine, Node, RoundEngine};
     /// Builds the serial engine under a latency model.
     pub struct EventEngine;
     impl EventEngine {

@@ -19,7 +19,6 @@ fn event_config(latency: LatencyModel, archive: PathBuf) -> RunConfig {
     RunConfig::new(Topology::KOut { k: 3 }, 192, 7)
         .with_max_rounds(2_000)
         .with_engine(EngineKind::Event { latency })
-        .with_trace(1 << 14)
         .with_obs(ObsSpec::new().with_archive(archive))
 }
 
@@ -121,8 +120,7 @@ fn archives_record_the_latency_model() {
 
 /// The headline behavioural claim: under the same seed (hence the same
 /// drop coins and node randomness), heavy-tail latency stretches
-/// convergence past the synchronous run — a result no round engine can
-/// express, since their delay knob is bounded uniform jitter.
+/// convergence past the synchronous run.
 #[test]
 fn heavy_tail_latency_stretches_convergence() {
     let base = RunConfig::new(Topology::KOut { k: 3 }, 256, 11).with_max_rounds(4_000);

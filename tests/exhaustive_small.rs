@@ -84,8 +84,6 @@ where
         bits: engine.metrics().total_bits(),
         drops: Default::default(),
         retransmissions: 0,
-        trace_events: 0,
-        trace_overflow: 0,
         detector_retractions: 0,
         max_sent_messages: engine.metrics().max_sent_messages(),
         max_recv_messages: engine.metrics().max_recv_messages(),

@@ -12,9 +12,10 @@
 //! measured number.
 //!
 //! A second, oracle-backed property pins the *delivery policy* itself:
-//! with a receive cap and delay jitter active together, every message's
-//! fate is recomputed independently via [`route_fate`], and the capped
-//! backlog must drain in arrival order with nothing lost or duplicated.
+//! with a receive cap and a uniform latency model active together, every
+//! message's arrival is recomputed independently via
+//! [`LatencyModel::sample`] and [`route_fate`], and the capped backlog
+//! must drain in arrival order with nothing lost or duplicated.
 
 use proptest::prelude::*;
 use resource_discovery::core::algorithms::hm::HmConfig;
@@ -93,7 +94,8 @@ struct Instance {
     faults: FaultPlan,
     reliable: Option<RetryPolicy>,
     receive_cap: Option<usize>,
-    max_extra_delay: u64,
+    /// `const:1`, or `uniform:1:(1+j)` for a jitter `j` of 1 or 2.
+    latency: LatencyModel,
     workers: usize,
 }
 
@@ -187,7 +189,10 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
                         max_backoff: 4,
                     }),
                     receive_cap: (cap > 0).then_some(cap * 2),
-                    max_extra_delay: delay,
+                    latency: match delay {
+                        0 => LatencyModel::UNIT,
+                        j => LatencyModel::Uniform { min: 1, max: 1 + j },
+                    },
                     workers,
                 }
             },
@@ -213,7 +218,7 @@ where
         if let Some(policy) = inst.reliable {
             e = e.with_reliable_delivery(policy);
         }
-        e.with_max_extra_delay(inst.max_extra_delay)
+        e.with_latency(inst.latency)
     };
     let configure_par = |mut e: ShardedEngine<A::NodeState>| {
         e = e.with_faults(inst.faults.clone()).with_trace(1 << 13);
@@ -223,7 +228,7 @@ where
         if let Some(policy) = inst.reliable {
             e = e.with_reliable_delivery(policy);
         }
-        e.with_max_extra_delay(inst.max_extra_delay)
+        e.with_latency(inst.latency)
     };
 
     let mut seq = configure_seq(Engine::new(alg.make_nodes(&initial), inst.seed));
@@ -270,8 +275,8 @@ where
 
 /// Runs one algorithm on the plain engine and on the same engine under
 /// `uniform:1:1` and asserts bit-identical results. That model is not
-/// `const:1`, so it routes and retransmits through the kernel with the
-/// model's sampler, yet every draw is one tick: the sampler path must
+/// `const:1`, so it routes and retransmits through the kernel drawing
+/// from the model, yet every draw is one tick: the sampler path must
 /// collapse exactly onto the unit-latency path.
 fn assert_sampler_equivalent<A>(alg: &A, inst: &Instance) -> Result<(), TestCaseError>
 where
@@ -410,6 +415,55 @@ proptest! {
     }
 }
 
+/// One model of every latency family, each drawing above one tick.
+const LATENCY_FAMILIES: [LatencyModel; 5] = [
+    LatencyModel::Constant { ticks: 2 },
+    LatencyModel::Uniform { min: 1, max: 4 },
+    LatencyModel::LogNormal {
+        mu_milli: 500,
+        sigma_milli: 800,
+        cap: 8,
+    },
+    LatencyModel::Asymmetric {
+        forward: 1,
+        backward: 3,
+    },
+    LatencyModel::Slow {
+        base: 1,
+        slow: 5,
+        frac_ppm: 250_000,
+    },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The sharded engine routes and retransmits under the core's
+    /// latency model exactly as the serial engine does: for every
+    /// latency family, on two and three workers, under drops and the
+    /// instance's other faults with reliable delivery on, the same
+    /// outcome, per-round metrics, message trace and final node state.
+    #[test]
+    fn sharded_engine_matches_serial_under_every_latency_family(inst in arb_instance()) {
+        let mut inst = inst;
+        if inst.faults.drop_probability() == 0.0 {
+            inst.faults = inst.faults.with_drop_probability(0.1);
+        }
+        inst.reliable.get_or_insert(RetryPolicy {
+            timeout: 1,
+            max_retries: 3,
+            max_backoff: 4,
+        });
+        for latency in LATENCY_FAMILIES {
+            for workers in [2, 3] {
+                let inst = Instance { latency, workers, ..inst.clone() };
+                assert_equivalent(&NameDropper, &inst)?;
+                assert_equivalent(&HmDiscovery::new(HmConfig::default()), &inst)?;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -438,15 +492,13 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
 
         let kind = AlgorithmKind::Hm(HmConfig::default());
-        let base = RunConfig::new(topo, n, seed)
-            .with_max_rounds(1_200)
-            .with_trace(1 << 13);
+        let base = RunConfig::new(topo, n, seed).with_max_rounds(1_200);
         let engines = [
             ("seq", EngineKind::Sequential),
             ("par", EngineKind::Sharded { workers }),
         ];
 
-        // Blind runs: the trace buffer on, all telemetry off.
+        // Blind runs: all telemetry off.
         let blind: Vec<_> = engines
             .iter()
             .map(|&(_, e)| run(kind, &base.clone().with_engine(e)))
@@ -725,11 +777,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Delivery-policy oracle: with a receive cap and delay jitter
-    /// active *together*, recompute every message's fate independently
-    /// via [`route_fate`] and check that the capped backlog drains in
-    /// arrival order — nothing delivered early, nothing lost, nothing
-    /// duplicated — and that both engines agree receipt-for-receipt.
+    /// Delivery-policy oracle: with a receive cap and a `uniform:1:(1+d)`
+    /// latency active *together*, recompute every message's arrival
+    /// independently — [`LatencyModel::sample`] plus [`route_fate`] —
+    /// and check that the capped backlog drains in arrival order —
+    /// nothing delivered early, nothing lost, nothing duplicated — and
+    /// that both engines agree receipt-for-receipt.
     #[test]
     fn capped_delayed_deliveries_drain_in_arrival_order(
         n in 4usize..10,
@@ -746,14 +799,15 @@ proptest! {
                 .collect()
         };
         let faults = FaultPlan::new().with_drop_probability(drop_p);
+        let latency = LatencyModel::Uniform { min: 1, max: 1 + delay };
         let mut seq = Engine::new(make(), seed)
             .with_faults(faults.clone())
             .with_receive_cap(cap)
-            .with_max_extra_delay(delay);
+            .with_latency(latency);
         let mut par = ShardedEngine::new(make(), seed, workers)
             .with_faults(faults)
             .with_receive_cap(cap)
-            .with_max_extra_delay(delay);
+            .with_latency(latency);
         // Enough rounds to land every jittered message and drain the
         // worst-case capped backlog at one message per round.
         let total_rounds = SEND_ROUNDS + delay + (n as u64 * SEND_ROUNDS * FAN_OUT) + 2;
@@ -774,9 +828,9 @@ proptest! {
             for src in 0..n {
                 for k in 0..FAN_OUT {
                     let dst = (src + 1 + ((round + k) as usize % (n - 1))) % n;
-                    let fate = route_fate(seed, round, src, k, None, drop_p, DropCause::Coin, delay);
-                    if !fate.is_dropped() {
-                        expected[dst].push((round + 1 + fate.extra_delay, chatter_tag(src, round, k)));
+                    let lat = latency.sample(seed, src, dst, round, k, 0);
+                    if route_fate(seed, round, src, k, None, drop_p, DropCause::Coin).is_none() {
+                        expected[dst].push((round + lat, chatter_tag(src, round, k)));
                     }
                 }
             }
