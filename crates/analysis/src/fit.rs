@@ -80,13 +80,6 @@ pub struct FitResult {
     pub r2: f64,
 }
 
-impl FitResult {
-    /// Predicted `y` at `n`.
-    pub fn predict(&self, n: f64) -> f64 {
-        self.a + self.b * self.model.basis(n)
-    }
-}
-
 impl fmt::Display for FitResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -217,17 +210,6 @@ mod tests {
         let best = &best_fit(&n, &y)[0];
         assert_eq!(best.model, ScalingModel::Log);
         assert!(best.r2 > 0.95);
-    }
-
-    #[test]
-    fn predict_matches_closed_form() {
-        let fit = FitResult {
-            model: ScalingModel::Log,
-            a: 1.0,
-            b: 2.0,
-            r2: 1.0,
-        };
-        assert!((fit.predict(1024.0) - 21.0).abs() < 1e-12);
     }
 
     #[test]

@@ -82,10 +82,13 @@ impl AlgorithmKind {
 /// cross-engine equivalence property test enforces this), so choosing
 /// between them is purely about wall-clock: the sharded engine pays a
 /// per-round handoff to its worker threads to win parallel node
-/// stepping *and* parallel routing — message fates are counter-derived per `(seed,
-/// sender, round, sequence)`, so the routing phase shards as cleanly as
-/// the stepping phase — which starts paying off for populations around
-/// 2¹⁴ and up on multicore hosts.
+/// stepping *and* parallel routing — message fates are counter-derived
+/// per `(seed, sender, round, sequence)`, so the routing phase shards
+/// as cleanly as the stepping phase. Measured, it has not paid off: on
+/// HM to everyone-knows-everyone at n = 2¹⁶ on a 2-vCPU x86-64 Linux
+/// VM, `Sharded { workers: 2 }` ran at ×0.89 the speed of `Sequential`
+/// (six alternated pairs, 1.89–2.47 s sequential against 1.90–2.65 s
+/// sharded).
 ///
 /// `Event` changes the *network model* instead: the serial engine draws
 /// per-message delivery latency from a [`LatencyModel`], which expresses

@@ -105,19 +105,6 @@ impl CsrAdjacency {
     }
 }
 
-impl From<&DiGraph> for CsrAdjacency {
-    fn from(g: &DiGraph) -> Self {
-        CsrAdjacency::from_digraph(g)
-    }
-}
-
-impl DiGraph {
-    /// Freezes this graph into a [`CsrAdjacency`].
-    pub fn to_csr(&self) -> CsrAdjacency {
-        CsrAdjacency::from_digraph(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +119,7 @@ mod tests {
             Topology::CliqueChain { cliques: 4 },
         ] {
             let g = topo.generate(100, 9);
-            let csr = g.to_csr();
+            let csr = CsrAdjacency::from_digraph(&g);
             assert_eq!(csr.node_count(), g.node_count());
             assert_eq!(csr.edge_count(), g.edge_count());
             for u in 0..g.node_count() {
@@ -144,13 +131,13 @@ mod tests {
 
     #[test]
     fn empty_and_isolated_rows() {
-        let csr = DiGraph::new(3).to_csr();
+        let csr = CsrAdjacency::from_digraph(&DiGraph::new(3));
         assert_eq!(csr.node_count(), 3);
         assert_eq!(csr.edge_count(), 0);
         for u in 0..3 {
             assert!(csr.row(u).is_empty());
         }
-        let none = DiGraph::new(0).to_csr();
+        let none = CsrAdjacency::from_digraph(&DiGraph::new(0));
         assert_eq!(none.node_count(), 0);
         assert!(none.rows().next().is_none());
     }
@@ -158,7 +145,7 @@ mod tests {
     #[test]
     fn rows_iterator_covers_edge_array() {
         let g = DiGraph::from_edges(4, [(0, 1), (1, 2), (1, 3), (3, 0)]);
-        let csr = g.to_csr();
+        let csr = CsrAdjacency::from_digraph(&g);
         let flattened: Vec<u32> = csr.rows().flatten().copied().collect();
         assert_eq!(flattened, csr.targets());
         assert_eq!(csr.offsets(), &[0, 1, 3, 3, 4]);

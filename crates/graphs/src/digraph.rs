@@ -86,11 +86,6 @@ impl DiGraph {
         }
     }
 
-    /// Returns `true` if the edge `u -> v` exists.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.adj[u].binary_search(&(v as u32)).is_ok()
-    }
-
     /// Out-neighbours of `u`, sorted ascending.
     pub fn out(&self, u: usize) -> &[u32] {
         &self.adj[u]
@@ -130,42 +125,6 @@ impl DiGraph {
             g.add_edge(v, u);
         }
         g
-    }
-
-    /// The reverse graph (every edge flipped).
-    pub fn reversed(&self) -> DiGraph {
-        let mut g = DiGraph::new(self.node_count());
-        for (u, v) in self.iter_edges() {
-            g.add_edge(v, u);
-        }
-        g
-    }
-
-    /// Renders the graph in Graphviz DOT syntax, for debugging and
-    /// documentation (`dot -Tsvg`).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use rd_graphs::DiGraph;
-    ///
-    /// let g = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
-    /// let dot = g.to_dot("knowledge");
-    /// assert!(dot.contains("digraph knowledge {"));
-    /// assert!(dot.contains("  0 -> 1;"));
-    /// ```
-    pub fn to_dot(&self, name: &str) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph {name} {{");
-        for v in 0..self.node_count() {
-            let _ = writeln!(out, "  {v};");
-        }
-        for (u, v) in self.iter_edges() {
-            let _ = writeln!(out, "  {u} -> {v};");
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -222,15 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_matches_insertions() {
-        let g = DiGraph::from_edges(4, [(0, 1), (2, 3), (3, 0)]);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(3, 0));
-        assert!(!g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 3));
-    }
-
-    #[test]
     fn in_degrees_counts_incoming() {
         let g = DiGraph::from_edges(4, [(0, 3), (1, 3), (2, 3), (3, 0)]);
         assert_eq!(g.in_degrees(), vec![1, 0, 0, 3]);
@@ -249,35 +199,14 @@ mod tests {
     fn undirected_closure_symmetrizes() {
         let g = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
         let u = g.undirected_closure();
-        assert!(u.has_edge(1, 0) && u.has_edge(2, 1));
+        assert_eq!(u.out(1), &[0, 2]);
+        assert_eq!(u.out(2), &[1]);
         assert_eq!(u.edge_count(), 4);
-    }
-
-    #[test]
-    fn reversed_flips_every_edge() {
-        let g = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
-        let r = g.reversed();
-        assert!(r.has_edge(1, 0));
-        assert!(r.has_edge(2, 1));
-        assert_eq!(r.edge_count(), 2);
     }
 
     #[test]
     fn debug_is_nonempty() {
         let g = DiGraph::new(1);
         assert!(!format!("{g:?}").is_empty());
-    }
-
-    #[test]
-    fn dot_output_lists_all_nodes_and_edges() {
-        let g = DiGraph::from_edges(3, [(2, 0)]);
-        let dot = g.to_dot("g");
-        assert!(dot.starts_with("digraph g {"));
-        assert!(dot.ends_with("}\n"));
-        for v in 0..3 {
-            assert!(dot.contains(&format!("  {v};")));
-        }
-        assert!(dot.contains("  2 -> 0;"));
-        assert_eq!(dot.matches("->").count(), 1);
     }
 }

@@ -14,7 +14,7 @@
 //! * connectivity analysis ([`connectivity`]) — weak components, Tarjan
 //!   strongly connected components, reachability,
 //! * structural metrics ([`metrics`]) — BFS distances, eccentricity,
-//!   diameter of the undirected closure, degree statistics,
+//!   diameter of the undirected closure,
 //! * a topology zoo ([`topology`]) — the fourteen initial knowledge-graph
 //!   families used throughout the evaluation (paths, trees, random k-out
 //!   graphs, clique chains, hypercubes, …), all guaranteed weakly

@@ -1,5 +1,5 @@
 //! Structural metrics of knowledge graphs: BFS distances, eccentricity,
-//! diameter, and degree statistics.
+//! and diameter.
 //!
 //! The round lower bound `Ω(log D)` discussed in DESIGN.md §1.1 is stated
 //! in terms of the diameter `D` of the *undirected closure* of the initial
@@ -85,37 +85,6 @@ pub fn approx_undirected_diameter(g: &DiGraph, src: usize) -> Option<u32> {
     eccentricity(&u, far)
 }
 
-/// Summary statistics of a degree sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-}
-
-/// Out-degree statistics of `g`. Returns `None` for the empty graph.
-pub fn out_degree_stats(g: &DiGraph) -> Option<DegreeStats> {
-    let n = g.node_count();
-    if n == 0 {
-        return None;
-    }
-    let mut min = usize::MAX;
-    let mut max = 0;
-    for u in 0..n {
-        let d = g.out_degree(u);
-        min = min.min(d);
-        max = max.max(d);
-    }
-    Some(DegreeStats {
-        min,
-        max,
-        mean: g.edge_count() as f64 / n as f64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,19 +148,5 @@ mod tests {
         let approx = approx_undirected_diameter(&g, 5).unwrap();
         assert!(approx <= exact);
         assert_eq!(exact, 6);
-    }
-
-    #[test]
-    fn degree_stats_of_star() {
-        let g = DiGraph::from_edges(4, (1..4).map(|i| (0, i)));
-        let s = out_degree_stats(&g).unwrap();
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_stats_empty_graph() {
-        assert_eq!(out_degree_stats(&DiGraph::new(0)), None);
     }
 }

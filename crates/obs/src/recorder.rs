@@ -335,8 +335,8 @@ impl Recorder {
     }
 
     /// Direct access to the counter/gauge/histogram registry, for
-    /// drivers that publish their own metrics (detector retractions,
-    /// registry-service tallies) before `finish`.
+    /// drivers that publish their own metrics (detector retractions)
+    /// before `finish`.
     pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.registry
     }

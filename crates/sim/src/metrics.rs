@@ -196,24 +196,6 @@ impl RunMetrics {
             .unwrap_or(0)
     }
 
-    /// Maximum number of pointers any single node sent.
-    pub fn max_sent_pointers(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|l| l.sent_pointers)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Maximum number of pointers any single node received.
-    pub fn max_recv_pointers(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|l| l.recv_pointers)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Mean messages sent per node.
     pub fn mean_messages_per_node(&self) -> f64 {
         if self.node_count() == 0 {
@@ -296,9 +278,9 @@ mod tests {
         assert_eq!(m.total_messages(), 3);
         assert_eq!(m.total_pointers(), 8);
         assert_eq!(m.max_sent_messages(), 2);
-        assert_eq!(m.max_sent_pointers(), 7);
+        assert_eq!(m.node_lanes()[0].sent_pointers, 7);
         assert_eq!(m.max_recv_messages(), 1);
-        assert_eq!(m.max_recv_pointers(), 5);
+        assert_eq!(m.node_lanes()[1].recv_pointers, 5);
     }
 
     #[test]

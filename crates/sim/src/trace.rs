@@ -18,13 +18,6 @@ pub struct TraceEvent {
     pub dropped: Option<DropCause>,
 }
 
-impl TraceEvent {
-    /// Whether fault injection discarded the message.
-    pub fn is_dropped(&self) -> bool {
-        self.dropped.is_some()
-    }
-}
-
 /// A bounded in-memory message trace.
 ///
 /// Disabled by default; when enabled on the engine it records every send

@@ -14,11 +14,16 @@
 //! This umbrella crate re-exports the workspace members:
 //!
 //! * [`graphs`] (`rd-graphs`) — knowledge-graph topologies and analysis,
+//! * [`obs`] (`rd-obs`) — telemetry, run archives, and the inspection
+//!   tooling,
 //! * [`sim`] (`rd-sim`) — the deterministic round-based simulator,
+//! * [`exec`] (`rd-exec`) — the sharded multi-threaded round engine,
 //! * [`core`] (`rd-core`) — the discovery algorithms, verification, and
 //!   the one-call [`run`] entry point,
 //! * [`analysis`] (`rd-analysis`) — statistics, scaling-law fitting, and
-//!   the sweep driver.
+//!   the sweep driver,
+//! * [`scenarios`] (`rd-scenarios`) — the declarative fault-campaign
+//!   suite.
 //!
 //! # Quickstart
 //!
@@ -46,14 +51,13 @@ pub use rd_core as core;
 pub use rd_exec as exec;
 pub use rd_graphs as graphs;
 pub use rd_obs as obs;
-pub use rd_registry as registry;
 pub use rd_scenarios as scenarios;
 pub use rd_sim as sim;
 
 pub use rd_core::runner::run;
 
 /// The two names the standalone `benchmark/` package imports; ROADMAP
-/// item 5 deletes this module along with the benchmark's use of them.
+/// item 7 deletes this module along with the benchmark's use of them.
 pub mod event {
     pub use rd_sim::LatencyModel;
     use rd_sim::{Engine, Node, RoundEngine};
