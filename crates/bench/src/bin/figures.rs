@@ -2,11 +2,12 @@
 //!
 //! ```text
 //! figures [--quick] [--csv] [--engine=SPEC] [--obs=DIR] [--trace] [--profile]
-//!         [--live[=ADDR]] [ids...]
+//!         [ids...]
 //! ```
 //!
 //! With no ids, everything runs. Ids: `t1 f1 t2 f2 t3 f3 t4 f4 f5 f6 t5
-//! t5b t6 t7 t8 t9 t10 t14` (case-insensitive). `--quick` uses the small profile, `--csv`
+//! t5b t6 t7 t8 t9 t10 t14` (case-insensitive); an unknown id or flag
+//! exits 2 before anything runs. `--quick` uses the small profile, `--csv`
 //! additionally prints each table as CSV. `--engine=sharded:W` runs the
 //! engine-aware sweeps (T1/F1/T2/F2/F4 and F5) on the `rd-exec` sharded
 //! engine with `W` worker threads; results are bit-identical either way,
@@ -28,10 +29,7 @@
 //! for `rd-inspect profile` / `flame`). `--trace` adds causal provenance tracing to
 //! those reference runs (full sampling), so the archives carry the
 //! causal edge section that `rd-inspect why` and `rd-inspect path`
-//! read. `--live[=ADDR]` serves each instrumented reference run's
-//! `/metrics`, `/status`, and `/healthz` on a loopback listener while
-//! it runs (`rd-inspect watch` renders it; telemetry only, results are
-//! unchanged).
+//! read.
 
 use rd_analysis::Table;
 use rd_bench::experiments::{
@@ -40,7 +38,7 @@ use rd_bench::experiments::{
 };
 use rd_bench::Profile;
 use rd_core::algorithms::hm::HmConfig;
-use rd_core::runner::{run, AlgorithmKind, EngineKind, LiveSpec, ObsSpec, RunConfig};
+use rd_core::runner::{run, AlgorithmKind, EngineKind, ObsSpec, RunConfig};
 use rd_graphs::Topology;
 use rd_sim::LatencyModel;
 use std::path::PathBuf;
@@ -52,8 +50,20 @@ struct Options {
     obs: Option<PathBuf>,
     prof: bool,
     trace: bool,
-    live: Option<Option<String>>,
     ids: Vec<String>,
+}
+
+/// Every figure and table id, in the order a full run emits them.
+const IDS: [&str; 18] = [
+    "t1", "f1", "t2", "f2", "t3", "f3", "t4", "f4", "f5", "f6", "t5", "t5b", "t6", "t7", "t8",
+    "t9", "t10", "t14",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: figures [--quick] [--csv] [--engine=sequential|sharded:<workers>|event[:<latency model>]] [--obs=DIR] [--trace] [--profile] [{}]",
+        IDS.join(" ")
+    )
 }
 
 fn parse_engine(spec: &str) -> EngineKind {
@@ -94,7 +104,6 @@ fn parse_args() -> Options {
     let mut obs = None;
     let mut trace = false;
     let mut prof = false;
-    let mut live = None;
     let mut ids = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
@@ -103,9 +112,8 @@ fn parse_args() -> Options {
             "--csv" => csv = true,
             "--trace" => trace = true,
             "--profile" => prof = true,
-            "--live" => live = Some(None),
             "--help" | "-h" => {
-                eprintln!("usage: figures [--quick] [--csv] [--engine=sequential|sharded:<workers>|event[:<latency model>]] [--obs=DIR] [--trace] [--profile] [--live[=ADDR]] [t1 f1 t2 f2 t3 f3 t4 f4 f5 f6 t5 t5b t6 t7 t8 t9 t10 t14]");
+                eprintln!("{}", usage());
                 std::process::exit(0);
             }
             spec if spec.starts_with("--engine=") => {
@@ -114,10 +122,17 @@ fn parse_args() -> Options {
             spec if spec.starts_with("--obs=") => {
                 obs = Some(PathBuf::from(&spec["--obs=".len()..]));
             }
-            spec if spec.starts_with("--live=") => {
-                live = Some(Some(spec["--live=".len()..].to_string()));
+            flag if flag.starts_with('-') => {
+                eprintln!("figures: unknown flag {flag:?}\n{}", usage());
+                std::process::exit(2);
             }
-            id => ids.push(id.to_ascii_lowercase()),
+            id if IDS.contains(&id.to_ascii_lowercase().as_str()) => {
+                ids.push(id.to_ascii_lowercase());
+            }
+            id => {
+                eprintln!("figures: unknown figure id {id:?}\n{}", usage());
+                std::process::exit(2);
+            }
         }
     }
     Options {
@@ -127,7 +142,6 @@ fn parse_args() -> Options {
         obs,
         prof,
         trace,
-        live,
         ids,
     }
 }
@@ -139,14 +153,7 @@ fn parse_args() -> Options {
 /// When `--engine=event[:<model>]` is selected, a third archive is
 /// written from the serial engine under that latency model; its header
 /// carries the `latency_model` field so the archive is self-describing.
-fn obs_runs(
-    profile: Profile,
-    engine: EngineKind,
-    dir: &std::path::Path,
-    trace: bool,
-    prof: bool,
-    live: Option<&Option<String>>,
-) {
+fn obs_runs(profile: Profile, engine: EngineKind, dir: &std::path::Path, trace: bool, prof: bool) {
     // Attribution coverage is a gated claim (`summarize --strict`
     // fails below 90%), and at n = 512 the inter-phase driver residue
     // is a double-digit share of a microsecond round — so profiled
@@ -195,17 +202,6 @@ fn obs_runs(
                 .with_folded(dir.join(format!("hm-{}.folded", engine.name().replace(':', "-"))));
         }
     }
-    if let Some(addr) = live {
-        // Runs are sequential, so a fixed `--live=ADDR` never clashes:
-        // each run's listener is down before the next binds.
-        for (_, spec) in &mut runs {
-            let mut live_spec = LiveSpec::new();
-            if let Some(addr) = addr {
-                live_spec = live_spec.with_addr(addr);
-            }
-            *spec = spec.clone().with_live(live_spec);
-        }
-    }
     for (engine, spec) in runs {
         eprintln!(
             "[figures] instrumented HM reference run (n = {n}, {} engine)...",
@@ -247,18 +243,8 @@ fn main() {
         opts.profile.name()
     );
 
-    if opts.live.is_some() && opts.obs.is_none() {
-        eprintln!("note: --live only applies to the --obs=DIR instrumented reference runs");
-    }
     if let Some(dir) = &opts.obs {
-        obs_runs(
-            opts.profile,
-            opts.engine,
-            dir,
-            opts.trace,
-            opts.prof,
-            opts.live.as_ref(),
-        );
+        obs_runs(opts.profile, opts.engine, dir, opts.trace, opts.prof);
         // `--obs=DIR` with no ids means "just the instrumented runs":
         // don't drag the full evaluation along.
         if opts.ids.is_empty() {

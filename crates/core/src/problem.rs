@@ -151,11 +151,6 @@ impl LiveMask {
         }
     }
 
-    /// How many nodes are live.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     fn is_live(&self, i: usize) -> bool {
         self.mask[i / 64] >> (i % 64) & 1 == 1
     }

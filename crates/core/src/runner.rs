@@ -9,16 +9,12 @@ use crate::{problem, verify};
 use rd_exec::ShardedEngine;
 use rd_graphs::Topology;
 use rd_obs::{
-    CausalTrace, ChromeTraceSink, JsonlArchiveSink, Live, LiveSnapshot, PrometheusSink, Recorder,
-    RunMeta, RunOutcomeObs,
+    CausalTrace, ChromeTraceSink, JsonlArchiveSink, PrometheusSink, Recorder, RunMeta,
+    RunOutcomeObs,
 };
 use rd_sim::{DropTally, Engine, FaultPlan, LatencyModel, Node, RetryPolicy, RoundEngine};
 use std::path::PathBuf;
-
-// Downstream crates (rd-scenarios, the facade binaries) configure live
-// telemetry through [`ObsSpec::with_live`]; re-export the types that
-// flow through that API so they don't need a direct rd-obs dependency.
-pub use rd_obs::{Alert, AlertLog, AlertRule, LiveSpec};
+use std::time::{Duration, Instant};
 
 /// Which discovery algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,11 +216,6 @@ pub struct ObsSpec {
     /// Rate-limited stderr heartbeat (round, rounds/s, msgs/s, resident
     /// bytes) for long runs. Output only — never affects the run.
     pub heartbeat: bool,
-    /// Live telemetry: per-round snapshots on a never-blocking bus, a
-    /// loopback HTTP scrape endpoint (`/metrics`, `/status`,
-    /// `/healthz`), and online alert rules. Strictly one-way facts out
-    /// of the run — the round loop never reads anything back.
-    pub live: Option<LiveSpec>,
 }
 
 impl ObsSpec {
@@ -283,14 +274,6 @@ impl ObsSpec {
     /// executes.
     pub fn with_heartbeat(mut self) -> Self {
         self.heartbeat = true;
-        self
-    }
-
-    /// Attaches live telemetry: the driver publishes a per-round
-    /// snapshot to a lock-light bus, serves it over a loopback HTTP
-    /// endpoint, and evaluates the spec's alert rules online.
-    pub fn with_live(mut self, live: LiveSpec) -> Self {
-        self.live = Some(live);
         self
     }
 
@@ -576,10 +559,9 @@ enum Exit {
     BudgetExhausted,
 }
 
-/// The one last-progress tracker: the watchdog's state, and what live
-/// snapshots report. Knowledge is monotone, so the live population's
-/// total knowledge is a convergence potential — a full stall window
-/// without growth means waiting longer cannot help.
+/// The watchdog's last-progress tracker. Knowledge is monotone, so the
+/// live population's total knowledge is a convergence potential — a
+/// full stall window without growth means waiting longer cannot help.
 #[derive(Debug, Default)]
 struct Progress {
     last_total: Option<u64>,
@@ -603,42 +585,8 @@ impl Progress {
     }
 }
 
-/// What the driver measured about the population after one round, each
-/// sum taken at most once and handed to every consumer that wants it:
-/// the recorder's knowledge series (`known`), the watchdog and live
-/// snapshots (`live_known`), the memory timeline and snapshots
-/// (`resident`). Engines cannot see algorithm knowledge, so these
-/// observations live here.
-#[derive(Default)]
-struct RoundFacts {
-    round: u64,
-    known: u64,
-    live_known: u64,
-    resident: u64,
-}
-
-/// Writes the run state after `facts.round` rounds into a live snapshot.
-fn fill<N: Node, E: RoundEngine<N>>(
-    snap: &mut LiveSnapshot,
-    engine: &mut E,
-    facts: &RoundFacts,
-    progress: &Progress,
-) {
-    snap.round = facts.round;
-    let m = engine.metrics();
-    snap.messages = m.total_messages();
-    snap.retransmissions = m.total_retransmissions();
-    snap.drops = m.drop_tally();
-    snap.knowledge_total = facts.live_known;
-    snap.last_progress = progress.last_progress;
-    snap.resident_bytes = facts.resident;
-    snap.pool_bytes = engine.pool_high_water().iter().map(|&(_, b)| b).sum();
-    if let Some(rec) = engine.obs_mut() {
-        snap.shard_busy_ns.clear();
-        snap.shard_busy_ns.extend_from_slice(rec.live_shard_busy());
-        snap.round_wall_ns = rec.last_round_wall_ns();
-    }
-}
+/// Minimum interval between two stderr heartbeat lines.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
 
 /// The run's outcome as its archive summary records it.
 fn outcome_obs(report: &RunReport) -> RunOutcomeObs {
@@ -695,69 +643,68 @@ where
     // memory timeline needs `KnowledgeView::resident_bytes` too.
     let obs_on = engine.obs_mut().is_some();
     let profiling = engine.obs_mut().is_some_and(|rec| rec.profiling_enabled());
-    // Live telemetry: strictly one-way out of the run. Its convergence
-    // target is the default completion notion, every live node knowing
-    // every live node: live² identifiers in total.
-    let target = (live_mask.count() as u64).pow(2);
-    let mut feed = match (&config.obs, engine.obs_mut()) {
-        (Some(spec), Some(rec)) => Live::start(
-            spec.live.as_ref(),
-            spec.heartbeat,
-            rec.meta(),
-            config.max_rounds,
-            target,
-        ),
-        _ => None,
-    };
+    // The stderr heartbeat: when the last line printed (the run's start
+    // before the first) and the round and message count it showed, so
+    // each line's rates cover the interval since the one before.
+    let heartbeat = obs_on && config.obs.as_ref().is_some_and(|spec| spec.heartbeat);
+    let mut last_beat = heartbeat.then(|| (Instant::now(), 0, 0));
 
     let mut knowledge: Vec<(u64, u64)> = Vec::new();
     let mut progress = Progress::default();
-    let mut facts = RoundFacts::default();
     // Every pass observes the population after `round` rounds — round 0
     // is the initial knowledge — then decides whether to run another.
-    let exit =
-        loop {
-            let round = engine.round();
-            facts.round = round;
-            if obs_on || config.stall_window.is_some() {
-                (facts.known, facts.live_known) = engine.nodes().iter().zip(&live).fold(
-                    (0, 0),
-                    |(known, live_known), (node, &l)| {
+    let exit = loop {
+        let round = engine.round();
+        if obs_on || config.stall_window.is_some() {
+            let (known, live_known) =
+                engine
+                    .nodes()
+                    .iter()
+                    .zip(&live)
+                    .fold((0, 0), |(known, live_known), (node, &l)| {
                         let count = node.knows_count() as u64;
                         (known + count, live_known + if l { count } else { 0 })
-                    },
-                );
-                progress.observe(round, facts.live_known);
-            }
+                    });
+            progress.observe(round, live_known);
             if obs_on {
-                knowledge.push((round, facts.known));
+                knowledge.push((round, known));
             }
-            // A heartbeat-only run publishes, and so samples memory, at the
-            // heartbeat's rate rather than the round rate.
-            let publish = feed.as_ref().is_some_and(|feed| feed.due(round));
-            if profiling || publish {
-                facts.resident = engine.nodes().iter().map(|s| s.resident_bytes()).sum();
-                if let Some(rec) = engine.obs_mut() {
-                    rec.profile_memory(round, facts.resident);
-                }
+        }
+        // Resident bytes are summed on every profiled round, for the
+        // memory timeline, and on every round that prints a heartbeat.
+        let beat = last_beat.filter(|&(at, ..)| round > 0 && at.elapsed() >= HEARTBEAT_INTERVAL);
+        if profiling || beat.is_some() {
+            let resident: u64 = engine.nodes().iter().map(|s| s.resident_bytes()).sum();
+            if let Some(rec) = engine.obs_mut() {
+                rec.profile_memory(round, resident);
             }
-            if let Some(feed) = feed.as_mut().filter(|_| publish) {
-                feed.publish(|snap| fill(snap, &mut engine, &facts, &progress));
+            if let Some((at, beat_round, beat_messages)) = beat {
+                let secs = at.elapsed().as_secs_f64();
+                let messages = engine.metrics().total_messages();
+                eprintln!(
+                    "[{}] round {round} | {:.1} rounds/s | {:.0} msgs/s | resident {:.1} MiB",
+                    alg.name(),
+                    (round - beat_round) as f64 / secs,
+                    (messages - beat_messages) as f64 / secs,
+                    resident as f64 / (1024.0 * 1024.0)
+                );
+                last_beat = Some((Instant::now(), round, messages));
             }
-            if is_done(engine.nodes()) {
-                break Exit::Completed;
-            }
-            if config
-                .stall_window
-                .is_some_and(|window| progress.stagnant >= window)
-            {
-                break Exit::Stalled;
-            }
-            if round >= config.max_rounds {
-                break Exit::BudgetExhausted;
-            }
-            engine.step();
-        };
+        }
+        if is_done(engine.nodes()) {
+            break Exit::Completed;
+        }
+        if config
+            .stall_window
+            .is_some_and(|window| progress.stagnant >= window)
+        {
+            break Exit::Stalled;
+        }
+        if round >= config.max_rounds {
+            break Exit::BudgetExhausted;
+        }
+        engine.step();
+    };
     let completed = matches!(exit, Exit::Completed);
     let rounds = engine.round();
 
@@ -786,13 +733,6 @@ where
         },
         Exit::BudgetExhausted => RunVerdict::BudgetExhausted,
     };
-    // Scrape threads see the verdict before the server goes away.
-    let alerts = feed.map_or_else(Vec::new, |feed| {
-        feed.finish(verdict.name(), |snap| {
-            fill(snap, &mut engine, &facts, &progress)
-        })
-    });
-
     let pools = engine.pool_counters();
     let recorder = engine.take_obs();
     let causal = engine.take_causal();
@@ -822,9 +762,6 @@ where
             .add_counter("detector_retractions_total", m.detector_retractions());
         if let Some(trace) = causal {
             rec.attach_causal(trace);
-        }
-        for alert in alerts {
-            rec.record_alert(alert);
         }
         rec.profile_pool_high_water(&engine.pool_high_water());
         if let Err(err) = rec.finish(
@@ -1004,9 +941,8 @@ mod tests {
         assert_eq!((progress.last_progress, progress.stagnant), (0, 2));
         progress.observe(3, 11);
         assert_eq!((progress.last_progress, progress.stagnant), (3, 0));
-        // Observations may skip rounds (a heartbeat-only run samples at
-        // the heartbeat's rate): the watermark names the round that saw
-        // the growth, and only growth moves it.
+        // Observations may skip rounds: the watermark names the round
+        // that saw the growth, and only growth moves it.
         progress.observe(9, 11);
         assert_eq!((progress.last_progress, progress.stagnant), (3, 1));
         progress.observe(12, 14);

@@ -21,7 +21,6 @@
 //! profile_phase   × phases     ProfilePhase   │ the profile section,
 //! profile_msg     × kinds      ProfileMsg     │ when profiling was on
 //! profile_mem     × samples    ProfileMem     ┘
-//! alert           × alerts     Alert
 //! summary         × 1          RunOutcomeObs
 //! ```
 //!
@@ -31,22 +30,16 @@
 //! survive the f64 number pipeline; every other integer must stay
 //! within 2^53 for the same reason.
 //!
-//! The live `/status` document is one more record: [`render_status`]
-//! writes a [`LiveSnapshot`] with the same writer, and
-//! [`parse_status`] reads it back with the same reader.
-//!
 //! [`validate`] reports every problem it finds: an unknown record type
 //! or schema; a missing or malformed field (ids above `u32::MAX` and
 //! unknown phase names included); a header that is not first or a
 //! summary that is not last and unique; rounds, edges (by `(id, node)`)
-//! or memory samples out of strictly ascending order, or alerts out of
-//! non-decreasing round order; an edge or sample count that disagrees
-//! with its meta record; and a section row before its meta record.
+//! or memory samples out of strictly ascending order; an edge or sample
+//! count that disagrees with its meta record; and a section row before
+//! its meta record.
 
 use crate::hist::Histogram;
 use crate::json::{escape, fmt_f64, Json};
-use crate::live::LiveSnapshot;
-use crate::monitor::Alert;
 use crate::prof::{ProfileMem, ProfileMsg, ProfilePhase, ProfileReport};
 use crate::recorder::{
     DropTally, ObsReport, PhaseSummary, RoundObs, RunMeta, RunOutcomeObs, WorkerSummary,
@@ -57,7 +50,7 @@ use std::collections::BTreeMap;
 use std::fmt::{Debug, Display, Write as _};
 
 /// The one archive schema this crate reads and writes.
-pub const SCHEMA_VERSION: u64 = 5;
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// A parsed archive, in the recorder's own types.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -77,8 +70,6 @@ pub struct Archive {
     pub edges: Vec<ProvEdge>,
     /// The profile section; `None` without profiling.
     pub profile: Option<ProfileReport>,
-    /// Online-monitor firings in round order.
-    pub alerts: Vec<Alert>,
     pub outcome: RunOutcomeObs,
 }
 
@@ -191,9 +182,6 @@ pub fn render(report: &ObsReport) -> String {
             line(&mut out, "profile_mem", s.clone());
         }
     }
-    for a in &report.alerts {
-        line(&mut out, "alert", a.clone());
-    }
     line(&mut out, "summary", report.outcome.clone());
     out
 }
@@ -212,23 +200,6 @@ pub fn parse(text: &str) -> Result<Archive, String> {
 /// valid).
 pub fn validate(text: &str) -> Vec<String> {
     scan(text).1
-}
-
-/// The `/status` document: `snap` as one JSON object, its identity
-/// the header's keys (`schema` included, `seed` a decimal string). Next
-/// to the snapshot's fields it carries three values derived from them —
-/// `convergence_pct`, `imbalance` and `utilization` — for readers
-/// without this crate.
-pub fn render_status(snap: &LiveSnapshot) -> String {
-    let mut out = String::new();
-    object(&mut out, None, snap.clone());
-    out
-}
-
-/// Parses a `/status` document back into the snapshot it was rendered
-/// from; the derived values are checked to be numbers and dropped.
-pub fn parse_status(text: &str) -> Result<LiveSnapshot, String> {
-    record(&Json::parse(text)?)
 }
 
 fn scan(text: &str) -> (Archive, Vec<String>) {
@@ -282,7 +253,7 @@ fn scan(text: &str) -> (Archive, Vec<String>) {
             }
             "round" => {
                 let r: RoundObs = line.read();
-                line.ascending(a.rounds.last().map(|p| p.round), r.round, true);
+                line.ascending(a.rounds.last().map(|p| p.round), r.round);
                 a.rounds.push(r);
             }
             "phase" => a.phases.push(line.read()),
@@ -307,7 +278,7 @@ fn scan(text: &str) -> (Archive, Vec<String>) {
                     line.flag("edge record before any trace_meta");
                 }
                 let prev = a.edges.last().map(|p| (p.id, p.node));
-                line.ascending(prev, (e.id, e.node), true);
+                line.ascending(prev, (e.id, e.node));
                 a.edges.push(e);
             }
             "profile_meta" => a.profile = Some(line.read()),
@@ -321,17 +292,10 @@ fn scan(text: &str) -> (Archive, Vec<String>) {
                     "profile_msg" => p.msgs.push(line.read()),
                     _ => {
                         let s: ProfileMem = line.read();
-                        line.ascending(p.mem.last().map(|m| m.round), s.round, true);
+                        line.ascending(p.mem.last().map(|m| m.round), s.round);
                         p.mem.push(s);
                     }
                 }
-            }
-            "alert" => {
-                let alert: Alert = line.read();
-                // Two rules may fire in the same round, so the order is
-                // non-strict, unlike rounds and samples.
-                line.ascending(a.alerts.last().map(|p| p.round), alert.round, false);
-                a.alerts.push(alert);
             }
             "summary" => {
                 summary_at = Some(records);
@@ -393,11 +357,10 @@ impl Line<'_> {
         row
     }
 
-    /// Flags `next` when it does not follow `prev` in ascending order
-    /// (`strict`: no repeats).
-    fn ascending<K: PartialOrd + Debug>(&mut self, prev: Option<K>, next: K, strict: bool) {
+    /// Flags `next` when it does not strictly follow `prev`.
+    fn ascending<K: PartialOrd + Debug>(&mut self, prev: Option<K>, next: K) {
         match prev {
-            Some(prev) if next < prev || (strict && next == prev) => {
+            Some(prev) if next <= prev => {
                 self.flag(format!("{} {next:?} out of order after {prev:?}", self.ty));
             }
             _ => {}
@@ -638,16 +601,6 @@ impl Record for ProfileMem {
     }
 }
 
-impl Record for Alert {
-    fn fields(&mut self, v: &mut impl Visit) {
-        v.field("rule", &mut self.rule);
-        v.field("round", &mut self.round);
-        v.field("value", &mut self.value);
-        v.field("threshold", &mut self.threshold);
-        v.field("message", &mut self.message);
-    }
-}
-
 impl Record for RunOutcomeObs {
     fn fields(&mut self, v: &mut impl Visit) {
         v.field("verdict", &mut self.verdict);
@@ -659,33 +612,6 @@ impl Record for RunOutcomeObs {
         v.field("trace_events", &mut self.trace_events);
         v.field("trace_overflow", &mut self.trace_overflow);
         v.field("last_progress", &mut self.last_progress);
-    }
-}
-
-/// The `/status` document (see [`render_status`]).
-impl Record for LiveSnapshot {
-    fn fields(&mut self, v: &mut impl Visit) {
-        self.meta.fields(v);
-        v.field("round", &mut self.round);
-        v.field("max_rounds", &mut self.max_rounds);
-        v.field("rounds_per_sec", &mut self.rounds_per_sec);
-        v.field("msgs_per_sec", &mut self.msgs_per_sec);
-        v.field("messages", &mut self.messages);
-        v.field("retransmissions", &mut self.retransmissions);
-        self.drops.fields(v);
-        v.field("knowledge_total", &mut self.knowledge_total);
-        v.field("knowledge_target", &mut self.knowledge_target);
-        v.field("convergence_pct", &mut Derived(self.convergence_pct()));
-        v.field("last_progress", &mut self.last_progress);
-        v.field("shard_busy_ns", &mut self.shard_busy_ns);
-        v.field("round_wall_ns", &mut self.round_wall_ns);
-        v.field("imbalance", &mut Derived(self.imbalance()));
-        v.field("utilization", &mut Derived(self.utilization()));
-        v.field("resident_bytes", &mut self.resident_bytes);
-        v.field("pool_bytes", &mut self.pool_bytes);
-        v.field("alerts", &mut self.alerts);
-        v.field("finished", &mut self.finished);
-        v.field("verdict", &mut self.verdict);
     }
 }
 
@@ -804,19 +730,6 @@ impl<T: Value> Value for Vec<T> {
     }
 }
 
-/// A value computed from a record's other fields: written for readers
-/// without this crate, and dropped on parse.
-struct Derived(f64);
-
-impl Value for Derived {
-    fn render(&self, out: &mut String) {
-        self.0.render(out);
-    }
-    fn parse(json: &Json) -> Result<Self, String> {
-        f64::parse(json).map(Derived)
-    }
-}
-
 /// A `u64` carried as a decimal string, so it survives f64 parsing.
 struct Seed(u64);
 
@@ -856,8 +769,8 @@ mod tests {
     use crate::recorder::Recorder;
     use std::time::Instant;
 
-    /// A recorded run; with `sections`, also causal-traced, profiled,
-    /// and with two alerts.
+    /// A recorded run; with `sections`, also causal-traced and
+    /// profiled.
     fn sample(sections: bool) -> ObsReport {
         let mut rec = Recorder::new(RunMeta {
             algorithm: "name-dropper".into(),
@@ -907,15 +820,6 @@ mod tests {
             }
             rec.attach_causal(causal);
             rec.profile_pool_high_water(&[("env", 2048)]);
-            for (rule, value) in [("stall", 40.0), ("drop-rate", 0.95)] {
-                rec.record_alert(Alert {
-                    rule: rule.into(),
-                    round: 4,
-                    value,
-                    threshold: 0.9,
-                    message: format!("{rule} fired"),
-                });
-            }
         }
         rec.finish(
             RunOutcomeObs {
@@ -964,7 +868,7 @@ mod tests {
             let report = sample(sections);
             let text = render(&report);
             assert_eq!(validate(&text), Vec::<String>::new());
-            assert!(text.starts_with("{\"type\":\"header\",\"schema\":5,"));
+            assert!(text.starts_with("{\"type\":\"header\",\"schema\":6,"));
             let a = parse(&text).unwrap();
             assert_eq!(a.meta, report.meta);
             assert_eq!(a.rounds, report.rounds);
@@ -972,7 +876,6 @@ mod tests {
             assert_eq!(a.phases, report.phases);
             assert_eq!(a.workers, report.workers);
             assert_eq!(a.hot["sent"], report.hot_senders);
-            assert_eq!(a.counters["alerts_total"], report.alerts.len() as u64);
             assert_eq!(a.counters["retransmissions_total"], 4);
             if sections {
                 assert_eq!(a.counters["causal_edges_total"], 2);
@@ -987,7 +890,6 @@ mod tests {
             );
             assert_eq!(a.trace_meta, report.causal.as_ref().map(TraceMeta::of));
             assert_eq!(a.profile, report.profile);
-            assert_eq!(a.alerts, report.alerts);
             assert_eq!(a.outcome, report.outcome);
         }
     }
@@ -995,18 +897,26 @@ mod tests {
     #[test]
     fn validate_rejects_schema_drift() {
         let text = render(&sample(false));
-        for other in ["999", "4", "\"5\""] {
-            let drifted = text.replace("\"schema\":5", &format!("\"schema\":{other}"));
+        for other in ["999", "5", "\"6\""] {
+            let drifted = text.replace("\"schema\":6", &format!("\"schema\":{other}"));
             assert!(parse(&drifted).is_err(), "schema {other}");
         }
         assert!(flags(
-            &text.replace("\"schema\":5", "\"schema\":999"),
+            &text.replace("\"schema\":6", "\"schema\":999"),
             "unsupported schema 999"
         ));
         assert!(flags(
             &text.replace("\"type\":\"worker\"", "\"type\":\"wurker\""),
             "unknown record type"
         ));
+        // Schema 5's `alert` line is an unknown record type in schema 6.
+        let alert = "{\"type\":\"alert\",\"rule\":\"stall\",\"round\":4}\n";
+        let with_alert = text.replacen(
+            "{\"type\":\"summary\"",
+            &format!("{alert}{{\"type\":\"summary\""),
+            1,
+        );
+        assert!(flags(&with_alert, "unknown record type \"alert\""));
     }
 
     #[test]
@@ -1049,15 +959,6 @@ mod tests {
         assert!(flags(
             &without(&text, "\"type\":\"trace_meta\""),
             "before any trace_meta"
-        ));
-        // Same-round alerts are fine; an earlier round after a later
-        // one is not.
-        assert!(flags(
-            &text.replace(
-                "\"rule\":\"drop-rate\",\"round\":4",
-                "\"rule\":\"drop-rate\",\"round\":3"
-            ),
-            "out of order"
         ));
     }
 }

@@ -1,5 +1,5 @@
 //! rd-inspect: summarize, diff, validate, and explain JSONL run
-//! archives, and watch a live run.
+//! archives.
 //!
 //! ```text
 //! rd-inspect summarize [--strict] <archive.jsonl>
@@ -9,7 +9,6 @@
 //! rd-inspect flame <archive.jsonl>
 //! rd-inspect why <archive.jsonl>
 //! rd-inspect path <archive.jsonl> --from <id> --to <node>
-//! rd-inspect watch <addr> [--once] [--interval-ms N]
 //! ```
 //!
 //! Exit codes: 0 on success, 1 when validation finds problems, a file
@@ -18,7 +17,7 @@
 //! `profile`/`flame` run against an un-profiled archive; 2 on usage
 //! errors.
 
-use rd_obs::{archive, critical_path, inspect, watch};
+use rd_obs::{archive, critical_path, inspect};
 use std::process::ExitCode;
 
 /// `--strict` fails profiled archives whose phase spans explain less
@@ -27,7 +26,7 @@ const MIN_COVERAGE_PCT: f64 = 90.0;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rd-inspect summarize [--strict] <archive.jsonl>\n  rd-inspect diff <a.jsonl> <b.jsonl>\n  rd-inspect validate <archive.jsonl>...\n  rd-inspect profile <archive.jsonl>\n  rd-inspect flame <archive.jsonl>\n  rd-inspect why <archive.jsonl>\n  rd-inspect path <archive.jsonl> --from <id> --to <node>\n  rd-inspect watch <addr> [--once] [--interval-ms N]"
+        "usage:\n  rd-inspect summarize [--strict] <archive.jsonl>\n  rd-inspect diff <a.jsonl> <b.jsonl>\n  rd-inspect validate <archive.jsonl>...\n  rd-inspect profile <archive.jsonl>\n  rd-inspect flame <archive.jsonl>\n  rd-inspect why <archive.jsonl>\n  rd-inspect path <archive.jsonl> --from <id> --to <node>"
     );
     ExitCode::from(2)
 }
@@ -160,7 +159,7 @@ fn main() -> ExitCode {
         }
         Some("path") => {
             let rest = &args[1..];
-            let [path] = &rest[..1] else { return usage() };
+            let [path, ..] = rest else { return usage() };
             let lookup = |flag: &str| {
                 rest.iter()
                     .position(|a| a == flag)
@@ -176,52 +175,6 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 Err(code) => code,
-            }
-        }
-        Some("watch") => {
-            let rest = &args[1..];
-            let [addr] = &rest[..1.min(rest.len())] else {
-                return usage();
-            };
-            let once = rest.iter().any(|a| a == "--once");
-            let interval_ms: u64 = match rest.iter().position(|a| a == "--interval-ms") {
-                None => 500,
-                Some(i) => match rest.get(i + 1).map(|v| v.parse::<u64>()) {
-                    Some(Ok(ms)) if ms > 0 => ms,
-                    _ => {
-                        eprintln!("rd-inspect: --interval-ms needs a positive integer");
-                        return ExitCode::from(2);
-                    }
-                },
-            };
-            let mut state = watch::WatchState::default();
-            let mut frames = 0u64;
-            loop {
-                match watch::poll_frame(addr, &mut state) {
-                    Ok((frame, finished)) => {
-                        if !once {
-                            // Clear + home so the frame redraws in place.
-                            print!("\x1b[2J\x1b[H");
-                        }
-                        print!("{frame}");
-                        frames += 1;
-                        if once || finished {
-                            return ExitCode::SUCCESS;
-                        }
-                    }
-                    Err(e) if frames > 0 => {
-                        // A run that exits tears the server down between
-                        // polls; after a first good frame that is the
-                        // normal end of a watch, not an error.
-                        println!("rd-inspect: live endpoint gone ({e}); run finished");
-                        return ExitCode::SUCCESS;
-                    }
-                    Err(e) => {
-                        eprintln!("rd-inspect: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(interval_ms));
             }
         }
         _ => usage(),

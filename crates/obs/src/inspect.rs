@@ -457,7 +457,7 @@ mod tests {
     fn sample(messages: u64, overflow: u64) -> String {
         format!(
             concat!(
-                "{{\"type\":\"header\",\"schema\":5,\"algorithm\":\"hm\",\"topology\":\"k-out-3\",\"n\":64,\"seed\":\"7\",\"engine\":\"sharded:2\",\"workers\":2,\"latency_model\":null}}\n",
+                "{{\"type\":\"header\",\"schema\":6,\"algorithm\":\"hm\",\"topology\":\"k-out-3\",\"n\":64,\"seed\":\"7\",\"engine\":\"sharded:2\",\"workers\":2,\"latency_model\":null}}\n",
                 "{{\"type\":\"round\",\"round\":1,\"wall_ns\":1000,\"messages\":{m},\"pointers\":9,\"dropped_coin\":1,\"dropped_crash\":0,\"dropped_partition\":0,\"dropped_link\":0,\"dropped_suppression\":0,\"retransmissions\":0,\"knowledge_delta\":null}}\n",
                 "{{\"type\":\"phase\",\"phase\":\"route_shard\",\"count\":2,\"total_ns\":800,\"p50_ns\":400,\"p99_ns\":500,\"max_ns\":500}}\n",
                 "{{\"type\":\"worker\",\"worker\":0,\"spans\":2,\"busy_ns\":700}}\n",

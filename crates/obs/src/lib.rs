@@ -41,36 +41,25 @@
 //! archive's `profile_*` section; [`Recorder::with_folded_stacks`]
 //! writes a folded-stack file for flamegraph tooling.
 //!
-//! Live telemetry ([`live`], [`http`], [`monitor`]) streams the same
-//! facts *during* the run through one [`Live`] value: it publishes a
-//! [`LiveSnapshot`] per round to a never-blocking [`LiveBus`], a
-//! loopback-only [`LiveServer`] serves `/metrics`, `/status` (an
-//! archive record, see [`archive::render_status`]) and `/healthz` from
-//! the latest one, declarative [`AlertRule`]s fire `alert` archive
-//! records, and a stderr heartbeat renders the same snapshot.
-//! Snapshots are one-way facts out of the run, so the determinism
-//! contract above is untouched.
+//! Everything here reads a run after it has finished — the paper's
+//! claims are round and message counts, and the evidence for them comes
+//! from many finished runs, not from watching one. The one stream out
+//! of a run in progress is the driver's rate-limited stderr heartbeat
+//! (`ObsSpec::with_heartbeat` in rd-core).
 
 pub mod archive;
 pub mod critical_path;
 pub mod hist;
-pub mod http;
 pub mod inspect;
 pub mod json;
-pub mod live;
-pub mod monitor;
 pub mod prof;
 pub mod recorder;
 pub mod registry;
 pub mod sink;
 pub mod span;
 pub mod trace;
-pub mod watch;
 
 pub use hist::Histogram;
-pub use http::{http_get, LiveServer};
-pub use live::{Live, LiveBus, LiveSnapshot, LiveSpec};
-pub use monitor::{Alert, AlertLog, AlertRule};
 pub use prof::ProfileReport;
 pub use recorder::{DropTally, ObsReport, Recorder, RoundObs, RunMeta, RunOutcomeObs};
 pub use registry::MetricsRegistry;

@@ -7,9 +7,8 @@
 //! and each round's span time and per-worker parallel busy time. The
 //! archive's `phase` and `worker` records, the `worker_imbalance`
 //! gauge, the [`ProfileReport`] and the folded-stack file all read that
-//! fold, and `imbalance` / `utilization` are the one pair of
-//! formulas the fold, [`LiveSnapshot`](crate::LiveSnapshot) and the
-//! monitor share.
+//! fold, and `imbalance` / `utilization` are its one pair of skew
+//! formulas.
 //!
 //! Profiling adds what spans cannot carry — message-kind sizes, the
 //! driver's memory samples, pool high water — and, like every
@@ -26,7 +25,7 @@ use std::fmt::Write as _;
 
 /// Max/mean of per-lane busy time (1.0 = perfectly even); `None` with
 /// fewer than two lanes or no busy time at all.
-pub(crate) fn imbalance(busy: &[u64]) -> Option<f64> {
+fn imbalance(busy: &[u64]) -> Option<f64> {
     let max = *busy.iter().max()? as f64;
     let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
     (busy.len() > 1 && mean > 0.0).then(|| max / mean)
@@ -34,7 +33,7 @@ pub(crate) fn imbalance(busy: &[u64]) -> Option<f64> {
 
 /// Busy time over `lanes × wall`, clamped to 1; `None` with no lanes or
 /// no wall time.
-pub(crate) fn utilization(busy: &[u64], wall_ns: u64) -> Option<f64> {
+fn utilization(busy: &[u64], wall_ns: u64) -> Option<f64> {
     let total = busy.iter().sum::<u64>() as f64;
     (!busy.is_empty() && wall_ns > 0)
         .then(|| (total / (busy.len() as f64 * wall_ns as f64)).min(1.0))

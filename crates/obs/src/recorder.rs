@@ -13,8 +13,8 @@
 //! spans and rows by the core's 0-based round counter; the recorder
 //! labels core round `r` as round `r + 1`, the round whose end state the
 //! driver observes after `r + 1` steps. That is the numbering of the
-//! knowledge series, memory samples, provenance edges, live snapshots
-//! and `summary.rounds`, so an archive joins across all of them.
+//! knowledge series, memory samples, provenance edges and
+//! `summary.rounds`, so an archive joins across all of them.
 //!
 //! At run end the driver calls [`Recorder::finish`], which folds the
 //! stored spans once (see [`prof`](crate::prof)), assembles the
@@ -22,7 +22,6 @@
 //! hot nodes — and hands it to every attached
 //! [`ObsSink`](crate::ObsSink) for export.
 
-use crate::monitor::Alert;
 use crate::prof::{ProfileInputs, ProfileReport, SpanFold};
 use crate::registry::MetricsRegistry;
 use crate::sink::{write_atomic, ObsSink};
@@ -178,9 +177,6 @@ pub struct ObsReport {
     /// Cost attribution, when profiling was enabled (exported as the
     /// archive's profile section).
     pub profile: Option<ProfileReport>,
-    /// Alerts the online monitor fired, in firing order (exported as
-    /// `alert` records).
-    pub alerts: Vec<Alert>,
 }
 
 /// How many hot senders/receivers the report keeps.
@@ -209,13 +205,6 @@ pub struct Recorder {
     prof: Option<ProfileInputs>,
     /// Where the folded-stack file goes, if anywhere.
     folded: Option<PathBuf>,
-    /// Per-worker parallel-phase busy time over the *current* round —
-    /// the live bus's shard-utilization tap, reset in
-    /// [`begin_round`](Self::begin_round) and accumulated as spans
-    /// arrive (O(1) per span; no end-of-round scan).
-    round_busy: Vec<u64>,
-    last_round_wall_ns: u64,
-    alerts: Vec<Alert>,
 }
 
 impl Recorder {
@@ -223,7 +212,6 @@ impl Recorder {
     /// [`ObsReport`] still comes back from [`finish`](Self::finish),
     /// there is just no file export.
     pub fn new(meta: RunMeta) -> Self {
-        let lanes = meta.workers.max(1);
         Recorder {
             epoch: Instant::now(),
             meta,
@@ -242,9 +230,6 @@ impl Recorder {
             causal: None,
             prof: None,
             folded: None,
-            round_busy: vec![0; lanes],
-            last_round_wall_ns: 0,
-            alerts: Vec::new(),
         }
     }
 
@@ -323,11 +308,6 @@ impl Recorder {
         self
     }
 
-    /// The run this recorder describes.
-    pub fn meta(&self) -> &RunMeta {
-        &self.meta
-    }
-
     /// The shared clock epoch: worker threads convert their `Instant`
     /// reads to offsets from this via [`SpanEvent::from_instants`].
     pub fn epoch(&self) -> Instant {
@@ -344,7 +324,6 @@ impl Recorder {
     /// Marks the wall-clock start of a round.
     pub fn begin_round(&mut self) {
         self.round_start = Some(Instant::now());
-        self.round_busy.fill(0);
     }
 
     /// Records a span of the core's round `round` that started at
@@ -361,13 +340,6 @@ impl Recorder {
     /// joining its scope); it is stored 1-based.
     pub fn record_span(&mut self, mut span: SpanEvent) {
         span.round += 1;
-        if span.phase.is_parallel() {
-            let lane = span.worker as usize;
-            if lane >= self.round_busy.len() {
-                self.round_busy.resize(lane + 1, 0);
-            }
-            self.round_busy[lane] += span.dur_ns;
-        }
         if self.spans.len() < self.span_cap {
             self.spans.push(span);
         } else {
@@ -384,25 +356,7 @@ impl Recorder {
             .round_start
             .take()
             .map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.last_round_wall_ns = obs.wall_ns;
         self.rounds.push(obs);
-    }
-
-    /// Per-worker parallel-phase busy time over the round now closing
-    /// (the live snapshot's shard-utilization source).
-    pub fn live_shard_busy(&self) -> &[u64] {
-        &self.round_busy
-    }
-
-    /// Wall time of the most recently closed round.
-    pub fn last_round_wall_ns(&self) -> u64 {
-        self.last_round_wall_ns
-    }
-
-    /// Stores an alert the online monitor fired, for export as an
-    /// `alert` archive record.
-    pub fn record_alert(&mut self, alert: Alert) {
-        self.alerts.push(alert);
     }
 
     /// Assembles the [`ObsReport`] and runs every sink's export.
@@ -444,7 +398,6 @@ impl Recorder {
         reg.add_counter("trace_events_total", outcome.trace_events);
         reg.add_counter("trace_overflow_total", outcome.trace_overflow);
         reg.add_counter("span_overflow_total", self.span_overflow);
-        reg.add_counter("alerts_total", self.alerts.len() as u64);
         if let Some(causal) = &self.causal {
             reg.add_counter("causal_edges_total", causal.len() as u64);
             reg.add_counter("causal_candidates_total", causal.candidates());
@@ -499,7 +452,6 @@ impl Recorder {
             span_overflow: self.span_overflow,
             causal: self.causal,
             profile,
-            alerts: self.alerts,
         };
         for sink in &mut self.sinks {
             sink.on_finish(&report)?;

@@ -3,8 +3,7 @@
 //! A sink sees a run once, at the end, with the fully assembled
 //! [`ObsReport`] (`on_finish`): the most useful views (distributions,
 //! knowledge deltas, worker imbalance) only exist once the run is
-//! complete. Streaming consumers read the live bus instead
-//! (`crate::live`).
+//! complete.
 
 use crate::json::{escape, fmt_f64};
 use crate::recorder::{ObsReport, RunMeta};
@@ -126,7 +125,7 @@ fn push_event(out: &mut String, first: &mut bool, event: &str) {
 /// counter and gauge as an `rd_`-prefixed metric with run-identity
 /// labels, histograms as summaries with `quantile` labels. Every family
 /// gets `# HELP`/`# TYPE` lines and label values are escaped per the
-/// spec ([`prom_check_conformance`] pins both in tests).
+/// spec (a conformance check in this module's tests pins both).
 pub struct PrometheusSink {
     path: PathBuf,
 }
@@ -189,7 +188,7 @@ impl ObsSink for PrometheusSink {
 /// Escapes a label value for the text exposition format: backslash,
 /// double quote, and newline are the three characters the spec requires
 /// escaping inside `label="..."`.
-pub fn prom_escape_label(value: &str) -> String {
+fn prom_escape_label(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -204,7 +203,7 @@ pub fn prom_escape_label(value: &str) -> String {
 
 /// Renders `pairs` as an escaped `key="value",...` label string (no
 /// surrounding braces, so callers can append extra labels).
-pub fn prom_labels(pairs: &[(&str, &str)]) -> String {
+fn prom_labels(pairs: &[(&str, &str)]) -> String {
     let mut out = String::new();
     for (i, (key, value)) in pairs.iter().enumerate() {
         if i > 0 {
@@ -216,7 +215,7 @@ pub fn prom_labels(pairs: &[(&str, &str)]) -> String {
 }
 
 /// The run-identity labels every exposed sample carries.
-pub fn prom_run_labels(meta: &RunMeta) -> String {
+fn prom_run_labels(meta: &RunMeta) -> String {
     prom_labels(&[
         ("algorithm", &meta.algorithm),
         ("topology", &meta.topology),
@@ -228,7 +227,7 @@ pub fn prom_run_labels(meta: &RunMeta) -> String {
 
 /// Writes a family's `# HELP`/`# TYPE` header. Help text escapes
 /// backslash and newline (quotes are legal verbatim in HELP).
-pub fn prom_type(out: &mut String, name: &str, help: &str, mtype: &str) {
+fn prom_type(out: &mut String, name: &str, help: &str, mtype: &str) {
     let help = help.replace('\\', "\\\\").replace('\n', "\\n");
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {mtype}");
@@ -236,145 +235,12 @@ pub fn prom_type(out: &mut String, name: &str, help: &str, mtype: &str) {
 
 /// Writes one sample line; `labels` comes pre-escaped from
 /// [`prom_labels`] (pass `""` for a bare metric).
-pub fn prom_sample(out: &mut String, name: &str, labels: &str, value: f64) {
+fn prom_sample(out: &mut String, name: &str, labels: &str, value: f64) {
     if labels.is_empty() {
         let _ = writeln!(out, "{name} {}", fmt_f64(value));
     } else {
         let _ = writeln!(out, "{name}{{{labels}}} {}", fmt_f64(value));
     }
-}
-
-/// Validates text exposition: every sample's family must have `# HELP`
-/// and `# TYPE` lines before its first sample, label values must parse
-/// under the spec's escape rules, and sample values must be numbers.
-/// Used by the sink/live tests and the `/metrics` endpoint tests.
-pub fn prom_check_conformance(text: &str) -> Result<(), String> {
-    let mut helped: Vec<String> = Vec::new();
-    let mut typed: Vec<String> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest
-                .split_whitespace()
-                .next()
-                .ok_or_else(|| format!("line {lineno}: HELP without a metric name"))?;
-            helped.push(name.to_string());
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            let name = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: TYPE without a metric name"))?;
-            let mtype = parts
-                .next()
-                .ok_or_else(|| format!("line {lineno}: TYPE without a type"))?;
-            if !["counter", "gauge", "summary", "histogram", "untyped"].contains(&mtype) {
-                return Err(format!("line {lineno}: unknown metric type {mtype:?}"));
-            }
-            typed.push(name.to_string());
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        let name = prom_check_sample(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        // A summary/histogram sample may carry a `_sum`/`_count`/
-        // `_bucket` suffix; fold it back onto the base family unless
-        // the raw name is itself a declared family.
-        let family = if typed.iter().any(|t| t == &name) {
-            name
-        } else {
-            ["_sum", "_count", "_bucket"]
-                .iter()
-                .find_map(|s| name.strip_suffix(s))
-                .filter(|base| !base.is_empty() && typed.iter().any(|t| t == base))
-                .map(str::to_string)
-                .unwrap_or(name)
-        };
-        if !typed.iter().any(|t| t == &family) {
-            return Err(format!(
-                "line {lineno}: sample for {family:?} has no preceding # TYPE"
-            ));
-        }
-        if !helped.iter().any(|h| h == &family) {
-            return Err(format!(
-                "line {lineno}: sample for {family:?} has no preceding # HELP"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Parses one sample line, returning the raw metric name.
-fn prom_check_sample(line: &str) -> Result<String, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len()
-        && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b':')
-    {
-        i += 1;
-    }
-    if i == 0 || bytes[0].is_ascii_digit() {
-        return Err("malformed metric name".into());
-    }
-    let name = &line[..i];
-    if i < bytes.len() && bytes[i] == b'{' {
-        i += 1;
-        loop {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                i += 1;
-            }
-            if i == start {
-                return Err(format!("empty label name in {name}"));
-            }
-            if i >= bytes.len() || bytes[i] != b'=' {
-                return Err(format!("label without '=' in {name}"));
-            }
-            i += 1;
-            if i >= bytes.len() || bytes[i] != b'"' {
-                return Err(format!("unquoted label value in {name}"));
-            }
-            i += 1;
-            loop {
-                if i >= bytes.len() {
-                    return Err(format!("unterminated label value in {name}"));
-                }
-                match bytes[i] {
-                    b'"' => break,
-                    b'\\' => {
-                        i += 1;
-                        if i >= bytes.len() || !matches!(bytes[i], b'\\' | b'"' | b'n') {
-                            return Err(format!("bad escape in label value in {name}"));
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            i += 1;
-            match bytes.get(i) {
-                Some(b',') => i += 1,
-                Some(b'}') => {
-                    i += 1;
-                    break;
-                }
-                _ => return Err(format!("label list not closed in {name}")),
-            }
-        }
-    }
-    let value = line[i..].trim();
-    if value.is_empty() {
-        return Err(format!("sample {name} has no value"));
-    }
-    if !matches!(value, "+Inf" | "-Inf" | "NaN") && value.parse::<f64>().is_err() {
-        return Err(format!("sample {name} has non-numeric value {value:?}"));
-    }
-    Ok(name.to_string())
 }
 
 /// Writes via a temp file + rename so a crashing run never leaves a
@@ -396,6 +262,138 @@ mod tests {
     use crate::recorder::{DropTally, Recorder, RoundObs, RunMeta, RunOutcomeObs};
     use crate::span::Phase;
     use std::time::Instant;
+
+    /// Validates text exposition: every sample's family must have `# HELP`
+    /// and `# TYPE` lines before its first sample, label values must parse
+    /// under the spec's escape rules, and sample values must be numbers.
+    fn prom_check_conformance(text: &str) -> Result<(), String> {
+        let mut helped: Vec<String> = Vec::new();
+        let mut typed: Vec<String> = Vec::new();
+        for (idx, line) in text.lines().enumerate() {
+            let lineno = idx + 1;
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let name = rest
+                    .split_whitespace()
+                    .next()
+                    .ok_or_else(|| format!("line {lineno}: HELP without a metric name"))?;
+                helped.push(name.to_string());
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let mut parts = rest.split_whitespace();
+                let name = parts
+                    .next()
+                    .ok_or_else(|| format!("line {lineno}: TYPE without a metric name"))?;
+                let mtype = parts
+                    .next()
+                    .ok_or_else(|| format!("line {lineno}: TYPE without a type"))?;
+                if !["counter", "gauge", "summary", "histogram", "untyped"].contains(&mtype) {
+                    return Err(format!("line {lineno}: unknown metric type {mtype:?}"));
+                }
+                typed.push(name.to_string());
+                continue;
+            }
+            if line.starts_with('#') {
+                continue;
+            }
+            let name = prom_check_sample(line).map_err(|e| format!("line {lineno}: {e}"))?;
+            // A summary/histogram sample may carry a `_sum`/`_count`/
+            // `_bucket` suffix; fold it back onto the base family unless
+            // the raw name is itself a declared family.
+            let family = if typed.iter().any(|t| t == &name) {
+                name
+            } else {
+                ["_sum", "_count", "_bucket"]
+                    .iter()
+                    .find_map(|s| name.strip_suffix(s))
+                    .filter(|base| !base.is_empty() && typed.iter().any(|t| t == base))
+                    .map(str::to_string)
+                    .unwrap_or(name)
+            };
+            if !typed.iter().any(|t| t == &family) {
+                return Err(format!(
+                    "line {lineno}: sample for {family:?} has no preceding # TYPE"
+                ));
+            }
+            if !helped.iter().any(|h| h == &family) {
+                return Err(format!(
+                    "line {lineno}: sample for {family:?} has no preceding # HELP"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Parses one sample line, returning the raw metric name.
+    fn prom_check_sample(line: &str) -> Result<String, String> {
+        let bytes = line.as_bytes();
+        let mut i = 0;
+        while i < bytes.len()
+            && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b':')
+        {
+            i += 1;
+        }
+        if i == 0 || bytes[0].is_ascii_digit() {
+            return Err("malformed metric name".into());
+        }
+        let name = &line[..i];
+        if i < bytes.len() && bytes[i] == b'{' {
+            i += 1;
+            loop {
+                let start = i;
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                    i += 1;
+                }
+                if i == start {
+                    return Err(format!("empty label name in {name}"));
+                }
+                if i >= bytes.len() || bytes[i] != b'=' {
+                    return Err(format!("label without '=' in {name}"));
+                }
+                i += 1;
+                if i >= bytes.len() || bytes[i] != b'"' {
+                    return Err(format!("unquoted label value in {name}"));
+                }
+                i += 1;
+                loop {
+                    if i >= bytes.len() {
+                        return Err(format!("unterminated label value in {name}"));
+                    }
+                    match bytes[i] {
+                        b'"' => break,
+                        b'\\' => {
+                            i += 1;
+                            if i >= bytes.len() || !matches!(bytes[i], b'\\' | b'"' | b'n') {
+                                return Err(format!("bad escape in label value in {name}"));
+                            }
+                        }
+                        _ => {}
+                    }
+                    i += 1;
+                }
+                i += 1;
+                match bytes.get(i) {
+                    Some(b',') => i += 1,
+                    Some(b'}') => {
+                        i += 1;
+                        break;
+                    }
+                    _ => return Err(format!("label list not closed in {name}")),
+                }
+            }
+        }
+        let value = line[i..].trim();
+        if value.is_empty() {
+            return Err(format!("sample {name} has no value"));
+        }
+        if !matches!(value, "+Inf" | "-Inf" | "NaN") && value.parse::<f64>().is_err() {
+            return Err(format!("sample {name} has non-numeric value {value:?}"));
+        }
+        Ok(name.to_string())
+    }
 
     fn sample_report() -> ObsReport {
         let mut rec = Recorder::new(RunMeta {

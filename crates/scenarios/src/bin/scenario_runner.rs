@@ -2,23 +2,16 @@
 //!
 //! ```text
 //! scenario_runner --all [--log2-n K] [--seed S] [--obs DIR] [--tighten F]
-//!                 [--live[=ADDR]] [--alerts-fatal] [--alert-stall-window R]
 //! scenario_runner <name>... [same flags]
 //! scenario_runner --list
 //! ```
 //!
 //! The pass/fail report on stdout is deterministic for a given
 //! `(scenarios, n, seed)` — wall-clock timing goes only to stderr.
-//! Exits nonzero when any gate fails.
-//!
-//! `--live` serves each run's `/metrics`, `/status`, and `/healthz` on
-//! a loopback listener and arms the default online monitors;
-//! `--alert-stall-window R` tightens the stall monitor to `R` rounds,
-//! and `--alerts-fatal` turns any fired alert into a nonzero exit
-//! (the alerts also land as `alert` records in the `--obs`
-//! archive either way).
+//! Exits 1 when any gate fails, 2 on a usage error (`--log2-n` must
+//! give 16 <= n <= 2^32: the campaigns crash and partition fixed
+//! fractions of the population, and node ids are 32-bit).
 
-use rd_core::runner::{AlertLog, AlertRule, LiveSpec};
 use rd_scenarios::{library, render_report, select, Scenario, ScenarioOutcome};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -27,15 +20,11 @@ struct Options {
     all: bool,
     list: bool,
     names: Vec<String>,
-    log2_n: u32,
+    /// Nodes per run, `2^K` for `--log2-n K`.
+    n: usize,
     seed: u64,
     obs: Option<PathBuf>,
     tighten: Option<f64>,
-    /// `Some(None)` = `--live` on an ephemeral port, `Some(Some(a))` =
-    /// `--live=a`.
-    live: Option<Option<String>>,
-    alerts_fatal: bool,
-    alert_stall_window: Option<u64>,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -43,13 +32,10 @@ fn parse_args() -> Result<Options, String> {
         all: false,
         list: false,
         names: Vec::new(),
-        log2_n: 10,
+        n: 1 << 10,
         seed: 42,
         obs: None,
         tighten: None,
-        live: None,
-        alerts_fatal: false,
-        alert_stall_window: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -58,9 +44,13 @@ fn parse_args() -> Result<Options, String> {
             "--all" => opts.all = true,
             "--list" => opts.list = true,
             "--log2-n" => {
-                opts.log2_n = value("--log2-n")?
+                let k: u32 = value("--log2-n")?
                     .parse()
-                    .map_err(|e| format!("--log2-n: {e}"))?
+                    .map_err(|e| format!("--log2-n: {e}"))?;
+                opts.n = 1usize
+                    .checked_shl(k)
+                    .filter(|&n| n >= 16 && u32::try_from(n - 1).is_ok())
+                    .ok_or_else(|| format!("--log2-n {k}: need 4 <= K <= 32"))?;
             }
             "--seed" => {
                 opts.seed = value("--seed")?
@@ -68,17 +58,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--obs" => opts.obs = Some(PathBuf::from(value("--obs")?)),
-            "--live" => opts.live = Some(None),
-            "--alerts-fatal" => opts.alerts_fatal = true,
-            "--alert-stall-window" => {
-                let window: u64 = value("--alert-stall-window")?
-                    .parse()
-                    .map_err(|e| format!("--alert-stall-window: {e}"))?;
-                if window == 0 {
-                    return Err("--alert-stall-window needs a positive round count".into());
-                }
-                opts.alert_stall_window = Some(window);
-            }
             "--tighten" => {
                 let f: f64 = value("--tighten")?
                     .parse()
@@ -91,15 +70,11 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: scenario_runner (--all | --list | <name>...) \
-                     [--log2-n K] [--seed S] [--obs DIR] [--tighten F] \
-                     [--live[=ADDR]] [--alerts-fatal] [--alert-stall-window R]"
+                     [--log2-n K] [--seed S] [--obs DIR] [--tighten F]"
                 );
                 std::process::exit(0);
             }
             name if !name.starts_with('-') => opts.names.push(name.to_string()),
-            other if other.starts_with("--live=") => {
-                opts.live = Some(Some(other["--live=".len()..].to_string()));
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -117,7 +92,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let n = 1usize << opts.log2_n;
+    let n = opts.n;
 
     if opts.list {
         for s in library(n, opts.seed) {
@@ -150,31 +125,10 @@ fn main() {
     }
 
     let mut outcomes: Vec<ScenarioOutcome> = Vec::new();
-    let mut alerts_fired: usize = 0;
     for scenario in &scenarios {
         for kind in &scenario.algorithms {
             let started = Instant::now();
-            let mut config = scenario.run_config(opts.obs.as_deref(), kind);
-            // `--live` gets a fresh alert log per run so the fatal gate
-            // and the stderr drain below attribute alerts to the run
-            // that fired them.
-            let alert_log = opts.live.as_ref().map(|addr| {
-                let log = AlertLog::new();
-                let mut rules = AlertRule::defaults();
-                if let Some(window) = opts.alert_stall_window {
-                    for rule in &mut rules {
-                        if let AlertRule::Stall { window: w } = rule {
-                            *w = window;
-                        }
-                    }
-                }
-                let mut live = LiveSpec::new().with_rules(rules).with_log(log.clone());
-                if let Some(addr) = addr {
-                    live = live.with_addr(addr);
-                }
-                config.obs = Some(config.obs.take().unwrap_or_default().with_live(live));
-                log
-            });
+            let config = scenario.run_config(opts.obs.as_deref(), kind);
             let report = rd_scenarios::gate(
                 scenario,
                 resource_run(*kind, &config),
@@ -187,25 +141,12 @@ fn main() {
                 "timing: {}/{} {:.3}s",
                 scenario.name, report.algorithm, wall
             );
-            if let Some(log) = alert_log {
-                for alert in log.snapshot() {
-                    alerts_fired += 1;
-                    eprintln!(
-                        "alert: {}/{} {} at round {}: {}",
-                        scenario.name, report.algorithm, alert.rule, alert.round, alert.message
-                    );
-                }
-            }
             outcomes.push(report);
         }
     }
 
     print!("{}", render_report(&outcomes));
 
-    if opts.alerts_fatal && alerts_fired > 0 {
-        eprintln!("scenario_runner: --alerts-fatal: {alerts_fired} alert(s) fired");
-        std::process::exit(1);
-    }
     if outcomes.iter().any(|o| !o.passed()) {
         std::process::exit(1);
     }

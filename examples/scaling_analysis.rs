@@ -46,13 +46,11 @@
 //! to match `figures --obs=DIR` — and inspect it with `rd-inspect
 //! summarize <dir>/scaling-*.jsonl`. The big archive carries a profile
 //! section, the churn archive a full-sampling causal trace for
-//! `rd-inspect why`. `--live[=ADDR]` serves either run's `/status`,
-//! `/metrics` and `/healthz` while it executes. The sweep mode is many
-//! runs and takes no archive path.
+//! `rd-inspect why`. The sweep mode is many runs and takes no archive
+//! path.
 
 use resource_discovery::analysis::experiment::{sweep, SweepSpec};
 use resource_discovery::analysis::{best_fit, Plot};
-use resource_discovery::obs::LiveSpec;
 use resource_discovery::prelude::*;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -75,19 +73,9 @@ fn resolve_obs(obs: Option<&str>, auto_name: &str) -> Option<PathBuf> {
     Some(dir.join(auto_name))
 }
 
-/// The live spec for `--live[=ADDR]`.
-fn live_spec(addr: Option<&str>) -> LiveSpec {
-    let spec = LiveSpec::new();
-    match addr {
-        Some(addr) => spec.with_addr(addr),
-        None => spec,
-    }
-}
-
 /// One HM run at production scale: leader-knows-all on the sharded
-/// engine, the heartbeat on, and the profiled archive and the live
-/// endpoint when asked for.
-fn big_run(log2_n: u32, workers: usize, obs_path: Option<&Path>, live: Option<Option<&str>>) {
+/// engine, the heartbeat on, and the profiled archive when asked for.
+fn big_run(log2_n: u32, workers: usize, obs_path: Option<&Path>) {
     let n = 1usize << log2_n;
     println!(
         "big run: HM on a 3-out random overlay, n = 2^{log2_n} = {n}, \
@@ -96,9 +84,6 @@ fn big_run(log2_n: u32, workers: usize, obs_path: Option<&Path>, live: Option<Op
     let mut spec = ObsSpec::new().with_heartbeat();
     if let Some(path) = obs_path {
         spec = spec.with_archive(path).with_profile();
-    }
-    if let Some(addr) = live {
-        spec = spec.with_live(live_spec(addr));
     }
     let config = RunConfig::new(Topology::KOut { k: 3 }, n, 42)
         .with_engine(EngineKind::Sharded { workers })
@@ -128,7 +113,7 @@ fn big_run(log2_n: u32, workers: usize, obs_path: Option<&Path>, live: Option<Op
 
 /// The churn demo: HM through drops, a crash/recovery wave, and a
 /// mid-run partition, with reliable delivery and the watchdog armed.
-fn churn_run(log2_n: u32, workers: usize, obs_path: Option<&Path>, live: Option<Option<&str>>) {
+fn churn_run(log2_n: u32, workers: usize, obs_path: Option<&Path>) {
     let n = 1usize << log2_n;
     let seed = 42;
     // 5% of the machines crash in a wave over rounds 5..13; the even
@@ -171,18 +156,14 @@ fn churn_run(log2_n: u32, workers: usize, obs_path: Option<&Path>, live: Option<
         .with_reliable_delivery(RetryPolicy::default())
         .with_stall_window(200)
         .with_max_rounds(100_000);
-    let mut spec = obs_path.map(|path| {
+    if let Some(path) = obs_path {
         // Full-sampling causal trace: the degraded run's archive is the
         // `rd-inspect why` walkthrough input, so keep every edge.
-        ObsSpec::new()
-            .with_archive(path)
-            .with_causal_trace(1 << 20, 1_000_000)
-    });
-    if let Some(addr) = live {
-        spec = Some(spec.unwrap_or_default().with_live(live_spec(addr)));
-    }
-    if let Some(spec) = spec {
-        config = config.with_obs(spec);
+        config = config.with_obs(
+            ObsSpec::new()
+                .with_archive(path)
+                .with_causal_trace(1 << 20, 1_000_000),
+        );
     }
     let start = Instant::now();
     let report = run(AlgorithmKind::Hm(HmConfig::default()), &config);
@@ -219,15 +200,6 @@ fn main() {
         .iter()
         .position(|a| a.starts_with("--obs="))
         .map(|i| args.remove(i)["--obs=".len()..].to_string());
-    // `--live` / `--live=ADDR` may also appear anywhere; the outer
-    // Option is "flag present", the inner one a custom bind address.
-    let live = args
-        .iter()
-        .position(|a| a == "--live" || a.starts_with("--live="))
-        .map(|i| {
-            let flag = args.remove(i);
-            flag.strip_prefix("--live=").map(str::to_string)
-        });
     if let Some(mode @ ("--big" | "--churn")) = args.first().map(String::as_str) {
         let big = mode == "--big";
         let log2_n: u32 = args
@@ -243,11 +215,10 @@ fn main() {
             "scaling-churn.jsonl"
         };
         let archive = resolve_obs(obs_path.as_deref(), name);
-        let live = live.as_ref().map(|a| a.as_deref());
         if big {
-            big_run(log2_n, workers, archive.as_deref(), live);
+            big_run(log2_n, workers, archive.as_deref());
         } else {
-            churn_run(log2_n, workers, archive.as_deref(), live);
+            churn_run(log2_n, workers, archive.as_deref());
             if let Some(path) = archive {
                 println!(
                     "wrote run archive (with causal trace) to {}",
@@ -263,12 +234,6 @@ fn main() {
             "note: --obs={path} only applies to the single-run modes \
              (--big / --churn); the sweep runs many instances and \
              writes no archive"
-        );
-    }
-    if live.is_some() {
-        eprintln!(
-            "note: --live only applies to the single-run modes \
-             (--big / --churn); the sweep serves no live endpoint"
         );
     }
 

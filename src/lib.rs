@@ -57,7 +57,7 @@ pub use rd_sim as sim;
 pub use rd_core::runner::run;
 
 /// The two names the standalone `benchmark/` package imports; ROADMAP
-/// item 7 deletes this module along with the benchmark's use of them.
+/// item 6 deletes this module along with the benchmark's use of them.
 pub mod event {
     pub use rd_sim::LatencyModel;
     use rd_sim::{Engine, Node, RoundEngine};

@@ -3,8 +3,8 @@
 //! own types.
 //!
 //! The report carries every section — rounds, phases, workers, counters,
-//! gauges, histograms, hot nodes, provenance edges, profile rows and
-//! alerts — with hostile strings (quote, backslash, control characters,
+//! gauges, histograms, hot nodes, provenance edges and profile rows —
+//! with hostile strings (quote, backslash, control characters,
 //! non-ASCII) in every text field, seeds across the whole `u64` range,
 //! any finite float, and every other integer up to 2^53, the largest the
 //! JSON number pipeline carries exactly.
@@ -16,8 +16,8 @@ use resource_discovery::obs::archive::{self, HistSummary, TraceMeta};
 use resource_discovery::obs::prof::{ProfileMem, ProfileMsg, ProfilePhase};
 use resource_discovery::obs::recorder::{PhaseSummary, WorkerSummary};
 use resource_discovery::obs::{
-    Alert, CausalTrace, DropTally, MetricsRegistry, ObsReport, Phase, ProfileReport, ProvEdge,
-    RoundObs, RunMeta, RunOutcomeObs,
+    CausalTrace, DropTally, MetricsRegistry, ObsReport, Phase, ProfileReport, ProvEdge, RoundObs,
+    RunMeta, RunOutcomeObs,
 };
 use std::collections::BTreeMap;
 
@@ -57,13 +57,12 @@ fn rows<T>(rng: &mut StdRng, max: usize, mut row: impl FnMut(&mut StdRng) -> T) 
     (0..rng.random_range(0..=max)).map(|_| row(rng)).collect()
 }
 
-/// Up to `max` strictly ascending (or, with `strict` off,
-/// non-decreasing) rounds.
-fn ascending(rng: &mut StdRng, max: usize, strict: bool) -> Vec<u64> {
+/// Up to `max` strictly ascending rounds.
+fn ascending(rng: &mut StdRng, max: usize) -> Vec<u64> {
     let mut round = 0;
     (0..rng.random_range(0..=max))
         .map(|_| {
-            round += rng.random_range(u64::from(strict)..1_000);
+            round += rng.random_range(1u64..1_000);
             round
         })
         .collect()
@@ -87,7 +86,7 @@ fn random_report(rng: &mut StdRng) -> ObsReport {
         workers: int(rng) as usize,
         latency_model: maybe(rng, text),
     };
-    let rounds = ascending(rng, 20, true)
+    let rounds = ascending(rng, 20)
         .into_iter()
         .map(|round| RoundObs {
             round,
@@ -150,7 +149,7 @@ fn random_report(rng: &mut StdRng) -> ObsReport {
         trace
     });
     let profile = maybe(rng, |rng| {
-        let mem: Vec<ProfileMem> = ascending(rng, 6, true)
+        let mem: Vec<ProfileMem> = ascending(rng, 6)
             .into_iter()
             .map(|round| ProfileMem {
                 round,
@@ -183,16 +182,6 @@ fn random_report(rng: &mut StdRng) -> ObsReport {
             mem,
         }
     });
-    let alerts = ascending(rng, 5, false)
-        .into_iter()
-        .map(|round| Alert {
-            rule: text(rng),
-            round,
-            value: real(rng),
-            threshold: real(rng),
-            message: text(rng),
-        })
-        .collect();
     let outcome = RunOutcomeObs {
         verdict: text(rng),
         completed: rng.random_bool(0.5),
@@ -217,7 +206,6 @@ fn random_report(rng: &mut StdRng) -> ObsReport {
         span_overflow: 0,
         causal,
         profile,
-        alerts,
     }
 }
 
@@ -264,7 +252,6 @@ proptest! {
             .collect();
         prop_assert_eq!(&a.edges, &edges);
         prop_assert_eq!(&a.profile, &report.profile);
-        prop_assert_eq!(&a.alerts, &report.alerts);
         prop_assert_eq!(&a.outcome, &report.outcome);
     }
 }
