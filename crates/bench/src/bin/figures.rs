@@ -19,17 +19,16 @@
 //! while any other model measures convergence under asynchrony.
 //!
 //! `--obs=DIR` additionally performs two instrumented HM reference runs
-//! (sequential and sharded:4) and writes their telemetry into `DIR`:
-//! JSONL run archives for both (`rd-inspect summarize/diff/validate`
-//! reads them), plus a Chrome trace-event file (load in Perfetto) and a
-//! Prometheus text snapshot for the sharded run. When `--engine=event…` is
-//! selected, a third archive (`hm-event.jsonl`) is written under the
-//! chosen latency model. `--profile` adds cost-attribution profiling
-//! (`profile_*` archive records plus a folded-stack file per engine,
-//! for `rd-inspect profile` / `flame`). `--trace` adds causal provenance tracing to
-//! those reference runs (full sampling), so the archives carry the
-//! causal edge section that `rd-inspect why` and `rd-inspect path`
-//! read.
+//! (sequential and sharded:4) and writes their JSONL run archives into
+//! `DIR` (`rd-inspect summarize/diff/validate` reads them). When
+//! `--engine=event…` is selected, a third archive (`hm-event.jsonl`) is
+//! written under the chosen latency model. `--profile` adds
+//! cost-attribution profiling (`profile_*` archive records, for
+//! `rd-inspect profile` / `flame`). `--trace` adds causal provenance
+//! tracing to those reference runs (full sampling), so the archives
+//! carry the causal edge section that `rd-inspect why` and
+//! `rd-inspect path` read. Both act on the reference runs only, so
+//! either without `--obs=DIR` is a usage error.
 
 use rd_analysis::Table;
 use rd_bench::experiments::{
@@ -135,6 +134,10 @@ fn parse_args() -> Options {
             }
         }
     }
+    if obs.is_none() && (trace || prof) {
+        eprintln!("figures: --trace and --profile need --obs=DIR\n{}", usage());
+        std::process::exit(2);
+    }
     Options {
         profile,
         csv,
@@ -147,7 +150,7 @@ fn parse_args() -> Options {
 }
 
 /// The `--obs=DIR` reference runs: the same HM instance once per
-/// engine, every telemetry exporter exercised. The two round-engine
+/// engine, each writing its run archive. The two round-engine
 /// archives let `rd-inspect diff` show that the engines agree on every
 /// deterministic field and differ only in wall-clock and worker layout.
 /// When `--engine=event[:<model>]` is selected, a third archive is
@@ -172,10 +175,7 @@ fn obs_runs(profile: Profile, engine: EngineKind, dir: &std::path::Path, trace: 
         ),
         (
             EngineKind::Sharded { workers: 4 },
-            ObsSpec::new()
-                .with_archive(dir.join("hm-sharded4.jsonl"))
-                .with_chrome_trace(dir.join("hm-sharded4.trace.json"))
-                .with_prometheus(dir.join("hm-sharded4.prom")),
+            ObsSpec::new().with_archive(dir.join("hm-sharded4.jsonl")),
         ),
     ];
     if let EngineKind::Event { .. } = engine {
@@ -192,14 +192,10 @@ fn obs_runs(profile: Profile, engine: EngineKind, dir: &std::path::Path, trace: 
         }
     }
     if prof {
-        // Cost-attribution profiling: `profile_*` records in
-        // every archive, plus a folded-stack file per engine for
-        // `rd-inspect flame` / external flamegraph tooling.
-        for (engine, spec) in &mut runs {
-            *spec = spec
-                .clone()
-                .with_profile()
-                .with_folded(dir.join(format!("hm-{}.folded", engine.name().replace(':', "-"))));
+        // Cost-attribution profiling: `profile_*` records in every
+        // archive, for `rd-inspect profile` / `flame`.
+        for (_, spec) in &mut runs {
+            *spec = spec.clone().with_profile();
         }
     }
     for (engine, spec) in runs {

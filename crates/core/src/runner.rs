@@ -8,10 +8,7 @@ use crate::algorithms::{
 use crate::{problem, verify};
 use rd_exec::ShardedEngine;
 use rd_graphs::Topology;
-use rd_obs::{
-    CausalTrace, ChromeTraceSink, JsonlArchiveSink, PrometheusSink, Recorder, RunMeta,
-    RunOutcomeObs,
-};
+use rd_obs::{CausalTrace, JsonlArchiveSink, Recorder, RunMeta, RunOutcomeObs};
 use rd_sim::{DropTally, Engine, FaultPlan, LatencyModel, Node, RetryPolicy, RoundEngine};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -188,18 +185,15 @@ impl RunVerdict {
 
 /// Where a run's telemetry goes.
 ///
-/// Attached with [`RunConfig::with_obs`]; every enabled exporter writes
-/// its artifact atomically at run end. Telemetry is strictly
+/// Attached with [`RunConfig::with_obs`]; the archive, when asked for,
+/// is written atomically at run end. Telemetry is strictly
 /// observational: the run itself is bit-identical with or without a
 /// spec (pinned by `tests/prop_engine_equivalence.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ObsSpec {
-    /// Schema-versioned JSONL run archive (read by `rd-inspect`).
+    /// Schema-versioned JSONL run archive (read by `rd-inspect`): the
+    /// one file a run writes.
     pub archive: Option<PathBuf>,
-    /// Chrome trace-event JSON (load in Perfetto / `chrome://tracing`).
-    pub chrome_trace: Option<PathBuf>,
-    /// Prometheus text exposition snapshot.
-    pub prometheus: Option<PathBuf>,
     /// Causal knowledge-provenance tracing as `(pair capacity,
     /// sampling rate in ppm)`; the DAG lands in the archive's causal
     /// section and feeds `rd-inspect why` / `path`.
@@ -209,17 +203,13 @@ pub struct ObsSpec {
     /// archive's `profile_*` section and feed
     /// `rd-inspect profile` / `flame`.
     pub profile: bool,
-    /// Folded-stack file for flamegraph tooling (implies [`profile`]).
-    ///
-    /// [`profile`]: Self::profile
-    pub folded: Option<PathBuf>,
     /// Rate-limited stderr heartbeat (round, rounds/s, msgs/s, resident
     /// bytes) for long runs. Output only — never affects the run.
     pub heartbeat: bool,
 }
 
 impl ObsSpec {
-    /// A spec with no exporters: metrics and spans are still recorded
+    /// A spec with no archive: metrics and spans are still recorded
     /// (useful for overhead measurement), nothing is written.
     pub fn new() -> Self {
         ObsSpec::default()
@@ -231,24 +221,12 @@ impl ObsSpec {
         self
     }
 
-    /// Writes the Chrome trace-event JSON to `path`.
-    pub fn with_chrome_trace(mut self, path: impl Into<PathBuf>) -> Self {
-        self.chrome_trace = Some(path.into());
-        self
-    }
-
-    /// Writes the Prometheus text snapshot to `path`.
-    pub fn with_prometheus(mut self, path: impl Into<PathBuf>) -> Self {
-        self.prometheus = Some(path.into());
-        self
-    }
-
     /// Enables causal knowledge-provenance tracing: the engine records,
     /// for up to `capacity` `(id, node)` pairs, the first delivered
     /// message that taught `node` about `id`, sampling messages
     /// deterministically at `sample_ppm` parts per million (values
     /// `>= 1_000_000` trace every message). Purely observational, like
-    /// every other exporter.
+    /// the rest of the spec.
     pub fn with_causal_trace(mut self, capacity: usize, sample_ppm: u32) -> Self {
         self.causal = Some((capacity, sample_ppm));
         self
@@ -261,26 +239,11 @@ impl ObsSpec {
         self
     }
 
-    /// Writes a folded-stack file (one line per `engine;lane;phase`
-    /// stack, suitable for `flamegraph.pl` / inferno) to `path`.
-    /// Implies profiling.
-    pub fn with_folded(mut self, path: impl Into<PathBuf>) -> Self {
-        self.folded = Some(path.into());
-        self.profile = true;
-        self
-    }
-
     /// Emits a rate-limited progress heartbeat on stderr while the run
     /// executes.
     pub fn with_heartbeat(mut self) -> Self {
         self.heartbeat = true;
         self
-    }
-
-    /// Whether profiling is requested (directly or via a folded-stack
-    /// export).
-    pub fn profiling(&self) -> bool {
-        self.profile || self.folded.is_some()
     }
 }
 
@@ -307,7 +270,8 @@ pub struct RunConfig {
     pub stall_window: Option<u64>,
     /// Opt-in reliable delivery (ack/retransmit) policy.
     pub reliable: Option<RetryPolicy>,
-    /// Telemetry exporters, if observability is enabled.
+    /// Telemetry (archive, causal trace, profile, heartbeat), if
+    /// observability is enabled.
     pub obs: Option<ObsSpec>,
 }
 
@@ -330,7 +294,7 @@ impl RunConfig {
     }
 
     /// Enables observability: telemetry is recorded during the run and
-    /// exported through the spec's sinks at run end.
+    /// written to the spec's archive, if any, at run end.
     pub fn with_obs(mut self, spec: ObsSpec) -> Self {
         self.obs = Some(spec);
         self
@@ -523,7 +487,7 @@ fn make_causal_trace(
 }
 
 /// Builds the telemetry recorder for one run: identity from the config,
-/// one sink per exporter the spec enables.
+/// the archive and profiling as the spec asks.
 fn make_recorder(algorithm: &str, config: &RunConfig, spec: &ObsSpec) -> Recorder {
     let mut rec = Recorder::new(RunMeta {
         algorithm: algorithm.to_string(),
@@ -537,17 +501,8 @@ fn make_recorder(algorithm: &str, config: &RunConfig, spec: &ObsSpec) -> Recorde
     if let Some(path) = &spec.archive {
         rec = rec.with_sink(Box::new(JsonlArchiveSink::new(path.clone())));
     }
-    if let Some(path) = &spec.chrome_trace {
-        rec = rec.with_sink(Box::new(ChromeTraceSink::new(path.clone())));
-    }
-    if let Some(path) = &spec.prometheus {
-        rec = rec.with_sink(Box::new(PrometheusSink::new(path.clone())));
-    }
-    if spec.profiling() {
+    if spec.profile {
         rec = rec.with_profiling();
-    }
-    if let Some(path) = &spec.folded {
-        rec = rec.with_folded_stacks(path.clone());
     }
     rec
 }

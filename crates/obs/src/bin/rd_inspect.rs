@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Exit codes: 0 on success, 1 when validation finds problems, a file
-//! fails to parse, `summarize --strict` sees a truncated trace or a
+//! fails to parse, `summarize --strict` sees a truncated causal trace or a
 //! profile section whose attribution coverage is below 90%, or
 //! `profile`/`flame` run against an un-profiled archive; 2 on usage
 //! errors.
@@ -57,8 +57,7 @@ fn main() -> ExitCode {
             match parse(path) {
                 Ok(a) => {
                     print!("{}", inspect::summarize(&a));
-                    let truncated = a.outcome.trace_overflow > 0
-                        || a.trace_meta.as_ref().is_some_and(|tm| tm.overflow > 0);
+                    let truncated = a.trace_meta.as_ref().is_some_and(|tm| tm.overflow > 0);
                     // A profiled archive whose spans explain less than
                     // 90% of round wall time is an attribution gap the
                     // profiler exists to close — strict mode treats it
@@ -68,7 +67,7 @@ fn main() -> ExitCode {
                         .as_ref()
                         .is_some_and(|pm| pm.coverage_pct < MIN_COVERAGE_PCT);
                     if strict && truncated {
-                        eprintln!("rd-inspect: --strict: trace truncated (see WARN above)");
+                        eprintln!("rd-inspect: --strict: causal trace truncated (see WARN above)");
                         ExitCode::from(1)
                     } else if strict && uncovered {
                         let pct = a.profile.as_ref().map_or(0.0, |pm| pm.coverage_pct);

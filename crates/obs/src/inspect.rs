@@ -51,18 +51,6 @@ pub fn summarize(archive: &Archive) -> String {
             s.rounds
         );
     }
-    let _ = writeln!(
-        out,
-        "trace: {} events, {} overflowed",
-        s.trace_events, s.trace_overflow
-    );
-    if s.trace_overflow > 0 {
-        let _ = writeln!(
-            out,
-            "WARN: TRACE TRUNCATED — {} events overflowed the ring; trace counts reflect the retained prefix only",
-            s.trace_overflow
-        );
-    }
     if let Some(tm) = &archive.trace_meta {
         let _ = writeln!(
             out,
@@ -212,8 +200,6 @@ pub fn diff(label_a: &str, a: &Archive, label_b: &str, b: &Archive) -> String {
         ("dropped_partition", da.partition, db.partition),
         ("dropped_link", da.link, db.link),
         ("dropped_suppression", da.suppression, db.suppression),
-        ("trace_events", sa.trace_events, sb.trace_events),
-        ("trace_overflow", sa.trace_overflow, sb.trace_overflow),
         ("wall_ns_total", wall_ns(a), wall_ns(b)),
     ] {
         let _ = writeln!(
@@ -347,10 +333,9 @@ pub fn profile_report(archive: &Archive) -> Result<String, String> {
 
 /// Renders a profiled archive's phase attribution as folded stacks
 /// (`engine;phase total_ns`, one line per phase) for flamegraph
-/// tooling. Archive phase records carry no per-worker split, so the
-/// per-shard view lives in the run-time folded-stack file
-/// ([`Recorder::with_folded_stacks`](crate::Recorder::with_folded_stacks));
-/// this is the archive-side equivalent.
+/// tooling. Profile phase records carry no per-worker split; the
+/// archive's `worker` records and the `worker_imbalance` gauge hold the
+/// shard view.
 pub fn flame(archive: &Archive) -> Result<String, String> {
     let pm = archive
         .profile
@@ -454,7 +439,7 @@ mod tests {
         archive::parse(text).unwrap()
     }
 
-    fn sample(messages: u64, overflow: u64) -> String {
+    fn sample(messages: u64) -> String {
         format!(
             concat!(
                 "{{\"type\":\"header\",\"schema\":6,\"algorithm\":\"hm\",\"topology\":\"k-out-3\",\"n\":64,\"seed\":\"7\",\"engine\":\"sharded:2\",\"workers\":2,\"latency_model\":null}}\n",
@@ -468,34 +453,26 @@ mod tests {
                 "{{\"type\":\"hist\",\"name\":\"round_messages\",\"count\":1,\"mean\":{m},\"min\":{m},\"p50\":{m},\"p90\":{m},\"p99\":{m},\"max\":{m}}}\n",
                 "{{\"type\":\"hot_nodes\",\"name\":\"sent\",\"value\":[{{\"node\":3,\"value\":5}}]}}\n",
                 "{{\"type\":\"hot_nodes\",\"name\":\"recv\",\"value\":[]}}\n",
-                "{{\"type\":\"summary\",\"verdict\":\"complete-sound\",\"completed\":true,\"sound\":true,\"rounds\":1,\"messages\":{m},\"pointers\":9,\"trace_events\":4,\"trace_overflow\":{ov},\"last_progress\":null}}\n",
+                "{{\"type\":\"summary\",\"verdict\":\"complete-sound\",\"completed\":true,\"sound\":true,\"rounds\":1,\"messages\":{m},\"pointers\":9,\"trace_events\":0,\"trace_overflow\":0,\"last_progress\":null}}\n",
             ),
-            m = messages,
-            ov = overflow
+            m = messages
         )
     }
 
     #[test]
     fn summarize_covers_the_headline_sections() {
-        let text = summarize(&archive_from(&sample(42, 0)));
+        let text = summarize(&archive_from(&sample(42)));
         assert!(text.contains("hm on k-out-3, n=64"));
         assert!(text.contains("complete-sound in 1 rounds"));
         assert!(text.contains("route_shard"));
         assert!(text.contains("top senders: 3 (5)"));
         assert!(text.contains("imbalance"));
-        assert!(!text.contains("TRACE TRUNCATED"));
-    }
-
-    #[test]
-    fn summarize_flags_truncated_traces() {
-        let text = summarize(&archive_from(&sample(42, 9)));
-        assert!(text.contains("TRACE TRUNCATED"));
-        assert!(text.contains("9 overflowed"));
+        assert!(!text.contains("TRUNCATED"));
     }
 
     #[test]
     fn summarize_surfaces_stall_watermark_and_adversarial_drops() {
-        let text = sample(42, 0)
+        let text = sample(42)
             .replace("\"last_progress\":null", "\"last_progress\":7")
             .replace(
                 "{\"type\":\"counter\",\"name\":\"dropped_coin_total\",\"value\":1}",
@@ -511,14 +488,14 @@ mod tests {
         assert!(out.contains("7 dropped"), "{out}");
 
         // Fault-free archives keep the historical two-class shape.
-        let plain = summarize(&archive_from(&sample(42, 0)));
+        let plain = summarize(&archive_from(&sample(42)));
         assert!(!plain.contains("link"), "{plain}");
         assert!(!plain.contains("stall:"), "{plain}");
     }
 
     #[test]
     fn summarize_reports_causal_sections_and_overflow() {
-        let text = sample(42, 0).replace(
+        let text = sample(42).replace(
                 "{\"type\":\"summary\"",
                 concat!(
                     "{\"type\":\"trace_meta\",\"capacity\":128,\"sample_ppm\":250000,",
@@ -534,7 +511,7 @@ mod tests {
     }
 
     fn profiled_sample() -> String {
-        sample(42, 0).replace(
+        sample(42).replace(
                 "{\"type\":\"summary\"",
                 concat!(
                     "{\"type\":\"profile_meta\",\"coverage_pct\":95.5,\"samples\":2,\"utilization_pct\":80.2,",
@@ -566,7 +543,7 @@ mod tests {
         assert!(out.contains("Rumor"), "{out}");
 
         // Un-profiled archives keep their historical shape.
-        let plain = summarize(&archive_from(&sample(42, 0)));
+        let plain = summarize(&archive_from(&sample(42)));
         assert!(!plain.contains("profile:"), "{plain}");
         assert!(!plain.contains("memory:"), "{plain}");
     }
@@ -585,30 +562,30 @@ mod tests {
         assert!(out.contains("utilization 80.2%"), "{out}");
         assert!(out.contains("est. peak RSS 3.0 MiB (2 samples)"), "{out}");
 
-        let plain = archive_from(&sample(42, 0));
+        let plain = archive_from(&sample(42));
         assert!(profile_report(&plain).is_err());
     }
 
     #[test]
-    fn flame_emits_folded_stacks_from_phase_records() {
+    fn flame_emits_one_stack_per_profiled_phase() {
         let a = archive_from(&profiled_sample());
         let out = flame(&a).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "sharded:2;on_round 600000");
         assert_eq!(lines[1], "sharded:2;route_shard 300000");
 
-        let plain = archive_from(&sample(42, 0));
+        let plain = archive_from(&sample(42));
         assert!(flame(&plain).is_err());
     }
 
     #[test]
     fn diff_reports_identical_and_divergent_runs() {
-        let a = archive_from(&sample(100, 0));
+        let a = archive_from(&sample(100));
         let same = diff("a.jsonl", &a, "b.jsonl", &a);
         assert!(same.contains("counters: identical"));
         assert!(same.contains("same run shape"));
 
-        let b = archive_from(&sample(150, 0));
+        let b = archive_from(&sample(150));
         let changed = diff("a.jsonl", &a, "b.jsonl", &b);
         assert!(changed.contains("+50.0%"));
         assert!(changed.contains("messages_total"));

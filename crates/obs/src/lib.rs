@@ -14,15 +14,15 @@
 //! 2. **Wall-clock never feeds protocol state.** The recorder is
 //!    write-only from the engine's perspective: spans, round rows, and
 //!    registry metrics are produced from deterministic values plus
-//!    `Instant` reads, and nothing flows back. Enabling any sink
-//!    combination therefore leaves runs bit-identical across engines
-//!    and worker counts (property-tested in
-//!    `tests/prop_engine_equivalence.rs`).
+//!    `Instant` reads, and nothing flows back. Attaching the archive,
+//!    the causal tracer or the profiler therefore leaves runs
+//!    bit-identical across engines and worker counts (property-tested
+//!    in `tests/prop_engine_equivalence.rs`).
 //!
-//! Exporters: [`JsonlArchiveSink`] (the run archive: one schema with
-//! optional sections — see [`archive`]), [`ChromeTraceSink`] (Perfetto-loadable trace of
-//! per-worker phase spans), [`PrometheusSink`] (text exposition). The
-//! `rd-inspect` binary summarizes, diffs, and validates archives.
+//! A run has one export: the JSONL run archive, written by
+//! [`JsonlArchiveSink`] (one schema with optional sections — see
+//! [`archive`]). The `rd-inspect` binary summarizes, diffs, validates
+//! and renders views of archives.
 //!
 //! Causal tracing ([`trace`]) extends the same contract to message
 //! provenance: the engines collect a [`CausalTrace`] — the per-run
@@ -33,13 +33,13 @@
 //! narratives.
 //!
 //! Every span-derived number — phase and worker summaries, the
-//! `worker_imbalance` gauge, the profile, the folded stacks — comes
-//! out of one fold over the stored spans at finish ([`prof`]).
-//! Profiling layers cost attribution on it: enabling
-//! [`Recorder::with_profiling`] yields a [`ProfileReport`] (per-phase
-//! ns/envelope, shard utilization/imbalance, memory timeline) and the
-//! archive's `profile_*` section; [`Recorder::with_folded_stacks`]
-//! writes a folded-stack file for flamegraph tooling.
+//! `worker_imbalance` gauge, the profile — comes out of one fold over
+//! the stored spans at finish ([`prof`]). Profiling layers cost
+//! attribution on it: enabling [`Recorder::with_profiling`] yields a
+//! [`ProfileReport`] (per-phase ns/envelope, shard
+//! utilization/imbalance, memory timeline) and the archive's
+//! `profile_*` section, which `rd-inspect flame` renders as folded
+//! stacks for flamegraph tooling.
 //!
 //! Everything here reads a run after it has finished — the paper's
 //! claims are round and message counts, and the evidence for them comes
@@ -63,6 +63,6 @@ pub use hist::Histogram;
 pub use prof::ProfileReport;
 pub use recorder::{DropTally, ObsReport, Recorder, RoundObs, RunMeta, RunOutcomeObs};
 pub use registry::MetricsRegistry;
-pub use sink::{ChromeTraceSink, JsonlArchiveSink, ObsSink, PrometheusSink};
+pub use sink::JsonlArchiveSink;
 pub use span::{Phase, SpanEvent};
 pub use trace::{CausalTrace, ProvEdge};

@@ -6,9 +6,8 @@
 //! phase's duration histogram, each `(worker, phase)` pair's busy time,
 //! and each round's span time and per-worker parallel busy time. The
 //! archive's `phase` and `worker` records, the `worker_imbalance`
-//! gauge, the [`ProfileReport`] and the folded-stack file all read that
-//! fold, and `imbalance` / `utilization` are its one pair of skew
-//! formulas.
+//! gauge and the [`ProfileReport`] all read that fold, and
+//! `imbalance` / `utilization` are its one pair of skew formulas.
 //!
 //! Profiling adds what spans cannot carry — message-kind sizes, the
 //! driver's memory samples, pool high water — and, like every
@@ -17,11 +16,10 @@
 //! is off no extra clock is read and archives carry no profile section.
 
 use crate::hist::Histogram;
-use crate::recorder::{PhaseSummary, RoundObs, RunMeta, RunOutcomeObs, WorkerSummary};
+use crate::recorder::{PhaseSummary, RoundObs, RunOutcomeObs, WorkerSummary};
 use crate::registry::MetricsRegistry;
 use crate::span::{Phase, SpanEvent};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Max/mean of per-lane busy time (1.0 = perfectly even); `None` with
 /// fewer than two lanes or no busy time at all.
@@ -44,7 +42,7 @@ fn utilization(busy: &[u64], wall_ns: u64) -> Option<f64> {
 pub(crate) struct SpanFold {
     /// Span durations of each phase, in [`Phase::ALL`] order.
     phases: [Histogram; Phase::ALL.len()],
-    /// `(worker, phase)` → `(spans, busy ns)`, in folded-stack order.
+    /// `(worker, phase)` → `(spans, busy ns)`, by worker, then phase.
     cells: BTreeMap<(u32, Phase), (u64, u64)>,
     /// Round label → that round's share; filled only for a profiled
     /// run, the one reader.
@@ -151,18 +149,6 @@ impl SpanFold {
             .map(|w| w.busy_ns)
             .collect();
         imbalance(&busy)
-    }
-
-    /// The folded-stack file: one `engine;lane worker;phase ns` line
-    /// per `(worker, phase)`, for flamegraph tooling (`flamegraph.pl`,
-    /// inferno, speedscope).
-    pub(crate) fn folded(&self, meta: &RunMeta) -> String {
-        let lane = if meta.workers > 1 { "shard" } else { "worker" };
-        let mut out = String::new();
-        for (&(worker, phase), &(_, ns)) in &self.cells {
-            let _ = writeln!(out, "{};{lane} {worker};{} {ns}", meta.engine, phase.name());
-        }
-        out
     }
 }
 
@@ -360,7 +346,7 @@ impl ProfileInputs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{ObsReport, Recorder};
+    use crate::recorder::{ObsReport, Recorder, RunMeta};
     use std::time::Instant;
 
     fn meta(workers: usize) -> RunMeta {
@@ -466,7 +452,6 @@ mod tests {
         assert_eq!(with.phases(&mut reg), without.phases(&mut reg));
         assert_eq!(with.workers(), without.workers());
         assert_eq!(with.worker_imbalance(), without.worker_imbalance());
-        assert_eq!(with.folded(&report.meta), without.folded(&report.meta));
     }
 
     #[test]
@@ -491,40 +476,16 @@ mod tests {
     }
 
     #[test]
-    fn folded_stacks_parse_and_sum_within_measured_wall() {
+    fn a_single_lane_attributes_no_more_than_the_measured_wall() {
         let report = profiled_report(1);
-        let folded = SpanFold::of(&report.spans, false).folded(&report.meta);
-        assert!(!folded.is_empty());
-        let mut total_ns = 0u64;
-        for line in folded.lines() {
-            let (stack, value) = line.rsplit_once(' ').expect("stack<space>value");
-            let frames: Vec<&str> = stack.split(';').collect();
-            assert_eq!(frames.len(), 3, "engine;lane;phase: {line}");
-            assert_eq!(frames[0], "sequential");
-            assert!(frames[1].starts_with("worker "));
-            assert!(Phase::from_name(frames[2]).is_some());
-            total_ns += value.parse::<u64>().expect("numeric leaf value");
-        }
+        let workers = SpanFold::of(&report.spans, false).workers();
+        assert_eq!(workers.len(), 1, "one lane: {workers:?}");
+        let busy = workers[0].busy_ns;
+        let phases: u64 = report.phases.iter().map(|p| p.total_ns).sum();
+        assert_eq!(busy, phases, "the lane and the phases split one total");
         // Single lane: attributed phase time cannot exceed the summed
         // measured round wall time.
         let wall: u64 = report.rounds.iter().map(|r| r.wall_ns).sum();
-        assert!(
-            total_ns <= wall,
-            "folded total {total_ns} > measured wall {wall}"
-        );
-    }
-
-    #[test]
-    fn the_recorder_writes_the_folded_stack_file() {
-        let dir = std::env::temp_dir().join(format!("rd_obs_prof_folded_{}", std::process::id()));
-        let path = dir.join("run.folded");
-        let mut rec = Recorder::new(meta(2)).with_folded_stacks(&path);
-        rec.span_from(Phase::OnRound, 0, 0, Instant::now());
-        rec.span_from(Phase::OnRound, 0, 1, Instant::now());
-        rec.finish(outcome(1, 1), &[], &[], &[], &[]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("sharded:2;shard 0;on_round "));
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(busy <= wall, "attributed {busy} > measured wall {wall}");
     }
 }

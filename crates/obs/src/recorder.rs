@@ -19,15 +19,14 @@
 //! At run end the driver calls [`Recorder::finish`], which folds the
 //! stored spans once (see [`prof`](crate::prof)), assembles the
 //! [`ObsReport`] — distributions, phase timings, worker utilization,
-//! hot nodes — and hands it to every attached
-//! [`ObsSink`](crate::ObsSink) for export.
+//! hot nodes — and writes it to the attached
+//! [`JsonlArchiveSink`], if any: the run archive is the one export.
 
 use crate::prof::{ProfileInputs, ProfileReport, SpanFold};
 use crate::registry::MetricsRegistry;
-use crate::sink::{write_atomic, ObsSink};
+use crate::sink::JsonlArchiveSink;
 use crate::span::{Phase, SpanEvent};
 use crate::trace::CausalTrace;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Identity of a run, echoed into every exported artifact.
@@ -200,16 +199,14 @@ pub struct Recorder {
     round_start: Option<Instant>,
     rounds: Vec<RoundObs>,
     registry: MetricsRegistry,
-    sinks: Vec<Box<dyn ObsSink>>,
+    archive: Option<Box<JsonlArchiveSink>>,
     causal: Option<CausalTrace>,
     prof: Option<ProfileInputs>,
-    /// Where the folded-stack file goes, if anywhere.
-    folded: Option<PathBuf>,
 }
 
 impl Recorder {
-    /// A recorder with no sinks: telemetry is still aggregated and the
-    /// [`ObsReport`] still comes back from [`finish`](Self::finish),
+    /// A recorder with no archive: telemetry is still aggregated and
+    /// the [`ObsReport`] still comes back from [`finish`](Self::finish),
     /// there is just no file export.
     pub fn new(meta: RunMeta) -> Self {
         Recorder {
@@ -226,10 +223,9 @@ impl Recorder {
             round_start: None,
             rounds: Vec::with_capacity(ROUND_PREALLOC),
             registry: MetricsRegistry::new(),
-            sinks: Vec::new(),
+            archive: None,
             causal: None,
             prof: None,
-            folded: None,
         }
     }
 
@@ -279,25 +275,19 @@ impl Recorder {
     }
 
     /// Hands the engine's finished causal trace to the recorder so the
-    /// archive sink can export it as the provenance section.
+    /// archive can export it as the provenance section.
     /// Called by the driver after the run, never during it — the trace
     /// is engine-collected but strictly observational.
     pub fn attach_causal(&mut self, causal: CausalTrace) {
         self.causal = Some(causal);
     }
 
-    /// Attaches an export sink (archives, traces, exposition — any
-    /// [`ObsSink`]). Chainable.
-    pub fn with_sink(mut self, sink: Box<dyn ObsSink>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Writes the folded-stack file — one `engine;lane;phase ns` line
-    /// per `(worker, phase)`, for flamegraph tooling — to `path`,
-    /// atomically, at finish. Chainable.
-    pub fn with_folded_stacks(mut self, path: impl Into<PathBuf>) -> Self {
-        self.folded = Some(path.into());
+    /// Writes the run archive at finish, replacing any archive attached
+    /// before. Chainable. The argument is boxed so that existing callers
+    /// keep compiling: the frozen `benchmark/` package passes
+    /// `Box::new(JsonlArchiveSink::new(path))`.
+    pub fn with_sink(mut self, archive: Box<JsonlArchiveSink>) -> Self {
+        self.archive = Some(archive);
         self
     }
 
@@ -359,7 +349,8 @@ impl Recorder {
         self.rounds.push(obs);
     }
 
-    /// Assembles the [`ObsReport`] and runs every sink's export.
+    /// Assembles the [`ObsReport`] and writes the archive, if one is
+    /// attached.
     ///
     /// `per_node_sent`/`per_node_recv` feed the hot-node top-k;
     /// `knowledge` is the driver's `(round, total known ids)` series,
@@ -395,8 +386,6 @@ impl Recorder {
         }
         let retrans: u64 = self.rounds.iter().map(|r| r.retransmissions).sum();
         reg.add_counter("retransmissions_total", retrans);
-        reg.add_counter("trace_events_total", outcome.trace_events);
-        reg.add_counter("trace_overflow_total", outcome.trace_overflow);
         reg.add_counter("span_overflow_total", self.span_overflow);
         if let Some(causal) = &self.causal {
             reg.add_counter("causal_edges_total", causal.len() as u64);
@@ -435,9 +424,6 @@ impl Recorder {
             .prof
             .take()
             .map(|p| p.report(&fold, &self.spans, &self.rounds, &outcome));
-        if let Some(path) = &self.folded {
-            write_atomic(path, &fold.folded(&self.meta))?;
-        }
 
         let report = ObsReport {
             meta: self.meta,
@@ -453,8 +439,8 @@ impl Recorder {
             causal: self.causal,
             profile,
         };
-        for sink in &mut self.sinks {
-            sink.on_finish(&report)?;
+        if let Some(archive) = &self.archive {
+            archive.write(&report)?;
         }
         Ok(report)
     }
@@ -583,8 +569,8 @@ mod tests {
 
 /// The fold against the accounting it replaced. Before it, spans were
 /// summed in five places: three loops in `Recorder::finish`, a pass in
-/// `Profiler::assemble`, and `folded_stacks`' aggregation. Those are
-/// kept here verbatim, as free functions over the same inputs, and
+/// `Profiler::assemble`, and the folded-stack file's aggregation. The
+/// first four are kept here verbatim (the file is gone), as free functions over the same inputs, and
 /// random span streams must come out of both bit for bit.
 #[cfg(test)]
 mod fold_oracle {
@@ -805,29 +791,6 @@ mod fold_oracle {
         }
     }
 
-    /// `folded_stacks`.
-    fn folded_then(report: &ObsReport) -> String {
-        let lane = if report.meta.workers > 1 {
-            "shard"
-        } else {
-            "worker"
-        };
-        let mut agg: BTreeMap<(u32, usize), u64> = BTreeMap::new();
-        for s in &report.spans {
-            let idx = Phase::ALL.iter().position(|&p| p == s.phase).unwrap();
-            *agg.entry((s.worker, idx)).or_default() += s.dur_ns;
-        }
-        let mut out = String::new();
-        for (&(worker, idx), &ns) in &agg {
-            let phase = Phase::ALL[idx].name();
-            out.push_str(&format!(
-                "{};{} {};{} {}\n",
-                report.meta.engine, lane, worker, phase, ns
-            ));
-        }
-        out
-    }
-
     /// splitmix64: the seeded stream a case is drawn from.
     struct Rng(u64);
 
@@ -949,11 +912,6 @@ mod fold_oracle {
         assert_eq!(
             format!("{:?}", report.profile.as_ref().unwrap()),
             format!("{then:?}"),
-            "seed {seed}"
-        );
-        assert_eq!(
-            SpanFold::of(&report.spans, false).folded(&report.meta),
-            folded_then(&report),
             "seed {seed}"
         );
     }

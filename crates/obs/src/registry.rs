@@ -2,16 +2,15 @@
 //!
 //! A flat, name-keyed metrics store: counters are monotone `u64`s,
 //! gauges are last-write-wins `f64`s, histograms are
-//! [`Histogram`](crate::hist::Histogram)s. Names follow the Prometheus
-//! convention (`snake_case`, `_total` suffix on counters) so the text
-//! exposition is a straight dump. `BTreeMap` keys keep every iteration
-//! order — and therefore every exported artifact — deterministic.
+//! [`Histogram`](crate::hist::Histogram)s. Names are `snake_case`, with
+//! a `_total` suffix on counters. `BTreeMap` keys keep every iteration
+//! order — and therefore the archive — deterministic.
 
 use crate::hist::Histogram;
 use std::collections::BTreeMap;
 
 /// The run-wide metrics store fed by the [`Recorder`](crate::Recorder)
-/// and dumped by every exporter.
+/// and dumped into the run archive.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,

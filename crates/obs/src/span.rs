@@ -3,9 +3,7 @@
 //! A [`SpanEvent`] is one timed slice of engine work — "worker 3 spent
 //! 410µs in `route_shard` during round 17". Timestamps are nanosecond
 //! offsets from the [`Recorder`](crate::Recorder)'s epoch `Instant`,
-//! so spans from different worker threads share one clock and can be
-//! laid out on a common timeline (the Chrome trace exporter relies on
-//! this).
+//! so spans from different worker threads share one clock.
 //!
 //! Spans are observation only: engines *produce* them from `Instant`
 //! reads but never read them back, which is what keeps wall-clock out

@@ -172,7 +172,7 @@ pub trait RoundEngine<N: Node>: Sized {
     fn shell_mut(&mut self) -> &mut RoundShell<N>;
 
     /// Attaches a telemetry [`Recorder`]: phases are timed, rounds are
-    /// archived, and the recorder's sinks export at run end. Purely
+    /// archived, and the recorder writes its archive at run end. Purely
     /// observational — a run with a recorder is bit-identical to the
     /// same run without one, on every engine and worker count.
     fn with_obs(mut self, mut recorder: Recorder) -> Self {

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use rd_core::{problem, verify, DiscoveryAlgorithm, KnowledgeSet, KnowledgeView};
     pub use rd_exec::ShardedEngine;
     pub use rd_graphs::{connectivity, metrics, DiGraph, Topology};
-    pub use rd_obs::{ChromeTraceSink, JsonlArchiveSink, PrometheusSink, Recorder, RunMeta};
+    pub use rd_obs::{JsonlArchiveSink, Recorder, RunMeta};
     pub use rd_sim::{
         ChurnSpec, DropCause, DropTally, Engine, FaultPlan, LatencyModel, LinkLossSpec, NodeId,
         RetryPolicy, RoundEngine, SuppressionSpec,
