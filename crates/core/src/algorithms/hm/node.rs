@@ -292,10 +292,10 @@ impl HmNode {
         (members, frontier): &(PointerList, PointerList),
         ctx: &mut RoundContext<'_, HmMsg>,
     ) {
-        self.knowledge.extend_from_slice(members);
-        self.knowledge.extend_from_slice(frontier);
+        self.knowledge.adopt(members);
+        self.knowledge.adopt(frontier);
         let held = self.members.mark();
-        self.members.extend_from_slice(members);
+        self.members.adopt(members);
         self.seen.extend_from_slice(self.members.since(held));
         // Adopt is (re)sent even for members we already hold: a retried
         // Join means the original Adopt may have been lost, and the
@@ -316,7 +316,7 @@ impl HmNode {
             HmMsg::Report { from, epoch, ids } => {
                 self.knowledge.insert(from);
                 if self.is_leader() {
-                    self.knowledge.extend_from_slice(&ids);
+                    self.knowledge.adopt(&ids);
                     for id in ids {
                         self.enqueue_external(id);
                     }
@@ -1008,7 +1008,7 @@ mod tests {
                 .map(NodeId::new)
                 .collect::<PointerList>()
         };
-        let me = HmNode::new(NodeId::new(0), &ids(&[2, 3]), HmConfig::default());
+        let me = HmNode::new(NodeId::new(0), &ids(&[2, 3]).to_vec(), HmConfig::default());
         let mut actors = vec![
             Actor::Hm(Box::new(me)),
             Actor::Sends(Some(HmMsg::Join(Arc::new((ids(&[1]), ids(&[6, 7])))))),

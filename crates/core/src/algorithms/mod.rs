@@ -41,7 +41,7 @@ impl TransferMsg {
     /// debug builds): that is why [`pointers`](MessageCost::pointers)
     /// may answer one less than the list's length without a search.
     pub fn new(ids: PointerList, except: NodeId) -> Self {
-        debug_assert!(ids.contains(&except), "{except} is not among the ids sent");
+        debug_assert!(ids.contains(except), "{except} is not among the ids sent");
         TransferMsg { ids, except }
     }
 

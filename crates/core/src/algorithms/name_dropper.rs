@@ -26,7 +26,7 @@ pub struct NameDropper;
 #[derive(Debug, Clone)]
 pub struct NameDropperNode {
     /// Sent whole every round as a [snapshot](KnowledgeSet::snapshot),
-    /// which lends the set's own list: most rounds teach a node
+    /// a prefix of the set's own list: most rounds teach a node
     /// nothing, and sending again is then a clone of the handle.
     knowledge: KnowledgeSet,
 }

@@ -89,11 +89,11 @@ impl Node for PointerDoublingNode {
         if candidate != me {
             ctx.send(candidate, PdMsg::Query(transfer(candidate)));
             // Everything fresh was just transferred upward.
-            self.knowledge.take_fresh();
+            self.knowledge.skip_fresh();
         } else if self.knowledge.has_fresh() {
             // Local maximum: announce downward so smaller machines learn
             // a larger candidate exists and start querying us.
-            self.knowledge.take_fresh();
+            self.knowledge.skip_fresh();
             for dst in ids.iter().filter(|&v| v != me) {
                 ctx.send(dst, PdMsg::Reply(transfer(dst)));
             }

@@ -13,8 +13,8 @@
 //!    every set bit, on either tier and for masks longer or shorter
 //!    than the set's own bitmap;
 //! 3. any interleaving of `insert`, bulk merge, `adopt` (shared and
-//!    not), `take_fresh`, `mark`, `since`, `sample_other`, `list`,
-//!    `snapshot` and `clone` agrees with a `BTreeSet` + order-`Vec`
+//!    not), `take_fresh`, `skip_fresh`, `mark`, `since`, `sample_other`,
+//!    `list`, `snapshot` and `clone` agrees with a `BTreeSet` + order-`Vec`
 //!    model and with a twin that merged every payload on arrival, so
 //!    the window and the marks can share one set and holding a
 //!    broadcast by reference is invisible;
@@ -32,13 +32,14 @@
 //!    with the model of 3 while `insert`, bulk merge, `adopt` and its
 //!    settle, `snapshot`, and the `take_fresh` and `mark` windows carry
 //!    it across seven and eight ids;
-//! 7. a set that lends its list to its snapshots — payloads held by
-//!    receivers that adopted them or by nobody, kept across appends or
-//!    dropped in any order, so the set appends in place, to its spare
-//!    brought up to date, and to a whole copy — is a set whose
-//!    snapshots copy: same list, membership and samples, every payload
-//!    the prefix it was lent as, with that prefix's bitmap, and a clone
-//!    never sees the other's appends;
+//! 7. a set whose snapshots are prefixes of its own list — payloads
+//!    held by receivers that adopted them or by nobody, kept across
+//!    appends and across the copy into a buffer of twice the room, or
+//!    dropped in any order — is a set whose snapshots copy: same list,
+//!    membership and samples, every payload the prefix it was sent as,
+//!    with that prefix's bitmap, and a clone never sees the other's
+//!    appends; and it counts one buffer in `resident_bytes`, exactly
+//!    what a twin whose snapshots are all dropped at once counts;
 //! 8. the completion predicates of [`LiveMask`], which answer a node of
 //!    a fully live instance from its count and largest id, are the
 //!    word-level `covers` they ask otherwise — on sets of every tier,
@@ -226,6 +227,8 @@ enum Op {
         shared: bool,
     },
     TakeFresh,
+    /// Close the fresh window without reading it.
+    SkipFresh,
     Mark,
     /// Read `since` at the `n`-th recorded mark (modulo how many exist).
     Since(usize),
@@ -267,6 +270,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_payload(), any::<bool>()).prop_map(|(payload, shared)| Op::Adopt { payload, shared }),
         (arb_payload(), Just(true)).prop_map(|(payload, shared)| Op::Adopt { payload, shared }),
         Just(Op::TakeFresh),
+        Just(Op::SkipFresh),
         Just(Op::Mark),
         (0usize..64).prop_map(Op::Since),
         any::<u64>().prop_map(Op::Sample),
@@ -306,6 +310,7 @@ fn arb_small_op() -> impl Strategy<Value = Op> {
         arb_payload().prop_map(Op::Extend),
         (arb_payload(), any::<bool>()).prop_map(|(payload, shared)| Op::Adopt { payload, shared }),
         Just(Op::TakeFresh),
+        Just(Op::SkipFresh),
         Just(Op::Mark),
         (0usize..64).prop_map(Op::Since),
         any::<u64>().prop_map(Op::Sample),
@@ -374,11 +379,16 @@ fn agrees_with_the_model(start: &[u32], ops: &[Op]) -> Result<(), TestCaseError>
                     PointerList::from(ids(payload))
                 };
                 prop_assert_eq!(set.adopt(&list), new);
-                prop_assert_eq!(eager.extend_from_slice(&list), new);
+                prop_assert_eq!(eager.extend_from_slice(&list.to_vec()), new);
                 probes = payload;
             }
             Op::TakeFresh => {
                 prop_assert_eq!(set.take_fresh(), ids(&order[drained..]));
+                eager.take_fresh();
+                drained = order.len();
+            }
+            Op::SkipFresh => {
+                set.skip_fresh();
                 eager.take_fresh();
                 drained = order.len();
             }
@@ -435,7 +445,7 @@ fn agrees_with_the_model(start: &[u32], ops: &[Op]) -> Result<(), TestCaseError>
     // here on asking) is that prefix as a set: nothing learned
     // since shows through.
     for (snapshot, taken_at) in &snapshots {
-        prop_assert_eq!(snapshot.as_slice(), ids(&order[..*taken_at]));
+        prop_assert_eq!(snapshot.to_vec(), ids(&order[..*taken_at]));
         if let Some(bitmap) = snapshot.shared_bitmap() {
             let then: BTreeSet<u32> = order[..*taken_at].iter().copied().collect();
             prop_assert_eq!(bitmap, mask_of(&then, 0));
@@ -491,7 +501,7 @@ proptest! {
         let first = PointerList::shared(&ids(&(overlap..overlap + 700).rev().collect::<Vec<_>>()));
         let second = PointerList::shared(&ids(&(0..2_000).step_by(3).collect::<Vec<_>>()));
         for payload in [&first, &second] {
-            prop_assert_eq!(set.adopt(payload), eager.extend_from_slice(payload));
+            prop_assert_eq!(set.adopt(payload), eager.extend_from_slice(&payload.to_vec()));
             prop_assert_eq!(set.adopt(payload), 0, "a payload adopted twice teaches nothing");
             prop_assert_eq!(set.len(), eager.len());
             prop_assert_eq!(set.max_id(), eager.max_id());
@@ -533,7 +543,7 @@ proptest! {
         let mut receiver: KnowledgeSet = (0..held).map(|i| NodeId::new(i * 2)).collect();
         let mut eager = receiver.clone();
         let snapshot = sender.snapshot();
-        prop_assert_eq!(snapshot.as_slice(), sender.list());
+        prop_assert_eq!(snapshot.to_vec(), sender.to_vec());
         // What the sender learns afterwards is not in it.
         let grew = sender.insert(NodeId::new(later));
         prop_assert_eq!(snapshot.len() + usize::from(grew), sender.len());
@@ -543,13 +553,13 @@ proptest! {
         if let Some(bitmap) = snapshot.shared_bitmap() {
             prop_assert_eq!(bitmap, words);
         }
-        prop_assert_eq!(receiver.adopt(&snapshot), eager.extend_from_slice(&snapshot));
+        prop_assert_eq!(receiver.adopt(&snapshot), eager.extend_from_slice(&snapshot.to_vec()));
         prop_assert_eq!(receiver.adopt(&snapshot), 0);
         prop_assert_eq!(receiver.len(), eager.len());
         prop_assert_eq!(receiver.max_id(), eager.max_id());
         prop_assert_eq!(receiver.to_vec(), eager.to_vec());
         // A snapshot of the receiver settles what it holds.
-        prop_assert_eq!(&receiver.snapshot()[..], eager.list());
+        prop_assert_eq!(receiver.snapshot().to_vec(), eager.list());
         prop_assert_eq!(receiver.take_fresh(), eager.take_fresh());
     }
 
@@ -639,10 +649,10 @@ proptest! {
     }
 }
 
-/// One step of the lending test. Positions pick a set (modulo how many
+/// One step of the sharing test. Positions pick a set (modulo how many
 /// there are) or a held payload (modulo how many are held).
 #[derive(Debug, Clone)]
-enum LendOp {
+enum ShareOp {
     Insert(usize, u32),
     Merge(usize, Vec<u32>),
     /// Adopt a shared payload from outside the family.
@@ -652,16 +662,19 @@ enum LendOp {
     /// The first set's snapshot, adopted by the second: held by the
     /// receiver until it settles.
     Send(usize, usize),
+    /// Learn one more new id than the set holds, one at a time: a
+    /// buffer that grew by doubling is full before the last of them.
+    Grow(usize),
     /// Drop a held snapshot.
     Drop(usize),
     /// Continue with one more set, a clone of this one.
     Clone(usize),
     Sample(usize, u64),
-    /// Read the list (which settles).
+    /// Read the list (which settles, and copies a shared list back).
     List(usize),
 }
 
-fn arb_lend_op() -> impl Strategy<Value = LendOp> {
+fn arb_share_op() -> impl Strategy<Value = ShareOp> {
     let arb_ids = || {
         prop_oneof![
             // A few ids from a wide range: the sorted tier, and shared
@@ -674,44 +687,57 @@ fn arb_lend_op() -> impl Strategy<Value = LendOp> {
     };
     let at = || 0usize..4;
     prop_oneof![
-        (at(), 0u32..2_000).prop_map(|(at, id)| LendOp::Insert(at, id)),
-        (at(), 0u32..100_000).prop_map(|(at, id)| LendOp::Insert(at, id)),
-        (at(), arb_ids()).prop_map(|(at, ids)| LendOp::Merge(at, ids)),
-        (at(), arb_ids()).prop_map(|(at, ids)| LendOp::Adopt(at, ids)),
-        // Lending and dropping, oftener than the rest.
-        at().prop_map(LendOp::Snapshot),
-        at().prop_map(LendOp::Snapshot),
-        (at(), at()).prop_map(|(from, to)| LendOp::Send(from, to)),
-        (at(), at()).prop_map(|(from, to)| LendOp::Send(from, to)),
-        (0usize..16).prop_map(LendOp::Drop),
-        (0usize..16).prop_map(LendOp::Drop),
-        at().prop_map(LendOp::Clone),
-        (at(), any::<u64>()).prop_map(|(at, seed)| LendOp::Sample(at, seed)),
-        at().prop_map(LendOp::List),
+        (at(), 0u32..2_000).prop_map(|(at, id)| ShareOp::Insert(at, id)),
+        (at(), 0u32..100_000).prop_map(|(at, id)| ShareOp::Insert(at, id)),
+        (at(), arb_ids()).prop_map(|(at, ids)| ShareOp::Merge(at, ids)),
+        (at(), arb_ids()).prop_map(|(at, ids)| ShareOp::Adopt(at, ids)),
+        // Sending and dropping, oftener than the rest.
+        at().prop_map(ShareOp::Snapshot),
+        at().prop_map(ShareOp::Snapshot),
+        (at(), at()).prop_map(|(from, to)| ShareOp::Send(from, to)),
+        (at(), at()).prop_map(|(from, to)| ShareOp::Send(from, to)),
+        at().prop_map(ShareOp::Grow),
+        (0usize..16).prop_map(ShareOp::Drop),
+        (0usize..16).prop_map(ShareOp::Drop),
+        at().prop_map(ShareOp::Clone),
+        (at(), any::<u64>()).prop_map(|(at, seed)| ShareOp::Sample(at, seed)),
+        at().prop_map(ShareOp::List),
     ]
 }
 
-/// A set that lends and its reference, a set that is never asked for a
-/// snapshot and so keeps its own list: the snapshot it stands for is a
-/// copy of that list.
-struct Lender {
+/// A set whose snapshots are held, and two twins that see the same
+/// steps: `reference`, which is never asked for a snapshot and so keeps
+/// its own list (the snapshot it stands for is a copy of that list),
+/// and `dropping`, which takes every snapshot the set takes and drops it
+/// at once, after asking for its bitmap as the set's receivers do.
+struct Sharer {
     set: KnowledgeSet,
     reference: KnowledgeSet,
+    dropping: KnowledgeSet,
 }
 
-impl Lender {
+impl Sharer {
     fn copied_snapshot(&mut self) -> PointerList {
         PointerList::shared(self.reference.list())
     }
+
+    /// The set's snapshot, checked against the copy; the dropping twin
+    /// takes and drops its own.
+    fn snapshot(&mut self) -> Result<(PointerList, PointerList), TestCaseError> {
+        let (sent, copy) = (self.set.snapshot(), self.copied_snapshot());
+        assert_sent_as(&sent, &copy)?;
+        self.dropping.snapshot().shared_bitmap();
+        Ok((sent, copy))
+    }
 }
 
-/// A payload as it was lent must stay: the ids, and the bitmap a copy
+/// A payload as it was sent must stay: the ids, and the bitmap a copy
 /// of the same ids offers, which is those ids as a set.
-fn assert_lent_as(payload: &PointerList, copy: &PointerList) -> Result<(), TestCaseError> {
+fn assert_sent_as(payload: &PointerList, copy: &PointerList) -> Result<(), TestCaseError> {
     prop_assert_eq!(
-        payload.as_slice(),
-        copy.as_slice(),
-        "a lent payload changed"
+        payload.to_vec(),
+        copy.to_vec(),
+        "a payload changed after it was sent"
     );
     prop_assert_eq!(payload.shared_bitmap(), copy.shared_bitmap());
     if let Some(bitmap) = payload.shared_bitmap() {
@@ -723,11 +749,13 @@ fn assert_lent_as(payload: &PointerList, copy: &PointerList) -> Result<(), TestC
     Ok(())
 }
 
-fn lends_like_a_copying_set(start: &[u32], ops: &[LendOp]) -> Result<(), TestCaseError> {
+fn shares_like_a_copying_set(start: &[u32], ops: &[ShareOp]) -> Result<(), TestCaseError> {
+    // Three clones, so that all three start at the same capacities.
     let set: KnowledgeSet = ids(start).into_iter().collect();
-    let mut family = vec![Lender {
+    let mut family = vec![Sharer {
+        set: set.clone(),
         reference: set.clone(),
-        set,
+        dropping: set.clone(),
     }];
     // Held snapshots, each with the copy a copying set would have sent.
     let mut held: Vec<(PointerList, PointerList)> = Vec::new();
@@ -735,54 +763,63 @@ fn lends_like_a_copying_set(start: &[u32], ops: &[LendOp]) -> Result<(), TestCas
         let n = family.len();
         let mut probes: &[u32] = &[];
         match op {
-            LendOp::Insert(at, id) => {
+            ShareOp::Insert(at, id) => {
                 let l = &mut family[at % n];
                 let id = NodeId::new(*id);
                 prop_assert_eq!(l.set.insert(id), l.reference.insert(id));
+                l.dropping.insert(id);
             }
-            LendOp::Merge(at, raw) => {
+            ShareOp::Merge(at, raw) => {
                 let l = &mut family[at % n];
                 prop_assert_eq!(
                     l.set.extend_from_slice(&ids(raw)),
                     l.reference.extend_from_slice(&ids(raw))
                 );
+                l.dropping.extend_from_slice(&ids(raw));
                 probes = raw;
             }
-            LendOp::Adopt(at, raw) => {
+            ShareOp::Adopt(at, raw) => {
                 let l = &mut family[at % n];
                 let payload = PointerList::shared(&ids(raw));
                 prop_assert_eq!(l.set.adopt(&payload), l.reference.adopt(&payload));
+                l.dropping.adopt(&payload);
                 probes = raw;
             }
-            LendOp::Snapshot(at) => {
-                let l = &mut family[at % n];
-                let lent = l.set.snapshot();
-                let copy = l.copied_snapshot();
-                assert_lent_as(&lent, &copy)?;
-                held.push((lent, copy));
+            ShareOp::Snapshot(at) => {
+                let sent = family[at % n].snapshot()?;
+                held.push(sent);
             }
-            LendOp::Send(from, to) => {
-                let l = &mut family[from % n];
-                let (lent, copy) = (l.set.snapshot(), l.copied_snapshot());
-                assert_lent_as(&lent, &copy)?;
+            ShareOp::Send(from, to) => {
+                let (sent, copy) = family[from % n].snapshot()?;
                 let r = &mut family[to % n];
-                prop_assert_eq!(r.set.adopt(&lent), r.reference.adopt(&copy));
+                prop_assert_eq!(r.set.adopt(&sent), r.reference.adopt(&copy));
+                r.dropping.adopt(&copy);
             }
-            LendOp::Drop(which) => {
-                if !held.is_empty() {
-                    let (lent, copy) = held.remove(which % held.len());
-                    assert_lent_as(&lent, &copy)?;
+            ShareOp::Grow(at) => {
+                let l = &mut family[at % n];
+                let top = l.reference.max_id().map_or(0, |id| id.index() as u32 + 1);
+                for id in (top..).take(l.reference.len() + 1).map(NodeId::new) {
+                    prop_assert!(l.set.insert(id));
+                    l.reference.insert(id);
+                    l.dropping.insert(id);
                 }
             }
-            LendOp::Clone(at) => {
+            ShareOp::Drop(which) => {
+                if !held.is_empty() {
+                    let (sent, copy) = held.remove(which % held.len());
+                    assert_sent_as(&sent, &copy)?;
+                }
+            }
+            ShareOp::Clone(at) => {
                 let l = &family[at % n];
-                let twin = Lender {
+                let twin = Sharer {
                     set: l.set.clone(),
                     reference: l.reference.clone(),
+                    dropping: l.dropping.clone(),
                 };
                 family.push(twin);
             }
-            LendOp::Sample(at, seed) => {
+            ShareOp::Sample(at, seed) => {
                 let l = &mut family[at % n];
                 let me = l.reference.list()[0];
                 prop_assert_eq!(
@@ -790,18 +827,24 @@ fn lends_like_a_copying_set(start: &[u32], ops: &[LendOp]) -> Result<(), TestCas
                     l.reference
                         .sample_other(&mut StdRng::seed_from_u64(*seed), me)
                 );
+                l.dropping
+                    .sample_other(&mut StdRng::seed_from_u64(*seed), me);
             }
-            LendOp::List(at) => {
+            ShareOp::List(at) => {
                 let l = &mut family[at % n];
                 prop_assert_eq!(l.set.list(), l.reference.list());
+                l.dropping.list();
             }
         }
         // Every set after every step, so that one set's append showing
         // through another's list — a clone's, or a receiver's held
-        // payload — is caught where it happens.
+        // payload — is caught where it happens; and whatever its
+        // payloads hold, a set counts what its twin that dropped them
+        // counts: one buffer, never a second copy.
         for l in &family {
             prop_assert_eq!(l.set.len(), l.reference.len());
             prop_assert_eq!(l.set.to_vec(), l.reference.to_vec());
+            prop_assert_eq!(l.set.resident_bytes(), l.dropping.resident_bytes());
             for &probe in probes {
                 for id in [probe, probe ^ 1] {
                     let id = NodeId::new(id);
@@ -809,8 +852,8 @@ fn lends_like_a_copying_set(start: &[u32], ops: &[LendOp]) -> Result<(), TestCas
                 }
             }
         }
-        for (lent, copy) in &held {
-            assert_lent_as(lent, copy)?;
+        for (sent, copy) in &held {
+            assert_sent_as(sent, copy)?;
         }
     }
     for l in &mut family {
@@ -819,8 +862,8 @@ fn lends_like_a_copying_set(start: &[u32], ops: &[LendOp]) -> Result<(), TestCas
         for probe in (0..2_100).map(NodeId::new) {
             prop_assert_eq!(l.set.contains(probe), l.reference.contains(probe));
         }
-        let (lent, copy) = (l.set.snapshot(), l.copied_snapshot());
-        assert_lent_as(&lent, &copy)?;
+        let (sent, copy) = (l.set.snapshot(), l.copied_snapshot());
+        assert_sent_as(&sent, &copy)?;
     }
     Ok(())
 }
@@ -828,19 +871,20 @@ fn lends_like_a_copying_set(start: &[u32], ops: &[LendOp]) -> Result<(), TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// A set whose snapshots lend its list ≡ a set whose snapshots copy
-    /// it, from one id (the small tier, left for the sorted tier and
-    /// the bitmap while lent), from a sparse set, and from a dense one.
+    /// A set whose snapshots are prefixes of its list ≡ a set whose
+    /// snapshots copy it, from one id (the small tier, left for the
+    /// sorted tier and the bitmap while shared), from a sparse set, and
+    /// from a dense one.
     #[test]
-    fn lending_snapshots_is_copying_them(
+    fn sharing_snapshots_is_copying_them(
         start in prop_oneof![
             proptest::collection::vec(0u32..64, 1..3),
             proptest::collection::vec(0u32..100_000, 8..40),
             proptest::collection::vec(0u32..1_500, 100..600),
         ],
-        ops in proptest::collection::vec(arb_lend_op(), 1..60),
+        ops in proptest::collection::vec(arb_share_op(), 1..60),
     ) {
-        lends_like_a_copying_set(&start, &ops)?;
+        shares_like_a_copying_set(&start, &ops)?;
     }
 }
 

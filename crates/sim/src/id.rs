@@ -1,5 +1,6 @@
 //! Node identifiers.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A globally unique machine identifier that doubles as a network
@@ -38,9 +39,9 @@ impl NodeId {
 
     /// Words in the bitmap of `ids`: it ends at the word of the largest
     /// id, and is empty for no ids.
-    pub fn bitmap_words(ids: &[NodeId]) -> usize {
-        ids.iter()
-            .map(|id| id.index())
+    pub fn bitmap_words(ids: impl IntoIterator<Item = impl Borrow<NodeId>>) -> usize {
+        ids.into_iter()
+            .map(|id| id.borrow().index())
             .max()
             .map_or(0, |top| top / 64 + 1)
     }
@@ -62,10 +63,11 @@ impl NodeId {
     ///
     /// Panics if `words` is less than [`bitmap_words`](Self::bitmap_words)
     /// of `ids`.
-    pub fn bitmap(ids: &[NodeId], words: usize) -> Vec<u64> {
+    pub fn bitmap(ids: impl IntoIterator<Item = impl Borrow<NodeId>>, words: usize) -> Vec<u64> {
         let mut bitmap = vec![0u64; words];
         for id in ids {
-            bitmap[id.index() / 64] |= 1 << (id.index() % 64);
+            let i = id.borrow().index();
+            bitmap[i / 64] |= 1 << (i % 64);
         }
         bitmap
     }

@@ -89,7 +89,7 @@ pub use engine_core::{
 pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec};
 pub use id::NodeId;
 pub use latency::LatencyModel;
-pub use message::{Envelope, LentList, MessageCost, PointerList};
+pub use message::{AppendList, Envelope, MessageCost, PointerList};
 pub use metrics::{round_obs, DropTally, NodeLane, RoundMetrics, RunMetrics};
 pub use node::{Node, RoundContext, SuspectView};
 pub use pool::{BufferPool, PoolStats};

@@ -2,6 +2,7 @@
 
 use crate::id::NodeId;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 /// Number of header bits charged to every message regardless of payload
@@ -71,19 +72,23 @@ const INLINE_POINTERS: usize = 4;
 /// [`NodeId::worth_a_bitmap`], which also decides a knowledge set's
 /// tier) offers the same ids as a bitmap
 /// ([`shared_bitmap`](Self::shared_bitmap)) — the sender's own where it
-/// lends one ([`LentList::lend`]), else built by the first receiver
-/// that asks — shared like the ids, so a receiver can compare a whole
-/// payload against what it knows 64 ids per instruction.
+/// offers one ([`AppendList::snapshot`]), else built by the first
+/// receiver that asks — shared like the ids, so a receiver can compare a
+/// whole payload against what it knows 64 ids per instruction.
 ///
-/// A sender that sends its whole knowledge again and again does not
-/// copy it into each payload: it keeps its list behind a [`LentList`]
-/// and lends that, so a payload is the sender's own list, frozen for as
-/// long as someone holds it.
+/// A shared list is a *prefix* of an append-only buffer: its first
+/// `len` slots, which never change. [`shared`](Self::shared) fills a
+/// buffer of its own; a sender that sends its whole knowledge again and
+/// again keeps it in an [`AppendList`] and sends prefixes of that, so a
+/// payload is the sender's own buffer, read up to the length it had when
+/// it was sent, while the sender appends past it.
 ///
 /// The type behaves like a read-mostly `Vec<NodeId>`: build it with
 /// [`push`](Self::push), [`collect`](Iterator::collect), or a
-/// `From<Vec<NodeId>>` / `From<&[NodeId]>` conversion, and read it as a
-/// slice (it derefs to `[NodeId]`) or by value iteration.
+/// `From<Vec<NodeId>>` / `From<&[NodeId]>` conversion, and read it with
+/// [`iter`](Self::iter), [`get`](Self::get) and
+/// [`contains`](Self::contains). The slots of a shared list are atomic,
+/// because its sender may be writing past its end on another thread.
 #[derive(Clone)]
 pub struct PointerList(Repr);
 
@@ -94,16 +99,69 @@ enum Repr {
         ids: [NodeId; INLINE_POINTERS],
     },
     Heap(Vec<NodeId>),
-    Shared(Arc<SharedIds>),
+    Shared(Arc<Prefix>),
 }
 
-/// One shared payload: the ids in sending order and — from the sender,
-/// or once a receiver has asked — the same ids as a set (`None`: too
-/// sparse to have one). A `Vec`, so that the one holder of a
-/// [`LentList`] can append to it in place.
-struct SharedIds {
-    ids: Vec<NodeId>,
+/// One shared payload: the first `len` slots of an append-only buffer,
+/// in sending order, and — from the sender, or once a receiver has
+/// asked — the same ids as a set (`None`: too sparse to have one).
+///
+/// The slots are relaxed atomics so that the buffer's one writer (an
+/// [`AppendList`]) can append past `len` while readers on other threads
+/// read up to it, in safe code. Relaxed loads suffice: a payload
+/// reaches another thread only through the engines' handoff, which
+/// orders every slot written before the send; and the writer never
+/// writes a slot below a length it has handed out. On x86 such a load is
+/// a plain load.
+struct Prefix {
+    /// The whole buffer: every slot is initialised, up to its capacity.
+    slots: Arc<Vec<AtomicU32>>,
+    len: usize,
     bitmap: OnceLock<Option<Box<[u64]>>>,
+}
+
+impl Prefix {
+    fn new(slots: Arc<Vec<AtomicU32>>, len: usize) -> Arc<Prefix> {
+        Arc::new(Prefix {
+            slots,
+            len,
+            bitmap: OnceLock::new(),
+        })
+    }
+
+    fn ids(&self) -> SharedIds<'_> {
+        SharedIds(self.slots[..self.len].iter())
+    }
+}
+
+/// A buffer of `capacity` slots holding `ids` first.
+fn buffer(ids: impl Iterator<Item = AtomicU32>, capacity: usize) -> Arc<Vec<AtomicU32>> {
+    let mut slots = Vec::with_capacity(capacity);
+    slots.extend(ids);
+    slots.resize_with(capacity, || AtomicU32::new(0));
+    Arc::new(slots)
+}
+
+/// The values of `slots`, as new slots.
+fn copied(slots: &[AtomicU32]) -> impl Iterator<Item = AtomicU32> + '_ {
+    slots.iter().map(|slot| AtomicU32::new(slot.load(Relaxed)))
+}
+
+/// `ids` as slot values.
+fn stored(ids: &[NodeId]) -> impl Iterator<Item = AtomicU32> + '_ {
+    ids.iter().map(|&id| AtomicU32::new(id.into()))
+}
+
+/// The capacity a push at a time grows a list of `capacity` entries to
+/// when it must hold `needed`: four (where `Vec` starts for entries of
+/// four bytes), doubled until they fit. An [`AppendList`] grows by it,
+/// and so does every list and index of a knowledge set.
+pub fn doubled_capacity(capacity: usize, needed: usize) -> usize {
+    let mut doubled = capacity.max(4);
+    while doubled < needed {
+        doubled *= 2;
+    }
+    doubled
 }
 
 /// How many ids a bitmap holds.
@@ -121,23 +179,21 @@ impl PointerList {
     }
 
     /// A list meant to be cloned into many envelopes: past the inline
-    /// size the ids live in one reference-counted allocation that every
+    /// size the ids live in one reference-counted buffer that every
     /// clone shares.
     pub fn shared(ids: &[NodeId]) -> Self {
         if ids.len() <= INLINE_POINTERS {
             PointerList::from(ids)
         } else {
-            PointerList(Repr::Shared(Arc::new(SharedIds {
-                ids: ids.to_vec(),
-                bitmap: OnceLock::new(),
-            })))
+            let slots = buffer(stored(ids), ids.len());
+            PointerList(Repr::Shared(Prefix::new(slots, ids.len())))
         }
     }
 
     /// The ids of a shared list as a bitmap (id `i` is bit `i % 64` of
     /// word `i / 64`, no trailing empty word). Unless the sender
-    /// [lent](LentList::lend) it, the first call builds
-    /// it; every clone of the list, on any thread, then reads the same
+    /// offered it ([`AppendList::snapshot`]), the first call builds it;
+    /// every clone of the list, on any thread, then reads the same
     /// words. An un-sharing [`push`](Self::push) leaves it behind with
     /// the shared ids.
     ///
@@ -154,13 +210,22 @@ impl PointerList {
             return None;
         };
         let bitmap = shared.bitmap.get_or_init(|| {
-            let words = NodeId::bitmap_words(&shared.ids);
-            NodeId::worth_a_bitmap(shared.ids.len(), words)
-                .then(|| NodeId::bitmap(&shared.ids, words))
-                .filter(|bitmap| popcount(bitmap) == shared.ids.len())
+            let words = NodeId::bitmap_words(shared.ids());
+            NodeId::worth_a_bitmap(shared.len, words)
+                .then(|| NodeId::bitmap(shared.ids(), words))
+                .filter(|bitmap| popcount(bitmap) == shared.len)
                 .map(Vec::into_boxed_slice)
         });
         bitmap.as_deref()
+    }
+
+    /// The ids of a shared list, read from its buffer (`None` for a list
+    /// that is not shared).
+    pub fn shared_ids(&self) -> Option<SharedIds<'_>> {
+        match &self.0 {
+            Repr::Shared(shared) => Some(shared.ids()),
+            _ => None,
+        }
     }
 
     /// Appends an identifier, spilling to the heap past the inline
@@ -180,7 +245,7 @@ impl PointerList {
     fn heap_mut(&mut self, additional: usize) -> &mut Vec<NodeId> {
         if !matches!(self.0, Repr::Heap(_)) {
             let mut owned = Vec::with_capacity(self.len() + additional);
-            owned.extend_from_slice(self.as_slice());
+            owned.extend(self.iter());
             self.0 = Repr::Heap(owned);
         }
         match &mut self.0 {
@@ -191,7 +256,11 @@ impl PointerList {
 
     /// Number of identifiers.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        match &self.0 {
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Heap(v) => v.len(),
+            Repr::Shared(shared) => shared.len,
+        }
     }
 
     /// `true` when the list is empty.
@@ -199,20 +268,85 @@ impl PointerList {
         self.len() == 0
     }
 
-    /// The identifiers as a slice.
-    pub fn as_slice(&self) -> &[NodeId] {
+    /// The identifier at `index`, if the list is that long.
+    pub fn get(&self, index: usize) -> Option<NodeId> {
         match &self.0 {
-            Repr::Inline { len, ids } => &ids[..*len as usize],
-            Repr::Heap(v) => v,
-            Repr::Shared(shared) => &shared.ids,
+            Repr::Inline { len, ids } => ids[..*len as usize].get(index).copied(),
+            Repr::Heap(v) => v.get(index).copied(),
+            Repr::Shared(shared) => shared.ids().nth(index),
         }
     }
 
+    /// `true` if `id` is listed.
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.iter().any(|listed| listed == id)
+    }
+
     /// Iterates the identifiers by value.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.as_slice().iter().copied()
+    pub fn iter(&self) -> Iter<'_> {
+        match &self.0 {
+            Repr::Inline { len, ids } => Iter::Plain(ids[..*len as usize].iter()),
+            Repr::Heap(v) => Iter::Plain(v.iter()),
+            Repr::Shared(shared) => Iter::Shared(shared.ids()),
+        }
+    }
+
+    /// The identifiers, copied into a vector.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        self.iter().collect()
     }
 }
+
+/// The ids of a shared list, by value: relaxed loads of its slots.
+#[derive(Clone)]
+pub struct SharedIds<'a>(std::slice::Iter<'a, AtomicU32>);
+
+impl Iterator for SharedIds<'_> {
+    type Item = NodeId;
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.0.next().map(|slot| NodeId::new(slot.load(Relaxed)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+
+    fn nth(&mut self, n: usize) -> Option<NodeId> {
+        self.0.nth(n).map(|slot| NodeId::new(slot.load(Relaxed)))
+    }
+}
+
+impl ExactSizeIterator for SharedIds<'_> {}
+
+/// The ids of a [`PointerList`], by value, whatever its representation.
+#[derive(Clone)]
+pub enum Iter<'a> {
+    /// An inline or heap list.
+    Plain(std::slice::Iter<'a, NodeId>),
+    /// A shared list.
+    Shared(SharedIds<'a>),
+}
+
+impl Iterator for Iter<'_> {
+    type Item = NodeId;
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        match self {
+            Iter::Plain(ids) => ids.next().copied(),
+            Iter::Shared(ids) => ids.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Iter::Plain(ids) => ids.size_hint(),
+            Iter::Shared(ids) => ids.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 impl Default for PointerList {
     fn default() -> Self {
@@ -220,23 +354,17 @@ impl Default for PointerList {
     }
 }
 
-impl std::ops::Deref for PointerList {
-    type Target = [NodeId];
-    fn deref(&self) -> &[NodeId] {
-        self.as_slice()
-    }
-}
-
 impl fmt::Debug for PointerList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl PartialEq for PointerList {
     fn eq(&self, other: &Self) -> bool {
-        // Representation (inline vs heap) is invisible to equality.
-        self.as_slice() == other.as_slice()
+        // Representation (inline, heap or shared) is invisible to
+        // equality.
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -298,7 +426,7 @@ pub struct PointerListIter {
 impl Iterator for PointerListIter {
     type Item = NodeId;
     fn next(&mut self) -> Option<NodeId> {
-        let id = self.list.as_slice().get(self.pos).copied()?;
+        let id = self.list.get(self.pos)?;
         self.pos += 1;
         Some(id)
     }
@@ -319,9 +447,9 @@ impl IntoIterator for PointerList {
 
 impl<'a> IntoIterator for &'a PointerList {
     type Item = NodeId;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter().copied()
+    type IntoIter = Iter<'a>;
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -331,101 +459,205 @@ impl MessageCost for PointerList {
     }
 
     fn visit_ids(&self, visit: &mut dyn FnMut(NodeId)) {
-        for &id in self.as_slice() {
-            visit(id);
-        }
+        self.iter().for_each(visit);
     }
 }
 
-/// A list of distinct ids that its holder appends to and lends out as
-/// [shared](PointerList::shared) payloads without copying it: one
-/// reference-counted allocation, which a payload [lent](Self::lend)
-/// from it shares and its holder appends to in place
-/// ([`ids_mut`](Self::ids_mut)) once no payload holds it any more.
-/// Lending again after nothing was appended is a clone of the handle;
-/// after an append, the holder offers its bitmap of the grown list
-/// anew.
+/// A list of distinct ids that its one holder appends to and sends
+/// prefixes of as [shared](PointerList::shared) payloads without copying
+/// it: one buffer of atomic slots that every payload sent from it reads
+/// up to its own length, while the holder appends past the longest.
+/// Only a full buffer grows, to twice the capacity: in place while no
+/// payload reads it, else by a copy, and the payloads that hold the old
+/// one keep it alive until they are dropped.
 ///
-/// A knowledge set keeps its learning-order list in one of these once
-/// it has sent it as a snapshot; the set, not the handle, decides what
-/// to do while a payload still holds the list.
-#[derive(Clone)]
-pub struct LentList(Arc<SharedIds>);
+/// Sending again after nothing was appended is a clone of the handle on
+/// the last payload; after an append, the holder offers its bitmap of
+/// the grown list anew. A clone copies the ids into a buffer of its own,
+/// so that every buffer has one writer.
+///
+/// A knowledge set keeps its learning-order list in one of these once it
+/// has sent it as a snapshot.
+pub struct AppendList {
+    /// The prefix last sent, or — after the buffer was copied to grow —
+    /// the new buffer's prefix of as many ids; its slots are the buffer
+    /// this list appends to, and it is never longer than the list.
+    last: Arc<Prefix>,
+    len: usize,
+}
 
-impl LentList {
-    /// A handle on `ids`, which must be distinct; nothing is offered as
-    /// a bitmap yet.
-    pub fn new(ids: Vec<NodeId>) -> Self {
-        LentList(Arc::new(SharedIds {
-            ids,
-            bitmap: OnceLock::new(),
-        }))
+impl AppendList {
+    /// A list of `ids`, which must be distinct, in a buffer of the
+    /// vector's capacity.
+    pub fn from_vec(ids: Vec<NodeId>) -> Self {
+        let capacity = ids.capacity().max(ids.len());
+        AppendList {
+            last: Prefix::new(buffer(stored(&ids), capacity), ids.len()),
+            len: ids.len(),
+        }
     }
 
-    /// The ids.
-    pub fn ids(&self) -> &[NodeId] {
-        &self.0.ids
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        self.len
     }
 
-    /// The ids to append to, if this handle is the list's only holder
-    /// (`None` while a lent payload still holds it). Whatever bitmap a
-    /// lend offered is withdrawn: the list is about to outgrow it.
-    pub fn ids_mut(&mut self) -> Option<&mut Vec<NodeId>> {
-        let shared = Arc::get_mut(&mut self.0)?;
-        shared.bitmap.take();
-        Some(&mut shared.ids)
+    /// `true` when the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    /// The list as a payload, shared with this handle (or inline, up to
-    /// four ids, as [`shared`](PointerList::shared) keeps them). `bitmap`
-    /// — the holder's own set of exactly these ids, id `i` bit `i % 64`
-    /// of word `i / 64`, any number of trailing empty words — is offered
-    /// to receivers as the payload's
+    /// Slots in the buffer.
+    pub fn capacity(&self) -> usize {
+        self.last.slots.len()
+    }
+
+    /// The id at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`len`](Self::len).
+    pub fn get(&self, index: usize) -> NodeId {
+        NodeId::new(self.last.slots[..self.len][index].load(Relaxed))
+    }
+
+    /// The ids, in the order they were appended.
+    pub fn iter(&self) -> SharedIds<'_> {
+        SharedIds(self.last.slots[..self.len].iter())
+    }
+
+    /// The ids, copied into a vector of the buffer's capacity.
+    pub fn to_vec(&self) -> Vec<NodeId> {
+        let mut ids = Vec::with_capacity(self.capacity());
+        ids.extend(self.iter());
+        ids
+    }
+
+    /// Room for `additional` more ids, grown as a push at a time grows a
+    /// vector ([`doubled_capacity`]). A buffer no payload reads any
+    /// more grows as a vector does, in place where the allocator can; one
+    /// that a payload still reads is copied into a new buffer, and the
+    /// payloads keep the old one. (Copying every time read ~10 % slower
+    /// on Name-Dropper, whose sets mostly grow while nothing holds them.)
+    /// Either way the bitmap offered with the last snapshot is no longer
+    /// the list's to count.
+    pub fn reserve(&mut self, additional: usize) {
+        let needed = self.len + additional;
+        if needed <= self.capacity() {
+            return;
+        }
+        let capacity = doubled_capacity(self.capacity(), needed);
+        if let Some(last) = Arc::get_mut(&mut self.last) {
+            if let Some(slots) = Arc::get_mut(&mut last.slots) {
+                last.bitmap.take();
+                slots.reserve_exact(capacity - slots.len());
+                slots.resize_with(capacity, || AtomicU32::new(0));
+                return;
+            }
+        }
+        let slots = buffer(copied(&self.last.slots[..self.len]), capacity);
+        self.last = Prefix::new(slots, self.len);
+    }
+
+    /// Appends `id`, which the list must not hold.
+    pub fn push(&mut self, id: NodeId) {
+        self.grow(1).set(0, id);
+    }
+
+    /// Appends `ids`, none of which the list may hold.
+    pub fn extend_from_slice(&mut self, ids: &[NodeId]) {
+        let tail = self.grow(ids.len());
+        for (i, &id) in ids.iter().enumerate() {
+            tail.set(i, id);
+        }
+    }
+
+    /// Lengthens the list by `n` ids and hands out their slots, which
+    /// the caller must [set](Tail::set) before anything reads the list
+    /// (until then they read as id 0). The buffer grows as
+    /// [`reserve`](Self::reserve) grows it.
+    pub fn grow(&mut self, n: usize) -> Tail<'_> {
+        self.reserve(n);
+        let start = self.len;
+        self.len += n;
+        Tail(&self.last.slots[start..self.len])
+    }
+
+    /// The list as a payload: a prefix of the buffer, shared with this
+    /// list (or inline, up to four ids, as [`shared`](PointerList::shared)
+    /// keeps them). What it holds never changes, however far the list
+    /// grows. `bitmap` — the holder's own set of exactly these ids, id
+    /// `i` bit `i % 64` of word `i / 64`, any number of trailing empty
+    /// words — is offered to receivers as the payload's
     /// [`shared_bitmap`](PointerList::shared_bitmap) unless one is on
     /// offer already: trimmed and copied, once per length of the list.
     /// With `None` the first receiver that asks builds it. That the ids
     /// are distinct and the bitmap theirs is a precondition receivers
     /// rely on, checked only in debug builds.
-    pub fn lend(&self, bitmap: Option<&[u64]>) -> PointerList {
-        let ids = self.ids();
+    pub fn snapshot(&mut self, bitmap: Option<&[u64]>) -> PointerList {
+        if self.last.len != self.len {
+            self.last = Prefix::new(Arc::clone(&self.last.slots), self.len);
+        }
+        let last = &self.last;
         if let Some(bitmap) = bitmap {
-            self.0.bitmap.get_or_init(|| {
+            last.bitmap.get_or_init(|| {
                 debug_assert_eq!(
                     popcount(bitmap),
-                    ids.len(),
+                    last.len,
                     "the bitmap holds exactly the listed ids"
                 );
-                debug_assert!(ids
-                    .iter()
+                debug_assert!(last
+                    .ids()
                     .all(|id| bitmap[id.index() / 64] >> (id.index() % 64) & 1 == 1));
                 let words = bitmap.iter().rposition(|&w| w != 0).map_or(0, |w| w + 1);
-                NodeId::worth_a_bitmap(ids.len(), words).then(|| bitmap[..words].into())
+                NodeId::worth_a_bitmap(last.len, words).then(|| bitmap[..words].into())
             });
         }
-        if ids.len() <= INLINE_POINTERS {
-            PointerList::from(ids)
+        if self.len <= INLINE_POINTERS {
+            self.iter().collect()
         } else {
-            PointerList(Repr::Shared(Arc::clone(&self.0)))
+            PointerList(Repr::Shared(Arc::clone(last)))
         }
     }
 
-    /// Heap bytes of the list and of the bitmap on offer (capacities).
+    /// Heap bytes of the buffer and of the bitmap on offer (capacities).
     pub fn heap_bytes(&self) -> usize {
-        let offered = self.0.bitmap.get().and_then(Option::as_ref);
-        self.0.ids.capacity() * std::mem::size_of::<NodeId>()
+        let offered = self.last.bitmap.get().and_then(Option::as_ref);
+        self.capacity() * std::mem::size_of::<AtomicU32>()
             + offered.map_or(0, |words| words.len() * std::mem::size_of::<u64>())
-    }
-
-    /// The ids as a vector: the list itself if no payload holds it,
-    /// else a copy.
-    pub fn into_vec(self) -> Vec<NodeId> {
-        Arc::try_unwrap(self.0).map_or_else(|shared| shared.ids.clone(), |own| own.ids)
     }
 }
 
-impl fmt::Debug for LentList {
+impl Clone for AppendList {
+    fn clone(&self) -> Self {
+        AppendList {
+            last: Prefix::new(
+                buffer(copied(&self.last.slots[..self.len]), self.capacity()),
+                self.len,
+            ),
+            len: self.len,
+        }
+    }
+}
+
+impl fmt::Debug for AppendList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.ids()).finish()
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The slots [`AppendList::grow`] appended, to be filled.
+pub struct Tail<'a>(&'a [AtomicU32]);
+
+impl Tail<'_> {
+    /// Stores `id` in slot `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below the number of slots appended.
+    #[inline]
+    pub fn set(&self, i: usize, id: NodeId) {
+        self.0[i].store(id.into(), Relaxed);
     }
 }
 
@@ -468,10 +700,10 @@ mod tests {
             list.push(NodeId::new(i));
         }
         assert!(matches!(list.0, Repr::Inline { len: 4, .. }));
-        assert_eq!(list.as_slice(), nid(0..4).as_slice());
+        assert_eq!(list.to_vec(), nid(0..4));
         list.push(NodeId::new(4));
         assert!(matches!(list.0, Repr::Heap(_)));
-        assert_eq!(list.as_slice(), nid(0..5).as_slice());
+        assert_eq!(list.to_vec(), nid(0..5));
         assert_eq!(list.pointers(), 5);
     }
 
@@ -507,8 +739,12 @@ mod tests {
         };
         assert_eq!(visited(&shared), visited(&heap));
         let copy = shared.clone();
-        assert_eq!(copy.as_slice().as_ptr(), shared.as_slice().as_ptr());
-        assert_ne!(heap.clone().as_slice().as_ptr(), heap.as_slice().as_ptr());
+        assert_eq!(buffer_of(&copy), buffer_of(&shared));
+        let heap_ptr = |list: &PointerList| match &list.0 {
+            Repr::Heap(ids) => ids.as_ptr(),
+            _ => panic!("not a heap list"),
+        };
+        assert_ne!(heap_ptr(&heap.clone()), heap_ptr(&heap));
         assert_eq!(copy.into_iter().collect::<Vec<_>>(), nid(0..9));
         // Short lists stay inline; a push un-shares instead of
         // writing through to the other clones.
@@ -518,7 +754,7 @@ mod tests {
         ));
         let mut grown = shared.clone();
         grown.push(NodeId::new(9));
-        assert_eq!(grown.as_slice(), nid(0..10).as_slice());
+        assert_eq!(grown.to_vec(), nid(0..10));
         assert_eq!(shared, heap);
     }
 
@@ -572,12 +808,20 @@ mod tests {
         words
     }
 
+    /// The buffer a shared list reads from.
+    fn buffer_of(list: &PointerList) -> *const AtomicU32 {
+        match &list.0 {
+            Repr::Shared(shared) => shared.slots.as_ptr(),
+            _ => panic!("not shared"),
+        }
+    }
+
     #[test]
-    fn a_lent_bitmap_is_the_one_a_receiver_would_have_built() {
+    fn an_offered_bitmap_is_the_one_a_receiver_would_have_built() {
         let ids = nid([3, 130, 64, 7, 129]);
         let mut sender = bitmap_of(&ids);
-        let lent = LentList::new(ids.clone());
-        let supplied = lent.lend(Some(&sender));
+        let mut list = AppendList::from_vec(ids.clone());
+        let supplied = list.snapshot(Some(&sender));
         assert!(matches!(supplied.0, Repr::Shared(_)));
         assert_eq!(supplied, PointerList::from(ids.clone()));
         let words = supplied.shared_bitmap().expect("dense enough");
@@ -590,10 +834,10 @@ mod tests {
             words,
             supplied.clone().shared_bitmap().unwrap()
         ));
-        // Lending the same list again offers the same words.
+        // Sending the same list again offers the same words.
         assert!(std::ptr::eq(
             words,
-            lent.lend(None).shared_bitmap().unwrap()
+            list.snapshot(None).shared_bitmap().unwrap()
         ));
         let mut pushed = supplied.clone();
         pushed.push(NodeId::new(500));
@@ -605,13 +849,14 @@ mod tests {
         // No more ids than words: shared, but no bitmap — the last id a
         // word nearer and it has one. Up to four ids the list stays
         // inline.
-        let lend = |ids: Vec<NodeId>| LentList::new(ids.clone()).lend(Some(&bitmap_of(&ids)));
-        let sparse = lend(nid([1, 2, 3, 4, 5 * 64 - 1]));
+        let send =
+            |ids: Vec<NodeId>| AppendList::from_vec(ids.clone()).snapshot(Some(&bitmap_of(&ids)));
+        let sparse = send(nid([1, 2, 3, 4, 5 * 64 - 1]));
         assert!(matches!(sparse.0, Repr::Shared(_)));
         assert_eq!(sparse.shared_bitmap(), None);
-        let dense_enough = lend(nid([1, 2, 3, 4, 4 * 64 - 1]));
+        let dense_enough = send(nid([1, 2, 3, 4, 4 * 64 - 1]));
         assert_eq!(dense_enough.shared_bitmap().map(<[u64]>::len), Some(4));
-        let short = lend(nid([1, 2, 3, 300]));
+        let short = send(nid([1, 2, 3, 300]));
         assert!(matches!(short.0, Repr::Inline { len: 4, .. }));
         assert_eq!(short.shared_bitmap(), None);
     }
@@ -619,46 +864,67 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "exactly the listed ids")]
-    fn a_lent_bitmap_must_hold_exactly_the_listed_ids() {
-        let _ = LentList::new(nid(0..6)).lend(Some(&[0b1111111]));
+    fn an_offered_bitmap_must_hold_exactly_the_listed_ids() {
+        let _ = AppendList::from_vec(nid(0..6)).snapshot(Some(&[0b1111111]));
     }
 
     #[test]
-    fn a_lent_list_grows_in_place_once_no_payload_holds_it() {
-        let mut lent = LentList::new(Vec::with_capacity(16));
-        lent.ids_mut().expect("nothing lent yet").extend(nid(0..6));
-        let payload = lent.lend(Some(&bitmap_of(&nid(0..6))));
-        assert_eq!(payload.as_slice().as_ptr(), lent.ids().as_ptr());
-        assert!(lent.ids_mut().is_none(), "a payload holds the list");
-        assert_eq!(lent.heap_bytes(), 16 * 4 + 8);
-        drop(payload);
-        // The holder appends where the payload was, and the bitmap it
-        // offered is withdrawn with the first id the payload lacked.
-        let before = lent.ids().as_ptr();
-        lent.ids_mut()
-            .expect("no payload left")
-            .push(NodeId::new(6));
-        assert_eq!(lent.ids().as_ptr(), before);
-        assert_eq!(lent.heap_bytes(), 16 * 4);
-        let grown = lent.lend(None);
-        assert_eq!(grown.as_slice(), nid(0..7).as_slice());
+    fn an_append_list_grows_in_place_past_the_prefixes_it_sent() {
+        let mut list = AppendList::from_vec(Vec::with_capacity(16));
+        list.extend_from_slice(&nid(0..6));
+        let payload = list.snapshot(Some(&bitmap_of(&nid(0..6))));
+        assert_eq!(list.heap_bytes(), 16 * 4 + 8);
+        // The list appends in place while the payload holds it, and the
+        // payload still reads the six ids it was sent with.
+        let buffer = buffer_of(&payload);
+        list.push(NodeId::new(6));
+        assert_eq!(payload.to_vec(), nid(0..6));
+        assert_eq!(payload.shared_bitmap(), Some(&[0b11_1111][..]));
+        let grown = list.snapshot(None);
+        assert_eq!(buffer_of(&grown), buffer);
+        assert_eq!(grown.to_vec(), nid(0..7));
+        assert_eq!(list.heap_bytes(), 16 * 4, "nothing offered for seven");
         assert_eq!(
             grown.shared_bitmap(),
             Some(&[0b111_1111][..]),
             "built on asking"
         );
-        let again = lent.lend(Some(&[u64::MAX]));
+        assert_eq!(list.heap_bytes(), 16 * 4 + 8, "and held with the list");
+        let again = list.snapshot(Some(&[u64::MAX]));
         assert!(std::ptr::eq(
             grown.shared_bitmap().unwrap(),
             again.shared_bitmap().unwrap()
         ));
-        // Handed out as a vector: copied while a payload holds it, moved
-        // once none does.
-        let copy = lent.clone().into_vec();
-        assert_ne!(copy.as_ptr(), lent.ids().as_ptr());
-        drop((grown, again));
-        let moved = lent.into_vec();
-        assert_eq!(moved.as_ptr(), before);
+        // Full, the list copies itself into twice the room; the payloads
+        // keep the buffer they were sent in.
+        list.extend_from_slice(&nid(7..17));
+        assert_eq!(list.capacity(), 32);
+        assert_eq!(list.len(), 17);
+        let moved = list.snapshot(None);
+        assert_ne!(buffer_of(&moved), buffer);
+        assert_eq!(moved.to_vec(), nid(0..17));
+        assert_eq!((payload.len(), grown.len()), (6, 7));
+        assert_eq!(grown.to_vec(), nid(0..7));
+        // With no payload left to read it, a full buffer grows in place.
+        drop((payload, grown, again, moved));
+        list.extend_from_slice(&nid(17..32));
+        let before = Arc::as_ptr(&list.last.slots);
+        list.push(NodeId::new(32));
+        assert_eq!(Arc::as_ptr(&list.last.slots), before);
+        assert_eq!(
+            (list.capacity(), list.snapshot(None).to_vec()),
+            (64, nid(0..33))
+        );
+        // A clone copies: each buffer has one writer.
+        let mut list = AppendList::from_vec(nid(0..17));
+        let sent = list.snapshot(None);
+        let mut copy = list.clone();
+        copy.push(NodeId::new(99));
+        list.push(NodeId::new(17));
+        assert_eq!(copy.snapshot(None).to_vec()[17], NodeId::new(99));
+        assert_eq!(list.snapshot(None).to_vec(), nid(0..18));
+        assert_eq!(sent.to_vec(), nid(0..17));
+        assert_eq!(list.get(17), NodeId::new(17));
     }
 
     #[test]
@@ -672,7 +938,7 @@ mod tests {
         list.extend((3..4).map(NodeId::new));
         assert!(matches!(list.0, Repr::Inline { len: 4, .. }));
         list.extend((4..7).map(NodeId::new));
-        assert_eq!(list.as_slice(), nid(0..7).as_slice());
+        assert_eq!(list.to_vec(), nid(0..7));
         // An iterator with no lower bound still lands correctly.
         let filtered: PointerList = (0..20)
             .map(NodeId::new)

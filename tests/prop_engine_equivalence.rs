@@ -667,7 +667,7 @@ proptest! {
         let spec = ChurnSpec::new(seed, start, start + span, cycle, down, rate);
         let again = ChurnSpec::new(seed, start, start + span, cycle, down, rate);
         for node in 0..16usize {
-            let naps = spec.naps(node);
+            let naps: Vec<_> = spec.naps(node).collect();
             for round in 0..start + span + 5 {
                 let down_now = spec.is_down(node, round);
                 prop_assert_eq!(down_now, again.is_down(node, round));
