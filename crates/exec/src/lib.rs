@@ -15,7 +15,7 @@
 //!
 //! The engine is **bit-identical** to the sequential engine: same seed,
 //! same nodes, same faults ⇒ same `RunOutcome`, same `RunMetrics`, same
-//! trace, round for round. Three properties make this work:
+//! causal trace, round for round. Three properties make this work:
 //!
 //! 1. *Node steps are order-independent.* Every node draws from a
 //!    private per-`(seed, node, round)` random stream
@@ -23,7 +23,7 @@
 //!    stepping nodes concurrently cannot change what any node computes.
 //! 2. *Message fates are order-independent.* Drop coins and latency
 //!    draws are pure functions of `(seed, sender, round, send-sequence)`
-//!    ([`rd_sim::route_fate`], [`rd_sim::LatencyModel::sample`]): routing
+//!    ([`rd_sim::fate`], [`rd_sim::LatencyModel::sample`]): routing
 //!    one envelope never advances any stream another envelope reads, so
 //!    routing order — and therefore worker count — cannot change any
 //!    coin or any latency.
@@ -47,7 +47,7 @@
 //! on worker `k`, the last shard on the calling thread, nothing spawned
 //! after the first multi-shard round), with shard-local routing results
 //! ([`rd_sim::engine_core::RouteDelta`]) folding associatively back into
-//! the core's metrics, trace, and delay queue. Only the merge into the
+//! the core's metrics, causal trace, and queues. Only the merge into the
 //! mailboxes waits for every shard.
 //!
 //! # Example
@@ -432,7 +432,7 @@ mod tests {
     }
 
     /// Runs both engines for `rounds` rounds under the same plan and
-    /// asserts identical nodes, metrics, and traces.
+    /// asserts identical nodes and metrics.
     fn assert_engines_agree(
         n: u32,
         seed: u64,
@@ -441,16 +441,14 @@ mod tests {
         configure: impl Fn(Engine<Gossiper>) -> Engine<Gossiper>,
         configure_sharded: impl Fn(ShardedEngine<Gossiper>) -> ShardedEngine<Gossiper>,
     ) {
-        let mut seq = configure(Engine::new(gossipers(n), seed).with_trace(1 << 14));
-        let mut par =
-            configure_sharded(ShardedEngine::new(gossipers(n), seed, workers).with_trace(1 << 14));
+        let mut seq = configure(Engine::new(gossipers(n), seed));
+        let mut par = configure_sharded(ShardedEngine::new(gossipers(n), seed, workers));
         for _ in 0..rounds {
             seq.step();
             par.step();
         }
         assert_eq!(states(seq.nodes()), states(par.nodes()));
         assert_eq!(seq.metrics(), par.metrics());
-        assert_eq!(seq.trace().unwrap().events(), par.trace().unwrap().events());
     }
 
     #[test]
@@ -574,23 +572,16 @@ mod tests {
         };
         let mut seq = Engine::new(spammers(), 11)
             .with_faults(plan())
-            .with_latency(LatencyModel::Uniform { min: 1, max: 3 })
-            .with_trace(1 << 12);
+            .with_latency(LatencyModel::Uniform { min: 1, max: 3 });
         let mut par = ShardedEngine::new(spammers(), 11, 4)
             .with_faults(plan())
-            .with_latency(LatencyModel::Uniform { min: 1, max: 3 })
-            .with_trace(1 << 12);
+            .with_latency(LatencyModel::Uniform { min: 1, max: 3 });
         for _ in 0..6 {
             seq.step();
             par.step();
         }
         assert_eq!(seq.nodes().to_vec(), par.nodes().to_vec());
         assert_eq!(seq.metrics(), par.metrics());
-        assert_eq!(seq.trace().unwrap().events(), par.trace().unwrap().events());
-        assert_eq!(
-            seq.trace().unwrap().overflow(),
-            par.trace().unwrap().overflow()
-        );
     }
 
     /// A gossiper that can run for hundreds of rounds: what it hears is
@@ -631,16 +622,10 @@ mod tests {
         // same calling thread.
         let folders = || vec![Folder { n: 23, heard: 0 }; 23];
         let plan = || FaultPlan::new().with_drop_probability(0.1);
-        let mut seq = Engine::new(folders(), 3)
-            .with_faults(plan())
-            .with_trace(1 << 14);
+        let mut seq = Engine::new(folders(), 3).with_faults(plan());
         let mut pars: Vec<_> = [2, 5]
             .into_iter()
-            .map(|workers| {
-                ShardedEngine::new(folders(), 3, workers)
-                    .with_faults(plan())
-                    .with_trace(1 << 14)
-            })
+            .map(|workers| ShardedEngine::new(folders(), 3, workers).with_faults(plan()))
             .collect();
         for _ in 0..200 {
             seq.step();
@@ -651,9 +636,6 @@ mod tests {
         for par in &pars {
             assert_eq!(seq.nodes(), par.nodes());
             assert_eq!(seq.metrics(), par.metrics());
-            let (seq, par) = (seq.trace().unwrap(), par.trace().unwrap());
-            assert_eq!(seq.events(), par.events());
-            assert_eq!(seq.overflow(), par.overflow());
         }
     }
 

@@ -7,7 +7,6 @@ use crate::latency::LatencyModel;
 use crate::message::Envelope;
 use crate::metrics::{round_obs, RunMetrics};
 use crate::node::Node;
-use crate::trace::Trace;
 use rd_obs::{CausalTrace, Phase, Recorder};
 use std::time::Instant;
 
@@ -110,10 +109,11 @@ impl<N: Node> RoundShell<N> {
     ) {
         let round = self.core.round();
         timed_phase(self.obs.as_mut(), Phase::OnRound, round, || {
-            let state = self.core.step_state();
-            let blocks = self.nodes.chunks_mut(state.shard_len);
-            for (w, (nodes, mailbox)) in blocks.zip(state.mailboxes).enumerate() {
-                step_shard(state.ctx, w * state.shard_len, nodes, mailbox, staged, held);
+            let parts = self.core.route_parts();
+            let shard_len = parts.params.shard_len;
+            let blocks = self.nodes.chunks_mut(shard_len);
+            for (w, (nodes, mailbox)) in blocks.zip(parts.mailboxes).enumerate() {
+                step_shard(parts.ctx, w * shard_len, nodes, mailbox, staged, held);
             }
         });
     }
@@ -198,12 +198,6 @@ pub trait RoundEngine<N: Node>: Sized {
         self
     }
 
-    /// Enables message tracing with the given event capacity.
-    fn with_trace(mut self, capacity: usize) -> Self {
-        self.shell_mut().core.enable_trace(capacity);
-        self
-    }
-
     /// Attaches a causal knowledge-provenance trace: the routing phase
     /// records, per `(id, node)` pair, the first delivered message that
     /// could have taught `node` about `id` (deterministically sampled
@@ -281,14 +275,6 @@ pub trait RoundEngine<N: Node>: Sized {
         N: 'a,
     {
         self.shell().core.metrics()
-    }
-
-    /// The message trace, if enabled.
-    fn trace<'a>(&'a self) -> Option<&'a Trace>
-    where
-        N: 'a,
-    {
-        self.shell().core.trace()
     }
 
     /// The causal knowledge-provenance trace, if enabled. Like the
@@ -543,17 +529,6 @@ mod tests {
         let outcome = engine.run_until(10, |nodes| nodes.iter().all(|r| r.has_token));
         assert!(!outcome.completed);
         assert!(engine.metrics().total_dropped() >= 1);
-    }
-
-    #[test]
-    fn trace_records_sends() {
-        let mut engine = Engine::new(ring(4), 1).with_trace(100);
-        engine.run_until(10, |nodes| nodes.iter().all(|r| r.has_token));
-        let trace = engine.trace().unwrap();
-        assert_eq!(trace.events().len(), 4);
-        assert_eq!(trace.in_round(0).count(), 1);
-        assert_eq!(trace.events()[0].src, NodeId::new(0));
-        assert_eq!(trace.events()[0].dst, NodeId::new(1));
     }
 
     #[test]

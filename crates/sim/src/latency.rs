@@ -5,7 +5,10 @@
 //! counter-based stream ([`message_latency_rng`]): the latency of one
 //! message is a pure function of `(seed, src, dst, tick, sequence,
 //! attempt)` and the model, so delivery order can never feed back into
-//! the draws and a run replays bit-for-bit from its seed.
+//! the draws and a run replays bit-for-bit from its seed. The routing
+//! kernel makes this draw first for every transmission, a first send
+//! and a retransmission alike, then checks the path for faults and
+//! flips the drop coin ([`crate::fate`]).
 //!
 //! All model parameters are integers (the lognormal shape is given in
 //! thousandths), which keeps the type `Copy + Eq + Hash` — it can ride
@@ -202,7 +205,7 @@ impl LatencyModel {
     /// same latency, via the dedicated counter-based stream.
     ///
     /// `attempt` is 0 for the original send and counts retransmission
-    /// attempts from 1, mirroring [`crate::retry_fate`]'s axis.
+    /// attempts from 1, mirroring [`crate::fate`]'s axis.
     pub fn sample(
         &self,
         seed: u64,

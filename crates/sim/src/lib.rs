@@ -79,13 +79,9 @@ pub mod metrics;
 pub mod node;
 pub mod pool;
 pub mod rng;
-pub mod trace;
 
 pub use engine::{timed_phase, Engine, RoundEngine, RoundShell, RunOutcome};
-pub use engine_core::{
-    retry_fate, route_fate, step_node, step_shard, EngineCore, FaultGuards, Mailbox, RetryPolicy,
-    StepCtx, StepState,
-};
+pub use engine_core::{fate, step_shard, EngineCore, Mailbox, RetryPolicy, StepCtx};
 pub use faults::{ChurnSpec, DropCause, FaultPlan, LinkLossSpec, SuppressionSpec};
 pub use id::NodeId;
 pub use latency::LatencyModel;
@@ -93,7 +89,6 @@ pub use message::{AppendList, Envelope, MessageCost, PointerList};
 pub use metrics::{round_obs, DropTally, NodeLane, RoundMetrics, RunMetrics};
 pub use node::{Node, RoundContext, SuspectView};
 pub use pool::{BufferPool, PoolStats};
-pub use trace::{Trace, TraceEvent};
 
 /// The last path segment of `T`'s type name — e.g. `Rumor` for
 /// `my_crate::gossip::Rumor`. The engines use it to register message
