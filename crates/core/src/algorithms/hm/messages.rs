@@ -23,14 +23,14 @@ pub enum HmMsg {
         /// destination must travel in the payload).
         from: NodeId,
         /// Retransmission epoch, unique per originating member.
-        epoch: u64,
+        epoch: u32,
         /// Fresh identifiers.
         ids: PointerList,
     },
     /// Leader → reporting member: the report with this epoch was merged.
     ReportAck {
         /// Epoch being acknowledged.
-        epoch: u64,
+        epoch: u32,
     },
     /// Leader → member: probe this external target next probe phase.
     Assign {

@@ -58,10 +58,11 @@ pub struct HmNode {
     pending_probes: Vec<NodeId>,
     /// Member-side: fresh identifiers not yet acknowledged by the leader.
     pending_report: Vec<NodeId>,
-    /// Member-side: epoch of the most recent report in flight.
-    report_epoch: u64,
+    /// Member-side: epoch of the most recent report in flight. It
+    /// counts this node's report phases, so 32 bits are ample.
+    report_epoch: u32,
     /// Member-side: `(epoch, ids covered)` of the report in flight.
-    inflight_report: Option<(u64, usize)>,
+    inflight_report: Option<(u32, usize)>,
     /// Ex-leader: the join payload — members and handed-over frontier,
     /// built once — retried by handle every merge phase until an
     /// [`HmMsg::Adopt`] proves some leader absorbed it.

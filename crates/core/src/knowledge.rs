@@ -12,26 +12,38 @@ use rd_sim::{AppendList, NodeId, PointerList};
 /// [`take_fresh`](Self::take_fresh)), and *pick a uniformly random known
 /// id* (Name-Dropper's only primitive). `KnowledgeSet` serves all three.
 ///
-/// Internally a set of up to [`SMALL`] ids keeps them **in place**, in
+/// Internally a set of up to seven ids keeps them **in place**, in
 /// learning order, and answers membership by a scan: no heap at all, and
 /// most sets of a large run (an HM node's `members` and `seen`, and its
-/// `knowledge` early on) never learn more. Past that, membership is a
-/// **sorted index** (binary search) that spills into a **growable
-/// bitmap** over raw identifier indices once the set holds more ids than
-/// that bitmap would have words ([`NodeId::worth_a_bitmap`], the rule a
-/// shared payload offers its bitmap by) or more than [`SPARSE_MAX`] ids,
-/// plus one append-only learning-order list for O(1) random sampling.
+/// `knowledge` early on) never learn more. Past that, every set keeps
+/// one append-only **learning-order list** for O(1) random sampling,
+/// and membership is one of three tiers, picked by size and density:
+///
+/// | ids held | tier | membership | bytes beyond the list |
+/// |---|---|---|---|
+/// | 1–7 | small | scan of the ids in place | none (no list either) |
+/// | 8–32, sparse | list-only | branch-free scan of the list | none |
+/// | 33–512, sparse | sorted | binary search of a sorted index | 4 per id |
+/// | dense, or > 512 | bitmap | one bit test | `max_id / 8` |
+///
+/// A set is *dense* once it holds more ids than its bitmap would have
+/// words ([`NodeId::worth_a_bitmap`], the rule a shared payload offers
+/// its bitmap by); a sparse set of more than 512 ids is a bitmap too.
 /// The hybrid matters at scale: a bitmap alone costs `max_id / 8` bytes
 /// *per set*, which sums to Θ(n²) bytes across a million singleton
-/// clusters — the sorted tier keeps per-set memory proportional to what
-/// the set actually holds, while dense sets (ids from a narrow range,
-/// merged clusters, full rosters) get O(1) bitmap lookups, and a
-/// first-heard id costs a bit, not a sorted insert. At the switch the
-/// bitmap takes at most twice the bytes of the entries it replaces. A
-/// set that leaves its place starts the list and the entries where
-/// pushing one id at a time would have them (8 ids, room for 8), so they
-/// grow 16, 32, … as before. This is a set *representation* choice only
-/// — protocols still treat identifiers as opaque and learn them
+/// clusters — the list-only and sorted tiers keep per-set memory
+/// proportional to what the set actually holds, while dense sets (ids
+/// from a narrow range, merged clusters, full rosters) get O(1) bitmap
+/// lookups, and a first-heard id costs a bit, not a sorted insert. At the
+/// switch the bitmap takes at most twice the bytes of the entries it
+/// replaces. Up to 32 ids a scan of the list costs about what a binary
+/// search of an index costs, so the index is built only for the 33rd
+/// id, once, and most sets of a leader-knows-all run never need one. A
+/// set that leaves its place starts the list where pushing one id at a
+/// time would have it (8 ids, room for 8), and the index, when it comes,
+/// with the room pushing would have left (room for 64), so both grow 16,
+/// 32, … as before. This is a set *representation* choice only —
+/// protocols still treat identifiers as opaque and learn them
 /// exclusively through messages.
 ///
 /// Freshness is **one window over that list**, not a second queue: a
@@ -153,6 +165,25 @@ impl List {
         }
     }
 
+    fn iter(&self) -> Iter<'_> {
+        match self {
+            List::Owned(ids) => Iter::Plain(ids.iter()),
+            List::Shared(ids) => Iter::Shared(ids.iter()),
+        }
+    }
+
+    /// `true` if `id` is listed, by [`scan`]: the list-only tier's
+    /// membership.
+    #[inline]
+    fn scan(&self, id: NodeId) -> bool {
+        match self {
+            List::Owned(ids) => scan(ids, id),
+            List::Shared(ids) => ids
+                .iter()
+                .fold(false, |found, listed| found | (listed == id)),
+        }
+    }
+
     fn to_vec(&self) -> Vec<NodeId> {
         match self {
             List::Owned(ids) => ids.clone(),
@@ -256,11 +287,32 @@ impl Default for State {
 /// vector takes, so a set is no larger for having them.
 const SMALL: usize = 7;
 
+/// The list-only tier's cap: a set the tier rule keeps sorted holds no
+/// index while it has no more ids than this, and answers membership by
+/// a [`scan`] of its list. Up to here a scan costs about what a binary
+/// search of an index costs (random probes, half of them hits, over 32k
+/// sets of random ids on an x86-64 VM: 41 ns against 31–35 at 8–16
+/// ids, 53 against 45 at 17–32), while the index costs 4 bytes an id
+/// and a sorted insert for every id learned; past it the search wins.
+const LISTED_MAX: usize = 32;
+
 /// The sorted tier's cap: however wide its id range, a set of more ids
 /// than this is a bitmap, whose `max_id / 8` bytes are then amortised
 /// over enough members to be worth paying. Below it density decides
 /// ([`stays_sorted`]); the sorted entries of a set never pass 2 KiB.
 const SPARSE_MAX: usize = 512;
+
+/// `true` if `id` is among `ids`: a compare per id, ORed together, with
+/// no early exit. Whether and where a few dozen ids hold a match is as
+/// good as random, so a loop that stops at the match mispredicts its
+/// exit; this one has no branch but the loop's and vectorises. (In the
+/// benchmark of [`LISTED_MAX`], `iter().any` read 54 and 88 ns where
+/// this reads 41 and 53.)
+#[inline]
+fn scan(ids: &[NodeId], id: NodeId) -> bool {
+    ids.iter()
+        .fold(false, |found, &listed| found | (listed == id))
+}
 
 /// The capacity pushing `len` entries one at a time leaves a vector
 /// with.
@@ -276,17 +328,9 @@ fn stays_sorted(ids: usize, words: usize) -> bool {
     ids <= SPARSE_MAX && !NodeId::worth_a_bitmap(ids, words)
 }
 
-/// Words in the bitmap of sorted entries: their last is their largest.
-fn words_of(sorted: &[u32]) -> usize {
-    sorted.last().map_or(0, |&top| top as usize / 64 + 1)
-}
-
-/// The tier rule for a merge of `ids` ids whose bitmap has `words`
-/// words into sorted entries, read once up front on the merged length
-/// bound and the larger word count. A bulk merge and a settle both ask
-/// it, so the two land on the same tier.
-fn stays_sorted_merging(sorted: &[u32], ids: usize, words: usize) -> bool {
-    stays_sorted(sorted.len() + ids, words.max(words_of(sorted)))
+/// Words in a bitmap whose highest id is `top`.
+fn words_to(top: u32) -> usize {
+    top as usize / 64 + 1
 }
 
 /// Adds `raw` to sorted entries; `true` if it was not among them.
@@ -305,7 +349,12 @@ enum Membership {
     /// Up to [`SMALL`] ids in place, in learning order — the tier of a
     /// set that has learned almost nothing. The set's list is empty.
     Small { len: u8, ids: [NodeId; SMALL] },
-    /// Sorted raw indices — the sparse tier.
+    /// No index: the set's list, of at most [`LISTED_MAX`] ids, is
+    /// scanned — the list-only tier. `top` is the largest listed id,
+    /// which the tier rule reads.
+    Listed { top: u32 },
+    /// Sorted raw indices of more than [`LISTED_MAX`] ids — the sorted
+    /// tier.
     Sparse(Vec<u32>),
     /// Bitmap over raw indices — the dense tier.
     Dense(Vec<u64>),
@@ -412,26 +461,58 @@ fn merge_sorted(sorted: &mut Vec<u32>, unknown: &mut [u64], new: usize) {
 }
 
 impl Membership {
-    /// The tier the distinct `ids` of a small set land on when it
-    /// leaves its place: sorted entries with the room pushing them one
-    /// at a time would have left, or the bitmap where the tier rule says
-    /// so.
-    fn of(ids: &[NodeId]) -> Membership {
-        let mut sorted = Vec::with_capacity(push_capacity(ids.len()));
-        sorted.extend(ids.iter().map(|&id| u32::from(id)));
-        sorted.sort_unstable();
-        let stays = stays_sorted(sorted.len(), words_of(&sorted));
-        let mut tier = Membership::Sparse(sorted);
-        if !stays {
-            tier.spill();
+    /// The tier the distinct ids of a small set land on when it leaves
+    /// its place for `list`, which holds them: the list alone, or the
+    /// bitmap where the tier rule says so.
+    fn of(list: &List) -> Membership {
+        debug_assert!(list.len() <= LISTED_MAX);
+        let top = list.iter().map(u32::from).max().unwrap_or(0);
+        let mut tier = Membership::Listed { top };
+        if !tier.stays_sorted_merging(list.len(), 0, 0) {
+            tier.spill(list);
         }
         tier
     }
 
+    /// The sorted index of a list-only set's `list`, built once, when
+    /// the list outgrows [`LISTED_MAX`], with the room pushing its ids
+    /// one at a time would have left.
+    fn index(list: &List) -> Membership {
+        let mut sorted = Vec::with_capacity(push_capacity(list.len()));
+        sorted.extend(list.iter().map(u32::from));
+        sorted.sort_unstable();
+        Membership::Sparse(sorted)
+    }
+
+    /// The tier rule for a merge of `ids` ids whose bitmap has `words`
+    /// words into this tier, which holds `held` ids, read once up front
+    /// on the merged length bound and the larger word count. A bulk
+    /// merge, a settle and an insert (of no ids, after the fact) all ask
+    /// it, so the three land on the same tier. `false` for the bitmap,
+    /// which never leaves it.
+    fn stays_sorted_merging(&self, held: usize, ids: usize, words: usize) -> bool {
+        let top = match self {
+            Membership::Listed { top } => *top,
+            Membership::Sparse(sorted) => sorted.last().copied().unwrap_or(0),
+            Membership::Small { .. } | Membership::Dense(_) => return false,
+        };
+        stays_sorted(held + ids, words.max(words_to(top)))
+    }
+
+    /// Moves a list-only tier whose `list` has grown past
+    /// [`LISTED_MAX`] onto the sorted index.
+    fn index_past_the_cap(&mut self, list: &List) {
+        if matches!(self, Membership::Listed { .. }) && list.len() > LISTED_MAX {
+            *self = Membership::index(list);
+        }
+    }
+
+    /// `true` if `id` is in the tier; `list` is the set's.
     #[inline]
-    fn contains(&self, id: NodeId) -> bool {
+    fn contains(&self, list: &List, id: NodeId) -> bool {
         match self {
             Membership::Small { len, ids } => ids[..*len as usize].contains(&id),
+            Membership::Listed { .. } => list.scan(id),
             Membership::Sparse(sorted) => sorted.binary_search(&(id.index() as u32)).is_ok(),
             Membership::Dense(bits) => {
                 let (w, b) = word_bit(id.index());
@@ -440,40 +521,48 @@ impl Membership {
         }
     }
 
-    /// The raw ids of a tier that lists them — the small tier's in
-    /// learning order, the sorted tier's ascending; none of the bitmap's.
-    fn listed(&self) -> impl Iterator<Item = u32> + '_ {
-        let (small, sorted): (&[NodeId], &[u32]) = match self {
-            Membership::Small { len, ids } => (&ids[..*len as usize], &[]),
-            Membership::Sparse(sorted) => (&[], sorted),
-            Membership::Dense(_) => (&[], &[]),
+    /// The raw ids of a tier that lists them — the small tier's and the
+    /// list-only tier's (`list`, the set's) in learning order, the sorted
+    /// tier's ascending; none of the bitmap's.
+    fn listed<'a>(&'a self, list: &'a List) -> impl Iterator<Item = u32> + 'a {
+        let (small, order, sorted): (&[NodeId], Option<Iter<'a>>, &[u32]) = match self {
+            Membership::Small { len, ids } => (&ids[..*len as usize], None, &[]),
+            Membership::Listed { .. } => (&[], Some(list.iter()), &[]),
+            Membership::Sparse(sorted) => (&[], None, sorted),
+            Membership::Dense(_) => (&[], None, &[]),
         };
         small
             .iter()
-            .map(|&id| u32::from(id))
+            .copied()
+            .chain(order.into_iter().flatten())
+            .map(u32::from)
             .chain(sorted.iter().copied())
     }
 
     /// The highest id of the tier.
     fn top(&self) -> Option<u32> {
         match self {
-            Membership::Small { .. } => self.listed().max(),
+            Membership::Small { len, ids } => {
+                ids[..*len as usize].iter().map(|&id| u32::from(id)).max()
+            }
+            Membership::Listed { top } => Some(*top),
             Membership::Sparse(sorted) => sorted.last().copied(),
             Membership::Dense(bits) => top_bit(bits),
         }
     }
 
     /// `true` if every id whose bit is set in `word`, word `w` of a
-    /// mask, is in this tier or in the bitmap `adopted`.
+    /// mask, is in this tier (of a set whose list is `list`) or in the
+    /// bitmap `adopted`.
     #[inline]
-    fn covers_word(&self, adopted: &[u64], w: usize, word: u64) -> bool {
+    fn covers_word(&self, list: &List, adopted: &[u64], w: usize, word: u64) -> bool {
         let mut missing = word & !word_at(adopted, w);
         if let Membership::Dense(bits) = self {
             return missing & !word_at(bits, w) == 0;
         }
         while missing != 0 {
             let raw = (w * 64) as u32 + missing.trailing_zeros();
-            if !self.contains(NodeId::new(raw)) {
+            if !self.contains(list, NodeId::new(raw)) {
                 return false;
             }
             missing &= missing - 1;
@@ -481,13 +570,13 @@ impl Membership {
         true
     }
 
-    /// Converts the tier to the bitmap (a bitmap stays one) and hands
-    /// the bitmap out.
-    fn spill(&mut self) -> &mut Vec<u64> {
+    /// Converts the tier (of a set whose list is `list`) to the bitmap
+    /// (a bitmap stays one) and hands the bitmap out.
+    fn spill(&mut self, list: &List) -> &mut Vec<u64> {
         if !matches!(self, Membership::Dense(_)) {
             let top = self.top().unwrap_or(0) as usize;
             let mut bits = vec![0u64; top / 64 + 1];
-            for raw in self.listed() {
+            for raw in self.listed(list) {
                 let (w, b) = word_bit(raw as usize);
                 bits[w] |= b;
             }
@@ -510,9 +599,9 @@ impl Adopting {
     /// Out of line: `contains` is the hottest query there is, and
     /// almost no set it is asked of holds a payload.
     #[cold]
-    fn contains(&self, id: NodeId) -> bool {
+    fn contains(&self, list: &List, id: NodeId) -> bool {
         let (w, b) = word_bit(id.index());
-        self.settled.contains(id) || word_at(self.bitmap(), w) & b != 0
+        self.settled.contains(list, id) || word_at(self.bitmap(), w) & b != 0
     }
 }
 
@@ -568,7 +657,7 @@ impl KnowledgeSet {
     /// to build the memory timeline; never read by protocol logic.
     pub fn resident_bytes(&self) -> usize {
         let membership = match self.tiers().0 {
-            Membership::Small { .. } => 0,
+            Membership::Small { .. } | Membership::Listed { .. } => 0,
             Membership::Sparse(sorted) => sorted.capacity() * std::mem::size_of::<u32>(),
             Membership::Dense(bits) => bits.capacity() * std::mem::size_of::<u64>(),
         };
@@ -585,8 +674,8 @@ impl KnowledgeSet {
     #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
         match &self.state {
-            State::Settled(tier) => tier.contains(id),
-            State::Adopting(adopting) => adopting.contains(id),
+            State::Settled(tier) => tier.contains(&self.list, id),
+            State::Adopting(adopting) => adopting.contains(&self.list, id),
         }
     }
 
@@ -604,7 +693,7 @@ impl KnowledgeSet {
         let (tier, adopted) = self.tiers();
         mask.iter()
             .enumerate()
-            .all(|(w, &word)| tier.covers_word(adopted, w, word))
+            .all(|(w, &word)| tier.covers_word(&self.list, adopted, w, word))
     }
 
     /// `true` if every learned id is in `set` or has its bit set in
@@ -613,14 +702,15 @@ impl KnowledgeSet {
     /// through its bitmap.
     pub fn subset_of_union(&self, set: &KnowledgeSet, mask: &[u64]) -> bool {
         let (theirs, their_adopted) = set.tiers();
-        let accounted =
-            |w: usize, word: u64| theirs.covers_word(their_adopted, w, word & !word_at(mask, w));
+        let accounted = |w: usize, word: u64| {
+            theirs.covers_word(&set.list, their_adopted, w, word & !word_at(mask, w))
+        };
         let bitmap = |bits: &[u64]| bits.iter().enumerate().all(|(w, &word)| accounted(w, word));
         let (tier, adopted) = self.tiers();
         bitmap(adopted)
             && match tier {
                 Membership::Dense(bits) => bitmap(bits),
-                _ => tier.listed().all(|raw| {
+                _ => tier.listed(&self.list).all(|raw| {
                     let (w, b) = word_bit(raw as usize);
                     accounted(w, b)
                 }),
@@ -644,7 +734,7 @@ impl KnowledgeSet {
                     .map(|w| unseen(w).count_ones() as usize)
                     .sum();
                 let held = tier
-                    .listed()
+                    .listed(&self.list)
                     .filter(|&raw| {
                         let (w, b) = word_bit(raw as usize);
                         w < theirs.len() && unseen(w) & b != 0
@@ -714,7 +804,9 @@ impl KnowledgeSet {
     /// [`extend_from_slice`](Self::extend_from_slice) would have. Either
     /// way the list grows by doubling, as a push at a time grows it. A
     /// small set first moves its ids into the list and its tier onto the
-    /// heap, sized as pushing them would have sized them.
+    /// heap, sized as pushing them would have sized them. A list-only set
+    /// has no entries to merge into: its list, grown, builds the sorted
+    /// index if it has outgrown the tier.
     fn settle(&mut self) {
         let State::Adopting(adopting) = &mut self.state else {
             return;
@@ -728,30 +820,34 @@ impl KnowledgeSet {
             let held = &held[..len as usize];
             list.reserve_doubling(held.len() + new);
             list.extend_from_slice(held);
-            tier = Membership::of(held);
+            tier = Membership::of(list);
         }
         list.reserve_doubling(new);
-        match &mut tier {
-            Membership::Sparse(sorted) if stays_sorted_merging(sorted, ids.len(), theirs.len()) => {
-                let mut unknown = theirs.to_vec();
-                for &raw in sorted.iter() {
-                    let (w, b) = word_bit(raw as usize);
-                    if let Some(word) = unknown.get_mut(w) {
-                        *word &= !b;
-                    }
+        if tier.stays_sorted_merging(list.len(), ids.len(), theirs.len()) {
+            let mut unknown = theirs.to_vec();
+            for raw in tier.listed(list) {
+                let (w, b) = word_bit(raw as usize);
+                if let Some(word) = unknown.get_mut(w) {
+                    *word &= !b;
                 }
-                list.append_new(ids, new, |w, b| unknown[w] & b != 0);
+            }
+            list.append_new(ids, new, |w, b| unknown[w] & b != 0);
+            // The set's top stays its top: a payload with a bitmap lists
+            // more ids than it has words, so one that keeps the set
+            // sorted ends in a lower word than the set's.
+            debug_assert!(top_bit(theirs) < tier.top());
+            if let Membership::Sparse(sorted) = &mut tier {
                 merge_sorted(sorted, &mut unknown, new);
             }
-            _ => {
-                let bits = tier.spill();
-                if bits.len() < theirs.len() {
-                    bits.resize(theirs.len(), 0);
-                }
-                list.append_new(ids, new, |w, b| bits[w] & b == 0);
-                for (mine, &word) in bits.iter_mut().zip(theirs) {
-                    *mine |= word;
-                }
+            tier.index_past_the_cap(list);
+        } else {
+            let bits = tier.spill(list);
+            if bits.len() < theirs.len() {
+                bits.resize(theirs.len(), 0);
+            }
+            list.append_new(ids, new, |w, b| bits[w] & b == 0);
+            for (mine, &word) in bits.iter_mut().zip(theirs) {
+                *mine |= word;
             }
         }
         self.state = State::Settled(tier);
@@ -800,10 +896,17 @@ impl KnowledgeSet {
                     let mut list = Vec::with_capacity(push_capacity(SMALL + 1));
                     list.extend_from_slice(ids);
                     list.push(id);
-                    *tier = Membership::of(&list);
                     self.list = List::Owned(list);
+                    *tier = Membership::of(&self.list);
                 }
                 return true;
+            }
+            Membership::Listed { top } => {
+                if self.list.scan(id) {
+                    return false;
+                }
+                *top = (*top).max(u32::from(id));
+                true
             }
             Membership::Sparse(sorted) => insert_sorted(sorted, id.index() as u32),
             Membership::Dense(bits) => {
@@ -821,9 +924,12 @@ impl KnowledgeSet {
         };
         if added {
             self.list.push(id);
-            if matches!(tier, Membership::Sparse(sorted) if !stays_sorted(sorted.len(), words_of(sorted)))
-            {
-                tier.spill();
+            if !matches!(tier, Membership::Dense(_)) {
+                if tier.stays_sorted_merging(self.list.len(), 0, 0) {
+                    tier.index_past_the_cap(&self.list);
+                } else {
+                    tier.spill(&self.list);
+                }
             }
         }
         added
@@ -850,9 +956,10 @@ impl KnowledgeSet {
     /// (possibly a few ids earlier than per-id inserts would have), the
     /// bitmap and the list are sized once, and the merge is a
     /// test-and-set loop with no per-id tier match or growth check; one
-    /// that cannot is inserted into the sorted entries, which then stay
-    /// sorted even where per-id inserts, reading the rule on a narrower
-    /// range part-way, would have spilled them.
+    /// that cannot is scanned into the list while the list holds no more
+    /// than 32 ids and inserted into the sorted entries from then on,
+    /// which then stay sorted even where per-id inserts, reading the rule
+    /// on a narrower range part-way, would have spilled them.
     pub fn extend_from_slice(&mut self, ids: &[NodeId]) -> usize {
         self.extend_ids(ids.iter().copied())
     }
@@ -891,18 +998,32 @@ impl KnowledgeSet {
             return new;
         }
         let words = NodeId::bitmap_words(ids.clone());
-        if let Membership::Sparse(sorted) = tier {
-            if stays_sorted_merging(sorted, ids.len(), words) {
-                let before = self.list.len();
+        if tier.stays_sorted_merging(self.list.len(), ids.len(), words) {
+            let before = self.list.len();
+            if let Membership::Listed { top } = tier {
+                // Scanned while the list is the index; the rest of the
+                // payload goes into the index the 33rd id builds.
+                for id in ids.by_ref() {
+                    if !self.list.scan(id) {
+                        self.list.push(id);
+                        *top = (*top).max(u32::from(id));
+                        if self.list.len() > LISTED_MAX {
+                            break;
+                        }
+                    }
+                }
+                tier.index_past_the_cap(&self.list);
+            }
+            if let Membership::Sparse(sorted) = tier {
                 for id in ids {
                     if insert_sorted(sorted, id.index() as u32) {
                         self.list.push(id);
                     }
                 }
-                return self.list.len() - before;
             }
+            return self.list.len() - before;
         }
-        let bits = tier.spill();
+        let bits = tier.spill(&self.list);
         if words > bits.len() {
             bits.resize(words, 0);
         }
@@ -940,10 +1061,9 @@ impl KnowledgeSet {
     /// list.
     pub fn iter(&mut self) -> Iter<'_> {
         self.settle();
-        match (self.tiers().0, &self.list) {
-            (Membership::Small { len, ids }, _) => Iter::Plain(ids[..*len as usize].iter()),
-            (_, List::Owned(ids)) => Iter::Plain(ids.iter()),
-            (_, List::Shared(ids)) => Iter::Shared(ids.iter()),
+        match self.tiers().0 {
+            Membership::Small { len, ids } => Iter::Plain(ids[..*len as usize].iter()),
+            _ => self.list.iter(),
         }
     }
 
@@ -1168,8 +1288,8 @@ mod tests {
         // The scale-critical property: holding a few ids never costs
         // O(max id) memory — a million-node simulation allocates
         // per-node sets proportional to what each node knows. Up to
-        // seven ids that is no heap at all; the eighth moves them to
-        // sorted entries, not to a bitmap.
+        // seven ids that is no heap at all; the eighth moves them to a
+        // list of their own, not to a bitmap.
         let mut k = KnowledgeSet::new(id(0));
         k.insert(id(1_000_000));
         assert!(k.contains(id(1_000_000)));
@@ -1182,7 +1302,7 @@ mod tests {
         }
         assert!(matches!(k.tiers().0, Membership::Small { len: 7, .. }));
         assert!(k.insert(id(5)));
-        assert!(matches!(k.tiers().0, Membership::Sparse(_)));
+        assert!(matches!(k.tiers().0, Membership::Listed { .. }));
         let expected: Vec<NodeId> = [0, 1, 2, 3, 4, 5, 6]
             .map(|i| id(1_000_000 * i))
             .into_iter()
@@ -1195,14 +1315,15 @@ mod tests {
     #[test]
     fn a_set_leaves_its_place_with_the_capacities_pushes_would_have_grown() {
         // The bytes a set holds once it has left the small tier, as if
-        // its list and its sorted entries had been pushed to one id at a
-        // time from the start: 8, 16, 32, … entries. A set that left at
-        // a capacity of 7 would grow 7, 14, 28, …, off the series every
-        // set that was never small is on.
+        // its list and, from the 33rd id, its sorted entries had been
+        // pushed to one id at a time from the start: 8, 16, 32, …
+        // entries. A set that left at a capacity of 7 would grow 7, 14,
+        // 28, …, off the series every set that was never small is on.
         fn pushed(len: usize) -> usize {
             let mut entries: Vec<u32> = Vec::new();
             (0..len as u32).for_each(|i| entries.push(i));
-            std::mem::size_of::<KnowledgeSet>() + 2 * 4 * entries.capacity()
+            let lists = if len <= LISTED_MAX { 1 } else { 2 };
+            std::mem::size_of::<KnowledgeSet>() + lists * 4 * entries.capacity()
         }
         // Ids 1 000 apart: the sorted tier all the way to the cap.
         let wide = |i: u32| id(1_000 * i + 3);
@@ -1217,9 +1338,9 @@ mod tests {
             };
             assert_eq!(by_insert.resident_bytes(), expected, "{len} ids");
         }
-        // A payload that carries a small set past its place, merged in
-        // bulk or adopted and settled.
-        for len in [SMALL + 1, 9, 16, 17, 100, SPARSE_MAX] {
+        // A payload that carries a small set past its place, and past
+        // the list-only tier, merged in bulk or adopted and settled.
+        for len in [SMALL + 1, 9, 16, 17, 32, 33, 100, SPARSE_MAX] {
             let payload: Vec<NodeId> = (1..len as u32).map(wide).collect();
             let mut merged = KnowledgeSet::new(wide(0));
             merged.extend_from_slice(&payload);
@@ -1241,6 +1362,68 @@ mod tests {
                 Membership::Dense(bits) => bits.capacity(),
                 _ => 0,
             }
+        }
+    }
+
+    #[test]
+    fn a_sparse_set_keeps_no_index_up_to_32_ids_and_builds_it_once() {
+        // Ids 1 000 apart stay on the sorted side to 512. From the
+        // eighth id to the 32nd the list is the index: the set holds the
+        // struct and the list's room, nothing more, and a scan finds
+        // every listed id, the last one too. The 33rd id builds the
+        // index, with room for 64, and it is never built again.
+        let wide = |i: u32| id(1_000 * i + 3);
+        let size = std::mem::size_of::<KnowledgeSet>();
+        let mut k = KnowledgeSet::new(wide(0));
+        let mut built = None;
+        for i in 1..100u32 {
+            assert!(k.insert(wide(i)));
+            assert!(!k.insert(wide(i)), "a scan sees the id just listed");
+            assert!((0..=i).all(|j| k.contains(wide(j))) && !k.contains(wide(i + 1)));
+            let (len, list) = (k.len(), k.list.heap_bytes());
+            match k.tiers().0 {
+                Membership::Small { .. } => assert!(len <= SMALL),
+                Membership::Listed { top } => {
+                    assert!((SMALL + 1..=LISTED_MAX).contains(&len), "{len} ids");
+                    assert_eq!(*top, u32::from(wide(i)));
+                    assert_eq!(k.resident_bytes(), size + list, "{len} ids");
+                }
+                Membership::Sparse(sorted) => {
+                    let at = *built.get_or_insert((sorted.as_ptr(), len));
+                    assert_eq!(at.1, LISTED_MAX + 1, "built by the 33rd id");
+                    if len <= 64 {
+                        assert_eq!((sorted.as_ptr(), sorted.capacity()), (at.0, 64));
+                    }
+                    assert_eq!(k.resident_bytes(), size + list + 4 * sorted.capacity());
+                }
+                Membership::Dense(_) => panic!("{len} wide ids spilled"),
+            }
+        }
+        assert!(built.is_some());
+        // A bulk merge across the cap scans up to it, builds the index
+        // once and puts the rest of the payload into it; a list that has
+        // sent a snapshot is scanned in its shared buffer.
+        for sent in [false, true] {
+            let mut k: KnowledgeSet = (0..20).map(wide).collect();
+            if sent {
+                let _payload = k.snapshot();
+                assert!(matches!(k.list, List::Shared(_)));
+            }
+            assert!(matches!(k.tiers().0, Membership::Listed { .. }));
+            assert!(k.contains(wide(19)) && !k.contains(wide(20)));
+            assert_eq!(
+                k.extend_from_slice(&(10..40).map(wide).collect::<Vec<_>>()),
+                20
+            );
+            let Membership::Sparse(sorted) = k.tiers().0 else {
+                panic!("40 ids are indexed")
+            };
+            assert_eq!(sorted.capacity(), 64);
+            assert!(sorted
+                .iter()
+                .copied()
+                .eq((0..40).map(|i| u32::from(wide(i)))));
+            assert!(k.to_vec().into_iter().eq((0..40).map(wide)));
         }
     }
 
@@ -1355,18 +1538,23 @@ mod tests {
     fn covers_tests_masks_on_every_tier() {
         let few = [1, 64, 200];
         let small: KnowledgeSet = few.map(id).into_iter().collect();
-        let sparse: KnowledgeSet = (few.into_iter().chain((1..6).map(|i| 4_000 * i)))
-            .map(id)
-            .collect();
+        let far = |n: u32| -> KnowledgeSet {
+            (few.into_iter().chain((1..=n).map(|i| 4_000 * i)))
+                .map(id)
+                .collect()
+        };
+        let (listed, sparse) = (far(5), far(40));
         let dense: KnowledgeSet = (0..1000u32).map(id).collect();
         assert!(matches!(small.tiers().0, Membership::Small { .. }));
+        assert!(matches!(listed.tiers().0, Membership::Listed { .. }));
         assert!(matches!(sparse.tiers().0, Membership::Sparse(_)));
         assert!(matches!(dense.tiers().0, Membership::Dense(_)));
-        for set in [&small, &sparse] {
+        for set in [&small, &listed, &sparse] {
             assert!(set.covers(&[0b10, 0b1]));
             assert!(!set.covers(&[0b110]));
             assert!(set.covers(&[]));
         }
+        assert!(listed.covers(&[&[0; 62][..], &[1 << 32]].concat()));
         assert!(sparse.covers(&[&[0; 62][..], &[1 << 32]].concat()));
         assert!(!small.covers(&[&[0; 62][..], &[1 << 32]].concat()));
         assert!(dense.covers(&[u64::MAX; 15]));
@@ -1460,6 +1648,11 @@ mod tests {
                     assert!(!adopted.is_settled());
                     assert_eq!(adopted.list(), merged.list());
                     match (adopted.tiers().0, merged.tiers().0) {
+                        (Membership::Listed { top: a }, Membership::Listed { top: b }) => {
+                            assert!(total <= limit && adopted.len() <= LISTED_MAX);
+                            assert_eq!(a, b);
+                            assert_eq!(adopted.resident_bytes(), merged.resident_bytes());
+                        }
                         (Membership::Sparse(a), Membership::Sparse(b)) => {
                             assert!(total <= limit);
                             assert_eq!(a, b);
@@ -1560,10 +1753,21 @@ mod tests {
         // envelope is sized for the largest message. A join is one
         // shared allocation, so the largest message is a report and a
         // node's join retry handle is one pointer.
-        assert!(size_of::<HmNode>() <= 432, "{}", size_of::<HmNode>());
-        assert!(size_of::<HmMsg>() <= 48, "{}", size_of::<HmMsg>());
+        // A list is three words (a heap list is a boxed slice, never a
+        // vector) and a report's epoch 32 bits, so a report is 32 bytes
+        // and so is every message, even a one-id probe.
+        assert!(
+            size_of::<PointerList>() <= 24,
+            "{}",
+            size_of::<PointerList>()
+        );
+        assert!(size_of::<HmNode>() <= 424, "{}", size_of::<HmNode>());
+        assert!(size_of::<HmMsg>() <= 32, "{}", size_of::<HmMsg>());
         let envelope = size_of::<rd_sim::Envelope<HmMsg>>();
-        assert!(envelope <= 56, "{envelope}");
+        assert!(envelope <= 40, "{envelope}");
+        // Name-Dropper's one message: a list and the id it skips.
+        let transfer = size_of::<rd_sim::Envelope<crate::algorithms::TransferMsg>>();
+        assert!(transfer <= 40, "{transfer}");
     }
 
     #[test]

@@ -31,7 +31,10 @@
 //! 6. a set that starts with one to seven ids, held in place, agrees
 //!    with the model of 3 while `insert`, bulk merge, `adopt` and its
 //!    settle, `snapshot`, and the `take_fresh` and `mark` windows carry
-//!    it across seven and eight ids;
+//!    it across seven and eight ids; and one that starts with up to 40
+//!    ids, sparse or about level with its words, agrees with it while
+//!    the same ops carry it across 32 and 33 ids, where the scanned list
+//!    stops being the index and the sorted index is built;
 //! 7. a set whose snapshots are prefixes of its own list — payloads
 //!    held by receivers that adopted them or by nobody, kept across
 //!    appends and across the copy into a buffer of twice the room, or
@@ -349,6 +352,7 @@ fn agrees_with_the_model(start: &[u32], ops: &[Op]) -> Result<(), TestCaseError>
                 let new = learn(&mut members, &mut order, *id);
                 prop_assert_eq!(set.insert(NodeId::new(*id)), new);
                 eager.insert(NodeId::new(*id));
+                probes = std::slice::from_ref(id);
             }
             Op::Extend(payload) => {
                 let new = payload
@@ -440,6 +444,9 @@ fn agrees_with_the_model(start: &[u32], ops: &[Op]) -> Result<(), TestCaseError>
     for probe in 0..1_600u32 {
         prop_assert_eq!(set.contains(NodeId::new(probe)), members.contains(&probe));
     }
+    for &member in &members {
+        prop_assert!(set.contains(NodeId::new(member)), "lost {}", member);
+    }
     // Every snapshot is the prefix the set had learned when it was
     // taken, and its bitmap (a dense set's, or a small set's built
     // here on asking) is that prefix as a set: nothing learned
@@ -477,6 +484,24 @@ proptest! {
         start in prop_oneof![
             proptest::collection::vec(0u32..64, 1..8),
             proptest::collection::vec(0u32..100_000, 1..8),
+        ],
+        ops in proptest::collection::vec(arb_small_op(), 1..24),
+    ) {
+        agrees_with_the_model(&start, &ops)?;
+    }
+
+    /// The same model from a set of one to 40 ids — scanned in its list
+    /// up to 32, indexed from 33 — through ops that take it across 32
+    /// and 33 ids by every path that brings an id: one at a time, by a
+    /// bulk merge that builds the index part-way, and by settling an
+    /// adopted payload. The ids are sparse (the sorted side all the
+    /// way), or about as many as their words, so that density spills
+    /// some sets on either side of 33 as well.
+    #[test]
+    fn the_list_only_tier_agrees_with_the_model_across_its_index(
+        start in prop_oneof![
+            proptest::collection::vec(0u32..100_000, 1..40),
+            proptest::collection::vec(0u32..2_500, 1..40),
         ],
         ops in proptest::collection::vec(arb_small_op(), 1..24),
     ) {

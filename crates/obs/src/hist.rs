@@ -1,12 +1,12 @@
 //! HDR-style log-linear histogram.
 //!
 //! The bucket layout is the classic high-dynamic-range scheme: values
-//! below 2^[`SUB_BITS`] are recorded exactly, and every octave above
-//! that is split into 2^[`SUB_BITS`] linear sub-buckets, so the
-//! relative quantile error is bounded by `2^-SUB_BITS` (6.25%) across
-//! the full `u64` range. Memory is lazily grown to the highest bucket
-//! touched — a histogram of round-trip nanoseconds costs a few hundred
-//! `u64`s, never a pre-allocated table.
+//! below 2^4 are recorded exactly, and every octave above that is split
+//! into 2^4 linear sub-buckets (4 is `SUB_BITS`), so the relative
+//! quantile error is bounded by 2^-4 (6.25%) across the full `u64`
+//! range. Memory is lazily grown to the highest bucket touched — a
+//! histogram of round-trip nanoseconds costs a few hundred `u64`s, never
+//! a pre-allocated table.
 //!
 //! All state is plain counters: merging two histograms (e.g. folding
 //! per-worker span timings into a run-wide view) is element-wise

@@ -232,7 +232,7 @@ impl Recorder {
     /// Enables cost-attribution profiling. Purely additive: a profiled
     /// run is bit-identical to an un-profiled one (wall-clock still
     /// only flows *into* the recorder), but the finished report gains
-    /// a [`ProfileReport`](crate::ProfileReport) and archives gain
+    /// a [`ProfileReport`] and archives gain
     /// their profile section. Chainable.
     pub fn with_profiling(mut self) -> Self {
         self.prof = Some(ProfileInputs::default());

@@ -2,7 +2,7 @@
 //!
 //! A flat, name-keyed metrics store: counters are monotone `u64`s,
 //! gauges are last-write-wins `f64`s, histograms are
-//! [`Histogram`](crate::hist::Histogram)s. Names are `snake_case`, with
+//! [`Histogram`]s. Names are `snake_case`, with
 //! a `_total` suffix on counters. `BTreeMap` keys keep every iteration
 //! order — and therefore the archive — deterministic.
 

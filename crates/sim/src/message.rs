@@ -59,8 +59,10 @@ const INLINE_POINTERS: usize = 4;
 /// `Vec<NodeId>` payload heap-allocates for every one of them, so the
 /// routing hot path pays an allocator round-trip per message.
 /// `PointerList` stores up to four identifiers inline in the envelope
-/// and only spills to a heap `Vec` beyond that, which removes the
-/// per-message allocation for bounded-gossip traffic entirely.
+/// and only spills to a heap slice beyond that, which removes the
+/// per-message allocation for bounded-gossip traffic entirely. No list
+/// grows after it is built, so the heap arm is a boxed slice, not a
+/// vector: the list is 24 bytes, and so is every envelope's share of it.
 ///
 /// At the other end, a broadcast carries one long list to many
 /// receivers. [`shared`](Self::shared) builds a reference-counted list
@@ -83,8 +85,8 @@ const INLINE_POINTERS: usize = 4;
 /// payload is the sender's own buffer, read up to the length it had when
 /// it was sent, while the sender appends past it.
 ///
-/// The type behaves like a read-mostly `Vec<NodeId>`: build it with
-/// [`push`](Self::push), [`collect`](Iterator::collect), or a
+/// The type behaves like a read-only `Vec<NodeId>`: build it with
+/// [`collect`](Iterator::collect), [`shared`](Self::shared), or a
 /// `From<Vec<NodeId>>` / `From<&[NodeId]>` conversion, and read it with
 /// [`iter`](Self::iter), [`get`](Self::get) and
 /// [`contains`](Self::contains). The slots of a shared list are atomic,
@@ -98,7 +100,7 @@ enum Repr {
         len: u8,
         ids: [NodeId; INLINE_POINTERS],
     },
-    Heap(Vec<NodeId>),
+    Heap(Box<[NodeId]>),
     Shared(Arc<Prefix>),
 }
 
@@ -194,8 +196,7 @@ impl PointerList {
     /// word `i / 64`, no trailing empty word). Unless the sender
     /// offered it ([`AppendList::snapshot`]), the first call builds it;
     /// every clone of the list, on any thread, then reads the same
-    /// words. An un-sharing [`push`](Self::push) leaves it behind with
-    /// the shared ids.
+    /// words.
     ///
     /// `None` for a list that is not shared, and for one with no more
     /// ids than its bitmap would have words
@@ -225,32 +226,6 @@ impl PointerList {
         match &self.0 {
             Repr::Shared(shared) => Some(shared.ids()),
             _ => None,
-        }
-    }
-
-    /// Appends an identifier, spilling to the heap past the inline
-    /// capacity.
-    pub fn push(&mut self, id: NodeId) {
-        match &mut self.0 {
-            Repr::Inline { len, ids } if (*len as usize) < INLINE_POINTERS => {
-                ids[*len as usize] = id;
-                *len += 1;
-            }
-            _ => self.heap_mut(1).push(id),
-        }
-    }
-
-    /// Moves the list into an exclusively owned heap vector with room
-    /// for `additional` more ids.
-    fn heap_mut(&mut self, additional: usize) -> &mut Vec<NodeId> {
-        if !matches!(self.0, Repr::Heap(_)) {
-            let mut owned = Vec::with_capacity(self.len() + additional);
-            owned.extend(self.iter());
-            self.0 = Repr::Heap(owned);
-        }
-        match &mut self.0 {
-            Repr::Heap(v) => v,
-            _ => unreachable!("converted above"),
         }
     }
 
@@ -380,7 +355,7 @@ impl From<&[NodeId]> for PointerList {
                 ids: inline,
             })
         } else {
-            PointerList(Repr::Heap(ids.to_vec()))
+            PointerList(Repr::Heap(ids.into()))
         }
     }
 }
@@ -390,30 +365,16 @@ impl From<Vec<NodeId>> for PointerList {
         if ids.len() <= INLINE_POINTERS {
             PointerList::from(ids.as_slice())
         } else {
-            PointerList(Repr::Heap(ids))
+            PointerList(Repr::Heap(ids.into_boxed_slice()))
         }
     }
 }
 
 impl FromIterator<NodeId> for PointerList {
+    /// Collects into one vector and boxes it once; up to four ids stay
+    /// inline.
     fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
-        let mut list = PointerList::new();
-        list.extend(iter);
-        list
-    }
-}
-
-impl Extend<NodeId> for PointerList {
-    fn extend<I: IntoIterator<Item = NodeId>>(&mut self, iter: I) {
-        let iter = iter.into_iter();
-        let expected = iter.size_hint().0;
-        if self.len() + expected > INLINE_POINTERS {
-            // Known to outgrow the inline array: one sized heap vector
-            // takes the ids directly.
-            self.heap_mut(expected).extend(iter);
-        } else {
-            iter.for_each(|id| self.push(id));
-        }
+        PointerList::from(iter.into_iter().collect::<Vec<_>>())
     }
 }
 
@@ -614,7 +575,11 @@ impl AppendList {
             });
         }
         if self.len <= INLINE_POINTERS {
-            self.iter().collect()
+            let mut ids = [NodeId::new(0); INLINE_POINTERS];
+            ids.iter_mut()
+                .zip(self.iter())
+                .for_each(|(slot, id)| *slot = id);
+            PointerList::from(&ids[..self.len])
         } else {
             PointerList(Repr::Shared(Arc::clone(last)))
         }
@@ -694,17 +659,19 @@ mod tests {
 
     #[test]
     fn pointer_list_stays_inline_up_to_four() {
-        let mut list = PointerList::new();
-        assert!(list.is_empty());
-        for i in 0..4 {
-            list.push(NodeId::new(i));
-        }
+        assert!(PointerList::new().is_empty());
+        let list: PointerList = (0..4).map(NodeId::new).collect();
         assert!(matches!(list.0, Repr::Inline { len: 4, .. }));
         assert_eq!(list.to_vec(), nid(0..4));
-        list.push(NodeId::new(4));
+        let list: PointerList = (0..5).map(NodeId::new).collect();
         assert!(matches!(list.0, Repr::Heap(_)));
         assert_eq!(list.to_vec(), nid(0..5));
         assert_eq!(list.pointers(), 5);
+    }
+
+    #[test]
+    fn a_pointer_list_is_three_words() {
+        assert_eq!(std::mem::size_of::<PointerList>(), 24);
     }
 
     #[test]
@@ -720,7 +687,7 @@ mod tests {
     #[test]
     fn pointer_list_equality_ignores_representation() {
         let inline = PointerList::from(nid(0..3));
-        let heap = PointerList(Repr::Heap(nid(0..3)));
+        let heap = PointerList(Repr::Heap(nid(0..3).into()));
         assert_eq!(inline, heap);
         assert_ne!(inline, PointerList::from(nid(0..4)));
     }
@@ -746,16 +713,11 @@ mod tests {
         };
         assert_ne!(heap_ptr(&heap.clone()), heap_ptr(&heap));
         assert_eq!(copy.into_iter().collect::<Vec<_>>(), nid(0..9));
-        // Short lists stay inline; a push un-shares instead of
-        // writing through to the other clones.
+        // Short lists stay inline.
         assert!(matches!(
             PointerList::shared(&nid(0..4)).0,
             Repr::Inline { len: 4, .. }
         ));
-        let mut grown = shared.clone();
-        grown.push(NodeId::new(9));
-        assert_eq!(grown.to_vec(), nid(0..10));
-        assert_eq!(shared, heap);
     }
 
     #[test]
@@ -774,8 +736,7 @@ mod tests {
         assert!(std::ptr::eq(first, shared.shared_bitmap().unwrap()));
         assert!(std::ptr::eq(first, shared.clone().shared_bitmap().unwrap()));
         // Inline and heap lists have none, nor has a shared list with
-        // no more ids than bitmap words, and neither has a list that a
-        // push (or an extend) un-shared; its siblings keep theirs.
+        // no more ids than bitmap words.
         assert_eq!(PointerList::shared(&nid(0..4)).shared_bitmap(), None);
         assert_eq!(PointerList::from(nid(0..9)).shared_bitmap(), None);
         let sparse = PointerList::shared(&nid([1, 2, 3, 4, 5 * 64]));
@@ -790,13 +751,6 @@ mod tests {
         let repeated = PointerList::shared(&nid([3, 130, 64, 3, 7, 129]));
         assert!(matches!(repeated.0, Repr::Shared(_)));
         assert_eq!(repeated.shared_bitmap(), None);
-        let mut pushed = shared.clone();
-        pushed.push(NodeId::new(500));
-        assert_eq!(pushed.shared_bitmap(), None);
-        let mut extended = shared.clone();
-        extended.extend(nid(500..502));
-        assert_eq!(extended.shared_bitmap(), None);
-        assert!(std::ptr::eq(first, shared.shared_bitmap().unwrap()));
     }
 
     /// A sender's own bitmap, eight words whatever the ids need.
@@ -839,13 +793,6 @@ mod tests {
             words,
             list.snapshot(None).shared_bitmap().unwrap()
         ));
-        let mut pushed = supplied.clone();
-        pushed.push(NodeId::new(500));
-        assert_eq!(pushed.shared_bitmap(), None);
-        let mut extended = supplied.clone();
-        extended.extend(nid(500..502));
-        assert_eq!(extended.shared_bitmap(), None);
-        assert!(std::ptr::eq(words, supplied.shared_bitmap().unwrap()));
         // No more ids than words: shared, but no bitmap — the last id a
         // word nearer and it has one. Up to four ids the list stays
         // inline.
@@ -928,23 +875,23 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_extend_size_the_heap_vector_once() {
+    fn collect_boxes_one_slice_of_the_listed_ids() {
         let long: PointerList = (0..100).map(NodeId::new).collect();
         match &long.0 {
-            Repr::Heap(v) => assert_eq!((v.len(), v.capacity()), (100, 100)),
+            Repr::Heap(ids) => assert_eq!(ids.len(), 100),
             _ => panic!("a 100-id collect must land on the heap"),
         }
-        let mut list = PointerList::from(nid(0..3));
-        list.extend((3..4).map(NodeId::new));
-        assert!(matches!(list.0, Repr::Inline { len: 4, .. }));
-        list.extend((4..7).map(NodeId::new));
-        assert_eq!(list.to_vec(), nid(0..7));
-        // An iterator with no lower bound still lands correctly.
-        let filtered: PointerList = (0..20)
-            .map(NodeId::new)
-            .filter(|v| v.index() % 2 == 0)
-            .collect();
-        assert_eq!(filtered.len(), 10);
+        // An iterator with no lower bound still lands correctly, inline
+        // or on the heap.
+        let even = |upto: u32| -> PointerList {
+            (0..upto)
+                .map(NodeId::new)
+                .filter(|v| v.index() % 2 == 0)
+                .collect()
+        };
+        assert!(matches!(even(8).0, Repr::Inline { len: 4, .. }));
+        assert_eq!(even(20).len(), 10);
+        assert_eq!(even(20).to_vec(), nid((0..20).step_by(2)));
     }
 
     #[test]
