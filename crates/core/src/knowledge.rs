@@ -1,7 +1,7 @@
 //! The per-node knowledge set.
 
 use rand::Rng;
-use rd_sim::message::{doubled_capacity, Iter};
+use rd_sim::message::{doubled_capacity, Iter, Slot, Tail};
 use rd_sim::{AppendList, NodeId, PointerList};
 
 /// The set of identifiers a node has learned, with freshness tracking.
@@ -80,7 +80,11 @@ use rd_sim::{AppendList, NodeId, PointerList};
 /// up to the length it was sent at, and the set appends past them all.
 /// A set that sends everything it knows every round holds it in one
 /// buffer, which grows to twice the room only when full; a round
-/// that taught it nothing sends it for a reference-count bump. A set
+/// that taught it nothing sends it for a reference-count bump. That
+/// buffer's slots are two bytes while every id it holds fits in 16 bits
+/// (any run of up to 65 536 nodes) and four from the first that does
+/// not, so a set that sends snapshots keeps its order in half the bytes
+/// of a vector. A set
 /// that is never asked for a snapshot keeps its list a plain vector in
 /// the same 24 bytes, and only such a list is handed out as a slice
 /// (`list`, `iter`, `since`, `take_fresh`): a shared list asked for one
@@ -135,9 +139,11 @@ struct Adopting {
 /// The learning-order list: the set's own vector until a
 /// [`snapshot`](KnowledgeSet::snapshot) sends it, then an
 /// [`AppendList`] — one buffer that every payload sent from it reads up
-/// to the length it was sent at, while the set appends past them all.
-/// Only a full buffer grows, to twice the room. Either way
-/// the 24 bytes of a vector hold it, so a set is no larger for sending.
+/// to the length it was sent at, while the set appends past them all,
+/// in 16-bit slots while every id fits. Only a full buffer grows, to
+/// twice the room. Either way the 24 bytes of a vector hold it, so a
+/// set is no larger for sending. The methods that run once per id of a
+/// shared list match its slot width once per call, never per id.
 #[derive(Debug, Clone)]
 enum List {
     Owned(Vec<NodeId>),
@@ -168,12 +174,13 @@ impl List {
     fn iter(&self) -> Iter<'_> {
         match self {
             List::Owned(ids) => Iter::Plain(ids.iter()),
-            List::Shared(ids) => Iter::Shared(ids.iter()),
+            List::Shared(ids) => ids.iter(),
         }
     }
 
     /// `true` if `id` is listed, by [`scan`]: the list-only tier's
-    /// membership.
+    /// membership. A shared list's slot width is matched once, by its
+    /// iterator's `fold`.
     #[inline]
     fn scan(&self, id: NodeId) -> bool {
         match self {
@@ -223,20 +230,22 @@ impl List {
         }
     }
 
-    /// Room for `additional` more ids, by doubling, as
-    /// [`reserve_doubling`] grows a vector.
-    fn reserve_doubling(&mut self, additional: usize) {
+    /// Room for `additional` more ids, none of them above `top`, by
+    /// doubling, as [`reserve_doubling`] grows a vector.
+    fn reserve_doubling(&mut self, additional: usize, top: NodeId) {
         match self {
             List::Owned(ids) => reserve_doubling(ids, additional),
-            List::Shared(ids) => ids.reserve(additional),
+            List::Shared(ids) => ids.reserve(additional, top),
         }
     }
 
-    /// Appends the `new` ids of `ids` that `is_new` picks out
-    /// ([`pick_new`]).
+    /// Appends the `new` ids of `ids`, none of them above `top`, that
+    /// `is_new` picks out ([`pick_new`]). The list's slot width is
+    /// matched here, once, and the payload's in `pick_new`.
     fn append_new(
         &mut self,
-        ids: impl Iterator<Item = NodeId>,
+        ids: Iter<'_>,
+        top: NodeId,
         new: usize,
         is_new: impl Fn(usize, u64) -> bool,
     ) {
@@ -247,10 +256,10 @@ impl List {
                 let tail = &mut list[before..];
                 pick_new(ids, new, is_new, |i, id| tail[i] = id);
             }
-            List::Shared(list) => {
-                let tail = list.grow(new);
-                pick_new(ids, new, is_new, |i, id| tail.set(i, id));
-            }
+            List::Shared(list) => match list.grow(new, top) {
+                Tail::Narrow(tail) => pick_new(ids, new, is_new, |i, id| tail[i].set(id)),
+                Tail::Wide(tail) => pick_new(ids, new, is_new, |i, id| tail[i].set(id)),
+            },
         }
     }
 
@@ -388,8 +397,24 @@ fn top_bit(bits: &[u64]) -> Option<u32> {
 /// out by word and bit at places `0..new` of a list's tail, and reads no
 /// further. Every id is stored where the next new one belongs and only a
 /// new one moves that place on: which ids are new is as good as random,
-/// and a branch on it costs more than the store.
+/// and a branch on it costs more than the store. The payload's slot
+/// width is matched once, not per id.
 fn pick_new(
+    ids: Iter<'_>,
+    new: usize,
+    is_new: impl Fn(usize, u64) -> bool,
+    store: impl FnMut(usize, NodeId),
+) {
+    match ids {
+        Iter::Plain(ids) => pick_from(ids.copied(), new, is_new, store),
+        Iter::Narrow(slots) => pick_from(slots.map(Slot::id), new, is_new, store),
+        Iter::Wide(slots) => pick_from(slots.map(Slot::id), new, is_new, store),
+    }
+}
+
+/// [`pick_new`] on ids of one representation.
+#[inline]
+fn pick_from(
     ids: impl Iterator<Item = NodeId>,
     new: usize,
     is_new: impl Fn(usize, u64) -> bool,
@@ -769,7 +794,8 @@ impl KnowledgeSet {
             // into `fold`); split here, 0.98–1.01×.
             return match payload.iter() {
                 Iter::Plain(ids) => self.extend_ids(ids.copied()),
-                Iter::Shared(ids) => self.extend_ids(ids),
+                Iter::Narrow(slots) => self.extend_ids(slots.map(Slot::id)),
+                Iter::Wide(slots) => self.extend_ids(slots.map(Slot::id)),
             };
         };
         let new = self.count_new(theirs);
@@ -815,14 +841,16 @@ impl KnowledgeSet {
         let ids = adopting.payload.shared_ids();
         let ids = ids.expect("only shared payloads are adopted");
         let (theirs, new) = (adopting.bitmap(), adopting.new);
+        // No new id is above the payload's top.
+        let top = NodeId::new(top_bit(theirs).unwrap_or(0));
         let list = &mut self.list;
         if let Membership::Small { len, ids: held } = tier {
             let held = &held[..len as usize];
-            list.reserve_doubling(held.len() + new);
+            list.reserve_doubling(held.len() + new, top);
             list.extend_from_slice(held);
             tier = Membership::of(list);
         }
-        list.reserve_doubling(new);
+        list.reserve_doubling(new, top);
         if tier.stays_sorted_merging(list.len(), ids.len(), theirs.len()) {
             let mut unknown = theirs.to_vec();
             for raw in tier.listed(list) {
@@ -831,7 +859,7 @@ impl KnowledgeSet {
                     *word &= !b;
                 }
             }
-            list.append_new(ids, new, |w, b| unknown[w] & b != 0);
+            list.append_new(ids, top, new, |w, b| unknown[w] & b != 0);
             // The set's top stays its top: a payload with a bitmap lists
             // more ids than it has words, so one that keeps the set
             // sorted ends in a lower word than the set's.
@@ -845,7 +873,7 @@ impl KnowledgeSet {
             if bits.len() < theirs.len() {
                 bits.resize(theirs.len(), 0);
             }
-            list.append_new(ids, new, |w, b| bits[w] & b == 0);
+            list.append_new(ids, top, new, |w, b| bits[w] & b == 0);
             for (mine, &word) in bits.iter_mut().zip(theirs) {
                 *mine |= word;
             }
@@ -1774,8 +1802,9 @@ mod tests {
     fn a_set_that_sends_snapshots_keeps_one_buffer() {
         // Every snapshot held while the set learns 900 more ids: the
         // set appends past them in one buffer, grown only when full,
-        // and counts that buffer and the bitmap on offer — nothing for
-        // the payloads that still read an older one.
+        // and counts that buffer — two bytes a slot, every id fitting
+        // in 16 bits — and the bitmap on offer; nothing for the payloads
+        // that still read an older one.
         let mut k: KnowledgeSet = (0..100).map(id).collect();
         let mut held = Vec::new();
         let shared = |k: &KnowledgeSet| match &k.list {
@@ -1802,7 +1831,7 @@ mod tests {
                 k.resident_bytes(),
                 std::mem::size_of::<KnowledgeSet>()
                     + 8 * bits.capacity()
-                    + 4 * capacity
+                    + 2 * capacity
                     + 8 * offered
             );
             if capacities.last() != Some(&capacity) {
@@ -1817,17 +1846,20 @@ mod tests {
             );
         }
         // Iterating reads the shared buffer in place; a slice is a
-        // vector of the set's own again, of the same capacity, and the
-        // next snapshot shares it anew.
+        // vector of the set's own again, of the same capacity at four
+        // bytes an id, and the next snapshot shares it anew. The offered
+        // bitmap stays with the payloads.
         let capacity = shared(&k);
         assert!(k.iter().eq((0..1000).map(id)));
         assert_eq!(shared(&k), capacity);
-        let bytes = k.resident_bytes();
         assert_eq!(k.list().len(), 1000);
         assert!(matches!(k.list, List::Owned(_)));
-        assert!(
-            k.resident_bytes() < bytes,
-            "the offered bitmap stays with the payloads"
+        let Membership::Dense(bits) = k.tiers().0 else {
+            panic!("dense")
+        };
+        assert_eq!(
+            k.resident_bytes(),
+            std::mem::size_of::<KnowledgeSet>() + 8 * bits.capacity() + 4 * capacity
         );
         assert_eq!(k.snapshot().to_vec(), k.to_vec());
         assert!(matches!(k.list, List::Shared(_)));

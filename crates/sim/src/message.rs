@@ -2,7 +2,7 @@
 
 use crate::id::NodeId;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU16, AtomicU32, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 /// Number of header bits charged to every message regardless of payload
@@ -90,7 +90,9 @@ const INLINE_POINTERS: usize = 4;
 /// `From<Vec<NodeId>>` / `From<&[NodeId]>` conversion, and read it with
 /// [`iter`](Self::iter), [`get`](Self::get) and
 /// [`contains`](Self::contains). The slots of a shared list are atomic,
-/// because its sender may be writing past its end on another thread.
+/// because its sender may be writing past its end on another thread,
+/// and two bytes wide while every id the buffer holds fits in 16 bits
+/// ([`Slot`]).
 #[derive(Clone)]
 pub struct PointerList(Repr);
 
@@ -116,14 +118,13 @@ enum Repr {
 /// writes a slot below a length it has handed out. On x86 such a load is
 /// a plain load.
 struct Prefix {
-    /// The whole buffer: every slot is initialised, up to its capacity.
-    slots: Arc<Vec<AtomicU32>>,
+    slots: Arc<Buffer>,
     len: usize,
     bitmap: OnceLock<Option<Box<[u64]>>>,
 }
 
 impl Prefix {
-    fn new(slots: Arc<Vec<AtomicU32>>, len: usize) -> Arc<Prefix> {
+    fn new(slots: Arc<Buffer>, len: usize) -> Arc<Prefix> {
         Arc::new(Prefix {
             slots,
             len,
@@ -131,27 +132,144 @@ impl Prefix {
         })
     }
 
-    fn ids(&self) -> SharedIds<'_> {
-        SharedIds(self.slots[..self.len].iter())
+    fn ids(&self) -> Iter<'_> {
+        self.slots.ids(self.len)
     }
 }
 
-/// A buffer of `capacity` slots holding `ids` first.
-fn buffer(ids: impl Iterator<Item = AtomicU32>, capacity: usize) -> Arc<Vec<AtomicU32>> {
-    let mut slots = Vec::with_capacity(capacity);
-    slots.extend(ids);
-    slots.resize_with(capacity, || AtomicU32::new(0));
-    Arc::new(slots)
+/// The largest id a 16-bit slot holds.
+const NARROW_MAX: u32 = u16::MAX as u32;
+
+/// `true` if ids up to `top` need 32-bit slots.
+fn wide_for(top: Option<NodeId>) -> bool {
+    top.is_some_and(|top| u32::from(top) > NARROW_MAX)
 }
 
-/// The values of `slots`, as new slots.
-fn copied(slots: &[AtomicU32]) -> impl Iterator<Item = AtomicU32> + '_ {
-    slots.iter().map(|slot| AtomicU32::new(slot.load(Relaxed)))
+/// A slot of a shared buffer: an atomic of 16 bits ([`AtomicU16`]) in
+/// a buffer whose every id fits in them, else of 32 ([`AtomicU32`]).
+/// Read a buffer's slots through [`Iter::Narrow`] / [`Iter::Wide`] and
+/// write them through [`Tail`]; a loop that matches the width once and
+/// then runs on one slot type pays nothing per id for it.
+pub trait Slot: Sized + Send + Sync {
+    /// A new slot holding `id`, which must fit it.
+    fn holding(id: NodeId) -> Self;
+
+    /// The id in the slot (a relaxed load).
+    fn id(&self) -> NodeId;
+
+    /// Stores `id`, which must fit the slot (a relaxed store).
+    fn set(&self, id: NodeId);
 }
 
-/// `ids` as slot values.
-fn stored(ids: &[NodeId]) -> impl Iterator<Item = AtomicU32> + '_ {
-    ids.iter().map(|&id| AtomicU32::new(id.into()))
+impl Slot for AtomicU16 {
+    fn holding(id: NodeId) -> Self {
+        debug_assert!(u32::from(id) <= NARROW_MAX, "{id} needs a 32-bit slot");
+        AtomicU16::new(u32::from(id) as u16)
+    }
+
+    #[inline]
+    fn id(&self) -> NodeId {
+        NodeId::new(self.load(Relaxed).into())
+    }
+
+    #[inline]
+    fn set(&self, id: NodeId) {
+        debug_assert!(u32::from(id) <= NARROW_MAX, "{id} needs a 32-bit slot");
+        self.store(u32::from(id) as u16, Relaxed);
+    }
+}
+
+impl Slot for AtomicU32 {
+    fn holding(id: NodeId) -> Self {
+        AtomicU32::new(id.into())
+    }
+
+    #[inline]
+    fn id(&self) -> NodeId {
+        NodeId::new(self.load(Relaxed))
+    }
+
+    #[inline]
+    fn set(&self, id: NodeId) {
+        self.store(id.into(), Relaxed);
+    }
+}
+
+/// The whole of a shared buffer, every slot initialised up to its
+/// capacity: 16-bit slots while every id it holds fits, 32-bit ones
+/// from the first id that does not.
+enum Buffer {
+    Narrow(Vec<AtomicU16>),
+    Wide(Vec<AtomicU32>),
+}
+
+impl Buffer {
+    /// A buffer of `capacity` slots holding `ids` first, in 32-bit slots
+    /// if `wide`.
+    fn new(ids: Iter<'_>, wide: bool, capacity: usize) -> Arc<Buffer> {
+        fn filled<S: Slot>(ids: Iter<'_>, capacity: usize) -> Vec<S> {
+            let mut slots = Vec::with_capacity(capacity);
+            match ids {
+                Iter::Plain(ids) => slots.extend(ids.map(|&id| S::holding(id))),
+                Iter::Narrow(old) => slots.extend(old.map(|slot| S::holding(slot.id()))),
+                Iter::Wide(old) => slots.extend(old.map(|slot| S::holding(slot.id()))),
+            }
+            slots.resize_with(capacity, || S::holding(NodeId::new(0)));
+            slots
+        }
+        Arc::new(if wide {
+            Buffer::Wide(filled(ids, capacity))
+        } else {
+            Buffer::Narrow(filled(ids, capacity))
+        })
+    }
+
+    fn is_wide(&self) -> bool {
+        matches!(self, Buffer::Wide(_))
+    }
+
+    fn capacity(&self) -> usize {
+        match self {
+            Buffer::Narrow(slots) => slots.len(),
+            Buffer::Wide(slots) => slots.len(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Buffer::Narrow(slots) => slots.len() * std::mem::size_of::<AtomicU16>(),
+            Buffer::Wide(slots) => slots.len() * std::mem::size_of::<AtomicU32>(),
+        }
+    }
+
+    /// The first `len` ids.
+    fn ids(&self, len: usize) -> Iter<'_> {
+        match self {
+            Buffer::Narrow(slots) => Iter::Narrow(slots[..len].iter()),
+            Buffer::Wide(slots) => Iter::Wide(slots[..len].iter()),
+        }
+    }
+
+    /// Slots `range`, to be written.
+    fn tail(&self, range: std::ops::Range<usize>) -> Tail<'_> {
+        match self {
+            Buffer::Narrow(slots) => Tail::Narrow(&slots[range]),
+            Buffer::Wide(slots) => Tail::Wide(&slots[range]),
+        }
+    }
+
+    /// Grows to `capacity` slots of the same width, in place where the
+    /// allocator can.
+    fn grow_in_place(&mut self, capacity: usize) {
+        fn grown<S: Slot>(slots: &mut Vec<S>, capacity: usize) {
+            slots.reserve_exact(capacity - slots.len());
+            slots.resize_with(capacity, || S::holding(NodeId::new(0)));
+        }
+        match self {
+            Buffer::Narrow(slots) => grown(slots, capacity),
+            Buffer::Wide(slots) => grown(slots, capacity),
+        }
+    }
 }
 
 /// The capacity a push at a time grows a list of `capacity` entries to
@@ -187,7 +305,8 @@ impl PointerList {
         if ids.len() <= INLINE_POINTERS {
             PointerList::from(ids)
         } else {
-            let slots = buffer(stored(ids), ids.len());
+            let wide = wide_for(ids.iter().max().copied());
+            let slots = Buffer::new(Iter::Plain(ids.iter()), wide, ids.len());
             PointerList(Repr::Shared(Prefix::new(slots, ids.len())))
         }
     }
@@ -220,9 +339,10 @@ impl PointerList {
         bitmap.as_deref()
     }
 
-    /// The ids of a shared list, read from its buffer (`None` for a list
-    /// that is not shared).
-    pub fn shared_ids(&self) -> Option<SharedIds<'_>> {
+    /// The ids of a shared list, read from its buffer
+    /// ([`Iter::Narrow`] or [`Iter::Wide`]; `None` for a list that is
+    /// not shared).
+    pub fn shared_ids(&self) -> Option<Iter<'_>> {
         match &self.0 {
             Repr::Shared(shared) => Some(shared.ids()),
             _ => None,
@@ -262,7 +382,7 @@ impl PointerList {
         match &self.0 {
             Repr::Inline { len, ids } => Iter::Plain(ids[..*len as usize].iter()),
             Repr::Heap(v) => Iter::Plain(v.iter()),
-            Repr::Shared(shared) => Iter::Shared(shared.ids()),
+            Repr::Shared(shared) => shared.ids(),
         }
     }
 
@@ -272,35 +392,21 @@ impl PointerList {
     }
 }
 
-/// The ids of a shared list, by value: relaxed loads of its slots.
-#[derive(Clone)]
-pub struct SharedIds<'a>(std::slice::Iter<'a, AtomicU32>);
-
-impl Iterator for SharedIds<'_> {
-    type Item = NodeId;
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        self.0.next().map(|slot| NodeId::new(slot.load(Relaxed)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-
-    fn nth(&mut self, n: usize) -> Option<NodeId> {
-        self.0.nth(n).map(|slot| NodeId::new(slot.load(Relaxed)))
-    }
-}
-
-impl ExactSizeIterator for SharedIds<'_> {}
-
-/// The ids of a [`PointerList`], by value, whatever its representation.
+/// The ids of a [`PointerList`] or an [`AppendList`], by value,
+/// whatever the representation: a slice of ids, or relaxed loads of a
+/// shared buffer's 16-bit or 32-bit [slots](Slot).
+///
+/// `next` picks the arm per id. [`fold`](Iterator::fold), and with it
+/// `for_each`, `max` and the like, picks it once per pass; a loop that
+/// must stop early matches the arm itself and runs on its slice.
 #[derive(Clone)]
 pub enum Iter<'a> {
     /// An inline or heap list.
     Plain(std::slice::Iter<'a, NodeId>),
-    /// A shared list.
-    Shared(SharedIds<'a>),
+    /// A shared buffer whose every id fits in 16 bits.
+    Narrow(std::slice::Iter<'a, AtomicU16>),
+    /// A shared buffer holding an id past 16 bits.
+    Wide(std::slice::Iter<'a, AtomicU32>),
 }
 
 impl Iterator for Iter<'_> {
@@ -309,14 +415,33 @@ impl Iterator for Iter<'_> {
     fn next(&mut self) -> Option<NodeId> {
         match self {
             Iter::Plain(ids) => ids.next().copied(),
-            Iter::Shared(ids) => ids.next(),
+            Iter::Narrow(slots) => slots.next().map(Slot::id),
+            Iter::Wide(slots) => slots.next().map(Slot::id),
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
             Iter::Plain(ids) => ids.size_hint(),
-            Iter::Shared(ids) => ids.size_hint(),
+            Iter::Narrow(slots) => slots.size_hint(),
+            Iter::Wide(slots) => slots.size_hint(),
+        }
+    }
+
+    fn nth(&mut self, n: usize) -> Option<NodeId> {
+        match self {
+            Iter::Plain(ids) => ids.nth(n).copied(),
+            Iter::Narrow(slots) => slots.nth(n).map(Slot::id),
+            Iter::Wide(slots) => slots.nth(n).map(Slot::id),
+        }
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, NodeId) -> B>(self, init: B, f: F) -> B {
+        match self {
+            Iter::Plain(ids) => ids.copied().fold(init, f),
+            Iter::Narrow(slots) => slots.map(Slot::id).fold(init, f),
+            Iter::Wide(slots) => slots.map(Slot::id).fold(init, f),
         }
     }
 }
@@ -432,6 +557,13 @@ impl MessageCost for PointerList {
 /// payload reads it, else by a copy, and the payloads that hold the old
 /// one keep it alive until they are dropped.
 ///
+/// The slots are two bytes while every id the list holds fits in 16
+/// bits — every id of a run of up to 65 536 nodes — and four from the
+/// first append of one that does not: that append copies the list into
+/// 32-bit slots first (a [`Slot`] of either width). The width is read
+/// off the ids, never configured; payloads already sent keep reading
+/// their 16-bit prefix, as they keep a buffer the list has outgrown.
+///
 /// Sending again after nothing was appended is a clone of the handle on
 /// the last payload; after an append, the holder offers its bitmap of
 /// the grown list anew. A clone copies the ids into a buffer of its own,
@@ -449,11 +581,15 @@ pub struct AppendList {
 
 impl AppendList {
     /// A list of `ids`, which must be distinct, in a buffer of the
-    /// vector's capacity.
+    /// vector's capacity, of 16-bit slots unless an id needs more.
     pub fn from_vec(ids: Vec<NodeId>) -> Self {
         let capacity = ids.capacity().max(ids.len());
+        let wide = wide_for(ids.iter().max().copied());
         AppendList {
-            last: Prefix::new(buffer(stored(&ids), capacity), ids.len()),
+            last: Prefix::new(
+                Buffer::new(Iter::Plain(ids.iter()), wide, capacity),
+                ids.len(),
+            ),
             len: ids.len(),
         }
     }
@@ -470,7 +606,7 @@ impl AppendList {
 
     /// Slots in the buffer.
     pub fn capacity(&self) -> usize {
-        self.last.slots.len()
+        self.last.slots.capacity()
     }
 
     /// The id at `index`.
@@ -479,12 +615,13 @@ impl AppendList {
     ///
     /// Panics if `index` is not below [`len`](Self::len).
     pub fn get(&self, index: usize) -> NodeId {
-        NodeId::new(self.last.slots[..self.len][index].load(Relaxed))
+        self.iter().nth(index).expect("an index below the length")
     }
 
-    /// The ids, in the order they were appended.
-    pub fn iter(&self) -> SharedIds<'_> {
-        SharedIds(self.last.slots[..self.len].iter())
+    /// The ids, in the order they were appended ([`Iter::Narrow`] or
+    /// [`Iter::Wide`]).
+    pub fn iter(&self) -> Iter<'_> {
+        self.last.slots.ids(self.len)
     }
 
     /// The ids, copied into a vector of the buffer's capacity.
@@ -494,54 +631,58 @@ impl AppendList {
         ids
     }
 
-    /// Room for `additional` more ids, grown as a push at a time grows a
-    /// vector ([`doubled_capacity`]). A buffer no payload reads any
-    /// more grows as a vector does, in place where the allocator can; one
-    /// that a payload still reads is copied into a new buffer, and the
-    /// payloads keep the old one. (Copying every time read ~10 % slower
-    /// on Name-Dropper, whose sets mostly grow while nothing holds them.)
-    /// Either way the bitmap offered with the last snapshot is no longer
-    /// the list's to count.
-    pub fn reserve(&mut self, additional: usize) {
+    /// Room for `additional` more ids, none of them above `top`, grown
+    /// as a push at a time grows a vector ([`doubled_capacity`]). A
+    /// buffer no payload reads any more grows as a vector does, in place
+    /// where the allocator can; one that a payload still reads, or whose
+    /// 16-bit slots cannot hold `top`, is copied into a new buffer, and
+    /// the payloads keep the old one. (Copying every time read ~10 %
+    /// slower on Name-Dropper, whose sets mostly grow while nothing holds
+    /// them.) Either way the bitmap offered with the last snapshot is no
+    /// longer the list's to count.
+    pub fn reserve(&mut self, additional: usize, top: NodeId) {
         let needed = self.len + additional;
-        if needed <= self.capacity() {
+        let wide = self.last.slots.is_wide() || wide_for(Some(top));
+        if needed <= self.capacity() && wide == self.last.slots.is_wide() {
             return;
         }
         let capacity = doubled_capacity(self.capacity(), needed);
         if let Some(last) = Arc::get_mut(&mut self.last) {
             if let Some(slots) = Arc::get_mut(&mut last.slots) {
-                last.bitmap.take();
-                slots.reserve_exact(capacity - slots.len());
-                slots.resize_with(capacity, || AtomicU32::new(0));
-                return;
+                if slots.is_wide() == wide {
+                    last.bitmap.take();
+                    slots.grow_in_place(capacity);
+                    return;
+                }
             }
         }
-        let slots = buffer(copied(&self.last.slots[..self.len]), capacity);
+        let slots = Buffer::new(self.iter(), wide, capacity);
         self.last = Prefix::new(slots, self.len);
     }
 
     /// Appends `id`, which the list must not hold.
     pub fn push(&mut self, id: NodeId) {
-        self.grow(1).set(0, id);
+        self.grow(1, id).set(0, id);
     }
 
     /// Appends `ids`, none of which the list may hold.
     pub fn extend_from_slice(&mut self, ids: &[NodeId]) {
-        let tail = self.grow(ids.len());
+        let top = ids.iter().max().copied().unwrap_or_default();
+        let tail = self.grow(ids.len(), top);
         for (i, &id) in ids.iter().enumerate() {
             tail.set(i, id);
         }
     }
 
-    /// Lengthens the list by `n` ids and hands out their slots, which
-    /// the caller must [set](Tail::set) before anything reads the list
-    /// (until then they read as id 0). The buffer grows as
-    /// [`reserve`](Self::reserve) grows it.
-    pub fn grow(&mut self, n: usize) -> Tail<'_> {
-        self.reserve(n);
+    /// Lengthens the list by `n` ids, none of them above `top`, and
+    /// hands out their slots, which the caller must [set](Tail::set)
+    /// before anything reads the list (until then they read as id 0).
+    /// The buffer grows, or widens, as [`reserve`](Self::reserve) has it.
+    pub fn grow(&mut self, n: usize, top: NodeId) -> Tail<'_> {
+        self.reserve(n, top);
         let start = self.len;
         self.len += n;
-        Tail(&self.last.slots[start..self.len])
+        self.last.slots.tail(start..self.len)
     }
 
     /// The list as a payload: a prefix of the buffer, shared with this
@@ -588,7 +729,7 @@ impl AppendList {
     /// Heap bytes of the buffer and of the bitmap on offer (capacities).
     pub fn heap_bytes(&self) -> usize {
         let offered = self.last.bitmap.get().and_then(Option::as_ref);
-        self.capacity() * std::mem::size_of::<AtomicU32>()
+        self.last.slots.heap_bytes()
             + offered.map_or(0, |words| words.len() * std::mem::size_of::<u64>())
     }
 }
@@ -597,7 +738,7 @@ impl Clone for AppendList {
     fn clone(&self) -> Self {
         AppendList {
             last: Prefix::new(
-                buffer(copied(&self.last.slots[..self.len]), self.capacity()),
+                Buffer::new(self.iter(), self.last.slots.is_wide(), self.capacity()),
                 self.len,
             ),
             len: self.len,
@@ -611,8 +752,15 @@ impl fmt::Debug for AppendList {
     }
 }
 
-/// The slots [`AppendList::grow`] appended, to be filled.
-pub struct Tail<'a>(&'a [AtomicU32]);
+/// The slots [`AppendList::grow`] appended, to be filled: 16-bit ones,
+/// or 32-bit ones (a [`Slot`] of either width). A loop that fills many
+/// matches the arm once and [sets](Slot::set) the slots of its slice.
+pub enum Tail<'a> {
+    /// Slots of a buffer whose every id fits in 16 bits.
+    Narrow(&'a [AtomicU16]),
+    /// Slots of a buffer holding an id past 16 bits.
+    Wide(&'a [AtomicU32]),
+}
 
 impl Tail<'_> {
     /// Stores `id` in slot `i`.
@@ -622,7 +770,10 @@ impl Tail<'_> {
     /// Panics if `i` is not below the number of slots appended.
     #[inline]
     pub fn set(&self, i: usize, id: NodeId) {
-        self.0[i].store(id.into(), Relaxed);
+        match self {
+            Tail::Narrow(slots) => slots[i].set(id),
+            Tail::Wide(slots) => slots[i].set(id),
+        }
     }
 }
 
@@ -763,9 +914,9 @@ mod tests {
     }
 
     /// The buffer a shared list reads from.
-    fn buffer_of(list: &PointerList) -> *const AtomicU32 {
+    fn buffer_of(list: &PointerList) -> *const Buffer {
         match &list.0 {
-            Repr::Shared(shared) => shared.slots.as_ptr(),
+            Repr::Shared(shared) => Arc::as_ptr(&shared.slots),
             _ => panic!("not shared"),
         }
     }
@@ -820,7 +971,7 @@ mod tests {
         let mut list = AppendList::from_vec(Vec::with_capacity(16));
         list.extend_from_slice(&nid(0..6));
         let payload = list.snapshot(Some(&bitmap_of(&nid(0..6))));
-        assert_eq!(list.heap_bytes(), 16 * 4 + 8);
+        assert_eq!(list.heap_bytes(), 16 * 2 + 8);
         // The list appends in place while the payload holds it, and the
         // payload still reads the six ids it was sent with.
         let buffer = buffer_of(&payload);
@@ -830,13 +981,13 @@ mod tests {
         let grown = list.snapshot(None);
         assert_eq!(buffer_of(&grown), buffer);
         assert_eq!(grown.to_vec(), nid(0..7));
-        assert_eq!(list.heap_bytes(), 16 * 4, "nothing offered for seven");
+        assert_eq!(list.heap_bytes(), 16 * 2, "nothing offered for seven");
         assert_eq!(
             grown.shared_bitmap(),
             Some(&[0b111_1111][..]),
             "built on asking"
         );
-        assert_eq!(list.heap_bytes(), 16 * 4 + 8, "and held with the list");
+        assert_eq!(list.heap_bytes(), 16 * 2 + 8, "and held with the list");
         let again = list.snapshot(Some(&[u64::MAX]));
         assert!(std::ptr::eq(
             grown.shared_bitmap().unwrap(),
@@ -872,6 +1023,90 @@ mod tests {
         assert_eq!(list.snapshot(None).to_vec(), nid(0..18));
         assert_eq!(sent.to_vec(), nid(0..17));
         assert_eq!(list.get(17), NodeId::new(17));
+    }
+
+    /// Whether a shared list's buffer has 32-bit slots.
+    fn is_wide(list: &PointerList) -> bool {
+        match &list.0 {
+            Repr::Shared(shared) => shared.slots.is_wide(),
+            _ => panic!("not shared"),
+        }
+    }
+
+    #[test]
+    fn a_narrow_list_widens_for_the_first_id_past_16_bits() {
+        // Ids up to 65 535 in two-byte slots, dense enough for a bitmap
+        // (1 101 ids, 1 024 words); a payload sent from them keeps its
+        // prefix, and its bitmap, when id 65 536 arrives.
+        let ids = nid((0..1_100).chain([65_535]));
+        let mut list = AppendList::from_vec(Vec::with_capacity(2048));
+        list.extend_from_slice(&ids);
+        let mut twin = ids.clone();
+        assert_eq!(list.heap_bytes(), 2048 * 2);
+        let payload = list.snapshot(None);
+        assert!(!is_wide(&payload));
+        let bitmap = payload.shared_bitmap().expect("dense enough").to_vec();
+        assert_eq!(bitmap, NodeId::bitmap(&ids, 1024));
+        list.push(NodeId::new(65_536));
+        twin.push(NodeId::new(65_536));
+        // Copied into 32-bit slots of the same capacity; the bitmap stays
+        // with the payload.
+        assert_eq!((list.capacity(), list.heap_bytes()), (2048, 2048 * 4));
+        assert_eq!(payload.to_vec(), ids);
+        assert_eq!(payload.shared_bitmap(), Some(&bitmap[..]));
+        assert_eq!(payload.get(1_100), Some(NodeId::new(65_535)));
+        let wide = list.snapshot(None);
+        assert!(is_wide(&wide));
+        assert_ne!(buffer_of(&wide), buffer_of(&payload));
+        assert_eq!(wide.to_vec(), twin);
+        assert_eq!(wide, PointerList::from(twin.clone()));
+        // Wide from then on, whatever is appended, and in its clones.
+        list.extend_from_slice(&nid([1, 2]));
+        twin.extend(nid([1, 2]));
+        assert_eq!(list.to_vec(), twin);
+        assert!(list.iter().eq(twin.iter().copied()));
+        assert_eq!(list.get(1_101), NodeId::new(65_536));
+        assert_eq!(list.clone().heap_bytes(), 4 * list.capacity());
+        // Built from a vector that holds such an id, a list is wide at
+        // once.
+        let copy = twin.clone();
+        let capacity = copy.capacity();
+        assert_eq!(AppendList::from_vec(copy).heap_bytes(), 4 * capacity);
+        // An empty list is narrow until its first id says otherwise.
+        let mut empty = AppendList::from_vec(Vec::new());
+        empty.push(NodeId::new(1 << 20));
+        assert_eq!(empty.to_vec(), nid([1 << 20]));
+        assert_eq!(empty.heap_bytes(), 4 * 4);
+    }
+
+    #[test]
+    fn shared_lists_across_the_width_boundary_equal_their_heap_twins() {
+        // Straddling 65 535 / 65 536: wide, and read back exactly; below
+        // it, narrow. Either way the bitmap is the one a receiver builds
+        // — there is one when the ids outnumber its 1 025 words.
+        let dense = |range: std::ops::Range<u32>| nid((0..1_100).chain(range));
+        for (ids, wide, bitmap) in [
+            (nid(65_530..65_542), true, false),
+            (nid(65_524..65_536), false, false),
+            (nid([65_536, 0, 1, 2, 3]), true, false),
+            (dense(65_530..65_542), true, true),
+            (dense(65_524..65_536), false, true),
+        ] {
+            let shared = PointerList::shared(&ids);
+            let heap = PointerList::from(ids.clone());
+            assert_eq!(is_wide(&shared), wide, "{:?}", &ids[..2]);
+            assert_eq!(shared, heap);
+            assert_eq!(shared.to_vec(), ids);
+            assert!(shared.shared_ids().unwrap().eq(ids.iter().copied()));
+            assert_eq!(shared.get(ids.len() - 1), ids.last().copied());
+            let words = NodeId::bitmap_words(&ids);
+            let built = shared.shared_bitmap();
+            assert_eq!(built.is_some(), bitmap);
+            assert_eq!(
+                built.map(<[u64]>::to_vec),
+                bitmap.then(|| NodeId::bitmap(&ids, words))
+            );
+        }
     }
 
     #[test]

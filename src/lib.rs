@@ -56,8 +56,9 @@ pub use rd_sim as sim;
 
 pub use rd_core::runner::run;
 
-/// The two names the standalone `benchmark/` package imports; ROADMAP
-/// item 6 deletes this module along with the benchmark's use of them.
+/// The two names the standalone `benchmark/` package imports; the
+/// ROADMAP item *One engine and one metric store* deletes this module
+/// along with the benchmark's use of them.
 pub mod event {
     pub use rd_sim::LatencyModel;
     use rd_sim::{Engine, Node, RoundEngine};

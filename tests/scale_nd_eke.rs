@@ -8,11 +8,13 @@
 //! is a prefix of the set's own learning-order list, which the set
 //! keeps in one append-only buffer and appends to past every prefix it
 //! has sent, so a node's knowledge is one buffer, grown only when full,
-//! and the buffers its payloads read are its own. Peak resident set
-//! (`VmHWM`) on a 2-vCPU x86-64 Linux VM: 755 MiB when every snapshot
-//! after growth copied the list, 527 MiB when snapshots lent the list
-//! and the set kept a spare buffer to append to while they were out,
-//! 313 MiB with one buffer; gated at 380 (about 20 % above).
+//! and the buffers its payloads read are its own; its slots are two
+//! bytes while every id fits in 16 bits, as all 8 192 do here. Peak
+//! resident set (`VmHWM`) on a 2-vCPU x86-64 Linux VM: 755 MiB when
+//! every snapshot after growth copied the list, 527 MiB when snapshots
+//! lent the list and the set kept a spare buffer to append to while
+//! they were out, 313 MiB with one buffer of 32-bit slots, 174 MiB with
+//! 16-bit ones; gated at 210 (about 20 % above).
 //!
 //! Ignored by default — it wants an optimised build, and like
 //! `scale_hm_eke` it is the only test in its binary, so the process's
@@ -44,6 +46,6 @@ fn name_dropper_reaches_everyone_knows_everyone_at_2p13() {
         (27, 221_184, 960_564_112)
     );
     if let Some(mib) = peak_rss_mib() {
-        assert!(mib < 380, "peak resident set {mib} MiB");
+        assert!(mib < 210, "peak resident set {mib} MiB");
     }
 }
