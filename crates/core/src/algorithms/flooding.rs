@@ -11,7 +11,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, PointerList, RoundContext};
+use rd_sim::{Inbox, MessageCost, Node, NodeId, PointerList, RoundContext};
 
 /// Factory for the flooding baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,12 +53,8 @@ pub struct FloodingNode {
 impl Node for FloodingNode {
     type Msg = FloodMsg;
 
-    fn on_round(
-        &mut self,
-        inbox: &mut Vec<Envelope<FloodMsg>>,
-        ctx: &mut RoundContext<'_, FloodMsg>,
-    ) {
-        for env in inbox.drain(..) {
+    fn on_round(&mut self, inbox: Inbox<'_, FloodMsg>, ctx: &mut RoundContext<'_, FloodMsg>) {
+        for env in inbox {
             self.knowledge.insert(env.src);
             self.knowledge.adopt(&env.payload.ids);
         }

@@ -5,7 +5,7 @@ use super::messages::HmMsg;
 use crate::algorithms::KnowledgeView;
 use crate::knowledge::KnowledgeSet;
 use rand::Rng;
-use rd_sim::{Envelope, Node, NodeId, PointerList, RoundContext, SuspectView};
+use rd_sim::{Envelope, Inbox, Node, NodeId, PointerList, RoundContext, SuspectView};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -267,6 +267,19 @@ impl HmNode {
         self.knowledge_and_enqueue().1(id);
     }
 
+    /// Retires a confirmed probe of `target`, if one is outstanding,
+    /// keeping the others' order. A super-round queues each target once,
+    /// so the first match is the only one.
+    fn confirm(&mut self, target: NodeId) {
+        if let Some(at) = self.outstanding.iter().position(|&t| t == target) {
+            self.outstanding.remove(at);
+            debug_assert!(
+                !self.outstanding[at..].contains(&target),
+                "{target} was queued twice"
+            );
+        }
+    }
+
     fn record_discovery(&mut self, foreign: NodeId) {
         // A suspected (crashed) node must never re-enter the work
         // queues: a single stale in-flight message naming it would
@@ -390,7 +403,7 @@ impl HmNode {
                 if self.is_leader() {
                     if from_leader == self.me {
                         // Our own probe found one of our own members.
-                        self.outstanding.retain(|&t| t != target);
+                        self.confirm(target);
                     } else {
                         self.record_discovery(from_leader);
                         ctx.send(
@@ -415,7 +428,7 @@ impl HmNode {
                 self.knowledge.insert(leader);
                 self.knowledge.insert(target);
                 if self.is_leader() {
-                    self.outstanding.retain(|&t| t != target);
+                    self.confirm(target);
                     self.record_discovery(leader);
                 } else {
                     self.forward(ctx, HmMsg::ProbeReply { leader, target });
@@ -662,14 +675,14 @@ impl HmNode {
 impl Node for HmNode {
     type Msg = HmMsg;
 
-    fn on_round(&mut self, inbox: &mut Vec<Envelope<HmMsg>>, ctx: &mut RoundContext<'_, HmMsg>) {
+    fn on_round(&mut self, inbox: Inbox<'_, HmMsg>, ctx: &mut RoundContext<'_, HmMsg>) {
         // The engine hands out one view until the detector's report
         // changes, so nearly every round of nearly every node stops at
         // this pointer compare.
         if !Arc::ptr_eq(&self.suspected, ctx.suspects()) {
             self.digest_suspects(ctx.suspects());
         }
-        for env in inbox.drain(..) {
+        for env in inbox {
             self.handle_message(env, ctx);
         }
         // Checked every round (not just on fresh reports): a stale Adopt
@@ -881,11 +894,7 @@ mod tests {
     impl Node for Actor {
         type Msg = HmMsg;
 
-        fn on_round(
-            &mut self,
-            inbox: &mut Vec<Envelope<HmMsg>>,
-            ctx: &mut RoundContext<'_, HmMsg>,
-        ) {
+        fn on_round(&mut self, inbox: Inbox<'_, HmMsg>, ctx: &mut RoundContext<'_, HmMsg>) {
             match self {
                 Actor::Hm(node) => node.on_round(inbox, ctx),
                 Actor::Sends(msg) => {
@@ -894,7 +903,7 @@ mod tests {
                     }
                 }
                 Actor::Hears(heard) => {
-                    heard.extend(inbox.drain(..).map(|env| (ctx.round(), env.payload)));
+                    heard.extend(inbox.map(|env| (ctx.round(), env.payload)));
                 }
             }
         }

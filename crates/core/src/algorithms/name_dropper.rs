@@ -16,7 +16,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView, TransferMsg};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, Node, NodeId, RoundContext};
+use rd_sim::{Inbox, Node, NodeId, RoundContext};
 
 /// Factory for the Name-Dropper baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,12 +34,8 @@ pub struct NameDropperNode {
 impl Node for NameDropperNode {
     type Msg = TransferMsg;
 
-    fn on_round(
-        &mut self,
-        inbox: &mut Vec<Envelope<TransferMsg>>,
-        ctx: &mut RoundContext<'_, TransferMsg>,
-    ) {
-        for env in inbox.drain(..) {
+    fn on_round(&mut self, inbox: Inbox<'_, TransferMsg>, ctx: &mut RoundContext<'_, TransferMsg>) {
+        for env in inbox {
             self.knowledge.insert(env.src); // reverse pointer
             self.knowledge.adopt(env.payload.ids());
         }

@@ -22,7 +22,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView, TransferMsg};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, RoundContext};
+use rd_sim::{Inbox, MessageCost, Node, NodeId, RoundContext};
 
 /// Factory for the pointer-doubling baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,10 +67,10 @@ pub struct PointerDoublingNode {
 impl Node for PointerDoublingNode {
     type Msg = PdMsg;
 
-    fn on_round(&mut self, inbox: &mut Vec<Envelope<PdMsg>>, ctx: &mut RoundContext<'_, PdMsg>) {
+    fn on_round(&mut self, inbox: Inbox<'_, PdMsg>, ctx: &mut RoundContext<'_, PdMsg>) {
         let me = ctx.id();
         let mut queriers: Vec<NodeId> = Vec::new();
-        for env in inbox.drain(..) {
+        for env in inbox {
             self.knowledge.insert(env.src);
             self.knowledge.adopt(env.payload.transfer().ids());
             if matches!(env.payload, PdMsg::Query(_)) {

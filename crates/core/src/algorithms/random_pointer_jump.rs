@@ -17,7 +17,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, MessageCost, Node, NodeId, PointerList, RoundContext};
+use rd_sim::{Inbox, MessageCost, Node, NodeId, PointerList, RoundContext};
 
 /// Factory for the random-pointer-jump baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,10 +61,10 @@ pub struct RandomPointerJumpNode {
 impl Node for RandomPointerJumpNode {
     type Msg = RpjMsg;
 
-    fn on_round(&mut self, inbox: &mut Vec<Envelope<RpjMsg>>, ctx: &mut RoundContext<'_, RpjMsg>) {
+    fn on_round(&mut self, inbox: Inbox<'_, RpjMsg>, ctx: &mut RoundContext<'_, RpjMsg>) {
         let me = ctx.id();
         let mut pullers: Vec<NodeId> = Vec::new();
-        for env in inbox.drain(..) {
+        for env in inbox {
             match env.payload {
                 // Deliberately *not* learning env.src here: that reverse
                 // edge is Name-Dropper's fix, not this algorithm.

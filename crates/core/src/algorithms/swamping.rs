@@ -16,7 +16,7 @@
 use crate::algorithms::{DiscoveryAlgorithm, KnowledgeView, TransferMsg};
 use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
-use rd_sim::{Envelope, Node, NodeId, RoundContext};
+use rd_sim::{Inbox, Node, NodeId, RoundContext};
 
 /// Factory for the swamping baseline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,13 +36,9 @@ pub struct SwampingNode {
 impl Node for SwampingNode {
     type Msg = TransferMsg;
 
-    fn on_round(
-        &mut self,
-        inbox: &mut Vec<Envelope<TransferMsg>>,
-        ctx: &mut RoundContext<'_, TransferMsg>,
-    ) {
+    fn on_round(&mut self, inbox: Inbox<'_, TransferMsg>, ctx: &mut RoundContext<'_, TransferMsg>) {
         let mut learned = false;
-        for env in inbox.drain(..) {
+        for env in inbox {
             learned |= self.knowledge.insert(env.src);
             learned |= self.knowledge.adopt(env.payload.ids()) > 0;
         }

@@ -24,7 +24,7 @@
 //! assert!(pushpull.messages > split.messages);
 //! ```
 
-use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext, RoundEngine};
+use rd_sim::{Engine, Inbox, MessageCost, Node, NodeId, RoundContext, RoundEngine};
 
 /// Which rumor-spreading protocol to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,12 +101,8 @@ impl GossipNode {
 impl Node for GossipNode {
     type Msg = GossipMsg;
 
-    fn on_round(
-        &mut self,
-        inbox: &mut Vec<Envelope<GossipMsg>>,
-        ctx: &mut RoundContext<'_, GossipMsg>,
-    ) {
-        for env in inbox.drain(..) {
+    fn on_round(&mut self, inbox: Inbox<'_, GossipMsg>, ctx: &mut RoundContext<'_, GossipMsg>) {
+        for env in inbox {
             match env.payload {
                 GossipMsg::Push => self.informed = true,
                 GossipMsg::PullReq => self.pull_requesters.push(env.src),

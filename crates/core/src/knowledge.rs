@@ -742,8 +742,9 @@ impl KnowledgeSet {
             }
     }
 
-    /// How many ids of the bitmap `theirs` this set lacks.
-    fn count_new(&self, theirs: &[u64]) -> usize {
+    /// How many ids of the bitmap `theirs`, which lists `len` ids, this
+    /// set lacks.
+    fn count_new(&self, theirs: &[u64], len: usize) -> usize {
         let (tier, adopted) = self.tiers();
         // The payload's ids that the held payload did not bring.
         let unseen = |w: usize| theirs[w] & !word_at(adopted, w);
@@ -753,11 +754,26 @@ impl KnowledgeSet {
                 .sum(),
             // A small or sparse set probes its own few entries against
             // the bitmap; probing the payload's ids against the entries
-            // would be a search per payload id.
+            // would be a search per payload id. With no payload held,
+            // every id is unseen, and a shared bitmap lists each id once:
+            // the payload's length is what it could teach, read without
+            // a pass over its n/64 words.
             _ => {
-                let taught: usize = (0..theirs.len())
-                    .map(|w| unseen(w).count_ones() as usize)
-                    .sum();
+                let taught: usize = if adopted.is_empty() {
+                    debug_assert_eq!(
+                        theirs
+                            .iter()
+                            .map(|w| w.count_ones() as usize)
+                            .sum::<usize>(),
+                        len,
+                        "one bit per id"
+                    );
+                    len
+                } else {
+                    (0..theirs.len())
+                        .map(|w| unseen(w).count_ones() as usize)
+                        .sum()
+                };
                 let held = tier
                     .listed(&self.list)
                     .filter(|&raw| {
@@ -777,8 +793,10 @@ impl KnowledgeSet {
     /// payload with a [bitmap](PointerList::shared_bitmap) is not
     /// copied, though: its new ids are counted against the bitmap, a
     /// clone of the handle is kept, and the per-id merge is put off
-    /// until something asks for learning order — O(n/64) words and no
-    /// bytes per receiver of a broadcast. A payload that teaches
+    /// until something asks for learning order — no bytes per receiver
+    /// of a broadcast, and O(what the receiver holds) reads unless it
+    /// is dense or already holds a payload, when the count is O(n/64)
+    /// words. A payload that teaches
     /// nothing is not kept; one without a bitmap is merged on the spot.
     ///
     /// A set holds one payload at a time, so a second one that teaches
@@ -798,7 +816,7 @@ impl KnowledgeSet {
                 Iter::Wide(slots) => self.extend_ids(slots.map(Slot::id)),
             };
         };
-        let new = self.count_new(theirs);
+        let new = self.count_new(theirs, payload.len());
         if new > 0 {
             self.settle();
             if let State::Settled(tier) = &mut self.state {
@@ -1643,6 +1661,56 @@ mod tests {
         assert_eq!(k.list()[..2001], order[..]);
         assert_eq!(k.list()[2001], id(9999));
         assert_eq!(k.take_fresh().len(), 1999);
+    }
+
+    #[test]
+    fn adoption_counts_what_the_payload_bitmap_teaches() {
+        // Small, list-only and sorted receivers: a few ids under the
+        // payload's range and the rest far above it, so none is dense.
+        let receiver = |near: &[u32], far: u32| -> KnowledgeSet {
+            let far = (0..far).map(|k| id(1_000_000 + 1000 * k));
+            near.iter().copied().map(id).chain(far).collect()
+        };
+        let cases = [
+            ("small", receiver(&[5, 1999], 1)),
+            ("list-only", receiver(&[5, 17, 300, 1500, 1999], 15)),
+            ("sorted", receiver(&[5, 17, 300, 1500, 1999, 64, 65], 40)),
+        ];
+        let payload = roster(0..2000);
+        let theirs = payload.shared_bitmap().expect("a roster has a bitmap");
+        for (name, set) in cases {
+            let tier = match set.tiers().0 {
+                Membership::Small { .. } => "small",
+                Membership::Listed { .. } => "list-only",
+                Membership::Sparse(_) => "sorted",
+                Membership::Dense(_) => "dense",
+            };
+            assert_eq!(tier, name);
+            // Without a payload held, and holding one that overlaps
+            // this one's top quarter.
+            for held in [None, Some(roster(1500..2500))] {
+                let mut k = set.clone();
+                if let Some(held) = &held {
+                    assert!(k.adopt(held) > 0);
+                    assert!(!k.is_settled());
+                }
+                let known: Vec<NodeId> = k
+                    .to_vec()
+                    .into_iter()
+                    .filter(|i| i.index() < 2000)
+                    .collect();
+                let mine = NodeId::bitmap(&known, theirs.len());
+                let expected: u32 = theirs
+                    .iter()
+                    .zip(&mine)
+                    .map(|(&t, &m)| (t & !m).count_ones())
+                    .sum();
+                let (at, before) = (format!("{name}, held {}", held.is_some()), k.len());
+                assert_eq!(k.adopt(&payload), expected as usize, "{at}");
+                assert_eq!(k.len(), before + expected as usize, "{at}");
+                assert!((0..2000).all(|i| k.contains(id(i))), "{at}");
+            }
+        }
     }
 
     #[test]

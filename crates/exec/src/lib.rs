@@ -54,7 +54,7 @@
 //!
 //! ```
 //! use rd_exec::ShardedEngine;
-//! use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext, RoundEngine};
+//! use rd_sim::{Engine, Inbox, MessageCost, Node, NodeId, RoundContext, RoundEngine};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping;
@@ -66,15 +66,11 @@
 //! struct Player { peer: NodeId, hits: u32 }
 //! impl Node for Player {
 //!     type Msg = Ping;
-//!     fn on_round(
-//!         &mut self,
-//!         inbox: &mut Vec<Envelope<Ping>>,
-//!         ctx: &mut RoundContext<'_, Ping>,
-//!     ) {
+//!     fn on_round(&mut self, inbox: Inbox<'_, Ping>, ctx: &mut RoundContext<'_, Ping>) {
 //!         if ctx.round() == 0 && ctx.id() == NodeId::new(0) {
 //!             ctx.send(self.peer, Ping);
 //!         }
-//!         for _ in inbox.drain(..) {
+//!         for _ in inbox {
 //!             self.hits += 1;
 //!             if self.hits < 3 { ctx.send(self.peer, Ping); }
 //!         }
@@ -377,7 +373,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rd_sim::{Engine, FaultPlan, LatencyModel, MessageCost, NodeId, RetryPolicy, RoundContext};
+    use rd_sim::{
+        Engine, FaultPlan, Inbox, LatencyModel, MessageCost, NodeId, RetryPolicy, RoundContext,
+    };
 
     /// Gossip probe exercising every determinism-sensitive surface:
     /// randomness, fan-out, and inbox contents.
@@ -397,13 +395,9 @@ mod tests {
 
     impl Node for Gossiper {
         type Msg = Rumor;
-        fn on_round(
-            &mut self,
-            inbox: &mut Vec<Envelope<Rumor>>,
-            ctx: &mut RoundContext<'_, Rumor>,
-        ) {
+        fn on_round(&mut self, inbox: Inbox<'_, Rumor>, ctx: &mut RoundContext<'_, Rumor>) {
             use rand::Rng;
-            for env in inbox.drain(..) {
+            for env in inbox {
                 self.heard.push(env.src);
                 self.heard.extend(env.payload.0);
             }
@@ -540,13 +534,9 @@ mod tests {
 
     impl Node for Spammer {
         type Msg = Rumor;
-        fn on_round(
-            &mut self,
-            inbox: &mut Vec<Envelope<Rumor>>,
-            ctx: &mut RoundContext<'_, Rumor>,
-        ) {
+        fn on_round(&mut self, inbox: Inbox<'_, Rumor>, ctx: &mut RoundContext<'_, Rumor>) {
+            // Counted, never read: the engine drops the unread mail.
             self.received += inbox.len() as u64;
-            inbox.clear();
             let me = u32::from(ctx.id());
             for k in 0..200u32 {
                 let dst = NodeId::new((me + 1 + k % (self.n - 1)) % self.n);
@@ -594,13 +584,9 @@ mod tests {
 
     impl Node for Folder {
         type Msg = Rumor;
-        fn on_round(
-            &mut self,
-            inbox: &mut Vec<Envelope<Rumor>>,
-            ctx: &mut RoundContext<'_, Rumor>,
-        ) {
+        fn on_round(&mut self, inbox: Inbox<'_, Rumor>, ctx: &mut RoundContext<'_, Rumor>) {
             use rand::Rng;
-            for env in inbox.drain(..) {
+            for env in inbox {
                 let word = env.payload.0.iter().fold(u32::from(env.src), |w, &id| {
                     w.wrapping_mul(31).wrapping_add(u32::from(id))
                 });
@@ -645,7 +631,7 @@ mod tests {
 
     impl Node for Witness {
         type Msg = Rumor;
-        fn on_round(&mut self, _: &mut Vec<Envelope<Rumor>>, _: &mut RoundContext<'_, Rumor>) {
+        fn on_round(&mut self, _: Inbox<'_, Rumor>, _: &mut RoundContext<'_, Rumor>) {
             self.0.push(std::thread::current().id());
         }
     }

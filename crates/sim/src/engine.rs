@@ -413,7 +413,7 @@ mod tests {
     use super::*;
     use crate::id::NodeId;
     use crate::message::MessageCost;
-    use crate::node::RoundContext;
+    use crate::node::{Inbox, RoundContext};
 
     /// Test payload: a bag of ids.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -434,11 +434,11 @@ mod tests {
 
     impl Node for RingRelay {
         type Msg = Ids;
-        fn on_round(&mut self, inbox: &mut Vec<Envelope<Ids>>, ctx: &mut RoundContext<'_, Ids>) {
+        fn on_round(&mut self, inbox: Inbox<'_, Ids>, ctx: &mut RoundContext<'_, Ids>) {
             if ctx.round() == 0 && ctx.id() == NodeId::new(0) {
                 self.has_token = true;
             }
-            for env in inbox.drain(..) {
+            for env in inbox {
                 assert_eq!(env.dst, ctx.id());
                 self.has_token = true;
             }
@@ -582,7 +582,7 @@ mod tests {
     }
     impl Node for SuspectWatcher {
         type Msg = Ids;
-        fn on_round(&mut self, _inbox: &mut Vec<Envelope<Ids>>, ctx: &mut RoundContext<'_, Ids>) {
+        fn on_round(&mut self, _inbox: Inbox<'_, Ids>, ctx: &mut RoundContext<'_, Ids>) {
             self.seen
                 .push((ctx.round(), ctx.suspects().list().to_vec()));
         }
@@ -669,12 +669,8 @@ mod tests {
         }
         impl Node for Blaster {
             type Msg = Ids;
-            fn on_round(
-                &mut self,
-                inbox: &mut Vec<Envelope<Ids>>,
-                ctx: &mut RoundContext<'_, Ids>,
-            ) {
-                for env in inbox.drain(..) {
+            fn on_round(&mut self, inbox: Inbox<'_, Ids>, ctx: &mut RoundContext<'_, Ids>) {
+                for env in inbox {
                     self.got.push(env.src);
                 }
                 if ctx.round() == 0 && ctx.id() != NodeId::new(0) {
@@ -747,12 +743,8 @@ mod tests {
         }
         impl Node for Pong {
             type Msg = Ids;
-            fn on_round(
-                &mut self,
-                inbox: &mut Vec<Envelope<Ids>>,
-                ctx: &mut RoundContext<'_, Ids>,
-            ) {
-                for env in inbox.drain(..) {
+            fn on_round(&mut self, inbox: Inbox<'_, Ids>, ctx: &mut RoundContext<'_, Ids>) {
+                for env in inbox {
                     self.got.push(ctx.round());
                     if env.src == NodeId::new(0) {
                         ctx.send(NodeId::new(0), Ids(vec![]));

@@ -28,15 +28,22 @@
 //! serial engine — has one [`Mailbox`]: everything that arrives for its
 //! nodes is appended to one buffer in the order it arrives, and stepping
 //! the shard sorts that buffer by destination with a stable counting
-//! sort, so each node's mail is one contiguous run in arrival order,
-//! handed to its `on_round` in a vector the mailbox keeps for that.
-//! What a node sees is therefore exactly what pushing each arrival onto
-//! a vector of its own gave: receive-cap leftovers first (stepping
-//! re-queues them before anything is routed), then routed mail in
-//! canonical sender order, then retransmissions landing next round (the
-//! close-out sweep), then delayed arrivals (the next `begin_round`). The
-//! buffers keep their capacity, so a round in steady state allocates
-//! nothing for delivery, however its traffic is spread over nodes.
+//! sort, so each node's mail is one contiguous run in arrival order.
+//! The runs lie in *descending* node order, so the node stepped next
+//! always owns the buffer's tail: its `on_round` reads it through an
+//! [`Inbox`] that moves each envelope out of the buffer, and the buffer
+//! is cut back to where the run began — no copy, and no shift of what
+//! other nodes have yet to read. What a node sees is exactly what
+//! pushing each arrival onto a vector of its own gave: receive-cap
+//! leftovers first (stepping re-queues them before anything is routed),
+//! then routed mail in canonical sender order, then retransmissions
+//! landing next round (the close-out sweep), then delayed arrivals (the
+//! next `begin_round`). The buffers keep their capacity, so a round in
+//! steady state allocates nothing for delivery, however its traffic is
+//! spread over nodes; where a batch of known size lands (routing's
+//! straight-line loop, a destination shard's merge, the sort's scratch)
+//! they are reserved to exactly that batch, so each is sized to the
+//! busiest round the run has had rather than to the next power of two.
 //!
 //! # One kernel, one latency model
 //!
@@ -70,7 +77,7 @@ use crate::id::NodeId;
 use crate::latency::LatencyModel;
 use crate::message::{Envelope, MessageCost};
 use crate::metrics::{charge, NodeLane, RoundMetrics, RunMetrics};
-use crate::node::{Node, RoundContext, SuspectView};
+use crate::node::{Inbox, Node, RoundContext, SuspectView};
 use crate::pool::BufferPool;
 use crate::rng;
 use rand::Rng;
@@ -104,11 +111,9 @@ pub struct Mailbox<M> {
     /// Sort scratch: the place each envelope of `mail` moves to.
     to: Vec<u32>,
     /// After the sort, node `base + i`'s mail is
-    /// `mail[ends[i - 1]..ends[i]]` (from 0 for `i = 0`).
+    /// `mail[ends[i + 1]..ends[i]]`: runs lie in descending node order,
+    /// and `ends[len]` is 0.
     ends: Vec<u32>,
-    /// The run of `mail` being handed to one node: what its
-    /// `on_round` receives.
-    inbox: Vec<Envelope<M>>,
 }
 
 impl<M> Default for Mailbox<M> {
@@ -118,7 +123,6 @@ impl<M> Default for Mailbox<M> {
             dsts: Vec::new(),
             to: Vec::new(),
             ends: Vec::new(),
-            inbox: Vec::new(),
         }
     }
 }
@@ -132,29 +136,41 @@ impl<M> Mailbox<M> {
         self.mail.push(env);
     }
 
+    /// Makes room for `additional` more envelopes, and no more: a batch
+    /// of known size lands without the buffers doubling past it.
+    fn reserve(&mut self, additional: usize) {
+        reserve_exact_fresh(&mut self.mail, additional);
+        reserve_exact_fresh(&mut self.dsts, additional);
+    }
+
     /// Sorts the queued mail of the `len` nodes from `base` by
-    /// destination, in arrival order within a destination: a stable
-    /// counting sort, O(mail + len), that reads the destinations alone
-    /// and then moves each envelope to its place in one swap.
+    /// destination — descending, so node `base`'s run ends the buffer —
+    /// in arrival order within a destination: a stable counting sort,
+    /// O(mail + len), that reads the destinations alone and then moves
+    /// each envelope to its place in one swap.
     fn sort(&mut self, base: usize, len: usize) {
         let Mailbox {
             mail,
             dsts,
             to,
             ends,
-            ..
         } = self;
         ends.clear();
         ends.resize(len + 1, 0);
         for &dst in dsts.iter() {
-            ends[dst as usize - base + 1] += 1;
+            ends[dst as usize - base] += 1;
         }
-        // Now `ends[i]` is where node `base + i`'s mail starts; placing
-        // it moves the mark to where it ends.
-        for i in 1..=len {
-            ends[i] += ends[i - 1];
+        // Now `ends[i]` is where node `base + i`'s mail starts, behind
+        // every higher node's; placing it moves the mark to where it
+        // ends.
+        let mut start = 0;
+        for end in ends[..len].iter_mut().rev() {
+            let count = *end;
+            *end = start;
+            start += count;
         }
         to.clear();
+        reserve_exact_fresh(to, dsts.len());
         to.extend(dsts.drain(..).map(|dst| {
             let at = &mut ends[dst as usize - base];
             *at += 1;
@@ -173,6 +189,20 @@ impl<M> Mailbox<M> {
             }
         }
     }
+}
+
+/// Makes room in `buf` for exactly `additional` more items. An empty
+/// buffer too small for them is freed before the new one is allocated,
+/// so the allocator can place the new block where the old one was: a
+/// `realloc` that cannot grow in place would hold the old block until it
+/// had copied it, and the heap would grow past both. Over repeated runs
+/// of `hm_lka_2p15_seq`, growing the mailbox through each new busiest
+/// round that way cost up to 3 MiB of peak resident set.
+fn reserve_exact_fresh<T>(buf: &mut Vec<T>, additional: usize) {
+    if buf.is_empty() && buf.capacity() < additional {
+        *buf = Vec::new();
+    }
+    buf.reserve_exact(additional);
 }
 
 /// The non-node state of a run: mailboxes, clock, metrics, faults,
@@ -594,6 +624,7 @@ pub fn merge_dest_shard<M: MessageCost>(
     recv_lanes: &mut [NodeLane],
     delayed_out: &mut Routed<M>,
 ) {
+    mailbox.reserve(bucket_parts.iter().map(Vec::len).sum());
     for part in bucket_parts {
         for (extra, env) in part.drain(..) {
             let lane = &mut recv_lanes[env.dst.index() - base];
@@ -903,6 +934,7 @@ impl<M: MessageCost> EngineCore<M> {
             && self.faults.is_fault_free();
         if decided && self.mailboxes.len() == 1 {
             let mailbox = &mut self.mailboxes[0];
+            mailbox.reserve(staged.len());
             let n = self.node_count;
             let lanes = self.metrics.lanes();
             for env in staged.drain(..) {
@@ -1118,9 +1150,10 @@ impl<M: MessageCost> EngineCore<M> {
 
 /// The node loop of every engine: sorts `mailbox`, the mail of the
 /// contiguous block of nodes whose first index is `base`, and steps
-/// every node of the block on its run of it; sends are appended to
-/// `staged` in `(node, send)` order. A serial engine passes the whole
-/// population; a sharded engine one block per worker.
+/// every node of the block on its run of it, read through an [`Inbox`]
+/// straight out of the sorted buffer; sends are appended to `staged` in
+/// `(node, send)` order. A serial engine passes the whole population; a
+/// sharded engine one block per worker.
 ///
 /// This is the single entry point through which every engine executes
 /// protocol logic, so context construction — and thus the randomness a
@@ -1143,33 +1176,29 @@ pub fn step_shard<N: Node>(
     // per-node map probe below is skipped entirely.
     let crashes_possible = ctx.faults.has_crashes();
     mailbox.sort(base, nodes.len());
-    let Mailbox {
-        mail, ends, inbox, ..
-    } = &mut *mailbox;
-    let mut arrived = mail.drain(..);
-    let mut start = 0;
+    let Mailbox { mail, ends, .. } = &mut *mailbox;
     for (offset, node) in nodes.iter_mut().enumerate() {
-        let end = ends[offset] as usize;
-        let count = end - start;
-        start = end;
+        // This node's run is the tail of what is left.
+        let start = ends[offset + 1] as usize;
         let i = base + offset;
         if crashes_possible && ctx.faults.is_crashed_at(i, ctx.round) {
             // Crashed nodes neither run nor receive; their pending
             // deliveries are consumed and lost.
-            arrived.by_ref().take(count).for_each(drop);
+            mail.truncate(start);
             continue;
         }
-        let deliver = ctx.receive_cap.map_or(count, |cap| cap.min(count));
-        inbox.extend(arrived.by_ref().take(deliver));
-        held.extend(arrived.by_ref().take(count - deliver));
+        if let Some(cap) = ctx.receive_cap {
+            if mail.len() - start > cap {
+                held.extend(mail.drain(start + cap..));
+            }
+        }
         let id = NodeId::new(i as u32);
         node.on_round(
-            inbox,
+            Inbox(mail.drain(start..)),
             &mut RoundContext::new(id, ctx.round, ctx.seed, staged, ctx.suspects),
         );
-        inbox.clear();
     }
-    drop(arrived);
+    debug_assert!(mail.is_empty(), "every run was read or dropped");
     for env in held.drain(..) {
         mailbox.push(env);
     }
@@ -1212,14 +1241,137 @@ mod tests {
     #[test]
     fn a_mailbox_sorts_by_destination_in_arrival_order() {
         // Nodes 10..14: 13 hears three times, 11 twice, 10 and 12 never.
+        // Runs lie highest node first, so node 10's would end the buffer.
         let mut mailbox = Mailbox::default();
         for (dst, payload) in [(13, 1), (11, 2), (13, 3), (11, 4), (13, 5)] {
             mailbox.push(env(0, dst, payload));
         }
         mailbox.sort(10, 4);
-        assert_eq!(mailbox.ends, [0, 2, 2, 5, 5]);
+        assert_eq!(mailbox.ends, [5, 5, 3, 3, 0]);
         let sorted: Vec<u32> = mailbox.mail.iter().map(|e| e.payload).collect();
-        assert_eq!(sorted, [2, 4, 1, 3, 5]);
+        assert_eq!(sorted, [1, 3, 5, 2, 4]);
+    }
+
+    /// Reads at most `reads` envelopes of each round's inbox (all of
+    /// them when `None`) and records the payloads it read.
+    struct Reader {
+        reads: Option<usize>,
+        heard: Vec<Vec<u32>>,
+    }
+
+    impl Reader {
+        fn population(reads: &[Option<usize>]) -> Vec<Reader> {
+            reads
+                .iter()
+                .map(|&reads| Reader {
+                    reads,
+                    heard: Vec::new(),
+                })
+                .collect()
+        }
+    }
+
+    impl Node for Reader {
+        type Msg = u32;
+
+        fn on_round(&mut self, inbox: Inbox<'_, u32>, _: &mut RoundContext<'_, u32>) {
+            let reads = self.reads.unwrap_or(usize::MAX);
+            self.heard
+                .push(inbox.take(reads).map(|e| e.payload).collect());
+        }
+    }
+
+    /// Steps one round of `nodes` on the core's one mailbox, then routes
+    /// `mail` for the next.
+    fn step_round(core: &mut EngineCore<u32>, nodes: &mut [Reader], mut mail: Vec<Envelope<u32>>) {
+        core.begin_round();
+        let parts = core.route_parts();
+        let (mut staged, mut held) = (Vec::new(), Vec::new());
+        let mailbox = &mut parts.mailboxes[0];
+        step_shard(parts.ctx, 0, nodes, mailbox, &mut staged, &mut held);
+        assert!(staged.is_empty());
+        core.route_batch(&mut mail);
+        close_round(core);
+    }
+
+    /// Five envelopes each for nodes 0, 1 and 2, interleaved: node `d`'s
+    /// are `10 * d + 1..=10 * d + 5`, in that order.
+    fn interleaved() -> Vec<Envelope<u32>> {
+        (1..=5)
+            .flat_map(|k| (0..3).map(move |d| env(3, d, 10 * d + k)))
+            .collect()
+    }
+
+    #[test]
+    fn mail_a_node_leaves_unread_reaches_no_other_node() {
+        // Node 1 reads none of its mail, then two of five: either way
+        // node 0 before it and node 2 after it read exactly their own,
+        // and nothing is handed out again next round.
+        for reads in [0, 2] {
+            let mut core: EngineCore<u32> = EngineCore::new(4, 1);
+            let mut nodes = Reader::population(&[None, Some(reads), None, None]);
+            step_round(&mut core, &mut nodes, interleaved());
+            step_round(&mut core, &mut nodes, Vec::new());
+            step_round(&mut core, &mut nodes, Vec::new());
+            let heard: Vec<_> = nodes.iter().map(|n| n.heard.clone()).collect();
+            let own = |d: u32, k: u32| (1..=k).map(|i| 10 * d + i).collect::<Vec<_>>();
+            assert_eq!(heard[0], [vec![], own(0, 5), vec![]], "reads {reads}");
+            assert_eq!(heard[1], [vec![], own(1, reads as u32), vec![]]);
+            assert_eq!(heard[2], [vec![], own(2, 5), vec![]], "reads {reads}");
+            assert_eq!(heard[3], [vec![], vec![], vec![]], "reads {reads}");
+            assert!(core.mailboxes[0].mail.is_empty());
+        }
+    }
+
+    #[test]
+    fn held_back_mail_is_read_first_next_round_whatever_was_left_unread() {
+        // Under a cap of two, node 1 is sent 1..=5 and then 6: what the
+        // cap holds back comes ahead of 6, whether node 1 reads all it
+        // is handed or one envelope a round.
+        for (reads, expected) in [
+            (
+                None,
+                vec![vec![], vec![1, 2], vec![3, 4], vec![5, 6], vec![]],
+            ),
+            (Some(1), vec![vec![], vec![1], vec![3], vec![5], vec![]]),
+        ] {
+            let mut core: EngineCore<u32> = EngineCore::new(3, 1);
+            core.set_receive_cap(2);
+            let mut nodes = Reader::population(&[None, reads, None]);
+            step_round(
+                &mut core,
+                &mut nodes,
+                (1..=5).map(|k| env(0, 1, k)).collect(),
+            );
+            step_round(&mut core, &mut nodes, vec![env(2, 1, 6)]);
+            for _ in 0..3 {
+                step_round(&mut core, &mut nodes, Vec::new());
+            }
+            assert_eq!(nodes[1].heard, expected, "reads {reads:?}");
+            assert!(nodes[0]
+                .heard
+                .iter()
+                .chain(&nodes[2].heard)
+                .all(Vec::is_empty));
+        }
+    }
+
+    #[test]
+    fn a_crashed_node_s_run_is_dropped_unread() {
+        // Node 1 is down for round 0 only: the mail queued for it then
+        // is lost, its neighbours' is not, and it wakes to an empty
+        // inbox.
+        let mut core: EngineCore<u32> = EngineCore::new(3, 1);
+        core.set_faults(FaultPlan::new().with_crash_at(1, 0).with_recovery_at(1, 1));
+        for env in interleaved() {
+            core.mailboxes[0].push(env);
+        }
+        let mut nodes = Reader::population(&[None, None, None]);
+        step_round(&mut core, &mut nodes, Vec::new());
+        step_round(&mut core, &mut nodes, Vec::new());
+        assert_eq!(nodes[0].heard, [vec![1, 2, 3, 4, 5], vec![]]);
+        assert_eq!(nodes[1].heard, [Vec::<u32>::new()], "stepped only once up");
+        assert_eq!(nodes[2].heard, [vec![21, 22, 23, 24, 25], vec![]]);
     }
 
     #[test]
@@ -1481,8 +1633,8 @@ mod tests {
     impl Node for Listener {
         type Msg = u32;
 
-        fn on_round(&mut self, inbox: &mut Vec<Envelope<u32>>, ctx: &mut RoundContext<'_, u32>) {
-            let heard = inbox.drain(..).map(|e| e.payload).collect();
+        fn on_round(&mut self, inbox: Inbox<'_, u32>, ctx: &mut RoundContext<'_, u32>) {
+            let heard = inbox.map(|e| e.payload).collect();
             self.heard.push((ctx.round(), heard));
             let (me, round) = (u32::from(ctx.id()), ctx.round() as u32);
             if round >= 6 {
@@ -1590,7 +1742,7 @@ mod tests {
                 heard: Vec::new(),
             })
             .collect();
-        let (mut staged, mut scratch) = (Vec::new(), Vec::new());
+        let mut staged = Vec::new();
         let none = SuspectView::none();
         let mut deferred = 0;
         for round in 0..ORACLE_ROUNDS {
@@ -1599,26 +1751,23 @@ mod tests {
                     inboxes[env.dst.index()].push(env);
                 }
             }
-            for (i, (node, inbox)) in nodes.iter_mut().zip(&mut inboxes).enumerate() {
+            for (i, (node, queue)) in nodes.iter_mut().zip(&mut inboxes).enumerate() {
                 if setup.faults.is_crashed_at(i, round) {
-                    inbox.clear();
+                    queue.clear();
                     continue;
                 }
-                let inbox = match setup.cap {
-                    Some(cap) if inbox.len() > cap => {
+                let delivered = match setup.cap {
+                    Some(cap) if queue.len() > cap => {
                         deferred += 1;
-                        scratch.clear();
-                        scratch.extend(inbox.drain(..cap));
-                        &mut scratch
+                        queue.drain(..cap)
                     }
-                    _ => inbox,
+                    _ => queue.drain(..),
                 };
                 let id = NodeId::new(i as u32);
                 node.on_round(
-                    inbox,
+                    Inbox(delivered),
                     &mut RoundContext::new(id, round, seed, &mut staged, &none),
                 );
-                inbox.clear();
             }
             let mut seq = (usize::MAX, 0);
             for env in staged.drain(..) {

@@ -30,7 +30,7 @@
 //! # Example: a two-node ping-pong protocol
 //!
 //! ```
-//! use rd_sim::{Engine, Envelope, MessageCost, Node, NodeId, RoundContext, RoundEngine};
+//! use rd_sim::{Engine, Inbox, MessageCost, Node, NodeId, RoundContext, RoundEngine};
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping;
@@ -41,15 +41,11 @@
 //! struct Player { peer: NodeId, hits: u32 }
 //! impl Node for Player {
 //!     type Msg = Ping;
-//!     fn on_round(
-//!         &mut self,
-//!         inbox: &mut Vec<Envelope<Ping>>,
-//!         ctx: &mut RoundContext<'_, Ping>,
-//!     ) {
+//!     fn on_round(&mut self, inbox: Inbox<'_, Ping>, ctx: &mut RoundContext<'_, Ping>) {
 //!         if ctx.round() == 0 && ctx.id() == NodeId::new(0) {
 //!             ctx.send(self.peer, Ping); // serve
 //!         }
-//!         for _ in inbox.drain(..) {
+//!         for _ in inbox {
 //!             self.hits += 1;
 //!             if self.hits < 3 {
 //!                 ctx.send(self.peer, Ping); // return
@@ -87,7 +83,7 @@ pub use id::NodeId;
 pub use latency::LatencyModel;
 pub use message::{AppendList, Envelope, MessageCost, PointerList};
 pub use metrics::{round_obs, DropTally, NodeLane, RoundMetrics, RunMetrics};
-pub use node::{Node, RoundContext, SuspectView};
+pub use node::{Inbox, Node, RoundContext, SuspectView};
 pub use pool::{BufferPool, PoolStats};
 
 /// The last path segment of `T`'s type name — e.g. `Rumor` for

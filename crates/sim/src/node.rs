@@ -10,11 +10,11 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The engine calls [`Node::on_round`] once per round with the messages
 /// delivered to the node (those sent to it in the previous round), in
-/// arrival order. The program reads its inbox — typically with
-/// `inbox.drain(..)` to take the envelopes by value — updates local
-/// state, and queues outgoing messages through the [`RoundContext`].
-/// The engine clears the inbox after the call and reuses its buffer, so
-/// anything left behind is discarded, not redelivered.
+/// arrival order, as an [`Inbox`]: `for env in inbox` takes each
+/// envelope by value, straight out of the buffer the engine sorted the
+/// round's mail in. The program updates local state and queues outgoing
+/// messages through the [`RoundContext`]. Whatever it leaves unread is
+/// dropped with the inbox, not redelivered.
 ///
 /// Node programs must be *local*: all a node may use is its own state,
 /// its inbox, its identifier, and its private randomness. In particular
@@ -25,12 +25,30 @@ pub trait Node {
     type Msg: crate::message::MessageCost;
 
     /// Executes one round.
-    fn on_round(
-        &mut self,
-        inbox: &mut Vec<Envelope<Self::Msg>>,
-        ctx: &mut RoundContext<'_, Self::Msg>,
-    );
+    fn on_round(&mut self, inbox: Inbox<'_, Self::Msg>, ctx: &mut RoundContext<'_, Self::Msg>);
 }
+
+/// One node's mail for one round, oldest first: an iterator that moves
+/// each envelope out of the mailbox it was sorted in, and stops at what
+/// a receive cap delivers. Dropping it drops whatever is left unread.
+#[derive(Debug)]
+pub struct Inbox<'a, M>(pub(crate) std::vec::Drain<'a, Envelope<M>>);
+
+impl<M> Iterator for Inbox<'_, M> {
+    type Item = Envelope<M>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Envelope<M>> {
+        self.0.next()
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<M> ExactSizeIterator for Inbox<'_, M> {}
 
 /// The failure detector's crash report at one instant: the suspected
 /// nodes in report order, and the same set as a bitmap.

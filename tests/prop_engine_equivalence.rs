@@ -26,7 +26,7 @@ use resource_discovery::core::{problem, DiscoveryAlgorithm, KnowledgeView};
 use resource_discovery::exec::ShardedEngine;
 use resource_discovery::prelude::*;
 use resource_discovery::sim::Node;
-use resource_discovery::sim::{fate, Envelope, MessageCost, NodeId, RoundContext};
+use resource_discovery::sim::{fate, Inbox, MessageCost, NodeId, RoundContext};
 use std::collections::HashMap;
 
 /// Rounds during which [`Chatter`] nodes transmit.
@@ -65,7 +65,7 @@ struct Chatter {
 impl Node for Chatter {
     type Msg = Tag;
 
-    fn on_round(&mut self, inbox: &mut Vec<Envelope<Tag>>, ctx: &mut RoundContext<'_, Tag>) {
+    fn on_round(&mut self, inbox: Inbox<'_, Tag>, ctx: &mut RoundContext<'_, Tag>) {
         assert!(
             inbox.len() <= self.cap,
             "receive cap violated: {} > {}",
@@ -73,7 +73,7 @@ impl Node for Chatter {
             self.cap
         );
         let round = ctx.round();
-        for env in inbox.drain(..) {
+        for env in inbox {
             self.receipts.push((round, env.payload.0));
         }
         if round < SEND_ROUNDS && self.n > 1 {
