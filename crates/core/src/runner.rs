@@ -688,7 +688,6 @@ where
         },
         Exit::BudgetExhausted => RunVerdict::BudgetExhausted,
     };
-    let pools = engine.pool_counters();
     let recorder = engine.take_obs();
     let causal = engine.take_causal();
     let m = engine.metrics();
@@ -718,13 +717,12 @@ where
         if let Some(trace) = causal {
             rec.attach_causal(trace);
         }
-        rec.profile_pool_high_water(&engine.pool_high_water());
         if let Err(err) = rec.finish(
             outcome_obs(&report),
             &m.per_node_sent_messages(),
             &m.per_node_recv_messages(),
             &knowledge,
-            &pools,
+            &[],
         ) {
             eprintln!("warning: telemetry export failed: {err}");
         }

@@ -48,7 +48,11 @@
 //! after the first multi-shard round), with shard-local routing results
 //! ([`rd_sim::engine_core::RouteDelta`]) folding associatively back into
 //! the core's metrics, causal trace, and queues. Only the merge into the
-//! mailboxes waits for every shard.
+//! mailboxes waits for every shard; it runs on the calling thread, one
+//! destination shard after another. Every buffer a round fills and the
+//! next round refills — each shard's staged and held mail, the
+//! sender-by-destination buckets, the delayed lists — is a field of the
+//! engine, so it keeps its allocation from round to round.
 //!
 //! # Example
 //!
@@ -97,23 +101,12 @@ mod pool;
 use pool::Pool;
 use rd_obs::{Phase, SpanEvent};
 use rd_sim::engine_core::{merge_dest_shard, route_shard, step_shard, Routed};
-use rd_sim::{timed_phase, BufferPool, Envelope, Node, RoundEngine, RoundShell};
+use rd_sim::{timed_phase, Envelope, Node, RoundEngine, RoundShell};
 use std::time::Instant;
 
-/// Below this many staged messages per round, the per-destination merge
-/// runs on the calling thread: handing it to the workers is a futex wake
-/// and a wait for the slowest of them (tens of microseconds), which is
-/// more than a merge this small takes. (The step-and-route handoff has
-/// no such threshold — running every configuration through the sharded
-/// route path keeps it continuously exercised by the equivalence tests.)
-const PARALLEL_MERGE_MIN_MESSAGES: usize = 4096;
-
-/// The staged/held buffer pair one stepping worker owns for a round:
+/// The staged/held buffer pair one stepping worker fills in a round:
 /// its shard's sends, and the mail a receive cap holds back.
 type ShardBufs<M> = (Vec<Envelope<M>>, Vec<Envelope<M>>);
-
-/// One bucket of routed messages per destination shard.
-type RoutedBuckets<M> = Vec<Routed<M>>;
 
 /// A round engine that steps nodes on `workers` threads.
 ///
@@ -125,10 +118,13 @@ pub struct ShardedEngine<N: Node> {
     workers: usize,
     /// The threads shards run on, besides the caller's.
     pool: Pool,
-    /// Recycled staged/held buffers for the stepping phase.
-    env_pool: BufferPool<Envelope<N::Msg>>,
-    /// Recycled bucket/delay buffers for the routing phase.
-    routed_pool: BufferPool<(u64, Envelope<N::Msg>)>,
+    /// One staged/held pair per shard.
+    bufs: Vec<ShardBufs<N::Msg>>,
+    /// `buckets[w][d]`: what sender shard `w` routed to destination
+    /// shard `d` — transposed to `[d][w]` for the merge, and back.
+    buckets: Vec<Vec<Routed<N::Msg>>>,
+    /// One list of delayed deliveries per destination shard.
+    delayed: Vec<Routed<N::Msg>>,
 }
 
 impl<N> ShardedEngine<N>
@@ -152,12 +148,15 @@ where
         // be short, and a worker without nodes gets no shard.
         let n = nodes.len();
         let shard_len = n.div_ceil(workers.min(n).max(1)).max(1);
+        let shards = n.div_ceil(shard_len);
+        let lists = || (0..shards).map(|_| Vec::new()).collect::<Vec<_>>();
         ShardedEngine {
             shell: RoundShell::sharded(nodes, seed, shard_len),
             workers,
             pool: Pool::new(),
-            env_pool: BufferPool::new(),
-            routed_pool: BufferPool::new(),
+            bufs: (0..shards).map(|_| (Vec::new(), Vec::new())).collect(),
+            buckets: (0..shards).map(|_| lists()).collect(),
+            delayed: lists(),
         }
     }
 
@@ -166,19 +165,21 @@ where
         self.workers
     }
 
-    /// The multi-shard body of a round: `bufs` holds one staged/held
-    /// pair per shard of `shard_len` nodes, and comes back drained.
-    fn step_shards(&mut self, round: u64, shard_len: usize, bufs: &mut [ShardBufs<N::Msg>]) {
-        let shard_count = bufs.len();
-        let (nodes, core, mut obs) = self.shell.parts_mut();
+    /// The multi-shard body of a round.
+    fn step_shards(&mut self, round: u64) {
+        let ShardedEngine {
+            shell,
+            pool,
+            bufs,
+            buckets,
+            delayed,
+            ..
+        } = self;
+        let (nodes, core, mut obs) = shell.parts_mut();
         let epoch = obs.as_ref().map(|rec| rec.epoch());
-        let mut bucket_sets: Vec<RoutedBuckets<N::Msg>> = (0..shard_count)
-            .map(|_| (0..shard_count).map(|_| self.routed_pool.take()).collect())
-            .collect();
-        let mut delayed_lists: Vec<Routed<N::Msg>> =
-            (0..shard_count).map(|_| self.routed_pool.take()).collect();
         let parts = core.route_parts();
         let (ctx, params) = (parts.ctx, parts.params);
+        let shard_len = params.shard_len;
 
         // One handoff steps and routes: routing shard `w` reads only the
         // round's parameters and what `w` just staged, and writes only
@@ -188,70 +189,49 @@ where
             .chunks_mut(shard_len)
             .zip(parts.mailboxes.iter_mut())
             .zip(parts.node_lanes.chunks_mut(shard_len))
-            .zip(bufs.iter_mut().zip(bucket_sets.iter_mut()))
+            .zip(bufs.iter_mut().zip(buckets.iter_mut()))
             .enumerate()
             .map(
                 |(w, (((nodes, mailbox), sent_lanes), ((staged, held), buckets)))| {
                     move || {
                         let base = w * shard_len;
-                        let (staged_len, stepped) =
-                            lane_span(epoch, Phase::OnRound, round, w, || {
-                                step_shard(ctx, base, nodes, mailbox, staged, held);
-                                staged.len()
-                            });
+                        let ((), stepped) = lane_span(epoch, Phase::OnRound, round, w, || {
+                            step_shard(ctx, base, nodes, mailbox, staged, held)
+                        });
                         let (delta, routed) = lane_span(epoch, Phase::RouteShard, round, w, || {
                             route_shard(params, staged, base, sent_lanes, buckets)
                         });
-                        (staged_len, delta, stepped, routed)
+                        (delta, stepped, routed)
                     }
                 },
             )
             .collect();
-        let mut total_messages = 0;
-        let mut deltas = Vec::with_capacity(shard_count);
-        let (mut stepped, mut routed) = (Vec::new(), Vec::new());
-        for (staged_len, delta, step_span, route_span) in self.pool.run(shard_jobs) {
-            total_messages += staged_len;
+        let (mut deltas, mut stepped, mut routed) = (Vec::new(), Vec::new(), Vec::new());
+        for (delta, step_span, route_span) in pool.run(shard_jobs) {
             deltas.push(delta);
             stepped.push(step_span);
             routed.push(route_span);
         }
 
-        // Transpose: per destination shard, the per-worker bucket parts
-        // in worker (= sender shard) order.
-        let mut per_dest: Vec<RoutedBuckets<N::Msg>> = (0..shard_count)
-            .map(|_| Vec::with_capacity(shard_count))
-            .collect();
-        for set in bucket_sets {
-            for (d, bucket) in set.into_iter().enumerate() {
-                per_dest[d].push(bucket);
-            }
-        }
-
         // Merge phase, behind the join because it fills the mailboxes
-        // the step phase drained: one job per destination shard, each
-        // owning its shard's mailbox and recv-tally lanes.
-        let merge_jobs: Vec<_> = parts
+        // the step phase drained: per destination shard, the per-worker
+        // buckets in worker (= sender shard) order.
+        transpose(buckets);
+        let merged: Vec<Option<SpanEvent>> = parts
             .mailboxes
             .iter_mut()
             .zip(parts.node_lanes.chunks_mut(shard_len))
-            .zip(per_dest.iter_mut().zip(delayed_lists.iter_mut()))
+            .zip(buckets.iter_mut().zip(delayed.iter_mut()))
             .enumerate()
             .map(|(d, ((mailbox, recv_lanes), (parts_d, delayed)))| {
-                move || {
-                    let base = d * shard_len;
-                    let ((), merged) = lane_span(epoch, Phase::MergeDestShard, round, d, || {
-                        merge_dest_shard(round, base, parts_d, mailbox, recv_lanes, delayed)
-                    });
-                    merged
-                }
+                let base = d * shard_len;
+                let ((), merged) = lane_span(epoch, Phase::MergeDestShard, round, d, || {
+                    merge_dest_shard(round, base, parts_d, mailbox, recv_lanes, delayed)
+                });
+                merged
             })
             .collect();
-        let merged: Vec<Option<SpanEvent>> = if total_messages >= PARALLEL_MERGE_MIN_MESSAGES {
-            self.pool.run(merge_jobs)
-        } else {
-            merge_jobs.into_iter().map(|mut job| job()).collect()
-        };
+        transpose(buckets);
 
         if let Some(rec) = obs.as_deref_mut() {
             // Phase by phase, each in shard order.
@@ -260,10 +240,18 @@ where
             }
         }
         timed_phase(obs, Phase::ApplyDeltas, round, || {
-            core.apply_route_deltas(&mut deltas, &mut delayed_lists)
+            core.apply_route_deltas(&mut deltas, delayed)
         });
-        for bucket in per_dest.into_iter().flatten().chain(delayed_lists) {
-            self.routed_pool.put(bucket);
+    }
+}
+
+/// Transposes a square matrix in place by swapping its entries, so
+/// every inner vector keeps its allocation.
+fn transpose<T>(matrix: &mut [Vec<T>]) {
+    for i in 0..matrix.len() {
+        let (head, tail) = matrix.split_at_mut(i + 1);
+        for (row, below) in head[i][i + 1..].iter_mut().zip(tail) {
+            std::mem::swap(row, &mut below[i]);
         }
     }
 }
@@ -302,8 +290,7 @@ where
     /// Otherwise every shard is stepped and routed by one job on its own
     /// thread ([`step_shard`], then [`route_shard`] into
     /// per-destination-shard buckets), the buckets are merged per
-    /// destination shard ([`merge_dest_shard`] — by the workers too, once
-    /// the round carries enough messages to pay for a second handoff),
+    /// destination shard on the calling thread ([`merge_dest_shard`]),
     /// and the shard-local deltas fold back into the core. Bit-identical
     /// for every shard count.
     ///
@@ -317,27 +304,11 @@ where
     /// Panics if any envelope addresses a node that does not exist.
     fn step(&mut self) {
         let round = self.shell.begin_round();
-        let n = self.shell.core().node_count();
-        let shard_len = self.shell.core().shard_len();
-        let mut bufs: Vec<ShardBufs<N::Msg>> = (0..n.div_ceil(shard_len))
-            .map(|_| (self.env_pool.take(), self.env_pool.take()))
-            .collect();
-        if let [(staged, held)] = &mut bufs[..] {
+        if let [(staged, held)] = &mut self.bufs[..] {
             self.shell.step_nodes(staged, held);
             self.shell.route(staged);
         } else {
-            self.step_shards(round, shard_len, &mut bufs);
-        }
-        // Held buffers first, then the staged ones: the order the
-        // pool's counters — archive records — have always seen. A held
-        // buffer has capacity, and is pooled, only after a receive cap
-        // held something back in its shard, as the capped-delivery
-        // scratch it replaces had.
-        for (_, held) in &mut bufs {
-            self.env_pool.put(std::mem::take(held));
-        }
-        for (staged, _) in bufs {
-            self.env_pool.put(staged);
+            self.step_shards(round);
         }
         self.shell.close_round();
     }
@@ -348,25 +319,6 @@ where
 
     fn shell_mut(&mut self) -> &mut RoundShell<N> {
         &mut self.shell
-    }
-
-    fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        let delay = self.shell.core().pool_stats();
-        let env = self.env_pool.stats();
-        let routed = self.routed_pool.stats();
-        vec![
-            ("delay", delay.takes, delay.reuses),
-            ("env", env.takes, env.reuses),
-            ("routed", routed.takes, routed.reuses),
-        ]
-    }
-
-    fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("delay", self.shell.core().pool_high_water_bytes()),
-            ("env", self.env_pool.high_water_bytes()),
-            ("routed", self.routed_pool.high_water_bytes()),
-        ]
     }
 }
 
@@ -518,14 +470,29 @@ mod tests {
     }
 
     #[test]
+    fn transpose_moves_the_vectors_it_swaps() {
+        let mut matrix: Vec<Vec<Vec<u32>>> = (0..3)
+            .map(|w| (0..3).map(|d| vec![10 * w + d]).collect())
+            .collect();
+        let at = |m: &[Vec<Vec<u32>>], i: usize, j: usize| m[i][j].as_ptr();
+        let before = at(&matrix, 0, 2);
+        super::transpose(&mut matrix);
+        for (d, row) in matrix.iter().enumerate() {
+            for (w, cell) in row.iter().enumerate() {
+                assert_eq!(cell, &[10 * w as u32 + d as u32]);
+            }
+        }
+        assert_eq!(at(&matrix, 2, 0), before, "moved, not copied");
+    }
+
+    #[test]
     fn more_workers_than_nodes_is_fine() {
         assert_engines_agree(3, 1, 16, 6, |e| e, |e| e);
     }
 
-    /// High-fan-out probe: enough traffic per round to cross
-    /// `PARALLEL_MERGE_MIN_MESSAGES`, so the threaded merge path (not
-    /// just its serial fallback) is pinned against the sequential
-    /// engine — including delayed deliveries and drops.
+    /// High-fan-out probe: 200 sends per node per round, so every
+    /// bucket, mailbox and delayed list carries thousands of envelopes
+    /// a round.
     #[derive(Clone, Debug, PartialEq)]
     struct Spammer {
         n: u32,
@@ -548,13 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_is_bit_identical_above_threshold() {
+    fn heavy_fan_out_under_drops_a_crash_and_delay_matches_sequential() {
+        // 6,400 sends a round on four shards.
         let n = 32u32;
         let spammers = || -> Vec<Spammer> { (0..n).map(|_| Spammer { n, received: 0 }).collect() };
-        assert!(
-            (n as usize) * 200 >= super::PARALLEL_MERGE_MIN_MESSAGES,
-            "workload must cross the parallel-merge threshold"
-        );
         let plan = || {
             FaultPlan::new()
                 .with_drop_probability(0.1)

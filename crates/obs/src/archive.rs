@@ -50,7 +50,7 @@ use std::collections::BTreeMap;
 use std::fmt::{Debug, Display, Write as _};
 
 /// The one archive schema this crate reads and writes.
-pub const SCHEMA_VERSION: u64 = 6;
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// A parsed archive, in the recorder's own types.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -569,7 +569,6 @@ impl Record for ProfileReport {
         v.field("imbalance_mean", &mut self.imbalance_mean);
         v.field("imbalance_max", &mut self.imbalance_max);
         v.field("peak_knowledge_bytes", &mut self.peak_knowledge_bytes);
-        v.field("peak_pool_bytes", &mut self.peak_pool_bytes);
         v.field("peak_rss_bytes", &mut self.peak_rss_bytes);
     }
 }
@@ -596,7 +595,6 @@ impl Record for ProfileMem {
     fn fields(&mut self, v: &mut impl Visit) {
         v.field("round", &mut self.round);
         v.field("knowledge_bytes", &mut self.knowledge_bytes);
-        v.field("pool_bytes", &mut self.pool_bytes);
         v.field("rss_bytes", &mut self.rss_bytes);
     }
 }
@@ -819,7 +817,6 @@ mod tests {
                 });
             }
             rec.attach_causal(causal);
-            rec.profile_pool_high_water(&[("env", 2048)]);
         }
         rec.finish(
             RunOutcomeObs {
@@ -836,7 +833,7 @@ mod tests {
             &[9, 1, 4],
             &[2, 8, 4],
             &[(0, 500), (1, 600), (2, 640), (3, 680), (4, 700)],
-            &[("delay", 8, 5)],
+            &[],
         )
         .unwrap()
     }
@@ -868,7 +865,7 @@ mod tests {
             let report = sample(sections);
             let text = render(&report);
             assert_eq!(validate(&text), Vec::<String>::new());
-            assert!(text.starts_with("{\"type\":\"header\",\"schema\":6,"));
+            assert!(text.starts_with("{\"type\":\"header\",\"schema\":7,"));
             let a = parse(&text).unwrap();
             assert_eq!(a.meta, report.meta);
             assert_eq!(a.rounds, report.rounds);
@@ -897,19 +894,19 @@ mod tests {
     #[test]
     fn validate_rejects_schema_drift() {
         let text = render(&sample(false));
-        for other in ["999", "5", "\"6\""] {
-            let drifted = text.replace("\"schema\":6", &format!("\"schema\":{other}"));
+        for other in ["999", "6", "\"7\""] {
+            let drifted = text.replace("\"schema\":7", &format!("\"schema\":{other}"));
             assert!(parse(&drifted).is_err(), "schema {other}");
         }
         assert!(flags(
-            &text.replace("\"schema\":6", "\"schema\":999"),
+            &text.replace("\"schema\":7", "\"schema\":999"),
             "unsupported schema 999"
         ));
         assert!(flags(
             &text.replace("\"type\":\"worker\"", "\"type\":\"wurker\""),
             "unknown record type"
         ));
-        // Schema 5's `alert` line is an unknown record type in schema 6.
+        // Schema 5's `alert` line is still an unknown record type.
         let alert = "{\"type\":\"alert\",\"rule\":\"stall\",\"round\":4}\n";
         let with_alert = text.replacen(
             "{\"type\":\"summary\"",

@@ -377,9 +377,8 @@ fn msg_table(out: &mut String, msgs: &[ProfileMsg]) {
 fn memory_line(out: &mut String, pm: &ProfileReport) {
     let _ = writeln!(
         out,
-        "memory: peak knowledge {}, pools {}, est. peak RSS {} ({} samples)",
+        "memory: peak knowledge {}, est. peak RSS {} ({} samples)",
         fmt_bytes(pm.peak_knowledge_bytes),
-        fmt_bytes(pm.peak_pool_bytes),
         fmt_bytes(pm.peak_rss_bytes),
         pm.samples
     );
@@ -442,7 +441,7 @@ mod tests {
     fn sample(messages: u64) -> String {
         format!(
             concat!(
-                "{{\"type\":\"header\",\"schema\":6,\"algorithm\":\"hm\",\"topology\":\"k-out-3\",\"n\":64,\"seed\":\"7\",\"engine\":\"sharded:2\",\"workers\":2,\"latency_model\":null}}\n",
+                "{{\"type\":\"header\",\"schema\":7,\"algorithm\":\"hm\",\"topology\":\"k-out-3\",\"n\":64,\"seed\":\"7\",\"engine\":\"sharded:2\",\"workers\":2,\"latency_model\":null}}\n",
                 "{{\"type\":\"round\",\"round\":1,\"wall_ns\":1000,\"messages\":{m},\"pointers\":9,\"dropped_coin\":1,\"dropped_crash\":0,\"dropped_partition\":0,\"dropped_link\":0,\"dropped_suppression\":0,\"retransmissions\":0,\"knowledge_delta\":null}}\n",
                 "{{\"type\":\"phase\",\"phase\":\"route_shard\",\"count\":2,\"total_ns\":800,\"p50_ns\":400,\"p99_ns\":500,\"max_ns\":500}}\n",
                 "{{\"type\":\"worker\",\"worker\":0,\"spans\":2,\"busy_ns\":700}}\n",
@@ -516,12 +515,12 @@ mod tests {
                 concat!(
                     "{\"type\":\"profile_meta\",\"coverage_pct\":95.5,\"samples\":2,\"utilization_pct\":80.2,",
                     "\"imbalance_mean\":1.05,\"imbalance_max\":1.2,\"peak_knowledge_bytes\":2097152,",
-                    "\"peak_pool_bytes\":1048576,\"peak_rss_bytes\":3145728}\n",
+                    "\"peak_rss_bytes\":3145728}\n",
                     "{\"type\":\"profile_phase\",\"phase\":\"on_round\",\"total_ns\":600000,\"round_pct\":60,\"ns_per_envelope\":14.3}\n",
                     "{\"type\":\"profile_phase\",\"phase\":\"route_shard\",\"total_ns\":300000,\"round_pct\":30,\"ns_per_envelope\":7.1}\n",
                     "{\"type\":\"profile_msg\",\"kind\":\"Rumor\",\"envelopes\":42,\"payload_bytes\":2016,\"ns_per_envelope\":23.8}\n",
-                    "{\"type\":\"profile_mem\",\"round\":1,\"knowledge_bytes\":1048576,\"pool_bytes\":1048576,\"rss_bytes\":2097152}\n",
-                    "{\"type\":\"profile_mem\",\"round\":2,\"knowledge_bytes\":2097152,\"pool_bytes\":1048576,\"rss_bytes\":3145728}\n",
+                    "{\"type\":\"profile_mem\",\"round\":1,\"knowledge_bytes\":1048576,\"rss_bytes\":2097152}\n",
+                    "{\"type\":\"profile_mem\",\"round\":2,\"knowledge_bytes\":2097152,\"rss_bytes\":3145728}\n",
                     "{\"type\":\"summary\""
                 ),
             )
@@ -536,7 +535,7 @@ mod tests {
         );
         assert!(out.contains("imbalance mean 1.05 / max 1.20"), "{out}");
         assert!(
-            out.contains("memory: peak knowledge 2.0 MiB, pools 1.0 MiB, est. peak RSS 3.0 MiB"),
+            out.contains("memory: peak knowledge 2.0 MiB, est. peak RSS 3.0 MiB"),
             "{out}"
         );
         assert!(out.contains("ns/envelope"), "{out}");

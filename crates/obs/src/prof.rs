@@ -9,8 +9,8 @@
 //! gauge and the [`ProfileReport`] all read that fold, and
 //! `imbalance` / `utilization` are its one pair of skew formulas.
 //!
-//! Profiling adds what spans cannot carry — message-kind sizes, the
-//! driver's memory samples, pool high water — and, like every
+//! Profiling adds what spans cannot carry — message-kind sizes and the
+//! driver's memory samples — and, like every
 //! observability surface, lives strictly outside the determinism
 //! boundary: nothing deterministic reads any of it back. When profiling
 //! is off no extra clock is read and archives carry no profile section.
@@ -164,9 +164,6 @@ pub(crate) struct ProfileInputs {
     pub(crate) msg_kinds: Vec<(String, u64, u64)>,
     /// Driver-sampled `(round, total resident knowledge bytes)`.
     pub(crate) mem_samples: Vec<(u64, u64)>,
-    /// End-of-run `(pool name, high-water bytes)` from every engine
-    /// buffer pool.
-    pub(crate) pool_high_water: Vec<(String, u64)>,
 }
 
 /// One phase's share of the run in the attribution table.
@@ -206,10 +203,7 @@ pub struct ProfileMem {
     pub round: u64,
     /// Total `KnowledgeSet` resident bytes across live nodes.
     pub knowledge_bytes: u64,
-    /// Buffer-pool high-water bytes (end-of-run estimate, constant
-    /// across samples).
-    pub pool_bytes: u64,
-    /// Peak-RSS estimate: knowledge + pools + telemetry buffers.
+    /// Peak-RSS estimate: knowledge + telemetry buffers.
     pub rss_bytes: u64,
 }
 
@@ -232,9 +226,7 @@ pub struct ProfileReport {
     pub imbalance_max: f64,
     /// Largest knowledge-bytes sample.
     pub peak_knowledge_bytes: u64,
-    /// Summed buffer-pool high-water bytes.
-    pub peak_pool_bytes: u64,
-    /// Peak-RSS estimate: peak knowledge + pools + telemetry buffers.
+    /// Peak-RSS estimate: peak knowledge + telemetry buffers.
     pub peak_rss_bytes: u64,
     /// Per-phase attribution, in [`Phase::ALL`] order, phases with
     /// spans only.
@@ -307,7 +299,6 @@ impl ProfileInputs {
             })
             .collect();
 
-        let peak_pool_bytes: u64 = self.pool_high_water.iter().map(|&(_, b)| b).sum();
         // Telemetry's own footprint, so the RSS estimate owns up to
         // the profiler: retained spans plus round rows.
         let telemetry_bytes = (std::mem::size_of_val(spans) + std::mem::size_of_val(rounds)) as u64;
@@ -318,8 +309,7 @@ impl ProfileInputs {
             .map(|&(round, knowledge_bytes)| ProfileMem {
                 round,
                 knowledge_bytes,
-                pool_bytes: peak_pool_bytes,
-                rss_bytes: knowledge_bytes + peak_pool_bytes + telemetry_bytes,
+                rss_bytes: knowledge_bytes + telemetry_bytes,
             })
             .collect();
 
@@ -334,8 +324,7 @@ impl ProfileInputs {
             },
             imbalance_max: imb_max,
             peak_knowledge_bytes,
-            peak_pool_bytes,
-            peak_rss_bytes: peak_knowledge_bytes + peak_pool_bytes + telemetry_bytes,
+            peak_rss_bytes: peak_knowledge_bytes + telemetry_bytes,
             phases,
             msgs,
             mem,
@@ -403,7 +392,6 @@ mod tests {
             rec.profile_memory(r + 1, 1000 * (r + 1));
             rec.end_round(round_row(r, 50));
         }
-        rec.profile_pool_high_water(&[("env", 4096)]);
         rec.finish(outcome(100, 100), &[], &[], &[], &[]).unwrap()
     }
 
@@ -414,19 +402,17 @@ mod tests {
         assert!(prof.coverage_pct >= 0.0 && prof.coverage_pct <= 100.0);
         assert_eq!(prof.samples, 2);
         assert_eq!(prof.peak_knowledge_bytes, 2000);
-        assert_eq!(prof.peak_pool_bytes, 4096);
-        assert!(prof.peak_rss_bytes >= 2000 + 4096);
+        assert!(prof.peak_rss_bytes >= 2000);
         assert_eq!(prof.msgs.len(), 1);
         let msg = &prof.msgs[0];
         assert_eq!(msg.kind, "Rumor");
         assert_eq!(msg.envelopes, 100);
         assert_eq!(msg.payload_bytes, 100 * 48 + 100 * 4);
         assert!(prof.phases.iter().any(|p| p.phase == Phase::OnRound));
-        // Memory timeline is in sample order with constant pool bytes.
+        // Memory timeline is in sample order.
         assert_eq!(prof.mem.len(), 2);
         assert_eq!(prof.mem[0].round, 1);
         assert_eq!(prof.mem[1].knowledge_bytes, 2000);
-        assert_eq!(prof.mem[0].pool_bytes, prof.mem[1].pool_bytes);
     }
 
     #[test]

@@ -266,13 +266,10 @@ impl Recorder {
         }
     }
 
-    /// Records end-of-run buffer-pool high-water marks (no-op when
-    /// profiling is off).
-    pub fn profile_pool_high_water(&mut self, pools: &[(&str, u64)]) {
-        if let Some(prof) = &mut self.prof {
-            prof.pool_high_water = pools.iter().map(|&(n, b)| (n.to_string(), b)).collect();
-        }
-    }
+    /// Ignores its argument: engines keep no buffer pool, so there is
+    /// no high-water mark to profile. Kept because the frozen
+    /// `benchmark/` package still calls it.
+    pub fn profile_pool_high_water(&mut self, _pools: &[(&str, u64)]) {}
 
     /// Hands the engine's finished causal trace to the recorder so the
     /// archive can export it as the provenance section.
@@ -355,15 +352,16 @@ impl Recorder {
     /// `per_node_sent`/`per_node_recv` feed the hot-node top-k;
     /// `knowledge` is the driver's `(round, total known ids)` series,
     /// round 0 being the initial knowledge (empty when the driver does
-    /// not observe knowledge); `pools` are `(name, takes, reuses)`
-    /// counters from every buffer pool the engine exposes.
+    /// not observe knowledge). `_pools` is ignored: engines keep no
+    /// buffer pool, and the parameter stays because the frozen
+    /// `benchmark/` package still passes it.
     pub fn finish(
         mut self,
         outcome: RunOutcomeObs,
         per_node_sent: &[u64],
         per_node_recv: &[u64],
         knowledge: &[(u64, u64)],
-        pools: &[(&str, u64, u64)],
+        _pools: &[(&str, u64, u64)],
     ) -> std::io::Result<ObsReport> {
         // Knowledge deltas: row `r` learned known(r) − known(r − 1).
         // Rows and series both ascend by round, so one merge walk
@@ -392,16 +390,6 @@ impl Recorder {
             reg.add_counter("causal_candidates_total", causal.candidates());
             reg.add_counter("causal_sampled_out_total", causal.sampled_out());
             reg.add_counter("causal_overflow_total", causal.overflow());
-        }
-        for &(name, takes, reuses) in pools {
-            reg.add_counter(&format!("pool_{name}_takes_total"), takes);
-            reg.add_counter(&format!("pool_{name}_reuses_total"), reuses);
-            let rate = if takes == 0 {
-                0.0
-            } else {
-                reuses as f64 / takes as f64
-            };
-            reg.set_gauge(&format!("pool_{name}_hit_rate"), rate);
         }
         for row in &self.rounds {
             reg.record("round_messages", row.messages);
@@ -516,7 +504,7 @@ mod tests {
                 &[5, 0, 9, 9],
                 &[1, 2, 3, 4],
                 &[(0, 100), (1, 130), (2, 160), (3, 200)],
-                &[("delay", 10, 7)],
+                &[],
             )
             .unwrap();
         // Rows and spans count from 1, like the knowledge series, and
@@ -536,8 +524,6 @@ mod tests {
         );
         assert_eq!(report.registry.counter("messages_total"), Some(60));
         assert_eq!(report.registry.counter("dropped_coin_total"), Some(3));
-        assert_eq!(report.registry.counter("pool_delay_reuses_total"), Some(7));
-        assert!((report.registry.gauge("pool_delay_hit_rate").unwrap() - 0.7).abs() < 1e-9);
         assert_eq!(report.hot_senders, vec![(2, 9), (3, 9), (0, 5)]);
         assert_eq!(report.hot_receivers[0], (3, 4));
         let on_round = report
@@ -647,13 +633,12 @@ mod fold_oracle {
         None
     }
 
-    /// The profiler's inputs: `(kind, env_bytes, ptr_bytes)`, memory
-    /// samples, pool high water.
+    /// The profiler's inputs: `(kind, env_bytes, ptr_bytes)` and memory
+    /// samples.
     #[derive(Default)]
     struct Inputs {
         msg_kinds: Vec<(String, u64, u64)>,
         mem_samples: Vec<(u64, u64)>,
-        pool_high_water: Vec<(String, u64)>,
     }
 
     /// `Profiler::assemble`.
@@ -762,7 +747,6 @@ mod fold_oracle {
             })
             .collect();
 
-        let peak_pool_bytes: u64 = prof.pool_high_water.iter().map(|&(_, b)| b).sum();
         let telemetry_bytes = (std::mem::size_of_val(spans) + std::mem::size_of_val(rounds)) as u64;
         let peak_knowledge_bytes = prof.mem_samples.iter().map(|&(_, b)| b).max().unwrap_or(0);
         let mem: Vec<ProfileMem> = prof
@@ -771,8 +755,7 @@ mod fold_oracle {
             .map(|&(round, knowledge_bytes)| ProfileMem {
                 round,
                 knowledge_bytes,
-                pool_bytes: peak_pool_bytes,
-                rss_bytes: knowledge_bytes + peak_pool_bytes + telemetry_bytes,
+                rss_bytes: knowledge_bytes + telemetry_bytes,
             })
             .collect();
 
@@ -783,8 +766,7 @@ mod fold_oracle {
             imbalance_mean,
             imbalance_max: imb_max,
             peak_knowledge_bytes,
-            peak_pool_bytes,
-            peak_rss_bytes: peak_knowledge_bytes + peak_pool_bytes + telemetry_bytes,
+            peak_rss_bytes: peak_knowledge_bytes + telemetry_bytes,
             phases,
             msgs,
             mem,
@@ -878,9 +860,6 @@ mod fold_oracle {
             let (round, phase) = (rounds + rng.below(3), rng.phase());
             rec.record_span(rng.span(round, phase, workers));
         }
-        let pools = [("env", rng.below(1 << 20)), ("delay", rng.below(1 << 20))];
-        rec.profile_pool_high_water(&pools);
-        inputs.pool_high_water = pools.iter().map(|&(n, b)| (n.to_string(), b)).collect();
         for row in &mut rec.rounds {
             row.wall_ns = rng.ns();
         }

@@ -27,7 +27,7 @@ pub enum Phase {
     MergeDestShard,
     /// Serial fold of per-shard metric/trace/retry deltas.
     ApplyDeltas,
-    /// End-of-round bookkeeping (row close-out, pool returns).
+    /// End-of-round bookkeeping (due retransmissions, clock advance).
     FinishRound,
     /// Recorder bookkeeping at round close (row assembly, sink fan-out).
     /// Emitted only when profiling is enabled, so the profiler's own

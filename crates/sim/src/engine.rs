@@ -1,7 +1,7 @@
 //! The round shell every engine shares, the [`RoundEngine`] interface
 //! over it, and the serial engine.
 
-use crate::engine_core::{step_shard, EngineCore, RetryPolicy};
+use crate::engine_core::{one_mailbox, step_shard, EngineCore, RetryPolicy};
 use crate::faults::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::message::Envelope;
@@ -99,9 +99,12 @@ impl<N: Node> RoundShell<N> {
     }
 
     /// Steps every live node on the calling thread ([`step_shard`] over
-    /// each mailbox's block in turn — the whole population, unless the
-    /// core was split into shards), appending its sends to `staged`;
-    /// `held` is where a receive cap's leftovers wait for the block.
+    /// the whole population and its one mailbox), appending its sends to
+    /// `staged`; `held` is where a receive cap's leftovers wait.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core was split into more than one shard.
     pub fn step_nodes(
         &mut self,
         staged: &mut Vec<Envelope<N::Msg>>,
@@ -110,11 +113,8 @@ impl<N: Node> RoundShell<N> {
         let round = self.core.round();
         timed_phase(self.obs.as_mut(), Phase::OnRound, round, || {
             let parts = self.core.route_parts();
-            let shard_len = parts.params.shard_len;
-            let blocks = self.nodes.chunks_mut(shard_len);
-            for (w, (nodes, mailbox)) in blocks.zip(parts.mailboxes).enumerate() {
-                step_shard(parts.ctx, w * shard_len, nodes, mailbox, staged, held);
-            }
+            let mailbox = one_mailbox(parts.mailboxes);
+            step_shard(parts.ctx, 0, &mut self.nodes, mailbox, staged, held);
         });
     }
 
@@ -309,21 +309,17 @@ pub trait RoundEngine<N: Node>: Sized {
         self.shell_mut().obs.take()
     }
 
-    /// `(name, takes, reuses)` counters for every buffer pool the
-    /// engine owns (observability export): the core's delay-batch pool,
-    /// plus whatever an engine that overrides this adds.
+    /// Always empty: engines keep their buffers across rounds as fields,
+    /// not in a free list, so there are no pool counters to export. Kept
+    /// because the frozen `benchmark/` package still calls it.
     fn pool_counters(&self) -> Vec<(&'static str, u64, u64)> {
-        let stats = self.shell().core.pool_stats();
-        vec![("delay", stats.takes, stats.reuses)]
+        Vec::new()
     }
 
-    /// `(name, peak_bytes)` high-water marks for every buffer pool the
-    /// engine owns (profiler export). Like [`pool_counters`], read once
-    /// by the driver after the run; never consulted by engine logic.
-    ///
-    /// [`pool_counters`]: Self::pool_counters
+    /// Always empty, like [`pool_counters`](Self::pool_counters), and
+    /// kept for the same caller.
     fn pool_high_water(&self) -> Vec<(&'static str, u64)> {
-        vec![("delay", self.shell().core.pool_high_water_bytes())]
+        Vec::new()
     }
 
     /// Runs until `done(nodes)` holds (checked before the first round and

@@ -24,8 +24,9 @@
 //!
 //! # One mailbox per shard
 //!
-//! Mail is not kept per node. Each shard — the whole population on the
-//! serial engine — has one [`Mailbox`]: everything that arrives for its
+//! Mail is not kept per node. Each shard has one [`Mailbox`] — the
+//! serial path has one shard, the whole population, and serves exactly
+//! one mailbox: everything that arrives for its
 //! nodes is appended to one buffer in the order it arrives, and stepping
 //! the shard sorts that buffer by destination with a stable counting
 //! sort, so each node's mail is one contiguous run in arrival order.
@@ -44,6 +45,11 @@
 //! straight-line loop, a destination shard's merge, the sort's scratch)
 //! they are reserved to exactly that batch, so each is sized to the
 //! busiest round the run has had rather than to the next power of two.
+//! Like the mailboxes, every buffer that outlives a round is a field of
+//! the code that fills it: the serial path's routing bucket, the
+//! sharded engine's per-shard buffers. Only the delay queue allocates
+//! as it goes: one plain vector per arrival round, dropped once
+//! delivered.
 //!
 //! # One kernel, one latency model
 //!
@@ -78,7 +84,6 @@ use crate::latency::LatencyModel;
 use crate::message::{Envelope, MessageCost};
 use crate::metrics::{charge, NodeLane, RoundMetrics, RunMetrics};
 use crate::node::{Inbox, Node, RoundContext, SuspectView};
-use crate::pool::BufferPool;
 use crate::rng;
 use rand::Rng;
 use rd_obs::{CausalTrace, ProvEdge};
@@ -191,6 +196,22 @@ impl<M> Mailbox<M> {
     }
 }
 
+/// The mailbox of a core that was not split into shards: the one the
+/// serial node loop and serial routing serve.
+///
+/// # Panics
+///
+/// Panics if there is more than one.
+pub(crate) fn one_mailbox<M>(mailboxes: &mut [Mailbox<M>]) -> &mut Mailbox<M> {
+    match mailboxes {
+        [mailbox] => mailbox,
+        _ => panic!(
+            "the serial path serves one mailbox, not {}",
+            mailboxes.len()
+        ),
+    }
+}
+
 /// Makes room in `buf` for exactly `additional` more items. An empty
 /// buffer too small for them is freed before the new one is allocated,
 /// so the allocator can place the new block where the old one was: a
@@ -232,21 +253,18 @@ pub struct EngineCore<M: MessageCost> {
     /// What every transmission's latency is drawn from (`const:1` = the
     /// synchronous round).
     latency: LatencyModel,
-    /// Messages awaiting a later delivery round, keyed by that round.
+    /// Messages awaiting a later delivery round, keyed by that round;
+    /// a batch is dropped once delivered.
     delayed: std::collections::BTreeMap<u64, Vec<Envelope<M>>>,
-    /// Recycled batch buffers for the delay queue.
-    pool: BufferPool<Envelope<M>>,
     /// Retransmission policy (`None` = best-effort delivery).
     reliable: Option<RetryPolicy>,
     /// Dropped messages awaiting retransmission, keyed by resend round:
     /// the run's one timer, drained by [`retransmit_due`](Self::retransmit_due)
     /// at every round's close.
     retransmit_queue: std::collections::BTreeMap<u64, Vec<RetryEnvelope<M>>>,
-    /// The serial path's buckets (one per mailbox) and delayed list,
-    /// reused across rounds. Plain vectors, not pool buffers: pool
-    /// counters are archive records, and the serial path must not move
-    /// them.
-    serial_buckets: Vec<Routed<M>>,
+    /// The serial path's one bucket and delayed list, kept across
+    /// rounds so their allocations are reused.
+    serial_bucket: Routed<M>,
     serial_delayed: Routed<M>,
 }
 
@@ -679,10 +697,9 @@ impl<M: MessageCost> EngineCore<M> {
             receive_cap: None,
             latency: LatencyModel::UNIT,
             delayed: std::collections::BTreeMap::new(),
-            pool: BufferPool::new(),
             reliable: None,
             retransmit_queue: std::collections::BTreeMap::new(),
-            serial_buckets: vec![Vec::new()],
+            serial_bucket: Vec::new(),
             serial_delayed: Vec::new(),
         }
     }
@@ -700,7 +717,6 @@ impl<M: MessageCost> EngineCore<M> {
         let shards = self.node_count.div_ceil(shard_len).max(1);
         self.shard_len = shard_len;
         self.mailboxes = (0..shards).map(|_| Mailbox::default()).collect();
-        self.serial_buckets = (0..shards).map(|_| Vec::new()).collect();
     }
 
     /// Nodes per mailbox.
@@ -845,18 +861,6 @@ impl<M: MessageCost> EngineCore<M> {
         &self.metrics
     }
 
-    /// Hit-rate counters of the core's delay-batch buffer pool
-    /// (observability export).
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        self.pool.stats()
-    }
-
-    /// Peak bytes ever parked in the delay-batch buffer pool
-    /// (profiler export).
-    pub fn pool_high_water_bytes(&self) -> u64 {
-        self.pool.high_water_bytes()
-    }
-
     /// Opens a round: starts its metrics row, folds newly reportable
     /// crashes into the suspect list, and moves messages whose
     /// arrival round has come into the mailboxes. Returns the round
@@ -890,11 +894,10 @@ impl<M: MessageCost> EngineCore<M> {
             .first_key_value()
             .is_some_and(|(&at, _)| at <= round)
         {
-            let (_, mut batch) = self.delayed.pop_first().expect("nonempty");
-            for env in batch.drain(..) {
+            let (_, batch) = self.delayed.pop_first().expect("nonempty");
+            for env in batch {
                 self.mailboxes[env.dst.index() / self.shard_len].push(env);
             }
-            self.pool.put(batch);
         }
         round
     }
@@ -912,14 +915,14 @@ impl<M: MessageCost> EngineCore<M> {
     /// buffer is drained and left empty for reuse.
     ///
     /// This is the kernel at shard count 1: [`route_shard`] over one
-    /// whole-population sender shard, [`merge_dest_shard`] into each
+    /// whole-population sender shard, [`merge_dest_shard`] into the one
     /// mailbox, [`apply_route_deltas`](Self::apply_route_deltas) — the
     /// sharded pipeline, so the serial and parallel paths are one
     /// function rather than two kept equal. When the core can see that no
     /// message has anything to decide — `const:1`, no faults, no causal
-    /// sampler — and one mailbox serves every node, every
-    /// message is instead a straight-line tally-and-push: no coins, no
-    /// draws, no branches on per-message state, no buckets.
+    /// sampler — every message is instead a straight-line
+    /// tally-and-push: no coins, no draws, no branches on per-message
+    /// state, no buckets.
     ///
     /// Dropped messages park in the retransmission queue (when reliable
     /// delivery is on) at `round + timeout`; the caller decides when to
@@ -927,13 +930,14 @@ impl<M: MessageCost> EngineCore<M> {
     ///
     /// # Panics
     ///
-    /// As [`route_shard`].
+    /// As [`route_shard`], and if the core was split into more than one
+    /// shard ([`set_shard_len`](Self::set_shard_len)).
     pub fn route_batch(&mut self, staged: &mut Vec<Envelope<M>>) {
         let decided = self.latency == LatencyModel::UNIT
             && self.causal.is_none()
             && self.faults.is_fault_free();
-        if decided && self.mailboxes.len() == 1 {
-            let mailbox = &mut self.mailboxes[0];
+        if decided {
+            let mailbox = one_mailbox(&mut self.mailboxes);
             mailbox.reserve(staged.len());
             let n = self.node_count;
             let lanes = self.metrics.lanes();
@@ -959,28 +963,24 @@ impl<M: MessageCost> EngineCore<M> {
             }
             return;
         }
-        let mut buckets = std::mem::take(&mut self.serial_buckets);
+        let mut bucket = std::mem::take(&mut self.serial_bucket);
         let mut delayed = std::mem::take(&mut self.serial_delayed);
         let parts = self.route_parts();
-        let shard_len = parts.params.shard_len;
-        let mut delta = route_shard(parts.params, staged, 0, parts.node_lanes, &mut buckets);
-        for (d, (bucket, mailbox)) in buckets.iter_mut().zip(parts.mailboxes).enumerate() {
-            let base = d * shard_len;
-            let end = (base + shard_len).min(parts.node_lanes.len());
-            merge_dest_shard(
-                parts.params.round,
-                base,
-                std::slice::from_mut(bucket),
-                mailbox,
-                &mut parts.node_lanes[base..end],
-                &mut delayed,
-            );
-        }
+        let buckets = std::slice::from_mut(&mut bucket);
+        let mut delta = route_shard(parts.params, staged, 0, parts.node_lanes, buckets);
+        merge_dest_shard(
+            parts.params.round,
+            0,
+            buckets,
+            one_mailbox(parts.mailboxes),
+            parts.node_lanes,
+            &mut delayed,
+        );
         self.apply_route_deltas(
             std::slice::from_mut(&mut delta),
             std::slice::from_mut(&mut delayed),
         );
-        self.serial_buckets = buckets;
+        self.serial_bucket = bucket;
         self.serial_delayed = delayed;
     }
 
@@ -1057,11 +1057,9 @@ impl<M: MessageCost> EngineCore<M> {
                 }
             }
         }
-        let delayed = &mut self.delayed;
-        let pool = &mut self.pool;
         for list in delayed_lists.iter_mut() {
             for (at, env) in list.drain(..) {
-                delayed.entry(at).or_insert_with(|| pool.take()).push(env);
+                self.delayed.entry(at).or_default().push(env);
             }
         }
     }
@@ -1098,7 +1096,6 @@ impl<M: MessageCost> EngineCore<M> {
         let guards = FaultGuards::new(self.seed, self.latency, &self.faults);
         let (mailboxes, shard_len) = (&mut self.mailboxes, self.shard_len);
         let delayed = &mut self.delayed;
-        let pool = &mut self.pool;
         let queue = &mut self.retransmit_queue;
         let lanes = self.metrics.lanes();
         while queue.first_key_value().is_some_and(|(&at, _)| at <= round) {
@@ -1137,10 +1134,7 @@ impl<M: MessageCost> EngineCore<M> {
                     if lat == 1 {
                         mailboxes[dst / shard_len].push(retry.env);
                     } else {
-                        delayed
-                            .entry(round + lat)
-                            .or_insert_with(|| pool.take())
-                            .push(retry.env);
+                        delayed.entry(round + lat).or_default().push(retry.env);
                     }
                 }
             }
@@ -1669,9 +1663,26 @@ mod tests {
     /// Per node, the payloads it was handed in each round it stepped.
     type Heard = Vec<Vec<(u64, Vec<u32>)>>;
 
+    /// Where, after a round, the envelopes a run has counted in its
+    /// `recv_messages` lanes are.
+    #[derive(Debug, Default)]
+    struct Ledger {
+        /// Counted in a `recv_messages` lane so far.
+        counted: u64,
+        /// Handed to their node so far.
+        handed: u64,
+        /// Discarded so far at the step of a node that was down.
+        discarded: u64,
+        /// Still in a mailbox or the delay queue.
+        queued: u64,
+        /// Dropped messages parked for retransmission (never counted).
+        parked: usize,
+    }
+
     /// What every node was handed, round by round, when the core's
-    /// mailboxes — split into `shards` — deliver.
-    fn heard_through_mailboxes(shards: usize, setup: &Delivery) -> Heard {
+    /// mailboxes — split into `shards` — deliver; and the run's ledger
+    /// after each round.
+    fn heard_through_mailboxes(shards: usize, setup: &Delivery) -> (Heard, Vec<Ledger>) {
         let n = ORACLE_N as usize;
         let mut core: EngineCore<u32> = EngineCore::new(n, 5);
         core.set_shard_len(n.div_ceil(shards));
@@ -1690,12 +1701,15 @@ mod tests {
             })
             .collect();
         let (mut staged, mut held) = (Vec::new(), Vec::new());
+        let (mut ledgers, mut discarded) = (Vec::new(), 0);
         for _ in 0..ORACLE_ROUNDS {
-            core.begin_round();
+            let round = core.begin_round();
             let parts = core.route_parts();
             let shard_len = parts.params.shard_len;
             let blocks = nodes.chunks_mut(shard_len);
             for (w, (block, mailbox)) in blocks.zip(parts.mailboxes).enumerate() {
+                let down = |e: &&Envelope<u32>| setup.faults.is_crashed_at(e.dst.index(), round);
+                discarded += mailbox.mail.iter().filter(down).count() as u64;
                 step_shard(
                     parts.ctx,
                     w * shard_len,
@@ -1705,18 +1719,33 @@ mod tests {
                     &mut held,
                 );
             }
-            // One shard takes the serial entry point, two the sharded
-            // engine's calls, three the serial kernel into every mailbox.
-            if shards == 2 {
+            // One shard takes the serial entry point, more the sharded
+            // engine's calls.
+            if shards == 1 {
+                core.route_batch(&mut staged);
+            } else {
                 route_in_shards(&mut core, &staged);
                 staged.clear();
-            } else {
-                core.route_batch(&mut staged);
             }
             core.retransmit_due();
             core.finish_round();
+            let lanes = core.metrics().node_lanes();
+            let mailed = core.mailboxes.iter().map(|m| m.mail.len());
+            let delayed = core.delayed.values().map(Vec::len);
+            ledgers.push(Ledger {
+                counted: lanes.iter().map(|lane| lane.recv_messages).sum(),
+                handed: nodes
+                    .iter()
+                    .flat_map(|node| &node.heard)
+                    .map(|(_, mail)| mail.len() as u64)
+                    .sum(),
+                discarded,
+                queued: mailed.chain(delayed).sum::<usize>() as u64,
+                parked: core.retransmit_queue.values().map(Vec::len).sum(),
+            });
         }
-        nodes.into_iter().map(|node| node.heard).collect()
+        let heard = nodes.into_iter().map(|node| node.heard).collect();
+        (heard, ledgers)
     }
 
     /// The same, delivered the way the engines did before mailboxes were
@@ -1888,6 +1917,25 @@ mod tests {
         // node handed it, on one, two and three shards: capped
         // leftovers ahead of routed mail, then retransmissions, then
         // delayed arrivals.
+        for (name, setup) in delivery_setups() {
+            let cap = setup.cap;
+            let (expected, deferred) = heard_through_inboxes(&setup);
+            assert_eq!(cap.is_some(), deferred > 0, "{name}: a cap that never bit");
+            let delivered: usize = expected.iter().flatten().map(|(_, mail)| mail.len()).sum();
+            assert!(delivered > 60, "{name}: only {delivered} deliveries");
+            for shards in [1, 2, 3] {
+                let (heard, _) = heard_through_mailboxes(shards, &setup);
+                for (node, (got, want)) in heard.iter().zip(&expected).enumerate() {
+                    assert_eq!(got, want, "{name}, {shards} shards, node {node}");
+                }
+            }
+        }
+    }
+
+    /// The multi-round delivery set-ups, by name: none, a cap alone,
+    /// and caps under churn or a partition with retransmissions and a
+    /// uniform, a directional or a heavy-tailed latency.
+    fn delivery_setups() -> Vec<(&'static str, Delivery)> {
         let churn = || {
             FaultPlan::new()
                 .with_drop_probability(0.2)
@@ -1897,59 +1945,59 @@ mod tests {
                 .with_recovery_at(0, 24)
         };
         let split = FaultPlan::new().with_partition([vec![0, 1, 2, 3, 4], vec![5, 6, 7]], 2, 7);
-        let policy = RetryPolicy {
+        let policy = Some(RetryPolicy {
             timeout: 1,
             max_retries: 6,
             max_backoff: 4,
+        });
+        let setup = |cap, faults, reliable, latency| Delivery {
+            cap,
+            faults,
+            reliable,
+            latency,
         };
+        let unit = LatencyModel::UNIT;
         let uniform = LatencyModel::Uniform { min: 1, max: 3 };
-        let setups = [
-            (
-                "fault-free",
-                None,
-                FaultPlan::new(),
-                None,
-                LatencyModel::UNIT,
-            ),
-            (
-                "capped",
-                Some(2),
-                FaultPlan::new(),
-                None,
-                LatencyModel::UNIT,
-            ),
+        vec![
+            ("fault-free", setup(None, FaultPlan::new(), None, unit)),
+            ("capped", setup(Some(2), FaultPlan::new(), None, unit)),
             (
                 "capped uniform churn",
-                Some(2),
-                churn(),
-                Some(policy),
-                uniform,
+                setup(Some(2), churn(), policy, uniform),
             ),
-            ("cap 1 asym partition", Some(1), split, Some(policy), ASYM),
+            ("cap 1 asym partition", setup(Some(1), split, policy, ASYM)),
             (
                 "cap 3 lognormal churn",
-                Some(3),
-                churn(),
-                Some(policy),
-                LOGNORMAL,
+                setup(Some(3), churn(), policy, LOGNORMAL),
             ),
-        ];
-        for (name, cap, faults, reliable, latency) in setups {
-            let setup = Delivery {
-                cap,
-                faults,
-                reliable,
-                latency,
-            };
-            let (expected, deferred) = heard_through_inboxes(&setup);
-            assert_eq!(cap.is_some(), deferred > 0, "{name}: a cap that never bit");
-            let delivered: usize = expected.iter().flatten().map(|(_, mail)| mail.len()).sum();
-            assert!(delivered > 60, "{name}: only {delivered} deliveries");
+        ]
+    }
+
+    #[test]
+    fn every_counted_delivery_is_handed_discarded_or_queued() {
+        // After every round, each envelope a `recv_messages` lane counts
+        // is in exactly one place: handed to its node, discarded at the
+        // step of a node that was down, or still in a mailbox or the
+        // delay queue. At the end every queue is empty.
+        for (name, setup) in delivery_setups() {
             for shards in [1, 2, 3] {
-                let heard = heard_through_mailboxes(shards, &setup);
-                for (node, (got, want)) in heard.iter().zip(&expected).enumerate() {
-                    assert_eq!(got, want, "{name}, {shards} shards, node {node}");
+                let (_, ledgers) = heard_through_mailboxes(shards, &setup);
+                for (round, l) in ledgers.iter().enumerate() {
+                    assert_eq!(
+                        l.counted,
+                        l.handed + l.discarded + l.queued,
+                        "{name}, {shards} shards, round {round}: {l:?}"
+                    );
                 }
+                let last = ledgers.last().expect("the run has rounds");
+                assert_eq!(
+                    (last.queued, last.parked),
+                    (0, 0),
+                    "{name}, {shards} shards"
+                );
+                assert!(last.handed > 60, "{name}, {shards} shards: {last:?}");
+                let crashes = setup.faults.has_crashes();
+                assert_eq!(crashes, last.discarded > 0, "{name}, {shards} shards");
             }
         }
     }

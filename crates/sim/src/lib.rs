@@ -73,7 +73,6 @@ pub mod latency;
 pub mod message;
 pub mod metrics;
 pub mod node;
-pub mod pool;
 pub mod rng;
 
 pub use engine::{timed_phase, Engine, RoundEngine, RoundShell, RunOutcome};
@@ -84,7 +83,6 @@ pub use latency::LatencyModel;
 pub use message::{AppendList, Envelope, MessageCost, PointerList};
 pub use metrics::{round_obs, DropTally, NodeLane, RoundMetrics, RunMetrics};
 pub use node::{Inbox, Node, RoundContext, SuspectView};
-pub use pool::{BufferPool, PoolStats};
 
 /// The last path segment of `T`'s type name — e.g. `Rumor` for
 /// `my_crate::gossip::Rumor`. The engines use it to register message

@@ -154,7 +154,6 @@ fn random_report(rng: &mut StdRng) -> ObsReport {
             .map(|round| ProfileMem {
                 round,
                 knowledge_bytes: int(rng),
-                pool_bytes: int(rng),
                 rss_bytes: int(rng),
             })
             .collect();
@@ -165,7 +164,6 @@ fn random_report(rng: &mut StdRng) -> ObsReport {
             imbalance_mean: real(rng),
             imbalance_max: real(rng),
             peak_knowledge_bytes: int(rng),
-            peak_pool_bytes: int(rng),
             peak_rss_bytes: int(rng),
             phases: rows(rng, 7, |rng| ProfilePhase {
                 phase: phase(rng),
