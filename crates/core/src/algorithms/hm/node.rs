@@ -701,20 +701,8 @@ impl Node for HmNode {
 }
 
 impl KnowledgeView for HmNode {
-    fn knows(&self, id: NodeId) -> bool {
-        self.knowledge.contains(id)
-    }
-    fn knows_count(&self) -> usize {
-        self.knowledge.len()
-    }
-    fn known_ids(&self) -> Vec<NodeId> {
-        self.knowledge.to_vec()
-    }
-    fn max_known(&self) -> Option<NodeId> {
-        self.knowledge.max_id()
-    }
-    fn covers(&self, mask: &[u64]) -> bool {
-        self.knowledge.covers(mask)
+    fn knowledge(&self) -> &KnowledgeSet {
+        &self.knowledge
     }
     fn believes_done(&self) -> bool {
         if self.is_leader() {
@@ -722,9 +710,6 @@ impl KnowledgeView for HmNode {
         } else {
             self.got_roster
         }
-    }
-    fn resident_bytes(&self) -> u64 {
-        self.knowledge.resident_bytes() as u64
     }
 }
 
@@ -943,7 +928,7 @@ mod tests {
                 assert_eq!(leader.believes_done(), leader.is_quiescent());
                 (
                     leader.is_quiescent(),
-                    leader.known_ids(),
+                    leader.knowledge.to_vec(),
                     !leader.knowledge.is_settled(),
                 )
             })

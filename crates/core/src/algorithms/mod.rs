@@ -14,6 +14,7 @@ pub use pointer_doubling::PointerDoubling;
 pub use random_pointer_jump::RandomPointerJump;
 pub use swamping::Swamping;
 
+use crate::knowledge::KnowledgeSet;
 use crate::problem::InitialKnowledge;
 use rd_sim::{MessageCost, NodeId, PointerList};
 
@@ -68,40 +69,18 @@ impl MessageCost for TransferMsg {
 ///
 /// The omniscient harness uses this view to decide global completion
 /// (the literature measures *convergence time*, observed from outside)
-/// and to verify soundness; protocols themselves never see it.
+/// and to verify soundness; protocols themselves never see it. Every
+/// question it asks — does the node know `id`, its largest id, does it
+/// cover a mask — is one about the node's knowledge set Γ(v), so the
+/// view hands that set out and the checks ask it directly.
 pub trait KnowledgeView {
-    /// Does this node know `id`?
-    fn knows(&self, id: NodeId) -> bool;
+    /// The node's knowledge set Γ(v).
+    fn knowledge(&self) -> &KnowledgeSet;
     /// Number of distinct identifiers this node knows. The completion
     /// predicates rely on the distinctness: n ids of a node, all below
     /// n, are the whole population.
-    fn knows_count(&self) -> usize;
-    /// All identifiers this node knows.
-    fn known_ids(&self) -> Vec<NodeId>;
-    /// The largest identifier this node knows — what the
-    /// no-fabricated-ids check compares against the instance size, so
-    /// nodes backed by a [`KnowledgeSet`] answer from its membership
-    /// tier ([`max_id`]) instead of copying out every id.
-    ///
-    /// [`KnowledgeSet`]: crate::knowledge::KnowledgeSet
-    /// [`max_id`]: crate::knowledge::KnowledgeSet::max_id
-    fn max_known(&self) -> Option<NodeId> {
-        self.known_ids().into_iter().max()
-    }
-    /// Does this node know every id whose bit is set in `mask` (id `i`
-    /// is bit `i % 64` of word `i / 64`)? The completion predicates and
-    /// the convergence check ask this of every node, so nodes backed by
-    /// a [`KnowledgeSet`] override the per-id default with its
-    /// word-level [`covers`].
-    ///
-    /// [`KnowledgeSet`]: crate::knowledge::KnowledgeSet
-    /// [`covers`]: crate::knowledge::KnowledgeSet::covers
-    fn covers(&self, mask: &[u64]) -> bool {
-        mask.iter().enumerate().all(|(w, &word)| {
-            (0..64)
-                .filter(|bit| word >> bit & 1 == 1)
-                .all(|bit| self.knows(NodeId::new((w * 64 + bit) as u32)))
-        })
+    fn knows_count(&self) -> usize {
+        self.knowledge().len()
     }
     /// Whether the node's *local* state claims discovery is finished.
     ///
@@ -111,15 +90,10 @@ pub trait KnowledgeView {
         false
     }
     /// Heap bytes of the node's knowledge state (capacities, not
-    /// lengths). Sampled per round by the profiler's memory timeline;
-    /// protocols that track knowledge in a [`KnowledgeSet`] report its
-    /// [`resident_bytes`]. The default (0) keeps exotic node states
-    /// honest: unknown is reported as nothing rather than a guess.
-    ///
-    /// [`KnowledgeSet`]: crate::knowledge::KnowledgeSet
-    /// [`resident_bytes`]: crate::knowledge::KnowledgeSet::resident_bytes
+    /// lengths): the set's [`resident_bytes`](KnowledgeSet::resident_bytes).
+    /// Sampled per round by the profiler's memory timeline.
     fn resident_bytes(&self) -> u64 {
-        0
+        self.knowledge().resident_bytes() as u64
     }
 }
 

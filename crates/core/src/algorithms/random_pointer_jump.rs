@@ -96,23 +96,8 @@ impl Node for RandomPointerJumpNode {
 }
 
 impl KnowledgeView for RandomPointerJumpNode {
-    fn knows(&self, id: NodeId) -> bool {
-        self.knowledge.contains(id)
-    }
-    fn knows_count(&self) -> usize {
-        self.knowledge.len()
-    }
-    fn known_ids(&self) -> Vec<NodeId> {
-        self.knowledge.to_vec()
-    }
-    fn max_known(&self) -> Option<NodeId> {
-        self.knowledge.max_id()
-    }
-    fn covers(&self, mask: &[u64]) -> bool {
-        self.knowledge.covers(mask)
-    }
-    fn resident_bytes(&self) -> u64 {
-        self.knowledge.resident_bytes() as u64
+    fn knowledge(&self) -> &KnowledgeSet {
+        &self.knowledge
     }
 }
 

@@ -2,7 +2,7 @@
 //! resource-discovery problem.
 
 use crate::algorithms::KnowledgeView;
-use rd_graphs::{connectivity, CsrAdjacency, DiGraph};
+use rd_graphs::{connectivity, DiGraph};
 use rd_sim::NodeId;
 
 /// Per-node initial knowledge in compressed-sparse-row form: one flat
@@ -16,8 +16,7 @@ use rd_sim::NodeId;
 /// layout replaces the former `Vec<Vec<NodeId>>`: building a 2^20-node
 /// instance used to allocate a million separate row vectors that node
 /// construction then walked pointer by pointer — as CSR it is two
-/// contiguous arrays, built in one pass from the graph's
-/// [`CsrAdjacency`].
+/// contiguous arrays, built in one pass over the graph's rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InitialKnowledge {
     /// Row `u` is `ids[offsets[u] as usize..offsets[u + 1] as usize]`.
@@ -82,18 +81,18 @@ pub fn initial_knowledge(g: &DiGraph) -> InitialKnowledge {
         connectivity::is_weakly_connected(g),
         "initial knowledge graph must be weakly connected"
     );
-    let csr = CsrAdjacency::from_digraph(g);
-    let n = csr.node_count();
+    let n = g.node_count();
+    let edges = g.edge_count();
     assert!(
-        n + csr.edge_count() <= u32::MAX as usize,
+        n + edges <= u32::MAX as usize,
         "instance too large for u32 CSR offsets"
     );
     let mut offsets = Vec::with_capacity(n + 1);
-    let mut ids = Vec::with_capacity(n + csr.edge_count());
+    let mut ids = Vec::with_capacity(n + edges);
     offsets.push(0);
     for u in 0..n {
         ids.push(NodeId::new(u as u32));
-        ids.extend(csr.row(u).iter().map(|&v| NodeId::new(v)));
+        ids.extend(g.out(u).iter().copied().map(NodeId::new));
         offsets.push(ids.len() as u32);
     }
     InitialKnowledge { offsets, ids }
@@ -106,19 +105,10 @@ pub fn everyone_knows_everyone<N: KnowledgeView>(nodes: &[N]) -> bool {
     nodes.iter().all(|node| node.knows_count() == n)
 }
 
-/// `true` when some node ℓ knows every identifier **and** every node
-/// knows ℓ — the classic PODC '99 completion notion (`LeaderKnowsAll`):
-/// one more broadcast round from ℓ finishes the job.
-pub fn leader_knows_all<N: KnowledgeView>(nodes: &[N]) -> bool {
-    let n = nodes.len();
-    nodes.iter().enumerate().any(|(i, node)| {
-        node.knows_count() == n && nodes.iter().all(|other| other.knows(NodeId::new(i as u32)))
-    })
-}
-
 /// The bitmap form of an index selection, as
-/// [`KnowledgeView::covers`] reads it: index `i` is bit `i % 64` of
-/// word `i / 64`. Returns the mask and how many indices it holds.
+/// [`KnowledgeSet::covers`](crate::KnowledgeSet::covers) reads it:
+/// index `i` is bit `i % 64` of word `i / 64`. Returns the mask and how
+/// many indices it holds.
 pub(crate) fn id_mask(n: usize, selected: impl IntoIterator<Item = usize>) -> (Vec<u64>, usize) {
     let mut mask = vec![0u64; n.div_ceil(64)];
     let mut count = 0;
@@ -157,19 +147,20 @@ impl LiveMask {
 
     /// Whether `node` knows every live node. A node knowing fewer ids
     /// than there are live nodes cannot — an O(1) count check that
-    /// prunes the word-level [`covers`](KnowledgeView::covers). With
-    /// every node live the live ids are all of `0..n`, and a node that
-    /// knows at least n ids, none of them n or above, knows exactly
+    /// prunes the word-level [`covers`](crate::KnowledgeSet::covers).
+    /// With every node live the live ids are all of `0..n`, and a node
+    /// that knows at least n ids, none of them n or above, knows exactly
     /// those: its count and its largest id answer without the words.
     /// Any other mask, or a node knowing an id ≥ n (the fabricated-ids
     /// check's concern, not this one's), asks `covers`.
     fn knows_every_live<N: KnowledgeView>(&self, node: &N) -> bool {
-        if node.knows_count() < self.count {
+        let known = node.knowledge();
+        if known.len() < self.count {
             return false;
         }
         let everyone_live = self.count == self.nodes;
-        (everyone_live && node.max_known().is_some_and(|top| top.index() < self.nodes))
-            || node.covers(&self.mask)
+        (everyone_live && known.max_id().is_some_and(|top| top.index() < self.nodes))
+            || known.covers(&self.mask)
     }
 
     /// [`everyone_knows_everyone`] restricted to the live nodes: every
@@ -187,8 +178,10 @@ impl LiveMask {
             .all(|(i, node)| !self.is_live(i) || self.knows_every_live(node))
     }
 
-    /// [`leader_knows_all`] restricted to the live nodes: some live ℓ
-    /// knows every live node, and every live node knows ℓ.
+    /// The classic PODC '99 completion notion (`LeaderKnowsAll` in
+    /// DESIGN.md), restricted to the live nodes: some live ℓ knows
+    /// every live node, and every live node knows ℓ — one more
+    /// broadcast round from ℓ finishes the job.
     ///
     /// # Panics
     ///
@@ -198,10 +191,9 @@ impl LiveMask {
         nodes.iter().enumerate().any(|(i, node)| {
             self.is_live(i)
                 && self.knows_every_live(node)
-                && nodes
-                    .iter()
-                    .enumerate()
-                    .all(|(j, other)| !self.is_live(j) || other.knows(NodeId::new(i as u32)))
+                && nodes.iter().enumerate().all(|(j, other)| {
+                    !self.is_live(j) || other.knowledge().contains(NodeId::new(i as u32))
+                })
         })
     }
 }
@@ -219,9 +211,9 @@ pub fn everyone_knows_everyone_among<N: KnowledgeView>(nodes: &[N], live: &[bool
     LiveMask::new(live).everyone_knows_everyone(nodes)
 }
 
-/// [`leader_knows_all`] restricted to live nodes: some live ℓ knows
-/// every live node, and every live node knows ℓ. A caller that asks
-/// every round builds the [`LiveMask`] once instead.
+/// Some live ℓ knows every live node, and every live node knows ℓ
+/// ([`LiveMask::leader_knows_all`]; `live[i]` marks node `i` live). A
+/// caller that asks every round builds the [`LiveMask`] once instead.
 ///
 /// # Panics
 ///
@@ -234,26 +226,24 @@ pub fn leader_knows_all_among<N: KnowledgeView>(nodes: &[N], live: &[bool]) -> b
 mod tests {
     use super::*;
 
-    struct Fake {
-        known: Vec<NodeId>,
-    }
+    use crate::knowledge::KnowledgeSet;
+    use rd_graphs::Topology;
+
+    struct Fake(KnowledgeSet);
 
     impl KnowledgeView for Fake {
-        fn knows(&self, id: NodeId) -> bool {
-            self.known.contains(&id)
-        }
-        fn knows_count(&self) -> usize {
-            self.known.len()
-        }
-        fn known_ids(&self) -> Vec<NodeId> {
-            self.known.clone()
+        fn knowledge(&self) -> &KnowledgeSet {
+            &self.0
         }
     }
 
     fn fake(ids: &[u32]) -> Fake {
-        Fake {
-            known: ids.iter().map(|&i| NodeId::new(i)).collect(),
-        }
+        Fake(ids.iter().map(|&i| NodeId::new(i)).collect())
+    }
+
+    /// The plain `LeaderKnowsAll` predicate: every node live.
+    fn leader_knows_all(nodes: &[Fake]) -> bool {
+        leader_knows_all_among(nodes, &vec![true; nodes.len()])
     }
 
     #[test]
@@ -266,6 +256,17 @@ mod tests {
         let rows: Vec<&[NodeId]> = init.rows().collect();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[1], init.of(1));
+        // Row u is u, then g.out(u) ascending, on every family.
+        for topo in Topology::survey() {
+            let g = topo.generate(100, 9);
+            let init = initial_knowledge(&g);
+            assert_eq!(init.len(), g.node_count(), "{topo:?}");
+            for (u, row) in init.rows().enumerate() {
+                let out: Vec<NodeId> = g.out(u).iter().map(|&v| NodeId::new(v)).collect();
+                assert_eq!(row[0], NodeId::new(u as u32), "{topo:?} row {u}");
+                assert_eq!(&row[1..], &out[..], "{topo:?} row {u}");
+            }
+        }
     }
 
     #[test]
@@ -322,10 +323,6 @@ mod tests {
         assert_eq!(
             everyone_knows_everyone_among(&nodes, &live),
             everyone_knows_everyone(&nodes)
-        );
-        assert_eq!(
-            leader_knows_all_among(&nodes, &live),
-            leader_knows_all(&nodes)
         );
     }
 

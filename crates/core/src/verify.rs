@@ -16,7 +16,7 @@ pub fn no_fabricated_ids<N: KnowledgeView>(nodes: &[N]) -> bool {
     let n = nodes.len();
     nodes
         .iter()
-        .all(|node| node.max_known().is_none_or(|top| top.index() < n))
+        .all(|node| node.knowledge().max_id().is_none_or(|top| top.index() < n))
 }
 
 /// Checks that every node still knows its entire initial knowledge
@@ -29,7 +29,7 @@ pub fn retains_initial_knowledge<N: KnowledgeView>(
         && nodes
             .iter()
             .zip(initial.rows())
-            .all(|(node, init)| init.iter().all(|&id| node.knows(id)))
+            .all(|(node, init)| init.iter().all(|&id| node.knowledge().contains(id)))
 }
 
 /// Checks that every node knows itself (identity is never lost).
@@ -37,7 +37,7 @@ pub fn knows_self<N: KnowledgeView>(nodes: &[N]) -> bool {
     nodes
         .iter()
         .enumerate()
-        .all(|(i, node)| node.knows(NodeId::new(i as u32)))
+        .all(|(i, node)| node.knowledge().contains(NodeId::new(i as u32)))
 }
 
 /// Fault-aware convergence check: every live node knows every live node
@@ -93,9 +93,10 @@ pub fn live_component_complete<N: KnowledgeView>(
     members.values().all(|component| {
         let span = component.last().map_or(0, |&top| top + 1);
         let (mask, size) = problem::id_mask(span, component.iter().copied());
-        component
-            .iter()
-            .all(|&i| nodes[i].knows_count() >= size && nodes[i].covers(&mask))
+        component.iter().all(|&i| {
+            let known = nodes[i].knowledge();
+            known.len() >= size && known.covers(&mask)
+        })
     })
 }
 
@@ -111,9 +112,7 @@ pub fn live_component_complete<N: KnowledgeView>(
 /// # use rd_sim::NodeId;
 /// # struct Fake(KnowledgeSet);
 /// # impl KnowledgeView for Fake {
-/// #     fn knows(&self, id: NodeId) -> bool { self.0.contains(id) }
-/// #     fn knows_count(&self) -> usize { self.0.len() }
-/// #     fn known_ids(&self) -> Vec<NodeId> { self.0.to_vec() }
+/// #     fn knowledge(&self) -> &KnowledgeSet { &self.0 }
 /// # }
 /// let mut checker = MonotonicityChecker::new();
 /// let mut nodes = vec![Fake(KnowledgeSet::new(NodeId::new(0)))];
@@ -186,14 +185,8 @@ mod tests {
 
     struct Fake(KnowledgeSet);
     impl KnowledgeView for Fake {
-        fn knows(&self, id: NodeId) -> bool {
-            self.0.contains(id)
-        }
-        fn knows_count(&self) -> usize {
-            self.0.len()
-        }
-        fn known_ids(&self) -> Vec<NodeId> {
-            self.0.to_vec()
+        fn knowledge(&self) -> &KnowledgeSet {
+            &self.0
         }
     }
 

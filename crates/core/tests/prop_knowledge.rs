@@ -917,20 +917,8 @@ proptest! {
 struct Knows(KnowledgeSet);
 
 impl KnowledgeView for Knows {
-    fn knows(&self, id: NodeId) -> bool {
-        self.0.contains(id)
-    }
-    fn knows_count(&self) -> usize {
-        self.0.len()
-    }
-    fn known_ids(&self) -> Vec<NodeId> {
-        self.0.to_vec()
-    }
-    fn max_known(&self) -> Option<NodeId> {
-        self.0.max_id()
-    }
-    fn covers(&self, mask: &[u64]) -> bool {
-        self.0.covers(mask)
+    fn knowledge(&self) -> &KnowledgeSet {
+        &self.0
     }
 }
 
@@ -980,7 +968,7 @@ fn by_covers(nodes: &[Knows], live: &[bool]) -> (bool, bool) {
         mask[i / 64] |= 1 << (i % 64);
     }
     let count = live.iter().filter(|&&l| l).count();
-    let knows_all = |node: &Knows| node.knows_count() >= count && node.covers(&mask);
+    let knows_all = |node: &Knows| node.0.len() >= count && node.0.covers(&mask);
     let everyone = nodes
         .iter()
         .zip(live)
@@ -988,7 +976,8 @@ fn by_covers(nodes: &[Knows], live: &[bool]) -> (bool, bool) {
     let leader = nodes.iter().enumerate().any(|(i, node)| {
         live[i]
             && knows_all(node)
-            && (nodes.iter().zip(live)).all(|(other, &l)| !l || other.knows(NodeId::new(i as u32)))
+            && (nodes.iter().zip(live))
+                .all(|(other, &l)| !l || other.0.contains(NodeId::new(i as u32)))
     });
     (everyone, leader)
 }

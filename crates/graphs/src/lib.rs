@@ -7,9 +7,6 @@
 //! algorithms need to know about *knowledge graphs*:
 //!
 //! * [`DiGraph`] — a compact adjacency-list directed graph,
-//! * [`CsrAdjacency`] — the frozen compressed-sparse-row form of a
-//!   finished graph (one flat edge array + offsets) for cache-friendly
-//!   read-side traversal,
 //! * [`UnionFind`] — disjoint sets with union-by-rank and path compression,
 //! * connectivity analysis ([`connectivity`]) — weak components, Tarjan
 //!   strongly connected components, reachability,
@@ -31,13 +28,11 @@
 //! ```
 
 pub mod connectivity;
-pub mod csr;
 pub mod digraph;
 pub mod metrics;
 pub mod topology;
 pub mod unionfind;
 
-pub use csr::CsrAdjacency;
 pub use digraph::DiGraph;
 pub use topology::Topology;
 pub use unionfind::UnionFind;

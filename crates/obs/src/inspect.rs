@@ -4,6 +4,7 @@
 use crate::archive::Archive;
 use crate::prof::{ProfileMsg, ProfileReport};
 use crate::recorder::DropTally;
+use crate::span::Phase;
 use std::fmt::Write as _;
 
 /// Renders a human-readable summary of one archive: run identity,
@@ -219,26 +220,35 @@ pub fn diff(label_a: &str, a: &Archive, label_b: &str, b: &Archive) -> String {
         );
     }
 
-    let phase_pairs: Vec<(&str, u64, u64)> = a
-        .phases
-        .iter()
-        .filter_map(|pa| {
-            b.phases
-                .iter()
-                .find(|pb| pb.phase == pa.phase)
-                .map(|pb| (pa.phase.name(), pa.total_ns, pb.total_ns))
-        })
+    // Every phase either side timed: one engine may time a step inside
+    // another phase's span, so a phase one side lacks is still a row.
+    let total = |x: &Archive, phase| {
+        x.phases
+            .iter()
+            .find(|p| p.phase == phase)
+            .map(|p| p.total_ns)
+    };
+    let rows: Vec<_> = Phase::ALL
+        .into_iter()
+        .map(|phase| (phase, total(a, phase), total(b, phase)))
+        .filter(|&(_, x, y)| x.is_some() || y.is_some())
         .collect();
-    if !phase_pairs.is_empty() {
+    if !rows.is_empty() {
+        let ms = |ns: Option<u64>| ns.map_or("-".into(), |ns| format!("{:.3}", ns as f64 / 1e6));
         let _ = writeln!(out, "\nphase totals (ms):");
-        for (phase, x, y) in phase_pairs {
+        for (phase, x, y) in rows {
+            let delta = match (x, y) {
+                (Some(x), Some(y)) => delta_pct(x, y),
+                (Some(_), None) => "a only".into(),
+                _ => "b only".into(),
+            };
             let _ = writeln!(
                 out,
-                "  {:<18} {:>14.3} {:>14.3} {:>10}",
-                phase,
-                x as f64 / 1e6,
-                y as f64 / 1e6,
-                delta_pct(x, y)
+                "  {:<18} {:>14} {:>14} {:>10}",
+                phase.name(),
+                ms(x),
+                ms(y),
+                delta
             );
         }
     }
@@ -588,5 +598,32 @@ mod tests {
         let changed = diff("a.jsonl", &a, "b.jsonl", &b);
         assert!(changed.contains("+50.0%"));
         assert!(changed.contains("messages_total"));
+    }
+
+    #[test]
+    fn diff_lists_phases_present_on_one_side_only() {
+        let with_phase = |name: &str, ns: u64| {
+            let row = format!(
+                "{{\"type\":\"phase\",\"phase\":\"{name}\",\"count\":1,\"total_ns\":{ns},\"p50_ns\":{ns},\"p99_ns\":{ns},\"max_ns\":{ns}}}\n"
+            );
+            let worker = "{\"type\":\"worker\",\"worker\":0";
+            archive_from(&sample(100).replace(worker, &(row + worker)))
+        };
+        let a = with_phase("on_round", 2_000_000);
+        let b = with_phase("apply_deltas", 3_000_000);
+        let out = diff("a.jsonl", &a, "b.jsonl", &b);
+        let row = |name: &str| {
+            let found = out.lines().find(|l| l.trim_start().starts_with(name));
+            found.unwrap_or_else(|| panic!("no {name} row in {out}"))
+        };
+        assert!(row("route_shard").ends_with('='), "{out}");
+        let a_only = row("on_round");
+        assert!(a_only.contains("2.000") && a_only.contains(" - "), "{out}");
+        assert!(a_only.ends_with("a only"), "{out}");
+        let b_only = row("apply_deltas");
+        assert!(
+            b_only.contains("3.000") && b_only.ends_with("b only"),
+            "{out}"
+        );
     }
 }

@@ -65,7 +65,8 @@ where
     let n = g.node_count();
     let sound = nodes.iter().enumerate().all(|(i, node)| {
         use resource_discovery::core::KnowledgeView;
-        node.knows(NodeId::new(i as u32)) && node.known_ids().iter().all(|id| id.index() < n)
+        let known = node.knowledge();
+        known.contains(NodeId::new(i as u32)) && known.to_vec().iter().all(|id| id.index() < n)
     });
     RunReport {
         algorithm: alg.name(),

@@ -250,8 +250,8 @@ where
     );
     for (i, (s, p)) in seq.nodes().iter().zip(par.nodes()).enumerate() {
         prop_assert_eq!(
-            s.known_ids(),
-            p.known_ids(),
+            s.knowledge().to_vec(),
+            p.knowledge().to_vec(),
             "{}: node {} knowledge diverged",
             alg.name(),
             i
@@ -314,8 +314,8 @@ where
     );
     for (i, (u, s)) in unit.nodes().iter().zip(sampled.nodes()).enumerate() {
         prop_assert_eq!(
-            u.known_ids(),
-            s.known_ids(),
+            u.knowledge().to_vec(),
+            s.knowledge().to_vec(),
             "{}: node {} knowledge diverged",
             alg.name(),
             i
